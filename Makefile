@@ -19,7 +19,7 @@ RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
 	./internal/pacing ./internal/fleet .
 
-.PHONY: check vet vet-ctx race bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
+.PHONY: check vet vet-ctx race flake bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
 
@@ -27,11 +27,16 @@ all: check
 # the context-plumbing lint) stay clean, the transfer engine's fault
 # matrix, the telemetry registry, and the hybrid control plane run under
 # the race detector, and every fuzz corpus gets a short randomized shake.
+# The benchmark is its own module (bench/, outside ./...), so it is
+# vetted and tested here too: an API change that breaks its build fails
+# CI rather than the next benchmark run.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) vet-ctx
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 	$(GO) test -race -count=1 ./internal/gridftp/... ./internal/faultnet/... \
 		./internal/telemetry ./internal/vc/... ./internal/xferman \
 		./internal/connpool ./internal/pacing ./internal/fleet .
@@ -80,11 +85,18 @@ vet-ctx:
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 
+# Flake gate: the live packages' tests repeated, so an ordering bug that
+# passes most runs (a reply written before the server has finished, a
+# pool slot released late) fails CI instead of one run in thirty.
+FLAKE_COUNT ?= 5
+flake:
+	$(GO) test -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/
+
 # One iteration of every root benchmark, machine-readable, for
 # before/after comparisons across PRs. Override BENCH_OUT to record a
 # new snapshot (e.g. make bench BENCH_OUT=BENCH_4.json).
 BENCH_OUT ?= BENCH_3.json
-bench: bench-fleet
+bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x -json . | tee $(BENCH_OUT)
 
 # Storage-backend throughput: streaming RETR/STOR of an 8 MiB object

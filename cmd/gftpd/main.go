@@ -49,7 +49,7 @@ func main() {
 		hotObject = flag.Int64("hot-object", 0, "largest object admitted to the hot tier (-store tiered; 0: hot-bytes/8)")
 		stripes   = flag.Int("stripes", 1, "number of stripe data movers")
 		block     = flag.Int("block", 256<<10, "MODE E block size in bytes")
-		window    = flag.Int("window", 0, "sliding reassembly window for streaming STOR in bytes (0: default 8 MiB); bounds per-transfer buffering of out-of-order blocks")
+		window    = flag.Int("window", 0, "sliding reassembly window every STOR is received through, in bytes (0: default 8 MiB; negative is an error); bounds per-transfer buffering of out-of-order blocks")
 		usage     = flag.String("usage", "", "UDP usage-stats collector address (optional)")
 		host      = flag.String("host", "", "server identity in usage logs (default: listen address)")
 		auth      = flag.String("auth", "", "require this user:pass (default: accept all)")

@@ -180,7 +180,9 @@ func TestPoolDiscardAfterMidUseKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTimeouts(500*time.Millisecond, 500*time.Millisecond)
+	if err := c.ApplyOptions(gridftp.WithTimeouts(500*time.Millisecond, 500*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
 	proxy.Reset()
 	if _, err := c.List(""); err == nil {
 		t.Fatal("command on killed channel should fail")

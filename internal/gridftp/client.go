@@ -2,13 +2,13 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gftpvc/internal/pacing"
@@ -89,11 +89,11 @@ func WithDataTimeout(d time.Duration) Option {
 	return func(c *Client) { c.dataTimeout = d }
 }
 
-// WithWindow sets the sliding reassembly window for the streaming
-// retrieval APIs (RetrTo/RetrToAt; default DefaultWindowSize). The
-// window bounds the client's peak receive memory and the worst-case
-// duplicate bytes a resumed transfer re-delivers. It also sizes the
-// streaming upload chunks (window/4, clamped to [4KiB, 256KiB]) so a
+// WithWindow sets the sliding reassembly window every retrieval
+// delivers through (default DefaultWindowSize). The window bounds the
+// client's peak receive memory (beyond the caller's own sink) and the
+// worst-case duplicate bytes a resumed transfer re-delivers. It also
+// sizes the upload chunks (window/4, clamped to [4KiB, 256KiB]) so a
 // symmetrically configured receiver always accepts them.
 func WithWindow(bytes int) Option {
 	return func(c *Client) { c.windowSize = bytes }
@@ -175,15 +175,12 @@ func (c *Client) dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, defaultDialTimeout)
 }
 
-// dataConn dials one data endpoint, applies the data timeout, and
-// counts wire bytes into the transfer span (a nil span counts nothing).
-// A nonzero token means the endpoint is a shared passive listener: the
-// demux routing preamble is sent first, on the raw connection so it
-// never lands in the wire-byte tally. A non-nil limiter slides a pacing
-// wrapper under the byte counter, so counted bytes are exactly the
-// rate-enforced bytes and throttle stalls land on the span; ctx bounds
-// in-flight throttle waits (buffered callers pass Background — their
-// waits are bounded by the bucket debt of one buffered write).
+// dataConn dials one data endpoint and instruments it: the data timeout
+// per I/O, wire bytes counted into the transfer span (a nil span counts
+// nothing), and pacing when lim is non-nil (see wrapDataConn). A nonzero
+// token means the endpoint is a shared passive listener: the demux
+// routing preamble is sent first, on the raw connection so it never
+// lands in the wire-byte tally.
 func (c *Client) dataConn(ctx context.Context, addr string, token uint64, sp *telemetry.Span, lim *pacing.Limiter) (net.Conn, error) {
 	conn, err := c.dial(addr)
 	if err != nil {
@@ -195,13 +192,11 @@ func (c *Client) dataConn(ctx context.Context, addr string, token uint64, sp *te
 			return nil, err
 		}
 	}
-	inner := withIdleTimeout(conn, c.dataTimeout)
-	var shaped *telemetry.Counter
+	ic := instrumentedConn{Conn: conn, idle: c.dataTimeout, span: sp}
 	if lim != nil {
-		inner = pacing.WrapConn(ctx, inner, lim, sp.AddThrottleWait)
-		shaped = c.met.shapedBytes()
+		ic.shaped = c.met.shapedBytes()
 	}
-	return &countingConn{Conn: inner, span: sp, shaped: shaped}, nil
+	return wrapDataConn(ctx, ic, lim), nil
 }
 
 // Close terminates the session with QUIT.
@@ -327,14 +322,6 @@ func (c *Client) Noop() error {
 	return err
 }
 
-// SetTrace binds an end-to-end trace context to the session.
-//
-// Deprecated: use ApplyOptions(WithTransferTrace(tc)) — one checkout
-// call rebinds trace, deadlines, window, and rate together.
-func (c *Client) SetTrace(tc telemetry.TraceContext) error {
-	return c.setTrace(tc)
-}
-
 // setTrace binds an end-to-end trace context to the session: the
 // server is told via SITE TRID so its transfer spans and events link
 // back to the caller's span, and this client's own transfer spans are
@@ -363,52 +350,10 @@ func (c *Client) setTrace(tc telemetry.TraceContext) error {
 	return nil
 }
 
-// tagTransferSpan links a transfer span into the bound trace (no-op
-// when tracing is off or telemetry is absent).
-func (c *Client) tagTransferSpan(sp *telemetry.Span) {
-	if c.trace.TraceID != "" {
-		sp.SetTrace(c.trace.TraceID, c.trace.ParentSID)
-	}
-}
-
 // Desynced reports whether the control channel has been poisoned by an
 // undrained failure; a pool must discard such a connection rather than
 // hand it to the next job.
 func (c *Client) Desynced() bool { return c.desynced }
-
-// SetTimeouts rebinds the control and data deadlines (zero keeps the
-// current value; negative disables). A pooled connection outlives any
-// one job, so each checkout re-applies the job's own deadlines.
-//
-// Deprecated: use ApplyOptions(WithTimeouts(control, data)) — one
-// checkout call rebinds trace, deadlines, window, and rate together.
-func (c *Client) SetTimeouts(control, data time.Duration) {
-	if control != 0 {
-		c.controlTimeout = control
-	}
-	if control < 0 {
-		c.controlTimeout = 0
-	}
-	if data != 0 {
-		c.dataTimeout = data
-	}
-	if data < 0 {
-		c.dataTimeout = 0
-	}
-}
-
-// SetWindow rebinds the streaming reassembly window (see WithWindow)
-// for the jobs a pooled connection serves next.
-//
-// Deprecated: use ApplyOptions(WithTransferWindow(bytes)) — one
-// checkout call rebinds trace, deadlines, window, and rate together.
-func (c *Client) SetWindow(bytes int) error {
-	if bytes < 1 {
-		return errors.New("gridftp: window must be positive")
-	}
-	c.windowSize = bytes
-	return nil
-}
 
 // SetParallelism sets the number of parallel TCP streams for subsequent
 // transfers (the Globus -p flag; OPTS RETR Parallelism).
@@ -539,9 +484,7 @@ type TransferStats struct {
 	ThroughputBps float64
 	// WireBytes is the payload byte count that crossed the data
 	// channels, including duplicate regions a resumed sender
-	// re-transmitted; it equals Bytes when nothing was re-sent. Only
-	// the streaming APIs (RetrTo/StorFrom families) populate it — the
-	// buffered APIs leave it zero.
+	// re-transmitted; it equals Bytes when nothing was re-sent.
 	WireBytes int64
 	// StorAccepted reports that the server accepted this upload's STOR
 	// command; StorFrom/StorFromAt set it even when the transfer later
@@ -551,22 +494,43 @@ type TransferStats struct {
 	StorAccepted bool
 }
 
-// Retr fetches an object using the configured parallelism over a single
-// stripe (PASV + n connections to the same listener).
-func (c *Client) Retr(name string, opts ...TransferOption) ([]byte, TransferStats, error) {
+// The buffered calls below are the streaming engines (stream.go) in a
+// second call shape: the same retrieve and store run with no
+// cancellation context, collecting into or reading from a byte slice.
+// On failure they return no data and zero stats.
+
+// byteSink collects a retrieval in memory; the engine presizes buf once
+// the region length is known, so delivery does not reallocate.
+type byteSink struct{ buf []byte }
+
+func (s *byteSink) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	return len(p), nil
+}
+
+// retrBytes runs one retrieval into memory.
+func (c *Client) retrBytes(op, name string, striped bool, offset, length int64, opts []TransferOption) ([]byte, TransferStats, error) {
 	if err := c.applyCallOptions(opts); err != nil {
 		return nil, TransferStats{}, err
 	}
-	return c.retr(name, false, 0, -1, false)
+	var sink byteSink
+	stats, err := c.retrieve(context.Background(), op, name, &sink, striped, offset, length)
+	if err != nil {
+		return nil, TransferStats{}, err
+	}
+	return sink.buf, stats, nil
+}
+
+// Retr fetches an object using the configured parallelism over a single
+// stripe (PASV + n connections to the same listener).
+func (c *Client) Retr(name string, opts ...TransferOption) ([]byte, TransferStats, error) {
+	return c.retrBytes("retr", name, false, 0, -1, opts)
 }
 
 // RetrStriped fetches an object in striped mode (SPAS; one connection per
 // server stripe).
 func (c *Client) RetrStriped(name string, opts ...TransferOption) ([]byte, TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return nil, TransferStats{}, err
-	}
-	return c.retr(name, true, 0, -1, false)
+	return c.retrBytes("retr_striped", name, true, 0, -1, opts)
 }
 
 // RetrPartial fetches the byte region [offset, offset+length) of an
@@ -575,220 +539,36 @@ func (c *Client) RetrPartial(name string, offset, length int64, opts ...Transfer
 	if offset < 0 || length <= 0 {
 		return nil, TransferStats{}, errors.New("gridftp: invalid partial region")
 	}
-	if err := c.applyCallOptions(opts); err != nil {
-		return nil, TransferStats{}, err
-	}
-	return c.retr(name, false, offset, length, false)
+	return c.retrBytes("eret", name, false, offset, length, opts)
 }
 
 // RetrFrom resumes a retrieval at offset using REST, the failure-recovery
 // path GridFTP sessions rely on.
 func (c *Client) RetrFrom(name string, offset int64, opts ...TransferOption) ([]byte, TransferStats, error) {
-	if offset < 0 {
-		return nil, TransferStats{}, errors.New("gridftp: negative restart offset")
-	}
+	return c.retrBytes("rest_retr", name, false, offset, -1, opts)
+}
+
+// storBytes runs one upload from memory.
+func (c *Client) storBytes(op, name string, data []byte, striped bool, opts []TransferOption) (TransferStats, error) {
 	if err := c.applyCallOptions(opts); err != nil {
-		return nil, TransferStats{}, err
+		return TransferStats{}, err
 	}
-	return c.retr(name, false, offset, -1, true)
-}
-
-// retr wraps retrInner with per-transfer instrumentation: a span
-// tracing data_setup -> stream -> teardown and the client transfer
-// metrics.
-func (c *Client) retr(name string, striped bool, offset, length int64, restart bool) ([]byte, TransferStats, error) {
-	op := "retr"
-	switch {
-	case striped:
-		op = "retr_striped"
-	case length >= 0:
-		op = "eret"
-	case restart:
-		op = "rest_retr"
-	}
-	sp := c.hub.Span(op, name, telemetry.PhaseSetup)
-	c.tagTransferSpan(sp)
-	start := time.Now()
-	data, stats, err := c.retrInner(name, striped, offset, length, restart, sp)
-	c.met.transferDone(op, err, sp.Bytes(), time.Since(start).Seconds())
-	sp.End(err)
-	return data, stats, err
-}
-
-func (c *Client) retrInner(name string, striped bool, offset, length int64, restart bool, sp *telemetry.Span) ([]byte, TransferStats, error) {
-	size, err := c.Size(name)
+	stats, err := c.store(context.Background(), op, name, bytes.NewReader(data), striped, 0)
 	if err != nil {
-		return nil, TransferStats{}, err
+		return TransferStats{}, err
 	}
-	if offset > size {
-		return nil, TransferStats{}, errors.New("gridftp: offset beyond object size")
-	}
-	regionLen := size - offset
-	if length >= 0 && length < regionLen {
-		regionLen = length
-	}
-	var addrs []string
-	var token uint64
-	if striped {
-		addrs, token, err = c.stripedPassive()
-	} else {
-		var a string
-		a, token, err = c.passive()
-		if err == nil {
-			for i := 0; i < c.parallelism; i++ {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	start := time.Now()
-	switch {
-	case restart:
-		if _, err := c.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
-			return nil, TransferStats{}, err
-		}
-		if _, err := c.do("RETR", "RETR "+name, 150); err != nil {
-			return nil, TransferStats{}, err
-		}
-	case length >= 0:
-		cmd := fmt.Sprintf("ERET P %d %d %s", offset, length, name)
-		if _, err := c.do("ERET", cmd, 150); err != nil {
-			return nil, TransferStats{}, err
-		}
-	default:
-		if _, err := c.do("RETR", "RETR "+name, 150); err != nil {
-			return nil, TransferStats{}, err
-		}
-	}
-	asm, err := NewRegionAssembler(uint64(offset), regionLen)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	sp.SetStreams(len(addrs))
-	sp.Phase(telemetry.PhaseStream)
-	lim := c.xferLimiter()
-	var wg sync.WaitGroup
-	errs := make([]error, len(addrs))
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			conn, err := c.dataConn(context.Background(), addr, token, sp, lim)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer conn.Close()
-			_, errs[i] = asm.DrainConn(bufio.NewReaderSize(conn, 64<<10))
-		}(i, addr)
-	}
-	wg.Wait()
-	sp.Phase(telemetry.PhaseTeardown)
-	for _, e := range errs {
-		if e != nil {
-			c.drainReply() // the pending 226/426, deadline-bounded
-			return nil, TransferStats{}, e
-		}
-	}
-	if _, err := c.expect("RETR-complete", 226); err != nil {
-		return nil, TransferStats{}, err
-	}
-	if !asm.Complete() {
-		return nil, TransferStats{}, fmt.Errorf("%w: incomplete transfer", ErrDataProtocol)
-	}
-	stats := c.stats(regionLen, start, len(addrs), striped)
-	return asm.Bytes(), stats, nil
+	return stats, nil
 }
 
 // Stor uploads an object using the configured parallelism.
 func (c *Client) Stor(name string, data []byte, opts ...TransferOption) (TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return TransferStats{}, err
-	}
-	addr, token, err := c.passive()
-	if err != nil {
-		return TransferStats{}, err
-	}
-	addrs := make([]string, c.parallelism)
-	for i := range addrs {
-		addrs[i] = addr
-	}
-	return c.stor(name, data, addrs, token, false)
+	return c.storBytes("stor", name, data, false, opts)
 }
 
 // StorStriped uploads an object in striped mode: one data connection per
-// server stripe (SPAS), blocks interleaved round-robin.
+// server stripe (SPAS).
 func (c *Client) StorStriped(name string, data []byte, opts ...TransferOption) (TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return TransferStats{}, err
-	}
-	addrs, token, err := c.stripedPassive()
-	if err != nil {
-		return TransferStats{}, err
-	}
-	return c.stor(name, data, addrs, token, true)
-}
-
-// stor wraps storInner with the same per-transfer instrumentation as
-// retr.
-func (c *Client) stor(name string, data []byte, addrs []string, token uint64, striped bool) (TransferStats, error) {
-	op := "stor"
-	if striped {
-		op = "stor_striped"
-	}
-	sp := c.hub.Span(op, name, telemetry.PhaseSetup)
-	c.tagTransferSpan(sp)
-	start := time.Now()
-	stats, err := c.storInner(name, data, addrs, token, striped, sp)
-	c.met.transferDone(op, err, sp.Bytes(), time.Since(start).Seconds())
-	sp.End(err)
-	return stats, err
-}
-
-func (c *Client) storInner(name string, data []byte, addrs []string, token uint64, striped bool, sp *telemetry.Span) (TransferStats, error) {
-	start := time.Now()
-	if _, err := c.do("STOR", "STOR "+name, 150); err != nil {
-		return TransferStats{}, err
-	}
-	n := len(addrs)
-	sp.SetStreams(n)
-	sp.Phase(telemetry.PhaseStream)
-	lim := c.xferLimiter()
-	const blockSize = 256 << 10
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			conn, err := c.dataConn(context.Background(), addr, token, sp, lim)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer conn.Close()
-			bw := bufio.NewWriterSize(conn, 64<<10)
-			if err := SendFile(bw, data, blockSize, i*blockSize, n*blockSize); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = bw.Flush()
-		}(i, addr)
-	}
-	wg.Wait()
-	sp.Phase(telemetry.PhaseTeardown)
-	for _, e := range errs {
-		if e != nil {
-			c.drainReply()
-			return TransferStats{}, e
-		}
-	}
-	if _, err := c.expect("STOR-complete", 226); err != nil {
-		return TransferStats{}, err
-	}
-	return c.stats(int64(len(data)), start, n, striped), nil
+	return c.storBytes("stor_striped", name, data, true, opts)
 }
 
 func (c *Client) stats(size int64, start time.Time, conns int, striped bool) TransferStats {

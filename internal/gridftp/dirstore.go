@@ -16,8 +16,8 @@ import (
 // production GridFTP server runs with. Object names are slash-separated
 // relative paths confined to the root directory.
 //
-// DirStore implements the full streaming surface, so a server wired to
-// it never falls back to whole-object buffering:
+// DirStore implements the full streaming surface a server needs, plus
+// its two optional refinements:
 //
 //   - ReaderAtStore: RETR reads stripes with pread-style ReadObjectAt,
 //     one block buffer per connection.

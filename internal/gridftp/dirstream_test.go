@@ -111,7 +111,7 @@ func TestDirStoreStreamingBoundedMemory(t *testing.T) {
 
 	runtime.ReadMemStats(&after)
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
-	// The whole-object paths would allocate >= objSize per direction;
+	// A whole-object buffer would allocate >= objSize per direction;
 	// the streaming paths allocate windows, bufio buffers, and scratch
 	// blocks. Half the object is an order of magnitude of headroom
 	// while still proving nothing materialized the payload.

@@ -57,6 +57,13 @@ func TestServeValidation(t *testing.T) {
 	if _, err := Serve(Config{Store: NewMemStore(), BlockSize: -1}); err == nil {
 		t.Error("negative block size should fail")
 	}
+	if _, err := Serve(Config{Store: NewMemStore(), WindowSize: -1}); err == nil {
+		t.Error("negative window size should fail: there is no unwindowed STOR to fall back to")
+	}
+	// Embedding the interface strips MemStore's streaming methods.
+	if _, err := Serve(Config{Store: struct{ Store }{NewMemStore()}}); err == nil {
+		t.Error("a store without ReaderAtStore/StreamPutter should fail")
+	}
 }
 
 func TestRetrSingleStream(t *testing.T) {

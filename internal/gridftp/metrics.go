@@ -1,7 +1,6 @@
 package gridftp
 
 import (
-	"net"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -249,54 +248,15 @@ type transferCtx struct {
 	wire  atomic.Int64
 	conns int
 
-	// delivered is the payload byte count the destination sink received
-	// exactly once this attempt; deliveredSet marks it authoritative
-	// (the windowed receive path sets it — legacy paths leave it unset
-	// and the success metric falls back to the transfer size).
-	delivered    int64
-	deliveredSet bool
+	// size is the object region a completed transfer moved (the usage
+	// record's byte count on success; a failure logs the partial wire
+	// count instead). delivered is the payload byte count the
+	// destination sink received exactly once this attempt, win or lose.
+	size      int64
+	delivered int64
 	// wireRec, when nonzero, is the payload wire byte count (duplicates
 	// included) recorded as the usage record's WIRE= field; set only
 	// when a resumed sender actually re-sent bytes, so untouched
 	// transfers log byte-identically to older servers.
 	wireRec int64
-}
-
-// countingConn counts wire bytes crossing a data connection into the
-// transfer tally and, when telemetry is on, the per-stripe live bins
-// and the transfer span. The nil-safety of LiveCounter/Span keeps the
-// uninstrumented path to two pointer tests per I/O.
-type countingConn struct {
-	net.Conn
-	wire *atomic.Int64
-	live *telemetry.LiveCounter
-	span *telemetry.Span
-	// shaped, when non-nil, double-counts these bytes into the
-	// shaped-wire-bytes counter: the connection below is pacing-wrapped
-	// and its traffic is rate-enforced.
-	shaped *telemetry.Counter
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.count(int64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.count(int64(n))
-	return n, err
-}
-
-func (c *countingConn) count(n int64) {
-	if n <= 0 {
-		return
-	}
-	if c.wire != nil {
-		c.wire.Add(n)
-	}
-	c.live.Add(n)
-	c.span.AddBytes(n)
-	c.shaped.Add(n)
 }

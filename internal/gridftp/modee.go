@@ -78,8 +78,8 @@ func ReadBlock(r io.Reader) (Block, error) {
 // ReadBlockInto reads one MODE E frame using scratch as the payload
 // buffer, growing it as needed; the returned Block's Data aliases the
 // returned scratch and is valid only until the next call. Receivers
-// that copy payloads out immediately (the server's STOR reassembly)
-// use it to avoid a per-frame allocation.
+// that copy payloads out immediately (window reassembly on both
+// endpoints) use it to avoid a per-frame allocation.
 func ReadBlockInto(r io.Reader, scratch []byte) (Block, []byte, error) {
 	var hdr [modeEHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -102,42 +102,13 @@ func ReadBlockInto(r io.Reader, scratch []byte) (Block, []byte, error) {
 	return b, scratch, nil
 }
 
-// SendFile writes data over w as MODE E blocks of blockSize starting at
-// byte offset base with stride step (striping interleave: a stripe with
-// base=i*blockSize, step=nStripes*blockSize sends every nStripes-th
-// block). A final EOD frame closes the channel's data stream; the caller
-// sends EOF/EODC bookkeeping separately when required.
-func SendFile(w io.Writer, data []byte, blockSize int, base, step int) error {
-	return SendFileAt(w, data, 0, blockSize, base, step)
-}
-
-// SendFileAt is SendFile with the MODE E offsets shifted by fileOffset:
-// partial retrievals (ERET) and restarted transfers (REST) frame their
-// region with absolute file offsets so the receiver can merge it into the
-// full object.
-func SendFileAt(w io.Writer, data []byte, fileOffset uint64, blockSize int, base, step int) error {
-	if blockSize <= 0 {
-		return fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
-	}
-	if base < 0 || step <= 0 {
-		return fmt.Errorf("%w: bad stripe geometry base=%d step=%d", ErrDataProtocol, base, step)
-	}
-	for off := base; off < len(data); off += step {
-		end := off + blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := WriteBlock(w, Block{Offset: fileOffset + uint64(off), Data: data[off:end]}); err != nil {
-			return err
-		}
-	}
-	return WriteBlock(w, Block{Desc: DescEOD})
-}
-
 // Assembler reassembles MODE E blocks arriving over any number of data
 // connections into a contiguous buffer. Distinct connections carry
 // disjoint byte ranges, so concurrent Place calls are safe: the copies
-// touch disjoint regions and the received counter is atomic.
+// touch disjoint regions and the received counter is atomic. No
+// transfer path uses it — both endpoints reassemble through a
+// WindowAssembler — it stays as the whole-object reference the
+// benchmark ledger and the fuzz targets compare against.
 type Assembler struct {
 	buf      []byte
 	base     uint64

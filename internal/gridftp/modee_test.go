@@ -62,15 +62,16 @@ func TestReadBlockOversized(t *testing.T) {
 	}
 }
 
-func TestSendFileGeometryValidation(t *testing.T) {
+func TestSendStoreRegionGeometryValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SendFile(&buf, []byte("x"), 0, 0, 1); err == nil {
+	src := bytes.NewReader([]byte("x"))
+	if err := sendStoreRegion(src, &buf, 0, 1, 0, 0, 1); err == nil {
 		t.Error("zero block size should fail")
 	}
-	if err := SendFile(&buf, []byte("x"), 1, -1, 1); err == nil {
+	if err := sendStoreRegion(src, &buf, 0, 1, 1, -1, 1); err == nil {
 		t.Error("negative base should fail")
 	}
-	if err := SendFile(&buf, []byte("x"), 1, 0, 0); err == nil {
+	if err := sendStoreRegion(src, &buf, 0, 1, 1, 0, 0); err == nil {
 		t.Error("zero step should fail")
 	}
 }
@@ -103,7 +104,7 @@ func TestStripedReassemblyProperty(t *testing.T) {
 		streams := make([]*bytes.Buffer, stripes)
 		for i := range streams {
 			streams[i] = &bytes.Buffer{}
-			if err := SendFile(streams[i], payload, block, i*block, stripes*block); err != nil {
+			if err := sendStoreRegion(bytes.NewReader(payload), streams[i], 0, int64(size), block, i*block, stripes*block); err != nil {
 				return false
 			}
 		}

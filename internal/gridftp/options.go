@@ -12,10 +12,8 @@ import (
 
 // TransferOptions bundles the per-transfer tunables — deadlines,
 // streaming window, trace binding, and rate shaping — that accrete on a
-// control channel between jobs. It replaces the old
-// mutate-the-client-then-call pattern (SetTimeouts, SetWindow,
-// SetTrace): callers now pass functional options either to
-// ApplyOptions, which rebinds everything in one call (what a pool
+// control channel between jobs. Callers pass functional options either
+// to ApplyOptions, which rebinds everything in one call (what a pool
 // checkout does), or directly on the per-call transfer APIs
 // (Retr/Stor/RetrTo/RetrToAt/StorFrom/StorFromAt), which apply them
 // first and then run.
@@ -96,8 +94,7 @@ func WithParallel(n int) TransferOption {
 }
 
 // ApplyOptions rebinds the client's transfer state in one call — the
-// single checkout-time rebind that replaced the SetTimeouts + SetWindow
-// + SetTrace sequence. Local-only options (timeouts, window, limiter)
+// single checkout-time rebind. Local-only options (timeouts, window, limiter)
 // never touch the wire; trace and rate bindings are advertised to the
 // server when set (SITE TRID / SITE RATE) and degrade silently on
 // servers that predate them. Unset options keep their current values.
@@ -108,7 +105,14 @@ func (c *Client) ApplyOptions(opts ...TransferOption) error {
 			opt(&o)
 		}
 	}
-	c.SetTimeouts(o.control, o.data)
+	// A pooled connection outlives any one job, so each checkout
+	// re-applies the job's own deadlines (negative disables).
+	if o.control != 0 {
+		c.controlTimeout = max(o.control, 0)
+	}
+	if o.data != 0 {
+		c.dataTimeout = max(o.data, 0)
+	}
 	if o.window != 0 {
 		if o.window < 1 {
 			return errors.New("gridftp: window must be positive")

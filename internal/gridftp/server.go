@@ -24,7 +24,10 @@ type Config struct {
 	// Addr is the control-channel listen address ("127.0.0.1:0" for an
 	// ephemeral port).
 	Addr string
-	// Store is the data backend.
+	// Store is the data backend. It must also implement ReaderAtStore
+	// (RETR and CKSM read a pinned io.ReaderAt, never a whole object)
+	// and StreamPutter (STOR always flows through the window);
+	// SnapshotStore and PutAborter are used when present.
 	Store Store
 	// Stripes is the number of stripe data movers (>=1). SPAS exposes one
 	// data listener per stripe.
@@ -56,13 +59,11 @@ type Config struct {
 	// (default 4 GiB). MODE E frames carry 64-bit offsets, so without a
 	// cap a single malicious frame could demand an arbitrary allocation.
 	MaxObjectSize int64
-	// WindowSize is the sliding reassembly window for streaming STOR
-	// receives when Store implements StreamPutter (default 8 MiB;
-	// negative disables streaming, falling back to whole-object
-	// buffering). It bounds per-transfer receive memory regardless of
-	// object size and is the resume granularity: a failed transfer
-	// leaves at most one window of received-but-unflushed bytes to
-	// re-send.
+	// WindowSize is the sliding reassembly window every STOR receives
+	// through (default 8 MiB; negative is rejected by Serve). It bounds
+	// per-transfer receive memory regardless of object size and is the
+	// resume granularity: a failed transfer leaves at most one window
+	// of received-but-unflushed bytes to re-send.
 	WindowSize int
 	// DataListen opens the passive data listeners (default net.Listen).
 	// Fault-injection and listener-leak tests substitute wrappers here.
@@ -119,7 +120,16 @@ type connShard struct {
 
 // Server is a GridFTP server.
 type Server struct {
-	cfg    Config
+	cfg Config
+	// The store's capabilities, resolved once by Serve so no transfer
+	// path type-asserts: reads is required, snaps (a pinned version per
+	// transfer) and aborts (per-put resource release) are nil when the
+	// store does not offer them.
+	reads  ReaderAtStore
+	snaps  SnapshotStore
+	puts   StreamPutter
+	aborts PutAborter
+
 	ln     net.Listener
 	sender *usagestats.Sender
 	met    *srvMetrics
@@ -215,11 +225,16 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.AggregateRateBps < 0 {
 		return nil, errors.New("gridftp: aggregate rate must be >= 0")
 	}
-	switch {
-	case cfg.WindowSize == 0:
+	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 8 << 20
-	case cfg.WindowSize < 0:
-		cfg.WindowSize = 0
+	}
+	if cfg.WindowSize < 0 {
+		return nil, errors.New("gridftp: window size must be positive")
+	}
+	reads, okR := cfg.Store.(ReaderAtStore)
+	puts, okW := cfg.Store.(StreamPutter)
+	if !okR || !okW {
+		return nil, errors.New("gridftp: store must implement ReaderAtStore and StreamPutter")
 	}
 	if cfg.DataListen == nil {
 		cfg.DataListen = net.Listen
@@ -234,7 +249,9 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.ServerHost == "" {
 		cfg.ServerHost = ln.Addr().String()
 	}
-	s := &Server{cfg: cfg, ln: ln, met: newSrvMetrics(cfg.Telemetry)}
+	s := &Server{cfg: cfg, reads: reads, puts: puts, ln: ln, met: newSrvMetrics(cfg.Telemetry)}
+	s.snaps, _ = cfg.Store.(SnapshotStore)
+	s.aborts, _ = cfg.Store.(PutAborter)
 	s.agg = pacing.NewBucket(cfg.AggregateRateBps, 0)
 	if cfg.PasvPortRange != "" {
 		lo, hi, err := parsePasvPortRange(cfg.PasvPortRange)
@@ -787,11 +804,11 @@ func parseHostPort(s string) (string, error) {
 // dataConns establishes the data connections for a transfer: by accepting
 // on the passive listeners (parallelism conns on PASV's single listener,
 // or one per SPAS stripe listener) or by dialing the PORT target. Every
-// connection is wrapped to count wire bytes into the transfer context,
-// the span, and the per-stripe live byte counters.
+// connection is instrumented (see instrumentedConn) to count wire bytes
+// into the transfer context, the span, and the per-stripe live byte
+// counters.
 func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
 	met := sess.srv.met
-	dataTimeout := sess.srv.cfg.DataTimeout
 	// The session bucket (SITE RATE / Config.MaxRateBps) is shared by
 	// every connection wrapped here — the active, shared-passive, and
 	// per-transfer-listener paths all shape through this one choke
@@ -807,17 +824,14 @@ func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
 	}
 	wrap := func(c net.Conn, stripe string) net.Conn {
 		met.dataConns.Inc()
-		inner := withIdleTimeout(c, dataTimeout)
-		if lim != nil {
-			inner = pacing.WrapConn(context.Background(), inner, lim, tx.span.AddThrottleWait)
-		}
-		return &countingConn{
-			Conn:   inner,
+		return wrapDataConn(context.Background(), instrumentedConn{
+			Conn:   c,
+			idle:   sess.srv.cfg.DataTimeout,
 			wire:   &tx.wire,
 			live:   met.hub.LiveCounter(stripe),
 			span:   tx.span,
 			shaped: shaped,
-		}
+		}, lim)
 	}
 	if sess.activeAddr != "" {
 		c, err := net.DialTimeout("tcp", sess.activeAddr, sess.srv.cfg.AcceptTimeout)
@@ -836,66 +850,51 @@ func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
 		}
 		return []net.Conn{wrap(c, "active")}, nil
 	}
-	if cl := sess.claim; cl != nil {
-		// Shared passive path: the demux routes this transfer's
-		// connections onto the claim queue; drain the expected count.
-		want := sess.parallelism
-		striped := len(cl.addrs) > 1
-		if striped {
-			want = len(cl.addrs)
-		}
-		var conns []net.Conn
-		for i := 0; i < want; i++ {
-			c, err := cl.next(sess.srv.cfg.AcceptTimeout)
-			if err != nil {
-				met.acceptErrors.Inc()
-				for _, open := range conns {
-					open.Close()
-				}
-				return nil, err
-			}
-			stripe := "stripe0"
-			if striped {
-				stripe = fmt.Sprintf("stripe%d", i)
-			}
-			conns = append(conns, wrap(c, stripe))
-		}
-		return conns, nil
+	// Passive: PASV's one endpoint takes parallelism connections, SPAS
+	// one per stripe endpoint. The shared path drains the claim queue
+	// the demux routes this transfer's connections onto; the
+	// per-transfer path accepts on its own listeners.
+	stripes := sess.stripes()
+	want := sess.parallelism
+	if stripes > 1 {
+		want = stripes
 	}
-	if len(sess.passive) == 0 {
+	timeout := sess.srv.cfg.AcceptTimeout
+	var next func(i int) (net.Conn, error)
+	switch {
+	case sess.claim != nil:
+		next = func(int) (net.Conn, error) { return sess.claim.next(timeout) }
+	case len(sess.passive) > 0:
+		next = func(i int) (net.Conn, error) {
+			ln := sess.passive[i%stripes]
+			setListenerDeadline(ln, time.Now().Add(timeout))
+			return ln.Accept()
+		}
+	default:
 		return nil, errors.New("no PASV/SPAS/PORT before transfer")
 	}
-	var conns []net.Conn
-	fail := func(err error) ([]net.Conn, error) {
-		met.acceptErrors.Inc()
-		for _, c := range conns {
-			c.Close()
-		}
-		return nil, err
-	}
-	accept := func(ln net.Listener, stripe string) error {
-		setListenerDeadline(ln, time.Now().Add(sess.srv.cfg.AcceptTimeout))
-		c, err := ln.Accept()
+	conns := make([]net.Conn, 0, want)
+	for i := 0; i < want; i++ {
+		c, err := next(i)
 		if err != nil {
-			return err
-		}
-		conns = append(conns, wrap(c, stripe))
-		return nil
-	}
-	if len(sess.passive) == 1 {
-		for i := 0; i < sess.parallelism; i++ {
-			if err := accept(sess.passive[0], "stripe0"); err != nil {
-				return fail(err)
+			met.acceptErrors.Inc()
+			for _, open := range conns {
+				open.Close()
 			}
+			return nil, err
 		}
-		return conns, nil
-	}
-	for i, ln := range sess.passive {
-		if err := accept(ln, fmt.Sprintf("stripe%d", i)); err != nil {
-			return fail(err)
-		}
+		conns = append(conns, wrap(c, fmt.Sprintf("stripe%d", i%stripes)))
 	}
 	return conns, nil
+}
+
+// stripes is the number of SPAS stripe endpoints armed for the next
+// transfer; PASV, PORT and no endpoint at all count as one.
+func (sess *session) stripes() int {
+	if sess.claim != nil {
+		return len(sess.claim.addrs)
+	}
+	return max(len(sess.passive), 1)
 }
 
 func (sess *session) closePassive() {
@@ -936,47 +935,133 @@ func (sess *session) beginTransfer(op string, typ usagestats.TransferType, targe
 	return tx
 }
 
-// failTransfer replies with the failure code and — unlike success-only
-// Globus loggers — still emits a usage record carrying the error code
-// and the partial byte count, ends the span with an error phase, and
-// records the result metrics, so live failure rates are observable.
-func (sess *session) failTransfer(tx *transferCtx, code int, msg string) {
+// direction is what differs between RETR and STOR inside the one
+// transfer skeleton; a transfer's open step returns it.
+type direction struct {
+	// pump moves data connection i of n's share of the object; it runs
+	// on its own goroutine and the skeleton closes c when it returns.
+	pump func(i, n int, c net.Conn) error
+	// abort, when set, is told the first pump error so sibling pumps
+	// parked on shared state wake.
+	abort func(error)
+	// done receives the data phase's outcome, releases what open
+	// acquired — the pinned source, or the put, sealed on 226 and
+	// aborted otherwise — and returns the transfer's final outcome.
+	done func(code int, msg string) (int, string)
+}
+
+// transfer is the skeleton every RETR, ERET and STOR runs: preconditions
+// -> open the source or sink -> 150 -> data connections -> one pump per
+// connection -> wait -> settle. open reports a nonzero code to reject
+// the transfer before any data connection is made; it must have
+// released whatever it acquired by then.
+func (sess *session) transfer(tx *transferCtx, open func() (direction, int, string)) {
+	code, msg := 504, "set TYPE I and MODE E first"
+	if sess.binary && sess.modeE {
+		var d direction
+		if d, code, msg = open(); code == 0 {
+			code, msg = d.done(sess.moveData(tx, d))
+		}
+	}
+	sess.settle(tx, code, msg)
+}
+
+// moveData is the data phase: it announces the transfer, establishes
+// the data connections, runs one pump per connection, and reports 226,
+// 425 (no data connection) or 426 (a pump failed).
+func (sess *session) moveData(tx *transferCtx, d direction) (int, string) {
+	sess.reply(150, "opening data connection")
+	conns, err := sess.dataConns(tx)
+	if err != nil {
+		return 425, "data connection failed: " + err.Error()
+	}
+	tx.conns = len(conns)
+	tx.span.SetStreams(len(conns))
+	tx.span.Phase(telemetry.PhaseStream)
+	var wg sync.WaitGroup
+	errs := make([]error, len(conns))
+	for i, c := range conns {
+		wg.Add(1)
+		go func(i int, c net.Conn) {
+			defer wg.Done()
+			defer c.Close()
+			if errs[i] = d.pump(i, len(conns), c); errs[i] != nil && d.abort != nil {
+				d.abort(errs[i])
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	tx.span.Phase(telemetry.PhaseTeardown)
+	for _, e := range errs {
+		if e != nil {
+			return 426, "transfer aborted: " + e.Error()
+		}
+	}
+	return 226, "transfer complete"
+}
+
+// settle ends a transfer attempt, and is the only code that writes a
+// completion reply. The reply goes last: by the time a client can act
+// on it the usage record exists, the metrics are published, the span is
+// in the hub's ended ring, and the data listeners or demux claim are
+// released (the source snapshot and the put were released by the
+// direction's done step). Unlike success-only Globus loggers a failure
+// still emits a usage record — carrying the error code and the partial
+// wire-byte count — so live failure rates are observable.
+func (sess *session) settle(tx *transferCtx, code int, msg string) {
+	met := sess.srv.met
+	wire := tx.wire.Load()
+	size, logCode := tx.size, 0
+	var err error
+	if code >= 400 {
+		met.hub.Event(sess.trace.TraceID, "reply_error", fmt.Sprintf("%s: %d %s", tx.op, code, msg))
+		size, logCode, err = wire, code, fmt.Errorf("%d %s", code, msg)
+	}
+	// The usage record derives stripes from the listeners and the claim,
+	// so it is cut before endTransfer releases them.
+	sess.logTransfer(tx, size, logCode)
+	met.transferDone(tx.op, code, wire, time.Since(tx.start).Seconds())
+	met.deliveredBytes(tx.op, tx.delivered)
+	tx.span.End(err)
+	sess.endTransfer()
 	sess.reply(code, msg)
-	sess.srv.met.hub.Event(sess.trace.TraceID, "reply_error",
-		fmt.Sprintf("%s: %d %s", tx.op, code, msg))
-	partial := tx.wire.Load()
-	sess.srv.met.transferDone(tx.op, code, partial, time.Since(tx.start).Seconds())
-	sess.srv.met.deliveredBytes(tx.op, tx.delivered)
-	tx.span.End(fmt.Errorf("%d %s", code, msg))
-	sess.logTransfer(tx, partial, code)
 }
 
-// finishTransfer logs the completed transfer, replies 226, and closes
-// the instrumentation.
-func (sess *session) finishTransfer(tx *transferCtx, size int64) {
-	sess.logTransfer(tx, size, 0)
-	sess.reply(226, "transfer complete")
-	sess.srv.met.transferDone(tx.op, 226, tx.wire.Load(), time.Since(tx.start).Seconds())
-	delivered := tx.delivered
-	if !tx.deliveredSet {
-		delivered = size
+// openSource pins the named object for reading: one immutable version
+// for the caller's whole read when the store offers snapshots — so a
+// concurrent Put can't interleave versions the way per-block store
+// lookups would — else per-read lookups against a version-stable
+// store. release must be called once the reads are done; disk-backed
+// snapshots are open file handles.
+func (s *Server) openSource(name string) (src io.ReaderAt, size int64, release func(), err error) {
+	release = func() {}
+	if s.snaps == nil {
+		size, err = s.cfg.Store.Size(name)
+		return storeReaderAt{s: s.reads, name: name}, size, release, err
 	}
-	sess.srv.met.deliveredBytes(tx.op, delivered)
-	tx.span.End(nil)
+	src, size, err = s.snaps.SnapshotObject(name)
+	if closer, ok := src.(io.Closer); ok && err == nil {
+		release = func() { closer.Close() }
+	}
+	return src, size, release, err
 }
 
-// checkTransferPreconditions enforces TYPE I + MODE E before data moves.
-func (sess *session) checkTransferPreconditions(tx *transferCtx) bool {
-	if !sess.binary || !sess.modeE {
-		sess.failTransfer(tx, 504, "set TYPE I and MODE E first")
-		return false
-	}
-	return true
+// storeReaderAt adapts one object of a ReaderAtStore to io.ReaderAt,
+// for stores that stream but don't offer snapshots.
+type storeReaderAt struct {
+	s    ReaderAtStore
+	name string
+}
+
+func (r storeReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	return r.s.ReadObjectAt(r.name, p, off)
 }
 
 // cmdCksm handles the GridFTP checksum command: "CKSM CRC32 <offset>
 // <length> <name>" (length -1 means to EOF), the integrity-verification
-// hook transfer managers call after a third-party transfer.
+// hook transfer managers call after a third-party transfer. It reads
+// the same pinned source RETR does, one block at a time, so checksumming
+// costs a block of memory whatever the object's size.
 func (sess *session) cmdCksm(arg string) {
 	fields := strings.Fields(arg)
 	if len(fields) != 4 || !strings.EqualFold(fields[0], "CRC32") {
@@ -989,21 +1074,27 @@ func (sess *session) cmdCksm(arg string) {
 		sess.reply(501, "bad checksum region")
 		return
 	}
-	data, err := sess.srv.cfg.Store.Get(fields[3])
+	src, size, release, err := sess.srv.openSource(fields[3])
 	if err != nil {
 		sess.reply(550, err.Error())
 		return
 	}
-	if offset > int64(len(data)) {
+	defer release()
+	if offset > size {
 		sess.reply(551, "offset beyond object size")
 		return
 	}
-	end := int64(len(data))
+	end := size
 	if length >= 0 && offset+length < end {
 		end = offset + length
 	}
-	sum := crc32.ChecksumIEEE(data[offset:end])
-	sess.reply(213, fmt.Sprintf("%08x", sum))
+	sum := crc32.NewIEEE()
+	region := io.NewSectionReader(src, offset, end-offset)
+	if _, err := io.CopyBuffer(sum, region, make([]byte, sess.srv.cfg.BlockSize)); err != nil {
+		sess.reply(550, err.Error())
+		return
+	}
+	sess.reply(213, fmt.Sprintf("%08x", sum.Sum32()))
 }
 
 // cmdEret handles GridFTP partial retrieval: "ERET P <offset> <length>
@@ -1028,123 +1119,56 @@ func (sess *session) cmdEret(arg string) {
 
 // cmdRetr streams an object region to the client across the data
 // connections, interleaving MODE E blocks round-robin (stripe i of n
-// sends blocks i, i+n, i+2n, ...). offset > 0 serves a restarted or
-// partial transfer; length < 0 means to the end of the object.
+// sends blocks i, i+n, i+2n, ...) read straight from the pinned source —
+// per-connection memory is one block, not the object. offset > 0
+// serves a restarted or partial transfer; length < 0 means to the end
+// of the object.
 func (sess *session) cmdRetr(name string, offset, length int64) {
 	op := "retr"
 	if length >= 0 {
 		op = "eret"
 	}
 	tx := sess.beginTransfer(op, usagestats.Retrieve, name)
-	// Rejections (504/550/551), aborts (425/426) and completed transfers
-	// alike must release the data listeners; they are per-transfer.
-	defer sess.endTransfer()
-	if !sess.checkTransferPreconditions(tx) {
-		return
-	}
-	// A ReaderAtStore backend streams stripes straight from the store —
-	// per-connection memory is one block, not the object. The wire
-	// geometry matches SendFileAt exactly (stripe i sends blocks i,
-	// i+n, i+2n, ...), so receivers cannot tell the paths apart. A
-	// SnapshotStore pins one object version for the whole transfer, so
-	// a concurrent Put can't interleave versions the way per-block
-	// store lookups would. Other backends keep the whole-object Get
-	// path, which snapshots by copying.
-	ras, streaming := sess.srv.cfg.Store.(ReaderAtStore)
-	var data []byte
-	var size int64
-	var src io.ReaderAt
-	if ss, ok := sess.srv.cfg.Store.(SnapshotStore); ok {
-		r, n, err := ss.SnapshotObject(name)
+	sess.transfer(tx, func() (direction, int, string) {
+		src, size, release, err := sess.srv.openSource(name)
 		if err != nil {
-			sess.failTransfer(tx, 550, err.Error())
-			return
+			return direction{}, 550, err.Error()
 		}
-		if closer, ok := r.(io.Closer); ok {
-			// Disk-backed snapshots are open file handles; release the
-			// pinned version when the transfer ends, win or lose.
-			defer closer.Close()
+		if offset > size {
+			release()
+			return direction{}, 551, "offset beyond object size"
 		}
-		src, size, streaming = r, n, true
-	} else if streaming {
-		n, err := sess.srv.cfg.Store.Size(name)
-		if err != nil {
-			sess.failTransfer(tx, 550, err.Error())
-			return
+		regionLen := size - offset
+		if length >= 0 && length < regionLen {
+			regionLen = length
 		}
-		src, size = storeReaderAt{s: ras, name: name}, n
-	} else {
-		d, err := sess.srv.cfg.Store.Get(name)
-		if err != nil {
-			sess.failTransfer(tx, 550, err.Error())
-			return
-		}
-		data, size = d, int64(len(d))
-	}
-	if offset > size {
-		sess.failTransfer(tx, 551, "offset beyond object size")
-		return
-	}
-	end := size
-	if length >= 0 && offset+length < end {
-		end = offset + length
-	}
-	regionLen := end - offset
-	sess.reply(150, "opening data connection")
-	conns, err := sess.dataConns(tx)
-	if err != nil {
-		sess.failTransfer(tx, 425, "data connection failed: "+err.Error())
-		return
-	}
-	tx.conns = len(conns)
-	tx.span.SetStreams(len(conns))
-	tx.span.Phase(telemetry.PhaseStream)
-	bs := sess.srv.cfg.BlockSize
-	var wg sync.WaitGroup
-	errs := make([]error, len(conns))
-	for i, c := range conns {
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			defer c.Close()
-			bw := bufio.NewWriterSize(c, 64<<10)
-			if streaming {
-				errs[i] = sendStoreRegion(src, bw, offset, regionLen, bs, i*bs, len(conns)*bs)
-			} else {
-				errs[i] = SendFileAt(bw, data[offset:end], uint64(offset), bs, i*bs, len(conns)*bs)
-			}
-			if errs[i] == nil {
-				errs[i] = bw.Flush()
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	tx.span.Phase(telemetry.PhaseTeardown)
-	for _, e := range errs {
-		if e != nil {
-			sess.failTransfer(tx, 426, "transfer aborted: "+e.Error())
-			return
-		}
-	}
-	sess.finishTransfer(tx, regionLen)
-}
-
-// storeReaderAt adapts one object of a ReaderAtStore to io.ReaderAt,
-// for stores that stream but don't offer snapshots.
-type storeReaderAt struct {
-	s    ReaderAtStore
-	name string
-}
-
-func (r storeReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	return r.s.ReadObjectAt(r.name, p, off)
+		bs := sess.srv.cfg.BlockSize
+		return direction{
+			pump: func(i, n int, c net.Conn) error {
+				bw := bufio.NewWriterSize(c, 64<<10)
+				if err := sendStoreRegion(src, bw, offset, regionLen, bs, i*bs, n*bs); err != nil {
+					return err
+				}
+				return bw.Flush()
+			},
+			done: func(code int, msg string) (int, string) {
+				release()
+				if code == 226 {
+					tx.size, tx.delivered = regionLen, regionLen
+				}
+				return code, msg
+			},
+		}, 0, ""
+	})
 }
 
 // sendStoreRegion streams the object region [offset, offset+length) as
-// MODE E blocks read directly from the store, with SendFileAt's stripe
-// geometry: region-relative offsets base, base+step, base+2*step, ...
-// each carrying up to blockSize bytes framed at absolute file offsets.
-// One blockSize buffer is the whole memory footprint.
+// MODE E blocks read directly from the store, in stripe geometry:
+// region-relative offsets base, base+step, base+2*step, ... each
+// carrying up to blockSize bytes framed at absolute file offsets (a
+// stripe with base=i*blockSize, step=n*blockSize sends every n-th
+// block). A final EOD frame closes the connection's data stream. One
+// blockSize buffer is the whole memory footprint.
 func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize, base, step int) error {
 	if blockSize <= 0 {
 		return fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
@@ -1172,112 +1196,6 @@ func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize
 	return WriteBlock(w, Block{Desc: DescEOD})
 }
 
-// growBuffer extends buf so it covers [0, end), doubling the capacity
-// when a reallocation is needed to keep the copy cost amortized.
-func growBuffer(buf []byte, end uint64) []byte {
-	if end <= uint64(len(buf)) {
-		return buf
-	}
-	if end <= uint64(cap(buf)) {
-		return buf[:end]
-	}
-	newCap := uint64(cap(buf)) * 2
-	if newCap < end {
-		newCap = end
-	}
-	grown := make([]byte, end, newCap)
-	copy(grown, buf)
-	return grown
-}
-
-// cmdStor receives an object from the client over the data connections.
-// offset > 0 (REST) resumes a partial object: the windowed path
-// delivers from that watermark onward, dropping any overlap the sender
-// re-transmits.
-func (sess *session) cmdStor(name string, offset int64) {
-	tx := sess.beginTransfer("stor", usagestats.Store, name)
-	defer sess.endTransfer()
-	if !sess.checkTransferPreconditions(tx) {
-		return
-	}
-	if sp, ok := sess.srv.cfg.Store.(StreamPutter); ok && sess.srv.cfg.WindowSize > 0 {
-		sess.cmdStorWindowed(tx, sp, name, offset)
-		return
-	}
-	if offset != 0 {
-		// The whole-object path has no resume watermark to honor.
-		sess.failTransfer(tx, 501, "REST not supported for buffered STOR")
-		return
-	}
-	sess.reply(150, "opening data connection")
-	conns, err := sess.dataConns(tx)
-	if err != nil {
-		sess.failTransfer(tx, 425, "data connection failed: "+err.Error())
-		return
-	}
-	tx.conns = len(conns)
-	tx.span.SetStreams(len(conns))
-	tx.span.Phase(telemetry.PhaseStream)
-	// MODE E frames carry explicit offsets, so the receiver needs no
-	// advance size. Each connection reads into a reusable scratch frame
-	// and copies straight into the shared object buffer under a lock:
-	// no per-block allocation, no retained block list, and peak memory
-	// is the object itself rather than twice it.
-	maxSize := uint64(sess.srv.cfg.MaxObjectSize)
-	var (
-		mu  sync.Mutex
-		buf []byte
-	)
-	var wg sync.WaitGroup
-	errs := make([]error, len(conns))
-	for i, c := range conns {
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			defer c.Close()
-			br := bufio.NewReaderSize(c, 64<<10)
-			var scratch []byte
-			for {
-				var b Block
-				var err error
-				b, scratch, err = ReadBlockInto(br, scratch)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if len(b.Data) > 0 {
-					if b.Offset > maxSize || uint64(len(b.Data)) > maxSize-b.Offset {
-						errs[i] = fmt.Errorf("%w: block at offset %d exceeds the %d-byte object limit",
-							ErrDataProtocol, b.Offset, maxSize)
-						return
-					}
-					end := b.Offset + uint64(len(b.Data))
-					mu.Lock()
-					buf = growBuffer(buf, end)
-					copy(buf[b.Offset:end], b.Data)
-					mu.Unlock()
-				}
-				if b.Desc&DescEOD != 0 {
-					return
-				}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	tx.span.Phase(telemetry.PhaseTeardown)
-	for _, e := range errs {
-		if e != nil {
-			sess.failTransfer(tx, 426, "transfer aborted: "+e.Error())
-			return
-		}
-	}
-	if err := sess.srv.cfg.Store.Put(name, buf); err != nil {
-		sess.failTransfer(tx, 552, "store failed: "+err.Error())
-		return
-	}
-	sess.finishTransfer(tx, int64(len(buf)))
-}
-
 // regionSink adapts a StreamPutter to the io.Writer a window assembler
 // flushes into: writes arrive contiguous and ascending from the
 // restart base, so each one commits the next region of the object.
@@ -1295,112 +1213,94 @@ func (s *regionSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// cmdStorWindowed receives an object through a bounded reassembly
-// window: blocks from all data connections place into one shared
-// window, every contiguous run flushes to the store immediately, and a
-// connection racing too far ahead parks until the window slides. Peak
-// memory is the window, independent of object size — and because
-// BeginPut pins the stored object to the delivered watermark, a failed
-// transfer leaves a partial whose Size is exactly the restart offset a
-// resume-aware client probes for.
-func (sess *session) cmdStorWindowed(tx *transferCtx, sp StreamPutter, name string, offset int64) {
-	if err := sp.BeginPut(name, offset); err != nil {
-		sess.failTransfer(tx, 554, "restart rejected: "+err.Error())
-		return
-	}
-	// Once BeginPut engaged, every failure path must release the store's
-	// per-put resources (DirStore's open partial handle). The flushed
-	// watermark itself survives the abort — it is the restart offset a
-	// resume probes via SIZE.
-	abortPut := func() {
-		if pa, ok := sp.(PutAborter); ok {
-			_ = pa.AbortPut(name)
+// cmdStor receives an object through a bounded reassembly window:
+// blocks from all data connections place into one shared window, every
+// contiguous run flushes to the store immediately, and a connection
+// racing too far ahead parks until the window slides. Peak memory is
+// the window, independent of object size — and because BeginPut pins
+// the stored object to the delivered watermark, a failed transfer
+// leaves a partial whose Size is exactly the restart offset a
+// resume-aware client probes for. offset > 0 (REST) resumes such a
+// partial: delivery starts at that watermark, dropping any overlap the
+// sender re-transmits.
+func (sess *session) cmdStor(name string, offset int64) {
+	tx := sess.beginTransfer("stor", usagestats.Store, name)
+	sess.transfer(tx, func() (direction, int, string) {
+		srv := sess.srv
+		if err := srv.puts.BeginPut(name, offset); err != nil {
+			return direction{}, 554, "restart rejected: " + err.Error()
 		}
-	}
-	sink := &regionSink{sp: sp, name: name, off: offset}
-	asm, err := NewWindowAssembler(sink, uint64(offset), -1, sess.srv.cfg.WindowSize, sess.srv.cfg.DataTimeout)
-	if err != nil {
-		abortPut()
-		sess.failTransfer(tx, 451, err.Error())
-		return
-	}
-	if hub := sess.srv.met.hub; hub != nil {
-		trace := sess.trace.TraceID
-		asm.OnPark = func(off uint64) {
-			hub.Event(trace, "block_parked", fmt.Sprintf("%s offset=%d", name, off))
+		// Once BeginPut engaged, every failure path must release the
+		// store's per-put resources (DirStore's open partial handle).
+		// The flushed watermark itself survives the abort — it is the
+		// restart offset a resume probes via SIZE.
+		abortPut := func() {
+			if srv.aborts != nil {
+				_ = srv.aborts.AbortPut(name)
+			}
 		}
-	}
-	sess.reply(150, "opening data connection")
-	conns, err := sess.dataConns(tx)
-	if err != nil {
-		abortPut()
-		sess.failTransfer(tx, 425, "data connection failed: "+err.Error())
-		return
-	}
-	tx.conns = len(conns)
-	tx.span.SetStreams(len(conns))
-	tx.span.Phase(telemetry.PhaseStream)
-	maxSize := uint64(sess.srv.cfg.MaxObjectSize)
-	var wg sync.WaitGroup
-	errs := make([]error, len(conns))
-	for i, c := range conns {
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			defer c.Close()
-			br := bufio.NewReaderSize(c, 64<<10)
-			var scratch []byte
-			for {
-				var b Block
-				var err error
-				b, scratch, err = ReadBlockInto(br, scratch)
-				if err == nil && len(b.Data) > 0 {
-					// The size cap guards before any window logic so a
-					// malicious offset is a prompt 426, never a park.
-					if b.Offset > maxSize || uint64(len(b.Data)) > maxSize-b.Offset {
-						err = fmt.Errorf("%w: block at offset %d exceeds the %d-byte object limit",
-							ErrDataProtocol, b.Offset, maxSize)
-					} else {
-						err = asm.PlaceBlocking(b)
+		sink := &regionSink{sp: srv.puts, name: name, off: offset}
+		asm, err := NewWindowAssembler(sink, uint64(offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
+		if err != nil {
+			abortPut()
+			return direction{}, 451, err.Error()
+		}
+		if hub := srv.met.hub; hub != nil {
+			trace := sess.trace.TraceID
+			asm.OnPark = func(off uint64) {
+				hub.Event(trace, "block_parked", fmt.Sprintf("%s offset=%d", name, off))
+			}
+		}
+		maxSize := uint64(srv.cfg.MaxObjectSize)
+		return direction{
+			pump: func(_, _ int, c net.Conn) error {
+				br := bufio.NewReaderSize(c, 64<<10)
+				var scratch []byte
+				for {
+					var b Block
+					var err error
+					b, scratch, err = ReadBlockInto(br, scratch)
+					if err != nil {
+						return err
+					}
+					if len(b.Data) > 0 {
+						// The size cap guards before any window logic so a
+						// malicious offset is a prompt 426, never a park.
+						if b.Offset > maxSize || uint64(len(b.Data)) > maxSize-b.Offset {
+							return fmt.Errorf("%w: block at offset %d exceeds the %d-byte object limit",
+								ErrDataProtocol, b.Offset, maxSize)
+						}
+						if err := asm.PlaceBlocking(b); err != nil {
+							return err
+						}
+					}
+					if b.Desc&DescEOD != 0 {
+						return nil
 					}
 				}
-				if err != nil {
-					errs[i] = err
-					// Wake siblings parked on the window; first error wins.
-					asm.Abort(err)
-					return
+			},
+			// Wake siblings parked on the window; first error wins.
+			abort: asm.Abort,
+			done: func(code int, msg string) (int, string) {
+				tx.delivered = asm.Delivered()
+				if asm.DuplicateBytes() > 0 {
+					tx.wireRec = asm.WireBytes()
 				}
-				if b.Desc&DescEOD != 0 {
-					return
+				if code == 226 {
+					tx.size = int64(asm.Flushed())
+					if err := asm.Finish(); err != nil {
+						code, msg = 426, "transfer aborted: "+err.Error()
+					} else if err := srv.puts.FinishPut(name, tx.size); err != nil {
+						code, msg = 552, "store failed: "+err.Error()
+					}
 				}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	tx.span.Phase(telemetry.PhaseTeardown)
-	tx.delivered, tx.deliveredSet = asm.Delivered(), true
-	if asm.DuplicateBytes() > 0 {
-		tx.wireRec = asm.WireBytes()
-	}
-	for _, e := range errs {
-		if e != nil {
-			abortPut()
-			sess.failTransfer(tx, 426, "transfer aborted: "+e.Error())
-			return
-		}
-	}
-	if err := asm.Finish(); err != nil {
-		abortPut()
-		sess.failTransfer(tx, 426, "transfer aborted: "+err.Error())
-		return
-	}
-	size := int64(asm.Flushed())
-	if err := sp.FinishPut(name, size); err != nil {
-		abortPut()
-		sess.failTransfer(tx, 552, "store failed: "+err.Error())
-		return
-	}
-	sess.finishTransfer(tx, size)
+				if code != 226 {
+					abortPut()
+				}
+				return code, msg
+			},
+		}, 0, ""
+	})
 }
 
 // logTransfer appends a usage record to the local log and ships it to
@@ -1409,23 +1309,17 @@ func (sess *session) cmdStorWindowed(tx *transferCtx, sp StreamPutter, name stri
 // transfers: code >= 400 marks the record failed and size carries the
 // partial byte count.
 func (sess *session) logTransfer(tx *transferCtx, size int64, code int) {
-	t, start, conns := tx.typ, tx.start, tx.conns
-	streams := conns
-	stripes := 1
-	if n := len(sess.passive); n > 1 {
-		stripes = n
-		streams = 1
-	} else if sess.claim != nil && len(sess.claim.addrs) > 1 {
-		stripes = len(sess.claim.addrs)
-		streams = 1
-	}
-	if streams < 1 {
-		// Transfers rejected before data-channel setup still log.
+	start := tx.start
+	// One stream per stripe when striped; transfers rejected before
+	// data-channel setup still log, as one stream.
+	stripes := sess.stripes()
+	streams := tx.conns
+	if stripes > 1 || streams < 1 {
 		streams = 1
 	}
 	remote, _, _ := net.SplitHostPort(sess.conn.RemoteAddr().String())
 	rec := usagestats.Record{
-		Type:        t,
+		Type:        tx.typ,
 		SizeBytes:   size,
 		Start:       start.UTC(),
 		DurationSec: time.Since(start).Seconds(),

@@ -85,8 +85,8 @@ func TestSiteTrid(t *testing.T) {
 	}
 }
 
-// TestClientSetTraceDegrade checks the client side of the contract:
-// SetTrace against a server that rejects SITE returns nil (silent
+// TestClientSetTraceDegrade checks the client side of the contract: a
+// trace binding against a server that rejects SITE returns nil (silent
 // degrade) while keeping local span tagging, and binding against a
 // TRID-aware server tags the server's transfer span with the trace.
 func TestClientSetTraceDegrade(t *testing.T) {
@@ -105,7 +105,7 @@ func TestClientSetTraceDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), ParentSID: "deadbeef"}
-	if err := c.SetTrace(tc); err != nil {
+	if err := c.ApplyOptions(WithTransferTrace(tc)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Retr("x.bin"); err != nil {
@@ -118,11 +118,11 @@ func TestClientSetTraceDegrade(t *testing.T) {
 		t.Fatalf("client span tagging: %+v", got)
 	}
 
-	if err := c.SetTrace(telemetry.TraceContext{TraceID: "nothex"}); err == nil {
+	if err := c.ApplyOptions(WithTransferTrace(telemetry.TraceContext{TraceID: "nothex"})); err == nil {
 		t.Fatal("invalid trace context accepted")
 	}
 	// Clearing stops tagging new spans.
-	if err := c.SetTrace(telemetry.TraceContext{}); err != nil {
+	if err := c.ApplyOptions(WithTransferTrace(telemetry.TraceContext{})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Retr("x.bin"); err != nil {
@@ -133,7 +133,7 @@ func TestClientSetTraceDegrade(t *testing.T) {
 	}
 }
 
-// TestClientSetTraceOldServer runs SetTrace against a scripted server
+// TestClientSetTraceOldServer binds a trace against a scripted server
 // that answers SITE with 502 ("command not implemented"), the reply a
 // pre-TRID build sends: the client must degrade silently.
 func TestClientSetTraceOldServer(t *testing.T) {
@@ -180,7 +180,7 @@ func TestClientSetTraceOldServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID()}
-	if err := c.SetTrace(tc); err != nil {
-		t.Fatalf("SetTrace against an old server must degrade silently, got %v", err)
+	if err := c.ApplyOptions(WithTransferTrace(tc)); err != nil {
+		t.Fatalf("a trace binding against an old server must degrade silently, got %v", err)
 	}
 }

@@ -28,11 +28,11 @@ type Store interface {
 // ErrNotFound reports a missing object.
 var ErrNotFound = errors.New("gridftp: object not found")
 
-// ReaderAtStore is the optional streaming read side of a Store: a
-// server whose store implements it serves RETR by reading stripes
-// directly into per-connection buffers instead of materializing the
-// whole object with Get. ReadObjectAt follows io.ReaderAt semantics
-// (short reads at the object's tail return io.EOF with n > 0).
+// ReaderAtStore is the streaming read side of a Store, which Serve
+// requires: RETR and CKSM read stripes directly into per-connection
+// buffers, never materializing the whole object with Get.
+// ReadObjectAt follows io.ReaderAt semantics (short reads at the
+// object's tail return io.EOF with n > 0).
 type ReaderAtStore interface {
 	ReadObjectAt(name string, p []byte, off int64) (int, error)
 }
@@ -41,16 +41,15 @@ type ReaderAtStore interface {
 // ReadObjectAt resolves the object anew, so a RETR overlapping a
 // concurrent Put can interleave old- and new-version bytes in one
 // response. SnapshotObject instead pins one immutable view of the
-// object that the server reads for the transfer's whole duration,
-// restoring the consistent-version semantics the buffered Get path
-// had. Stores whose ReadObjectAt is already version-stable (stateless
+// object that the server reads for the transfer's whole duration.
+// Stores whose ReadObjectAt is already version-stable (stateless
 // generators, copy-on-write files) don't need it.
 type SnapshotStore interface {
 	SnapshotObject(name string) (r io.ReaderAt, size int64, err error)
 }
 
-// StreamPutter is the optional streaming write side of a Store: a
-// server whose store implements it receives STOR through a bounded
+// StreamPutter is the streaming write side of a Store, which Serve
+// requires: the server receives every STOR through a bounded
 // reassembly window, committing each contiguous region as it flushes
 // rather than buffering the object in RAM.
 //

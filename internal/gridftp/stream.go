@@ -8,17 +8,19 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gftpvc/internal/telemetry"
 )
 
-// This file is the client's streaming data plane: RetrTo/RetrToAt
-// deliver an object into an io.Writer through a bounded reassembly
-// window, and StorFrom/StorFromAt send from an io.Reader in block-size
-// chunks — peak memory is a window (receive) or a few blocks (send),
-// independent of object size, where the buffered Retr/Stor APIs hold
-// the whole object.
+// This file is the client's data plane, one engine per direction:
+// retrieve delivers an object region into an io.Writer through a
+// bounded reassembly window, and store sends from an io.Reader in
+// block-size chunks — peak memory is a window (receive) or a few blocks
+// (send), independent of object size. RetrTo/RetrToAt and
+// StorFrom/StorFromAt expose them directly; the buffered Retr/Stor
+// families (client.go) are the same engines over a byte slice.
 
 // connSet tracks a transfer's open data connections so a context
 // cancellation can tear them down from outside the transfer
@@ -52,29 +54,65 @@ func (s *connSet) closeAll() {
 	}
 }
 
-// watchCtx tears the connection set down when ctx is cancelled and
-// runs onCancel (e.g. aborting a window assembler so parked placers
-// wake). The returned stop func must be called when the transfer's
-// data phase ends.
-func watchCtx(ctx context.Context, set *connSet, onCancel func(error)) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			if onCancel != nil {
-				onCancel(ctx.Err())
-			}
-			set.closeAll()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
+// dataAddrs asks the server for the transfer's data endpoints: one
+// address per SPAS stripe, or the PASV address repeated once per
+// parallel stream.
+func (c *Client) dataAddrs(striped bool) ([]string, uint64, error) {
+	if striped {
+		return c.stripedPassive()
+	}
+	addr, token, err := c.passive()
+	if err != nil {
+		return nil, 0, err
+	}
+	addrs := make([]string, c.parallelism)
+	for i := range addrs {
+		addrs[i] = addr
+	}
+	return addrs, token, nil
 }
 
-// firstError returns ctx's error if it fired (cancellation caused the
-// connection errors, so it is the root cause), else the first non-nil
-// entry.
-func firstError(ctx context.Context, errs []error) error {
+// pumpConns is the data phase both engines share: dial every data
+// address, run pump on each connection concurrently, wait. abort is
+// told the first failure — a pump or dial error, or ctx's cancellation,
+// which also closes every open connection so blocked reads and writes
+// fail at once — so state the pumps share (a window, a chunk queue)
+// releases its waiters. The result is the failure's root cause, nil
+// when every pump finished.
+func (c *Client) pumpConns(ctx context.Context, addrs []string, token uint64, sp *telemetry.Span, abort func(error), pump func(net.Conn) error) error {
+	sp.SetStreams(len(addrs))
+	sp.Phase(telemetry.PhaseStream)
+	lim := c.xferLimiter()
+	set := &connSet{}
+	stop := context.AfterFunc(ctx, func() {
+		abort(ctx.Err())
+		set.closeAll()
+	})
+	var wg sync.WaitGroup
+	errs := make([]error, len(addrs))
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func(i int, addr string) {
+			defer wg.Done()
+			conn, err := c.dataConn(ctx, addr, token, sp, lim)
+			switch {
+			case err != nil:
+			case !set.add(conn):
+				err = ctx.Err()
+			default:
+				err = pump(conn)
+				conn.Close()
+			}
+			if errs[i] = err; err != nil {
+				abort(err)
+			}
+		}(i, addr)
+	}
+	wg.Wait()
+	stop()
+	sp.Phase(telemetry.PhaseTeardown)
+	// A cancellation caused the connection errors it raced, so it is
+	// the root cause.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -84,6 +122,23 @@ func firstError(ctx context.Context, errs []error) error {
 		}
 	}
 	return nil
+}
+
+// beginTransfer opens one client transfer's instrumentation as op: a
+// span tracing data_setup -> stream -> teardown, linked into the bound
+// trace. The returned end func closes the span and publishes the client
+// transfer metrics.
+func (c *Client) beginTransfer(op, name string) (*telemetry.Span, func(TransferStats, error)) {
+	sp := c.hub.Span(op, name, telemetry.PhaseSetup)
+	if c.trace.TraceID != "" {
+		sp.SetTrace(c.trace.TraceID, c.trace.ParentSID)
+	}
+	start := time.Now()
+	return sp, func(stats TransferStats, err error) {
+		c.met.transferDone(op, err, sp.Bytes(), time.Since(start).Seconds())
+		c.met.deliveredBytes(op, stats.Bytes)
+		sp.End(err)
+	}
 }
 
 // RetrTo fetches an object and streams it into w with bounded memory:
@@ -103,18 +158,19 @@ func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, offset 
 	if err := c.applyCallOptions(opts); err != nil {
 		return TransferStats{}, err
 	}
-	const op = "retr_stream"
-	sp := c.hub.Span(op, name, telemetry.PhaseSetup)
-	c.tagTransferSpan(sp)
-	start := time.Now()
-	stats, err := c.retrToInner(ctx, name, w, offset, sp)
-	c.met.transferDone(op, err, sp.Bytes(), time.Since(start).Seconds())
-	c.met.deliveredBytes(op, stats.Bytes)
-	sp.End(err)
-	return stats, err
+	return c.retrieve(ctx, "retr_stream", name, w, false, offset, -1)
 }
 
-func (c *Client) retrToInner(ctx context.Context, name string, w io.Writer, offset int64, sp *telemetry.Span) (TransferStats, error) {
+// retrieve is the client's one download engine, instrumented as op: a
+// span tracing data_setup -> stream -> teardown and the client transfer
+// metrics. It fetches [offset, offset+length) of the named object
+// (length < 0: to the end) into w — as ERET when a length is given,
+// REST+RETR when only an offset is, plain RETR otherwise — over
+// parallelism connections to one PASV listener, or one connection per
+// SPAS stripe when striped.
+func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, striped bool, offset, length int64) (stats TransferStats, err error) {
+	sp, end := c.beginTransfer(op, name)
+	defer func() { end(stats, err) }()
 	if w == nil {
 		return TransferStats{}, errors.New("gridftp: nil sink")
 	}
@@ -132,59 +188,44 @@ func (c *Client) retrToInner(ctx context.Context, name string, w io.Writer, offs
 		return TransferStats{}, errors.New("gridftp: offset beyond object size")
 	}
 	regionLen := size - offset
-	addr, token, err := c.passive()
+	if length >= 0 && length < regionLen {
+		regionLen = length
+	}
+	addrs, token, err := c.dataAddrs(striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
 	start := time.Now()
-	if offset > 0 {
-		if _, err := c.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
-			return TransferStats{}, err
+	switch {
+	case length >= 0:
+		_, err = c.do("ERET", fmt.Sprintf("ERET P %d %d %s", offset, length, name), 150)
+	case offset > 0:
+		if _, err = c.do("REST", fmt.Sprintf("REST %d", offset), 350); err == nil {
+			_, err = c.do("RETR", "RETR "+name, 150)
 		}
+	default:
+		_, err = c.do("RETR", "RETR "+name, 150)
 	}
-	if _, err := c.do("RETR", "RETR "+name, 150); err != nil {
+	if err != nil {
 		return TransferStats{}, err
+	}
+	if bs, ok := w.(*byteSink); ok {
+		// The length is the server's claim: presize up to a bound, and
+		// let anything larger grow as bytes actually arrive.
+		bs.buf = make([]byte, 0, min(regionLen, 256<<20))
 	}
 	asm, err := NewWindowAssembler(w, uint64(offset), regionLen, c.windowSize, c.dataTimeout)
 	if err != nil {
 		c.drainReply() // the server is mid-transfer; consume its verdict
 		return TransferStats{}, err
 	}
-	n := c.parallelism
-	sp.SetStreams(n)
-	sp.Phase(telemetry.PhaseStream)
-	lim := c.xferLimiter()
-	set := &connSet{}
-	stop := watchCtx(ctx, set, asm.Abort)
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := c.dataConn(ctx, addr, token, sp, lim)
-			if err != nil {
-				errs[i] = err
-				asm.Abort(err)
-				return
-			}
-			if !set.add(conn) {
-				errs[i] = ctx.Err()
-				return
-			}
-			if _, err := asm.DrainConn(bufio.NewReaderSize(conn, 64<<10)); err != nil {
-				errs[i] = err
-				asm.Abort(err)
-			}
-			conn.Close()
-		}(i)
-	}
-	wg.Wait()
-	stop()
-	sp.Phase(telemetry.PhaseTeardown)
-	stats := c.stats(asm.Delivered(), start, n, false)
+	err = c.pumpConns(ctx, addrs, token, sp, asm.Abort, func(conn net.Conn) error {
+		_, err := asm.DrainConn(bufio.NewReaderSize(conn, 64<<10))
+		return err
+	})
+	stats = c.stats(asm.Delivered(), start, len(addrs), striped)
 	stats.WireBytes = asm.WireBytes()
-	if err := firstError(ctx, errs); err != nil {
+	if err != nil {
 		c.drainReply()
 		return stats, err
 	}
@@ -211,26 +252,16 @@ func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, offse
 	if err := c.applyCallOptions(opts); err != nil {
 		return TransferStats{}, err
 	}
-	const op = "stor_stream"
-	sp := c.hub.Span(op, name, telemetry.PhaseSetup)
-	c.tagTransferSpan(sp)
-	start := time.Now()
-	stats, err := c.storFromInner(ctx, name, r, offset, sp)
-	c.met.transferDone(op, err, sp.Bytes(), time.Since(start).Seconds())
-	c.met.deliveredBytes(op, stats.Bytes)
-	sp.End(err)
-	return stats, err
+	return c.store(ctx, "stor_stream", name, r, false, offset)
 }
 
-// chunk is one block-size unit of upload work: a payload read from the
-// source at an absolute file offset.
-type chunk struct {
-	off uint64
-	buf []byte
-	n   int
-}
-
-func (c *Client) storFromInner(ctx context.Context, name string, r io.Reader, offset int64, sp *telemetry.Span) (TransferStats, error) {
+// store is the client's one upload engine, instrumented as op like
+// retrieve. It sends r as the named object's bytes from offset onward
+// (REST+STOR when offset > 0) over parallelism connections to one PASV
+// listener, or one connection per SPAS stripe when striped.
+func (c *Client) store(ctx context.Context, op, name string, r io.Reader, striped bool, offset int64) (stats TransferStats, err error) {
+	sp, end := c.beginTransfer(op, name)
+	defer func() { end(stats, err) }()
 	if r == nil {
 		return TransferStats{}, errors.New("gridftp: nil source")
 	}
@@ -240,7 +271,7 @@ func (c *Client) storFromInner(ctx context.Context, name string, r io.Reader, of
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	addr, token, err := c.passive()
+	addrs, token, err := c.dataAddrs(striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -253,10 +284,7 @@ func (c *Client) storFromInner(ctx context.Context, name string, r io.Reader, of
 	if _, err := c.do("STOR", "STOR "+name, 150); err != nil {
 		return TransferStats{}, err
 	}
-	n := c.parallelism
-	sp.SetStreams(n)
-	sp.Phase(telemetry.PhaseStream)
-	lim := c.xferLimiter()
+	n := len(addrs)
 	// Upload blocks must fit inside the receiver's reassembly window
 	// (a block larger than the window is a protocol error there), so
 	// the chunk size follows the client's own window setting: a peer
@@ -276,13 +304,11 @@ func (c *Client) storFromInner(ctx context.Context, name string, r io.Reader, of
 	for i := 0; i < 2*n; i++ {
 		free <- make([]byte, blockSize)
 	}
-	chunks := make(chan chunk, n)
+	chunks := make(chan Block, n)
 	stopc := make(chan struct{})
 	var stopOnce sync.Once
 	stopSend := func() { stopOnce.Do(func() { close(stopc) }) }
-	set := &connSet{}
-	stopWatch := watchCtx(ctx, set, func(error) { stopSend() })
-	var sent int64
+	var sent atomic.Int64
 	var readErr error
 	// readerDone closes before chunks (LIFO defers), so senders that
 	// drained a closed chunks channel are guaranteed to observe the
@@ -303,7 +329,7 @@ func (c *Client) storFromInner(ctx context.Context, name string, r io.Reader, of
 			m, err := io.ReadFull(r, buf)
 			if m > 0 {
 				select {
-				case chunks <- chunk{off: pos, buf: buf, n: m}:
+				case chunks <- Block{Offset: pos, Data: buf[:m]}:
 					pos += uint64(m)
 				case <-stopc:
 					return
@@ -317,72 +343,45 @@ func (c *Client) storFromInner(ctx context.Context, name string, r io.Reader, of
 			}
 		}
 	}()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	var sentMu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn, err := c.dataConn(ctx, addr, token, sp, lim)
+	err = c.pumpConns(ctx, addrs, token, sp, func(error) { stopSend() }, func(conn net.Conn) error {
+		// The buffer coalesces each block's header and payload into
+		// one write; it is flushed per block so the sent counter
+		// only ever covers bytes that reached the socket.
+		bw := bufio.NewWriterSize(conn, 64<<10)
+		for ck := range chunks {
+			err := WriteBlock(bw, ck)
+			if err == nil {
+				// Count payload only after a successful flush: a
+				// block parked in the bufio buffer when the
+				// transfer dies never crossed the wire, and
+				// WireBytes promises exact accounting even on
+				// failure.
+				err = bw.Flush()
+			}
 			if err != nil {
-				errs[i] = err
-				stopSend()
-				return
+				return err
 			}
-			if !set.add(conn) {
-				errs[i] = ctx.Err()
-				return
+			sent.Add(int64(len(ck.Data)))
+			select {
+			case free <- ck.Data[:cap(ck.Data)]:
+			case <-stopc:
+				return ctx.Err()
 			}
-			defer conn.Close()
-			// The buffer coalesces each block's header and payload into
-			// one write; it is flushed per block so the sent counter
-			// only ever covers bytes that reached the socket.
-			bw := bufio.NewWriterSize(conn, 64<<10)
-			for ck := range chunks {
-				err := WriteBlock(bw, Block{Offset: ck.off, Data: ck.buf[:ck.n]})
-				if err == nil {
-					// Count payload only after a successful flush: a
-					// block parked in the bufio buffer when the
-					// transfer dies never crossed the wire, and
-					// WireBytes promises exact accounting even on
-					// failure.
-					err = bw.Flush()
-				}
-				if err != nil {
-					errs[i] = err
-					stopSend()
-					return
-				}
-				sentMu.Lock()
-				sent += int64(ck.n)
-				sentMu.Unlock()
-				select {
-				case free <- ck.buf:
-				case <-stopc:
-					errs[i] = ctx.Err()
-					return
-				}
-			}
-			if err := WriteBlock(bw, Block{Desc: DescEOD}); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = bw.Flush()
-		}(i)
-	}
-	wg.Wait()
-	stopWatch()
+		}
+		if err := WriteBlock(bw, Block{Desc: DescEOD}); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 	stopSend()
-	sp.Phase(telemetry.PhaseTeardown)
-	stats := c.stats(sent, start, n, false)
-	stats.WireBytes = sent
+	stats = c.stats(sent.Load(), start, n, striped)
+	stats.WireBytes = stats.Bytes
 	// Every path past the STOR exchange above lands here, so the
 	// server has accepted the upload and begun (or truncated) the named
 	// object — the signal resume logic needs before trusting the
 	// destination's SIZE as this transfer's watermark.
 	stats.StorAccepted = true
-	if err := firstError(ctx, errs); err != nil {
+	if err != nil {
 		c.drainReply()
 		return stats, err
 	}

@@ -192,7 +192,7 @@ func TestLiveCountersFeedSNMPPipeline(t *testing.T) {
 	ctr := snmp.Counter{Link: "stripe0", Origin: origin, BinSec: binSec, Bytes: bytes}
 
 	// Eq. 1 over the full collection window must account for every wire
-	// byte the spans saw (both count the same countingConn writes).
+	// byte the spans saw (both count the same instrumentedConn writes).
 	total, err := ctr.OverlapBytes(0, float64(len(bytes))*binSec)
 	if err != nil {
 		t.Fatal(err)

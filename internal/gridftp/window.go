@@ -26,8 +26,7 @@ var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 // blocks, and every byte that becomes contiguous with the delivery
 // watermark is flushed to the sink immediately. Peak memory is the
 // window (plus a 1-bit-per-byte presence map), independent of object
-// size — the whole-object Assembler remains for small objects and
-// tests.
+// size. Every transfer on both endpoints reassembles through one.
 //
 // Concurrent Place/PlaceBlocking calls from parallel data connections
 // are safe; flushes to the sink are serialized under the assembler's

@@ -134,7 +134,7 @@ func TestPooledManagerSurvivesIdleKill(t *testing.T) {
 // channels it used must be discarded, not parked — the retry and all
 // later jobs get verified-healthy channels and still succeed.
 func TestPooledManagerDiscardsAfterFailure(t *testing.T) {
-	store := &flakyStore{Store: gridftp.NewMemStore(), failures: 1}
+	store := &flakyStore{MemStore: gridftp.NewMemStore(), failures: 1}
 	want := payload(64 << 10)
 	store.Put("data.bin", want)
 	dstStore := gridftp.NewMemStore()

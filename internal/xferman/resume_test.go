@@ -459,25 +459,27 @@ func TestStaleDestinationNotTrustedAsWatermark(t *testing.T) {
 	}
 }
 
-// bufferedStore strips MemStore down to the plain Store interface so
-// the server falls back to whole-object buffered STOR.
-type bufferedStore struct {
-	m *gridftp.MemStore
+// noRestartStore is a MemStore that refuses to resume a put: BeginPut
+// at a nonzero base fails, so the server answers a resumed STOR with
+// 554 after accepting its REST with 350.
+type noRestartStore struct {
+	*gridftp.MemStore
 }
 
-func (b bufferedStore) Get(name string) ([]byte, error)      { return b.m.Get(name) }
-func (b bufferedStore) Put(name string, data []byte) error   { return b.m.Put(name, data) }
-func (b bufferedStore) Size(name string) (int64, error)      { return b.m.Size(name) }
-func (b bufferedStore) List(prefix string) ([]string, error) { return b.m.List(prefix) }
+func (s noRestartStore) BeginPut(name string, base int64) error {
+	if base > 0 {
+		return errors.New("restart not supported")
+	}
+	return s.MemStore.BeginPut(name, base)
+}
 
-// TestBufferedRestRejectionDemotesToRestart is the REST-demotion
-// regression against this repo's own buffered-STOR server, which
-// accepts REST with 350 and only rejects the resumed STOR with 501: a
-// job whose first attempt engaged the destination but left a stale
-// object probes a bogus watermark, gets the 501 on its resumed second
+// TestRestRejectionDemotesToRestart is the REST-demotion regression
+// against a destination that accepts REST with 350 and only rejects
+// the resumed STOR (554): a job whose first attempt was reset mid-way
+// probes the delivered watermark, gets the 554 on its resumed second
 // attempt, and must demote to restart-from-zero instead of re-sending
 // the doomed REST+STOR until MaxAttempts.
-func TestBufferedRestRejectionDemotesToRestart(t *testing.T) {
+func TestRestRejectionDemotesToRestart(t *testing.T) {
 	const (
 		size      = 1 << 20
 		staleSize = 256 << 10
@@ -490,7 +492,7 @@ func TestBufferedRestRejectionDemotesToRestart(t *testing.T) {
 	tracker, _ := resetFirstConn(size * 6 / 10)
 	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
 	dst := serveCfg(t, gridftp.Config{
-		Store:       bufferedStore{m: dstMem},
+		Store:       noRestartStore{dstMem},
 		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
 	})
 
@@ -510,7 +512,7 @@ func TestBufferedRestRejectionDemotesToRestart(t *testing.T) {
 		t.Fatalf("status=%v attempts=%d err=%s", res.Status, res.Attempts, res.Err)
 	}
 	if res.Attempts != 3 {
-		t.Fatalf("attempts=%d, want 3 (reset, 501 on resumed STOR, restart from zero)", res.Attempts)
+		t.Fatalf("attempts=%d, want 3 (reset, 554 on resumed STOR, restart from zero)", res.Attempts)
 	}
 	got, err := dstMem.Get("copy.bin")
 	if err != nil {

@@ -655,11 +655,11 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 // peer refused to restart mid-object, in which case resuming is off
 // the table and the retry must restart from byte zero. Refusal takes
 // two shapes: the REST verb itself bounces, or REST is accepted (350)
-// and the transfer verb that consumes it bounces — this repo's own
-// buffered-STOR server does the latter, answering the resumed STOR
-// with 501 "REST not supported", and the windowed server answers 554
-// when the restart offset outruns its stored partial. The caller only
-// consults this after a nonzero-REST attempt, so a 501/554 on
+// and the transfer verb that consumes it bounces — this repo's server
+// answers the resumed STOR with 554 when the store rejects the restart
+// offset (it outruns the stored partial, or the backend cannot resume),
+// and foreign servers without restart support answer 501. The caller
+// only consults this after a nonzero-REST attempt, so a 501/554 on
 // STOR/RETR here is a restart rejection, not a syntax quibble.
 func isRestRejected(err error) bool {
 	var pe *gridftp.ProtocolError

@@ -16,23 +16,24 @@ import (
 	"gftpvc/internal/vc/broker"
 )
 
-// flakyStore fails the first N Gets, then delegates — simulating the
-// transient server-side failures a transfer manager retries through.
+// flakyStore fails the first N snapshot opens — the server's one RETR
+// source — then delegates, simulating the transient server-side
+// failures a transfer manager retries through.
 type flakyStore struct {
-	gridftp.Store
+	*gridftp.MemStore
 	mu       sync.Mutex
 	failures int
 }
 
-func (f *flakyStore) Get(name string) ([]byte, error) {
+func (f *flakyStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
 	f.mu.Lock()
 	if f.failures > 0 {
 		f.failures--
 		f.mu.Unlock()
-		return nil, gridftp.ErrNotFound
+		return nil, 0, gridftp.ErrNotFound
 	}
 	f.mu.Unlock()
-	return f.Store.Get(name)
+	return f.MemStore.SnapshotObject(name)
 }
 
 func payload(n int) []byte {
@@ -136,7 +137,7 @@ func TestRetryRecoversFromTransientFailure(t *testing.T) {
 	inner := gridftp.NewMemStore()
 	want := payload(256 << 10)
 	inner.Put("data.bin", want)
-	flaky := &flakyStore{Store: inner, failures: 2}
+	flaky := &flakyStore{MemStore: inner, failures: 2}
 	src := serve(t, flaky)
 	dst := serve(t, gridftp.NewMemStore())
 
