@@ -19,7 +19,7 @@ RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
 	./internal/pacing ./internal/fleet .
 
-.PHONY: check vet vet-ctx race flake bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
+.PHONY: check vet vet-ctx loc race flake bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
 
@@ -81,6 +81,14 @@ vet-ctx:
 		echo "vet-ctx: exported blocking methods must take a context.Context first parameter"; \
 		exit 1; \
 	fi
+
+# Non-test Go lines per package (directory), largest first: the figure a
+# PR's size claim quotes ("internal/gridftp 5,252 -> 4,898"), so the
+# claim is re-derivable by one command. Raw lines, comments included.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' -exec dirname {} \; | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $${d#./}; \
+	done | sort -k1,1nr -k2
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)

@@ -103,7 +103,7 @@ func TestHybridDispatchEndToEnd(t *testing.T) {
 	}
 
 	// Close the session, then saturate the path so admission rejects.
-	time.Sleep(2*gap + 100*time.Millisecond)
+	waitFor(t, "session 1 to expire", func() bool { return bk.Sessions() == 0 })
 	now, err := client.Now(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -177,3 +177,31 @@ func TestVCJobShapedToReservedRate(t *testing.T) {
 	}
 	shapedEnough(t, "VC job", 2<<20, reserved, elapsed)
 }
+
+// TestRateForPrecedence pins the shaping precedence: the job's own pin,
+// then the circuit's reserved rate, then the class table, else unshaped.
+func TestRateForPrecedence(t *testing.T) {
+	m, _ := New(1, WithClassRate(ClassBackground, 30))
+	defer m.Close()
+	vc := broker.Disposition{Service: broker.ServiceVC, RateBps: 20}
+	ip := broker.Disposition{Service: broker.ServiceIP}
+	for _, tc := range []struct {
+		name string
+		job  Job
+		disp broker.Disposition
+		want int64
+	}{
+		{"job pin beats circuit and class", Job{RateBps: 10, Class: ClassBackground}, vc, 10},
+		{"circuit rate beats class", Job{Class: ClassBackground}, vc, 20},
+		{"class rate when on IP", Job{Class: ClassBackground}, ip, 30},
+		{"an IP disposition's rate is not a reservation", Job{Class: ClassBulk},
+			broker.Disposition{Service: broker.ServiceIP, RateBps: 20}, 0},
+		{"a circuit without a rate falls through to the class", Job{Class: ClassBackground},
+			broker.Disposition{Service: broker.ServiceVC}, 30},
+		{"unshaped by default", Job{Class: ClassBulk}, ip, 0},
+	} {
+		if got := m.rateFor(tc.job, tc.disp); got != tc.want {
+			t.Errorf("%s: rateFor = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -81,8 +82,11 @@ func TestBackoffDelayBounds(t *testing.T) {
 func TestRetriesBackOffAgainstDyingServer(t *testing.T) {
 	src := serve(t, gridftp.NewMemStore()) // object never exists
 	dst := serve(t, gridftp.NewMemStore())
-	m, _ := New(1)
+	hub := telemetry.NewHub()
+	m, _ := New(1, WithTelemetry(hub))
 	defer m.Close()
+	retries := hub.Counter("xferman_retries_total",
+		"Failed attempts that were retried with fresh control channels.")
 
 	const base = 60 * time.Millisecond
 	start := time.Now()
@@ -117,7 +121,9 @@ func TestRetriesBackOffAgainstDyingServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond) // let attempt 1 fail and the backoff start
+	// Attempt 1 has failed and its backoff is about to start once the
+	// retry is counted (the first job contributed two).
+	waitFor(t, "attempt 1 to fail", func() bool { return retries.Value() == 3 })
 	cancel()
 	start = time.Now()
 	res2, err := m.Wait(context.Background(), id2)
@@ -520,5 +526,95 @@ func TestRestRejectionDemotesToRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("restarted object differs from source")
+	}
+}
+
+// TestResumeAfter is the oracle for the retry rule, with no server:
+// each case is one attempt's report and the plan it must produce.
+func TestResumeAfter(t *testing.T) {
+	const size = 1000
+	boom := errors.New("connection reset")
+	rejected := fmt.Errorf("transfer: %w", &gridftp.ProtocolError{Verb: "STOR", Reply: gridftp.Reply{Code: 554}})
+	type plan struct {
+		next      int64
+		resume    bool
+		wire      int64
+		delivered int64
+	}
+	for _, tc := range []struct {
+		name       string
+		restart    int64
+		canResume  bool
+		err        error
+		dstEngaged bool
+		watermark  int64 // what a probe would answer
+		final      bool  // no retry follows: no probe offered
+		size       int64
+		moved      int64
+		want       plan
+		probed     bool
+	}{
+		{name: "clean third-party attempt from zero",
+			canResume: true, size: size, moved: size,
+			want: plan{0, true, size, size}},
+		{name: "clean resumed attempt credits only its suffix",
+			restart: 600, canResume: true, size: size, moved: 400,
+			want: plan{600, true, 400, size}},
+		{name: "clean attempt with unknown size credits nothing",
+			canResume: true,
+			want:      plan{0, true, 0, 0}},
+		{name: "REST rejected after a nonzero offset demotes to restart for good",
+			restart: 600, canResume: true, err: rejected, dstEngaged: true, watermark: 700, size: size,
+			want: plan{0, false, 0, 0}},
+		{name: "a 554 on a from-zero attempt is not a restart rejection",
+			canResume: true, err: rejected, size: size,
+			want: plan{0, true, 0, 0}},
+		{name: "dst not engaged: stale watermark ignored, zero credit",
+			canResume: true, err: boom, watermark: 512, size: size,
+			want: plan{0, true, 0, 0}},
+		{name: "dst not engaged on a resumed attempt keeps the offset",
+			restart: 600, canResume: true, err: boom, watermark: 900, size: size,
+			want: plan{600, true, 0, 600}},
+		{name: "third-party failure: credit and resume point from the watermark delta",
+			restart: 100, canResume: true, err: boom, dstEngaged: true, watermark: 600, size: size,
+			want: plan{600, true, 500, 600}, probed: true},
+		{name: "streaming failure: the exact count wins over the watermark delta",
+			restart: 100, canResume: true, err: boom, dstEngaged: true, watermark: 600, size: size, moved: 650,
+			want: plan{600, true, 650, 600}, probed: true},
+		{name: "watermark at the known size is ignored",
+			restart: 100, canResume: true, err: boom, dstEngaged: true, watermark: size, size: size,
+			want: plan{100, true, 0, 100}, probed: true},
+		{name: "watermark past the known size is ignored",
+			canResume: true, err: boom, dstEngaged: true, watermark: size + 1, size: size,
+			want: plan{0, true, 0, 0}, probed: true},
+		{name: "watermark not past the restart offset is ignored",
+			restart: 600, canResume: true, err: boom, dstEngaged: true, watermark: 600, size: size,
+			want: plan{600, true, 0, 600}, probed: true},
+		{name: "unknown size trusts any advancing watermark",
+			canResume: true, err: boom, dstEngaged: true, watermark: 300,
+			want: plan{300, true, 300, 300}, probed: true},
+		{name: "NoResume credits wire bytes but does not advance",
+			err: boom, dstEngaged: true, watermark: 600, size: size,
+			want: plan{0, false, 600, 0}, probed: true},
+		{name: "final failure: no probe, only the attempt's own count",
+			restart: 100, canResume: true, err: boom, dstEngaged: true, watermark: 600, final: true, size: size, moved: 650,
+			want: plan{100, true, 650, 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			probed := false
+			probe := func() int64 { probed = true; return tc.watermark }
+			if tc.final {
+				probe = nil
+			}
+			var got plan
+			got.next, got.resume, got.wire, got.delivered = resumeAfter(
+				tc.restart, tc.canResume, tc.err, tc.dstEngaged, probe, tc.size, tc.moved)
+			if got != tc.want {
+				t.Errorf("got %+v, want %+v", got, tc.want)
+			}
+			if probed != tc.probed {
+				t.Errorf("watermark probed = %v, want %v", probed, tc.probed)
+			}
+		})
 	}
 }

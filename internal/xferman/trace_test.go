@@ -20,7 +20,8 @@ import (
 // GridFTP servers, and oscarsd), linked only by the trace ID carried
 // on the wire. One traced job must surface in every process's flight
 // recorder, and the stitched /trace/<id> tree must span the processes
-// with each span's phases summing exactly to its wall time.
+// with each span's phases summing exactly to its wall time — the job
+// span's being one per stage of the attempt.
 func TestTracingEndToEnd(t *testing.T) {
 	newHub := func(name string) (*telemetry.Hub, string) {
 		hub := telemetry.NewHub()
@@ -147,6 +148,18 @@ func TestTracingEndToEnd(t *testing.T) {
 	root := report.Tree[0]
 	if root.Process != "xferman" || root.Span.Op != "job" {
 		t.Fatalf("root is %s/%s, want xferman/job", root.Process, root.Span.Op)
+	}
+	// The job span's phases are the stage list: every stage opened one,
+	// so the span attributes its wall time to checkout vs size vs
+	// transfer vs verify (the walk below checks they sum exactly).
+	phases := map[telemetry.Phase]bool{}
+	for _, ph := range root.Span.Phases {
+		phases[ph.Name] = true
+	}
+	for _, st := range stages {
+		if !phases[st.name] {
+			t.Errorf("job span has no %q phase: %+v", st.name, root.Span.Phases)
+		}
 	}
 	procs := map[string]bool{}
 	var walk func(n *telemetry.TraceNode)

@@ -168,28 +168,6 @@ func (j *Job) normalize(fleetManaged bool) error {
 	return nil
 }
 
-// dialOpts translates the job's Timeout into gridftp client options and
-// binds every dial (control and data) to ctx, so cancelling the job's
-// context aborts connection establishment immediately.
-func (j *Job) dialOpts(ctx context.Context) []gridftp.Option {
-	var d net.Dialer
-	opts := []gridftp.Option{
-		gridftp.WithDialFunc(func(network, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, network, addr)
-		}),
-	}
-	if j.Timeout > 0 {
-		opts = append(opts,
-			gridftp.WithControlTimeout(j.Timeout),
-			gridftp.WithDataTimeout(j.Timeout),
-		)
-	}
-	if j.Stream && j.WindowBytes > 0 {
-		opts = append(opts, gridftp.WithWindow(j.WindowBytes))
-	}
-	return opts
-}
-
 // Status is a job's lifecycle state.
 type Status int
 
@@ -438,10 +416,20 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 	// Close cannot close(m.queue) between our unlock and the send.
 	m.submitting.Add(1)
 	m.mu.Unlock()
-	m.met.submitted.Inc()
+	defer m.submitting.Done()
 	m.met.queueDepth.Inc()
-	m.queue <- id
-	m.submitting.Done()
+	select {
+	case m.queue <- id:
+	case <-ctx.Done():
+		// The queue is full and the caller gave up: the job was never
+		// queued, so no worker will ever settle it — unregister it.
+		m.met.queueDepth.Dec()
+		m.mu.Lock()
+		delete(m.jobs, id)
+		m.mu.Unlock()
+		return 0, ctx.Err()
+	}
+	m.met.submitted.Inc()
 	return id, nil
 }
 
@@ -488,14 +476,11 @@ func (m *Manager) SubmitAll(ctx context.Context, src, dst Endpoint, prefix strin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c, err := gridftp.Dial(src.Addr, tmpl.dialOpts(ctx)...)
+	c, err := m.dial(ctx, src, tmpl)
 	if err != nil {
 		return nil, fmt.Errorf("xferman: dial src: %w", err)
 	}
 	defer c.Close()
-	if err := c.Login(src.User, src.Pass); err != nil {
-		return nil, fmt.Errorf("xferman: login src: %w", err)
-	}
 	names, err := c.List(prefix)
 	if err != nil {
 		return nil, fmt.Errorf("xferman: list: %w", err)
@@ -539,75 +524,73 @@ func (m *Manager) worker() {
 		m.mu.Lock()
 		tr := m.jobs[id]
 		tr.result.Status = Running
-		job := tr.result.Job
-		ctx := tr.ctx
+		// The run fills the worker's own copy, published whole when the
+		// job settles: Result may read tr.result at any moment.
+		res := tr.result
 		m.mu.Unlock()
 		m.met.queueDepth.Dec()
 		m.met.running.Inc()
 
+		r := run{m: m, ctx: tr.ctx, job: res.Job, res: &res}
 		start := time.Now()
-		out := m.execute(ctx, job)
-		m.mu.Lock()
-		tr.result.Attempts = out.attempts
-		tr.result.Duration = time.Since(start)
-		tr.result.Checksum = out.checksum
-		tr.result.Bytes = out.bytes
-		tr.result.WireBytes = out.wire
-		tr.result.Circuit = out.circuit
-		tr.result.TraceID = out.trace
-		tr.result.ShapedRateBps = out.shapedRate
-		tr.result.Replica = out.replica
-		if out.err != nil {
-			tr.result.Status = Failed
-			tr.result.Err = out.err.Error()
-		} else {
-			tr.result.Status = Succeeded
+		err := r.execute()
+		res.Duration = time.Since(start)
+		res.Status = Succeeded
+		if err != nil {
+			res.Status, res.Err = Failed, err.Error()
 		}
-		status := tr.result.Status
+		m.mu.Lock()
+		tr.result = res
 		m.mu.Unlock()
 		m.met.running.Dec()
-		m.met.durations.Observe(time.Since(start).Seconds())
-		m.met.wireBytes.Add(out.wire)
-		m.met.deliveredBytes.Add(out.delivered)
+		m.met.durations.Observe(res.Duration.Seconds())
+		m.met.wireBytes.Add(res.WireBytes)
+		m.met.deliveredBytes.Add(r.delivered)
 		if m.hub != nil {
 			m.hub.Counter("xferman_jobs_completed_total",
 				"Jobs finished, by final status.",
-				telemetry.L("status", status.String())).Inc()
-			if out.shapedRate > 0 {
+				telemetry.L("status", res.Status.String())).Inc()
+			if res.ShapedRateBps > 0 {
 				m.hub.Counter("xferman_paced_jobs_total",
 					"Jobs whose data plane was rate-shaped, by QoS class.",
-					telemetry.L("class", string(job.Class))).Inc()
+					telemetry.L("class", string(res.Job.Class))).Inc()
 			}
 		}
 		close(tr.done)
 	}
 }
 
-// outcome is one job's final execution state.
-type outcome struct {
-	checksum string
-	bytes    int64
-	// wire is payload pushed toward the destination across all
-	// attempts, duplicates included; delivered is what durably landed.
-	wire       int64
-	delivered  int64
-	circuit    broker.Disposition
-	shapedRate int64
-	attempts   int
-	trace      string
-	replica    string
-	err        error
+// run is one job's execution state, private to the worker executing it.
+// The stages fill res — the job's own Result — in place.
+type run struct {
+	m    *Manager
+	ctx  context.Context
+	job  Job
+	span *telemetry.Span // root "job" span; nil unless the manager traces
+	res  *Result
+
+	restart   int64 // offset the next attempt RESTs both endpoints to
+	delivered int64 // payload durably at the destination so far
+
+	attemptState
 }
 
-// attemptOut is one attempt's report back to the retry loop.
-type attemptOut struct {
-	checksum string
-	bytes    int64 // object size, when learned
-	moved    int64 // payload this attempt pushed (exact for streaming, else -1)
-	circuit  broker.Disposition
-	// shapedRate is the rate this attempt's data plane was shaped to
-	// (bits per second; zero when unshaped).
-	shapedRate int64
+// attemptState is what one attempt's stages hand each other: attempt
+// zeroes it, settle releases what it holds.
+type attemptState struct {
+	from      Endpoint // the job's source, fleet-managed address resolved
+	placement *fleet.Placement
+	placed    time.Time
+	src, dst  channel
+	vcLease   *broker.Lease
+	lim       *pacing.Limiter // paces a shaped streaming job's STOR leg
+	// leased is what a clean transfer stage reports to the broker lease:
+	// the object size, moved in xferTime.
+	leased   int64
+	xferTime time.Duration
+	// moved is the payload this attempt is known to have pushed toward
+	// the destination; see transfer.
+	moved int64
 	// dstEngaged: the destination accepted this attempt's STOR, so the
 	// object under DstName now reflects this job's own transfer (the
 	// windowed server truncates it to the restart base on acceptance)
@@ -615,7 +598,348 @@ type attemptOut struct {
 	// acceptance leaves any pre-existing destination object untouched —
 	// resuming at its stale SIZE would splice old bytes under new ones.
 	dstEngaged bool
-	err        error
+}
+
+// stages is one attempt, in order. A traced job's span opens a phase
+// named after each stage as it starts: its trace reads as this table.
+var stages = [...]struct {
+	name telemetry.Phase
+	fn   func(*run) error
+}{
+	{"place", (*run).place},
+	{"checkout", (*run).checkout},
+	{"size", (*run).size},
+	{"lease", (*run).lease},
+	{"shape", (*run).shape},
+	{"transfer", (*run).transfer},
+	{"verify", (*run).verify},
+}
+
+// event flight-records one line under the job's trace, if it has one.
+func (r *run) event(kind, format string, args ...any) {
+	if r.res.TraceID != "" {
+		r.m.hub.Event(r.res.TraceID, kind, fmt.Sprintf(format, args...))
+	}
+}
+
+// execute runs the job with retries; every attempt uses control
+// channels the failed previous attempt never touched — its own are
+// discarded, not recycled, because a failed transfer may have poisoned
+// them (pooled checkouts enforce this via Discard-on-error). Between
+// attempts resumeAfter decides where the next one starts and a jittered
+// exponential backoff passes ("idle" on the job span). A done context
+// stops further attempts. On a manager built WithTracing it first mints
+// the trace ID, opens the root "job" span every downstream span links
+// under, and flight-records the job boundaries.
+func (r *run) execute() (err error) {
+	r.res.Bytes, r.res.Circuit = r.job.SizeHint, broker.Disposition{Service: broker.ServiceIP}
+	if r.m.tracing {
+		tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID()}
+		r.span = r.m.hub.Span("job", r.job.SrcName+" -> "+r.job.DstName, telemetry.PhaseSetup)
+		tc.ParentSID = r.span.SetTrace(tc.TraceID, "")
+		r.ctx = telemetry.WithTrace(r.ctx, tc)
+		r.res.TraceID = tc.TraceID
+		r.event("job_start", "%s -> %s", r.job.SrcName, r.job.DstName)
+		defer func() {
+			done := "ok"
+			if err != nil {
+				done = err.Error()
+			}
+			r.event("job_done", "attempts=%d bytes=%d %s", r.res.Attempts, r.res.Bytes, done)
+			r.span.End(err)
+		}()
+	}
+	canResume := !r.job.NoResume
+	for {
+		if cerr := r.ctx.Err(); cerr != nil {
+			if err == nil {
+				err = cerr
+			}
+			return err
+		}
+		r.res.Attempts++
+		if r.restart > 0 {
+			r.m.met.resumed.Inc()
+			r.event("resume", "attempt=%d offset=%d", r.res.Attempts, r.restart)
+		}
+		err = r.attempt()
+		final := err == nil || r.res.Attempts >= r.job.MaxAttempts
+		var probe func() int64
+		if !final {
+			r.span.Phase(telemetry.PhaseIdle)
+			probe = r.probeWatermark
+		}
+		var wire int64
+		r.restart, canResume, wire, r.delivered = resumeAfter(
+			r.restart, canResume, err, r.dstEngaged, probe, r.res.Bytes, r.moved)
+		r.res.WireBytes += wire
+		if final {
+			return err
+		}
+		r.m.met.retries.Inc()
+		r.event("retry", "attempt=%d failed: %v", r.res.Attempts, err)
+		// A cancelled job must not hold a worker hostage for a
+		// multi-second backoff: the loop head then ends it.
+		t := time.NewTimer(backoffDelay(r.job.RetryBackoff, r.job.RetryBackoffMax, r.res.Attempts))
+		select {
+		case <-r.ctx.Done():
+		case <-t.C:
+		}
+		t.Stop()
+	}
+}
+
+// resumeAfter is the whole retry rule. From where an attempt started
+// (restart), whether restarts are still on the table, and what the
+// attempt reported — its error, whether the destination engaged, the
+// object size (zero: never learned), the payload it is known to have
+// moved — it answers where the next attempt starts, whether that one
+// may still resume, the wire traffic to credit the attempt with, and
+// how much of the object is durably delivered. watermark probes the
+// destination's contiguous delivered bytes (zero: no usable partial);
+// it is nil when no retry follows — a probe then buys only accounting,
+// at the cost of a dial to an endpoint that just failed.
+func resumeAfter(restart int64, canResume bool, err error, dstEngaged bool, watermark func() int64, size, moved int64) (next int64, resume bool, wire, delivered int64) {
+	if err == nil {
+		return restart, canResume, moved, size
+	}
+	next, wire = restart, moved
+	switch {
+	case watermark == nil:
+	case restart > 0 && isRestRejected(err):
+		// The endpoint doesn't do restarts; stop asking.
+		next, canResume = 0, false
+	case dstEngaged:
+		// The probe doubles as wire accounting for third-party attempts:
+		// bytes that became durable during the failed attempt were moved
+		// by it (a streaming attempt's own count already covers them). A
+		// watermark at or past the known size is no partial of this
+		// object.
+		if w := watermark(); w > restart && (size <= 0 || w < size) {
+			wire = max(moved, w-restart)
+			if canResume {
+				next = w
+			}
+		}
+	}
+	return next, canResume, wire, next
+}
+
+// attempt runs one try of the transfer: the stages in order, stopping
+// at the first that fails, then settle.
+func (r *run) attempt() (err error) {
+	r.attemptState = attemptState{}
+	// An attempt that dies before the broker is asked reports plain
+	// unshaped IP, not the previous attempt's verdict.
+	r.res.Circuit, r.res.ShapedRateBps = broker.Disposition{Service: broker.ServiceIP}, 0
+	defer func() { r.settle(err) }()
+	for _, st := range stages {
+		r.span.Phase(st.name)
+		if err = st.fn(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settle releases what the attempt's stages acquired — broker lease,
+// both control channels, fleet placement — exactly once, whichever
+// stage the attempt ended in. Each release is a no-op on a holder its
+// stage never filled.
+func (r *run) settle(err error) {
+	r.vcLease.End(r.leased, r.xferTime)
+	r.dst.finish(err)
+	r.src.finish(err)
+	r.placement.Complete(r.moved, time.Since(r.placed), err)
+}
+
+// place resolves a fleet-managed job's source replica, per attempt:
+// the dispatcher sees the loads as they are NOW, so a retry after a
+// multi-second failed attempt may land somewhere better than the first
+// placement did (a rebalance).
+func (r *run) place() error {
+	r.from = r.job.Src
+	if r.m.fleet == nil || r.from.Addr != "" {
+		return nil
+	}
+	p, err := r.m.fleet.Place(r.ctx, fleet.Request{SizeBytes: r.res.Bytes, Previous: r.res.Replica})
+	if err != nil {
+		return fmt.Errorf("fleet place: %w", err)
+	}
+	r.placement, r.placed = p, time.Now()
+	r.from.Addr, r.res.Replica = p.Addr, p.Addr
+	r.event("fleet_placed", "attempt=%d replica=%s fallback=%v", r.res.Attempts, p.Addr, p.Fallback)
+	return nil
+}
+
+func (r *run) checkout() (err error) {
+	if r.src, err = r.m.checkout(r.ctx, r.from, r.job); err != nil {
+		return fmt.Errorf("dial src: %w", err)
+	}
+	if r.dst, err = r.m.checkout(r.ctx, r.job.Dst, r.job); err != nil {
+		return fmt.Errorf("dial dst: %w", err)
+	}
+	return nil
+}
+
+// size probes the object size an unhinted job needs: the broker sizes
+// circuits from bytes, the streaming relay needs the region length, and
+// resume-aware retries clamp destination watermarks against it. A
+// failed probe just means an unhinted decision, not a failed job.
+func (r *run) size() error {
+	if r.job.SizeHint <= 0 && (r.m.broker != nil || r.job.Stream || !r.job.NoResume) {
+		if n, err := r.src.Size(r.job.SrcName); err == nil && n > 0 {
+			r.res.Bytes = n
+		}
+	}
+	return nil
+}
+
+// lease lets the broker take the circuit decision.
+func (r *run) lease() error {
+	r.vcLease = r.m.broker.Begin(r.ctx, r.from.Addr, r.job.Dst.Addr, r.res.Bytes)
+	r.res.Circuit = r.vcLease.Disposition()
+	return nil
+}
+
+// shape resolves the rate this attempt's data plane is shaped to and
+// wires the enforcement in. A VC job is shaped to the broker's reserved
+// rate automatically — the reservation becomes a wire-level fact —
+// unless the job pins its own RateBps; otherwise the class table
+// applies. Streaming jobs pace locally (the STOR leg's bucket
+// backpressures the RETR leg through the pipe) and re-fill the bucket
+// live when a later extension re-books the circuit at a new rate.
+// Third-party jobs never touch the data, so the source server is asked
+// to shape its session instead (SITE RATE).
+func (r *run) shape() error {
+	r.res.ShapedRateBps = r.m.rateFor(r.job, r.res.Circuit)
+	switch rate := r.res.ShapedRateBps; {
+	case rate <= 0:
+	case r.job.Stream:
+		b := pacing.NewBucket(rate, 0)
+		r.vcLease.OnRateChange(func(bps float64) {
+			if bps > 0 {
+				b.SetRate(int64(bps))
+			}
+		})
+		r.lim = pacing.NewLimiter(b)
+	default:
+		if err := r.src.ApplyOptions(gridftp.WithRate(rate)); err != nil {
+			return fmt.Errorf("shape src: %w", err)
+		}
+	}
+	return nil
+}
+
+// rateFor resolves one attempt's shaping rate: the job's own pin, else
+// the broker's reserved circuit rate, else the class table (zero means
+// unshaped — the default for every class without a configured rate).
+func (m *Manager) rateFor(job Job, disp broker.Disposition) int64 {
+	if job.RateBps > 0 {
+		return job.RateBps
+	}
+	if disp.Service == broker.ServiceVC && disp.RateBps > 0 {
+		return int64(disp.RateBps)
+	}
+	return m.classRates[job.Class]
+}
+
+// transfer moves the data, restarting at r.restart when a prior attempt
+// already delivered a prefix.
+func (r *run) transfer() (err error) {
+	start := time.Now()
+	if r.job.Stream {
+		err = r.streamRelay()
+	} else {
+		r.dstEngaged, err = gridftp.ThirdPartyFrom(r.src.Client, r.dst.Client, r.job.SrcName, r.job.DstName, r.restart)
+		// Third-party attempts can't see their own wire count; the delta
+		// from the restart offset to the object end is exact for a clean
+		// attempt (skipped when the size never became known — better to
+		// undercount than invent bytes).
+		if err == nil && r.res.Bytes > r.restart {
+			r.moved = r.res.Bytes - r.restart
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("transfer: %w", err)
+	}
+	r.leased, r.xferTime = r.res.Bytes, time.Since(start)
+	return nil
+}
+
+// streamRelay moves the object through this process: a streaming RETR
+// feeds an io.Pipe that a streaming STOR drains, both restarting at
+// r.restart. Memory is bounded by the client window on the read side
+// and a few blocks on the write side. It records the payload pushed to
+// dst (duplicates included), which is exact even on failure, and
+// whether dst accepted the STOR — the precondition for trusting its
+// SIZE as this job's watermark on the next attempt.
+func (r *run) streamRelay() error {
+	pr, pw := io.Pipe()
+	region := int64(-1)
+	if r.res.Bytes > 0 {
+		region = r.res.Bytes - r.restart
+	}
+	var stats gridftp.TransferStats
+	var storErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// The limiter paces only the STOR leg; the pipe's backpressure
+		// throttles the RETR leg to the same rate transitively.
+		stats, storErr = r.dst.StorFromAt(r.ctx, r.job.DstName, pr, r.restart, region, gridftp.WithLimiter(r.lim))
+		// Unblock the RETR side if the STOR leg died first.
+		pr.CloseWithError(storErr)
+	}()
+	_, retrErr := r.src.RetrToAt(r.ctx, r.job.SrcName, pw, r.restart)
+	// nil closes the pipe cleanly (EOF): the STOR leg finishes its
+	// drain; an error propagates to its reader as the source failure.
+	pw.CloseWithError(retrErr)
+	<-done
+	r.moved, r.dstEngaged = stats.WireBytes, stats.StorAccepted
+	if retrErr != nil {
+		return fmt.Errorf("retr leg: %w", retrErr)
+	}
+	if storErr != nil {
+		return fmt.Errorf("stor leg: %w", storErr)
+	}
+	return nil
+}
+
+func (r *run) verify() error {
+	if !r.job.Verify {
+		return nil
+	}
+	want, err := r.src.Checksum(r.job.SrcName)
+	if err != nil {
+		return fmt.Errorf("src checksum: %w", err)
+	}
+	got, err := r.dst.Checksum(r.job.DstName)
+	if err != nil {
+		return fmt.Errorf("dst checksum: %w", err)
+	}
+	if want != got {
+		return fmt.Errorf("checksum mismatch: src %s, dst %s", want, got)
+	}
+	r.res.Checksum = got
+	return nil
+}
+
+// probeWatermark asks the destination how many contiguous bytes of the
+// job's object it holds, over a channel that is not the failed
+// attempt's (which may be poisoned). Zero means "no usable partial" —
+// probing is best-effort and a failed probe only costs resumption.
+func (r *run) probeWatermark() int64 {
+	ch, err := r.m.checkout(r.ctx, r.job.Dst, r.job)
+	if err != nil {
+		return 0
+	}
+	n, err := ch.Size(r.job.DstName)
+	ch.finish(err)
+	if err != nil || n < 0 {
+		return 0
+	}
+	return n
 }
 
 // backoffDelay is the jittered exponential wait before the retry that
@@ -635,20 +959,6 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 		d = max
 	}
 	return d
-}
-
-// sleepBackoff waits the backoff out, returning early if the job's
-// context is done — a cancelled job must not hold a worker hostage for
-// a multi-second backoff.
-func sleepBackoff(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // isRestRejected reports whether a resumed attempt died because the
@@ -675,373 +985,92 @@ func isRestRejected(err error) bool {
 	return false
 }
 
-// checkout obtains one attempt's control channel to ep: from the pool
-// when the manager has one (the failed previous attempt's channel was
-// discarded, so a pooled checkout is always either a healthy reused
-// channel or a fresh dial), a plain dial + login otherwise. The
-// returned finish func must be called exactly once with the attempt's
-// final error: a clean pooled channel parks for the next job, anything
-// else closes.
-func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job, opts []gridftp.Option) (*gridftp.Client, func(error), error) {
-	if m.pool != nil {
-		pc, err := m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass)
-		if err != nil {
-			return nil, nil, err
-		}
-		// A pooled channel keeps the transfer state of whoever used it
-		// last; one ApplyOptions call rebinds deadlines, window, and
-		// trace to this job's (falling back to the client defaults,
-		// which a fresh Dial would have applied). Rate shaping is NOT
-		// bound here — it depends on the broker's disposition, which the
-		// attempt only learns after checkout.
-		ctl, data := gridftp.DefaultControlTimeout, gridftp.DefaultDataTimeout
-		if job.Timeout > 0 {
-			ctl, data = job.Timeout, job.Timeout
-		}
-		topts := []gridftp.TransferOption{gridftp.WithTimeouts(ctl, data)}
-		if job.Stream {
-			w := job.WindowBytes
-			if w <= 0 {
-				w = gridftp.DefaultWindowSize
-			}
-			topts = append(topts, gridftp.WithTransferWindow(w))
-		}
-		if tc, ok := telemetry.TraceFrom(ctx); ok {
-			topts = append(topts, gridftp.WithTransferTrace(tc))
-		}
-		if err := pc.ApplyOptions(topts...); err != nil {
-			pc.Discard()
-			return nil, nil, err
-		}
-		return pc.Client, func(err error) {
-			if err != nil {
-				pc.Discard()
-				return
-			}
-			pc.Release()
-		}, nil
+// channel is one control channel held for an attempt or a probe: a
+// pooled checkout when the manager has a pool, its own dial otherwise.
+type channel struct {
+	*gridftp.Client
+	pooled *connpool.Conn
+}
+
+// finish settles the channel with its holder's final error: a clean
+// pooled channel parks for the next job, anything else closes.
+func (ch channel) finish(err error) {
+	switch {
+	case ch.Client == nil: // never obtained
+	case ch.pooled == nil:
+		ch.Close()
+	case err != nil:
+		ch.pooled.Discard()
+	default:
+		ch.pooled.Release()
 	}
-	c, err := gridftp.Dial(ep.Addr, opts...)
+}
+
+// checkout obtains a control channel to ep — from the pool when the
+// manager has one, a dial + login otherwise — and binds job's
+// deadlines, window, and trace to it in one ApplyOptions call: a pooled
+// channel keeps the transfer state of whoever used it last, so unset
+// values are rebound to the client defaults a fresh Dial applies. Rate
+// shaping is NOT bound here — it depends on the broker's disposition,
+// which the attempt only learns after checkout.
+func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job) (ch channel, err error) {
+	control, data := job.timeouts()
+	if m.pool != nil {
+		if ch.pooled, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass); err != nil {
+			return channel{}, err
+		}
+		ch.Client = ch.pooled.Client
+	} else if ch.Client, err = m.dial(ctx, ep, job); err != nil {
+		return channel{}, err
+	}
+	topts := []gridftp.TransferOption{gridftp.WithTimeouts(control, data)}
+	if job.Stream {
+		w := job.WindowBytes
+		if w <= 0 {
+			w = gridftp.DefaultWindowSize
+		}
+		topts = append(topts, gridftp.WithTransferWindow(w))
+	}
+	if tc, ok := telemetry.TraceFrom(ctx); ok {
+		topts = append(topts, gridftp.WithTransferTrace(tc))
+	}
+	if err := ch.ApplyOptions(topts...); err != nil {
+		ch.finish(err)
+		return channel{}, err
+	}
+	return ch, nil
+}
+
+// timeouts resolves the job's per-operation deadline against the
+// gridftp client defaults, for dial and rebind alike.
+func (j *Job) timeouts() (control, data time.Duration) {
+	if j.Timeout > 0 {
+		return j.Timeout, j.Timeout
+	}
+	return gridftp.DefaultControlTimeout, gridftp.DefaultDataTimeout
+}
+
+// dial opens and authenticates a control channel of the manager's own.
+// Every dial the manager makes goes through here, so each one reports
+// to the hub, runs under the job's deadlines from the greeting on, and
+// is bound to ctx: cancelling it aborts connection establishment
+// (control and data) immediately.
+func (m *Manager) dial(ctx context.Context, ep Endpoint, job Job) (*gridftp.Client, error) {
+	control, data := job.timeouts()
+	var d net.Dialer
+	c, err := gridftp.Dial(ep.Addr,
+		gridftp.WithDialFunc(func(network, addr string) (net.Conn, error) {
+			return d.DialContext(ctx, network, addr)
+		}),
+		gridftp.WithControlTimeout(control),
+		gridftp.WithDataTimeout(data),
+		gridftp.WithTelemetry(m.hub))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := c.Login(ep.User, ep.Pass); err != nil {
 		c.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	if tc, ok := telemetry.TraceFrom(ctx); ok {
-		// Best-effort: an old server that rejects SITE TRID still moves
-		// the bytes, it just doesn't show up in the stitched trace.
-		_ = c.ApplyOptions(gridftp.WithTransferTrace(tc))
-	}
-	return c, func(error) { c.Close() }, nil
-}
-
-// probeWatermark asks the destination how many contiguous bytes of the
-// job's object it holds, over a channel that is not the failed
-// attempt's (which may be poisoned): a pooled checkout when the manager
-// has a pool, a fresh dial otherwise. Zero means "no usable partial" —
-// probing is best-effort and a failed probe only costs resumption.
-func (m *Manager) probeWatermark(ctx context.Context, job Job) int64 {
-	c, finish, err := m.checkout(ctx, job.Dst, job, job.dialOpts(ctx))
-	if err != nil {
-		return 0
-	}
-	n, err := c.Size(job.DstName)
-	finish(err)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// execute traces the job when the manager was built WithTracing —
-// minting the trace ID, opening the root "job" span every downstream
-// span links under, and flight-recording the job boundaries — then
-// runs the retry loop.
-func (m *Manager) execute(ctx context.Context, job Job) outcome {
-	if !m.tracing {
-		return m.executeJob(ctx, job, nil)
-	}
-	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID()}
-	span := m.hub.Span("job", job.SrcName+" -> "+job.DstName, telemetry.PhaseSetup)
-	tc.ParentSID = span.SetTrace(tc.TraceID, "")
-	ctx = telemetry.WithTrace(ctx, tc)
-	m.hub.Event(tc.TraceID, "job_start", fmt.Sprintf("%s -> %s", job.SrcName, job.DstName))
-	out := m.executeJob(ctx, job, span)
-	out.trace = tc.TraceID
-	done := "ok"
-	if out.err != nil {
-		done = out.err.Error()
-	}
-	m.hub.Event(tc.TraceID, "job_done",
-		fmt.Sprintf("attempts=%d bytes=%d %s", out.attempts, out.bytes, done))
-	span.End(out.err)
-	return out
-}
-
-// executeJob runs one job with retries; every attempt uses control
-// channels the failed previous attempt never touched — its own are
-// discarded, not recycled, because a failed transfer may have poisoned
-// them (pooled checkouts enforce this via Discard-on-error). Between
-// attempts it sleeps a jittered exponential backoff, and — unless the
-// job opts out — probes the destination's delivered watermark so the
-// next attempt restarts there instead of re-sending bytes that already
-// landed. A done context stops further attempts. jobSpan, when the job
-// is traced, tracks attempts as "stream" phases and inter-attempt
-// backoff as "idle".
-func (m *Manager) executeJob(ctx context.Context, job Job, jobSpan *telemetry.Span) outcome {
-	var out outcome
-	out.circuit = broker.Disposition{Service: broker.ServiceIP}
-	resumeFrom := int64(0)
-	canResume := !job.NoResume
-	for attempt := 1; attempt <= job.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if out.err == nil {
-				out.err = err
-			}
-			return out
-		}
-		out.attempts = attempt
-		if resumeFrom > 0 {
-			m.met.resumed.Inc()
-			if trace := telemetry.TraceIDFrom(ctx); trace != "" {
-				m.hub.Event(trace, "resume",
-					fmt.Sprintf("attempt=%d offset=%d", attempt, resumeFrom))
-			}
-		}
-		jobSpan.Phase(telemetry.PhaseStream)
-		// A fleet-managed job resolves its source replica per attempt:
-		// the dispatcher sees the loads as they are NOW, so a retry after
-		// a multi-second failed attempt may land somewhere better than
-		// the first placement did (a rebalance).
-		ajob := job
-		var placement *fleet.Placement
-		if m.fleet != nil && job.Src.Addr == "" {
-			size := job.SizeHint
-			if out.bytes > 0 {
-				size = out.bytes
-			}
-			p, err := m.fleet.Place(ctx, fleet.Request{SizeBytes: size, Previous: out.replica})
-			if err != nil {
-				if out.err == nil {
-					out.err = fmt.Errorf("fleet place: %w", err)
-				}
-				return out
-			}
-			placement = p
-			ajob.Src.Addr = p.Addr
-			out.replica = p.Addr
-			if trace := telemetry.TraceIDFrom(ctx); trace != "" {
-				m.hub.Event(trace, "fleet_placed",
-					fmt.Sprintf("attempt=%d replica=%s fallback=%v", attempt, p.Addr, p.Fallback))
-			}
-		}
-		attemptStart := time.Now()
-		at := m.attempt(ctx, ajob, resumeFrom)
-		if placement != nil {
-			moved := at.moved
-			if moved < 0 && at.err == nil && at.bytes > resumeFrom {
-				moved = at.bytes - resumeFrom
-			}
-			placement.Complete(moved, time.Since(attemptStart), at.err)
-		}
-		out.checksum, out.circuit, out.err = at.checksum, at.circuit, at.err
-		out.shapedRate = at.shapedRate
-		if at.bytes > 0 {
-			out.bytes = at.bytes
-		}
-		if at.moved >= 0 {
-			out.wire += at.moved
-		}
-		if at.err == nil {
-			// Third-party attempts can't see their own wire count; the
-			// delta from the restart offset to the object end is exact
-			// for a clean attempt (skipped when the size never became
-			// known — better to undercount than invent bytes).
-			if at.moved < 0 && out.bytes > resumeFrom {
-				out.wire += out.bytes - resumeFrom
-			}
-			out.delivered = out.bytes
-			return out
-		}
-		if attempt == job.MaxAttempts {
-			break
-		}
-		// Work out where the next attempt starts. The watermark probe
-		// doubles as wire accounting for third-party attempts: bytes
-		// that became durable during the failed attempt were moved by
-		// it.
-		if resumeFrom > 0 && isRestRejected(at.err) {
-			// The endpoint doesn't do restarts; stop asking.
-			canResume = false
-			resumeFrom = 0
-		} else if at.dstEngaged {
-			if w := m.probeWatermark(ctx, job); w > resumeFrom && (out.bytes <= 0 || w < out.bytes) {
-				if at.moved < 0 {
-					out.wire += w - resumeFrom
-				}
-				if canResume {
-					resumeFrom = w
-				}
-			}
-		}
-		out.delivered = resumeFrom
-		m.met.retries.Inc()
-		if trace := telemetry.TraceIDFrom(ctx); trace != "" {
-			m.hub.Event(trace, "retry",
-				fmt.Sprintf("attempt=%d failed: %v", attempt, at.err))
-		}
-		jobSpan.Phase(telemetry.PhaseIdle)
-		if err := sleepBackoff(ctx, backoffDelay(job.RetryBackoff, job.RetryBackoffMax, attempt)); err != nil {
-			return out
-		}
-	}
-	return out
-}
-
-// attempt runs one try of the transfer: dial and authenticate both
-// endpoints, size the object, let the broker take the circuit decision,
-// then move the data — restarting at resumeFrom when a prior attempt
-// already delivered a prefix — and verify.
-func (m *Manager) attempt(ctx context.Context, job Job, resumeFrom int64) attemptOut {
-	out := attemptOut{circuit: broker.Disposition{Service: broker.ServiceIP}, moved: -1}
-	opts := job.dialOpts(ctx)
-	if m.hub != nil {
-		opts = append(opts, gridftp.WithTelemetry(m.hub))
-	}
-	src, srcFinish, err := m.checkout(ctx, job.Src, job, opts)
-	if err != nil {
-		out.err = fmt.Errorf("dial src: %w", err)
-		return out
-	}
-	defer func() { srcFinish(out.err) }()
-	dst, dstFinish, err := m.checkout(ctx, job.Dst, job, opts)
-	if err != nil {
-		out.err = fmt.Errorf("dial dst: %w", err)
-		return out
-	}
-	defer func() { dstFinish(out.err) }()
-	out.bytes = job.SizeHint
-	if out.bytes <= 0 && (m.broker != nil || job.Stream || !job.NoResume) {
-		// The broker sizes circuits from bytes, the streaming relay
-		// needs the region length, and resume-aware retries clamp
-		// destination watermarks against it; a failed probe just means
-		// an unhinted decision, not a failed job.
-		if n, err := src.Size(job.SrcName); err == nil {
-			out.bytes = n
-		}
-	}
-	lease := m.broker.Begin(ctx, job.Src.Addr, job.Dst.Addr, out.bytes)
-	out.circuit = lease.Disposition()
-	// Resolve the rate this attempt's data plane is shaped to and wire
-	// the enforcement in. A VC job is shaped to the broker's reserved
-	// rate automatically — the reservation becomes a wire-level fact —
-	// unless the job pins its own RateBps; otherwise the class table
-	// applies. Streaming jobs pace locally (the STOR leg's bucket
-	// backpressures the RETR leg through the pipe) and re-fill the
-	// bucket live when a later extension re-books the circuit at a new
-	// rate. Third-party jobs never touch the data, so the source server
-	// is asked to shape its session instead (SITE RATE).
-	out.shapedRate = m.rateFor(job, out.circuit)
-	var lim *pacing.Limiter
-	if out.shapedRate > 0 {
-		if job.Stream {
-			b := pacing.NewBucket(out.shapedRate, 0)
-			lease.OnRateChange(func(bps float64) {
-				if bps > 0 {
-					b.SetRate(int64(bps))
-				}
-			})
-			lim = pacing.NewLimiter(b)
-		} else if aerr := src.ApplyOptions(gridftp.WithRate(out.shapedRate)); aerr != nil {
-			lease.End(0, 0)
-			out.err = fmt.Errorf("shape src: %w", aerr)
-			return out
-		}
-	}
-	xferStart := time.Now()
-	if job.Stream {
-		out.moved, out.dstEngaged, err = m.streamRelay(ctx, src, dst, job, resumeFrom, out.bytes, lim)
-	} else {
-		out.dstEngaged, err = gridftp.ThirdPartyFrom(src, dst, job.SrcName, job.DstName, resumeFrom)
-	}
-	if err != nil {
-		lease.End(0, time.Since(xferStart))
-		out.err = fmt.Errorf("transfer: %w", err)
-		return out
-	}
-	lease.End(out.bytes, time.Since(xferStart))
-	if !job.Verify {
-		return out
-	}
-	want, err := src.Checksum(job.SrcName)
-	if err != nil {
-		out.err = fmt.Errorf("src checksum: %w", err)
-		return out
-	}
-	got, err := dst.Checksum(job.DstName)
-	if err != nil {
-		out.err = fmt.Errorf("dst checksum: %w", err)
-		return out
-	}
-	if want != got {
-		out.err = fmt.Errorf("checksum mismatch: src %s, dst %s", want, got)
-		return out
-	}
-	out.checksum = got
-	return out
-}
-
-// rateFor resolves one attempt's shaping rate: the job's own pin, else
-// the broker's reserved circuit rate, else the class table (zero means
-// unshaped — the default for every class without a configured rate).
-func (m *Manager) rateFor(job Job, disp broker.Disposition) int64 {
-	if job.RateBps > 0 {
-		return job.RateBps
-	}
-	if disp.Service == broker.ServiceVC && disp.RateBps > 0 {
-		return int64(disp.RateBps)
-	}
-	return m.classRates[job.Class]
-}
-
-// streamRelay moves srcName through this process: a streaming RETR
-// feeds an io.Pipe that a streaming STOR drains, both restarting at
-// base. Memory is bounded by the client window on the read side and a
-// few blocks on the write side. Returns the payload pushed to dst
-// (duplicates included), which is exact even on failure, plus whether
-// dst accepted the STOR — the precondition for trusting its SIZE as
-// this job's watermark on the next attempt.
-func (m *Manager) streamRelay(ctx context.Context, src, dst *gridftp.Client, job Job, base, size int64, lim *pacing.Limiter) (int64, bool, error) {
-	pr, pw := io.Pipe()
-	region := int64(-1)
-	if size > 0 {
-		region = size - base
-	}
-	type storDone struct {
-		stats gridftp.TransferStats
-		err   error
-	}
-	done := make(chan storDone, 1)
-	go func() {
-		// The limiter paces only the STOR leg; the pipe's backpressure
-		// throttles the RETR leg to the same rate transitively.
-		stats, err := dst.StorFromAt(ctx, job.DstName, pr, base, region, gridftp.WithLimiter(lim))
-		// Unblock the RETR side if the STOR leg died first.
-		pr.CloseWithError(err)
-		done <- storDone{stats, err}
-	}()
-	_, retrErr := src.RetrToAt(ctx, job.SrcName, pw, base)
-	// nil closes the pipe cleanly (EOF): the STOR leg finishes its
-	// drain; an error propagates to its reader as the source failure.
-	pw.CloseWithError(retrErr)
-	stor := <-done
-	if retrErr != nil {
-		return stor.stats.WireBytes, stor.stats.StorAccepted, fmt.Errorf("retr leg: %w", retrErr)
-	}
-	if stor.err != nil {
-		return stor.stats.WireBytes, stor.stats.StorAccepted, fmt.Errorf("stor leg: %w", stor.err)
-	}
-	return stor.stats.WireBytes, stor.stats.StorAccepted, nil
+	return c, nil
 }

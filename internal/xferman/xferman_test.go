@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/telemetry"
 	"gftpvc/internal/vc/broker"
 )
 
@@ -455,5 +457,142 @@ func TestJobTimeoutBoundsSilentEndpoint(t *testing.T) {
 	if _, err := m.Submit(context.Background(), Job{Src: Endpoint{Addr: "a"}, Dst: Endpoint{Addr: "b"},
 		SrcName: "x", DstName: "x", Timeout: -time.Second}); err == nil {
 		t.Error("negative Timeout accepted")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test at a deadline:
+// the wait-on-the-event replacement for a fixed sleep.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(10 * time.Second)
+	for !cond() {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestSubmitCancelOnFullQueue is the Submit-ignores-ctx regression: with
+// the only worker parked on an endpoint that never greets and the queue
+// full, a Submit whose context is done must return ctx.Err() instead of
+// blocking on the queue send, leave no trace of the never-queued job,
+// and keep the in-flight-submit accounting exact so Close still
+// returns.
+func TestSubmitCancelOnFullQueue(t *testing.T) {
+	srv := serve(t, gridftp.NewMemStore())
+	mute, err := faultnet.NewProxy(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mute.Stall() // connects, then swallows the greeting
+	hub := telemetry.NewHub()
+	m, _ := New(1, WithTelemetry(hub))
+	jobCtx, cancelJobs := context.WithCancel(context.Background())
+	// Unpark the worker and fail the backlog fast, whatever happens.
+	release := func() { cancelJobs(); mute.Close() }
+	defer release()
+	job := Job{
+		Src: Endpoint{Addr: mute.Addr()}, Dst: ep(srv),
+		SrcName: "x", DstName: "x", MaxAttempts: 1,
+	}
+	first, err := m.Submit(jobCtx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the worker to pick up the first job", func() bool {
+		res, _ := m.Result(first)
+		return res.Status == Running
+	})
+	for i := 0; i < cap(m.queue); i++ {
+		if _, err := m.Submit(jobCtx, job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	depth := hub.Gauge("xferman_queue_depth", "Jobs queued and not yet picked up by a worker.")
+	before := depth.Value()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := m.Submit(ctx, job)
+		submitted <- err
+	}()
+	select {
+	case err := <-submitted:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Submit on a full queue with a cancelled ctx: %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit ignored its cancelled ctx and blocked on the full queue")
+	}
+	if got := depth.Value(); got != before {
+		t.Errorf("queue depth = %v after the cancelled Submit, want %v", got, before)
+	}
+	m.mu.Lock()
+	registered := len(m.jobs)
+	m.mu.Unlock()
+	if want := cap(m.queue) + 1; registered != want {
+		t.Errorf("%d jobs registered, want %d: the never-queued job was not unregistered", registered, want)
+	}
+
+	release()
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after a cancelled Submit")
+	}
+}
+
+// TestManagerDialsReachTelemetry: every control channel the manager
+// dials itself — not only an attempt's two, but SubmitAll's listing
+// channel and the post-failure watermark probe — carries the hub, so
+// each shows up in the client dial counter.
+func TestManagerDialsReachTelemetry(t *testing.T) {
+	const size = 1 << 20
+	srcStore := gridftp.NewMemStore()
+	srcStore.Put("data.bin", payload(size))
+	tracker, _ := resetFirstConn(size * 6 / 10)
+	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
+	dst := serveCfg(t, gridftp.Config{
+		Store: gridftp.NewMemStore(), WindowSize: 64 << 10, BlockSize: 16 << 10,
+		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
+	})
+	hub := telemetry.NewHub()
+	m, _ := New(1, WithTelemetry(hub))
+	defer m.Close()
+	dials := hub.Counter("gridftp_client_dials_total",
+		"Control-channel dials, by result.", telemetry.L("result", "ok"))
+
+	// A listing that finds nothing submits nothing: the one dial is the
+	// listing's own.
+	if _, err := m.SubmitAll(context.Background(), ep(src), ep(dst), "missing/", Job{}); err == nil {
+		t.Fatal("empty listing should fail")
+	}
+	if got := dials.Value(); got != 1 {
+		t.Errorf("dials after SubmitAll's listing = %v, want 1", got)
+	}
+
+	// A mid-transfer reset, then a resumed retry: two attempts of two
+	// channels each, plus the watermark probe between them.
+	res := runJob(t, m, Job{
+		Src: ep(src), Dst: ep(dst),
+		SrcName: "data.bin", DstName: "copy.bin",
+		MaxAttempts: 3, RetryBackoff: 20 * time.Millisecond,
+	})
+	if res.Attempts != 2 {
+		t.Fatalf("attempts=%d, want 2 (reset, then resumed retry)", res.Attempts)
+	}
+	if got := dials.Value(); got != 1+2+1+2 {
+		t.Errorf("dials after the retried job = %v, want 6 (listing, attempt, probe, attempt)", got)
 	}
 }
