@@ -62,7 +62,7 @@ type pacedReport struct {
 
 // runPacedArm runs nConc concurrent streaming RETRs of obj with
 // staggered starts, returning each transfer's wall seconds.
-func runPacedArm(t *testing.T, addr string, nConc int, size int, opts ...gridftp.TransferOption) []float64 {
+func runPacedArm(t *testing.T, addr string, nConc int, size int, opts ...gridftp.Option) []float64 {
 	t.Helper()
 	durs := make([]float64, nConc)
 	var wg sync.WaitGroup
@@ -152,10 +152,10 @@ func TestPacedReport(t *testing.T) {
 	var cvs [2]float64
 	for i, arm := range []struct {
 		shaped bool
-		opts   []gridftp.TransferOption
+		opts   []gridftp.Option
 	}{
 		{false, nil},
-		{true, []gridftp.TransferOption{gridftp.WithRate(rate)}},
+		{true, []gridftp.Option{gridftp.WithRate(rate)}},
 	} {
 		durs := runPacedArm(t, srv.Addr(), nConc, objSize, arm.opts...)
 		if t.Failed() {

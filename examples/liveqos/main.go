@@ -43,10 +43,10 @@ func main() {
 
 	for _, arm := range []struct {
 		name string
-		opts []gridftp.TransferOption
+		opts []gridftp.Option
 	}{
 		{"unshaped", nil},
-		{"shaped", []gridftp.TransferOption{gridftp.WithRate(rate)}},
+		{"shaped", []gridftp.Option{gridftp.WithRate(rate)}},
 	} {
 		durs := make([]time.Duration, nConc)
 		var wg sync.WaitGroup

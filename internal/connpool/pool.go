@@ -273,7 +273,7 @@ func (c *Conn) Release() {
 	// the parked channel would keep the previous job's server-side cap
 	// and the next checkout would inherit it, so evict instead.
 	if err := c.Client.ApplyOptions(
-		gridftp.WithTransferTrace(telemetry.TraceContext{}),
+		gridftp.WithTrace(telemetry.TraceContext{}),
 		gridftp.WithRate(0),
 		gridftp.WithLimiter(nil),
 	); err != nil {

@@ -26,6 +26,10 @@ type scriptedServer struct {
 	// noopDelay stalls every NOOP reply, pinning a keepalive sweep
 	// inside its probe window.
 	noopDelay time.Duration
+	// noopSeen, when non-nil, is signalled (without blocking) each time
+	// a NOOP arrives, before any noopDelay: the event a test waits on to
+	// know a probe is in flight.
+	noopSeen chan struct{}
 	// rejectClear answers SITE RATE 0 with 550 while still accepting
 	// nonzero rates — a shaped session that refuses to unshape.
 	rejectClear bool
@@ -67,6 +71,10 @@ func (s *scriptedServer) serve(conn net.Conn) {
 		case verb == "TYPE", verb == "MODE":
 			write("200 ok")
 		case verb == "NOOP":
+			select {
+			case s.noopSeen <- struct{}{}:
+			default:
+			}
 			if s.noopDelay > 0 {
 				time.Sleep(s.noopDelay)
 			}
@@ -93,7 +101,8 @@ func (s *scriptedServer) serve(conn net.Conn) {
 // reinserts its survivor the bucket must still respect
 // MaxIdlePerEndpoint — pre-fix, the bare append grew it to 2.
 func TestPoolSweepReinsertRespectsIdleBound(t *testing.T) {
-	addr := startScripted(t, &scriptedServer{noopDelay: 150 * time.Millisecond})
+	srv := &scriptedServer{noopDelay: 150 * time.Millisecond, noopSeen: make(chan struct{}, 1)}
+	addr := startScripted(t, srv)
 	p := newPool(t, Config{MaxIdlePerEndpoint: 1, KeepAlive: -1})
 	ctx := context.Background()
 	c1, err := p.Get(ctx, addr, "u", "p")
@@ -110,8 +119,8 @@ func TestPoolSweepReinsertRespectsIdleBound(t *testing.T) {
 		defer close(done)
 		p.sweep() // takes [c1], stalls ~150ms inside the NOOP probe
 	}()
-	time.Sleep(50 * time.Millisecond) // sweep now holds c1 outside the lock
-	c2.Release()                      // bucket looks empty: parks c2
+	<-srv.noopSeen // the probe arrived: sweep holds c1 outside the lock
+	c2.Release()   // bucket looks empty: parks c2
 	<-done
 	st := p.Stats()
 	if st.Idle > 1 {

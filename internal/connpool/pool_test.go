@@ -180,7 +180,7 @@ func TestPoolDiscardAfterMidUseKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ApplyOptions(gridftp.WithTimeouts(500*time.Millisecond, 500*time.Millisecond)); err != nil {
+	if err := c.ApplyOptions(gridftp.WithControlTimeout(500*time.Millisecond), gridftp.WithDataTimeout(500*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	proxy.Reset()

@@ -1,9 +1,6 @@
 package gridftp
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // benchRetr measures end-to-end loopback transfer throughput for a given
 // stream count; b.SetBytes makes `go test -bench` report MB/s.
@@ -42,57 +39,3 @@ func benchRetr(b *testing.B, streams int, size int) {
 
 func BenchmarkRetr1Stream(b *testing.B) { benchRetr(b, 1, 8<<20) }
 func BenchmarkRetr8Stream(b *testing.B) { benchRetr(b, 8, 8<<20) }
-
-func BenchmarkStor4Stream(b *testing.B) {
-	s, err := Serve(Config{Addr: "127.0.0.1:0", Store: NewMemStore()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("u", "p"); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.SetParallelism(4); err != nil {
-		b.Fatal(err)
-	}
-	payload := randomPayload(8 << 20)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Stor(fmt.Sprintf("up-%d.bin", i), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkModeEFraming(b *testing.B) {
-	payload := randomPayload(1 << 20)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		asm, err := NewAssembler(int64(len(payload)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Frame and immediately place, simulating the hot data path
-		// without sockets.
-		const block = 256 << 10
-		for off := 0; off < len(payload); off += block {
-			end := off + block
-			if end > len(payload) {
-				end = len(payload)
-			}
-			if err := asm.Place(Block{Offset: uint64(off), Data: payload[off:end]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if !asm.Complete() {
-			b.Fatal("incomplete")
-		}
-	}
-}

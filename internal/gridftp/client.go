@@ -53,7 +53,7 @@ type Client struct {
 	met  *cliMetrics
 	sess *telemetry.Span // session-scoped span: control_dial, auth, idle, teardown
 
-	// trace is the end-to-end context bound by WithTransferTrace; zero
+	// trace is the end-to-end context bound by WithTrace; zero
 	// when tracing is off (the default), in which case nothing
 	// trace-related touches the wire.
 	trace telemetry.TraceContext
@@ -64,54 +64,8 @@ type Client struct {
 	// for this channel, so clearing only touches the wire when there is
 	// something to clear.
 	rateBps    int64
-	rateBurst  int64
 	aggLimiter *pacing.Limiter
 	rateWired  bool
-}
-
-// Option configures a Client at Dial time.
-type Option func(*Client)
-
-// WithControlTimeout bounds every control-channel command write and
-// reply read (default DefaultControlTimeout; <= 0 disables). When a
-// transfer's error path must drain a pending status reply, the drain
-// waits up to this long — keep it above the server's accept timeout or
-// a rejected transfer may leave the channel desynced (the client then
-// fails fast with ErrDesynced rather than corrupting replies).
-func WithControlTimeout(d time.Duration) Option {
-	return func(c *Client) { c.controlTimeout = d }
-}
-
-// WithDataTimeout bounds each read or write on a data connection
-// (default DefaultDataTimeout; <= 0 disables): a stalled sender or
-// receiver surfaces as a timeout error instead of hanging the transfer.
-func WithDataTimeout(d time.Duration) Option {
-	return func(c *Client) { c.dataTimeout = d }
-}
-
-// WithWindow sets the sliding reassembly window every retrieval
-// delivers through (default DefaultWindowSize). The window bounds the
-// client's peak receive memory (beyond the caller's own sink) and the
-// worst-case duplicate bytes a resumed transfer re-delivers. It also
-// sizes the upload chunks (window/4, clamped to [4KiB, 256KiB]) so a
-// symmetrically configured receiver always accepts them.
-func WithWindow(bytes int) Option {
-	return func(c *Client) { c.windowSize = bytes }
-}
-
-// WithDialFunc replaces the dialer used for the control and data
-// connections; fault-injection tests use it to wrap connections.
-func WithDialFunc(dial func(network, addr string) (net.Conn, error)) Option {
-	return func(c *Client) { c.dialFunc = dial }
-}
-
-// WithTelemetry attaches a telemetry hub: the client then records
-// dial/transfer metrics, a session span (control_dial, auth, idle,
-// teardown — the control-channel half of the paper's phase breakdown),
-// and one span per transfer (data_setup, stream, teardown) with its
-// wire byte count.
-func WithTelemetry(hub *telemetry.Hub) Option {
-	return func(c *Client) { c.hub = hub }
 }
 
 // Reply is a control-channel response.
@@ -133,7 +87,8 @@ func (e *ProtocolError) Error() string {
 
 // Dial connects to a server's control channel and consumes the greeting.
 // The default deadlines (DefaultControlTimeout, DefaultDataTimeout)
-// apply unless overridden by options.
+// apply unless overridden by options; an option that needs the server
+// (see Option) is an error here.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	c := &Client{
 		parallelism:    1,
@@ -141,11 +96,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		dataTimeout:    DefaultDataTimeout,
 		windowSize:     DefaultWindowSize,
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.windowSize < 1 {
-		return nil, errors.New("gridftp: window must be positive")
+	if err := c.ApplyOptions(opts...); err != nil {
+		return nil, err
 	}
 	c.met = newCliMetrics(c.hub)
 	c.sess = c.hub.Span("session", addr, telemetry.PhaseControlDial)
@@ -212,6 +164,9 @@ func (c *Client) Close() error {
 func (c *Client) cmd(line string) (Reply, error) {
 	if c.desynced {
 		return Reply{}, ErrDesynced
+	}
+	if c.conn == nil {
+		return Reply{}, errNoSession
 	}
 	if c.controlTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.controlTimeout))
@@ -320,34 +275,6 @@ func (c *Client) Login(user, pass string) error {
 func (c *Client) Noop() error {
 	_, err := c.do("NOOP", "NOOP", 200)
 	return err
-}
-
-// setTrace binds an end-to-end trace context to the session: the
-// server is told via SITE TRID so its transfer spans and events link
-// back to the caller's span, and this client's own transfer spans are
-// tagged locally. A server that predates SITE TRID replies 500/502;
-// the client degrades silently — local spans stay tagged, the server
-// side simply contributes nothing to the trace. A zero TraceContext
-// clears the binding without touching the wire, so untraced sessions
-// remain byte-identical. Rebound per job on pooled connections.
-func (c *Client) setTrace(tc telemetry.TraceContext) error {
-	if tc.TraceID == "" {
-		c.trace = telemetry.TraceContext{}
-		return nil
-	}
-	if !tc.Valid() {
-		return fmt.Errorf("gridftp: invalid trace context %q", tc.WireToken())
-	}
-	c.trace = tc
-	if _, err := c.do("SITE", "SITE TRID "+tc.WireToken(), 200); err != nil {
-		var pe *ProtocolError
-		if errors.As(err, &pe) {
-			// Old server: SITE unimplemented (502) or TRID unknown (500).
-			return nil
-		}
-		return err
-	}
-	return nil
 }
 
 // Desynced reports whether the control channel has been poisoned by an
@@ -509,12 +436,9 @@ func (s *byteSink) Write(p []byte) (int, error) {
 }
 
 // retrBytes runs one retrieval into memory.
-func (c *Client) retrBytes(op, name string, striped bool, offset, length int64, opts []TransferOption) ([]byte, TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return nil, TransferStats{}, err
-	}
+func (c *Client) retrBytes(op, name string, striped bool, offset, length int64, opts []Option) ([]byte, TransferStats, error) {
 	var sink byteSink
-	stats, err := c.retrieve(context.Background(), op, name, &sink, striped, offset, length)
+	stats, err := c.retrieve(context.Background(), op, name, &sink, striped, offset, length, opts)
 	if err != nil {
 		return nil, TransferStats{}, err
 	}
@@ -523,19 +447,19 @@ func (c *Client) retrBytes(op, name string, striped bool, offset, length int64, 
 
 // Retr fetches an object using the configured parallelism over a single
 // stripe (PASV + n connections to the same listener).
-func (c *Client) Retr(name string, opts ...TransferOption) ([]byte, TransferStats, error) {
+func (c *Client) Retr(name string, opts ...Option) ([]byte, TransferStats, error) {
 	return c.retrBytes("retr", name, false, 0, -1, opts)
 }
 
 // RetrStriped fetches an object in striped mode (SPAS; one connection per
 // server stripe).
-func (c *Client) RetrStriped(name string, opts ...TransferOption) ([]byte, TransferStats, error) {
+func (c *Client) RetrStriped(name string, opts ...Option) ([]byte, TransferStats, error) {
 	return c.retrBytes("retr_striped", name, true, 0, -1, opts)
 }
 
 // RetrPartial fetches the byte region [offset, offset+length) of an
 // object with GridFTP's ERET extension.
-func (c *Client) RetrPartial(name string, offset, length int64, opts ...TransferOption) ([]byte, TransferStats, error) {
+func (c *Client) RetrPartial(name string, offset, length int64, opts ...Option) ([]byte, TransferStats, error) {
 	if offset < 0 || length <= 0 {
 		return nil, TransferStats{}, errors.New("gridftp: invalid partial region")
 	}
@@ -544,16 +468,13 @@ func (c *Client) RetrPartial(name string, offset, length int64, opts ...Transfer
 
 // RetrFrom resumes a retrieval at offset using REST, the failure-recovery
 // path GridFTP sessions rely on.
-func (c *Client) RetrFrom(name string, offset int64, opts ...TransferOption) ([]byte, TransferStats, error) {
+func (c *Client) RetrFrom(name string, offset int64, opts ...Option) ([]byte, TransferStats, error) {
 	return c.retrBytes("rest_retr", name, false, offset, -1, opts)
 }
 
 // storBytes runs one upload from memory.
-func (c *Client) storBytes(op, name string, data []byte, striped bool, opts []TransferOption) (TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return TransferStats{}, err
-	}
-	stats, err := c.store(context.Background(), op, name, bytes.NewReader(data), striped, 0)
+func (c *Client) storBytes(op, name string, data []byte, striped bool, opts []Option) (TransferStats, error) {
+	stats, err := c.store(context.Background(), op, name, bytes.NewReader(data), striped, 0, opts)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -561,13 +482,13 @@ func (c *Client) storBytes(op, name string, data []byte, striped bool, opts []Tr
 }
 
 // Stor uploads an object using the configured parallelism.
-func (c *Client) Stor(name string, data []byte, opts ...TransferOption) (TransferStats, error) {
+func (c *Client) Stor(name string, data []byte, opts ...Option) (TransferStats, error) {
 	return c.storBytes("stor", name, data, false, opts)
 }
 
 // StorStriped uploads an object in striped mode: one data connection per
 // server stripe (SPAS).
-func (c *Client) StorStriped(name string, data []byte, opts ...TransferOption) (TransferStats, error) {
+func (c *Client) StorStriped(name string, data []byte, opts ...Option) (TransferStats, error) {
 	return c.storBytes("stor_striped", name, data, true, opts)
 }
 

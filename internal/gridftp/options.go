@@ -3,6 +3,7 @@ package gridftp
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"time"
 
@@ -10,71 +11,153 @@ import (
 	"gftpvc/internal/telemetry"
 )
 
-// TransferOptions bundles the per-transfer tunables — deadlines,
-// streaming window, trace binding, and rate shaping — that accrete on a
-// control channel between jobs. Callers pass functional options either
-// to ApplyOptions, which rebinds everything in one call (what a pool
-// checkout does), or directly on the per-call transfer APIs
-// (Retr/Stor/RetrTo/RetrToAt/StorFrom/StorFromAt), which apply them
-// first and then run.
+// Option sets one piece of a Client's state — deadlines, streaming
+// window, dialer, telemetry, trace binding, rate shaping. It is the
+// client's only option type: Dial, ApplyOptions (the one rebind a pool
+// checkout does) and the variadic tail of every transfer call take the
+// same values, apply them in order, and stop at the first error. An
+// option that is not passed keeps the current value (at Dial, the
+// default), and an applied option persists until overridden — a
+// per-call option is ApplyOptions followed by the call — because a
+// control channel serves one job at a time and each checkout re-applies
+// its job's options anyway.
 //
-// Options persist on the client once applied — a per-call option is
-// sugar for ApplyOptions followed by the call — because a control
-// channel serves one job at a time and each checkout re-applies its
-// job's options anyway.
-type TransferOptions struct {
-	control time.Duration // 0 keep, < 0 disable
-	data    time.Duration // 0 keep, < 0 disable
-	window  int           // 0 keep
+// Two placement rules, each enforced in one place:
+//
+//   - An option that must tell the server something — WithRate above
+//     zero (SITE RATE), a non-zero WithTrace (SITE TRID) — needs a
+//     logged-in session, so Dial rejects it; pass it to ApplyOptions or
+//     a transfer call after Login. Their clearing forms (WithRate(0),
+//     the zero TraceContext) touch no wire and are accepted anywhere.
+//   - WithTelemetry is accepted only by Dial, where the client's
+//     metrics and session span are built.
+type Option func(*Client) error
 
-	trace    *telemetry.TraceContext // nil keep; zero value clears
-	rateBps  int64                   // meaningful when rateSet; <= 0 clears
-	rateSet  bool
-	burst    int64 // 0 keep (rate-derived default)
-	limiter  *pacing.Limiter
-	limSet   bool
-	parallel int // 0 keep
+// What an option can be refused with. errNoSession is what the command
+// path reports before Dial has connected: an option tried to talk to
+// the server from Dial.
+var (
+	errNoSession   = errors.New("gridftp: option needs a logged-in session: pass it after Login, not to Dial")
+	errNotDialTime = errors.New("gridftp: WithTelemetry must be passed to Dial")
+	errWindow      = errors.New("gridftp: window must be positive")
+)
+
+// ApplyOptions applies opts to the client in order. Local options
+// (timeouts, window, dialer, limiter) never touch the wire; trace and
+// rate bindings are advertised to the server when set and degrade
+// silently on servers that predate them.
+func (c *Client) ApplyOptions(opts ...Option) error {
+	for _, o := range opts {
+		if err := o(c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// TransferOption mutates one TransferOptions field; see ApplyOptions.
-type TransferOption func(*TransferOptions)
-
-// WithTimeouts rebinds the control and data deadlines (zero keeps the
-// current value; negative disables).
-func WithTimeouts(control, data time.Duration) TransferOption {
-	return func(o *TransferOptions) { o.control, o.data = control, data }
+// WithControlTimeout bounds every control-channel command write and
+// reply read (default DefaultControlTimeout; <= 0 disables). When a
+// transfer's error path must drain a pending status reply, the drain
+// waits up to this long — keep it above the server's accept timeout or
+// a rejected transfer may leave the channel desynced (the client then
+// fails fast with ErrDesynced rather than corrupting replies).
+func WithControlTimeout(d time.Duration) Option {
+	return func(c *Client) error { c.controlTimeout = d; return nil }
 }
 
-// WithTransferWindow rebinds the streaming reassembly window in bytes
-// (see WithWindow; zero keeps the current value).
-func WithTransferWindow(bytes int) TransferOption {
-	return func(o *TransferOptions) { o.window = bytes }
+// WithDataTimeout bounds each read or write on a data connection
+// (default DefaultDataTimeout; <= 0 disables): a stalled sender or
+// receiver surfaces as a timeout error instead of hanging the transfer.
+func WithDataTimeout(d time.Duration) Option {
+	return func(c *Client) error { c.dataTimeout = d; return nil }
 }
 
-// WithTransferTrace binds an end-to-end trace context to the session
-// (SITE TRID to the server, silently degraded on servers that predate
-// it). A zero TraceContext clears the binding without touching the
-// wire.
-func WithTransferTrace(tc telemetry.TraceContext) TransferOption {
-	return func(o *TransferOptions) { o.trace = &tc }
+// WithWindow sets the sliding reassembly window, in bytes, every
+// retrieval delivers through (default DefaultWindowSize). The window
+// bounds the client's peak receive memory (beyond the caller's own
+// sink) and the worst-case duplicate bytes a resumed transfer
+// re-delivers. It also sizes the upload chunks (window/4, clamped to
+// [4KiB, 256KiB]) so a symmetrically configured receiver always accepts
+// them.
+func WithWindow(bytes int) Option {
+	return func(c *Client) error {
+		if bytes < 1 {
+			return errWindow
+		}
+		c.windowSize = bytes
+		return nil
+	}
+}
+
+// WithDialFunc replaces the dialer used for the control and data
+// connections; fault-injection tests use it to wrap connections.
+func WithDialFunc(dial func(network, addr string) (net.Conn, error)) Option {
+	return func(c *Client) error { c.dialFunc = dial; return nil }
+}
+
+// WithTelemetry attaches a telemetry hub: the client then records
+// dial/transfer metrics, a session span (control_dial, auth, idle,
+// teardown — the control-channel half of the paper's phase breakdown),
+// and one span per transfer (data_setup, stream, teardown) with its
+// wire byte count. Dial only: the metrics and the session span are
+// built there, so attaching a hub later would instrument half a client.
+func WithTelemetry(hub *telemetry.Hub) Option {
+	return func(c *Client) error {
+		if c.met != nil {
+			return errNotDialTime
+		}
+		c.hub = hub
+		return nil
+	}
+}
+
+// WithTrace binds an end-to-end trace context to the session: the
+// server is told via SITE TRID so its transfer spans and events link
+// back to the caller's span, and this client's own transfer spans are
+// tagged locally. A server that predates SITE TRID replies 500/502; the
+// client degrades silently — local spans stay tagged, the server side
+// simply contributes nothing to the trace. A zero TraceContext clears
+// the binding without touching the wire, so untraced sessions remain
+// byte-identical. Rebound per job on pooled connections.
+func WithTrace(tc telemetry.TraceContext) Option {
+	return func(c *Client) error {
+		if tc.TraceID != "" && !tc.Valid() {
+			return fmt.Errorf("gridftp: invalid trace context %q", tc.WireToken())
+		}
+		c.trace = tc
+		if tc.TraceID == "" {
+			return nil
+		}
+		_, err := c.site("TRID "+tc.WireToken(), true)
+		return err
+	}
 }
 
 // WithRate shapes this client's subsequent transfers to rateBps bits
 // per second: every transfer mints a fresh per-transfer token bucket at
-// this rate, and the server is asked to shape its own sending/receiving
-// session to match (SITE RATE; servers that predate it degrade
-// silently, leaving client-side shaping in force). rateBps <= 0 clears
-// shaping — and tells the server so, if it was ever engaged, so a
-// pooled channel cannot leak one job's rate into the next.
-func WithRate(rateBps int64) TransferOption {
-	return func(o *TransferOptions) { o.rateBps, o.rateSet = rateBps, true }
-}
-
-// WithRateBurst overrides the per-transfer bucket's burst in bytes
-// (zero keeps the rate-derived default: ~25 ms of line rate, floored at
-// pacing.DefaultBurstBytes).
-func WithRateBurst(bytes int64) TransferOption {
-	return func(o *TransferOptions) { o.burst = bytes }
+// this rate (burst: the rate-derived default, ~25 ms of line rate
+// floored at pacing.DefaultBurstBytes), and the server is asked to
+// shape its own sending/receiving session to match (SITE RATE; servers
+// that predate it degrade silently, leaving client-side shaping in
+// force). rateBps <= 0 clears shaping — and tells the server so, if it
+// was ever engaged, so a pooled channel cannot leak one job's rate into
+// the next; an unshaped session stays byte-identical to a pre-pacing
+// client.
+func WithRate(rateBps int64) Option {
+	return func(c *Client) error {
+		c.rateBps = max(rateBps, 0)
+		if c.rateBps == 0 && !c.rateWired {
+			return nil
+		}
+		// Once the server has accepted a SITE RATE, a rejection is a real
+		// failure — swallowing it would leave the session shaped to the
+		// previous rate with the caller none the wiser.
+		accepted, err := c.site("RATE "+strconv.FormatInt(c.rateBps, 10), !c.rateWired)
+		if accepted {
+			c.rateWired = c.rateBps > 0
+		}
+		return err
+	}
 }
 
 // WithLimiter attaches a shared aggregate limiter composed into every
@@ -83,93 +166,21 @@ func WithRateBurst(bytes int64) TransferOption {
 // the server — and is how a caller holds several concurrent transfers
 // to one collective rate, or re-rates an in-flight bucket when a
 // broker lease is extended. nil detaches.
-func WithLimiter(l *pacing.Limiter) TransferOption {
-	return func(o *TransferOptions) { o.limiter, o.limSet = l, true }
+func WithLimiter(l *pacing.Limiter) Option {
+	return func(c *Client) error { c.aggLimiter = l; return nil }
 }
 
-// WithParallel sets the number of parallel TCP streams for subsequent
-// transfers (OPTS RETR Parallelism; zero keeps the current value).
-func WithParallel(n int) TransferOption {
-	return func(o *TransferOptions) { o.parallel = n }
-}
-
-// ApplyOptions rebinds the client's transfer state in one call — the
-// single checkout-time rebind. Local-only options (timeouts, window, limiter)
-// never touch the wire; trace and rate bindings are advertised to the
-// server when set (SITE TRID / SITE RATE) and degrade silently on
-// servers that predate them. Unset options keep their current values.
-func (c *Client) ApplyOptions(opts ...TransferOption) error {
-	var o TransferOptions
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
+// site sends one SITE subcommand and reports whether the server took
+// it. With degrade set, an old server's refusal — SITE unimplemented
+// (502) or the subcommand unknown (500) — is not an error: whatever the
+// client enforces locally stays in force.
+func (c *Client) site(sub string, degrade bool) (accepted bool, err error) {
+	_, err = c.do("SITE", "SITE "+sub, 200)
+	var pe *ProtocolError
+	if degrade && errors.As(err, &pe) {
+		return false, nil
 	}
-	// A pooled connection outlives any one job, so each checkout
-	// re-applies the job's own deadlines (negative disables).
-	if o.control != 0 {
-		c.controlTimeout = max(o.control, 0)
-	}
-	if o.data != 0 {
-		c.dataTimeout = max(o.data, 0)
-	}
-	if o.window != 0 {
-		if o.window < 1 {
-			return errors.New("gridftp: window must be positive")
-		}
-		c.windowSize = o.window
-	}
-	if o.limSet {
-		c.aggLimiter = o.limiter
-	}
-	if o.burst != 0 {
-		c.rateBurst = o.burst
-	}
-	if o.rateSet {
-		if err := c.applyRate(o.rateBps); err != nil {
-			return err
-		}
-	}
-	if o.parallel != 0 {
-		if err := c.SetParallelism(o.parallel); err != nil {
-			return err
-		}
-	}
-	if o.trace != nil {
-		if err := c.setTrace(*o.trace); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyRate records the client-side shaping rate and advertises it to
-// the server. SITE RATE 0 (clear) only goes on the wire if this channel
-// previously engaged server-side shaping — an unshaped session stays
-// byte-identical to a pre-pacing client.
-func (c *Client) applyRate(rateBps int64) error {
-	if rateBps < 0 {
-		rateBps = 0
-	}
-	c.rateBps = rateBps
-	if rateBps == 0 && !c.rateWired {
-		return nil
-	}
-	_, err := c.do("SITE", "SITE RATE "+strconv.FormatInt(rateBps, 10), 200)
-	if err != nil {
-		var pe *ProtocolError
-		if errors.As(err, &pe) && !c.rateWired {
-			// Old server: SITE unimplemented (502) or RATE unknown (500).
-			// Client-side pacing still enforces the rate locally. Once the
-			// server has accepted a SITE RATE, though, a rejection is a
-			// real failure — swallowing it would leave the session shaped
-			// to the previous rate with the caller none the wiser.
-			return nil
-		}
-		return err
-	}
-	c.rateWired = rateBps > 0
-	return nil
+	return err == nil, err
 }
 
 // xferLimiter mints the effective limiter for one transfer: a fresh
@@ -178,21 +189,9 @@ func (c *Client) applyRate(rateBps int64) error {
 // limiter, or nil when shaping is off — the unshaped fast path is a
 // nil test.
 func (c *Client) xferLimiter() *pacing.Limiter {
-	b := pacing.NewBucket(c.rateBps, c.rateBurst)
+	b := pacing.NewBucket(c.rateBps, 0)
 	if b == nil && c.aggLimiter == nil {
 		return nil
 	}
 	return c.aggLimiter.With(b)
-}
-
-// applyCallOptions is the per-call prologue: options passed on a
-// transfer API are applied (and persist) before the transfer runs.
-func (c *Client) applyCallOptions(opts []TransferOption) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	if err := c.ApplyOptions(opts...); err != nil {
-		return fmt.Errorf("gridftp: applying transfer options: %w", err)
-	}
-	return nil
 }

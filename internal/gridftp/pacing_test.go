@@ -171,10 +171,10 @@ func TestApplyOptionsRebind(t *testing.T) {
 	srv := startServer(t, Config{})
 	c := login(t, srv.Addr())
 	err := c.ApplyOptions(
-		WithTimeouts(11*time.Second, 13*time.Second),
-		WithTransferWindow(1<<20),
+		WithControlTimeout(11*time.Second),
+		WithDataTimeout(13*time.Second),
+		WithWindow(1<<20),
 		WithRate(500e6),
-		WithRateBurst(128<<10),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -185,14 +185,14 @@ func TestApplyOptionsRebind(t *testing.T) {
 	if c.windowSize != 1<<20 {
 		t.Fatalf("window not rebound: %d", c.windowSize)
 	}
-	if c.rateBps != 500e6 || c.rateBurst != 128<<10 || !c.rateWired {
-		t.Fatalf("rate not rebound: rate=%d burst=%d wired=%v", c.rateBps, c.rateBurst, c.rateWired)
+	if c.rateBps != 500e6 || !c.rateWired {
+		t.Fatalf("rate not rebound: rate=%d wired=%v", c.rateBps, c.rateWired)
 	}
 	if lim := c.xferLimiter(); lim == nil || lim.Rate() != 500e6 {
 		t.Fatalf("xferLimiter did not mint the configured rate")
 	}
 	// Bad window surfaces as an error and leaves state untouched.
-	if err := c.ApplyOptions(WithTransferWindow(-1)); err == nil {
+	if err := c.ApplyOptions(WithWindow(-1)); err == nil {
 		t.Fatalf("negative window accepted")
 	}
 	// Clearing after a wired rate sends SITE RATE 0 and resets.

@@ -106,7 +106,7 @@ func TestReplyMeansDone(t *testing.T) {
 				ControlListen: probe.Listen})
 			c := login(t, srv.Addr())
 			tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), ParentSID: "deadbeef"}
-			if err := c.ApplyOptions(WithTransferTrace(tc)); err != nil {
+			if err := c.ApplyOptions(WithTrace(tc)); err != nil {
 				t.Fatal(err)
 			}
 			delivered := func(op string) int64 {

@@ -105,7 +105,7 @@ func TestClientSetTraceDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), ParentSID: "deadbeef"}
-	if err := c.ApplyOptions(WithTransferTrace(tc)); err != nil {
+	if err := c.ApplyOptions(WithTrace(tc)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Retr("x.bin"); err != nil {
@@ -118,11 +118,11 @@ func TestClientSetTraceDegrade(t *testing.T) {
 		t.Fatalf("client span tagging: %+v", got)
 	}
 
-	if err := c.ApplyOptions(WithTransferTrace(telemetry.TraceContext{TraceID: "nothex"})); err == nil {
+	if err := c.ApplyOptions(WithTrace(telemetry.TraceContext{TraceID: "nothex"})); err == nil {
 		t.Fatal("invalid trace context accepted")
 	}
 	// Clearing stops tagging new spans.
-	if err := c.ApplyOptions(WithTransferTrace(telemetry.TraceContext{})); err != nil {
+	if err := c.ApplyOptions(WithTrace(telemetry.TraceContext{})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Retr("x.bin"); err != nil {
@@ -180,7 +180,7 @@ func TestClientSetTraceOldServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID()}
-	if err := c.ApplyOptions(WithTransferTrace(tc)); err != nil {
+	if err := c.ApplyOptions(WithTrace(tc)); err != nil {
 		t.Fatalf("a trace binding against an old server must degrade silently, got %v", err)
 	}
 }

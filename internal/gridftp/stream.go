@@ -148,17 +148,14 @@ func (c *Client) beginTransfer(op, name string) (*telemetry.Span, func(TransferS
 // payload count in WireBytes even when the transfer fails — the
 // delivered watermark (offset + Bytes) is the REST offset a
 // resume-aware retry restarts from.
-func (c *Client) RetrTo(ctx context.Context, name string, w io.Writer, opts ...TransferOption) (TransferStats, error) {
+func (c *Client) RetrTo(ctx context.Context, name string, w io.Writer, opts ...Option) (TransferStats, error) {
 	return c.RetrToAt(ctx, name, w, 0, opts...)
 }
 
 // RetrToAt is RetrTo resuming at a byte offset: REST is issued and w
 // receives the object's bytes from offset onward.
-func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, offset int64, opts ...TransferOption) (TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return TransferStats{}, err
-	}
-	return c.retrieve(ctx, "retr_stream", name, w, false, offset, -1)
+func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, offset int64, opts ...Option) (TransferStats, error) {
+	return c.retrieve(ctx, "retr_stream", name, w, false, offset, -1, opts)
 }
 
 // retrieve is the client's one download engine, instrumented as op: a
@@ -167,8 +164,12 @@ func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, offset 
 // (length < 0: to the end) into w — as ERET when a length is given,
 // REST+RETR when only an offset is, plain RETR otherwise — over
 // parallelism connections to one PASV listener, or one connection per
-// SPAS stripe when striped.
-func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, striped bool, offset, length int64) (stats TransferStats, err error) {
+// SPAS stripe when striped. opts are applied (and persist) before
+// anything else runs.
+func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, striped bool, offset, length int64, opts []Option) (stats TransferStats, err error) {
+	if err := c.ApplyOptions(opts...); err != nil {
+		return TransferStats{}, err
+	}
 	sp, end := c.beginTransfer(op, name)
 	defer func() { end(stats, err) }()
 	if w == nil {
@@ -241,25 +242,26 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 // StorFrom uploads size bytes read from r (size < 0 when unknown; it
 // is informational only). Memory stays bounded at a few MODE E blocks
 // per stream regardless of object size.
-func (c *Client) StorFrom(ctx context.Context, name string, r io.Reader, size int64, opts ...TransferOption) (TransferStats, error) {
+func (c *Client) StorFrom(ctx context.Context, name string, r io.Reader, size int64, opts ...Option) (TransferStats, error) {
 	return c.StorFromAt(ctx, name, r, 0, size, opts...)
 }
 
 // StorFromAt is StorFrom resuming at a byte offset: REST is issued and
 // r must supply the object's bytes from offset onward — the windowed
 // receiver appends them to its partial object.
-func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, offset, size int64, opts ...TransferOption) (TransferStats, error) {
-	if err := c.applyCallOptions(opts); err != nil {
-		return TransferStats{}, err
-	}
-	return c.store(ctx, "stor_stream", name, r, false, offset)
+func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, offset, size int64, opts ...Option) (TransferStats, error) {
+	return c.store(ctx, "stor_stream", name, r, false, offset, opts)
 }
 
 // store is the client's one upload engine, instrumented as op like
 // retrieve. It sends r as the named object's bytes from offset onward
 // (REST+STOR when offset > 0) over parallelism connections to one PASV
-// listener, or one connection per SPAS stripe when striped.
-func (c *Client) store(ctx context.Context, op, name string, r io.Reader, striped bool, offset int64) (stats TransferStats, err error) {
+// listener, or one connection per SPAS stripe when striped. opts are
+// applied first, as in retrieve.
+func (c *Client) store(ctx context.Context, op, name string, r io.Reader, striped bool, offset int64, opts []Option) (stats TransferStats, err error) {
+	if err := c.ApplyOptions(opts...); err != nil {
+		return TransferStats{}, err
+	}
 	sp, end := c.beginTransfer(op, name)
 	defer func() { end(stats, err) }()
 	if r == nil {

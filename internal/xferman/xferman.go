@@ -476,7 +476,7 @@ func (m *Manager) SubmitAll(ctx context.Context, src, dst Endpoint, prefix strin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c, err := m.dial(ctx, src, tmpl)
+	c, err := m.dial(ctx, src, tmpl.clientOptions())
 	if err != nil {
 		return nil, fmt.Errorf("xferman: dial src: %w", err)
 	}
@@ -1006,65 +1006,65 @@ func (ch channel) finish(err error) {
 	}
 }
 
-// checkout obtains a control channel to ep — from the pool when the
-// manager has one, a dial + login otherwise — and binds job's
-// deadlines, window, and trace to it in one ApplyOptions call: a pooled
-// channel keeps the transfer state of whoever used it last, so unset
-// values are rebound to the client defaults a fresh Dial applies. Rate
-// shaping is NOT bound here — it depends on the broker's disposition,
-// which the attempt only learns after checkout.
+// checkout obtains a control channel to ep bound to job's deadlines,
+// window, and trace. The job's options are built once: a fresh dial
+// runs under them from the greeting on; a pooled channel keeps the
+// transfer state of whoever used it last, so one ApplyOptions call
+// rebinds them (unset values to the defaults a fresh Dial applies).
+// The trace needs a logged-in session (SITE TRID), so it is bound after
+// either. Rate shaping is NOT bound here — it depends on the broker's
+// disposition, which the attempt only learns after checkout.
 func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job) (ch channel, err error) {
-	control, data := job.timeouts()
-	if m.pool != nil {
-		if ch.pooled, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass); err != nil {
-			return channel{}, err
-		}
+	opts := job.clientOptions()
+	if m.pool == nil {
+		ch.Client, err = m.dial(ctx, ep, opts)
+		opts = nil // Dial applied them
+	} else if ch.pooled, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass); err == nil {
 		ch.Client = ch.pooled.Client
-	} else if ch.Client, err = m.dial(ctx, ep, job); err != nil {
+	}
+	if err != nil {
 		return channel{}, err
 	}
-	topts := []gridftp.TransferOption{gridftp.WithTimeouts(control, data)}
-	if job.Stream {
-		w := job.WindowBytes
-		if w <= 0 {
-			w = gridftp.DefaultWindowSize
-		}
-		topts = append(topts, gridftp.WithTransferWindow(w))
-	}
 	if tc, ok := telemetry.TraceFrom(ctx); ok {
-		topts = append(topts, gridftp.WithTransferTrace(tc))
+		opts = append(opts, gridftp.WithTrace(tc))
 	}
-	if err := ch.ApplyOptions(topts...); err != nil {
+	if err := ch.ApplyOptions(opts...); err != nil {
 		ch.finish(err)
 		return channel{}, err
 	}
 	return ch, nil
 }
 
-// timeouts resolves the job's per-operation deadline against the
-// gridftp client defaults, for dial and rebind alike.
-func (j *Job) timeouts() (control, data time.Duration) {
+// clientOptions is the one place a Job becomes gridftp options: its
+// per-operation deadline resolved against the client defaults, and the
+// reassembly window a streaming job relays through.
+func (j *Job) clientOptions() []gridftp.Option {
+	control, data := gridftp.DefaultControlTimeout, gridftp.DefaultDataTimeout
 	if j.Timeout > 0 {
-		return j.Timeout, j.Timeout
+		control, data = j.Timeout, j.Timeout
 	}
-	return gridftp.DefaultControlTimeout, gridftp.DefaultDataTimeout
+	opts := []gridftp.Option{gridftp.WithControlTimeout(control), gridftp.WithDataTimeout(data)}
+	if j.Stream {
+		w := j.WindowBytes
+		if w <= 0 {
+			w = gridftp.DefaultWindowSize
+		}
+		opts = append(opts, gridftp.WithWindow(w))
+	}
+	return opts
 }
 
-// dial opens and authenticates a control channel of the manager's own.
-// Every dial the manager makes goes through here, so each one reports
-// to the hub, runs under the job's deadlines from the greeting on, and
-// is bound to ctx: cancelling it aborts connection establishment
-// (control and data) immediately.
-func (m *Manager) dial(ctx context.Context, ep Endpoint, job Job) (*gridftp.Client, error) {
-	control, data := job.timeouts()
+// dial opens and authenticates a control channel of the manager's own
+// under opts. Every dial the manager makes goes through here, so each
+// one reports to the hub and is bound to ctx: cancelling it aborts
+// connection establishment (control and data) immediately.
+func (m *Manager) dial(ctx context.Context, ep Endpoint, opts []gridftp.Option) (*gridftp.Client, error) {
 	var d net.Dialer
-	c, err := gridftp.Dial(ep.Addr,
+	c, err := gridftp.Dial(ep.Addr, append(opts,
 		gridftp.WithDialFunc(func(network, addr string) (net.Conn, error) {
 			return d.DialContext(ctx, network, addr)
 		}),
-		gridftp.WithControlTimeout(control),
-		gridftp.WithDataTimeout(data),
-		gridftp.WithTelemetry(m.hub))
+		gridftp.WithTelemetry(m.hub))...)
 	if err != nil {
 		return nil, err
 	}
