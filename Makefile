@@ -11,15 +11,16 @@ GO ?= go
 # dispatches through them), the control-channel connection pool, the
 # token-bucket pacing layer (whose buckets are shared across concurrent
 # data streams), the fleet registry/dispatcher (whose scrape loop and
-# placement path race against each other by design), and the root
-# package whose C10k rig hammers the sharded session registry and shared
-# passive demux.
+# placement path race against each other by design), the cluster rig
+# (whose background-load sessions run beside the test goroutine), and
+# the root package whose C10k rig hammers the sharded session registry
+# and shared passive demux.
 RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/gridftp/... ./internal/faultnet/... ./internal/telemetry \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
-	./internal/pacing ./internal/fleet .
+	./internal/pacing ./internal/fleet ./internal/rig .
 
-.PHONY: check vet vet-ctx loc api race flake bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
+.PHONY: check vet vet-ctx rig-lint loc api race flake drills bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
 
@@ -34,12 +35,13 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) vet-ctx
+	$(MAKE) rig-lint
 	$(GO) test ./...
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) test -race -count=1 ./internal/gridftp/... ./internal/faultnet/... \
 		./internal/telemetry ./internal/vc/... ./internal/xferman \
-		./internal/connpool ./internal/pacing ./internal/fleet .
+		./internal/connpool ./internal/pacing ./internal/fleet ./internal/rig .
 	$(MAKE) fuzz-smoke
 
 # Fuzz smoke: run each data-plane fuzz target briefly on top of its
@@ -82,6 +84,19 @@ vet-ctx:
 		exit 1; \
 	fi
 
+# Cluster-rig lint: drills and tests outside internal/gridftp build
+# their loopback clusters with internal/rig, whose one teardown carries
+# the leak census; a hand-rolled server, daemon or hub endpoint in these
+# files is a cluster the census never sees.
+rig-lint:
+	@bad=$$(grep -nE 'gridftp\.Serve\(|oscarsd\.Start\(|\.ListenAndServe\("127\.0\.0\.1:0"\)' \
+		examples/*/*.go *_test.go internal/xferman/*_test.go internal/connpool/*_test.go); \
+	if [ -n "$$bad" ]; then \
+		echo "$$bad"; \
+		echo "rig-lint: build loopback clusters with internal/rig (rig.New / rig.Main)"; \
+		exit 1; \
+	fi
+
 # Non-test Go lines per package (directory), largest first: the figure a
 # PR's size claim quotes ("internal/gridftp 5,252 -> 4,898"), so the
 # claim is re-derivable by one command. Raw lines, comments included.
@@ -105,9 +120,20 @@ race:
 # Flake gate: the live packages' tests repeated, so an ordering bug that
 # passes most runs (a reply written before the server has finished, a
 # pool slot released late) fails CI instead of one run in thirty.
-FLAKE_COUNT ?= 5
+FLAKE_COUNT ?= 10
 flake:
-	$(GO) test -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/
+	$(GO) test -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
+		./internal/vc/... ./internal/rig
+
+# Drill smoke: the live examples are self-checking (log.Fatal on any
+# wrong result) and, through rig.Main().Close(), census-checked, so
+# running each to completion is their test.
+DRILLS = livetransfer livehybrid liveqos livetrace livefleet streamresume
+drills:
+	@for d in $(DRILLS); do \
+		echo "drills: $$d"; \
+		timeout 60 $(GO) run ./examples/$$d >/dev/null || exit 1; \
+	done
 
 # One iteration of every root benchmark, machine-readable, for
 # before/after comparisons across PRs. Override BENCH_OUT to record a

@@ -27,6 +27,7 @@ import (
 
 	"gftpvc/internal/connpool"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
 )
 
@@ -127,27 +128,21 @@ const (
 // plateaus and measures each.
 func runC10k(t *testing.T, plateaus []int) []plateauReport {
 	t.Helper()
-	srvHub := telemetry.NewHub()
+	r := rig.New(t)
+	srvHub, _ := r.Hub("gftpd")
 	ln := newMemListener()
-	store := gridftp.NewMemStore()
 	obj := make([]byte, 256<<10)
 	for i := range obj {
 		obj[i] = byte(i)
 	}
-	store.Put("obj", obj)
-	s, err := gridftp.Serve(gridftp.Config{
-		Addr:  "mem:ctrl",
-		Store: store,
+	r.Server(gridftp.Config{
+		Addr: "mem:ctrl",
 		ControlListen: func(string, string) (net.Listener, error) {
 			return ln, nil
 		},
 		PasvPortRange: "0-3",
 		Telemetry:     srvHub,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	}, rig.Objects{"obj": obj})
 	dialer := memDialer(ln)
 
 	var held []*gridftp.Client
@@ -174,14 +169,7 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		// standing population.
 		hub := telemetry.NewHubConfig(30, 4*c10kProbes)
 		for i := 0; i < c10kProbes; i++ {
-			c, err := gridftp.Dial("mem:ctrl",
-				gridftp.WithDialFunc(dialer), gridftp.WithTelemetry(hub))
-			if err != nil {
-				t.Fatalf("probe dial at %d sessions: %v", target, err)
-			}
-			if err := c.Login("bench", "c10k@"); err != nil {
-				t.Fatal(err)
-			}
+			c := r.Login("mem:ctrl", gridftp.WithDialFunc(dialer), gridftp.WithTelemetry(hub))
 			if err := c.Noop(); err != nil {
 				t.Fatal(err)
 			}
@@ -207,14 +195,7 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		// Transfers through the shared passive pool: the retr span's
 		// data_setup phase is the first-byte latency (PASV claim, RETR,
 		// TCP dial, demux route).
-		xc, err := gridftp.Dial("mem:ctrl",
-			gridftp.WithDialFunc(dialer), gridftp.WithTelemetry(hub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := xc.Login("bench", "c10k@"); err != nil {
-			t.Fatal(err)
-		}
+		xc := r.Login("mem:ctrl", gridftp.WithDialFunc(dialer), gridftp.WithTelemetry(hub))
 		for i := 0; i < c10kTransfers; i++ {
 			if _, _, err := xc.Retr("obj"); err != nil {
 				t.Fatalf("transfer %d at %d sessions: %v", i, target, err)
@@ -245,13 +226,7 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		var redial []float64
 		for i := 0; i < c10kABJobs; i++ {
 			start := time.Now()
-			c, err := gridftp.Dial("mem:ctrl", gridftp.WithDialFunc(dialer))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Login("bench", "c10k@"); err != nil {
-				t.Fatal(err)
-			}
+			c := r.Login("mem:ctrl", gridftp.WithDialFunc(dialer))
 			redial = append(redial, time.Since(start).Seconds())
 			c.Close()
 		}
@@ -346,14 +321,10 @@ func TestC10kReport(t *testing.T) {
 // same A/B without the population ramp.
 func BenchmarkRedialPerJob(b *testing.B) {
 	ln := newMemListener()
-	s, err := gridftp.Serve(gridftp.Config{
-		Addr: "mem:ctrl", Store: gridftp.NewMemStore(),
+	rig.New(b).Server(gridftp.Config{
+		Addr:          "mem:ctrl",
 		ControlListen: func(string, string) (net.Listener, error) { return ln, nil },
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
 	dialer := memDialer(ln)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -370,14 +341,10 @@ func BenchmarkRedialPerJob(b *testing.B) {
 
 func BenchmarkPooledPerJob(b *testing.B) {
 	ln := newMemListener()
-	s, err := gridftp.Serve(gridftp.Config{
-		Addr: "mem:ctrl", Store: gridftp.NewMemStore(),
+	rig.New(b).Server(gridftp.Config{
+		Addr:          "mem:ctrl",
 		ControlListen: func(string, string) (net.Listener, error) { return ln, nil },
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
 	pool := connpool.New(connpool.Config{
 		MaxIdlePerEndpoint: 1, KeepAlive: -1,
 		Opts: func(string) []gridftp.Option {

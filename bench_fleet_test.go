@@ -20,14 +20,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"gftpvc/internal/fleet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
 	"gftpvc/internal/xferman"
 )
@@ -57,71 +56,8 @@ type fleetReport struct {
 // benchReplica is one in-process gftpd with its own telemetry endpoint.
 type benchReplica struct {
 	srv *gridftp.Server
+	hub *telemetry.Hub
 	tel string
-}
-
-// startFleetReplicas brings up n rate-capped replicas all holding obj.
-func startFleetReplicas(t *testing.T, n int, capBps int64, obj []byte) []benchReplica {
-	t.Helper()
-	reps := make([]benchReplica, 0, n)
-	for i := 0; i < n; i++ {
-		store := gridftp.NewMemStore()
-		if err := store.Put("dataset.bin", obj); err != nil {
-			t.Fatal(err)
-		}
-		hub := telemetry.NewHubConfig(0.5, 0)
-		hub.SetProcessName(fmt.Sprintf("gftpd-%d", i))
-		ms, err := hub.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ms.Close() })
-		srv, err := gridftp.Serve(gridftp.Config{
-			Addr:             "127.0.0.1:0",
-			Store:            store,
-			AggregateRateBps: capBps,
-			Telemetry:        hub,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		reps = append(reps, benchReplica{srv: srv, tel: "http://" + ms.Addr()})
-	}
-	return reps
-}
-
-// loadReplica keeps n unshaped RETR loops running against addr until
-// the returned stop func is called.
-func loadReplica(t *testing.T, addr string, n int) (stop func()) {
-	t.Helper()
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := gridftp.Dial(addr)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			if err := c.Login("anonymous", "bench@"); err != nil {
-				return
-			}
-			for {
-				select {
-				case <-quit:
-					return
-				default:
-				}
-				if _, err := c.RetrTo(context.Background(), "dataset.bin", discardWriter{}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	return func() { close(quit); wg.Wait() }
 }
 
 // runFleetArm pushes nJobs third-party copies to dst, sourced either
@@ -189,18 +125,20 @@ func TestFleetReport(t *testing.T) {
 		workers   = 6
 		nBg       = 6
 	)
-	payload := make([]byte, objSize)
-	rand.New(rand.NewSource(23)).Read(payload)
-	reps := startFleetReplicas(t, nReplicas, capBps, payload)
-	dst, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: gridftp.NewMemStore()})
-	if err != nil {
-		t.Fatal(err)
+	r := rig.New(t)
+	dataset := rig.Objects{"dataset.bin": rig.Payload(23, objSize)}
+	var reps []benchReplica
+	for i := 0; i < nReplicas; i++ {
+		hub, tel := r.Hub(fmt.Sprintf("gftpd-%d", i))
+		srv := r.Server(gridftp.Config{AggregateRateBps: capBps, Telemetry: hub}, dataset)
+		reps = append(reps, benchReplica{srv: srv, hub: hub, tel: tel})
 	}
-	defer dst.Close()
+	dst := r.Server(gridftp.Config{})
 
-	stop := loadReplica(t, reps[0].srv.Addr(), nBg)
-	defer stop()
-	time.Sleep(1500 * time.Millisecond) // let the load reach the live bins
+	// Replica 0 carries the background pile; wait for it to show up in
+	// the live bins the registry's load window reads.
+	r.Load(reps[0].srv.Addr(), "dataset.bin", nBg)
+	r.WaitFor("background load on replica 0", func() bool { return reps[0].hub.LiveCounter("stripe0").Total() > 0 })
 
 	rrDurs, rrWhere := runFleetArm(t, reps, dst, nil, nJobs, workers, objSize, "rr")
 

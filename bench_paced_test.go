@@ -21,8 +21,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
-	"math/rand"
 	"os"
 	"sync"
 	"testing"
@@ -30,7 +30,7 @@ import (
 
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/oscarsd"
-	"gftpvc/internal/vc"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/vc/broker"
 	"gftpvc/internal/xferman"
 )
@@ -62,27 +62,18 @@ type pacedReport struct {
 
 // runPacedArm runs nConc concurrent streaming RETRs of obj with
 // staggered starts, returning each transfer's wall seconds.
-func runPacedArm(t *testing.T, addr string, nConc int, size int, opts ...gridftp.Option) []float64 {
+func runPacedArm(t *testing.T, r *rig.Rig, addr string, nConc int, size int, opts ...gridftp.Option) []float64 {
 	t.Helper()
 	durs := make([]float64, nConc)
 	var wg sync.WaitGroup
 	for i := 0; i < nConc; i++ {
+		c := r.Login(addr)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			time.Sleep(time.Duration(i) * 30 * time.Millisecond)
-			c, err := gridftp.Dial(addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			if err := c.Login("anonymous", "bench@"); err != nil {
-				t.Error(err)
-				return
-			}
 			start := time.Now()
-			stats, err := c.RetrTo(context.Background(), "dataset.bin", discardWriter{}, opts...)
+			stats, err := c.RetrTo(context.Background(), "dataset.bin", io.Discard, opts...)
 			if err != nil {
 				t.Error(err)
 				return
@@ -96,10 +87,6 @@ func runPacedArm(t *testing.T, addr string, nConc int, size int, opts ...gridftp
 	wg.Wait()
 	return durs
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func meanStddev(vals []float64) (mean, sd float64) {
 	for _, v := range vals {
@@ -132,17 +119,8 @@ func TestPacedReport(t *testing.T) {
 		objSize = 4 << 20
 		rate    = int64(96e6) // 12 MB/s => ~0.35s per 4 MiB transfer
 	)
-	store := gridftp.NewMemStore()
-	payload := make([]byte, objSize)
-	rand.New(rand.NewSource(17)).Read(payload)
-	if err := store.Put("dataset.bin", payload); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	r := rig.New(t)
+	srv := r.Server(gridftp.Config{}, rig.Objects{"dataset.bin": rig.Payload(17, objSize)})
 
 	rep := pacedReport{
 		Benchmark: "paced_vs_unshaped_live",
@@ -157,7 +135,7 @@ func TestPacedReport(t *testing.T) {
 		{false, nil},
 		{true, []gridftp.Option{gridftp.WithRate(rate)}},
 	} {
-		durs := runPacedArm(t, srv.Addr(), nConc, objSize, arm.opts...)
+		durs := runPacedArm(t, r, srv.Addr(), nConc, objSize, arm.opts...)
 		if t.Failed() {
 			t.Fatal("transfer arm failed")
 		}
@@ -179,7 +157,7 @@ func TestPacedReport(t *testing.T) {
 		t.Errorf("shaped CV must be >= 3x lower than unshaped, got %.2fx", rep.CVReduction)
 	}
 
-	rep.VC = runPacedVCArm(t)
+	rep.VC = runPacedVCArm(t, r)
 
 	f, err := os.Create(outPath)
 	if err != nil {
@@ -199,23 +177,11 @@ func TestPacedReport(t *testing.T) {
 // runPacedVCArm dispatches one xferman streaming job onto a reserved
 // circuit with a pinned reservation rate and checks the job actually
 // ran at it.
-func runPacedVCArm(t *testing.T) pacedVCArm {
+func runPacedVCArm(t *testing.T, r *rig.Rig) pacedVCArm {
 	t.Helper()
 	const reserved = 64e6 // Min == Max pins the broker's reservation
 	const objSize = 32 << 20
-	osc, err := oscarsd.Start(oscarsd.Config{
-		Addr: "127.0.0.1:0", Scenario: "nersc-ornl", ReservableFraction: 0.8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer osc.Close()
-	vcc, err := vc.Dial(context.Background(), osc.Addr(), vc.WithCallTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vcc.Close()
-	bk, err := broker.New(vcc, broker.Config{
+	_, bk := r.ControlPlane(oscarsd.Config{ReservableFraction: 0.8}, broker.Config{
 		Gap:             200 * time.Millisecond,
 		SetupDelay:      10 * time.Millisecond,
 		OverheadFactor:  2,
@@ -223,27 +189,9 @@ func runPacedVCArm(t *testing.T) pacedVCArm {
 		MaxRateBps:      reserved,
 		HoldSlack:       5 * time.Second,
 		DecisionTimeout: 5 * time.Second,
-		Route:           broker.StaticRoute("nersc-ornl-dtn-src", "nersc-ornl-dtn-dst"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bk.Close()
-
-	store := gridftp.NewMemStore()
-	payload := make([]byte, objSize)
-	rand.New(rand.NewSource(23)).Read(payload)
-	store.Put("dataset.bin", payload)
-	src, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: gridftp.NewMemStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
+	src := r.Server(gridftp.Config{}, rig.Objects{"dataset.bin": rig.Payload(23, objSize)})
+	dst := r.Server(gridftp.Config{})
 
 	m, err := xferman.New(1, xferman.WithBroker(bk))
 	if err != nil {

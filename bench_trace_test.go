@@ -19,6 +19,7 @@ import (
 
 	"gftpvc/internal/connpool"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
 	"gftpvc/internal/xferman"
 )
@@ -40,11 +41,10 @@ type traceBenchReport struct {
 
 // runTraceArm pushes jobs transfers through a pooled manager and
 // returns each job's wall time in seconds. Both arms share the server
-// pair, so the only variable is the manager's tracing switch.
-func runTraceArm(t *testing.T, src, dst *gridftp.Server, jobs, workers int, tracing bool) []float64 {
+// pair and the client hub, so the only variable is the manager's
+// tracing switch.
+func runTraceArm(t *testing.T, hub *telemetry.Hub, src, dst *gridftp.Server, jobs, workers int, tracing bool) []float64 {
 	t.Helper()
-	hub := telemetry.NewHub()
-	hub.SetProcessName("bench")
 	pool := connpool.New(connpool.Config{
 		MaxIdlePerEndpoint: workers,
 		Telemetry:          hub,
@@ -116,26 +116,19 @@ func TestTraceOverheadReport(t *testing.T) {
 		jobs    = 300
 		workers = 4
 	)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("bench.nc", make([]byte, 256<<10))
-	serve := func(store gridftp.Store) *gridftp.Server {
-		s, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	src, dst := serve(srcStore), serve(gridftp.NewMemStore())
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}, rig.Objects{"bench.nc": make([]byte, 256<<10)})
+	dst := r.Server(gridftp.Config{})
+	hub, _ := r.Hub("bench")
 
 	// Warm both arms (pool fill, listener setup, page cache) before
 	// measuring, then interleave off/on to spread machine noise evenly.
-	runTraceArm(t, src, dst, 50, workers, false)
-	runTraceArm(t, src, dst, 50, workers, true)
+	runTraceArm(t, hub, src, dst, 50, workers, false)
+	runTraceArm(t, hub, src, dst, 50, workers, true)
 	var off, on []float64
 	for i := 0; i < 3; i++ {
-		off = append(off, runTraceArm(t, src, dst, jobs/3, workers, false)...)
-		on = append(on, runTraceArm(t, src, dst, jobs/3, workers, true)...)
+		off = append(off, runTraceArm(t, hub, src, dst, jobs/3, workers, false)...)
+		on = append(on, runTraceArm(t, hub, src, dst, jobs/3, workers, true)...)
 	}
 	offArm, onArm := armStats(false, off), armStats(true, on)
 	overhead := (onArm.PerJobMeanMs - offArm.PerJobMeanMs) / offArm.PerJobMeanMs * 100

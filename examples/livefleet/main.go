@@ -16,12 +16,11 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
-	"sync"
 	"time"
 
 	"gftpvc/internal/fleet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
 	"gftpvc/internal/xferman"
 )
@@ -40,73 +39,23 @@ type replica struct {
 }
 
 func main() {
-	payload := make([]byte, objSize)
-	rand.New(rand.NewSource(17)).Read(payload)
+	r := rig.Main()
+	defer r.Close()
+	dataset := rig.Objects{"dataset.bin": rig.Payload(17, objSize)}
 
 	var reps []replica
 	for i := 0; i < 3; i++ {
-		store := gridftp.NewMemStore()
-		if err := store.Put("dataset.bin", payload); err != nil {
-			log.Fatal(err)
-		}
-		// Sub-second live bins so the registry's measured-load window
-		// reacts within the demo's lifetime.
-		hub := telemetry.NewHubConfig(0.5, 0)
-		hub.SetProcessName(fmt.Sprintf("gftpd-%d", i))
-		ms, err := hub.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ms.Close()
-		srv, err := gridftp.Serve(gridftp.Config{
-			Addr:             "127.0.0.1:0",
-			Store:            store,
-			AggregateRateBps: capBps,
-			Telemetry:        hub,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		reps = append(reps, replica{srv: srv, hub: hub, tel: "http://" + ms.Addr()})
+		hub, tel := r.Hub(fmt.Sprintf("gftpd-%d", i))
+		srv := r.Server(gridftp.Config{AggregateRateBps: capBps, Telemetry: hub}, dataset)
+		reps = append(reps, replica{srv: srv, hub: hub, tel: tel})
 	}
-	dst, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: gridftp.NewMemStore()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
+	dst := r.Server(gridftp.Config{})
 
 	// Pin unshaped background traffic to replica 0: it keeps most of
-	// that replica's aggregate cap busy for the whole demo.
-	stop := make(chan struct{})
-	var bg sync.WaitGroup
-	for i := 0; i < nBg; i++ {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			c, err := gridftp.Dial(reps[0].srv.Addr())
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			if err := c.Login("anonymous", "demo@"); err != nil {
-				return
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, _, err := c.Retr("dataset.bin"); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	defer bg.Wait()
-	defer close(stop)
-	time.Sleep(1500 * time.Millisecond) // let the load show up in the live bins
+	// that replica's aggregate cap busy for the whole demo. Wait for it
+	// to show up in the live bins the registry's load window reads.
+	r.Load(reps[0].srv.Addr(), "dataset.bin", nBg)
+	r.WaitFor("background load on replica 0", func() bool { return reps[0].hub.LiveCounter("stripe0").Total() > 0 })
 
 	// Arm 1: naive round-robin — a third of the jobs queue up behind
 	// the background pile on replica 0.

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"strings"
 	"time"
@@ -37,89 +36,50 @@ import (
 	"gftpvc/internal/connpool"
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/oscarsd"
-	"gftpvc/internal/telemetry"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/vc"
 	"gftpvc/internal/vc/broker"
 	"gftpvc/internal/xferman"
 )
 
-const (
-	srcNode = "nersc-ornl-dtn-src"
-	dstNode = "nersc-ornl-dtn-dst"
-	// sizeHint advertises each job as a bulk transfer; the broker sizes
-	// and justifies circuits from these, while the actual loopback
-	// objects stay small enough to keep the drill fast.
-	sizeHint = 256 << 20
-)
+// sizeHint advertises each job as a bulk transfer; the broker sizes
+// and justifies circuits from these, while the actual loopback
+// objects stay small enough to keep the drill fast.
+const sizeHint = 256 << 20
 
 func main() {
 	poolIdle := flag.Int("pool-idle", 0, "pool control channels per endpoint, keeping up to this many idle (0: dial fresh per attempt)")
 	keepalive := flag.Duration("keepalive", 30*time.Second, "NOOP interval for pooled idle control channels with -pool-idle")
 	flag.Parse()
 	ctx := context.Background()
-	hub := telemetry.NewHub()
-	ms, err := hub.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ms.Close()
-	fmt.Printf("telemetry: http://%s/metrics\n", ms.Addr())
+	r := rig.Main()
+	defer r.Close()
+	hub, telURL := r.Hub("livehybrid")
+	fmt.Printf("telemetry: %s/metrics\n", telURL)
 
 	// Data plane: two GridFTP servers with a handful of objects.
-	srcStore := gridftp.NewMemStore()
-	rng := rand.New(rand.NewSource(11))
 	names := []string{"bulk/a.nc", "bulk/b.nc", "bulk/c.nc", "bulk/d.nc"}
-	for _, n := range names {
-		buf := make([]byte, 4<<20)
-		rng.Read(buf)
-		srcStore.Put(n, buf)
+	objects := rig.Objects{}
+	for i, n := range names {
+		objects[n] = rig.Payload(int64(11+i), 4<<20)
 	}
-	src, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: srcStore, Telemetry: hub,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: gridftp.NewMemStore(), Telemetry: hub,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
+	src := r.Server(gridftp.Config{Telemetry: hub}, objects)
+	dst := r.Server(gridftp.Config{Telemetry: hub})
 
 	// Control plane: oscarsd over the NERSC-ORNL reference topology,
 	// the typed vc client, and the session broker (gap g scaled down
 	// from the paper's 60s so the drill closes sessions in real time).
-	osrv, err := oscarsd.Start(oscarsd.Config{
-		Addr: "127.0.0.1:0", Scenario: "nersc-ornl",
-		ReservableFraction: 0.5, Telemetry: hub,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer osrv.Close()
-	client, err := vc.Dial(ctx, osrv.Addr(), vc.WithTelemetry(hub))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-	fmt.Printf("oscarsd: %s topology on %s (protocol v%d)\n\n",
-		"nersc-ornl", osrv.Addr(), client.ProtocolVersion())
-
 	const gap = 400 * time.Millisecond
-	bk, err := broker.New(client, broker.Config{
-		Gap:        gap,
-		SetupDelay: 50 * time.Millisecond,
-		MinRateBps: 1e9, MaxRateBps: 1e9,
-		Route:     broker.StaticRoute(srcNode, dstNode),
-		Telemetry: hub,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer bk.Close()
+	client, bk := r.ControlPlane(
+		oscarsd.Config{ReservableFraction: 0.5, Telemetry: hub},
+		broker.Config{
+			Gap:        gap,
+			SetupDelay: 50 * time.Millisecond,
+			MinRateBps: 1e9, MaxRateBps: 1e9,
+			Telemetry: hub,
+		})
+	fmt.Printf("oscarsd: %s topology on %s (protocol v%d)\n\n",
+		"nersc-ornl", client.Addr(), client.ProtocolVersion())
 
 	xmOpts := []xferman.Option{xferman.WithTelemetry(hub), xferman.WithBroker(bk)}
 	if *poolIdle > 0 {
@@ -185,7 +145,7 @@ func main() {
 	vcResults := runSession("s1", names[:2])
 
 	// Let the gap expire: the broker cancels the circuit.
-	time.Sleep(2*gap + 100*time.Millisecond)
+	r.WaitFor("session 1 to expire", func() bool { return bk.Sessions() == 0 })
 
 	// A competing reservation saturates the 5 Gbps-reservable path.
 	now, err := client.Now(ctx)
@@ -193,7 +153,7 @@ func main() {
 		log.Fatal(err)
 	}
 	hog, err := client.Reserve(ctx, vc.ReserveRequest{
-		Src: srcNode, Dst: dstNode, RateBps: 4.5e9,
+		Src: rig.SrcNode, Dst: rig.DstNode, RateBps: 4.5e9,
 		Start: now + 1, End: now + 3600,
 	})
 	if err != nil {
@@ -211,7 +171,7 @@ func main() {
 
 	// The control-plane story as the operator sees it on /metrics.
 	fmt.Println("\nbroker decisions on /metrics:")
-	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
+	resp, err := http.Get(telURL + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}

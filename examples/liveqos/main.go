@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/xferman"
 )
 
@@ -29,17 +29,9 @@ const (
 )
 
 func main() {
-	store := gridftp.NewMemStore()
-	payload := make([]byte, objSize)
-	rand.New(rand.NewSource(11)).Read(payload)
-	if err := store.Put("dataset.bin", payload); err != nil {
-		log.Fatal(err)
-	}
-	srv, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
+	r := rig.Main()
+	defer r.Close()
+	srv := r.Server(gridftp.Config{}, rig.Objects{"dataset.bin": rig.Payload(11, objSize)})
 
 	for _, arm := range []struct {
 		name string
@@ -51,17 +43,10 @@ func main() {
 		durs := make([]time.Duration, nConc)
 		var wg sync.WaitGroup
 		for i := 0; i < nConc; i++ {
+			c := r.Login(srv.Addr())
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				c, err := gridftp.Dial(srv.Addr())
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer c.Close()
-				if err := c.Login("anonymous", "demo@"); err != nil {
-					log.Fatal(err)
-				}
 				start := time.Now()
 				if _, _, err := c.Retr("dataset.bin", arm.opts...); err != nil {
 					log.Fatal(err)
@@ -77,12 +62,7 @@ func main() {
 
 	// QoS classes through the managed-transfer service: a background
 	// mirror sync is capped so the interactive fetch is not starved.
-	dstStore := gridftp.NewMemStore()
-	dst, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: dstStore})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
+	dst := r.Server(gridftp.Config{})
 	m, err := xferman.New(2, xferman.WithClassRate(xferman.ClassBackground, 80e6))
 	if err != nil {
 		log.Fatal(err)

@@ -29,15 +29,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"sort"
 	"time"
 
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/oscarsd"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
-	"gftpvc/internal/vc"
 	"gftpvc/internal/vc/broker"
 	"gftpvc/internal/xferman"
 )
@@ -48,72 +47,35 @@ func main() {
 	flag.Parse()
 	ctx := context.Background()
 
-	// One hub per "process", each serving its own telemetry endpoint.
-	newHub := func(name string) (*telemetry.Hub, string) {
-		hub := telemetry.NewHub()
-		hub.SetProcessName(name)
-		ms, err := hub.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		return hub, ms.Addr()
-	}
-	hubX, addrX := newHub("xferman")
-	hubSrc, addrSrc := newHub("gftpd-src")
-	hubDst, addrDst := newHub("gftpd-dst")
-	hubOsc, addrOsc := newHub("oscarsd")
-	hubX.AddTracePeer("gftpd-src", "http://"+addrSrc)
-	hubX.AddTracePeer("gftpd-dst", "http://"+addrDst)
-	hubX.AddTracePeer("oscarsd", "http://"+addrOsc)
-	fmt.Printf("telemetry: xferman http://%s  src http://%s  dst http://%s  oscarsd http://%s\n\n",
-		addrX, addrSrc, addrDst, addrOsc)
+	// One hub per "process", each serving its own telemetry endpoint
+	// and knowing the others as trace peers.
+	r := rig.Main()
+	defer r.Close()
+	hubX, urlX := r.Hub("xferman")
+	hubSrc, urlSrc := r.Hub("gftpd-src")
+	hubDst, urlDst := r.Hub("gftpd-dst")
+	hubOsc, urlOsc := r.Hub("oscarsd")
+	fmt.Printf("telemetry: xferman %s  src %s  dst %s  oscarsd %s\n\n", urlX, urlSrc, urlDst, urlOsc)
 
 	// Data plane: one source, one destination everything funnels into.
-	srcStore := gridftp.NewMemStore()
-	rng := rand.New(rand.NewSource(7))
 	names := make([]string, *jobs)
+	objects := rig.Objects{}
 	for i := range names {
 		names[i] = fmt.Sprintf("run/obj-%02d.nc", i)
-		buf := make([]byte, 2<<20)
-		rng.Read(buf)
-		srcStore.Put(names[i], buf)
+		objects[names[i]] = rig.Payload(int64(7+i), 2<<20)
 	}
-	src, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: srcStore, Telemetry: hubSrc})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: gridftp.NewMemStore(), Telemetry: hubDst})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
+	src := r.Server(gridftp.Config{Telemetry: hubSrc}, objects)
+	dst := r.Server(gridftp.Config{Telemetry: hubDst})
 
 	// Control plane, so broker decisions land in the trace too.
-	osrv, err := oscarsd.Start(oscarsd.Config{
-		Addr: "127.0.0.1:0", Scenario: "nersc-ornl",
-		ReservableFraction: 0.5, Telemetry: hubOsc,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer osrv.Close()
-	client, err := vc.Dial(ctx, osrv.Addr(), vc.WithTelemetry(hubX))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
-	bk, err := broker.New(client, broker.Config{
-		Gap:        300 * time.Millisecond,
-		SetupDelay: 20 * time.Millisecond,
-		MinRateBps: 1e9, MaxRateBps: 1e9,
-		Route:     broker.StaticRoute("nersc-ornl-dtn-src", "nersc-ornl-dtn-dst"),
-		Telemetry: hubX,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer bk.Close()
+	_, bk := r.ControlPlane(
+		oscarsd.Config{ReservableFraction: 0.5, Telemetry: hubOsc},
+		broker.Config{
+			Gap:        300 * time.Millisecond,
+			SetupDelay: 20 * time.Millisecond,
+			MinRateBps: 1e9, MaxRateBps: 1e9,
+			Telemetry: hubX,
+		})
 
 	m, err := xferman.New(*workers,
 		xferman.WithTelemetry(hubX), xferman.WithBroker(bk), xferman.WithTracing())
@@ -150,12 +112,12 @@ func main() {
 
 	// 1. The flight recorder: the same trace ID in every process's ring.
 	fmt.Printf("\nflight recorder, trace %s across processes:\n", slow.TraceID)
-	for _, ep := range []string{addrX, addrSrc, addrDst, addrOsc} {
+	for _, ep := range []string{urlX, urlSrc, urlDst, urlOsc} {
 		var ring struct {
 			Process string            `json:"process"`
 			Events  []telemetry.Event `json:"events"`
 		}
-		getJSON("http://"+ep+"/events?trace="+slow.TraceID, &ring)
+		getJSON(ep+"/events?trace="+slow.TraceID, &ring)
 		for _, ev := range ring.Events {
 			fmt.Printf("  %-10s %9.3fs %-16s %s\n", ring.Process, ev.TimeSec, ev.Kind, ev.Detail)
 		}
@@ -163,7 +125,7 @@ func main() {
 
 	// 2. The stitched tree for the slowest transfer.
 	var report telemetry.TraceReport
-	getJSON("http://"+addrX+"/trace/"+slow.TraceID, &report)
+	getJSON(urlX+"/trace/"+slow.TraceID, &report)
 	fmt.Printf("\nstitched /trace/%s (%d processes):\n", report.TraceID, len(report.Processes))
 	for _, node := range report.Tree {
 		printNode(node, "  ")

@@ -9,15 +9,18 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/usagestats"
 )
 
 func main() {
+	r := rig.Main()
+	defer r.Close()
+
 	// A central usage-stats collector, like the one Globus runs.
 	collector, err := usagestats.NewCollector("127.0.0.1:0")
 	if err != nil {
@@ -26,38 +29,14 @@ func main() {
 	defer collector.Close()
 
 	// Two GridFTP servers: a striped source and a plain destination.
-	srcStore := gridftp.NewMemStore()
-	payload := make([]byte, 48<<20)
-	rand.New(rand.NewSource(7)).Read(payload)
-	if err := srcStore.Put("dataset.bin", payload); err != nil {
-		log.Fatal(err)
-	}
-	src, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: srcStore, Stripes: 4,
-		ServerHost: "dtn-src.example.org", UsageAddr: collector.Addr(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
-	dst, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: gridftp.NewMemStore(),
-		ServerHost: "dtn-dst.example.org", UsageAddr: collector.Addr(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
+	payload := rig.Payload(7, 48<<20)
+	src := r.Server(gridftp.Config{
+		Stripes: 4, ServerHost: "dtn-src.example.org", UsageAddr: collector.Addr(),
+	}, rig.Objects{"dataset.bin": payload})
+	dst := r.Server(gridftp.Config{ServerHost: "dtn-dst.example.org", UsageAddr: collector.Addr()})
 
 	// Parallel-stream retrieval (OPTS RETR Parallelism=8).
-	c, err := gridftp.Dial(src.Addr())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("anonymous", "demo@"); err != nil {
-		log.Fatal(err)
-	}
+	c := r.Login(src.Addr())
 	if err := c.SetParallelism(8); err != nil {
 		log.Fatal(err)
 	}
@@ -82,15 +61,7 @@ func main() {
 	// Third-party transfer: src server sends straight to dst server while
 	// this process drives both control channels (how the paper's sessions
 	// moved directory trees between DTNs).
-	cDst, err := gridftp.Dial(dst.Addr())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cDst.Close()
-	if err := cDst.Login("anonymous", "demo@"); err != nil {
-		log.Fatal(err)
-	}
-	if err := gridftp.ThirdParty(c, cDst, "dataset.bin", "copy.bin"); err != nil {
+	if err := gridftp.ThirdParty(c, r.Login(dst.Addr()), "dataset.bin", "copy.bin"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("third-party transfer: dataset.bin -> dst:copy.bin done")
@@ -105,15 +76,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer proxy.Close()
-	cStall, err := gridftp.Dial(proxy.Addr(),
+	cStall := r.Login(proxy.Addr(),
 		gridftp.WithControlTimeout(500*time.Millisecond),
 		gridftp.WithDataTimeout(500*time.Millisecond))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := cStall.Login("anonymous", "demo@"); err != nil {
-		log.Fatal(err)
-	}
 	proxy.Stall()
 	start := time.Now()
 	_, _, err = cStall.Retr("dataset.bin")
@@ -125,10 +90,7 @@ func main() {
 	proxy.Resume()
 
 	// The usage packets arrive over UDP like Globus' collection channel.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(collector.Records()) < 4 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	r.WaitFor("the collector to hold 4 usage records", func() bool { return len(collector.Records()) >= 4 })
 	fmt.Printf("\ncollector received %d usage records:\n", len(collector.Records()))
 	for _, r := range collector.Records() {
 		fmt.Printf("  %s %s %8d bytes, %d streams, %d stripes, %.0f Mbps\n",

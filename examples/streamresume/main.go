@@ -15,12 +15,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
-	"sync"
 	"time"
 
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/xferman"
 )
 
@@ -31,24 +30,14 @@ const (
 )
 
 func main() {
-	payload := make([]byte, size)
-	rand.New(rand.NewSource(42)).Read(payload)
-	srcStore := gridftp.NewMemStore()
-	if err := srcStore.Put("dataset.bin", payload); err != nil {
-		log.Fatal(err)
-	}
-	src, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: srcStore, BlockSize: block,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer src.Close()
+	r := rig.Main()
+	defer r.Close()
+	src := r.Server(gridftp.Config{BlockSize: block}, rig.Objects{"dataset.bin": rig.Payload(42, size)})
 
 	fmt.Printf("object: %d bytes, fault: connection reset after 60%% of the wire\n\n", size)
-	restart := run(src, xferman.Job{NoResume: true, SizeHint: size})
-	resume := run(src, xferman.Job{})
-	stream := run(src, xferman.Job{Stream: true, WindowBytes: window})
+	restart := run(r, src, xferman.Job{NoResume: true, SizeHint: size})
+	resume := run(r, src, xferman.Job{})
+	stream := run(r, src, xferman.Job{Stream: true, WindowBytes: window})
 
 	report("A  restart from zero", restart)
 	report("B  resume at watermark", resume)
@@ -61,27 +50,12 @@ func main() {
 // run executes one faulted transfer into a fresh destination server and
 // returns the manager's result. Each run gets its own fault tracker so
 // exactly one reset fires per scenario.
-func run(src *gridftp.Server, tmpl xferman.Job) xferman.Result {
-	var mu sync.Mutex
-	conns := 0
-	tracker := &faultnet.Tracker{PlanFor: func(int) *faultnet.ConnPlan {
-		mu.Lock()
-		defer mu.Unlock()
-		if conns++; conns == 1 {
-			return &faultnet.ConnPlan{ResetReadAfter: size * 6 / 10}
-		}
-		return nil
-	}}
-	dst, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: gridftp.NewMemStore(),
+func run(r *rig.Rig, src *gridftp.Server, tmpl xferman.Job) xferman.Result {
+	dst := r.Server(gridftp.Config{
 		WindowSize: window, BlockSize: block,
 		DataTimeout: 500 * time.Millisecond, AcceptTimeout: 300 * time.Millisecond,
-		DataListen: tracker.Listen,
+		DataListen: faultnet.ResetFirstConn(size * 6 / 10).Listen,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dst.Close()
 
 	m, err := xferman.New(1)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"gftpvc/internal/core"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/sessions"
 	"gftpvc/internal/usagestats"
 )
@@ -27,35 +28,20 @@ func TestLiveTransferAnalysisPipeline(t *testing.T) {
 	}
 	defer collector.Close()
 
-	store := gridftp.NewMemStore()
+	r := rig.New(t)
 	rng := rand.New(rand.NewSource(77))
 	names := []string{"run1/a.nc", "run1/b.nc", "run1/c.nc", "run2/d.nc", "run2/e.nc"}
+	objects := rig.Objects{}
 	for _, name := range names {
-		payload := make([]byte, 1<<20+rng.Intn(1<<20))
-		rng.Read(payload)
-		if err := store.Put(name, payload); err != nil {
-			t.Fatal(err)
-		}
+		objects[name] = rig.Payload(rng.Int63(), 1<<20+rng.Intn(1<<20))
 	}
-	srv, err := gridftp.Serve(gridftp.Config{
-		Addr: "127.0.0.1:0", Store: store,
+	srv := r.Server(gridftp.Config{
 		ServerHost: "dtn01.site-a.example", UsageAddr: collector.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	}, objects)
 
 	// One scripted session: five back-to-back retrievals over a single
 	// control channel with 4 parallel streams.
-	c, err := gridftp.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("science", "user@"); err != nil {
-		t.Fatal(err)
-	}
+	c := r.Login(srv.Addr())
 	if err := c.SetParallelism(4); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +50,7 @@ func TestLiveTransferAnalysisPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RETR %s: %v", name, err)
 		}
-		want, _ := store.Get(name)
-		if !bytes.Equal(data, want) {
+		if !bytes.Equal(data, objects[name]) {
 			t.Fatalf("payload corrupted for %s", name)
 		}
 	}
@@ -105,10 +90,7 @@ func TestLiveTransferAnalysisPipeline(t *testing.T) {
 	// The central collector received the same transfers, anonymized —
 	// which is exactly why session analysis fails on that copy (the
 	// paper's NERSC limitation).
-	deadline := time.Now().Add(2 * time.Second)
-	for len(collector.Records()) < len(names) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	r.WaitFor("the collector to hold every record", func() bool { return len(collector.Records()) >= len(names) })
 	anon := collector.Records()
 	if len(anon) != len(names) {
 		t.Fatalf("collector has %d records, want %d", len(anon), len(names))
@@ -122,24 +104,9 @@ func TestLiveTransferAnalysisPipeline(t *testing.T) {
 // wire format and reads it back, confirming the file format carries
 // everything the analyses need.
 func TestLogFileRoundTripThroughAnalysis(t *testing.T) {
-	store := gridftp.NewMemStore()
-	payload := make([]byte, 256<<10)
-	rand.New(rand.NewSource(5)).Read(payload)
-	store.Put("x", payload)
-	srv, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := gridftp.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("u", "p"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Retr("x"); err != nil {
+	r := rig.New(t)
+	srv := r.Server(gridftp.Config{}, rig.Objects{"x": rig.Payload(5, 256<<10)})
+	if _, _, err := r.Login(srv.Addr()).Retr("x"); err != nil {
 		t.Fatal(err)
 	}
 

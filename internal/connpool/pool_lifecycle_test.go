@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 )
 
 // scriptedServer is a minimal line-based control-channel fake, just
@@ -137,7 +138,7 @@ func TestPoolSweepReinsertRespectsIdleBound(t *testing.T) {
 // double-decrementing the leased census below zero (and racing under
 // -race).
 func TestPoolConcurrentReleaseDiscard(t *testing.T) {
-	s := startServer(t, gridftp.Config{})
+	s := rig.New(t).Server(gridftp.Config{})
 	p := newPool(t, Config{MaxIdlePerEndpoint: 2, KeepAlive: -1})
 	ctx := context.Background()
 	for i := 0; i < 25; i++ {

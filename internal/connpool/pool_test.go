@@ -7,24 +7,8 @@ import (
 
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
-	"gftpvc/internal/telemetry"
+	"gftpvc/internal/rig"
 )
-
-func startServer(t *testing.T, cfg gridftp.Config) *gridftp.Server {
-	t.Helper()
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.Store == nil {
-		cfg.Store = gridftp.NewMemStore()
-	}
-	s, err := gridftp.Serve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
 
 func newPool(t *testing.T, cfg Config) *Pool {
 	t.Helper()
@@ -34,7 +18,7 @@ func newPool(t *testing.T, cfg Config) *Pool {
 }
 
 func TestPoolHitMissEviction(t *testing.T) {
-	s := startServer(t, gridftp.Config{})
+	s := rig.New(t).Server(gridftp.Config{})
 	p := newPool(t, Config{MaxIdlePerEndpoint: 1, KeepAlive: -1})
 	ctx := context.Background()
 	c1, err := p.Get(ctx, s.Addr(), "u", "p")
@@ -83,7 +67,7 @@ func TestPoolHitMissEviction(t *testing.T) {
 }
 
 func TestPoolMaxLifetimeRetires(t *testing.T) {
-	s := startServer(t, gridftp.Config{})
+	s := rig.New(t).Server(gridftp.Config{})
 	p := newPool(t, Config{MaxLifetime: 50 * time.Millisecond, KeepAlive: -1})
 	ctx := context.Background()
 	c, err := p.Get(ctx, s.Addr(), "u", "p")
@@ -108,7 +92,7 @@ func TestPoolMaxLifetimeRetires(t *testing.T) {
 // a hit, not a redial.
 func TestPoolKeepAliveOutlivesIdleTimeout(t *testing.T) {
 	const idle = 300 * time.Millisecond
-	s := startServer(t, gridftp.Config{IdleTimeout: idle})
+	s := rig.New(t).Server(gridftp.Config{IdleTimeout: idle})
 	p := newPool(t, Config{KeepAlive: idle / 3})
 	ctx := context.Background()
 	c, err := p.Get(ctx, s.Addr(), "u", "p")
@@ -136,7 +120,7 @@ func TestPoolKeepAliveOutlivesIdleTimeout(t *testing.T) {
 // on its health check, evict it, and transparently dial fresh — the
 // caller never sees an error.
 func TestPoolRedialsKilledIdleChannel(t *testing.T) {
-	s := startServer(t, gridftp.Config{})
+	s := rig.New(t).Server(gridftp.Config{})
 	proxy, err := faultnet.NewProxy(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +152,7 @@ func TestPoolRedialsKilledIdleChannel(t *testing.T) {
 // channel that dies while checked out. The job fails, Discard retires
 // the corpse, and no lease slot leaks.
 func TestPoolDiscardAfterMidUseKill(t *testing.T) {
-	s := startServer(t, gridftp.Config{})
+	s := rig.New(t).Server(gridftp.Config{})
 	proxy, err := faultnet.NewProxy(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +186,8 @@ func TestPoolDiscardAfterMidUseKill(t *testing.T) {
 // with a dial error but never strand lease accounting, and once the
 // daemon is back the same pool serves it again.
 func TestPoolDaemonDeath(t *testing.T) {
-	cfg := gridftp.Config{Addr: "127.0.0.1:0", Store: gridftp.NewMemStore()}
-	s, err := gridftp.Serve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := rig.New(t)
+	s := r.Server(gridftp.Config{})
 	addr := s.Addr()
 	p := newPool(t, Config{KeepAlive: 50 * time.Millisecond})
 	ctx := context.Background()
@@ -227,7 +208,7 @@ func TestPoolDaemonDeath(t *testing.T) {
 	}
 	// Revive on the same port is not portable; a new daemon on a new
 	// port through the same pool proves the pool itself is still alive.
-	s2 := startServer(t, gridftp.Config{})
+	s2 := r.Server(gridftp.Config{})
 	c2, err := p.Get(ctx, s2.Addr(), "u", "p")
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +217,7 @@ func TestPoolDaemonDeath(t *testing.T) {
 }
 
 func TestPoolCloseClosedPool(t *testing.T) {
-	s := startServer(t, gridftp.Config{})
+	s := rig.New(t).Server(gridftp.Config{})
 	p := New(Config{})
 	ctx := context.Background()
 	c, err := p.Get(ctx, s.Addr(), "u", "p")
@@ -265,8 +246,9 @@ func TestPoolCloseClosedPool(t *testing.T) {
 }
 
 func TestPoolMetricsExposition(t *testing.T) {
-	hub := telemetry.NewHub()
-	s := startServer(t, gridftp.Config{})
+	r := rig.New(t)
+	hub, _ := r.Hub("pool")
+	s := r.Server(gridftp.Config{})
 	p := newPool(t, Config{Telemetry: hub, KeepAlive: -1})
 	ctx := context.Background()
 	c, err := p.Get(ctx, s.Addr(), "u", "p")

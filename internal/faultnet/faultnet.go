@@ -17,6 +17,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,21 +64,32 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if c.plan.ReadDelay > 0 {
 		time.Sleep(c.plan.ReadDelay)
 	}
-	if lim := c.plan.ResetReadAfter; lim > 0 && c.readN >= lim {
-		c.reset()
-		return 0, ErrInjected
+	if lim := c.plan.ResetReadAfter; lim > 0 {
+		if c.readN >= lim {
+			c.reset()
+			return 0, ErrInjected
+		}
+		p = capRead(p, lim-c.readN)
 	}
 	if lim := c.plan.TruncateReadAfter; lim > 0 {
 		if c.readN >= lim {
 			return 0, io.EOF
 		}
-		if rem := lim - c.readN; int64(len(p)) > rem {
-			p = p[:rem]
-		}
+		p = capRead(p, lim-c.readN)
 	}
 	n, err := c.Conn.Read(p)
 	c.readN += int64(n)
 	return n, err
+}
+
+// capRead shortens p to the bytes still inside a read budget, so the
+// read that crosses the limit delivers exactly up to it and the fault
+// fires at an exact stream position.
+func capRead(p []byte, rem int64) []byte {
+	if int64(len(p)) > rem {
+		return p[:rem]
+	}
+	return p
 }
 
 func (c *Conn) Write(p []byte) (int, error) {
@@ -178,6 +190,20 @@ type Tracker struct {
 	mu    sync.Mutex
 	open  int
 	total int
+}
+
+// ResetFirstConn returns a tracker that resets the first data connection
+// it ever accepts, on any of its listeners, once `after` bytes have been
+// read from it; every later connection is clean. It is the one
+// mid-transfer fault the resume tests and the streamresume drill inject.
+func ResetFirstConn(after int64) *Tracker {
+	var fired atomic.Bool
+	return &Tracker{PlanFor: func(int) *ConnPlan {
+		if fired.Swap(true) {
+			return nil
+		}
+		return &ConnPlan{ResetReadAfter: after}
+	}}
 }
 
 // Listen opens a tracked, fault-injecting listener.

@@ -70,6 +70,51 @@ func TestTruncateRead(t *testing.T) {
 	}
 }
 
+// TestResetReadCapsCrossingRead: the read that crosses the budget
+// delivers at most the bytes still inside it — never the whole buffer —
+// and the next read is the reset.
+func TestResetReadCapsCrossingRead(t *testing.T) {
+	faulted, peer := pair(t, ConnPlan{ResetReadAfter: 500})
+	go peer.Write(make([]byte, 4096))
+	n, err := io.ReadFull(faulted, make([]byte, 4096))
+	if n != 500 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("read %d bytes, err %v; want exactly 500 then ErrInjected", n, err)
+	}
+}
+
+// TestResetFirstConn: only the first connection the tracker ever
+// accepts is faulted, whichever of its listeners accepts it.
+func TestResetFirstConn(t *testing.T) {
+	tr := ResetFirstConn(1)
+	for i, want := range []string{"h", "hello"} {
+		ln, err := tr.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return
+			}
+			c.Write([]byte("hello"))
+			c.Close()
+		}()
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(c)
+		c.Close()
+		ln.Close()
+		if string(got) != want {
+			t.Errorf("listener %d read %q, want %q", i, got, want)
+		}
+	}
+	if tr.Total() != 2 {
+		t.Errorf("Total = %d, want 2", tr.Total())
+	}
+}
+
 func TestResetWrite(t *testing.T) {
 	faulted, peer := pair(t, ConnPlan{ResetWriteAfter: 100})
 	if _, err := faulted.Write(make([]byte, 4096)); !errors.Is(err, ErrInjected) {

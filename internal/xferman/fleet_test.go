@@ -11,6 +11,7 @@ import (
 
 	"gftpvc/internal/fleet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 )
 
 // fakeTelemetry serves the minimal scrape surface the fleet registry
@@ -34,24 +35,22 @@ func fakeTelemetry(t *testing.T, shapedBps float64) *httptest.Server {
 }
 
 func TestFleetManagedJobPlacesOnUnloadedReplica(t *testing.T) {
-	data := payload(96 << 10)
+	r := rig.New(t)
+	data := rig.Payload(3, 96<<10)
 	// Two source replicas hold the same object; telemetry says replica 0
 	// has nearly all its capacity promised away.
-	stores := []*gridftp.MemStore{gridftp.NewMemStore(), gridftp.NewMemStore()}
 	var reps []fleet.Replica
-	loads := []float64{9e8, 1e8}
 	var srcs []*gridftp.Server
-	for i, st := range stores {
-		st.Put("obj", data)
-		s := serve(t, st)
+	for _, load := range []float64{9e8, 1e8} {
+		s := r.Server(gridftp.Config{}, rig.Objects{"obj": data})
 		srcs = append(srcs, s)
 		reps = append(reps, fleet.Replica{
 			Addr:         s.Addr(),
-			TelemetryURL: fakeTelemetry(t, loads[i]).URL,
+			TelemetryURL: fakeTelemetry(t, load).URL,
 		})
 	}
 	dstStore := gridftp.NewMemStore()
-	dst := serve(t, dstStore)
+	dst := r.Server(gridftp.Config{Store: dstStore})
 
 	d, err := fleet.New(fleet.Config{
 		Replicas:       reps,

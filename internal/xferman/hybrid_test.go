@@ -8,7 +8,7 @@ import (
 
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/oscarsd"
-	"gftpvc/internal/telemetry"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/vc"
 	"gftpvc/internal/vc/broker"
 )
@@ -19,51 +19,25 @@ import (
 // admission reject, and both dispositions are visible on each job's
 // Result and on the telemetry exposition. Transfers succeed either way.
 func TestHybridDispatchEndToEnd(t *testing.T) {
-	hub := telemetry.NewHub()
+	r := rig.New(t)
+	hub, _ := r.Hub("hybrid")
 
-	srcStore := gridftp.NewMemStore()
+	objects := rig.Objects{}
 	for _, n := range []string{"a.nc", "b.nc", "c.nc"} {
-		srcStore.Put(n, payload(512<<10))
+		objects[n] = rig.Payload(3, 512<<10)
 	}
-	srv := func(store gridftp.Store) *gridftp.Server {
-		s, err := gridftp.Serve(gridftp.Config{
-			Addr: "127.0.0.1:0", Store: store, Telemetry: hub,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	src, dst := srv(srcStore), srv(gridftp.NewMemStore())
+	src := r.Server(gridftp.Config{Telemetry: hub}, objects)
+	dst := r.Server(gridftp.Config{Telemetry: hub})
 
-	osrv, err := oscarsd.Start(oscarsd.Config{
-		Addr: "127.0.0.1:0", Scenario: "nersc-ornl",
-		ReservableFraction: 0.5, Telemetry: hub,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { osrv.Close() })
 	ctx := context.Background()
-	client, err := vc.Dial(ctx, osrv.Addr(), vc.WithTelemetry(hub))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-
-	const gap = 150 * time.Millisecond
-	bk, err := broker.New(client, broker.Config{
-		Gap:        gap,
-		SetupDelay: 50 * time.Millisecond,
-		MinRateBps: 1e9, MaxRateBps: 1e9,
-		Route:     broker.StaticRoute("nersc-ornl-dtn-src", "nersc-ornl-dtn-dst"),
-		Telemetry: hub,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bk.Close)
+	client, bk := r.ControlPlane(
+		oscarsd.Config{ReservableFraction: 0.5, Telemetry: hub},
+		broker.Config{
+			Gap:        150 * time.Millisecond,
+			SetupDelay: 50 * time.Millisecond,
+			MinRateBps: 1e9, MaxRateBps: 1e9,
+			Telemetry: hub,
+		})
 
 	m, err := New(1, WithTelemetry(hub), WithBroker(bk))
 	if err != nil {
@@ -103,13 +77,13 @@ func TestHybridDispatchEndToEnd(t *testing.T) {
 	}
 
 	// Close the session, then saturate the path so admission rejects.
-	waitFor(t, "session 1 to expire", func() bool { return bk.Sessions() == 0 })
+	r.WaitFor("session 1 to expire", func() bool { return bk.Sessions() == 0 })
 	now, err := client.Now(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hog, err := client.Reserve(ctx, vc.ReserveRequest{
-		Src: "nersc-ornl-dtn-src", Dst: "nersc-ornl-dtn-dst",
+		Src: rig.SrcNode, Dst: rig.DstNode,
 		RateBps: 4.5e9, Start: now + 1, End: now + 3600,
 	})
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/oscarsd"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
-	"gftpvc/internal/vc"
 	"gftpvc/internal/vc/broker"
 )
 
@@ -44,12 +44,11 @@ func runJob(t *testing.T, m *Manager, job Job) Result {
 // streaming job, the default bulk class runs unshaped, and a job's own
 // RateBps pin wins over its class rate.
 func TestClassRateShapesJob(t *testing.T) {
+	r := rig.New(t)
 	const classRate = 160e6 // 20 MB/s
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", payload(2<<20))
-	src := serve(t, srcStore)
-	dst := serve(t, gridftp.NewMemStore())
-	hub := telemetry.NewHub()
+	src := r.Server(gridftp.Config{}, rig.Objects{"data.bin": rig.Payload(3, 2<<20)})
+	dst := r.Server(gridftp.Config{})
+	hub, _ := r.Hub("xferman")
 	m, err := New(2, WithTelemetry(hub), WithClassRate(ClassBackground, classRate))
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +93,10 @@ func TestClassRateShapesJob(t *testing.T) {
 // touches the data) is shaped by asking the source server to pace its
 // session via SITE RATE.
 func TestThirdPartyRateShapesSource(t *testing.T) {
+	r := rig.New(t)
 	const rate = 160e6
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", payload(2<<20))
-	src := serve(t, srcStore)
-	dst := serve(t, gridftp.NewMemStore())
+	src := r.Server(gridftp.Config{}, rig.Objects{"data.bin": rig.Payload(3, 2<<20)})
+	dst := r.Server(gridftp.Config{})
 	m, err := New(1)
 	if err != nil {
 		t.Fatal(err)
@@ -120,20 +118,9 @@ func TestThirdPartyRateShapesSource(t *testing.T) {
 // circuit is automatically paced to the broker's reserved rate — the
 // reservation becomes a wire-level fact, not an advisory booking.
 func TestVCJobShapedToReservedRate(t *testing.T) {
+	r := rig.New(t)
 	const reserved = 80e6 // 10 MB/s; Min == Max pins the clamp
-	osc, err := oscarsd.Start(oscarsd.Config{
-		Addr: "127.0.0.1:0", Scenario: "nersc-ornl", ReservableFraction: 0.8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer osc.Close()
-	vcc, err := vc.Dial(context.Background(), osc.Addr(), vc.WithCallTimeout(2*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vcc.Close()
-	bk, err := broker.New(vcc, broker.Config{
+	_, bk := r.ControlPlane(oscarsd.Config{ReservableFraction: 0.8}, broker.Config{
 		Gap:             150 * time.Millisecond,
 		SetupDelay:      10 * time.Millisecond,
 		OverheadFactor:  2,
@@ -141,17 +128,10 @@ func TestVCJobShapedToReservedRate(t *testing.T) {
 		MaxRateBps:      reserved,
 		HoldSlack:       time.Second,
 		DecisionTimeout: time.Second,
-		Route:           broker.StaticRoute("nersc-ornl-dtn-src", "nersc-ornl-dtn-dst"),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bk.Close()
 
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", payload(2<<20))
-	src := serve(t, srcStore)
-	dst := serve(t, gridftp.NewMemStore())
+	src := r.Server(gridftp.Config{}, rig.Objects{"data.bin": rig.Payload(3, 2<<20)})
+	dst := r.Server(gridftp.Config{})
 	m, err := New(1, WithBroker(bk))
 	if err != nil {
 		t.Fatal(err)

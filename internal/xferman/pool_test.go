@@ -10,6 +10,7 @@ import (
 	"gftpvc/internal/connpool"
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 )
 
 // TestPooledManagerReusesChannels runs a batch of jobs through a
@@ -17,14 +18,15 @@ import (
 // control channels come from the pool, and when the batch drains no
 // channel is leaked in the leased state.
 func TestPooledManagerReusesChannels(t *testing.T) {
+	r := rig.New(t)
 	srcStore := gridftp.NewMemStore()
-	want := payload(256 << 10)
+	want := rig.Payload(3, 256<<10)
 	for i := 0; i < 6; i++ {
 		srcStore.Put(fmt.Sprintf("obj%d", i), want)
 	}
 	dstStore := gridftp.NewMemStore()
-	src := serve(t, srcStore)
-	dst := serve(t, dstStore)
+	src := r.Server(gridftp.Config{Store: srcStore})
+	dst := r.Server(gridftp.Config{Store: dstStore})
 
 	pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: 2})
 	defer pool.Close()
@@ -75,13 +77,11 @@ func TestPooledManagerReusesChannels(t *testing.T) {
 // succeed on transparently redialed channels, with the misses counter
 // the only evidence anything happened.
 func TestPooledManagerSurvivesIdleKill(t *testing.T) {
-	srcStore := gridftp.NewMemStore()
-	want := payload(128 << 10)
-	srcStore.Put("a", want)
-	srcStore.Put("b", want)
+	r := rig.New(t)
+	want := rig.Payload(3, 128<<10)
 	dstStore := gridftp.NewMemStore()
-	src := serve(t, srcStore)
-	dst := serve(t, dstStore)
+	src := r.Server(gridftp.Config{}, rig.Objects{"a": want, "b": want})
+	dst := r.Server(gridftp.Config{Store: dstStore})
 	proxy, err := faultnet.NewProxy(src.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +134,12 @@ func TestPooledManagerSurvivesIdleKill(t *testing.T) {
 // channels it used must be discarded, not parked — the retry and all
 // later jobs get verified-healthy channels and still succeed.
 func TestPooledManagerDiscardsAfterFailure(t *testing.T) {
+	r := rig.New(t)
 	store := &flakyStore{MemStore: gridftp.NewMemStore(), failures: 1}
-	want := payload(64 << 10)
-	store.Put("data.bin", want)
+	want := rig.Payload(3, 64<<10)
 	dstStore := gridftp.NewMemStore()
-	src := serve(t, store)
-	dst := serve(t, dstStore)
+	src := r.Server(gridftp.Config{Store: store}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{Store: dstStore})
 
 	pool := connpool.New(connpool.Config{})
 	defer pool.Close()
@@ -180,10 +180,9 @@ func TestPooledManagerDiscardsAfterFailure(t *testing.T) {
 // TestPooledManagerCloseOrder: closing the manager then the pool (the
 // documented order) strands nothing even with jobs recently finished.
 func TestPooledManagerCloseOrder(t *testing.T) {
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("x", payload(4 << 10))
-	src := serve(t, srcStore)
-	dst := serve(t, gridftp.NewMemStore())
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}, rig.Objects{"x": rig.Payload(3, 4<<10)})
+	dst := r.Server(gridftp.Config{})
 	pool := connpool.New(connpool.Config{KeepAlive: 10 * time.Millisecond})
 	m, err := New(2, WithPool(pool))
 	if err != nil {

@@ -11,45 +11,8 @@ import (
 
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
-	"gftpvc/internal/telemetry"
+	"gftpvc/internal/rig"
 )
-
-// serveCfg is serve with full control over the server config for the
-// fault-injection and windowing tests.
-func serveCfg(t *testing.T, cfg gridftp.Config) *gridftp.Server {
-	t.Helper()
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.AcceptTimeout == 0 {
-		cfg.AcceptTimeout = 300 * time.Millisecond
-	}
-	s, err := gridftp.Serve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// resetFirstConn builds a faultnet tracker that resets the first data
-// connection it ever accepts after `after` wire bytes; every later
-// connection is clean. The returned counter reports how many data
-// connections were opened.
-func resetFirstConn(after int64) (*faultnet.Tracker, *int) {
-	var mu sync.Mutex
-	conns := 0
-	tr := &faultnet.Tracker{PlanFor: func(i int) *faultnet.ConnPlan {
-		mu.Lock()
-		defer mu.Unlock()
-		conns++
-		if conns == 1 {
-			return &faultnet.ConnPlan{ResetReadAfter: after}
-		}
-		return nil
-	}}
-	return tr, &conns
-}
 
 // TestBackoffDelayBounds pins the jittered exponential schedule: every
 // delay sits in [base/2, cap], later attempts never shrink the
@@ -80,9 +43,10 @@ func TestBackoffDelayBounds(t *testing.T) {
 // in a hot loop, and a cancelled context must cut a pending backoff
 // short instead of holding the worker for the full delay.
 func TestRetriesBackOffAgainstDyingServer(t *testing.T) {
-	src := serve(t, gridftp.NewMemStore()) // object never exists
-	dst := serve(t, gridftp.NewMemStore())
-	hub := telemetry.NewHub()
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}) // object never exists
+	dst := r.Server(gridftp.Config{})
+	hub, _ := r.Hub("xferman")
 	m, _ := New(1, WithTelemetry(hub))
 	defer m.Close()
 	retries := hub.Counter("xferman_retries_total",
@@ -123,7 +87,7 @@ func TestRetriesBackOffAgainstDyingServer(t *testing.T) {
 	}
 	// Attempt 1 has failed and its backoff is about to start once the
 	// retry is counted (the first job contributed two).
-	waitFor(t, "attempt 1 to fail", func() bool { return retries.Value() == 3 })
+	r.WaitFor("attempt 1 to fail", func() bool { return retries.Value() == 3 })
 	cancel()
 	start = time.Now()
 	res2, err := m.Wait(context.Background(), id2)
@@ -175,22 +139,21 @@ func TestRetryResumesFromWatermark(t *testing.T) {
 }
 
 func testRetryResumesFromWatermark(t *testing.T, dstStore gridftp.Store) {
+	r := rig.New(t)
 	const (
 		size   = 1 << 20
 		window = 64 << 10
 		block  = 16 << 10
 	)
-	want := payload(size)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", want)
-	tracker, conns := resetFirstConn(size * 6 / 10)
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: block})
-	dst := serveCfg(t, gridftp.Config{
+	want := rig.Payload(3, size)
+	tracker := faultnet.ResetFirstConn(size * 6 / 10)
+	src := r.Server(gridftp.Config{BlockSize: block}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{
 		Store: dstStore, WindowSize: window, BlockSize: block,
 		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
 	})
 
-	hub := telemetry.NewHub()
+	hub, _ := r.Hub("xferman")
 	m, _ := New(1, WithTelemetry(hub))
 	defer m.Close()
 	id, err := m.Submit(context.Background(), Job{
@@ -209,8 +172,8 @@ func testRetryResumesFromWatermark(t *testing.T, dstStore gridftp.Store) {
 	if res.Attempts != 2 {
 		t.Fatalf("attempts=%d, want 2 (reset, then resumed retry)", res.Attempts)
 	}
-	if *conns < 2 {
-		t.Fatalf("only %d data connections: the fault never fired", *conns)
+	if tracker.Total() < 2 {
+		t.Fatalf("only %d data listeners: the fault never fired", tracker.Total())
 	}
 	got, err := dstStore.Get("copy.bin")
 	if err != nil {
@@ -250,19 +213,17 @@ func TestNoResumeRetryReSendsPrefix(t *testing.T) {
 }
 
 func testNoResumeRetryReSendsPrefix(t *testing.T, dstStore gridftp.Store) {
+	r := rig.New(t)
 	const (
 		size   = 1 << 20
 		window = 64 << 10
 		block  = 16 << 10
 	)
-	want := payload(size)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", want)
-	tracker, _ := resetFirstConn(size * 6 / 10)
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: block})
-	dst := serveCfg(t, gridftp.Config{
+	want := rig.Payload(3, size)
+	src := r.Server(gridftp.Config{BlockSize: block}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{
 		Store: dstStore, WindowSize: window, BlockSize: block,
-		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
+		DataTimeout: 500 * time.Millisecond, DataListen: faultnet.ResetFirstConn(size * 6 / 10).Listen,
 	})
 
 	m, _ := New(1)
@@ -300,13 +261,12 @@ func testNoResumeRetryReSendsPrefix(t *testing.T, dstStore gridftp.Store) {
 // through the manager's own windowed data plane, byte-identical, with
 // exact wire accounting.
 func TestStreamJobRelaysThroughManager(t *testing.T) {
+	r := rig.New(t)
 	const size = 1 << 20
-	want := payload(size)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", want)
+	want := rig.Payload(3, size)
 	dstStore := gridftp.NewMemStore()
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
-	dst := serveCfg(t, gridftp.Config{Store: dstStore, WindowSize: 256 << 10})
+	src := r.Server(gridftp.Config{BlockSize: 16 << 10}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{Store: dstStore, WindowSize: 256 << 10})
 
 	m, _ := New(1)
 	defer m.Close()
@@ -340,19 +300,17 @@ func TestStreamJobRelaysThroughManager(t *testing.T) {
 // reassembly window (plus in-flight buffering) instead of the whole
 // delivered prefix.
 func TestStreamJobResumesAfterReset(t *testing.T) {
+	r := rig.New(t)
 	const (
 		size   = 1 << 20
 		window = 64 << 10
 	)
-	want := payload(size)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", want)
+	want := rig.Payload(3, size)
 	dstStore := gridftp.NewMemStore()
-	tracker, _ := resetFirstConn(size * 6 / 10)
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
-	dst := serveCfg(t, gridftp.Config{
+	src := r.Server(gridftp.Config{BlockSize: 16 << 10}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{
 		Store: dstStore, WindowSize: window,
-		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
+		DataTimeout: 500 * time.Millisecond, DataListen: faultnet.ResetFirstConn(size * 6 / 10).Listen,
 	})
 
 	m, _ := New(1)
@@ -421,17 +379,16 @@ func (s *flakyBeginPutStore) BeginPut(name string, base int64) error {
 // default), doing so would silently splice the stale prefix under the
 // new object's suffix.
 func TestStaleDestinationNotTrustedAsWatermark(t *testing.T) {
+	r := rig.New(t)
 	const (
 		size      = 1 << 20
 		staleSize = 512 << 10
 	)
-	want := payload(size)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", want)
+	want := rig.Payload(3, size)
 	dstStore := &flakyBeginPutStore{MemStore: gridftp.NewMemStore(), fails: 1}
 	dstStore.Put("copy.bin", bytes.Repeat([]byte{0xAA}, staleSize))
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
-	dst := serveCfg(t, gridftp.Config{Store: dstStore, WindowSize: 64 << 10, BlockSize: 16 << 10})
+	src := r.Server(gridftp.Config{BlockSize: 16 << 10}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{Store: dstStore, WindowSize: 64 << 10, BlockSize: 16 << 10})
 
 	m, _ := New(1)
 	defer m.Close()
@@ -486,20 +443,18 @@ func (s noRestartStore) BeginPut(name string, base int64) error {
 // attempt, and must demote to restart-from-zero instead of re-sending
 // the doomed REST+STOR until MaxAttempts.
 func TestRestRejectionDemotesToRestart(t *testing.T) {
+	r := rig.New(t)
 	const (
 		size      = 1 << 20
 		staleSize = 256 << 10
 	)
-	want := payload(size)
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", want)
+	want := rig.Payload(3, size)
 	dstMem := gridftp.NewMemStore()
 	dstMem.Put("copy.bin", bytes.Repeat([]byte{0xEE}, staleSize))
-	tracker, _ := resetFirstConn(size * 6 / 10)
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
-	dst := serveCfg(t, gridftp.Config{
+	src := r.Server(gridftp.Config{BlockSize: 16 << 10}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{
 		Store:       noRestartStore{dstMem},
-		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
+		DataTimeout: 500 * time.Millisecond, DataListen: faultnet.ResetFirstConn(size * 6 / 10).Listen,
 	})
 
 	m, _ := New(1)

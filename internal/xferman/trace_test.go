@@ -10,8 +10,8 @@ import (
 
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/oscarsd"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
-	"gftpvc/internal/vc"
 	"gftpvc/internal/vc/broker"
 )
 
@@ -23,62 +23,24 @@ import (
 // with each span's phases summing exactly to its wall time — the job
 // span's being one per stage of the attempt.
 func TestTracingEndToEnd(t *testing.T) {
-	newHub := func(name string) (*telemetry.Hub, string) {
-		hub := telemetry.NewHub()
-		hub.SetProcessName(name)
-		ms, err := hub.ListenAndServe("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ms.Close() })
-		return hub, ms.Addr()
-	}
-	hubX, addrX := newHub("xferman")
-	hubSrc, addrSrc := newHub("gftpd-src")
-	hubDst, addrDst := newHub("gftpd-dst")
-	hubOsc, addrOsc := newHub("oscarsd")
-	hubX.AddTracePeer("gftpd-src", "http://"+addrSrc)
-	hubX.AddTracePeer("gftpd-dst", "http://"+addrDst)
-	hubX.AddTracePeer("oscarsd", "http://"+addrOsc)
+	r := rig.New(t)
+	hubX, urlX := r.Hub("xferman")
+	hubSrc, _ := r.Hub("gftpd-src")
+	hubDst, _ := r.Hub("gftpd-dst")
+	hubOsc, _ := r.Hub("oscarsd")
 
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("a.nc", payload(512<<10))
-	serveOn := func(store gridftp.Store, hub *telemetry.Hub) *gridftp.Server {
-		s, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store, Telemetry: hub})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	src := serveOn(srcStore, hubSrc)
-	dst := serveOn(gridftp.NewMemStore(), hubDst)
+	src := r.Server(gridftp.Config{Telemetry: hubSrc}, rig.Objects{"a.nc": rig.Payload(3, 512<<10)})
+	dst := r.Server(gridftp.Config{Telemetry: hubDst})
 
-	osrv, err := oscarsd.Start(oscarsd.Config{
-		Addr: "127.0.0.1:0", Scenario: "nersc-ornl",
-		ReservableFraction: 0.5, Telemetry: hubOsc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { osrv.Close() })
 	ctx := context.Background()
-	client, err := vc.Dial(ctx, osrv.Addr(), vc.WithTelemetry(hubX))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { client.Close() })
-	bk, err := broker.New(client, broker.Config{
-		Gap:        150 * time.Millisecond,
-		SetupDelay: 20 * time.Millisecond,
-		MinRateBps: 1e9, MaxRateBps: 1e9,
-		Route:     broker.StaticRoute("nersc-ornl-dtn-src", "nersc-ornl-dtn-dst"),
-		Telemetry: hubX,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bk.Close)
+	_, bk := r.ControlPlane(
+		oscarsd.Config{ReservableFraction: 0.5, Telemetry: hubOsc},
+		broker.Config{
+			Gap:        150 * time.Millisecond,
+			SetupDelay: 20 * time.Millisecond,
+			MinRateBps: 1e9, MaxRateBps: 1e9,
+			Telemetry: hubX,
+		})
 
 	m, err := New(1, WithTelemetry(hubX), WithBroker(bk), WithTracing())
 	if err != nil {
@@ -125,7 +87,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	wantKind(hubOsc, "oscarsd", "reserve")
 
 	// The stitched tree, over live HTTP between the hubs.
-	resp, err := http.Get("http://" + addrX + "/trace/" + res.TraceID)
+	resp, err := http.Get(urlX + "/trace/" + res.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,21 +152,13 @@ func TestTracingEndToEnd(t *testing.T) {
 // conversation is what it was before tracing existed — and no process
 // records a trace.
 func TestTracingOffNoWireChange(t *testing.T) {
-	hubSrv := telemetry.NewHub()
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("a.nc", payload(64<<10))
-	serveOn := func(store gridftp.Store) *gridftp.Server {
-		s, err := gridftp.Serve(gridftp.Config{Addr: "127.0.0.1:0", Store: store, Telemetry: hubSrv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	src := serveOn(srcStore)
-	dst := serveOn(gridftp.NewMemStore())
+	r := rig.New(t)
+	hubSrv, _ := r.Hub("gftpd")
+	src := r.Server(gridftp.Config{Telemetry: hubSrv}, rig.Objects{"a.nc": rig.Payload(3, 64<<10)})
+	dst := r.Server(gridftp.Config{Telemetry: hubSrv})
 
-	m, err := New(1, WithTelemetry(telemetry.NewHub()))
+	hubX, _ := r.Hub("xferman")
+	m, err := New(1, WithTelemetry(hubX))
 	if err != nil {
 		t.Fatal(err)
 	}

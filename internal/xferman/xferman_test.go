@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -14,6 +13,7 @@ import (
 
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
+	"gftpvc/internal/rig"
 	"gftpvc/internal/telemetry"
 	"gftpvc/internal/vc/broker"
 )
@@ -36,29 +36,6 @@ func (f *flakyStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
 	}
 	f.mu.Unlock()
 	return f.MemStore.SnapshotObject(name)
-}
-
-func payload(n int) []byte {
-	b := make([]byte, n)
-	rand.New(rand.NewSource(3)).Read(b)
-	return b
-}
-
-func serve(t *testing.T, store gridftp.Store) *gridftp.Server {
-	t.Helper()
-	s, err := gridftp.Serve(gridftp.Config{
-		Addr:  "127.0.0.1:0",
-		Store: store,
-		// A failed third-party leg leaves the receiver waiting for a
-		// data connection that never comes; keep that timeout short so
-		// retry tests run quickly.
-		AcceptTimeout: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
 }
 
 func ep(s *gridftp.Server) Endpoint {
@@ -94,12 +71,11 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestSuccessfulVerifiedTransfer(t *testing.T) {
-	srcStore := gridftp.NewMemStore()
-	want := payload(1 << 20)
-	srcStore.Put("data.bin", want)
+	r := rig.New(t)
+	want := rig.Payload(3, 1<<20)
 	dstStore := gridftp.NewMemStore()
-	src := serve(t, srcStore)
-	dst := serve(t, dstStore)
+	src := r.Server(gridftp.Config{}, rig.Objects{"data.bin": want})
+	dst := r.Server(gridftp.Config{Store: dstStore})
 
 	m, err := New(2)
 	if err != nil {
@@ -136,12 +112,10 @@ func TestSuccessfulVerifiedTransfer(t *testing.T) {
 }
 
 func TestRetryRecoversFromTransientFailure(t *testing.T) {
-	inner := gridftp.NewMemStore()
-	want := payload(256 << 10)
-	inner.Put("data.bin", want)
-	flaky := &flakyStore{MemStore: inner, failures: 2}
-	src := serve(t, flaky)
-	dst := serve(t, gridftp.NewMemStore())
+	r := rig.New(t)
+	flaky := &flakyStore{MemStore: gridftp.NewMemStore(), failures: 2}
+	src := r.Server(gridftp.Config{Store: flaky}, rig.Objects{"data.bin": rig.Payload(3, 256<<10)})
+	dst := r.Server(gridftp.Config{})
 
 	m, _ := New(1)
 	defer m.Close()
@@ -163,8 +137,9 @@ func TestRetryRecoversFromTransientFailure(t *testing.T) {
 }
 
 func TestExhaustedRetriesFail(t *testing.T) {
-	src := serve(t, gridftp.NewMemStore()) // object never exists
-	dst := serve(t, gridftp.NewMemStore())
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}) // object never exists
+	dst := r.Server(gridftp.Config{})
 	m, _ := New(1)
 	defer m.Close()
 	id, err := m.Submit(context.Background(), Job{
@@ -184,14 +159,15 @@ func TestExhaustedRetriesFail(t *testing.T) {
 }
 
 func TestBatchOfJobsAcrossWorkers(t *testing.T) {
+	r := rig.New(t)
 	srcStore := gridftp.NewMemStore()
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	for _, n := range names {
-		srcStore.Put(n, payload(64<<10))
+		srcStore.Put(n, rig.Payload(3, 64<<10))
 	}
 	dstStore := gridftp.NewMemStore()
-	src := serve(t, srcStore)
-	dst := serve(t, dstStore)
+	src := r.Server(gridftp.Config{Store: srcStore})
+	dst := r.Server(gridftp.Config{Store: dstStore})
 	m, _ := New(3)
 	defer m.Close()
 	var ids []JobID
@@ -276,8 +252,9 @@ func TestResultNonBlocking(t *testing.T) {
 // TestContextCancellation: a cancelled job context stops retries and
 // bounds Wait itself.
 func TestContextCancellation(t *testing.T) {
-	src := serve(t, gridftp.NewMemStore()) // object never exists: retries forever
-	dst := serve(t, gridftp.NewMemStore())
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}) // object never exists: retries forever
+	dst := r.Server(gridftp.Config{})
 	m, _ := New(1)
 	defer m.Close()
 
@@ -309,10 +286,9 @@ func TestContextCancellation(t *testing.T) {
 // TestResultCircuitWithoutBroker: a manager with no broker reports
 // plain best-effort IP dispatch on every result.
 func TestResultCircuitWithoutBroker(t *testing.T) {
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", payload(32<<10))
-	src := serve(t, srcStore)
-	dst := serve(t, gridftp.NewMemStore())
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}, rig.Objects{"data.bin": rig.Payload(3, 32<<10)})
+	dst := r.Server(gridftp.Config{})
 	m, _ := New(1)
 	defer m.Close()
 	id, err := m.Submit(context.Background(), Job{
@@ -345,17 +321,9 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestChecksumCommandDirect(t *testing.T) {
-	store := gridftp.NewMemStore()
-	store.Put("x", []byte("hello world"))
-	s := serve(t, store)
-	c, err := gridftp.Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login("u", "p"); err != nil {
-		t.Fatal(err)
-	}
+	r := rig.New(t)
+	s := r.Server(gridftp.Config{}, rig.Objects{"x": []byte("hello world")})
+	c := r.Login(s.Addr())
 	sum, err := c.Checksum("x")
 	if err != nil {
 		t.Fatal(err)
@@ -370,13 +338,14 @@ func TestChecksumCommandDirect(t *testing.T) {
 }
 
 func TestSubmitAll(t *testing.T) {
+	r := rig.New(t)
 	srcStore := gridftp.NewMemStore()
 	for _, n := range []string{"run1/a", "run1/b", "other/c"} {
-		srcStore.Put(n, payload(32<<10))
+		srcStore.Put(n, rig.Payload(3, 32<<10))
 	}
 	dstStore := gridftp.NewMemStore()
-	src := serve(t, srcStore)
-	dst := serve(t, dstStore)
+	src := r.Server(gridftp.Config{Store: srcStore})
+	dst := r.Server(gridftp.Config{Store: dstStore})
 	m, _ := New(2)
 	defer m.Close()
 	ids, err := m.SubmitAll(context.Background(), ep(src), ep(dst), "run1/", Job{Verify: true})
@@ -407,6 +376,7 @@ func TestSubmitAll(t *testing.T) {
 // never replies must burn through its attempts within the configured
 // per-operation deadline, not hang a worker forever.
 func TestJobTimeoutBoundsSilentEndpoint(t *testing.T) {
+	r := rig.New(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -425,8 +395,7 @@ func TestJobTimeoutBoundsSilentEndpoint(t *testing.T) {
 			}(conn)
 		}
 	}()
-	dstStore := gridftp.NewMemStore()
-	dst := serve(t, dstStore)
+	dst := r.Server(gridftp.Config{})
 	m, _ := New(1)
 	defer m.Close()
 	const d = 300 * time.Millisecond
@@ -460,22 +429,6 @@ func TestJobTimeoutBoundsSilentEndpoint(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until it holds, failing the test at a deadline:
-// the wait-on-the-event replacement for a fixed sleep.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	deadline := time.After(10 * time.Second)
-	for !cond() {
-		select {
-		case <-tick.C:
-		case <-deadline:
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
-
 // TestSubmitCancelOnFullQueue is the Submit-ignores-ctx regression: with
 // the only worker parked on an endpoint that never greets and the queue
 // full, a Submit whose context is done must return ctx.Err() instead of
@@ -483,13 +436,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // and keep the in-flight-submit accounting exact so Close still
 // returns.
 func TestSubmitCancelOnFullQueue(t *testing.T) {
-	srv := serve(t, gridftp.NewMemStore())
+	r := rig.New(t)
+	srv := r.Server(gridftp.Config{})
 	mute, err := faultnet.NewProxy(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mute.Stall() // connects, then swallows the greeting
-	hub := telemetry.NewHub()
+	hub, _ := r.Hub("xferman")
 	m, _ := New(1, WithTelemetry(hub))
 	jobCtx, cancelJobs := context.WithCancel(context.Background())
 	// Unpark the worker and fail the backlog fast, whatever happens.
@@ -503,7 +457,7 @@ func TestSubmitCancelOnFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the worker to pick up the first job", func() bool {
+	r.WaitFor("the worker to pick up the first job", func() bool {
 		res, _ := m.Result(first)
 		return res.Status == Running
 	})
@@ -558,16 +512,14 @@ func TestSubmitCancelOnFullQueue(t *testing.T) {
 // channel and the post-failure watermark probe — carries the hub, so
 // each shows up in the client dial counter.
 func TestManagerDialsReachTelemetry(t *testing.T) {
+	r := rig.New(t)
 	const size = 1 << 20
-	srcStore := gridftp.NewMemStore()
-	srcStore.Put("data.bin", payload(size))
-	tracker, _ := resetFirstConn(size * 6 / 10)
-	src := serveCfg(t, gridftp.Config{Store: srcStore, BlockSize: 16 << 10})
-	dst := serveCfg(t, gridftp.Config{
-		Store: gridftp.NewMemStore(), WindowSize: 64 << 10, BlockSize: 16 << 10,
-		DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen,
+	src := r.Server(gridftp.Config{BlockSize: 16 << 10}, rig.Objects{"data.bin": rig.Payload(3, size)})
+	dst := r.Server(gridftp.Config{
+		WindowSize: 64 << 10, BlockSize: 16 << 10,
+		DataTimeout: 500 * time.Millisecond, DataListen: faultnet.ResetFirstConn(size * 6 / 10).Listen,
 	})
-	hub := telemetry.NewHub()
+	hub, _ := r.Hub("xferman")
 	m, _ := New(1, WithTelemetry(hub))
 	defer m.Close()
 	dials := hub.Counter("gridftp_client_dials_total",
