@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 
 	"testing"
 )
@@ -117,10 +118,71 @@ func FuzzReadBlockInto(f *testing.F) {
 	})
 }
 
+// windowModel is the reference FuzzWindowAssembler holds the assembler
+// to: a flat array over absolute offsets with one present flag per byte,
+// placed and delivered a byte at a time — no ring, no word-wide bitmap
+// steps, no in-order shortcut.
+type windowModel struct {
+	base, flushed, window uint64
+	buf                   []byte
+	present               []bool
+	sink                  []byte
+	wire, dup             int64
+}
+
+func (m *windowModel) place(off uint64, data []byte) error {
+	n := uint64(len(data))
+	switch {
+	case n == 0:
+		return nil
+	case off < m.base:
+		return ErrDataProtocol
+	case off+n <= m.flushed:
+		m.wire += int64(n)
+		m.dup += int64(n)
+		return nil
+	case off+n > m.flushed+m.window && n > m.window:
+		return ErrDataProtocol
+	case off+n > m.flushed+m.window:
+		return ErrWindowFull
+	}
+	m.wire += int64(n)
+	for i, c := range data {
+		o := off + uint64(i)
+		if o < m.flushed {
+			m.dup++
+			continue
+		}
+		if m.present[o] {
+			m.dup++
+		}
+		m.buf[o], m.present[o] = c, true
+	}
+	for m.present[m.flushed] {
+		m.sink = append(m.sink, m.buf[m.flushed])
+		m.present[m.flushed] = false
+		m.flushed++
+	}
+	return nil
+}
+
+// errClass folds a Place result onto the three outcomes the model
+// distinguishes.
+func errClass(err error) error {
+	for _, class := range []error{ErrWindowFull, ErrDataProtocol} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
 // FuzzWindowAssembler throws adversarial block sequences at the sliding
 // window: overlaps, duplicates, out-of-window offsets, and truncated
 // tails must be either delivered contiguously or rejected — never
-// panic, never deliver a byte twice, never deliver out of order.
+// panic, never deliver a byte twice, never deliver out of order. After
+// every Place the assembler must agree with windowModel on the sink's
+// content, every counter and the error class.
 func FuzzWindowAssembler(f *testing.F) {
 	// Encoded op stream: each 5 bytes are [offLo offHi lenLo lenHi fill].
 	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 16, 0, 16, 0, 2})
@@ -129,6 +191,14 @@ func FuzzWindowAssembler(f *testing.F) {
 	f.Add(uint16(4), []byte{0, 0, 8, 0, 7})                  // below base
 	f.Add(uint16(0), []byte{0, 0, 32, 0, 1, 0, 0, 32, 0, 2}) // pure duplicate
 	f.Add(uint16(0), []byte{4, 0, 8, 0, 5, 0, 0, 16, 0, 6})  // overlap across watermark
+	// The shapes the in-order shortcut and the lazily made ring divide
+	// on: in order only; one parked, then in order; overlap across the
+	// watermark with nothing parked; parked runs that wrap the ring.
+	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 16, 0, 16, 0, 2, 32, 0, 16, 0, 3})
+	f.Add(uint16(0), []byte{16, 0, 16, 0, 2, 0, 0, 16, 0, 1, 32, 0, 16, 0, 3})
+	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 8, 0, 16, 0, 2})
+	f.Add(uint16(0), []byte{0, 0, 48, 0, 1, 56, 0, 16, 0, 3, 48, 0, 8, 0, 2,
+		72, 0, 40, 0, 4, 120, 0, 16, 0, 6, 112, 0, 8, 0, 5})
 	f.Fuzz(func(t *testing.T, base uint16, ops []byte) {
 		const window = 64
 		var out bytes.Buffer
@@ -136,6 +206,10 @@ func FuzzWindowAssembler(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Offsets are 16-bit and lengths 9-bit, so 1<<17 covers every
+		// byte a block can name.
+		model := &windowModel{base: uint64(base), flushed: uint64(base), window: window,
+			buf: make([]byte, 1<<17), present: make([]bool, 1<<17)}
 		for len(ops) >= 5 {
 			// Offsets roam below base, around the window, and far past
 			// it; lengths reach a few windows so the block-larger-than-
@@ -146,9 +220,22 @@ func FuzzWindowAssembler(f *testing.F) {
 			ops = ops[5:]
 			data := bytes.Repeat([]byte{fill}, n)
 			// Any outcome is fine — ErrWindowFull, ErrDataProtocol for
-			// below-base or oversized blocks — as long as the invariants
-			// below survive and nothing panics.
-			_ = asm.Place(Block{Offset: off, Data: data})
+			// below-base or oversized blocks — as long as it is the
+			// model's outcome, the invariants below survive and nothing
+			// panics.
+			got, want := errClass(asm.Place(Block{Offset: off, Data: data})), model.place(off, data)
+			if got != want {
+				t.Fatalf("Place [%d,+%d): err %v, model %v", off, n, got, want)
+			}
+			if !bytes.Equal(out.Bytes(), model.sink) {
+				t.Fatalf("Place [%d,+%d): sink holds %x, model %x", off, n, out.Bytes(), model.sink)
+			}
+			if asm.Flushed() != model.flushed || asm.Delivered() != int64(len(model.sink)) ||
+				asm.WireBytes() != model.wire || asm.DuplicateBytes() != model.dup {
+				t.Fatalf("Place [%d,+%d): flushed=%d delivered=%d wire=%d dup=%d, model %d %d %d %d",
+					off, n, asm.Flushed(), asm.Delivered(), asm.WireBytes(), asm.DuplicateBytes(),
+					model.flushed, len(model.sink), model.wire, model.dup)
+			}
 		}
 		// Invariants that must hold whatever happened above.
 		if asm.Delivered() != int64(out.Len()) {

@@ -137,7 +137,7 @@ func (a *Assembler) Place(b Block) error {
 		return nil
 	}
 	end := b.Offset + uint64(len(b.Data))
-	if b.Offset < a.base || end > a.base+uint64(len(a.buf)) {
+	if b.Offset < a.base || end < b.Offset || end > a.base+uint64(len(a.buf)) {
 		return fmt.Errorf("%w: block [%d,%d) outside region [%d,%d)",
 			ErrDataProtocol, b.Offset, end, a.base, a.base+uint64(len(a.buf)))
 	}

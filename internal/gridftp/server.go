@@ -1168,7 +1168,8 @@ func (sess *session) cmdRetr(name string, offset, length int64) {
 // carrying up to blockSize bytes framed at absolute file offsets (a
 // stripe with base=i*blockSize, step=n*blockSize sends every n-th
 // block). A final EOD frame closes the connection's data stream. One
-// blockSize buffer is the whole memory footprint.
+// buffer the size of the stripe's first — its largest — block is the
+// whole memory footprint; a stripe with no block has none.
 func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize, base, step int) error {
 	if blockSize <= 0 {
 		return fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
@@ -1176,7 +1177,10 @@ func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize
 	if base < 0 || step <= 0 {
 		return fmt.Errorf("%w: bad stripe geometry base=%d step=%d", ErrDataProtocol, base, step)
 	}
-	buf := make([]byte, blockSize)
+	var buf []byte
+	if rem := length - int64(base); rem > 0 {
+		buf = make([]byte, min(int64(blockSize), rem))
+	}
 	for off := int64(base); off < length; off += int64(step) {
 		n := int64(blockSize)
 		if rem := length - off; n > rem {
@@ -1217,12 +1221,12 @@ func (s *regionSink) Write(p []byte) (int, error) {
 // blocks from all data connections place into one shared window, every
 // contiguous run flushes to the store immediately, and a connection
 // racing too far ahead parks until the window slides. Peak memory is
-// the window, independent of object size — and because BeginPut pins
-// the stored object to the delivered watermark, a failed transfer
-// leaves a partial whose Size is exactly the restart offset a
-// resume-aware client probes for. offset > 0 (REST) resumes such a
-// partial: delivery starts at that watermark, dropping any overlap the
-// sender re-transmits.
+// at most the window (made only once a block parks), independent of
+// object size — and because BeginPut pins the stored object to the
+// delivered watermark, a failed transfer leaves a partial whose Size is
+// exactly the restart offset a resume-aware client probes for.
+// offset > 0 (REST) resumes such a partial: delivery starts at that
+// watermark, dropping any overlap the sender re-transmits.
 func (sess *session) cmdStor(name string, offset int64) {
 	tx := sess.beginTransfer("stor", usagestats.Store, name)
 	sess.transfer(tx, func() (direction, int, string) {

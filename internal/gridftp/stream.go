@@ -17,8 +17,8 @@ import (
 // This file is the client's data plane, one engine per direction:
 // retrieve delivers an object region into an io.Writer through a
 // bounded reassembly window, and store sends from an io.Reader in
-// block-size chunks — peak memory is a window (receive) or a few blocks
-// (send), independent of object size. RetrTo/RetrToAt and
+// block-size chunks — peak memory is at most a window (receive) or a
+// few blocks (send), independent of object size. RetrTo/RetrToAt and
 // StorFrom/StorFromAt expose them directly; the buffered Retr/Stor
 // families (client.go) are the same engines over a byte slice.
 
@@ -240,8 +240,9 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 }
 
 // StorFrom uploads size bytes read from r (size < 0 when unknown; it
-// is informational only). Memory stays bounded at a few MODE E blocks
-// per stream regardless of object size.
+// is informational only — the server is not told it; ROADMAP 1(b),
+// ALLO, is where it would be). Memory stays bounded at a few MODE E
+// blocks per stream regardless of object size.
 func (c *Client) StorFrom(ctx context.Context, name string, r io.Reader, size int64, opts ...Option) (TransferStats, error) {
 	return c.StorFromAt(ctx, name, r, 0, size, opts...)
 }

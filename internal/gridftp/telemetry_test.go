@@ -1,8 +1,10 @@
 package gridftp
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -261,5 +263,48 @@ func TestFailedTransfersLogged(t *testing.T) {
 	}
 	if byCode[550] != 1 || byCode[425] != 1 || byCode[0] != 1 {
 		t.Fatalf("record codes = %v, want one each of 550, 425, 0", byCode)
+	}
+}
+
+// TestSmallTransferAllocBudget is the tier-1 guard on the fixed cost of
+// a small transfer: 64 KiB third-party copies between two servers with
+// hubs stay under 400 KiB allocated apiece (an eagerly made 8 MiB
+// window alone put this near 10 MB), and resolving an existing
+// one-label counter — some twenty times per job across the servers and
+// the client — costs no more than its label key.
+func TestSmallTransferAllocBudget(t *testing.T) {
+	const transfers, size, budget = 200, 64 << 10, 400 << 10
+	srcStore := NewMemStore()
+	want := randomPayload(size)
+	srcStore.Put("src.bin", want)
+	dstStore := NewMemStore()
+	src := startServer(t, Config{Store: srcStore, Telemetry: telemetry.NewHub()})
+	dst := startServer(t, Config{Store: dstStore, Telemetry: telemetry.NewHub()})
+	cSrc, cDst := login(t, src.Addr()), login(t, dst.Addr())
+	copyOnce := func() {
+		t.Helper()
+		if err := ThirdParty(cSrc, cDst, "src.bin", "dst.bin"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyOnce() // first use registers metric families and grows the rings
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < transfers; i++ {
+		copyOnce()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / transfers; per > budget {
+		t.Errorf("a %d-byte third-party transfer allocates %d bytes, budget %d", size, per, budget)
+	}
+	if got, err := dstStore.Get("dst.bin"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("third-party payload corrupted (err %v)", err)
+	}
+
+	hub := telemetry.NewHub()
+	hit := func() { hub.Counter("alloc_guard_total", "h", telemetry.L("op", "retr")).Inc() }
+	hit()
+	if n := testing.AllocsPerRun(100, hit); n > 2 {
+		t.Errorf("a one-label Hub.Counter hit allocates %.0f times, budget 2", n)
 	}
 }

@@ -24,9 +24,12 @@ var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 // WindowAssembler reassembles MODE E blocks into a contiguous stream
 // with bounded memory: a fixed-size sliding window buffers out-of-order
 // blocks, and every byte that becomes contiguous with the delivery
-// watermark is flushed to the sink immediately. Peak memory is the
-// window (plus a 1-bit-per-byte presence map), independent of object
-// size. Every transfer on both endpoints reassembles through one.
+// watermark is flushed to the sink immediately. A block that arrives
+// in order with nothing parked goes straight to the sink, and the
+// window (plus its 1-bit-per-byte presence map) is made, whole, only
+// when the first block has to be buffered: memory is nothing until a
+// block parks and the window from then on, independent of object size.
+// Every transfer on both endpoints reassembles through one.
 //
 // Concurrent Place/PlaceBlocking calls from parallel data connections
 // are safe; flushes to the sink are serialized under the assembler's
@@ -41,7 +44,7 @@ type WindowAssembler struct {
 	cond *sync.Cond
 	sink io.Writer
 
-	win    []byte   // ring buffer, indexed by absolute offset % window
+	win    []byte   // ring buffer, indexed by absolute offset % window; nil until a block parks
 	bits   []uint64 // presence bitmap over the same ring
 	window uint64
 
@@ -70,8 +73,9 @@ const unboundedEnd = ^uint64(0)
 
 // DefaultWindowSize is the mode-E reassembly window used when a
 // streaming API is not told otherwise: large enough to absorb the
-// stripe skew of parallel senders, small enough that a thousand
-// concurrent transfers fit in DTN memory.
+// stripe skew of parallel senders. It is what a transfer holds once a
+// block has parked; a transfer whose blocks all arrive in order (one
+// stream, or a one-block object) holds none of it.
 const DefaultWindowSize = 4 << 20
 
 // defaultParkTimeout bounds how long a PlaceBlocking call may wait for
@@ -100,8 +104,6 @@ func NewWindowAssembler(sink io.Writer, base uint64, size int64, window int, par
 	}
 	a := &WindowAssembler{
 		sink:    sink,
-		win:     make([]byte, window),
-		bits:    make([]uint64, (window+63)/64),
 		window:  uint64(window),
 		base:    base,
 		end:     end,
@@ -162,9 +164,25 @@ func (a *WindowAssembler) placeLocked(b Block) error {
 		}
 		return ErrWindowFull
 	}
-	// Committed: copy into the ring (at most two segments) and mark.
+	// Committed: nothing below rejects the block, so it counts as offered.
 	a.wire += int64(n)
 	a.dup += int64(skip)
+	if off == a.flushed && a.pending == 0 {
+		// In order with nothing parked: the block is the whole
+		// contiguous run, so it goes to the sink unbuffered.
+		if a.writeSink(data) == nil {
+			a.flushed += uint64(len(data))
+			a.delivered += int64(len(data))
+			a.cond.Broadcast()
+		}
+		return a.failed
+	}
+	// The block parks or joins parked ones: copy it into the ring (at
+	// most two segments) and mark. The first such block makes the ring.
+	if a.win == nil {
+		a.win = make([]byte, a.window)
+		a.bits = make([]uint64, (a.window+63)/64)
+	}
 	pos := off % a.window
 	first := copy(a.win[pos:], data)
 	copy(a.win, data[first:])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -315,5 +316,97 @@ func TestWindowAssemblerSinkErrorFailsAll(t *testing.T) {
 	}
 	if err := asm.Finish(); err == nil {
 		t.Fatal("Finish ignored the sink failure")
+	}
+}
+
+// spanSink records the (offset, len) of every write the assembler makes.
+type spanSink struct {
+	off    int
+	writes [][2]int
+}
+
+func (s *spanSink) Write(p []byte) (int, error) {
+	s.writes = append(s.writes, [2]int{s.off, len(p)})
+	s.off += len(p)
+	return len(p), nil
+}
+
+// TestWindowSinkWritesUnchanged pins the write sequence the sink sees
+// for a fixed block-aligned two-stripe interleaving (even blocks on one
+// connection, odd on the other, the odd stripe running ahead and falling
+// behind) to the one recorded before in-order blocks went straight to
+// the sink: a store that grows by what it is handed (MemStore) then
+// grows exactly as it did.
+func TestWindowSinkWritesUnchanged(t *testing.T) {
+	const blockLen, window = 16, 4 * 16
+	arrival := []int{0, 2, 1, 4, 3, 5, 7, 8, 6, 9, 10, 11}
+	want := [][2]int{
+		{0, 16}, {16, 32}, // block 0 alone; 1 releases the parked 2
+		{48, 16}, {64, 16}, // 3 releases 4, split where the ring wraps
+		{80, 16},            // 5 in order, nothing parked
+		{96, 32}, {128, 16}, // 6 releases 7 and 8 across the wrap
+		{144, 16}, {160, 16}, {176, 16},
+	}
+	sink := &spanSink{}
+	asm, err := NewWindowAssembler(sink, 0, int64(len(arrival)*blockLen), window, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := randomPayload(len(arrival) * blockLen)
+	for _, b := range arrival {
+		if err := asm.Place(Block{Offset: uint64(b * blockLen), Data: payload[b*blockLen : (b+1)*blockLen]}); err != nil {
+			t.Fatalf("block %d: %v", b, err)
+		}
+	}
+	if err := asm.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(sink.writes) != fmt.Sprint(want) {
+		t.Fatalf("sink saw writes (offset, len)\n got %v\nwant %v", sink.writes, want)
+	}
+}
+
+// TestWindowInOrderNeverBuffers: a transfer whose blocks all arrive in
+// order — one stream drained off a connection, or a one-block object —
+// never makes the ring. Seen from outside, the whole transfer allocates
+// far less than the 8 MiB window it is bounded by.
+func TestWindowInOrderNeverBuffers(t *testing.T) {
+	const window, blockLen = 8 << 20, 64 << 10
+	payload := randomPayload(1 << 20)
+	var stream bytes.Buffer
+	for off := 0; off < len(payload); off += blockLen {
+		WriteBlock(&stream, Block{Offset: uint64(off), Data: payload[off : off+blockLen]})
+	}
+	WriteBlock(&stream, Block{Desc: DescEOD})
+	for _, tc := range []struct {
+		name string
+		want []byte
+		run  func(*WindowAssembler) error
+	}{
+		{"one stream", payload, func(a *WindowAssembler) error { _, err := a.DrainConn(&stream); return err }},
+		{"one block", payload[:blockLen], func(a *WindowAssembler) error { return a.PlaceBlocking(Block{Data: payload[:blockLen]}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := bytes.NewBuffer(make([]byte, 0, len(tc.want)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			asm, err := NewWindowAssembler(out, 0, int64(len(tc.want)), window, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(asm); err != nil {
+				t.Fatal(err)
+			}
+			if err := asm.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+				t.Errorf("in-order transfer allocated %d bytes under a %d-byte window: the ring was made", delta, window)
+			}
+			if !bytes.Equal(out.Bytes(), tc.want) {
+				t.Fatal("delivered bytes differ from input")
+			}
+		})
 	}
 }

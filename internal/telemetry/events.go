@@ -19,17 +19,48 @@ type Event struct {
 	Detail  string    `json:"detail,omitempty"`
 }
 
+// ring keeps the most recent cap values: it appends until full, then
+// overwrites the oldest in place, so an add never moves the others.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest once len(buf) == cap
+	cap  int
+}
+
+func (r *ring[T]) add(v T) {
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % r.cap
+}
+
+// oldestFirst returns a copy of the kept values that keep accepts (all
+// of them when keep is nil), or nil when there is none.
+func (r *ring[T]) oldestFirst(keep func(*T) bool) []T {
+	var out []T
+	if keep == nil && len(r.buf) > 0 {
+		out = make([]T, 0, len(r.buf))
+	}
+	for i := range r.buf {
+		if v := &r.buf[(r.head+i)%len(r.buf)]; keep == nil || keep(v) {
+			out = append(out, *v)
+		}
+	}
+	return out
+}
+
 // EventLog is the bounded flight-recorder ring. Recording is a mutex
-// and two slice ops — cheap enough to leave on unconditionally — and
+// and one slot write — cheap enough to leave on unconditionally — and
 // the ring keeps only the most recent capacity events, so a long-lived
 // process's recorder is a window onto its recent past, not a log.
 type EventLog struct {
 	epoch time.Time
-	cap   int
 
 	mu   sync.Mutex
 	seq  uint64
-	ring []Event // oldest..newest, len <= cap
+	ring ring[Event]
 }
 
 // NewEventLog creates a recorder retaining the last capacity events
@@ -38,7 +69,7 @@ func NewEventLog(epoch time.Time, capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &EventLog{epoch: epoch, cap: capacity}
+	return &EventLog{epoch: epoch, ring: ring[Event]{cap: capacity}}
 }
 
 // Add records one event. A nil log is a no-op.
@@ -50,11 +81,7 @@ func (l *EventLog) Add(trace, kind, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	if len(l.ring) == l.cap {
-		copy(l.ring, l.ring[1:])
-		l.ring = l.ring[:l.cap-1]
-	}
-	l.ring = append(l.ring, Event{
+	l.ring.add(Event{
 		Seq:     l.seq,
 		Wall:    now,
 		TimeSec: now.Sub(l.epoch).Seconds(),
@@ -71,7 +98,7 @@ func (l *EventLog) Snapshot() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Event(nil), l.ring...)
+	return l.ring.oldestFirst(nil)
 }
 
 // ByTrace returns the recorded events tagged with the given trace ID,
@@ -82,11 +109,5 @@ func (l *EventLog) ByTrace(trace string) []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Event
-	for _, e := range l.ring {
-		if e.Trace == trace {
-			out = append(out, e)
-		}
-	}
-	return out
+	return l.ring.oldestFirst(func(e *Event) bool { return e.Trace == trace })
 }

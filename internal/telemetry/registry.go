@@ -98,15 +98,16 @@ func NewRegistry() *Registry {
 
 // lookup returns the family for name, creating it with the given kind
 // and help on first use. Invalid names and kind mismatches panic: both
-// are programming errors a test catches immediately.
+// are programming errors a test catches immediately. A name is checked
+// when its family is created, so a lookup that hits runs no regexp.
 func (r *Registry) lookup(name, help string, kind Kind) *family {
-	if !nameRE.MatchString(name) {
-		panic(fmt.Sprintf("telemetry: metric name %q violates the [a-z][a-z0-9_]* convention", name))
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
+		if !nameRE.MatchString(name) {
+			panic(fmt.Sprintf("telemetry: metric name %q violates the [a-z][a-z0-9_]* convention", name))
+		}
 		f = &family{name: name, help: help, kind: kind, byLabel: make(map[string]instrument)}
 		r.families[name] = f
 		return f
@@ -118,13 +119,18 @@ func (r *Registry) lookup(name, help string, kind Kind) *family {
 }
 
 // instrument resolves the (labels) series inside f, creating it with
-// mk on first use.
+// mk on first use; label names are checked then.
 func (f *family) instrument(labels []Label, mk func() instrument) instrument {
 	key := renderLabels(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if inst, ok := f.byLabel[key]; ok {
 		return inst
+	}
+	for _, l := range labels {
+		if !nameRE.MatchString(l.Key) {
+			panic(fmt.Sprintf("telemetry: label name %q violates the [a-z][a-z0-9_]* convention", l.Key))
+		}
 	}
 	inst := mk()
 	f.byLabel[key] = inst
@@ -139,15 +145,19 @@ func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	size := 2
+	for _, l := range labels {
+		size += len(l.Key) + len(l.Value) + 4
+	}
+	if len(labels) > 1 {
+		sorted := append([]Label(nil), labels...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+		labels = sorted
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteByte('{')
-	for i, l := range ls {
-		if !nameRE.MatchString(l.Key) {
-			panic(fmt.Sprintf("telemetry: label name %q violates the [a-z][a-z0-9_]* convention", l.Key))
-		}
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}

@@ -238,12 +238,11 @@ func (s *Span) End(err error) {
 // ones for the /spans snapshot.
 type SpanLog struct {
 	epoch time.Time
-	cap   int
 
 	mu     sync.Mutex
 	nextID uint64
 	active int
-	ring   []SpanSnapshot // oldest..newest, len <= cap
+	ring   ring[SpanSnapshot]
 }
 
 // NewSpanLog creates a log retaining the last capacity completed spans
@@ -253,7 +252,7 @@ func NewSpanLog(epoch time.Time, capacity int) *SpanLog {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	return &SpanLog{epoch: epoch, cap: capacity}
+	return &SpanLog{epoch: epoch, ring: ring[SpanSnapshot]{cap: capacity}}
 }
 
 func (l *SpanLog) sinceEpoch(t time.Time) float64 {
@@ -294,11 +293,7 @@ func (l *SpanLog) complete(snap SpanSnapshot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.active--
-	if len(l.ring) == l.cap {
-		copy(l.ring, l.ring[1:])
-		l.ring = l.ring[:l.cap-1]
-	}
-	l.ring = append(l.ring, snap)
+	l.ring.add(snap)
 }
 
 // Active returns the number of spans started but not yet ended.
@@ -318,7 +313,7 @@ func (l *SpanLog) Snapshot() []SpanSnapshot {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]SpanSnapshot(nil), l.ring...)
+	return l.ring.oldestFirst(nil)
 }
 
 // ByTrace returns the completed spans tagged with the given trace ID,
@@ -329,11 +324,5 @@ func (l *SpanLog) ByTrace(trace string) []SpanSnapshot {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []SpanSnapshot
-	for _, s := range l.ring {
-		if s.TraceID == trace {
-			out = append(out, s)
-		}
-	}
-	return out
+	return l.ring.oldestFirst(func(s *SpanSnapshot) bool { return s.TraceID == trace })
 }

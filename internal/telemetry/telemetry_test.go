@@ -201,6 +201,54 @@ func TestSpanRingCapacity(t *testing.T) {
 	}
 }
 
+// TestSpanRingWraps fills the ring three times over, checking at every
+// step — before it is full, as it fills, and at each head position of
+// each lap — that Snapshot and ByTrace read oldest-first with
+// contiguous IDs and that in-flight spans stay out of it.
+func TestSpanRingWraps(t *testing.T) {
+	const capacity = 5
+	log := NewSpanLog(time.Now(), capacity)
+	open := log.Start("held", "", PhaseSetup)
+	for n := 1; n <= 3*capacity; n++ {
+		sp := log.Start("op", "", PhaseSetup) // span ID n+1: "held" took 1
+		if n%2 == 0 {
+			sp.SetTrace("00112233445566aa", "")
+		}
+		sp.End(nil)
+		snaps := log.Snapshot()
+		if want := min(n, capacity); len(snaps) != want {
+			t.Fatalf("after %d spans the ring holds %d, want %d", n, len(snaps), want)
+		}
+		for i, s := range snaps {
+			if want := uint64(n + 1 - len(snaps) + 1 + i); s.ID != want {
+				t.Fatalf("after %d spans Snapshot[%d].ID = %d, want %d", n, i, s.ID, want)
+			}
+		}
+		var traced []uint64
+		for _, s := range snaps {
+			if s.ID%2 == 1 { // the span of an even n
+				traced = append(traced, s.ID)
+			}
+		}
+		byTrace := log.ByTrace("00112233445566aa")
+		if len(byTrace) != len(traced) {
+			t.Fatalf("after %d spans ByTrace holds %d, want %d", n, len(byTrace), len(traced))
+		}
+		for i, s := range byTrace {
+			if s.ID != traced[i] {
+				t.Fatalf("after %d spans ByTrace[%d].ID = %d, want %d", n, i, s.ID, traced[i])
+			}
+		}
+		if log.Active() != 1 {
+			t.Fatalf("Active = %d, want 1", log.Active())
+		}
+	}
+	open.End(nil)
+	if log.Active() != 0 {
+		t.Fatalf("Active = %d after the last End", log.Active())
+	}
+}
+
 func TestLiveCounterBinning(t *testing.T) {
 	set := NewCounterSet(time.Now(), 0.05)
 	c := set.Counter("stripe0")

@@ -106,6 +106,44 @@ func TestEventLogRing(t *testing.T) {
 	}
 }
 
+// TestEventLogRingWraps is TestSpanRingWraps for the flight recorder:
+// three laps of the ring, Snapshot and ByTrace oldest-first with
+// contiguous Seq at every head position.
+func TestEventLogRingWraps(t *testing.T) {
+	const capacity = 5
+	log := NewEventLog(time.Now(), capacity)
+	for n := 1; n <= 3*capacity; n++ {
+		trace := ""
+		if n%2 == 0 {
+			trace = "00112233445566aa"
+		}
+		log.Add(trace, "kind", fmt.Sprintf("ev%d", n))
+		evs := log.Snapshot()
+		if want := min(n, capacity); len(evs) != want {
+			t.Fatalf("after %d events the ring holds %d, want %d", n, len(evs), want)
+		}
+		var traced []uint64
+		for i, e := range evs {
+			want := uint64(n - len(evs) + 1 + i)
+			if e.Seq != want || e.Detail != fmt.Sprintf("ev%d", want) {
+				t.Fatalf("after %d events Snapshot[%d] = seq %d %q, want seq %d", n, i, e.Seq, e.Detail, want)
+			}
+			if e.Seq%2 == 0 {
+				traced = append(traced, e.Seq)
+			}
+		}
+		byTrace := log.ByTrace("00112233445566aa")
+		if len(byTrace) != len(traced) {
+			t.Fatalf("after %d events ByTrace holds %d, want %d", n, len(byTrace), len(traced))
+		}
+		for i, e := range byTrace {
+			if e.Seq != traced[i] {
+				t.Fatalf("after %d events ByTrace[%d].Seq = %d, want %d", n, i, e.Seq, traced[i])
+			}
+		}
+	}
+}
+
 func TestHealthzComponents(t *testing.T) {
 	hub := NewHub()
 	hub.RegisterHealth("store", func() error { return nil })
