@@ -51,7 +51,7 @@ check:
 FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
-	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion \
+	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
 	pacing:FuzzBucketRefill
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -332,3 +332,28 @@ func TestDirStoreStreamPutterViaSharedHelper(t *testing.T) {
 		t.Fatalf("Size=%d, want %d", n, len(want))
 	}
 }
+
+// TestDirStorePutRegionRejectsRewrite pins the PutRegion contract
+// MemStore shares: a region that does not start at the watermark is
+// refused, and the put goes on to commit exactly what was appended.
+func TestDirStorePutRegionRejectsRewrite(t *testing.T) {
+	d := newTestDirStore(t)
+	v1 := bytes.Repeat([]byte{1}, 1000)
+	if err := d.BeginPut("obj", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutRegion("obj", 0, v1); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 999, 1001} {
+		if err := d.PutRegion("obj", off, []byte{9}); err == nil {
+			t.Fatalf("PutRegion at %d of a 1000-byte partial accepted", off)
+		}
+	}
+	if err := d.FinishPut("obj", int64(len(v1))); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Get("obj"); err != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("a refused region reached the object (err=%v)", err)
+	}
+}

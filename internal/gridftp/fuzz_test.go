@@ -182,7 +182,9 @@ func errClass(err error) error {
 // tails must be either delivered contiguously or rejected — never
 // panic, never deliver a byte twice, never deliver out of order. After
 // every Place the assembler must agree with windowModel on the sink's
-// content, every counter and the error class.
+// content, every counter and the error class. Every input runs at three
+// windows: one presence-map word (64), a ring that ends mid-word (200),
+// and one whose blocks span many words (1000).
 func FuzzWindowAssembler(f *testing.F) {
 	// Encoded op stream: each 5 bytes are [offLo offHi lenLo lenHi fill].
 	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 16, 0, 16, 0, 2})
@@ -199,62 +201,73 @@ func FuzzWindowAssembler(f *testing.F) {
 	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 8, 0, 16, 0, 2})
 	f.Add(uint16(0), []byte{0, 0, 48, 0, 1, 56, 0, 16, 0, 3, 48, 0, 8, 0, 2,
 		72, 0, 40, 0, 4, 120, 0, 16, 0, 6, 112, 0, 8, 0, 5})
+	// The shapes the word-wide presence walk divides on: a parked block
+	// straddling a word boundary (60..70), and a parked run that wraps
+	// the 200-byte ring (180..240) released by the block before it.
+	f.Add(uint16(0), []byte{60, 0, 10, 0, 2, 0, 0, 60, 0, 1})
+	f.Add(uint16(0), []byte{0, 0, 150, 0, 1, 180, 0, 60, 0, 3, 150, 0, 30, 0, 2})
 	f.Fuzz(func(t *testing.T, base uint16, ops []byte) {
-		const window = 64
-		var out bytes.Buffer
-		asm, err := NewWindowAssembler(&out, uint64(base), -1, window, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Offsets are 16-bit and lengths 9-bit, so 1<<17 covers every
-		// byte a block can name.
-		model := &windowModel{base: uint64(base), flushed: uint64(base), window: window,
-			buf: make([]byte, 1<<17), present: make([]bool, 1<<17)}
-		for len(ops) >= 5 {
-			// Offsets roam below base, around the window, and far past
-			// it; lengths reach a few windows so the block-larger-than-
-			// window rejection is exercised too.
-			off := uint64(ops[0]) | uint64(ops[1])<<8
-			n := int(ops[2]) | int(ops[3]&1)<<8
-			fill := ops[4]
-			ops = ops[5:]
-			data := bytes.Repeat([]byte{fill}, n)
-			// Any outcome is fine — ErrWindowFull, ErrDataProtocol for
-			// below-base or oversized blocks — as long as it is the
-			// model's outcome, the invariants below survive and nothing
-			// panics.
-			got, want := errClass(asm.Place(Block{Offset: off, Data: data})), model.place(off, data)
-			if got != want {
-				t.Fatalf("Place [%d,+%d): err %v, model %v", off, n, got, want)
-			}
-			if !bytes.Equal(out.Bytes(), model.sink) {
-				t.Fatalf("Place [%d,+%d): sink holds %x, model %x", off, n, out.Bytes(), model.sink)
-			}
-			if asm.Flushed() != model.flushed || asm.Delivered() != int64(len(model.sink)) ||
-				asm.WireBytes() != model.wire || asm.DuplicateBytes() != model.dup {
-				t.Fatalf("Place [%d,+%d): flushed=%d delivered=%d wire=%d dup=%d, model %d %d %d %d",
-					off, n, asm.Flushed(), asm.Delivered(), asm.WireBytes(), asm.DuplicateBytes(),
-					model.flushed, len(model.sink), model.wire, model.dup)
-			}
-		}
-		// Invariants that must hold whatever happened above.
-		if asm.Delivered() != int64(out.Len()) {
-			t.Fatalf("delivered=%d but sink holds %d", asm.Delivered(), out.Len())
-		}
-		if asm.WireBytes() < asm.Delivered() {
-			t.Fatalf("wire=%d < delivered=%d", asm.WireBytes(), asm.Delivered())
-		}
-		// Accepted-but-parked bytes are on the wire without being
-		// delivered or duplicate; they live in the window, so the gap is
-		// bounded by it. This is the bounded-memory guarantee itself.
-		if parked := asm.WireBytes() - asm.Delivered() - asm.DuplicateBytes(); parked < 0 || parked > window {
-			t.Fatalf("wire=%d delivered=%d dup=%d: parked %d outside [0,%d]",
-				asm.WireBytes(), asm.Delivered(), asm.DuplicateBytes(), parked, window)
-		}
-		if asm.Flushed() < uint64(base) {
-			t.Fatal("watermark regressed below base")
+		for _, window := range []int{64, 200, 1000} {
+			checkWindowOps(t, base, ops, window)
 		}
 	})
+}
+
+// checkWindowOps replays one FuzzWindowAssembler input against an
+// assembler with the given window and windowModel.
+func checkWindowOps(t *testing.T, base uint16, ops []byte, window int) {
+	var out bytes.Buffer
+	asm, err := NewWindowAssembler(&out, uint64(base), -1, window, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets are 16-bit and lengths 9-bit, so 1<<17 covers every
+	// byte a block can name.
+	model := &windowModel{base: uint64(base), flushed: uint64(base), window: uint64(window),
+		buf: make([]byte, 1<<17), present: make([]bool, 1<<17)}
+	for len(ops) >= 5 {
+		// Offsets roam below base, around the window, and far past it;
+		// lengths reach a few windows so the block-larger-than-window
+		// rejection is exercised too.
+		off := uint64(ops[0]) | uint64(ops[1])<<8
+		n := int(ops[2]) | int(ops[3]&1)<<8
+		fill := ops[4]
+		ops = ops[5:]
+		data := bytes.Repeat([]byte{fill}, n)
+		// Any outcome is fine — ErrWindowFull, ErrDataProtocol for
+		// below-base or oversized blocks — as long as it is the model's
+		// outcome, the invariants below survive and nothing panics.
+		got, want := errClass(asm.Place(Block{Offset: off, Data: data})), model.place(off, data)
+		if got != want {
+			t.Fatalf("window %d: Place [%d,+%d): err %v, model %v", window, off, n, got, want)
+		}
+		if !bytes.Equal(out.Bytes(), model.sink) {
+			t.Fatalf("window %d: Place [%d,+%d): sink holds %x, model %x", window, off, n, out.Bytes(), model.sink)
+		}
+		if asm.Flushed() != model.flushed || asm.Delivered() != int64(len(model.sink)) ||
+			asm.WireBytes() != model.wire || asm.DuplicateBytes() != model.dup {
+			t.Fatalf("window %d: Place [%d,+%d): flushed=%d delivered=%d wire=%d dup=%d, model %d %d %d %d",
+				window, off, n, asm.Flushed(), asm.Delivered(), asm.WireBytes(), asm.DuplicateBytes(),
+				model.flushed, len(model.sink), model.wire, model.dup)
+		}
+	}
+	// Invariants that must hold whatever happened above.
+	if asm.Delivered() != int64(out.Len()) {
+		t.Fatalf("window %d: delivered=%d but sink holds %d", window, asm.Delivered(), out.Len())
+	}
+	if asm.WireBytes() < asm.Delivered() {
+		t.Fatalf("window %d: wire=%d < delivered=%d", window, asm.WireBytes(), asm.Delivered())
+	}
+	// Accepted-but-parked bytes are on the wire without being delivered
+	// or duplicate; they live in the window, so the gap is bounded by it.
+	// This is the bounded-memory guarantee itself.
+	if parked := asm.WireBytes() - asm.Delivered() - asm.DuplicateBytes(); parked < 0 || parked > int64(window) {
+		t.Fatalf("window %d: wire=%d delivered=%d dup=%d: parked %d outside [0,%d]",
+			window, asm.WireBytes(), asm.Delivered(), asm.DuplicateBytes(), parked, window)
+	}
+	if asm.Flushed() < uint64(base) {
+		t.Fatalf("window %d: watermark regressed below base", window)
+	}
 }
 
 // FuzzParseHostPort hardens the FTP h1,h2,h3,h4,p1,p2 parser used by PORT

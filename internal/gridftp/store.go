@@ -1,7 +1,6 @@
 package gridftp
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -57,8 +56,10 @@ type SnapshotStore interface {
 // base onward, truncating any existing content to base — so after a
 // failed transfer the object's Size is exactly the delivered
 // high-water mark, which is what a resume-aware retry probes for its
-// REST offset. PutRegion appends/overwrites [off, off+len(p)); the
-// windowed receiver always calls it in ascending contiguous order.
+// REST offset. PutRegion appends [off, off+len(p)) at the watermark:
+// off is the object's current size, as the windowed receiver's
+// ascending contiguous flushes always are, and a region anywhere else
+// is refused.
 // FinishPut seals the object at its final size.
 type StreamPutter interface {
 	BeginPut(name string, base int64) error
@@ -80,24 +81,48 @@ type PutAborter interface {
 // MemStore is an in-memory Store, safe for concurrent use.
 type MemStore struct {
 	mu      sync.RWMutex
-	objects map[string][]byte
+	objects map[string]memObject
 }
+
+// memObject is one object's bytes as a list of chunks, each filled by
+// one Put or PutRegion copy. Bytes once in a chunk are never written
+// again: Put replaces the list, PutRegion appends (a small region into
+// the tail chunk's spare room, past every byte a reader can see), and
+// BeginPut truncates with the tail chunk's capacity pinned.
+type memObject struct {
+	chunks [][]byte
+	size   int64
+}
+
+// memChunkFloor is the smallest chunk PutRegion makes: a region below
+// it goes into the tail chunk's spare room, so a stream of tiny regions
+// costs a chunk per memChunkFloor bytes rather than one per region.
+const memChunkFloor = 64 << 10
 
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore {
-	return &MemStore{objects: make(map[string][]byte)}
+	return &MemStore{objects: make(map[string]memObject)}
+}
+
+// object returns the named object or ErrNotFound; the caller holds mu.
+func (m *MemStore) object(name string) (memObject, error) {
+	o, ok := m.objects[name]
+	if !ok {
+		return memObject{}, fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	return o, nil
 }
 
 // Get implements Store. The returned slice is a copy.
 func (m *MemStore) Get(name string) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	data, ok := m.objects[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	o, err := m.object(name)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
+	out := make([]byte, o.size)
+	o.readAt(out, 0)
 	return out, nil
 }
 
@@ -109,50 +134,75 @@ func (m *MemStore) Put(name string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	m.mu.Lock()
-	m.objects[name] = cp
+	m.objects[name] = memObject{chunks: [][]byte{cp}, size: int64(len(cp))}
 	m.mu.Unlock()
 	return nil
 }
 
-// SnapshotObject implements SnapshotStore without copying: the
-// returned reader aliases the stored slice, which stays immutable
-// because writers never scribble over a published array — Put swaps in
-// a fresh copy, and BeginPut pins the partial's capacity at its base
-// so the first PutRegion growth reallocates away from any aliased
-// array before bytes land.
+// SnapshotObject implements SnapshotStore without copying bytes: the
+// reader holds its own copy of the chunk list, whose chunks no later
+// write reaches (see memObject).
 func (m *MemStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	data, ok := m.objects[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+	o, err := m.object(name)
+	if err != nil {
+		return nil, 0, err
 	}
-	return bytes.NewReader(data), int64(len(data)), nil
+	o.chunks = append([][]byte(nil), o.chunks...)
+	return o, o.size, nil
 }
 
-// ReadObjectAt implements ReaderAtStore.
-func (m *MemStore) ReadObjectAt(name string, p []byte, off int64) (int, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	data, ok := m.objects[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+// ReadAt serves a snapshot with bytes.Reader's io.ReaderAt behaviour.
+func (o memObject) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("gridftp: negative snapshot offset")
 	}
-	if off < 0 || off > int64(len(data)) {
+	if off >= o.size {
 		return 0, io.EOF
 	}
-	n := copy(p, data[off:])
+	return o.readAt(p, off)
+}
+
+// readAt copies the bytes at off into p, across chunks; a read that
+// runs past the end (or starts there) is short, with io.EOF.
+func (o memObject) readAt(p []byte, off int64) (int, error) {
+	if off < 0 || off > o.size {
+		return 0, io.EOF
+	}
+	n := 0
+	for _, c := range o.chunks {
+		if n == len(p) {
+			break
+		}
+		if off >= int64(len(c)) {
+			off -= int64(len(c))
+			continue
+		}
+		n += copy(p[n:], c[off:])
+		off = 0
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
+// ReadObjectAt implements ReaderAtStore.
+func (m *MemStore) ReadObjectAt(name string, p []byte, off int64) (int, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	o, err := m.object(name)
+	if err != nil {
+		return 0, err
+	}
+	return o.readAt(p, off)
+}
+
 // BeginPut implements StreamPutter: the object is truncated to base so
 // its Size tracks the delivered watermark during a streaming STOR. The
-// full slice expression pins capacity at base on purpose — the first
-// region appended afterwards must reallocate, so arrays aliased by
-// earlier SnapshotObject readers are never written in place.
+// chunk the cut lands in keeps its bytes but loses its spare capacity,
+// so no later region is written over bytes an earlier snapshot reads.
 func (m *MemStore) BeginPut(name string, base int64) error {
 	if name == "" {
 		return errors.New("gridftp: empty object name")
@@ -162,46 +212,54 @@ func (m *MemStore) BeginPut(name string, base int64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data := m.objects[name]
-	if int64(len(data)) < base {
-		return fmt.Errorf("gridftp: restart offset %d beyond stored %d bytes", base, len(data))
+	o := m.objects[name]
+	if o.size < base {
+		return fmt.Errorf("gridftp: restart offset %d beyond stored %d bytes", base, o.size)
 	}
-	m.objects[name] = data[:base:base]
+	keep, rest := 0, base
+	for ; rest > 0; keep++ {
+		if c := o.chunks[keep]; int64(len(c)) >= rest {
+			o.chunks[keep] = c[:rest:rest]
+		}
+		rest -= int64(len(o.chunks[keep]))
+	}
+	clear(o.chunks[keep:]) // drop the cut chunks now, not when their slots are reused
+	o.chunks, o.size = o.chunks[:keep], base
+	m.objects[name] = o
 	return nil
 }
 
-// PutRegion implements StreamPutter. Regions must arrive in ascending
-// contiguous order from the BeginPut base, as the windowed receiver
-// flushes them — rewriting already-committed bytes would be visible to
-// concurrent SnapshotObject readers. Growth doubles the capacity so a
-// streaming STOR of an N-byte object copies O(N) total, not a full
-// object per flushed window.
+// PutRegion implements StreamPutter. A region must start at the
+// object's current size, as the windowed receiver flushes them;
+// rewriting committed bytes is refused. The region is copied once, into
+// a chunk of its own or, below memChunkFloor, the tail chunk's spare
+// room — nothing is copied again as the object grows.
 func (m *MemStore) PutRegion(name string, off int64, p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.objects[name]
+	o, ok := m.objects[name]
 	if !ok {
 		return fmt.Errorf("%w: %s (PutRegion before BeginPut)", ErrNotFound, name)
 	}
-	end := off + int64(len(p))
-	if off < 0 || off > int64(len(data)) {
-		return fmt.Errorf("gridftp: non-contiguous region at %d (have %d bytes)", off, len(data))
+	if off != o.size {
+		return fmt.Errorf("gridftp: non-contiguous region at %d (have %d bytes)", off, o.size)
 	}
-	if end > int64(len(data)) {
-		if end > int64(cap(data)) {
-			newCap := int64(cap(data)) * 2
-			if newCap < end {
-				newCap = end
-			}
-			grown := make([]byte, end, newCap)
-			copy(grown, data)
-			data = grown
-		} else {
-			data = data[:end]
-		}
+	if len(p) == 0 {
+		return nil
 	}
-	copy(data[off:end], p)
-	m.objects[name] = data
+	tail := len(o.chunks) - 1
+	switch {
+	case len(p) >= memChunkFloor:
+		c := make([]byte, len(p))
+		copy(c, p)
+		o.chunks = append(o.chunks, c)
+	case tail >= 0 && cap(o.chunks[tail])-len(o.chunks[tail]) >= len(p):
+		o.chunks[tail] = append(o.chunks[tail], p...)
+	default:
+		o.chunks = append(o.chunks, append(make([]byte, 0, memChunkFloor), p...))
+	}
+	o.size += int64(len(p))
+	m.objects[name] = o
 	return nil
 }
 
@@ -209,12 +267,12 @@ func (m *MemStore) PutRegion(name string, off int64, p []byte) error {
 func (m *MemStore) FinishPut(name string, size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.objects[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
+	o, err := m.object(name)
+	if err != nil {
+		return err
 	}
-	if int64(len(data)) != size {
-		return fmt.Errorf("gridftp: finish size %d, stored %d bytes", size, len(data))
+	if o.size != size {
+		return fmt.Errorf("gridftp: finish size %d, stored %d bytes", size, o.size)
 	}
 	return nil
 }
@@ -223,11 +281,8 @@ func (m *MemStore) FinishPut(name string, size int64) error {
 func (m *MemStore) Size(name string) (int64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	data, ok := m.objects[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return int64(len(data)), nil
+	o, err := m.object(name)
+	return o.size, err
 }
 
 // List implements Store.

@@ -3,12 +3,13 @@ package gridftp
 import (
 	"bytes"
 	"io"
+	"sync"
 	"testing"
 )
 
 // putRegions replays data into the store through the streaming-put
 // protocol in small ascending regions, the way the windowed receiver
-// flushes them, forcing several growth reallocations along the way.
+// flushes them.
 func putRegions(t *testing.T, s StreamPutter, name string, base int64, data []byte, region int) {
 	t.Helper()
 	if err := s.BeginPut(name, base); err != nil {
@@ -83,9 +84,10 @@ func TestMemStoreSnapshotSurvivesRewrite(t *testing.T) {
 	}
 }
 
-// TestMemStorePutRegionGrowthIsExact checks the amortized-growth path
-// byte-for-byte: tiny regions, sizes straddling the doubling
-// boundaries, and a final length that is not a multiple of anything.
+// TestMemStorePutRegionGrowthIsExact checks the chunked growth path
+// byte-for-byte: regions below the chunk floor filling a chunk and
+// spilling into the next, and a final length that is not a multiple of
+// anything.
 func TestMemStorePutRegionGrowthIsExact(t *testing.T) {
 	m := NewMemStore()
 	want := make([]byte, 123_457)
@@ -103,4 +105,71 @@ func TestMemStorePutRegionGrowthIsExact(t *testing.T) {
 	if n, _ := m.Size("obj"); n != int64(len(want)) {
 		t.Fatalf("Size=%d, want %d", n, len(want))
 	}
+}
+
+// TestMemStorePutRegionRejectsRewrite pins the PutRegion contract: a
+// region that does not start at the watermark is refused — below it, it
+// would rewrite bytes a held snapshot reads — and leaves the object and
+// the snapshot as they were.
+func TestMemStorePutRegionRejectsRewrite(t *testing.T) {
+	m := NewMemStore()
+	v1 := bytes.Repeat([]byte{1}, 1000)
+	putRegions(t, m, "obj", 0, v1, 300)
+	snap, size, err := m.SnapshotObject("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{0, 999, 1001} {
+		if err := m.PutRegion("obj", off, []byte{9}); err == nil {
+			t.Fatalf("PutRegion at %d of a 1000-byte object accepted", off)
+		}
+	}
+	if !bytes.Equal(readSnapshot(t, snap, size), v1) {
+		t.Fatal("a refused region reached the snapshot")
+	}
+	if got, err := m.Get("obj"); err != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("a refused region reached the object (err=%v)", err)
+	}
+}
+
+// TestMemStoreSnapshotsRaceWrites reads snapshots from several
+// goroutines while the writer appends small regions into the tail chunk
+// they share and BeginPut cuts it: run under -race, a snapshot must read
+// the same bytes every time, however the writes interleave.
+func TestMemStoreSnapshotsRaceWrites(t *testing.T) {
+	m := NewMemStore()
+	putRegions(t, m, "obj", 0, memPattern(1, 1000), 100)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, size, err := m.SnapshotObject("obj")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				first, again := make([]byte, size), make([]byte, size)
+				r.ReadAt(first, 0)
+				m.ReadObjectAt("obj", again, 0) // races the writer too; overwritten next
+				r.ReadAt(again, 0)
+				if !bytes.Equal(first, again) {
+					t.Error("a snapshot changed under a concurrent put")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		putRegions(t, m, "obj", int64(500+i%200), memPattern(byte(i), 300), 10)
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -287,4 +288,60 @@ func TestStreamStorOversizeRejectedBeforeParking(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("oversize rejection took %v: it parked instead of failing fast", d)
 	}
+}
+
+// TestStorAllocBudget is the tier-1 guard on what storing a byte costs:
+// a 16 MiB two-stream STOR into a MemStore server (1 MiB window, so the
+// ring does not dominate) allocates at most 1.3x the object across
+// client and server — one copy of the object plus the window and the
+// per-stream buffers — and 1 MiB written as 1-byte regions at most
+// 1.5 MiB. A store that grows by doubling reads about 2x on the first
+// and over 2 MiB on the second.
+func TestStorAllocBudget(t *testing.T) {
+	measure := func(op func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	t.Run("stor", func(t *testing.T) {
+		const size, stors = 16 << 20, 3
+		store := NewMemStore()
+		s := startServer(t, Config{Store: store, WindowSize: 1 << 20})
+		c := loginStream(t, s.Addr())
+		if err := c.SetParallelism(2); err != nil {
+			t.Fatal(err)
+		}
+		payload := randomPayload(size)
+		stor := func() {
+			if _, err := c.StorFrom(context.Background(), "up.bin", bytes.NewReader(payload), size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stor() // the first STOR registers the metric families
+		per := measure(func() {
+			for i := 0; i < stors; i++ {
+				stor()
+			}
+		}) / stors
+		if per > 1.3*size {
+			t.Errorf("a %d-byte STOR allocates %.0f bytes (%.2fx the object), budget 1.3x", size, per, per/size)
+		}
+		if got, err := store.Get("up.bin"); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("stored object differs (err=%v)", err)
+		}
+	})
+	t.Run("1-byte regions", func(t *testing.T) {
+		const size = 1 << 20
+		m := NewMemStore()
+		payload := randomPayload(size)
+		alloc := measure(func() { putRegions(t, m, "obj", 0, payload, 1) })
+		if alloc > 1.5*size {
+			t.Errorf("%d 1-byte regions allocate %.0f bytes, budget %d", size, alloc, 3*size/2)
+		}
+		if got, err := m.Get("obj"); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("stored object differs (err=%v)", err)
+		}
+	})
 }

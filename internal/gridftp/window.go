@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -45,7 +46,7 @@ type WindowAssembler struct {
 	sink io.Writer
 
 	win    []byte   // ring buffer, indexed by absolute offset % window; nil until a block parks
-	bits   []uint64 // presence bitmap over the same ring
+	bits   presence // presence bitmap over the same ring
 	window uint64
 
 	base    uint64 // region start: delivery begins here
@@ -178,15 +179,17 @@ func (a *WindowAssembler) placeLocked(b Block) error {
 		return a.failed
 	}
 	// The block parks or joins parked ones: copy it into the ring (at
-	// most two segments) and mark. The first such block makes the ring.
+	// most two segments, split where the ring wraps) and set its presence
+	// bits; those already set were in-window duplicates. The first such
+	// block makes the ring.
 	if a.win == nil {
 		a.win = make([]byte, a.window)
-		a.bits = make([]uint64, (a.window+63)/64)
+		a.bits = make(presence, (a.window+63)/64)
 	}
-	pos := off % a.window
-	first := copy(a.win[pos:], data)
-	copy(a.win, data[first:])
-	fresh := a.markLocked(off, uint64(len(data)))
+	lo, hi, rest := a.ringSpan(off, uint64(len(data)))
+	copy(a.win[lo:hi], data)
+	copy(a.win[:rest], data[hi-lo:])
+	fresh := a.bits.set(lo, hi) + a.bits.set(0, rest)
 	a.dup += int64(len(data)) - int64(fresh)
 	a.pending += uint64(fresh)
 	a.advanceLocked()
@@ -195,37 +198,14 @@ func (a *WindowAssembler) placeLocked(b Block) error {
 	return a.failed
 }
 
-// markLocked sets the presence bits for [off, off+n) and returns how
-// many were newly set (the rest were in-window duplicates).
-func (a *WindowAssembler) markLocked(off, n uint64) int {
-	fresh := 0
-	for i := uint64(0); i < n; {
-		pos := (off + i) % a.window
-		word, bit := pos/64, pos%64
-		// Whole-word fast path when aligned and fully covered.
-		if bit == 0 && n-i >= 64 && pos+64 <= a.window {
-			old := a.bits[word]
-			a.bits[word] = ^uint64(0)
-			fresh += 64 - popcount(old)
-			i += 64
-			continue
-		}
-		if a.bits[word]&(1<<bit) == 0 {
-			a.bits[word] |= 1 << bit
-			fresh++
-		}
-		i++
+// ringSpan maps the n ring positions from absolute offset off onto
+// the ring: [lo, hi) up to the wrap point, then [0, rest) past it.
+func (a *WindowAssembler) ringSpan(off, n uint64) (lo, hi, rest uint64) {
+	lo = off % a.window
+	if hi = lo + n; hi > a.window {
+		return lo, a.window, hi - a.window
 	}
-	return fresh
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return lo, hi, 0
 }
 
 // advanceLocked flushes the contiguous run at the watermark to the
@@ -235,20 +215,17 @@ func (a *WindowAssembler) advanceLocked() {
 	if run == 0 {
 		return
 	}
-	pos := a.flushed % a.window
-	seg := run
-	if pos+seg > a.window {
-		seg = a.window - pos
-	}
-	if err := a.writeSink(a.win[pos : pos+seg]); err != nil {
+	lo, hi, rest := a.ringSpan(a.flushed, run)
+	if err := a.writeSink(a.win[lo:hi]); err != nil {
 		return
 	}
-	if rest := run - seg; rest > 0 {
+	if rest > 0 {
 		if err := a.writeSink(a.win[:rest]); err != nil {
 			return
 		}
 	}
-	a.clearLocked(a.flushed, run)
+	a.bits.clear(lo, hi)
+	a.bits.clear(0, rest)
 	a.flushed += run
 	a.pending -= run
 	a.delivered += int64(run)
@@ -256,40 +233,82 @@ func (a *WindowAssembler) advanceLocked() {
 }
 
 // runLenLocked measures the contiguous present run starting at the
-// watermark, word-at-a-time where aligned.
+// watermark. It cannot exceed the pending bytes, so the scan stops there.
 func (a *WindowAssembler) runLenLocked() uint64 {
-	run := uint64(0)
-	for run < a.pending+a.window { // bounded scan
-		pos := (a.flushed + run) % a.window
-		word, bit := pos/64, pos%64
-		if bit == 0 && pos+64 <= a.window && a.bits[word] == ^uint64(0) {
-			run += 64
-			continue
-		}
-		if a.bits[word]&(1<<bit) == 0 {
-			break
-		}
-		run++
-	}
-	if run > a.window {
-		run = a.window
+	lo, hi, rest := a.ringSpan(a.flushed, a.pending)
+	run := a.bits.run(lo, hi)
+	if run == hi-lo {
+		run += a.bits.run(0, rest)
 	}
 	return run
 }
 
-// clearLocked clears the presence bits for [off, off+n).
-func (a *WindowAssembler) clearLocked(off, n uint64) {
-	for i := uint64(0); i < n; {
-		pos := (off + i) % a.window
-		word, bit := pos/64, pos%64
-		if bit == 0 && n-i >= 64 && pos+64 <= a.window {
-			a.bits[word] = 0
-			i += 64
+// presence is the ring's 1-bit-per-byte map, walked a 64-bit word at a
+// time: every range operation touches each word it covers once.
+type presence []uint64
+
+// word returns the index of the word holding bit lo, the mask of the
+// bits of [lo, hi) in that word, and the first bit past them.
+func (p presence) word(lo, hi uint64) (w, mask, next uint64) {
+	n := min(hi-lo, 64-lo%64)
+	return lo / 64, ^uint64(0) >> (64 - n) << (lo % 64), lo + n
+}
+
+// set sets bits [lo, hi) and returns how many of them were clear:
+// masks for a partial first and last word, whole words between them
+// filled in one pass.
+func (p presence) set(lo, hi uint64) int {
+	fresh := 0
+	for lo < hi {
+		if lo%64 == 0 && hi-lo >= 64 {
+			ws := p[lo/64 : hi/64]
+			for i, w := range ws {
+				fresh += bits.OnesCount64(^w)
+				ws[i] = ^uint64(0)
+			}
+			lo += uint64(len(ws)) * 64
 			continue
 		}
-		a.bits[word] &^= 1 << bit
-		i++
+		w, mask, next := p.word(lo, hi)
+		fresh += bits.OnesCount64(mask &^ p[w])
+		p[w] |= mask
+		lo = next
 	}
+	return fresh
+}
+
+// clear clears bits [lo, hi): masks for a partial first and last word,
+// whole words between them at once.
+func (p presence) clear(lo, hi uint64) {
+	for lo < hi {
+		if lo%64 == 0 && hi-lo >= 64 {
+			ws := p[lo/64 : hi/64]
+			clear(ws)
+			lo += uint64(len(ws)) * 64
+			continue
+		}
+		w, mask, next := p.word(lo, hi)
+		p[w] &^= mask
+		lo = next
+	}
+}
+
+// run returns the length of the run of set bits starting at lo,
+// counting no further than hi.
+func (p presence) run(lo, hi uint64) uint64 {
+	if lo == hi {
+		return 0
+	}
+	first := lo / 64
+	for w, x := range p[first : (hi+63)/64] {
+		if w == 0 {
+			x |= 1<<(lo%64) - 1 // the bits below lo do not end the run
+		}
+		if x != ^uint64(0) {
+			return min((first+uint64(w))*64+uint64(bits.TrailingZeros64(^x)), hi) - lo
+		}
+	}
+	return hi - lo
 }
 
 // writeSink forwards one flushed segment; a sink failure fails the

@@ -410,3 +410,54 @@ func TestWindowInOrderNeverBuffers(t *testing.T) {
 		})
 	}
 }
+
+// TestPresenceRangesMatchPerBit holds the presence map's three range
+// walks (set, clear, run) to a bit-at-a-time reference for every
+// (lo, hi) over maps of one to three words, from an empty, a full, a
+// random and a mostly-full starting map.
+func TestPresenceRangesMatchPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bit := func(p presence, i uint64) bool { return p[i/64]>>(i%64)&1 == 1 }
+	for words := 1; words <= 3; words++ {
+		n := uint64(words) * 64
+		empty, full, random, mostly := make(presence, words), make(presence, words), make(presence, words), make(presence, words)
+		for i := uint64(0); i < n; i++ {
+			full[i/64] |= 1 << (i % 64)
+			if rng.Intn(2) == 0 {
+				random[i/64] |= 1 << (i % 64)
+			}
+			if rng.Intn(40) != 0 {
+				mostly[i/64] |= 1 << (i % 64)
+			}
+		}
+		for _, start := range []presence{empty, full, random, mostly} {
+			for lo := uint64(0); lo <= n; lo++ {
+				for hi := lo; hi <= n; hi++ {
+					set, cleared := append(presence(nil), start...), append(presence(nil), start...)
+					fresh := set.set(lo, hi)
+					cleared.clear(lo, hi)
+					wantFresh, wantRun := 0, uint64(0)
+					for i := lo; i < hi && bit(start, i); i++ {
+						wantRun++
+					}
+					for i := uint64(0); i < n; i++ {
+						in := lo <= i && i < hi
+						if in && !bit(start, i) {
+							wantFresh++
+						}
+						if bit(set, i) != (bit(start, i) || in) || bit(cleared, i) != (bit(start, i) && !in) {
+							t.Fatalf("%d words, [%d,%d): bit %d after set=%v clear=%v, start %v",
+								words, lo, hi, i, bit(set, i), bit(cleared, i), bit(start, i))
+						}
+					}
+					if fresh != wantFresh {
+						t.Fatalf("%d words, set [%d,%d) reported %d fresh bits, want %d", words, lo, hi, fresh, wantFresh)
+					}
+					if got := start.run(lo, hi); got != wantRun {
+						t.Fatalf("%d words, run [%d,%d) = %d, want %d", words, lo, hi, got, wantRun)
+					}
+				}
+			}
+		}
+	}
+}
