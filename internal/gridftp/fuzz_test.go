@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // frameHeader builds a bare MODE E header announcing count payload bytes
@@ -118,6 +119,130 @@ func FuzzReadBlockInto(f *testing.F) {
 	})
 }
 
+// cutReader hands out its bytes in reads no longer than the next of
+// its cut sizes, cycling through them.
+type cutReader struct {
+	r    io.Reader
+	cuts []byte
+	i    int
+}
+
+func (c *cutReader) Read(p []byte) (int, error) {
+	if len(c.cuts) > 0 {
+		n := int(c.cuts[c.i%len(c.cuts)])%64 + 1
+		c.i++
+		p = p[:min(len(p), n)]
+	}
+	return c.r.Read(p)
+}
+
+// countingReader counts the bytes read through it and its Read calls.
+type countingReader struct {
+	r     io.Reader
+	n     int
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	c.reads++
+	return n, err
+}
+
+// readClass folds a frame read error onto the outcomes a receiver
+// tells apart.
+func readClass(err error) error {
+	for _, class := range []error{io.EOF, io.ErrUnexpectedEOF, ErrDataProtocol} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+// FuzzFrameReader holds the data connections' frame reader to repeated
+// ReadBlockInto on the same bytes: the same blocks and the same error
+// class, whatever sizes the stream arrives in — a byte at a time, half
+// reads, the error riding the last data, fuzzed cuts — and never
+// more consumed past the last frame it returned than its buffer holds:
+// minIOBytes, or the largest frame so far and the next header.
+func FuzzFrameReader(f *testing.F) {
+	frames := func(bs ...Block) []byte {
+		var buf bytes.Buffer
+		for _, b := range bs {
+			WriteBlock(&buf, b)
+		}
+		return buf.Bytes()
+	}
+	f.Add(frames(Block{Data: []byte("hello")}, Block{Desc: DescEOD}), []byte{3})
+	f.Add(frames(Block{Data: []byte("first")}, Block{Offset: 5, Data: []byte("second!")},
+		Block{Offset: 12, Data: []byte("x")}, Block{Desc: DescEOD}), []byte{1, 17, 40, 5})
+	// Bytes after an EOD are never returned.
+	f.Add(append(frames(Block{Data: []byte("abc")}, Block{Desc: DescEOD}), "next transfer"...), []byte{63})
+	f.Add(frames(Block{Desc: DescEOD | DescEOF, Data: []byte("tail")}, Block{Data: []byte("z")}), []byte{})
+	f.Add(frames(Block{Data: make([]byte, 300)}, Block{}, Block{Offset: 300, Data: make([]byte, 2)}), []byte{16, 0})
+	f.Add([]byte{}, []byte{})
+	f.Add(append(frames(Block{Data: []byte("abc")}), frameHeader(4<<10, 0)[:9]...), []byte{9})
+	f.Add(append(frames(Block{Data: []byte("abc")}), truncatedFrame(64, 10)...), []byte{2})
+	f.Add(append(frames(Block{Data: []byte("abc")}), frameHeader(maxBlock+1, 0)...), []byte{20})
+	f.Add(frameHeader(8, 0), []byte{})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		// The reference: ReadBlockInto until it fails.
+		var want []Block
+		var wantErr error
+		ref := bytes.NewReader(data)
+		var scratch []byte
+		for {
+			var b Block
+			b, scratch, wantErr = ReadBlockInto(ref, scratch)
+			if wantErr != nil {
+				break
+			}
+			b.Data = bytes.Clone(b.Data)
+			want = append(want, b)
+		}
+		for _, shape := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"one byte", iotest.OneByteReader},
+			{"half", iotest.HalfReader},
+			{"data+err", iotest.DataErrReader},
+			{"cut", func(r io.Reader) io.Reader { return &cutReader{r: r, cuts: cuts} }},
+		} {
+			// Counted above the shaping reader: DataErrReader reads
+			// ahead of what it hands out.
+			src := &countingReader{r: shape.wrap(bytes.NewReader(data))}
+			fr := frameReader{r: src}
+			end := 0     // stream offset just past the last returned frame
+			largest := 0 // largest frame returned, header included
+			for i := 0; ; i++ {
+				b, err := fr.next()
+				if err != nil {
+					if i != len(want) || readClass(err) != readClass(wantErr) {
+						t.Fatalf("%s: frame %d: err %v, ReadBlockInto gave %d frames then %v",
+							shape.name, i, err, len(want), wantErr)
+					}
+					break
+				}
+				if i >= len(want) {
+					t.Fatalf("%s: frame %d past ReadBlockInto's %d", shape.name, i, len(want))
+				}
+				if w := want[i]; b.Desc != w.Desc || b.Offset != w.Offset || !bytes.Equal(b.Data, w.Data) {
+					t.Fatalf("%s: frame %d differs from ReadBlockInto's", shape.name, i)
+				}
+				end += modeEHeaderLen + len(b.Data)
+				largest = max(largest, modeEHeaderLen+len(b.Data))
+				if src.n-end > max(minIOBytes, largest+modeEHeaderLen) {
+					t.Fatalf("%s: frame %d ends at %d but %d bytes were consumed", shape.name, i, end, src.n)
+				}
+			}
+		}
+	})
+}
+
 // windowModel is the reference FuzzWindowAssembler holds the assembler
 // to: a flat array over absolute offsets with one present flag per byte,
 // placed and delivered a byte at a time — no ring, no word-wide bitmap
@@ -206,6 +331,14 @@ func FuzzWindowAssembler(f *testing.F) {
 	// the 200-byte ring (180..240) released by the block before it.
 	f.Add(uint16(0), []byte{60, 0, 10, 0, 2, 0, 0, 60, 0, 1})
 	f.Add(uint16(0), []byte{0, 0, 150, 0, 1, 180, 0, 60, 0, 3, 150, 0, 30, 0, 2})
+	// A block at the watermark goes straight to the sink even while
+	// others are parked, clearing the parked duplicates it covers:
+	// covering two parked runs whole, covering one in part, and
+	// covering parked runs that wrap the 200- and 1000-byte rings.
+	f.Add(uint16(0), []byte{16, 0, 16, 0, 2, 40, 0, 8, 0, 3, 0, 0, 48, 0, 1})
+	f.Add(uint16(0), []byte{8, 0, 16, 0, 2, 32, 0, 8, 0, 4, 0, 0, 12, 0, 1, 12, 0, 20, 0, 5})
+	f.Add(uint16(0), []byte{0, 0, 150, 0, 1, 190, 0, 40, 0, 3, 150, 0, 90, 0, 2})
+	f.Add(uint16(0), []byte{0, 0, 0xF4, 1, 1, 0xF4, 1, 0x90, 1, 1, 0xE8, 3, 200, 0, 3, 0x84, 3, 0x90, 1, 2})
 	f.Fuzz(func(t *testing.T, base uint16, ops []byte) {
 		for _, window := range []int{64, 200, 1000} {
 			checkWindowOps(t, base, ops, window)

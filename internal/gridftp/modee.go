@@ -47,12 +47,18 @@ type Block struct {
 	Data   []byte // nil for pure control frames (EOD, EODC)
 }
 
+// putHeader writes the MODE E header of a frame carrying count payload
+// bytes at offset into hdr[:modeEHeaderLen].
+func putHeader(hdr []byte, desc byte, count int, offset uint64) {
+	hdr[0] = desc
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(count))
+	binary.BigEndian.PutUint64(hdr[9:17], offset)
+}
+
 // WriteBlock writes one MODE E frame to w.
 func WriteBlock(w io.Writer, b Block) error {
 	var hdr [modeEHeaderLen]byte
-	hdr[0] = b.Desc
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(b.Data)))
-	binary.BigEndian.PutUint64(hdr[9:17], b.Offset)
+	putHeader(hdr[:], b.Desc, len(b.Data), b.Offset)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -68,6 +74,16 @@ func WriteBlock(w io.Writer, b Block) error {
 // block sizes of 64 KiB–4 MiB, so anything larger indicates corruption.
 const maxBlock = 64 << 20
 
+// parseHeader decodes a MODE E header into its block (Data unset) and
+// payload length, rejecting lengths past maxBlock.
+func parseHeader(hdr []byte) (Block, int, error) {
+	count := binary.BigEndian.Uint64(hdr[1:9])
+	if count > maxBlock {
+		return Block{}, 0, fmt.Errorf("%w: block of %d bytes", ErrDataProtocol, count)
+	}
+	return Block{Desc: hdr[0], Offset: binary.BigEndian.Uint64(hdr[9:17])}, int(count), nil
+}
+
 // ReadBlock reads one MODE E frame from r. The returned Data is freshly
 // allocated and owned by the caller.
 func ReadBlock(r io.Reader) (Block, error) {
@@ -77,21 +93,20 @@ func ReadBlock(r io.Reader) (Block, error) {
 
 // ReadBlockInto reads one MODE E frame using scratch as the payload
 // buffer, growing it as needed; the returned Block's Data aliases the
-// returned scratch and is valid only until the next call. Receivers
-// that copy payloads out immediately (window reassembly on both
-// endpoints) use it to avoid a per-frame allocation.
+// returned scratch and is valid only until the next call. It reads
+// exactly one frame and nothing past it; the transfer engines read
+// their data connections through a frameReader instead.
 func ReadBlockInto(r io.Reader, scratch []byte) (Block, []byte, error) {
 	var hdr [modeEHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Block{}, scratch, err
 	}
-	count := binary.BigEndian.Uint64(hdr[1:9])
-	if count > maxBlock {
-		return Block{}, scratch, fmt.Errorf("%w: block of %d bytes", ErrDataProtocol, count)
+	b, count, err := parseHeader(hdr[:])
+	if err != nil {
+		return Block{}, scratch, err
 	}
-	b := Block{Desc: hdr[0], Offset: binary.BigEndian.Uint64(hdr[9:17])}
 	if count > 0 {
-		if uint64(cap(scratch)) < count {
+		if cap(scratch) < count {
 			scratch = make([]byte, count)
 		}
 		b.Data = scratch[:count]
@@ -100,6 +115,74 @@ func ReadBlockInto(r io.Reader, scratch []byte) (Block, []byte, error) {
 		}
 	}
 	return b, scratch, nil
+}
+
+// payloadAt is where a frame's payload starts in a frame buffer, its
+// header just before it at hdrAt, so senders send a frame in one Write.
+// It is 64-byte aligned: payloads are copied whole (out of a store, into
+// the window or a store), markedly slower at an unaligned address.
+// minIOBytes is what a data connection moves per Write or Read when
+// blocks are smaller, so small blocks do not multiply the syscalls.
+const (
+	payloadAt  = 64
+	hdrAt      = payloadAt - modeEHeaderLen
+	minIOBytes = 64 << 10
+)
+
+// framesPerWrite is how many blockSize frames a sender packs into one
+// Write: enough for minIOBytes, and one for blocks that large.
+func framesPerWrite(blockSize int) int { return max(1, minIOBytes/blockSize) }
+
+// frameReader reads a data connection's MODE E frames through one
+// buffer, of the largest frame plus a header or of minIOBytes, that is
+// both read-ahead and payload: each payload is returned in place, valid
+// until the next call; its blocks and errors are those of ReadBlockInto.
+type frameReader struct {
+	r     io.Reader
+	buf   []byte // buf[at:n] is read but not yet returned
+	at, n int
+}
+
+func (f *frameReader) next() (Block, error) {
+	if err := f.fill(0, modeEHeaderLen); err != nil {
+		return Block{}, err
+	}
+	b, count, err := parseHeader(f.buf[f.at:])
+	if err == nil {
+		err = f.fill(modeEHeaderLen, modeEHeaderLen+count)
+	}
+	if err != nil {
+		return Block{}, err
+	}
+	f.at += modeEHeaderLen + count
+	if count > 0 {
+		b.Data = f.buf[f.at-count : f.at]
+	}
+	return b, nil
+}
+
+// fill reads until buf[at:n] holds need bytes of the current frame;
+// running out after exactly from of them is io.EOF, as in ReadBlockInto.
+func (f *frameReader) fill(from, need int) error {
+	if f.n-f.at >= need {
+		return nil
+	}
+	if f.at+need+modeEHeaderLen > len(f.buf) {
+		// Move the unread bytes to hdrAt, the buffer doubled up to
+		// minIOBytes and grown to fit the frame and a header.
+		buf := f.buf
+		if size := max(min(2*len(buf), minIOBytes), hdrAt+need+modeEHeaderLen); size > len(buf) {
+			buf = make([]byte, size)
+		}
+		f.n = hdrAt + copy(buf[hdrAt:], f.buf[f.at:f.n])
+		f.at, f.buf = hdrAt, buf
+	}
+	m, err := io.ReadAtLeast(f.r, f.buf[f.n:], need-(f.n-f.at))
+	if err == io.EOF && f.n-f.at > from {
+		err = io.ErrUnexpectedEOF
+	}
+	f.n += m
+	return err
 }
 
 // Assembler reassembles MODE E blocks arriving over any number of data
@@ -157,8 +240,9 @@ func (a *Assembler) Bytes() []byte { return a.buf }
 // until EOD. It returns the number of payload bytes received.
 func (a *Assembler) DrainConn(r io.Reader) (int64, error) {
 	var n int64
+	fr := frameReader{r: r}
 	for {
-		b, err := ReadBlock(r)
+		b, err := fr.next()
 		if err != nil {
 			return n, err
 		}

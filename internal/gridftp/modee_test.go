@@ -152,3 +152,52 @@ func TestDrainConnStopsAtEOD(t *testing.T) {
 		t.Error("assembler should not be complete")
 	}
 }
+
+// TestFrameReaderReadSizes pins how a frame reader reads a stream that
+// arrives whole: small frames share reads once its buffer has doubled
+// up to minIOBytes, and large ones take one read each through a buffer
+// no larger than one frame and the next header, its payloads at
+// payloadAt.
+func TestFrameReaderReadSizes(t *testing.T) {
+	for _, tc := range []struct {
+		block, blocks int
+		maxReads      int
+		bufLen        int
+	}{
+		// 256 KiB of 1 KiB frames: the buffer doubles up to 64 KiB,
+		// then four reads of it drain the rest.
+		{1 << 10, 256, 12, minIOBytes},
+		// A 64 KiB object (a small_files job): the header, then the
+		// frame with the EOD behind it.
+		{64 << 10, 1, 2, payloadAt + 64<<10 + modeEHeaderLen},
+		// Four 256 KiB frames: one read each after the first header.
+		{256 << 10, 4, 5, payloadAt + 256<<10 + modeEHeaderLen},
+	} {
+		var stream bytes.Buffer
+		for i := 0; i < tc.blocks; i++ {
+			WriteBlock(&stream, Block{Offset: uint64(i * tc.block), Data: make([]byte, tc.block)})
+		}
+		WriteBlock(&stream, Block{Desc: DescEOD})
+		src := &countingReader{r: bytes.NewReader(stream.Bytes())}
+		fr := frameReader{r: src}
+		for i := 0; ; i++ {
+			b, err := fr.next()
+			if err != nil {
+				t.Fatalf("block %d: frame %d: %v", tc.block, i, err)
+			}
+			if b.Desc&DescEOD != 0 {
+				if i != tc.blocks {
+					t.Fatalf("block %d: EOD after %d frames, want %d", tc.block, i, tc.blocks)
+				}
+				break
+			}
+			if tc.block >= minIOBytes && &b.Data[0] != &fr.buf[payloadAt] {
+				t.Fatalf("block %d: frame %d payload not at payloadAt", tc.block, i)
+			}
+		}
+		if src.reads > tc.maxReads || len(fr.buf) != tc.bufLen {
+			t.Errorf("block %d: %d reads through a %d-byte buffer, want at most %d through %d",
+				tc.block, src.reads, len(fr.buf), tc.maxReads, tc.bufLen)
+		}
+	}
+}

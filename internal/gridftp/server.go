@@ -146,9 +146,13 @@ type Server struct {
 	closed  atomic.Bool
 	shards  [nConnShards]connShard
 
-	mu   sync.Mutex // guards logs only
-	logs []usagestats.Record
+	mu      sync.Mutex          // guards logs and logHead only
+	logs    []usagestats.Record // ring of the last maxLogRecords, oldest at logHead once full
+	logHead int
 }
+
+// maxLogRecords is how many transfer records a server keeps.
+const maxLogRecords = 1024
 
 // addConn registers a session connection into its shard; false means
 // the server is closing and the connection must not be served.
@@ -285,13 +289,13 @@ func Serve(cfg Config) (*Server, error) {
 // Addr returns the control-channel address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Records returns a snapshot of the transfer log.
+// Records returns the last maxLogRecords transfer records, oldest first.
 func (s *Server) Records() []usagestats.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]usagestats.Record, len(s.logs))
-	copy(out, s.logs)
-	return out
+	out := make([]usagestats.Record, 0, len(s.logs))
+	out = append(out, s.logs[s.logHead:]...)
+	return append(out, s.logs[:s.logHead]...)
 }
 
 // Close stops the server and waits for in-flight sessions.
@@ -1145,11 +1149,7 @@ func (sess *session) cmdRetr(name string, offset, length int64) {
 		bs := sess.srv.cfg.BlockSize
 		return direction{
 			pump: func(i, n int, c net.Conn) error {
-				bw := bufio.NewWriterSize(c, 64<<10)
-				if err := sendStoreRegion(src, bw, offset, regionLen, bs, i*bs, n*bs); err != nil {
-					return err
-				}
-				return bw.Flush()
+				return sendStoreRegion(src, c, offset, regionLen, bs, i*bs, n*bs)
 			},
 			done: func(code int, msg string) (int, string) {
 				release()
@@ -1167,9 +1167,8 @@ func (sess *session) cmdRetr(name string, offset, length int64) {
 // region-relative offsets base, base+step, base+2*step, ... each
 // carrying up to blockSize bytes framed at absolute file offsets (a
 // stripe with base=i*blockSize, step=n*blockSize sends every n-th
-// block). A final EOD frame closes the connection's data stream. One
-// buffer the size of the stripe's first — its largest — block is the
-// whole memory footprint; a stripe with no block has none.
+// block). Frames are built in place in one buffer sized by the first
+// (largest) block, framesPerWrite to a Write, the last with the EOD.
 func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize, base, step int) error {
 	if blockSize <= 0 {
 		return fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
@@ -1177,27 +1176,31 @@ func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize
 	if base < 0 || step <= 0 {
 		return fmt.Errorf("%w: bad stripe geometry base=%d step=%d", ErrDataProtocol, base, step)
 	}
-	var buf []byte
-	if rem := length - int64(base); rem > 0 {
-		buf = make([]byte, min(int64(blockSize), rem))
-	}
-	for off := int64(base); off < length; off += int64(step) {
-		n := int64(blockSize)
-		if rem := length - off; n > rem {
-			n = rem
-		}
-		m, err := s.ReadAt(buf[:n], offset+off)
+	rem := max(length-int64(base), 0)
+	batch := max(1, min(int64(framesPerWrite(blockSize)), (rem+int64(step)-1)/int64(step)))
+	buf := make([]byte, hdrAt+batch*(modeEHeaderLen+min(int64(blockSize), rem))+modeEHeaderLen)
+	end := hdrAt
+	for off, k := int64(base), int64(1); off < length; off, k = off+int64(step), k+1 {
+		n := min(int64(blockSize), length-off)
+		m, err := s.ReadAt(buf[end+modeEHeaderLen:end+modeEHeaderLen+int(n)], offset+off)
 		if int64(m) < n {
 			if err == nil || err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return fmt.Errorf("gridftp: short store read at %d: %w", offset+off, err)
 		}
-		if err := WriteBlock(w, Block{Offset: uint64(offset + off), Data: buf[:n]}); err != nil {
-			return err
+		putHeader(buf[end:], 0, int(n), uint64(offset+off))
+		end += modeEHeaderLen + int(n)
+		if k%batch == 0 && off+int64(step) < length {
+			if _, err := w.Write(buf[hdrAt:end]); err != nil {
+				return err
+			}
+			end = hdrAt
 		}
 	}
-	return WriteBlock(w, Block{Desc: DescEOD})
+	putHeader(buf[end:], DescEOD, 0, 0)
+	_, err := w.Write(buf[hdrAt : end+modeEHeaderLen])
+	return err
 }
 
 // regionSink adapts a StreamPutter to the io.Writer a window assembler
@@ -1258,12 +1261,9 @@ func (sess *session) cmdStor(name string, offset int64) {
 		maxSize := uint64(srv.cfg.MaxObjectSize)
 		return direction{
 			pump: func(_, _ int, c net.Conn) error {
-				br := bufio.NewReaderSize(c, 64<<10)
-				var scratch []byte
+				fr := frameReader{r: c}
 				for {
-					var b Block
-					var err error
-					b, scratch, err = ReadBlockInto(br, scratch)
+					b, err := fr.next()
 					if err != nil {
 						return err
 					}
@@ -1342,7 +1342,12 @@ func (sess *session) logTransfer(tx *transferCtx, size int64, code int) {
 	srv := sess.srv
 	srv.met.usageRecords.Inc()
 	srv.mu.Lock()
-	srv.logs = append(srv.logs, rec)
+	if len(srv.logs) < maxLogRecords {
+		srv.logs = append(srv.logs, rec)
+	} else {
+		srv.logs[srv.logHead] = rec
+		srv.logHead = (srv.logHead + 1) % maxLogRecords
+	}
 	srv.mu.Unlock()
 	if srv.cfg.LogWriter != nil {
 		fmt.Fprintln(srv.cfg.LogWriter, rec.Marshal())

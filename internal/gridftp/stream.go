@@ -1,7 +1,6 @@
 package gridftp
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -221,7 +220,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		return TransferStats{}, err
 	}
 	err = c.pumpConns(ctx, addrs, token, sp, asm.Abort, func(conn net.Conn) error {
-		_, err := asm.DrainConn(bufio.NewReaderSize(conn, 64<<10))
+		_, err := asm.DrainConn(conn)
 		return err
 	})
 	stats = c.stats(asm.Delivered(), start, len(addrs), striped)
@@ -300,26 +299,32 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if blockSize < 4<<10 {
 		blockSize = 4 << 10
 	}
-	// The reader goroutine slices r into blocks and hands them to the
-	// sender goroutines; the free list caps in-flight buffers at two
-	// per stream, which is the upload path's whole memory budget.
+	// The reader goroutine frames framesPerWrite blocks of r in place in
+	// a buffer (the first payload at payloadAt) for a sender's one Write.
+	// The free list caps in-flight buffers at two per stream, the upload
+	// path's whole memory budget.
+	type batch struct {
+		buf     []byte
+		payload int
+	} // frames from hdrAt on
+	per := framesPerWrite(blockSize)
 	free := make(chan []byte, 2*n)
 	for i := 0; i < 2*n; i++ {
-		free <- make([]byte, blockSize)
+		free <- make([]byte, hdrAt+per*(modeEHeaderLen+blockSize))
 	}
-	chunks := make(chan Block, n)
+	frames := make(chan batch, n)
 	stopc := make(chan struct{})
 	var stopOnce sync.Once
 	stopSend := func() { stopOnce.Do(func() { close(stopc) }) }
 	var sent atomic.Int64
 	var readErr error
-	// readerDone closes before chunks (LIFO defers), so senders that
-	// drained a closed chunks channel are guaranteed to observe the
+	// readerDone closes before frames (LIFO defers), so senders that
+	// drained a closed frames channel are guaranteed to observe the
 	// reader's final readErr — a source read error can never be
 	// mistaken for a clean EOF.
 	readerDone := make(chan struct{})
 	go func() {
-		defer close(chunks)
+		defer close(frames)
 		defer close(readerDone)
 		pos := uint64(offset)
 		for {
@@ -329,11 +334,22 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 			case <-stopc:
 				return
 			}
-			m, err := io.ReadFull(r, buf)
-			if m > 0 {
-				select {
-				case chunks <- Block{Offset: pos, Data: buf[:m]}:
+			b := batch{buf: buf[:hdrAt]}
+			var err error
+			for k := 0; k < per && err == nil; k++ {
+				at := len(b.buf)
+				var m int
+				m, err = io.ReadFull(r, buf[at+modeEHeaderLen:at+modeEHeaderLen+blockSize])
+				if m > 0 {
+					putHeader(buf[at:], 0, m, pos)
+					b.buf = buf[:at+modeEHeaderLen+m]
+					b.payload += m
 					pos += uint64(m)
+				}
+			}
+			if b.payload > 0 {
+				select {
+				case frames <- b:
 				case <-stopc:
 					return
 				}
@@ -347,34 +363,20 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 		}
 	}()
 	err = c.pumpConns(ctx, addrs, token, sp, func(error) { stopSend() }, func(conn net.Conn) error {
-		// The buffer coalesces each block's header and payload into
-		// one write; it is flushed per block so the sent counter
-		// only ever covers bytes that reached the socket.
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		for ck := range chunks {
-			err := WriteBlock(bw, ck)
-			if err == nil {
-				// Count payload only after a successful flush: a
-				// block parked in the bufio buffer when the
-				// transfer dies never crossed the wire, and
-				// WireBytes promises exact accounting even on
-				// failure.
-				err = bw.Flush()
-			}
-			if err != nil {
+		for b := range frames {
+			if _, err := conn.Write(b.buf[hdrAt:]); err != nil {
 				return err
 			}
-			sent.Add(int64(len(ck.Data)))
+			// Payload counts only once its frames reached the socket:
+			// WireBytes promises exact accounting even on failure.
+			sent.Add(int64(b.payload))
 			select {
-			case free <- ck.Data[:cap(ck.Data)]:
+			case free <- b.buf[:cap(b.buf)]:
 			case <-stopc:
 				return ctx.Err()
 			}
 		}
-		if err := WriteBlock(bw, Block{Desc: DescEOD}); err != nil {
-			return err
-		}
-		return bw.Flush()
+		return WriteBlock(conn, Block{Desc: DescEOD})
 	})
 	stopSend()
 	stats = c.stats(sent.Load(), start, n, striped)
@@ -389,7 +391,7 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 		return stats, err
 	}
 	// Senders completed cleanly, which only happens after the reader
-	// closed chunks — and readerDone closes before chunks, so this
+	// closed frames — and readerDone closes before frames, so this
 	// read of readErr is ordered after its final write. (A reader
 	// still blocked on r implies a sender error, caught above.)
 	var srcErr error

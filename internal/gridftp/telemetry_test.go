@@ -268,12 +268,14 @@ func TestFailedTransfersLogged(t *testing.T) {
 
 // TestSmallTransferAllocBudget is the tier-1 guard on the fixed cost of
 // a small transfer: 64 KiB third-party copies between two servers with
-// hubs stay under 400 KiB allocated apiece (an eagerly made 8 MiB
-// window alone put this near 10 MB), and resolving an existing
+// hubs stay under 240 KiB allocated apiece — the stored object plus one
+// frame buffer per data-connection end, so one more 64 KiB buffer
+// fails it (an eagerly made 8 MiB window put this near 10 MB), and
+// resolving an existing
 // one-label counter — some twenty times per job across the servers and
 // the client — costs no more than its label key.
 func TestSmallTransferAllocBudget(t *testing.T) {
-	const transfers, size, budget = 200, 64 << 10, 400 << 10
+	const transfers, size, budget = 200, 64 << 10, 240 << 10
 	srcStore := NewMemStore()
 	want := randomPayload(size)
 	srcStore.Put("src.bin", want)

@@ -25,11 +25,11 @@ var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 // WindowAssembler reassembles MODE E blocks into a contiguous stream
 // with bounded memory: a fixed-size sliding window buffers out-of-order
 // blocks, and every byte that becomes contiguous with the delivery
-// watermark is flushed to the sink immediately. A block that arrives
-// in order with nothing parked goes straight to the sink, and the
-// window (plus its 1-bit-per-byte presence map) is made, whole, only
-// when the first block has to be buffered: memory is nothing until a
-// block parks and the window from then on, independent of object size.
+// watermark is flushed to the sink immediately. A block that lands on
+// the watermark goes straight to the sink, even while others are
+// parked, and the window (plus its 1-bit-per-byte presence map) is made
+// whole only when the first block has to be buffered: memory is nothing
+// until a block parks and the window from then on, whatever the size.
 // Every transfer on both endpoints reassembles through one.
 //
 // Concurrent Place/PlaceBlocking calls from parallel data connections
@@ -168,30 +168,34 @@ func (a *WindowAssembler) placeLocked(b Block) error {
 	// Committed: nothing below rejects the block, so it counts as offered.
 	a.wire += int64(n)
 	a.dup += int64(skip)
-	if off == a.flushed && a.pending == 0 {
-		// In order with nothing parked: the block is the whole
-		// contiguous run, so it goes to the sink unbuffered.
-		if a.writeSink(data) == nil {
-			a.flushed += uint64(len(data))
-			a.delivered += int64(len(data))
-			a.cond.Broadcast()
-		}
-		return a.failed
-	}
-	// The block parks or joins parked ones: copy it into the ring (at
-	// most two segments, split where the ring wraps) and set its presence
-	// bits; those already set were in-window duplicates. The first such
-	// block makes the ring.
-	if a.win == nil {
-		a.win = make([]byte, a.window)
-		a.bits = make(presence, (a.window+63)/64)
-	}
 	lo, hi, rest := a.ringSpan(off, uint64(len(data)))
-	copy(a.win[lo:hi], data)
-	copy(a.win[:rest], data[hi-lo:])
-	fresh := a.bits.set(lo, hi) + a.bits.set(0, rest)
-	a.dup += int64(len(data)) - int64(fresh)
-	a.pending += uint64(fresh)
+	if off == a.flushed {
+		// At the watermark: straight to the sink, even past parked
+		// blocks; parked bytes it covers were in-window duplicates.
+		if a.writeSink(data) != nil {
+			return a.failed
+		}
+		if a.pending > 0 {
+			covered := a.bits.clear(lo, hi) + a.bits.clear(0, rest)
+			a.dup += int64(covered)
+			a.pending -= uint64(covered)
+		}
+		a.flushed += uint64(len(data))
+		a.delivered += int64(len(data))
+		a.cond.Broadcast()
+	} else {
+		// The block parks: copy it into the ring (made by the first) and
+		// set its presence bits; those already set were duplicates.
+		if a.win == nil {
+			a.win = make([]byte, a.window)
+			a.bits = make(presence, (a.window+63)/64)
+		}
+		copy(a.win[lo:hi], data)
+		copy(a.win[:rest], data[hi-lo:])
+		fresh := a.bits.set(lo, hi) + a.bits.set(0, rest)
+		a.dup += int64(len(data)) - int64(fresh)
+		a.pending += uint64(fresh)
+	}
 	a.advanceLocked()
 	// A sink failure during the flush surfaces on the call that
 	// triggered it, not just on later ones.
@@ -277,20 +281,27 @@ func (p presence) set(lo, hi uint64) int {
 	return fresh
 }
 
-// clear clears bits [lo, hi): masks for a partial first and last word,
-// whole words between them at once.
-func (p presence) clear(lo, hi uint64) {
+// clear clears bits [lo, hi) and returns how many of them were set:
+// masks for a partial first and last word, whole words between them
+// in one pass.
+func (p presence) clear(lo, hi uint64) int {
+	was := 0
 	for lo < hi {
 		if lo%64 == 0 && hi-lo >= 64 {
 			ws := p[lo/64 : hi/64]
-			clear(ws)
+			for i, w := range ws {
+				was += bits.OnesCount64(w)
+				ws[i] = 0
+			}
 			lo += uint64(len(ws)) * 64
 			continue
 		}
 		w, mask, next := p.word(lo, hi)
+		was += bits.OnesCount64(p[w] & mask)
 		p[w] &^= mask
 		lo = next
 	}
+	return was
 }
 
 // run returns the length of the run of set bits starting at lo,
@@ -442,11 +453,9 @@ func (a *WindowAssembler) Window() int { return int(a.window) }
 // assembler so sibling connections unpark.
 func (a *WindowAssembler) DrainConn(r io.Reader) (int64, error) {
 	var n int64
-	var scratch []byte
+	fr := frameReader{r: r}
 	for {
-		var b Block
-		var err error
-		b, scratch, err = ReadBlockInto(r, scratch)
+		b, err := fr.next()
 		if err != nil {
 			return n, err
 		}

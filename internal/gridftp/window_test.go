@@ -340,11 +340,12 @@ func (s *spanSink) Write(p []byte) (int, error) {
 func TestWindowSinkWritesUnchanged(t *testing.T) {
 	const blockLen, window = 16, 4 * 16
 	arrival := []int{0, 2, 1, 4, 3, 5, 7, 8, 6, 9, 10, 11}
+	// A watermark block now goes to the sink unbuffered, so each block is one write.
 	want := [][2]int{
-		{0, 16}, {16, 32}, // block 0 alone; 1 releases the parked 2
-		{48, 16}, {64, 16}, // 3 releases 4, split where the ring wraps
-		{80, 16},            // 5 in order, nothing parked
-		{96, 32}, {128, 16}, // 6 releases 7 and 8 across the wrap
+		{0, 16}, {16, 16}, {32, 16}, // block 0 alone; 1 at the watermark releases the parked 2
+		{48, 16}, {64, 16}, // 3 releases 4
+		{80, 16},                       // 5 in order, nothing parked
+		{96, 16}, {112, 16}, {128, 16}, // 6 releases 7 and 8, split where the ring wraps
 		{144, 16}, {160, 16}, {176, 16},
 	}
 	sink := &spanSink{}

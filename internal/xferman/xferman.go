@@ -245,14 +245,28 @@ type tracked struct {
 	result Result
 	ctx    context.Context
 	done   chan struct{}
+	read   bool // final result returned by Wait or Result
 }
+
+// maxSettledJobs is how many read jobs a Manager remembers: a job whose
+// final result Wait or Result has returned is forgotten once
+// maxSettledJobs later ones have been read, and Wait/Result on its ID
+// then answer ErrUnknownJob. Queued, running and unread finished jobs
+// are always kept, so submitting any number of jobs and only then
+// waiting on each in turn loses none.
+const maxSettledJobs = 1024
 
 // Manager executes jobs on a bounded worker pool.
 type Manager struct {
 	queue chan JobID
 
-	mu         sync.Mutex
-	jobs       map[JobID]*tracked
+	mu   sync.Mutex
+	jobs map[JobID]*tracked
+	// settled rings the IDs of read jobs, oldest at settledHead once
+	// full; overwriting a slot forgets the job it held.
+	settled     []JobID
+	settledHead int
+
 	nextID     JobID
 	submitting sync.WaitGroup // in-flight Submit sends, gated by mu+closed
 
@@ -434,7 +448,8 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 }
 
 // Wait blocks until the job finishes (or ctx is done) and returns its
-// result. An unknown ID reports ErrUnknownJob.
+// result. An unknown ID, or one of a job forgotten after
+// maxSettledJobs later ones were read, reports ErrUnknownJob.
 func (m *Manager) Wait(ctx context.Context, id JobID) (Result, error) {
 	m.mu.Lock()
 	tr := m.jobs[id]
@@ -452,17 +467,21 @@ func (m *Manager) Wait(ctx context.Context, id JobID) (Result, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.readLocked(id, tr)
 	return tr.result, nil
 }
 
-// Result returns a job's current state without blocking. An unknown ID
-// reports ErrUnknownJob.
+// Result returns a job's current state without blocking. An unknown
+// or forgotten ID reports ErrUnknownJob, as in Wait.
 func (m *Manager) Result(id JobID) (Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tr := m.jobs[id]
 	if tr == nil {
 		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
+	}
+	if s := tr.result.Status; s == Succeeded || s == Failed {
+		m.readLocked(id, tr)
 	}
 	return tr.result, nil
 }
@@ -516,6 +535,23 @@ func (m *Manager) Close() {
 	m.submitting.Wait()
 	close(m.queue)
 	m.wg.Wait()
+}
+
+// readLocked records that the finished job id's result has been
+// returned, forgetting the oldest read job once maxSettledJobs are
+// remembered.
+func (m *Manager) readLocked(id JobID, tr *tracked) {
+	if tr.read {
+		return
+	}
+	tr.read = true
+	if len(m.settled) < maxSettledJobs {
+		m.settled = append(m.settled, id)
+		return
+	}
+	delete(m.jobs, m.settled[m.settledHead])
+	m.settled[m.settledHead] = id
+	m.settledHead = (m.settledHead + 1) % maxSettledJobs
 }
 
 func (m *Manager) worker() {
