@@ -127,10 +127,11 @@ flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig
 
-# Drill smoke: the live examples are self-checking (log.Fatal on any
-# wrong result) and, through rig.Main().Close(), census-checked, so
-# running each to completion is their test.
-DRILLS = livetransfer livehybrid liveqos livetrace livefleet streamresume
+# Drill smoke: every example is self-checking (log.Fatal on any wrong
+# result) and the live ones, through rig.Main().Close(), census-checked,
+# so running each to completion is their test.
+DRILLS = livetransfer livehybrid liveqos livetrace livefleet streamresume \
+	quickstart hybridengine vcscheduling
 drills:
 	@for d in $(DRILLS); do \
 		echo "drills: $$d"; \

@@ -165,6 +165,9 @@ func main() {
 	fmt.Printf("  pure IP-routed service: CV = %.3f\n", cvIP)
 	fmt.Printf("  hybrid (VC for large sessions): CV = %.3f  [%d circuits, %d stayed IP]\n",
 		cvHybrid, vc, ip)
+	if vc == 0 || cvHybrid >= cvIP {
+		log.Fatalf("hybrid did not isolate the α flows: %d circuits, CV %.3f vs %.3f under IP", vc, cvHybrid, cvIP)
+	}
 	fmt.Println("\nrate-guaranteed circuits isolate the α flows from competing traffic,")
 	fmt.Println("cutting the throughput variance the paper's users complained about.")
 }

@@ -46,6 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var pct []float64
 	for _, setup := range []time.Duration{time.Minute, 50 * time.Millisecond} {
 		cfg := core.FeasibilityConfig{
 			SetupDelay:             setup,
@@ -58,5 +59,12 @@ func main() {
 		}
 		fmt.Printf("setup %-5v: %.1f%% of sessions (carrying %.1f%% of transfers) can amortize a VC\n",
 			setup, res.PercentSessions(), res.PercentTransfers())
+		pct = append(pct, res.PercentSessions())
+	}
+	// The shape Table IV reports: a 50 ms setup delay makes strictly more
+	// sessions worth a circuit than a 1 min one.
+	if st.Sessions == 0 || pct[1] <= pct[0] {
+		log.Fatalf("feasibility shape broken: %d sessions, %.1f%% at 1 min vs %.1f%% at 50 ms",
+			st.Sessions, pct[0], pct[1])
 	}
 }

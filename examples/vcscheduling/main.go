@@ -19,6 +19,7 @@ func main() {
 	scenario := topo.SLACBNL()
 	fmt.Printf("topology: %s, RTT %.0f ms, 10 Gbps links\n\n", scenario.Name, scenario.RTTSec*1e3)
 
+	var delays []float64 // per signaling model, the first circuit's setup delay
 	for _, model := range []struct {
 		name  string
 		setup oscars.SetupModel
@@ -35,7 +36,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		var delay float64
 		idc.OnActive = func(c *oscars.Circuit) {
+			if delay == 0 {
+				delay = float64(c.SetupDelay())
+			}
 			fmt.Printf("  t=%7.2fs circuit %d ACTIVE on %s (setup delay %.2fs)\n",
 				float64(eng.Now()), c.ID, c.Path, float64(c.SetupDelay()))
 		}
@@ -75,10 +80,16 @@ func main() {
 				RateBps: 5e9, Start: eng.Now(), End: eng.Now().Add(10 * simclock.Minute),
 			}); err != nil {
 				fmt.Printf("  t=%7.2fs third circuit rejected: %v\n", 5.0, err)
+			} else {
+				log.Fatal("a third overlapping circuit was admitted beyond the reservable share")
 			}
 		})
 		eng.RunUntil(35 * 60)
 		fmt.Println()
+		delays = append(delays, delay)
+	}
+	if delays[0] <= delays[1] {
+		log.Fatalf("setup delays %v: batched signaling must be slower than hardware signaling", delays)
 	}
 	interDomain()
 }

@@ -66,6 +66,11 @@ type Client struct {
 	rateBps    int64
 	aggLimiter *pacing.Limiter
 	rateWired  bool
+
+	// peer is the Client whose last third-party transfer with this one
+	// ended in two cached-channel 226s; PASV, SPAS, a failed transfer
+	// and Close clear it (see ThirdPartyFrom).
+	peer *Client
 }
 
 // Reply is a control-channel response.
@@ -154,6 +159,7 @@ func (c *Client) dataConn(ctx context.Context, addr string, token uint64, sp *te
 // Close terminates the session with QUIT.
 func (c *Client) Close() error {
 	c.sess.Phase(telemetry.PhaseTeardown)
+	c.peer = nil
 	_, _ = c.cmd("QUIT")
 	err := c.conn.Close()
 	c.sess.End(nil)
@@ -356,6 +362,7 @@ func (c *Client) Features() ([]string, error) {
 // demux token a shared-passive server advertises (0 when the server
 // uses per-transfer listeners).
 func (c *Client) passive() (string, uint64, error) {
+	c.peer = nil
 	rep, err := c.do("PASV", "PASV", 227)
 	if err != nil {
 		return "", 0, err
@@ -376,6 +383,7 @@ func (c *Client) passive() (string, uint64, error) {
 // plus the demux token (0 when absent). The token rides the comma-free
 // header line, the addresses the comma lines.
 func (c *Client) stripedPassive() ([]string, uint64, error) {
+	c.peer = nil
 	rep, err := c.do("SPAS", "SPAS", 229)
 	if err != nil {
 		return nil, 0, err
@@ -533,31 +541,21 @@ func ThirdParty(src, dst *Client, srcName, dstName string) error {
 // acceptance a failure leaves any pre-existing object under dstName
 // untouched, and resuming at its stale size would splice old bytes
 // under new ones.
+//
+// When both servers end a transfer with a cached-channel 226, src and
+// dst remember each other, and their next transfer together skips PASV
+// and PORT: both servers run it over the data connection they kept.
+// Anything else leaves both forgetting, so a server that never caches
+// sees today's conversation exactly.
 func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (dstEngaged bool, err error) {
 	if offset < 0 {
 		return false, errors.New("gridftp: negative restart offset")
 	}
-	// dst opens a passive data port; src connects to it actively.
-	addr, token, err := dst.passive()
-	if err != nil {
-		return false, err
-	}
-	tcp, err := net.ResolveTCPAddr("tcp", addr)
-	if err != nil {
-		return false, err
-	}
-	port := fmt.Sprintf("%d,%d", tcp.Port/256, tcp.Port%256)
-	ip4 := tcp.IP.To4()
-	if ip4 == nil {
-		return false, errors.New("gridftp: third-party requires IPv4 data address")
-	}
-	hostPort := fmt.Sprintf("%d,%d,%d,%d,%s", ip4[0], ip4[1], ip4[2], ip4[3], port)
-	if token != 0 {
-		// dst's port is a shared passive listener: src must present its
-		// demux token, carried as PORT's second field.
-		hostPort += fmt.Sprintf(" %016x", token)
-	}
-	if _, err := src.do("PORT", "PORT "+hostPort, 200); err != nil {
+	reuse := src.peer == dst && dst.peer == src
+	src.peer, dst.peer = nil, nil
+	if reuse {
+		src.met.reuses.Inc()
+	} else if err := pointAt(src, dst); err != nil {
 		return false, err
 	}
 	if offset > 0 {
@@ -582,10 +580,44 @@ func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (ds
 		dst.drainReply()
 		return true, err
 	}
-	if _, err := src.expect("RETR-complete", 226); err != nil {
+	srep, err := src.expect("RETR-complete", 226)
+	if err != nil {
 		dst.drainReply()
 		return true, err
 	}
-	_, err = dst.expect("STOR-complete", 226)
+	drep, err := dst.expect("STOR-complete", 226)
+	if err == nil && strings.HasSuffix(srep.Text, channelCached) && strings.HasSuffix(drep.Text, channelCached) {
+		src.peer, dst.peer = dst, src
+	}
 	return true, err
+}
+
+// channelCached ends the 226 of a transfer whose server kept its data
+// channel for the session's next transfer.
+const channelCached = "data channel cached"
+
+// pointAt arms a fresh data channel: dst opens a passive data port and
+// src will connect to it actively.
+func pointAt(src, dst *Client) error {
+	addr, token, err := dst.passive()
+	if err != nil {
+		return err
+	}
+	tcp, err := net.ResolveTCPAddr("tcp", addr)
+	if err != nil {
+		return err
+	}
+	port := fmt.Sprintf("%d,%d", tcp.Port/256, tcp.Port%256)
+	ip4 := tcp.IP.To4()
+	if ip4 == nil {
+		return errors.New("gridftp: third-party requires IPv4 data address")
+	}
+	hostPort := fmt.Sprintf("%d,%d,%d,%d,%s", ip4[0], ip4[1], ip4[2], ip4[3], port)
+	if token != 0 {
+		// dst's port is a shared passive listener: src must present its
+		// demux token, carried as PORT's second field.
+		hostPort += fmt.Sprintf(" %016x", token)
+	}
+	_, err = src.do("PORT", "PORT "+hostPort, 200)
+	return err
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gftpvc/internal/telemetry"
 )
 
 // rawSession drives the control channel directly for failure injection.
@@ -215,5 +217,59 @@ func TestManyConcurrentSessions(t *testing.T) {
 	}
 	if got := len(s.Records()); got != 24 {
 		t.Errorf("server logged %d transfers, want 24", got)
+	}
+}
+
+// TestConcurrentStorsOfOneObjectSerialize: a STOR of an object another
+// session is still storing waits for that STOR to settle, rather than
+// interleaving regions with it (which fails one of the two), and gives
+// up with a 450 after the accept timeout.
+func TestConcurrentStorsOfOneObjectSerialize(t *testing.T) {
+	hub := telemetry.NewHub()
+	store := NewMemStore()
+	s := startServer(t, Config{Store: store, Telemetry: hub, AcceptTimeout: 300 * time.Millisecond})
+	pasv := func(rs *rawSession) string {
+		t.Helper()
+		reply := rs.cmd(t, "PASV", "227")
+		addr, err := parseHostPort(reply[strings.Index(reply, "(")+1 : strings.LastIndex(reply, ")")])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return addr
+	}
+	send := func(addr string, blocks ...Block) net.Conn {
+		t.Helper()
+		dc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			WriteBlock(dc, b)
+		}
+		return dc
+	}
+	a, b := rawDial(t, s.Addr()), rawDial(t, s.Addr())
+	a.login(t)
+	b.login(t)
+	addrA := pasv(a)
+	a.cmd(t, "STOR x", "150")
+	da := send(addrA, Block{Data: []byte("first ")}) // a holds x mid-transfer
+	pasv(b)
+	b.cmd(t, "STOR x", "450")
+	addrB := pasv(b)
+	fmt.Fprintf(b.conn, "STOR x\r\n")
+	stors := hub.Counter("gridftp_server_commands_total", "", telemetry.L("verb", "stor"))
+	for stors.Value() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	WriteBlock(da, Block{Offset: 6, Data: []byte("writer")})
+	WriteBlock(da, Block{Desc: DescEOD})
+	da.Close()
+	a.expect(t, "226")
+	b.expect(t, "150")
+	send(addrB, Block{Data: []byte("second writer")}, Block{Desc: DescEOD}).Close()
+	b.expect(t, "226")
+	if got, err := store.Get("x"); err != nil || string(got) != "second writer" {
+		t.Fatalf("x = %q, %v; want the second writer's bytes", got, err)
 	}
 }

@@ -40,6 +40,21 @@ func fmLogin(t *testing.T, addr string) *Client {
 	return c
 }
 
+// fmStores is the matrix's store axis: RAM- and disk-backed servers.
+var fmStores = []struct {
+	name string
+	make func(t *testing.T) Store
+}{
+	{"mem", func(t *testing.T) Store { return NewMemStore() }},
+	{"dir", func(t *testing.T) Store {
+		d, err := NewDirStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}},
+}
+
 // TestFaultMatrix crosses every client transfer entry point with every
 // injected fault, against both a RAM-backed and a disk-backed server.
 // Each cell must (a) return an error, (b) do so within the configured
@@ -54,19 +69,6 @@ func TestFaultMatrix(t *testing.T) {
 		return func() *faultnet.Tracker {
 			return &faultnet.Tracker{PlanFor: func(int) *faultnet.ConnPlan { p := plan; return &p }}
 		}
-	}
-	stores := []struct {
-		name string
-		make func(t *testing.T) Store
-	}{
-		{"mem", func(t *testing.T) Store { return NewMemStore() }},
-		{"dir", func(t *testing.T) Store {
-			d, err := NewDirStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}},
 	}
 	faults := []struct {
 		name     string
@@ -95,7 +97,7 @@ func TestFaultMatrix(t *testing.T) {
 		{name: "stor-striped", run: func(c *Client) error { _, err := c.StorStriped("up.bin", payload); return err }},
 		{name: "third-party", thirdParty: true},
 	}
-	for _, st := range stores {
+	for _, st := range fmStores {
 		for _, fault := range faults {
 			for _, op := range ops {
 				st, fault, op := st, fault, op
@@ -182,6 +184,67 @@ func TestFaultMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestFaultMatrixCachedChannelReset is the matrix row "reset on a
+// cached channel between transfers", against RAM and disk destinations:
+// a pair caches its data channel, whose destination end then resets at
+// exactly the first transfer's wire length — on the next transfer's
+// first read. That transfer fails within the matrix bound, leaves both
+// control channels in sync and both clients forgetting each other, and
+// the one after it arms a fresh channel and lands byte-identical.
+func TestFaultMatrixCachedChannelReset(t *testing.T) {
+	const block = 4 << 10
+	payload := randomPayload(256 << 10)
+	var blocks []Block
+	for off := 0; off < len(payload); off += block {
+		blocks = append(blocks, Block{Offset: uint64(off), Data: payload[off : off+block]})
+	}
+	wire := int64(len(referenceFrames(blocks)))
+	for _, st := range fmStores {
+		st := st
+		t.Run(st.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{Store: NewMemStore(), BlockSize: block, AcceptTimeout: fmAccept, DataTimeout: fmData}
+			cfg.Store.Put("x", payload)
+			src := startServer(t, cfg)
+			tracker := faultnet.ResetFirstConn(wire)
+			dstStore := st.make(t)
+			cfg.Store, cfg.DataListen = dstStore, tracker.Listen
+			dst := startServer(t, cfg)
+			cSrc, cDst := fmLogin(t, src.Addr()), fmLogin(t, dst.Addr())
+			if err := ThirdParty(cSrc, cDst, "x", "first.bin"); err != nil {
+				t.Fatal(err)
+			}
+			if cSrc.peer != cDst || cDst.peer != cSrc {
+				t.Fatal("the first transfer left no cached channel")
+			}
+			start := time.Now()
+			if err := ThirdParty(cSrc, cDst, "x", "second.bin"); err == nil {
+				t.Fatal("transfer over a reset cached channel succeeded")
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("failure took %v; deadlines did not bound it", elapsed)
+			}
+			for i, c := range []*Client{cSrc, cDst} {
+				if rep, err := c.cmd("NOOP"); err != nil || rep.Code != 200 {
+					t.Fatalf("client %d desynced after the reset: %+v, %v", i, rep, err)
+				}
+			}
+			if cSrc.peer != nil || cDst.peer != nil {
+				t.Fatal("a client still names its peer after a failed transfer")
+			}
+			if err := ThirdParty(cSrc, cDst, "x", "second.bin"); err != nil {
+				t.Fatalf("transfer after the reset: %v", err)
+			}
+			if n := tracker.Total(); n != 2 {
+				t.Fatalf("%d data listeners, want 2: the retry did not arm a fresh channel", n)
+			}
+			if got, err := dstStore.Get("second.bin"); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("copy after the reset differs from its source (err %v)", err)
+			}
+		})
 	}
 }
 

@@ -166,7 +166,10 @@ func readClass(err error) error {
 // class, whatever sizes the stream arrives in — a byte at a time, half
 // reads, the error riding the last data, fuzzed cuts — and never
 // more consumed past the last frame it returned than its buffer holds:
-// minIOBytes, or the largest frame so far and the next header.
+// minIOBytes, or the largest frame so far and the next header. It then
+// runs two transfers back to back on one reader, as a cached data
+// channel does: after each EOD the next transfer's frames come back
+// intact, none dropped and none taken early, under every read shape.
 func FuzzFrameReader(f *testing.F) {
 	frames := func(bs ...Block) []byte {
 		var buf bytes.Buffer
@@ -178,7 +181,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(frames(Block{Data: []byte("hello")}, Block{Desc: DescEOD}), []byte{3})
 	f.Add(frames(Block{Data: []byte("first")}, Block{Offset: 5, Data: []byte("second!")},
 		Block{Offset: 12, Data: []byte("x")}, Block{Desc: DescEOD}), []byte{1, 17, 40, 5})
-	// Bytes after an EOD are never returned.
+	// A partial frame after an EOD.
 	f.Add(append(frames(Block{Data: []byte("abc")}, Block{Desc: DescEOD}), "next transfer"...), []byte{63})
 	f.Add(frames(Block{Desc: DescEOD | DescEOF, Data: []byte("tail")}, Block{Data: []byte("z")}), []byte{})
 	f.Add(frames(Block{Data: make([]byte, 300)}, Block{}, Block{Offset: 300, Data: make([]byte, 2)}), []byte{16, 0})
@@ -202,7 +205,7 @@ func FuzzFrameReader(f *testing.F) {
 			b.Data = bytes.Clone(b.Data)
 			want = append(want, b)
 		}
-		for _, shape := range []struct {
+		shapes := []struct {
 			name string
 			wrap func(io.Reader) io.Reader
 		}{
@@ -211,7 +214,8 @@ func FuzzFrameReader(f *testing.F) {
 			{"half", iotest.HalfReader},
 			{"data+err", iotest.DataErrReader},
 			{"cut", func(r io.Reader) io.Reader { return &cutReader{r: r, cuts: cuts} }},
-		} {
+		}
+		for _, shape := range shapes {
 			// Counted above the shaping reader: DataErrReader reads
 			// ahead of what it hands out.
 			src := &countingReader{r: shape.wrap(bytes.NewReader(data))}
@@ -238,6 +242,38 @@ func FuzzFrameReader(f *testing.F) {
 				if src.n-end > max(minIOBytes, largest+modeEHeaderLen) {
 					t.Fatalf("%s: frame %d ends at %d but %d bytes were consumed", shape.name, i, end, src.n)
 				}
+			}
+		}
+
+		// Back to back: the frames above up to their first EOD (one added
+		// if there is none), then a transfer of data in two blocks. Each
+		// transfer reads through a fresh view of the stream, as the server
+		// wraps a cached channel afresh per transfer.
+		var first []Block
+		for _, b := range want {
+			if first = append(first, b); b.Desc&DescEOD != 0 {
+				break
+			}
+		}
+		if len(first) == 0 || first[len(first)-1].Desc&DescEOD == 0 {
+			first = append(first, Block{Desc: DescEOD})
+		}
+		second := []Block{{Offset: 7, Data: data[:len(data)/2]}, {Offset: 9, Data: data[len(data)/2:]}, {Desc: DescEOD}}
+		stream := append(frames(first...), frames(second...)...)
+		for _, shape := range shapes {
+			src := shape.wrap(bytes.NewReader(stream))
+			var fr frameReader
+			for k, transfer := range [][]Block{first, second} {
+				fr.r = struct{ io.Reader }{src}
+				for i, w := range transfer {
+					b, err := fr.next()
+					if err != nil || b.Desc != w.Desc || b.Offset != w.Offset || !bytes.Equal(b.Data, w.Data) {
+						t.Fatalf("%s: transfer %d frame %d differs from what was sent (err %v)", shape.name, k, i, err)
+					}
+				}
+			}
+			if _, err := fr.next(); err != io.EOF {
+				t.Fatalf("%s: after the second EOD: %v, want io.EOF", shape.name, err)
 			}
 		}
 	})

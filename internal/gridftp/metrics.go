@@ -31,6 +31,8 @@ type srvMetrics struct {
 	sizes            *telemetry.Histogram
 	usageRecords     *telemetry.Counter
 	shapedRate       *telemetry.Gauge
+	cachedChans      *telemetry.Gauge
+	chanReuses       *telemetry.Counter
 }
 
 func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
@@ -69,6 +71,10 @@ func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
 		"Usage records emitted, success and failure alike.")
 	m.shapedRate = hub.Gauge("gridftp_server_shaped_rate_bps",
 		"Summed effective session rates (SITE RATE clamped by MaxRateBps) across open sessions — the capacity already promised to clients, scraped by fleet registries as committed load.")
+	m.cachedChans = hub.Gauge("gridftp_server_data_channels_cached",
+		"Data channels sessions kept open past a clean 226 for their next transfer.")
+	m.chanReuses = hub.Counter("gridftp_server_data_channel_reuses_total",
+		"Transfers that ran over the session's cached data channel: no listen, accept or dial.")
 	return m
 }
 
@@ -173,6 +179,7 @@ type cliMetrics struct {
 	hub *telemetry.Hub
 
 	durations *telemetry.Histogram
+	reuses    *telemetry.Counter
 }
 
 func newCliMetrics(hub *telemetry.Hub) *cliMetrics {
@@ -182,6 +189,8 @@ func newCliMetrics(hub *telemetry.Hub) *cliMetrics {
 	}
 	m.durations = hub.Histogram("gridftp_client_transfer_duration_seconds",
 		"Wall time of client-driven transfers.", telemetry.DurationBuckets)
+	m.reuses = hub.Counter("gridftp_client_data_channel_reuses_total",
+		"Third-party transfers that reused the pair's cached data channel: no PASV, PORT or new connection.")
 	return m
 }
 
@@ -247,6 +256,9 @@ type transferCtx struct {
 	span  *telemetry.Span
 	wire  atomic.Int64
 	conns int
+	// keep is the transfer's one data channel after a clean EOD, for
+	// settle to cache on a 226.
+	keep *dataChan
 
 	// size is the object region a completed transfer moved (the usage
 	// record's byte count on success; a failure logs the partial wire

@@ -65,13 +65,13 @@ func TestReadBlockOversized(t *testing.T) {
 func TestSendStoreRegionGeometryValidation(t *testing.T) {
 	var buf bytes.Buffer
 	src := bytes.NewReader([]byte("x"))
-	if err := sendStoreRegion(src, &buf, 0, 1, 0, 0, 1); err == nil {
+	if _, err := sendStoreRegion(src, &buf, nil, 0, 1, 0, 0, 1); err == nil {
 		t.Error("zero block size should fail")
 	}
-	if err := sendStoreRegion(src, &buf, 0, 1, 1, -1, 1); err == nil {
+	if _, err := sendStoreRegion(src, &buf, nil, 0, 1, 1, -1, 1); err == nil {
 		t.Error("negative base should fail")
 	}
-	if err := sendStoreRegion(src, &buf, 0, 1, 1, 0, 0); err == nil {
+	if _, err := sendStoreRegion(src, &buf, nil, 0, 1, 1, 0, 0); err == nil {
 		t.Error("zero step should fail")
 	}
 }
@@ -100,11 +100,14 @@ func TestStripedReassemblyProperty(t *testing.T) {
 		payload := make([]byte, size)
 		rng.Read(payload)
 
-		// Render each stripe's byte stream.
+		// Render each stripe's byte stream, through one frame buffer as a
+		// cached channel would; last stripe first, so it has to grow.
 		streams := make([]*bytes.Buffer, stripes)
-		for i := range streams {
+		var frames []byte
+		for i := stripes - 1; i >= 0; i-- {
 			streams[i] = &bytes.Buffer{}
-			if err := sendStoreRegion(bytes.NewReader(payload), streams[i], 0, int64(size), block, i*block, stripes*block); err != nil {
+			var err error
+			if frames, err = sendStoreRegion(bytes.NewReader(payload), streams[i], frames, 0, int64(size), block, i*block, stripes*block); err != nil {
 				return false
 			}
 		}

@@ -146,9 +146,10 @@ type Server struct {
 	closed  atomic.Bool
 	shards  [nConnShards]connShard
 
-	mu      sync.Mutex          // guards logs and logHead only
+	mu      sync.Mutex          // guards logs, logHead and stors
 	logs    []usagestats.Record // ring of the last maxLogRecords, oldest at logHead once full
 	logHead int
+	stors   map[string]chan struct{} // objects a STOR is writing; closed when it settles
 }
 
 // maxLogRecords is how many transfer records a server keeps.
@@ -174,6 +175,35 @@ func (s *Server) addConn(c net.Conn) (int, bool) {
 	sh.mu.Unlock()
 	s.met.shardSession(idx, 1)
 	return idx, true
+}
+
+// claimPut makes name one STOR's to write, waiting up to the accept
+// timeout for another session's STOR of it to settle: two puts of one
+// object would interleave its regions. unclaim ends the claim.
+func (s *Server) claimPut(name string) (unclaim func(), ok bool) {
+	var timeout <-chan time.Time
+	s.mu.Lock()
+	for busy := s.stors[name]; busy != nil; busy = s.stors[name] {
+		s.mu.Unlock()
+		if timeout == nil {
+			timeout = time.After(s.cfg.AcceptTimeout)
+		}
+		select {
+		case <-busy:
+		case <-timeout:
+			return nil, false
+		}
+		s.mu.Lock()
+	}
+	done := make(chan struct{})
+	s.stors[name] = done
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		delete(s.stors, name)
+		s.mu.Unlock()
+		close(done)
+	}, true
 }
 
 // dropConn removes a session connection from its shard.
@@ -253,7 +283,8 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.ServerHost == "" {
 		cfg.ServerHost = ln.Addr().String()
 	}
-	s := &Server{cfg: cfg, reads: reads, puts: puts, ln: ln, met: newSrvMetrics(cfg.Telemetry)}
+	s := &Server{cfg: cfg, reads: reads, puts: puts, ln: ln, met: newSrvMetrics(cfg.Telemetry),
+		stors: make(map[string]chan struct{})}
 	s.snaps, _ = cfg.Store.(SnapshotStore)
 	s.aborts, _ = cfg.Store.(PutAborter)
 	s.agg = pacing.NewBucket(cfg.AggregateRateBps, 0)
@@ -404,6 +435,10 @@ type session struct {
 	// preamble when dialing activeAddr (the third-party leg toward a
 	// shared-passive destination).
 	activeToken uint64
+	// cached is the data channel the last transfer kept (see settle);
+	// the next transfer uses it. PASV, SPAS and PORT close it first, so
+	// it is never set beside an armed target.
+	cached *dataChan
 	// restartOffset is set by REST and consumed by the next RETR or
 	// STOR (resumed sends deliver from the offset onward).
 	restartOffset int64
@@ -468,7 +503,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.met.hub.Event("", "session_accepted", conn.RemoteAddr().String())
 	defer s.met.sessionsActive.Dec()
 	defer func() { s.met.shapedRate.Add(-sess.pubRate) }()
-	defer sess.closePassive()
+	defer sess.endTransfer()
 	defer conn.Close()
 	sess.reply(220, "gftpvc GridFTP server ready")
 	for {
@@ -805,13 +840,39 @@ func parseHostPort(s string) (string, error) {
 	return net.JoinHostPort(ip, strconv.Itoa(nums[4]*256+nums[5])), nil
 }
 
-// dataConns establishes the data connections for a transfer: by accepting
-// on the passive listeners (parallelism conns on PASV's single listener,
-// or one per SPAS stripe listener) or by dialing the PORT target. Every
-// connection is instrumented (see instrumentedConn) to count wire bytes
+// dataChan is one data connection: the raw socket, the frame buffers
+// read and sent through it, and one transfer's instrumented view of it
+// (conn, which fr reads through). A transfer that moved over exactly
+// one dataChan and replies 226 keeps it as the session's cached
+// channel (see settle).
+type dataChan struct {
+	raw    net.Conn
+	stripe string
+	conn   net.Conn
+	fr     frameReader // bytes read past an EOD stay for the next transfer
+	send   []byte      // sendStoreRegion's frame buffer
+	cached bool        // counted in the cached-channels gauge
+}
+
+// close drops the channel and its share of the cached-channels gauge.
+func (dc *dataChan) close(met *srvMetrics) {
+	if dc == nil {
+		return
+	}
+	dc.raw.Close()
+	if dc.cached {
+		met.cachedChans.Dec()
+	}
+}
+
+// dataConns provides the data connections for a transfer: the cached
+// channel when the session holds one, else by accepting on the passive
+// listeners (parallelism conns on PASV's single listener, or one per
+// SPAS stripe listener) or by dialing the PORT target. Every connection
+// is instrumented afresh (see instrumentedConn) to count wire bytes
 // into the transfer context, the span, and the per-stripe live byte
 // counters.
-func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
+func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
 	met := sess.srv.met
 	// The session bucket (SITE RATE / Config.MaxRateBps) is shared by
 	// every connection wrapped here — the active, shared-passive, and
@@ -826,16 +887,26 @@ func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
 		lim = pacing.NewLimiter(agg, b)
 		shaped = met.shapedBytes(tx.op)
 	}
-	wrap := func(c net.Conn, stripe string) net.Conn {
-		met.dataConns.Inc()
-		return wrapDataConn(context.Background(), instrumentedConn{
-			Conn:   c,
+	wrap := func(dc *dataChan) *dataChan {
+		dc.conn = wrapDataConn(context.Background(), instrumentedConn{
+			Conn:   dc.raw,
 			idle:   sess.srv.cfg.DataTimeout,
 			wire:   &tx.wire,
-			live:   met.hub.LiveCounter(stripe),
+			live:   met.hub.LiveCounter(dc.stripe),
 			span:   tx.span,
 			shaped: shaped,
 		}, lim)
+		dc.fr.r = dc.conn
+		return dc
+	}
+	if dc := sess.cached; dc != nil {
+		sess.cached = nil
+		met.chanReuses.Inc()
+		return []*dataChan{wrap(dc)}, nil
+	}
+	open := func(c net.Conn, stripe string) *dataChan {
+		met.dataConns.Inc()
+		return wrap(&dataChan{raw: c, stripe: stripe})
 	}
 	if sess.activeAddr != "" {
 		c, err := net.DialTimeout("tcp", sess.activeAddr, sess.srv.cfg.AcceptTimeout)
@@ -852,7 +923,7 @@ func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
 				return nil, err
 			}
 		}
-		return []net.Conn{wrap(c, "active")}, nil
+		return []*dataChan{open(c, "active")}, nil
 	}
 	// Passive: PASV's one endpoint takes parallelism connections, SPAS
 	// one per stripe endpoint. The shared path drains the claim queue
@@ -877,19 +948,19 @@ func (sess *session) dataConns(tx *transferCtx) ([]net.Conn, error) {
 	default:
 		return nil, errors.New("no PASV/SPAS/PORT before transfer")
 	}
-	conns := make([]net.Conn, 0, want)
+	chans := make([]*dataChan, 0, want)
 	for i := 0; i < want; i++ {
 		c, err := next(i)
 		if err != nil {
 			met.acceptErrors.Inc()
-			for _, open := range conns {
-				open.Close()
+			for _, dc := range chans {
+				dc.close(met)
 			}
 			return nil, err
 		}
-		conns = append(conns, wrap(c, fmt.Sprintf("stripe%d", i%stripes)))
+		chans = append(chans, open(c, fmt.Sprintf("stripe%d", i%stripes)))
 	}
-	return conns, nil
+	return chans, nil
 }
 
 // stripes is the number of SPAS stripe endpoints armed for the next
@@ -914,12 +985,15 @@ func (sess *session) closePassive() {
 // endTransfer releases a transfer's data targets: every per-transfer
 // passive listener is closed and every demux claim is unregistered —
 // win or lose, so a session looping transfers does not accumulate open
-// sockets or stranded claims — and the PORT target is cleared. All are
-// valid for exactly one transfer attempt.
+// sockets or stranded claims — the PORT target is cleared, and a cached
+// channel is closed. All are valid for exactly one transfer attempt;
+// only settle keeps a channel past one.
 func (sess *session) endTransfer() {
 	sess.closePassive()
 	sess.activeAddr = ""
 	sess.activeToken = 0
+	sess.cached.close(sess.srv.met)
+	sess.cached = nil
 }
 
 // beginTransfer opens one transfer attempt's instrumentation: the
@@ -943,8 +1017,8 @@ func (sess *session) beginTransfer(op string, typ usagestats.TransferType, targe
 // transfer skeleton; a transfer's open step returns it.
 type direction struct {
 	// pump moves data connection i of n's share of the object; it runs
-	// on its own goroutine and the skeleton closes c when it returns.
-	pump func(i, n int, c net.Conn) error
+	// on its own goroutine and the skeleton closes or keeps dc after.
+	pump func(i, n int, dc *dataChan) error
 	// abort, when set, is told the first pump error so sibling pumps
 	// parked on shared state wake.
 	abort func(error)
@@ -975,24 +1049,26 @@ func (sess *session) transfer(tx *transferCtx, open func() (direction, int, stri
 // 425 (no data connection) or 426 (a pump failed).
 func (sess *session) moveData(tx *transferCtx, d direction) (int, string) {
 	sess.reply(150, "opening data connection")
-	conns, err := sess.dataConns(tx)
+	chans, err := sess.dataConns(tx)
 	if err != nil {
 		return 425, "data connection failed: " + err.Error()
 	}
-	tx.conns = len(conns)
-	tx.span.SetStreams(len(conns))
+	tx.conns = len(chans)
+	tx.span.SetStreams(len(chans))
 	tx.span.Phase(telemetry.PhaseStream)
 	var wg sync.WaitGroup
-	errs := make([]error, len(conns))
-	for i, c := range conns {
+	errs := make([]error, len(chans))
+	for i, dc := range chans {
 		wg.Add(1)
-		go func(i int, c net.Conn) {
+		go func(i int, dc *dataChan) {
 			defer wg.Done()
-			defer c.Close()
-			if errs[i] = d.pump(i, len(conns), c); errs[i] != nil && d.abort != nil {
+			if errs[i] = d.pump(i, len(chans), dc); errs[i] != nil && d.abort != nil {
 				d.abort(errs[i])
 			}
-		}(i, c)
+			if errs[i] != nil || len(chans) > 1 {
+				dc.close(sess.srv.met)
+			}
+		}(i, dc)
 	}
 	wg.Wait()
 	tx.span.Phase(telemetry.PhaseTeardown)
@@ -1000,6 +1076,9 @@ func (sess *session) moveData(tx *transferCtx, d direction) (int, string) {
 		if e != nil {
 			return 426, "transfer aborted: " + e.Error()
 		}
+	}
+	if len(chans) == 1 {
+		tx.keep = chans[0] // at a clean EOD; settle keeps it on a 226
 	}
 	return 226, "transfer complete"
 }
@@ -1009,7 +1088,9 @@ func (sess *session) moveData(tx *transferCtx, d direction) (int, string) {
 // on it the usage record exists, the metrics are published, the span is
 // in the hub's ended ring, and the data listeners or demux claim are
 // released (the source snapshot and the put were released by the
-// direction's done step). Unlike success-only Globus loggers a failure
+// direction's done step), and the transfer's one data channel is
+// cached on a 226, said so in the reply, or closed. Unlike
+// success-only Globus loggers a failure
 // still emits a usage record — carrying the error code and the partial
 // wire-byte count — so live failure rates are observable.
 func (sess *session) settle(tx *transferCtx, code int, msg string) {
@@ -1028,6 +1109,15 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 	met.deliveredBytes(tx.op, tx.delivered)
 	tx.span.End(err)
 	sess.endTransfer()
+	if dc := tx.keep; dc != nil && code == 226 {
+		if !dc.cached {
+			dc.cached = true
+			met.cachedChans.Inc()
+		}
+		sess.cached, msg = dc, msg+"; "+channelCached
+	} else {
+		dc.close(met)
+	}
 	sess.reply(code, msg)
 }
 
@@ -1148,8 +1238,9 @@ func (sess *session) cmdRetr(name string, offset, length int64) {
 		}
 		bs := sess.srv.cfg.BlockSize
 		return direction{
-			pump: func(i, n int, c net.Conn) error {
-				return sendStoreRegion(src, c, offset, regionLen, bs, i*bs, n*bs)
+			pump: func(i, n int, dc *dataChan) (err error) {
+				dc.send, err = sendStoreRegion(src, dc.conn, dc.send, offset, regionLen, bs, i*bs, n*bs)
+				return err
 			},
 			done: func(code int, msg string) (int, string) {
 				release()
@@ -1169,16 +1260,20 @@ func (sess *session) cmdRetr(name string, offset, length int64) {
 // stripe with base=i*blockSize, step=n*blockSize sends every n-th
 // block). Frames are built in place in one buffer sized by the first
 // (largest) block, framesPerWrite to a Write, the last with the EOD.
-func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize, base, step int) error {
+// The buffer is buf when that is large enough; the one used is
+// returned, for a cached channel to keep.
+func sendStoreRegion(s io.ReaderAt, w io.Writer, buf []byte, offset, length int64, blockSize, base, step int) ([]byte, error) {
 	if blockSize <= 0 {
-		return fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
+		return buf, fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
 	}
 	if base < 0 || step <= 0 {
-		return fmt.Errorf("%w: bad stripe geometry base=%d step=%d", ErrDataProtocol, base, step)
+		return buf, fmt.Errorf("%w: bad stripe geometry base=%d step=%d", ErrDataProtocol, base, step)
 	}
 	rem := max(length-int64(base), 0)
 	batch := max(1, min(int64(framesPerWrite(blockSize)), (rem+int64(step)-1)/int64(step)))
-	buf := make([]byte, hdrAt+batch*(modeEHeaderLen+min(int64(blockSize), rem))+modeEHeaderLen)
+	if need := int(hdrAt + batch*(modeEHeaderLen+min(int64(blockSize), rem)) + modeEHeaderLen); len(buf) < need {
+		buf = make([]byte, need)
+	}
 	end := hdrAt
 	for off, k := int64(base), int64(1); off < length; off, k = off+int64(step), k+1 {
 		n := min(int64(blockSize), length-off)
@@ -1187,20 +1282,20 @@ func sendStoreRegion(s io.ReaderAt, w io.Writer, offset, length int64, blockSize
 			if err == nil || err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return fmt.Errorf("gridftp: short store read at %d: %w", offset+off, err)
+			return buf, fmt.Errorf("gridftp: short store read at %d: %w", offset+off, err)
 		}
 		putHeader(buf[end:], 0, int(n), uint64(offset+off))
 		end += modeEHeaderLen + int(n)
 		if k%batch == 0 && off+int64(step) < length {
 			if _, err := w.Write(buf[hdrAt:end]); err != nil {
-				return err
+				return buf, err
 			}
 			end = hdrAt
 		}
 	}
 	putHeader(buf[end:], DescEOD, 0, 0)
 	_, err := w.Write(buf[hdrAt : end+modeEHeaderLen])
-	return err
+	return buf, err
 }
 
 // regionSink adapts a StreamPutter to the io.Writer a window assembler
@@ -1234,22 +1329,28 @@ func (sess *session) cmdStor(name string, offset int64) {
 	tx := sess.beginTransfer("stor", usagestats.Store, name)
 	sess.transfer(tx, func() (direction, int, string) {
 		srv := sess.srv
+		unclaim, ok := srv.claimPut(name)
+		if !ok {
+			return direction{}, 450, "object busy: another STOR of it is in flight"
+		}
 		if err := srv.puts.BeginPut(name, offset); err != nil {
+			unclaim()
 			return direction{}, 554, "restart rejected: " + err.Error()
 		}
-		// Once BeginPut engaged, every failure path must release the
-		// store's per-put resources (DirStore's open partial handle).
-		// The flushed watermark itself survives the abort — it is the
-		// restart offset a resume probes via SIZE.
-		abortPut := func() {
-			if srv.aborts != nil {
+		// Once BeginPut engaged, every path ends the claim and every
+		// failure path releases the store's per-put resources (DirStore's
+		// open partial handle). The flushed watermark itself survives the
+		// abort — it is the restart offset a resume probes via SIZE.
+		endPut := func(sealed bool) {
+			if !sealed && srv.aborts != nil {
 				_ = srv.aborts.AbortPut(name)
 			}
+			unclaim()
 		}
 		sink := &regionSink{sp: srv.puts, name: name, off: offset}
 		asm, err := NewWindowAssembler(sink, uint64(offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
 		if err != nil {
-			abortPut()
+			endPut(false)
 			return direction{}, 451, err.Error()
 		}
 		if hub := srv.met.hub; hub != nil {
@@ -1260,8 +1361,8 @@ func (sess *session) cmdStor(name string, offset int64) {
 		}
 		maxSize := uint64(srv.cfg.MaxObjectSize)
 		return direction{
-			pump: func(_, _ int, c net.Conn) error {
-				fr := frameReader{r: c}
+			pump: func(_, _ int, dc *dataChan) error {
+				fr := &dc.fr
 				for {
 					b, err := fr.next()
 					if err != nil {
@@ -1298,9 +1399,7 @@ func (sess *session) cmdStor(name string, offset int64) {
 						code, msg = 552, "store failed: "+err.Error()
 					}
 				}
-				if code != 226 {
-					abortPut()
-				}
+				endPut(code == 226)
 				return code, msg
 			},
 		}, 0, ""

@@ -3,11 +3,13 @@ package gridftp
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,14 +21,14 @@ import (
 // assertions inside the very Write that carries a transfer's completion
 // reply — the instant before any client can have read it. Arm it ahead
 // of a transfer: the check runs on the next completion reply (226 or
-// any 4xx/5xx), on the server's session goroutine.
+// any 4xx/5xx), on the server's session goroutine, with the reply line.
 type replyProbe struct {
 	mu    sync.Mutex
-	check func(code int)
+	check func(code int, line string)
 	fired int
 }
 
-func (p *replyProbe) arm(check func(code int)) {
+func (p *replyProbe) arm(check func(code int, line string)) {
 	p.mu.Lock()
 	p.check = check
 	p.mu.Unlock()
@@ -72,7 +74,7 @@ func (c probeConn) Write(b []byte) (int, error) {
 			}
 			c.probe.mu.Unlock()
 			if check != nil {
-				check(code)
+				check(code, string(b))
 			}
 		}
 	}
@@ -82,8 +84,10 @@ func (c probeConn) Write(b []byte) (int, error) {
 // TestReplyMeansDone pins the completion-ordering contract: inside the
 // Write that carries a transfer's completion reply, success or
 // failure, the server has already released the transfer's data
-// listeners (or its demux claim), moved the span into the hub's ended
-// ring, published delivered bytes, and cut the usage record. A client
+// listeners (or its demux claim), cached or closed its data channel,
+// moved the span into the hub's ended ring, published delivered bytes,
+// and cut the usage record — over a fresh data channel or a cached
+// one. A client
 // acting on the reply — a test, a fleet registry scraping between jobs,
 // a trace stitcher — can therefore never observe an unfinished server.
 func TestReplyMeansDone(t *testing.T) {
@@ -105,6 +109,8 @@ func TestReplyMeansDone(t *testing.T) {
 				AcceptTimeout: 200 * time.Millisecond, PasvPortRange: path.portRange,
 				ControlListen: probe.Listen})
 			c := login(t, srv.Addr())
+			// A third-party source, for transfers into srv.
+			cSrc := login(t, startServer(t, Config{Store: store, BlockSize: 16 << 10}).Addr())
 			tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), ParentSID: "deadbeef"}
 			if err := c.ApplyOptions(WithTrace(tc)); err != nil {
 				t.Fatal(err)
@@ -119,9 +125,14 @@ func TestReplyMeansDone(t *testing.T) {
 			// must have added to the op's delivered counter.
 			expect := func(want int, op string, gain int64) {
 				records, spans, base := len(srv.Records()), len(hub.Spans().ByTrace(tc.TraceID)), delivered(op)
-				probe.arm(func(code int) {
+				probe.arm(func(code int, line string) {
 					if code != want {
 						t.Errorf("completion reply %d, want %d", code, want)
+					}
+					// The reply says "cached" exactly when the channel is,
+					// and only a 226 keeps one.
+					if cached := int64(strings.Count(line, channelCached)); srv.met.cachedChans.Value() != cached || (code != 226 && cached != 0) {
+						t.Errorf("%d: %d channels cached inside the reply write %q", want, srv.met.cachedChans.Value(), line)
 					}
 					if n := srv.met.listenersOpen.Value(); n != 0 {
 						t.Errorf("%d: %d passive listeners open inside the reply write", want, n)
@@ -187,6 +198,19 @@ func TestReplyMeansDone(t *testing.T) {
 						t.Fatal(err)
 					}
 				}},
+				{"third-party 226", 226, "stor", objSize, func() {
+					if err := ThirdParty(cSrc, c, "x", "tp.bin"); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"third-party 226 on a cached channel", 226, "stor", objSize, func() {
+					if cSrc.peer != c || c.peer != cSrc {
+						t.Fatal("the previous third-party transfer left no cached channel")
+					}
+					if err := ThirdParty(cSrc, c, "x", "tp.bin"); err != nil {
+						t.Fatal(err)
+					}
+				}},
 				{"550 missing object", 550, "retr", 0, func() {
 					pasv()
 					raw("RETR missing.bin", 550)
@@ -222,6 +246,30 @@ func TestReplyMeansDone(t *testing.T) {
 					dc.Write(make([]byte, modeEHeaderLen/2)) // half a frame header, then EOF
 					dc.Close()
 					final(426)
+				}},
+				{"426 gap at a clean EOD", 426, "stor", 0, func() {
+					addr, token := pasv()
+					raw("STOR up.bin", 150)
+					dc, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer dc.Close()
+					if token != 0 {
+						if err := writeDemuxPreamble(dc, token, time.Second); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// One connection ends on a clean EOD, but the object misses
+					// its first bytes: no 226, so the server closes the
+					// connection rather than keep it.
+					WriteBlock(dc, Block{Offset: 10, Data: []byte("tail")})
+					WriteBlock(dc, Block{Desc: DescEOD})
+					final(426)
+					dc.SetReadDeadline(time.Now().Add(time.Second))
+					if n, err := dc.Read(make([]byte, 1)); err != io.EOF {
+						t.Errorf("data connection after the 426: read %d, %v; want io.EOF", n, err)
+					}
 				}},
 			} {
 				expect(tcase.code, tcase.op, tcase.gain)

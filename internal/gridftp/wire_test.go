@@ -4,22 +4,33 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"gftpvc/internal/faultnet"
+	"gftpvc/internal/telemetry"
 )
 
-// wireRecorder is a Config.DataListen hook that keeps, for every data
-// connection the server accepts, the bytes it wrote and read and the
-// number of Write calls it made.
+// wireRecorder is a Config.DataListen or ControlListen hook that keeps,
+// for every connection the server accepts, the bytes it wrote and read
+// and the number of Write calls it made. listen, when set, opens the
+// listeners it records (default net.Listen).
 type wireRecorder struct {
-	mu    sync.Mutex
-	conns []*wireConn
+	listen func(network, addr string) (net.Listener, error)
+	mu     sync.Mutex
+	conns  []*wireConn
 }
 
 func (w *wireRecorder) Listen(network, addr string) (net.Listener, error) {
-	ln, err := net.Listen(network, addr)
+	listen := w.listen
+	if listen == nil {
+		listen = net.Listen
+	}
+	ln, err := listen(network, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -197,4 +208,182 @@ func testFramesOnWire(t *testing.T, block int) {
 			}
 		}
 	}
+}
+
+// verbs counts, by verb, the commands read so far on every connection
+// the recorder has seen: on a ControlListen hook, what clients sent.
+func (w *wireRecorder) verbs() map[string]int {
+	w.mu.Lock()
+	conns := slices.Clone(w.conns)
+	w.mu.Unlock()
+	n := map[string]int{}
+	for _, c := range conns {
+		_, read, _ := c.seen()
+		for _, line := range strings.Split(string(read), "\r\n") {
+			if verb, _, _ := strings.Cut(line, " "); verb != "" {
+				n[verb]++
+			}
+		}
+	}
+	return n
+}
+
+// last returns the newest recorded connection and how many bytes it has
+// read; nil and 0 before any.
+func (w *wireRecorder) last() (*wireConn, int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.conns) == 0 {
+		return nil, 0
+	}
+	c := w.conns[len(w.conns)-1]
+	_, read, _ := c.seen()
+	return c, len(read)
+}
+
+// cachePair is a source and a destination server whose control
+// conversations, destination data connections and listeners are on
+// record, for the data-channel cache tests.
+type cachePair struct {
+	ctl, data              *wireRecorder
+	track                  *faultnet.Tracker
+	dstStore               *MemStore
+	srcHub, dstHub, cliHub *telemetry.Hub
+	src, dst               *Server
+	payload                []byte
+	block                  int
+}
+
+func newCachePair(t *testing.T) *cachePair {
+	p := &cachePair{ctl: &wireRecorder{}, track: &faultnet.Tracker{}, dstStore: NewMemStore(),
+		srcHub: telemetry.NewHub(), dstHub: telemetry.NewHub(), cliHub: telemetry.NewHub(),
+		payload: randomPayload(40<<10 + 7), block: 16 << 10}
+	p.data = &wireRecorder{listen: p.track.Listen}
+	srcStore := NewMemStore()
+	srcStore.Put("obj", p.payload)
+	p.src = startServer(t, Config{Store: srcStore, BlockSize: p.block, ControlListen: p.ctl.Listen, Telemetry: p.srcHub})
+	p.dst = startServer(t, Config{Store: p.dstStore, BlockSize: p.block, ControlListen: p.ctl.Listen,
+		DataListen: p.data.Listen, Telemetry: p.dstHub})
+	return p
+}
+
+func (p *cachePair) client(t *testing.T, s *Server) *Client {
+	return loginStream(t, s.Addr(), WithTelemetry(p.cliHub))
+}
+
+// thirdParty runs ThirdPartyFrom(src, dst, "obj", name, offset) and checks
+// that it reused the pair's cached channel exactly when reuse is set —
+// no PASV or PORT on any control channel, no listener opened, no data
+// connection made — and otherwise armed a fresh one. Either way the
+// bytes dst read for it are WriteBlock's reference frames of the region
+// and the copy is intact.
+func (p *cachePair) thirdParty(t *testing.T, src, dst *Client, name string, offset int64, reuse bool) {
+	t.Helper()
+	verbs, listeners := p.ctl.verbs(), p.track.Total()
+	prev, seen := p.data.last()
+	if _, err := ThirdPartyFrom(src, dst, "obj", name, offset); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	after := p.ctl.verbs()
+	armed := after["PASV"] - verbs["PASV"] + after["PORT"] - verbs["PORT"]
+	conn, _ := p.data.last()
+	if reuse && (armed != 0 || p.track.Total() != listeners || conn != prev) {
+		t.Fatalf("%s: %d PASV/PORT, %d new listeners, new connection %v; want the cached channel",
+			name, armed, p.track.Total()-listeners, conn != prev)
+	}
+	if !reuse && (armed != 2 || conn == prev) {
+		t.Fatalf("%s: %d PASV/PORT, new connection %v; want a fresh channel", name, armed, conn != prev)
+	}
+	if conn != prev {
+		seen = 0
+	}
+	var blocks []Block
+	for off := int(offset); off < len(p.payload); off += p.block {
+		blocks = append(blocks, Block{Offset: uint64(off), Data: p.payload[off:min(off+p.block, len(p.payload))]})
+	}
+	if _, read, _ := conn.seen(); !bytes.Equal(read[seen:], referenceFrames(blocks)) {
+		t.Fatalf("%s: data bytes differ from WriteBlock's reference frames", name)
+	}
+	if got, err := p.dstStore.Get(name); err != nil || !bytes.Equal(got, p.payload) {
+		t.Fatalf("%s: copy differs from its source (err %v)", name, err)
+	}
+}
+
+// TestThirdPartyReusesCachedChannel: once a pair's transfer ends with
+// both data ends cached, the pair's next transfers put no PASV or PORT
+// on either control channel, open no listener, make no connection, and
+// send WriteBlock's frames over the kept one; both servers and the
+// client count each reuse.
+func TestThirdPartyReusesCachedChannel(t *testing.T) {
+	p := newCachePair(t)
+	a, b := p.client(t, p.src), p.client(t, p.dst)
+	p.thirdParty(t, a, b, "first", 0, false)
+	p.thirdParty(t, a, b, "second", 0, true)
+	p.thirdParty(t, a, b, "third", 0, true)
+	for name, hub := range map[string]*telemetry.Hub{"src": p.srcHub, "dst": p.dstHub} {
+		reuses := hub.Counter("gridftp_server_data_channel_reuses_total", "").Value()
+		conns := hub.Counter("gridftp_server_data_connections_total", "").Value()
+		cached := hub.Gauge("gridftp_server_data_channels_cached", "").Value()
+		if reuses != 2 || conns != 1 || cached != 1 {
+			t.Errorf("%s: %d reuses, %d data connections, %d cached; want 2, 1, 1", name, reuses, conns, cached)
+		}
+	}
+	if n := p.cliHub.Counter("gridftp_client_data_channel_reuses_total", "").Value(); n != 2 {
+		t.Errorf("client counted %d reuses, want 2", n)
+	}
+}
+
+// TestCachedChannelNeverCrossesPairs walks the ways a kept channel could
+// reach a transfer it does not belong to: the source used for something
+// else, the destination used with another source, session state changed
+// between jobs, a resumed transfer. Each transfer either arms a fresh
+// channel or runs byte-exactly over its own pair's.
+func TestCachedChannelNeverCrossesPairs(t *testing.T) {
+	t.Run("RetrTo on src between jobs", func(t *testing.T) {
+		p := newCachePair(t)
+		a, b := p.client(t, p.src), p.client(t, p.dst)
+		p.thirdParty(t, a, b, "x", 0, false)
+		if _, err := a.RetrTo(context.Background(), "obj", io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		p.thirdParty(t, a, b, "x", 0, false)
+		p.thirdParty(t, a, b, "x", 0, true)
+	})
+	t.Run("partner swap", func(t *testing.T) {
+		p := newCachePair(t)
+		a, c, b := p.client(t, p.src), p.client(t, p.src), p.client(t, p.dst)
+		p.thirdParty(t, a, b, "x", 0, false)
+		p.thirdParty(t, c, b, "x", 0, false)
+		p.thirdParty(t, a, b, "x", 0, false)
+		p.thirdParty(t, a, b, "x", 0, true)
+	})
+	t.Run("SITE RATE and TRID between jobs", func(t *testing.T) {
+		p := newCachePair(t)
+		a, b := p.client(t, p.src), p.client(t, p.dst)
+		p.thirdParty(t, a, b, "x", 0, false)
+		tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), ParentSID: "feedface"}
+		if err := a.ApplyOptions(WithRate(8e9), WithTrace(tc)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.ApplyOptions(WithTrace(tc)); err != nil {
+			t.Fatal(err)
+		}
+		p.thirdParty(t, a, b, "x", 0, true)
+		// The kept channel was wrapped afresh: paced at the new session
+		// rate on src, under the new trace on dst.
+		if n := p.srcHub.Counter("gridftp_shaped_bytes_total", "", telemetry.L("op", "retr")).Value(); n < int64(len(p.payload)) {
+			t.Errorf("src shaped %d bytes of a %d-byte transfer", n, len(p.payload))
+		}
+		if spans := p.dstHub.Spans().ByTrace(tc.TraceID); len(spans) != 1 || spans[0].Op != "stor" {
+			t.Errorf("dst spans under the new trace: %+v", spans)
+		}
+	})
+	t.Run("REST resume", func(t *testing.T) {
+		p := newCachePair(t)
+		a, b := p.client(t, p.src), p.client(t, p.dst)
+		p.thirdParty(t, a, b, "x", 0, false)
+		const off = 20<<10 + 3
+		p.dstStore.Put("resumed", p.payload[:off])
+		p.thirdParty(t, a, b, "resumed", off, true)
+	})
 }

@@ -230,8 +230,9 @@ func (r *Rig) Close() {
 	for i := len(r.closers) - 1; i >= 0; i-- {
 		r.closers[i]()
 	}
-	leaks := r.census("gridftp_server_passive_listeners_open", "gridftp_server_sessions_active",
-		"gridftp_pool_leased", "xferman_jobs_running", "xferman_queue_depth", "spans_active")
+	leaks := r.census("gridftp_server_passive_listeners_open", "gridftp_server_data_channels_cached",
+		"gridftp_server_sessions_active", "gridftp_pool_leased", "xferman_jobs_running",
+		"xferman_queue_depth", "spans_active")
 	for i := len(r.servers) - 1; i >= 0; i-- {
 		r.servers[i].Close()
 	}

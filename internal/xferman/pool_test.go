@@ -202,3 +202,63 @@ func TestPooledManagerCloseOrder(t *testing.T) {
 		t.Fatalf("close left channels behind: %+v", st)
 	}
 }
+
+// TestPooledJobSurvivesResetCachedChannel: two pooled jobs in a row get
+// the same control-channel pair, so the second runs over the data
+// channel the first left cached, whose destination end resets right
+// after the first job's last byte. The second job still finishes in
+// exactly two attempts — the retry on fresh channels — and its
+// WireBytes equal the object size: the reset cost no payload.
+func TestPooledJobSurvivesResetCachedChannel(t *testing.T) {
+	for _, sf := range dstStoreFactories() {
+		sf := sf
+		t.Run(sf.name, func(t *testing.T) {
+			const size, block = 256 << 10, 16 << 10
+			// The first job's frames on the wire: a 17-byte MODE E header
+			// per block, and the EOD.
+			tracker := faultnet.ResetFirstConn(size + (size/block+1)*17)
+			r := rig.New(t)
+			want := rig.Payload(3, size)
+			src := r.Server(gridftp.Config{BlockSize: block}, rig.Objects{"a.bin": want, "b.bin": want})
+			dstStore := sf.make(t)
+			dst := r.Server(gridftp.Config{Store: dstStore, BlockSize: block,
+				DataTimeout: 500 * time.Millisecond, DataListen: tracker.Listen})
+			hub, _ := r.Hub("xferman")
+			pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: 2, Telemetry: hub,
+				Opts: func(string) []gridftp.Option { return []gridftp.Option{gridftp.WithTelemetry(hub)} }})
+			defer pool.Close()
+			m, err := New(1, WithPool(pool), WithTelemetry(hub))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			run := func(name string) Result {
+				t.Helper()
+				id, err := m.Submit(context.Background(), Job{Src: ep(src), Dst: ep(dst),
+					SrcName: name, DstName: name, MaxAttempts: 3, Verify: true,
+					RetryBackoff: 20 * time.Millisecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _ := m.Wait(context.Background(), id)
+				if got, err := dstStore.Get(name); res.Status != Succeeded || err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: status %v (%s), copy intact %v", name, res.Status, res.Err, bytes.Equal(got, want))
+				}
+				return res
+			}
+			if res := run("a.bin"); res.Attempts != 1 {
+				t.Fatalf("first job took %d attempts", res.Attempts)
+			}
+			res := run("b.bin")
+			if res.Attempts != 2 || res.WireBytes != size {
+				t.Fatalf("attempts=%d WireBytes=%d, want 2 and %d", res.Attempts, res.WireBytes, size)
+			}
+			if n := hub.Counter("gridftp_client_data_channel_reuses_total", "").Value(); n != 1 {
+				t.Fatalf("%d transfers reused a cached channel, want 1: the fault missed it", n)
+			}
+			if n := tracker.Total(); n != 2 {
+				t.Fatalf("%d data listeners, want 2", n)
+			}
+		})
+	}
+}
