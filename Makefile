@@ -14,7 +14,7 @@ GO ?= go
 # placement path race against each other by design), the cluster rig
 # (whose background-load sessions run beside the test goroutine), and
 # the root package whose C10k rig hammers the sharded session registry
-# and shared passive demux.
+# and the per-transfer passive listeners.
 RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/gridftp/... ./internal/faultnet/... ./internal/telemetry \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
@@ -107,11 +107,17 @@ loc:
 
 # Exported surface of the live transfer stack, one block per package:
 # the listing a PR's "the API only shrank" claim quotes, re-derivable
-# from the CI log the way `make loc` makes its line-count claim.
+# from the CI log the way `make loc` makes its line-count claim. The
+# one-line declarations are followed by every exported struct's field
+# block (go doc -all, comment and blank lines dropped), since -short
+# folds those to `struct{ ... }` and would hide an added Config field.
 API_PKGS = ./internal/gridftp ./internal/connpool ./internal/xferman
 api:
 	@for p in $(API_PKGS); do \
-		echo "== $$p"; $(GO) doc -short $$p || exit 1; echo; \
+		echo "== $$p"; $(GO) doc -short $$p || exit 1; \
+		$(GO) doc -all $$p | awk '/^type [A-Z][A-Za-z0-9_]* struct \{$$/ { on = 1 } \
+			on && !/^[[:space:]]*(\/\/|$$)/ { print } /^\}$$/ { on = 0 }'; \
+		echo; \
 	done
 
 race:

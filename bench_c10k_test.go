@@ -5,8 +5,8 @@
 //
 // The host caps file descriptors at 20k, so the session population
 // rides Config.ControlListen: control channels are synchronous
-// net.Pipe pairs (zero fds), while the data plane stays on real TCP
-// through the shared passive-listener pool. TestC10kSmoke keeps a
+// net.Pipe pairs (zero fds), while the data plane stays on real TCP,
+// one passive listener per transfer. TestC10kSmoke keeps a
 // small always-on population in `go test ./...`; the full ramp runs
 // from `make bench-c10k`, which writes BENCH_6.json:
 //
@@ -109,7 +109,6 @@ type plateauReport struct {
 	PooledSpeedupX float64 `json:"pooled_speedup_x"`
 	PoolHits       int64   `json:"pool_hits"`
 	PoolMisses     int64   `json:"pool_misses"`
-	DemuxRouted    int64   `json:"demux_routed"`
 }
 
 type c10kReport struct {
@@ -140,8 +139,7 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		ControlListen: func(string, string) (net.Listener, error) {
 			return ln, nil
 		},
-		PasvPortRange: "0-3",
-		Telemetry:     srvHub,
+		Telemetry: srvHub,
 	}, rig.Objects{"obj": obj})
 	dialer := memDialer(ln)
 
@@ -192,9 +190,9 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		rep.DialP50Ms = percentileMs(dials, 0.50)
 		rep.DialP99Ms = percentileMs(dials, 0.99)
 
-		// Transfers through the shared passive pool: the retr span's
-		// data_setup phase is the first-byte latency (PASV claim, RETR,
-		// TCP dial, demux route).
+		// Transfers over per-transfer passive listeners: the retr span's
+		// data_setup phase is the first-byte latency (PASV listen, RETR,
+		// TCP dial, accept).
 		xc := r.Login("mem:ctrl", gridftp.WithDialFunc(dialer), gridftp.WithTelemetry(hub))
 		for i := 0; i < c10kTransfers; i++ {
 			if _, _, err := xc.Retr("obj"); err != nil {
@@ -218,8 +216,6 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		}
 		rep.FirstByteP50Ms = percentileMs(firstByte, 0.50)
 		rep.FirstByteP99Ms = percentileMs(firstByte, 0.99)
-		rep.DemuxRouted = srvHub.Counter("gridftp_pasv_demux_routed_total",
-			"Data connections routed to a waiting transfer by token match.").Value()
 
 		// A/B: per-job control setup, fresh dial+login versus pooled
 		// checkout, both under the standing population.
@@ -303,7 +299,7 @@ func TestC10kReport(t *testing.T) {
 	blob, err := json.MarshalIndent(c10kReport{
 		Benchmark: "c10k-live-engine",
 		Notes: fmt.Sprintf("one in-process server, control channels over net.Pipe "+
-			"(fd-free), data plane on shared TCP passive listeners 0-3; "+
+			"(fd-free), data plane on one TCP passive listener per transfer; "+
 			"%d probe sessions and %d transfers per plateau; per-job latencies are p50 over %d jobs",
 			c10kProbes, c10kTransfers, c10kABJobs),
 		Plateaus: reports,

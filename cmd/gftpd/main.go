@@ -58,7 +58,6 @@ func main() {
 		acceptTO  = flag.Duration("accept-timeout", 0, "data-connection accept deadline (0: default 10s)")
 		maxObj    = flag.Int64("max-object", 0, "largest object accepted by STOR in bytes (0: default 4GiB)")
 		maxSess   = flag.Int("max-sessions", 0, "concurrent control-channel session cap; excess connections are shed with a 421 greeting (0: unlimited)")
-		pasv      = flag.String("pasv-range", "", "shared passive data port range \"lo-hi\": pre-open these listeners at startup and demultiplex data connections to transfers by token, instead of one listener per transfer (empty: per-transfer listeners)")
 		maxRate   = flag.Int64("max-rate", 0, "per-session data-plane rate cap in bits/sec, token-bucket shaped across all of a session's transfers and streams; clients may request lower via SITE RATE (0: unshaped)")
 		aggRate   = flag.Int64("aggregate-rate", 0, "server-wide data-plane rate cap in bits/sec shared by ALL sessions (the contention model's aggregate capacity R); 0: uncapped")
 	)
@@ -107,7 +106,6 @@ func main() {
 		AcceptTimeout:    *acceptTO,
 		MaxObjectSize:    *maxObj,
 		MaxSessions:      *maxSess,
-		PasvPortRange:    *pasv,
 		MaxRateBps:       *maxRate,
 		AggregateRateBps: *aggRate,
 		Telemetry:        hub,

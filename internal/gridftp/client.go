@@ -134,20 +134,11 @@ func (c *Client) dial(addr string) (net.Conn, error) {
 
 // dataConn dials one data endpoint and instruments it: the data timeout
 // per I/O, wire bytes counted into the transfer span (a nil span counts
-// nothing), and pacing when lim is non-nil (see wrapDataConn). A nonzero
-// token means the endpoint is a shared passive listener: the demux
-// routing preamble is sent first, on the raw connection so it never
-// lands in the wire-byte tally.
-func (c *Client) dataConn(ctx context.Context, addr string, token uint64, sp *telemetry.Span, lim *pacing.Limiter) (net.Conn, error) {
+// nothing), and pacing when lim is non-nil (see wrapDataConn).
+func (c *Client) dataConn(ctx context.Context, addr string, sp *telemetry.Span, lim *pacing.Limiter) (net.Conn, error) {
 	conn, err := c.dial(addr)
 	if err != nil {
 		return nil, err
-	}
-	if token != 0 {
-		if err := writeDemuxPreamble(conn, token, c.dataTimeout); err != nil {
-			conn.Close()
-			return nil, err
-		}
 	}
 	ic := instrumentedConn{Conn: conn, idle: c.dataTimeout, span: sp}
 	if lim != nil {
@@ -358,56 +349,44 @@ func (c *Client) Features() ([]string, error) {
 	return rep.Lines, nil
 }
 
-// passive requests PASV and returns the single data address plus the
-// demux token a shared-passive server advertises (0 when the server
-// uses per-transfer listeners).
-func (c *Client) passive() (string, uint64, error) {
+// passive requests PASV and returns the data address.
+func (c *Client) passive() (string, error) {
 	c.peer = nil
 	rep, err := c.do("PASV", "PASV", 227)
 	if err != nil {
-		return "", 0, err
+		return "", err
 	}
 	open := strings.Index(rep.Text, "(")
 	close := strings.LastIndex(rep.Text, ")")
 	if open < 0 || close <= open {
-		return "", 0, fmt.Errorf("gridftp: malformed PASV reply %q", rep.Text)
+		return "", fmt.Errorf("gridftp: malformed PASV reply %q", rep.Text)
 	}
-	addr, err := parseHostPort(rep.Text[open+1 : close])
-	if err != nil {
-		return "", 0, err
-	}
-	return addr, parseDemuxToken(rep.Text[:open]), nil
+	return parseHostPort(rep.Text[open+1 : close])
 }
 
-// stripedPassive requests SPAS and returns one data address per stripe
-// plus the demux token (0 when absent). The token rides the comma-free
-// header line, the addresses the comma lines.
-func (c *Client) stripedPassive() ([]string, uint64, error) {
+// stripedPassive requests SPAS and returns one data address per stripe:
+// the reply's comma lines, after its header line.
+func (c *Client) stripedPassive() ([]string, error) {
 	c.peer = nil
 	rep, err := c.do("SPAS", "SPAS", 229)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var addrs []string
-	var token uint64
 	for _, l := range rep.Lines {
-		l = strings.TrimSpace(l)
 		if !strings.Contains(l, ",") {
-			if t := parseDemuxToken(l); t != 0 {
-				token = t
-			}
 			continue
 		}
 		a, err := parseHostPort(l)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		addrs = append(addrs, a)
 	}
 	if len(addrs) == 0 {
-		return nil, 0, errors.New("gridftp: SPAS returned no addresses")
+		return nil, errors.New("gridftp: SPAS returned no addresses")
 	}
-	return addrs, token, nil
+	return addrs, nil
 }
 
 // TransferStats describes one completed client-side transfer.
@@ -599,7 +578,7 @@ const channelCached = "data channel cached"
 // pointAt arms a fresh data channel: dst opens a passive data port and
 // src will connect to it actively.
 func pointAt(src, dst *Client) error {
-	addr, token, err := dst.passive()
+	addr, err := dst.passive()
 	if err != nil {
 		return err
 	}
@@ -607,16 +586,9 @@ func pointAt(src, dst *Client) error {
 	if err != nil {
 		return err
 	}
-	port := fmt.Sprintf("%d,%d", tcp.Port/256, tcp.Port%256)
-	ip4 := tcp.IP.To4()
-	if ip4 == nil {
+	hostPort := hostPortString(tcp)
+	if hostPort == "" {
 		return errors.New("gridftp: third-party requires IPv4 data address")
-	}
-	hostPort := fmt.Sprintf("%d,%d,%d,%d,%s", ip4[0], ip4[1], ip4[2], ip4[3], port)
-	if token != 0 {
-		// dst's port is a shared passive listener: src must present its
-		// demux token, carried as PORT's second field.
-		hostPort += fmt.Sprintf(" %016x", token)
 	}
 	_, err = src.do("PORT", "PORT "+hostPort, 200)
 	return err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"testing/iotest"
 )
@@ -440,7 +441,8 @@ func checkWindowOps(t *testing.T, base uint16, ops []byte, window int) {
 }
 
 // FuzzParseHostPort hardens the FTP h1,h2,h3,h4,p1,p2 parser used by PORT
-// and the PASV reply reader.
+// and the PASV reply reader, and checks every accepted tuple survives
+// the round trip through hostPortString, the encoder PASV and SPAS use.
 func FuzzParseHostPort(f *testing.F) {
 	f.Add("127,0,0,1,4,210")
 	f.Add("")
@@ -456,6 +458,14 @@ func FuzzParseHostPort(f *testing.F) {
 		}
 		if addr == "" {
 			t.Fatal("accepted input yielded empty address")
+		}
+		tcp, err := net.ResolveTCPAddr("tcp", addr)
+		if err != nil {
+			t.Fatalf("accepted %q yielded unresolvable %q: %v", s, addr, err)
+		}
+		back, err := parseHostPort(hostPortString(tcp))
+		if err != nil || back != addr {
+			t.Fatalf("%q -> %q -> %q -> %q, %v", s, addr, hostPortString(tcp), back, err)
 		}
 	})
 }

@@ -22,9 +22,6 @@ type srvMetrics struct {
 	sessionsRejected *telemetry.Counter
 	shardActive      [nConnShards]*telemetry.Gauge
 	listenersOpen    *telemetry.Gauge
-	sharedListeners  *telemetry.Gauge
-	demuxRouted      *telemetry.Counter
-	demuxForeign     *telemetry.Counter
 	dataConns        *telemetry.Counter
 	acceptErrors     *telemetry.Counter
 	durations        *telemetry.Histogram
@@ -53,12 +50,6 @@ func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
 	}
 	m.listenersOpen = hub.Gauge("gridftp_server_passive_listeners_open",
 		"Per-transfer passive data listeners currently open.")
-	m.sharedListeners = hub.Gauge("gridftp_server_shared_passive_listeners",
-		"Pre-opened shared passive data listeners (PasvPortRange pool).")
-	m.demuxRouted = hub.Counter("gridftp_pasv_demux_routed_total",
-		"Data connections routed to a waiting transfer by token match.")
-	m.demuxForeign = hub.Counter("gridftp_pasv_demux_foreign_total",
-		"Token-matched data connections arriving from an address other than the claimant's (expected for third-party transfers).")
 	m.dataConns = hub.Counter("gridftp_server_data_connections_total",
 		"Data connections established for transfers.")
 	m.acceptErrors = hub.Counter("gridftp_server_data_accept_errors_total",
@@ -102,16 +93,6 @@ func (m *srvMetrics) sessionRejected() {
 		return
 	}
 	m.sessionsRejected.Inc()
-}
-
-// demuxShed counts one unroutable shared-listener connection by reason.
-func (m *srvMetrics) demuxShed(reason string) {
-	if m == nil || m.hub == nil {
-		return
-	}
-	m.hub.Counter("gridftp_pasv_demux_rejected_total",
-		"Shared-listener data connections closed unrouted, by reason.",
-		telemetry.L("reason", reason)).Inc()
 }
 
 // command counts one dispatched control-channel command.

@@ -79,11 +79,10 @@ type Config struct {
 	// MaxRateBps caps each session's aggregate data-channel rate, in
 	// bits per second (0 = unshaped). The cap is enforced by a
 	// per-session token bucket shared across all of the session's
-	// transfers and parallel streams — including the shared passive
-	// data plane — so one session cannot exceed its allocation by
-	// opening more connections. SITE RATE lets a client request a
-	// lower session rate (e.g. the broker-reserved circuit rate); the
-	// effective rate is the request clamped by this cap.
+	// transfers and parallel streams, so one session cannot exceed its
+	// allocation by opening more connections. SITE RATE lets a client
+	// request a lower session rate (e.g. the broker-reserved circuit
+	// rate); the effective rate is the request clamped by this cap.
 	MaxRateBps int64
 	// AggregateRateBps caps the server's total data-plane rate across
 	// ALL sessions, in bits per second (0 = uncapped) — the live
@@ -94,12 +93,6 @@ type Config struct {
 	// assumes, and a fleet dispatcher can treat R − Σ measured rates as
 	// this replica's real headroom.
 	AggregateRateBps int64
-	// PasvPortRange, when set ("lo-hi"), switches the server from one
-	// passive listener per transfer to a pre-opened shared listener pool
-	// spanning the range; accepted data connections are demultiplexed to
-	// transfers by token match (see demux.go). "0-N" binds N+1 ephemeral
-	// ports. Empty keeps the per-transfer listener path.
-	PasvPortRange string
 	// Telemetry, when set, receives the server's live instrument
 	// streams: registry metrics, per-transfer phase spans, and the
 	// 30-second per-stripe byte counters. Nil disables instrumentation.
@@ -133,7 +126,6 @@ type Server struct {
 	ln     net.Listener
 	sender *usagestats.Sender
 	met    *srvMetrics
-	pasv   *pasvPool
 	// agg is the server-wide data-plane bucket (AggregateRateBps); nil
 	// when the server's aggregate is uncapped. Shared by every data
 	// connection of every session, composed with each session's own
@@ -288,25 +280,9 @@ func Serve(cfg Config) (*Server, error) {
 	s.snaps, _ = cfg.Store.(SnapshotStore)
 	s.aborts, _ = cfg.Store.(PutAborter)
 	s.agg = pacing.NewBucket(cfg.AggregateRateBps, 0)
-	if cfg.PasvPortRange != "" {
-		lo, hi, err := parsePasvPortRange(cfg.PasvPortRange)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		pool, err := newPasvPool(cfg.DataListen, dataHost(ln.Addr()), lo, hi, cfg.AcceptTimeout, s.met)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		s.pasv = pool
-	}
 	if cfg.UsageAddr != "" {
 		snd, err := usagestats.NewSender(cfg.UsageAddr)
 		if err != nil {
-			if s.pasv != nil {
-				s.pasv.close()
-			}
 			ln.Close()
 			return nil, err
 		}
@@ -347,9 +323,6 @@ func (s *Server) Close() error {
 	}
 	err := s.ln.Close()
 	s.wg.Wait()
-	if s.pasv != nil {
-		s.pasv.close()
-	}
 	if s.sender != nil {
 		s.sender.Close()
 	}
@@ -400,16 +373,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// dataHost is the host passive data listeners bind and advertise: the
-// control listener's IP when it is TCP, loopback otherwise (in-memory
-// control listeners have no bindable address).
-func dataHost(a net.Addr) string {
-	if ta, ok := a.(*net.TCPAddr); ok && ta.IP != nil && !ta.IP.IsUnspecified() {
-		return ta.IP.String()
-	}
-	return "127.0.0.1"
-}
-
 // session is one control-channel connection's state.
 type session struct {
 	srv  *Server
@@ -424,17 +387,13 @@ type session struct {
 	parallelism int
 	bufferBytes int64
 
-	// passive data listeners, one per stripe (per-transfer listener path).
+	// passive data listeners for the next transfer: PASV's one, or one
+	// per stripe for SPAS. striped marks the SPAS form, whose transfer
+	// takes one connection per listener rather than parallelism on one.
 	passive []net.Listener
-	// claim is the shared-listener demux registration for the next
-	// transfer (shared passive path, mutually exclusive with passive).
-	claim *pasvClaim
+	striped bool
 	// active mode target (PORT), mutually exclusive with passive.
 	activeAddr string
-	// activeToken, when nonzero, is the demux token to send as the
-	// preamble when dialing activeAddr (the third-party leg toward a
-	// shared-passive destination).
-	activeToken uint64
 	// cached is the data channel the last transfer kept (see settle);
 	// the next transfer uses it. PASV, SPAS and PORT close it first, so
 	// it is never set beside an armed target.
@@ -613,9 +572,9 @@ func (sess *session) dispatch(verb, arg string) bool {
 	case "OPTS":
 		sess.cmdOpts(arg)
 	case "PASV":
-		sess.cmdPassive(1)
+		sess.cmdPassive(false)
 	case "SPAS":
-		sess.cmdPassive(sess.srv.cfg.Stripes)
+		sess.cmdPassive(true)
 	case "PORT":
 		sess.cmdPort(arg)
 	case "SIZE":
@@ -726,44 +685,28 @@ func (sess *session) cmdOpts(arg string) {
 	sess.reply(200, "options accepted")
 }
 
-// cmdPassive arranges data-connection targets for the next transfer
-// and reports their addresses: PASV (n=1) uses the classic 227
-// host-port encoding; SPAS uses the 229 multi-line form with one
-// address per stripe. With a shared passive pool the addresses are the
-// pre-opened listeners and the reply additionally carries the demux
-// token (outside the parenthesized tuple / on a comma-free line, so
-// token-unaware parsers still read the addresses); otherwise the
-// session opens per-transfer listeners as before.
-func (sess *session) cmdPassive(n int) {
+// cmdPassive opens the next transfer's data listeners and reports their
+// addresses: PASV one, in the classic 227 host-port encoding; SPAS one
+// per stripe, always in the 229 multi-line form. The listeners bind the
+// control connection's local IPv4 address (loopback for an in-memory
+// control connection), since the h1,h2,h3,h4 encoding has no other
+// form; a control connection without one gets a 425 and no listener.
+func (sess *session) cmdPassive(striped bool) {
 	sess.endTransfer()
-	if pool := sess.srv.pasv; pool != nil {
-		host, _, _ := net.SplitHostPort(sess.conn.RemoteAddr().String())
-		expect := sess.parallelism
-		if n > 1 {
-			expect = n
-		}
-		cl, err := pool.claim(n, host, expect)
-		if err != nil {
-			sess.reply(425, "cannot claim data listener: "+err.Error())
-			return
-		}
-		sess.claim = cl
-		if n == 1 {
-			sess.reply(227, fmt.Sprintf("entering passive mode; token=%016x (%s)",
-				cl.token, hostPortString(cl.addrs[0])))
-			return
-		}
-		lines := []string{fmt.Sprintf("Entering striped passive mode token=%016x", cl.token)}
-		for _, a := range cl.addrs {
-			lines = append(lines, " "+hostPortString(a))
-		}
-		sess.replyLines(229, lines, "end")
-		return
-	}
 	host := "127.0.0.1"
 	if ta, ok := sess.conn.LocalAddr().(*net.TCPAddr); ok {
-		host = ta.IP.String()
+		ip4 := ta.IP.To4()
+		if ip4 == nil {
+			sess.reply(425, "passive mode needs an IPv4 control connection")
+			return
+		}
+		host = ip4.String()
 	}
+	n := 1
+	if striped {
+		n = sess.srv.cfg.Stripes
+	}
+	addrs := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		ln, err := sess.srv.cfg.DataListen("tcp", net.JoinHostPort(host, "0"))
 		if err != nil {
@@ -773,50 +716,50 @@ func (sess *session) cmdPassive(n int) {
 		}
 		sess.passive = append(sess.passive, ln)
 		sess.srv.met.listenersOpen.Inc()
+		hp := hostPortString(ln.Addr())
+		if hp == "" {
+			sess.closePassive()
+			sess.reply(425, "data listener has no IPv4 address")
+			return
+		}
+		addrs = append(addrs, hp)
 	}
-	if n == 1 {
-		sess.reply(227, "entering passive mode ("+hostPortString(sess.passive[0].Addr())+")")
+	sess.striped = striped
+	if !striped {
+		sess.reply(227, "entering passive mode ("+addrs[0]+")")
 		return
 	}
 	lines := []string{"Entering striped passive mode"}
-	for _, ln := range sess.passive {
-		lines = append(lines, " "+hostPortString(ln.Addr()))
+	for _, a := range addrs {
+		lines = append(lines, " "+a)
 	}
 	sess.replyLines(229, lines, "end")
 }
 
 // cmdPort records an active-mode target in h1,h2,h3,h4,p1,p2 form; the
 // server will dial it for the next transfer (the third-party-transfer
-// leg). An optional second field carries the destination's demux token
-// in hex, to be sent as the preamble when the target is a shared
-// passive listener.
+// leg).
 func (sess *session) cmdPort(arg string) {
-	tuple, tokenHex, _ := strings.Cut(strings.TrimSpace(arg), " ")
-	addr, err := parseHostPort(tuple)
+	addr, err := parseHostPort(arg)
 	if err != nil {
 		sess.reply(501, err.Error())
 		return
 	}
-	var token uint64
-	if tokenHex != "" {
-		token, err = strconv.ParseUint(strings.TrimSpace(tokenHex), 16, 64)
-		if err != nil {
-			sess.reply(501, "bad data-channel token")
-			return
-		}
-	}
 	sess.endTransfer()
 	sess.activeAddr = addr
-	sess.activeToken = token
 	sess.reply(200, "PORT command successful")
 }
 
-// hostPortString renders a TCP address in FTP h1,h2,h3,h4,p1,p2 form.
+// hostPortString renders a TCP address in FTP h1,h2,h3,h4,p1,p2 form,
+// or "" when a is not a TCP address with an IPv4 form.
 func hostPortString(a net.Addr) string {
-	ta := a.(*net.TCPAddr)
+	ta, ok := a.(*net.TCPAddr)
+	if !ok {
+		return ""
+	}
 	ip4 := ta.IP.To4()
 	if ip4 == nil {
-		ip4 = net.IPv4(127, 0, 0, 1).To4()
+		return ""
 	}
 	return fmt.Sprintf("%d,%d,%d,%d,%d,%d",
 		ip4[0], ip4[1], ip4[2], ip4[3], ta.Port/256, ta.Port%256)
@@ -875,12 +818,12 @@ func (dc *dataChan) close(met *srvMetrics) {
 func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
 	met := sess.srv.met
 	// The session bucket (SITE RATE / Config.MaxRateBps) is shared by
-	// every connection wrapped here — the active, shared-passive, and
-	// per-transfer-listener paths all shape through this one choke
-	// point, so a session's aggregate rate holds no matter how many
-	// streams or stripes it opens. The server-wide bucket
-	// (AggregateRateBps, the paper's R) composes on top: every byte
-	// must clear both, so concurrent sessions divide R between them.
+	// every connection wrapped here — cached, active and passive alike
+	// shape through this one choke point, so a session's aggregate rate
+	// holds no matter how many streams or stripes it opens. The
+	// server-wide bucket (AggregateRateBps, the paper's R) composes on
+	// top: every byte must clear both, so concurrent sessions divide R
+	// between them.
 	var lim *pacing.Limiter
 	var shaped *telemetry.Counter
 	if b, agg := sess.bucket, sess.srv.agg; b != nil || agg != nil {
@@ -914,43 +857,23 @@ func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
 			met.acceptErrors.Inc()
 			return nil, err
 		}
-		if sess.activeToken != 0 {
-			// The target is a shared passive listener: route the
-			// connection before any payload bytes.
-			if err := writeDemuxPreamble(c, sess.activeToken, sess.srv.cfg.AcceptTimeout); err != nil {
-				c.Close()
-				met.acceptErrors.Inc()
-				return nil, err
-			}
-		}
 		return []*dataChan{open(c, "active")}, nil
 	}
-	// Passive: PASV's one endpoint takes parallelism connections, SPAS
-	// one per stripe endpoint. The shared path drains the claim queue
-	// the demux routes this transfer's connections onto; the
-	// per-transfer path accepts on its own listeners.
-	stripes := sess.stripes()
-	want := sess.parallelism
-	if stripes > 1 {
-		want = stripes
-	}
-	timeout := sess.srv.cfg.AcceptTimeout
-	var next func(i int) (net.Conn, error)
-	switch {
-	case sess.claim != nil:
-		next = func(int) (net.Conn, error) { return sess.claim.next(timeout) }
-	case len(sess.passive) > 0:
-		next = func(i int) (net.Conn, error) {
-			ln := sess.passive[i%stripes]
-			setListenerDeadline(ln, time.Now().Add(timeout))
-			return ln.Accept()
-		}
-	default:
+	// Passive: PASV's one listener takes parallelism connections, SPAS
+	// one per stripe listener.
+	if len(sess.passive) == 0 {
 		return nil, errors.New("no PASV/SPAS/PORT before transfer")
+	}
+	stripes := len(sess.passive)
+	want := sess.parallelism
+	if sess.striped {
+		want = stripes
 	}
 	chans := make([]*dataChan, 0, want)
 	for i := 0; i < want; i++ {
-		c, err := next(i)
+		ln := sess.passive[i%stripes]
+		setListenerDeadline(ln, time.Now().Add(sess.srv.cfg.AcceptTimeout))
+		c, err := ln.Accept()
 		if err != nil {
 			met.acceptErrors.Inc()
 			for _, dc := range chans {
@@ -966,9 +889,6 @@ func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
 // stripes is the number of SPAS stripe endpoints armed for the next
 // transfer; PASV, PORT and no endpoint at all count as one.
 func (sess *session) stripes() int {
-	if sess.claim != nil {
-		return len(sess.claim.addrs)
-	}
 	return max(len(sess.passive), 1)
 }
 
@@ -977,21 +897,17 @@ func (sess *session) closePassive() {
 		ln.Close()
 	}
 	sess.srv.met.listenersOpen.Add(-int64(len(sess.passive)))
-	sess.passive = nil
-	sess.claim.release()
-	sess.claim = nil
+	sess.passive, sess.striped = nil, false
 }
 
-// endTransfer releases a transfer's data targets: every per-transfer
-// passive listener is closed and every demux claim is unregistered —
-// win or lose, so a session looping transfers does not accumulate open
-// sockets or stranded claims — the PORT target is cleared, and a cached
-// channel is closed. All are valid for exactly one transfer attempt;
-// only settle keeps a channel past one.
+// endTransfer releases a transfer's data targets: every passive
+// listener is closed — win or lose, so a session looping transfers does
+// not accumulate open sockets — the PORT target is cleared, and a
+// cached channel is closed. All are valid for exactly one transfer
+// attempt; only settle keeps a channel past one.
 func (sess *session) endTransfer() {
 	sess.closePassive()
 	sess.activeAddr = ""
-	sess.activeToken = 0
 	sess.cached.close(sess.srv.met)
 	sess.cached = nil
 }
@@ -1086,13 +1002,12 @@ func (sess *session) moveData(tx *transferCtx, d direction) (int, string) {
 // settle ends a transfer attempt, and is the only code that writes a
 // completion reply. The reply goes last: by the time a client can act
 // on it the usage record exists, the metrics are published, the span is
-// in the hub's ended ring, and the data listeners or demux claim are
-// released (the source snapshot and the put were released by the
-// direction's done step), and the transfer's one data channel is
-// cached on a 226, said so in the reply, or closed. Unlike
-// success-only Globus loggers a failure
-// still emits a usage record — carrying the error code and the partial
-// wire-byte count — so live failure rates are observable.
+// in the hub's ended ring, and the data listeners are closed (the
+// source snapshot and the put were released by the direction's done
+// step), and the transfer's one data channel is cached on a 226, said
+// so in the reply, or closed. Unlike success-only Globus loggers a
+// failure still emits a usage record — carrying the error code and the
+// partial wire-byte count — so live failure rates are observable.
 func (sess *session) settle(tx *transferCtx, code int, msg string) {
 	met := sess.srv.met
 	wire := tx.wire.Load()
@@ -1102,8 +1017,8 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 		met.hub.Event(sess.trace.TraceID, "reply_error", fmt.Sprintf("%s: %d %s", tx.op, code, msg))
 		size, logCode, err = wire, code, fmt.Errorf("%d %s", code, msg)
 	}
-	// The usage record derives stripes from the listeners and the claim,
-	// so it is cut before endTransfer releases them.
+	// The usage record derives stripes from the listeners, so it is cut
+	// before endTransfer closes them.
 	sess.logTransfer(tx, size, logCode)
 	met.transferDone(tx.op, code, wire, time.Since(tx.start).Seconds())
 	met.deliveredBytes(tx.op, tx.delivered)

@@ -56,19 +56,19 @@ func (s *connSet) closeAll() {
 // dataAddrs asks the server for the transfer's data endpoints: one
 // address per SPAS stripe, or the PASV address repeated once per
 // parallel stream.
-func (c *Client) dataAddrs(striped bool) ([]string, uint64, error) {
+func (c *Client) dataAddrs(striped bool) ([]string, error) {
 	if striped {
 		return c.stripedPassive()
 	}
-	addr, token, err := c.passive()
+	addr, err := c.passive()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	addrs := make([]string, c.parallelism)
 	for i := range addrs {
 		addrs[i] = addr
 	}
-	return addrs, token, nil
+	return addrs, nil
 }
 
 // pumpConns is the data phase both engines share: dial every data
@@ -78,7 +78,7 @@ func (c *Client) dataAddrs(striped bool) ([]string, uint64, error) {
 // fail at once — so state the pumps share (a window, a chunk queue)
 // releases its waiters. The result is the failure's root cause, nil
 // when every pump finished.
-func (c *Client) pumpConns(ctx context.Context, addrs []string, token uint64, sp *telemetry.Span, abort func(error), pump func(net.Conn) error) error {
+func (c *Client) pumpConns(ctx context.Context, addrs []string, sp *telemetry.Span, abort func(error), pump func(net.Conn) error) error {
 	sp.SetStreams(len(addrs))
 	sp.Phase(telemetry.PhaseStream)
 	lim := c.xferLimiter()
@@ -93,7 +93,7 @@ func (c *Client) pumpConns(ctx context.Context, addrs []string, token uint64, sp
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			conn, err := c.dataConn(ctx, addr, token, sp, lim)
+			conn, err := c.dataConn(ctx, addr, sp, lim)
 			switch {
 			case err != nil:
 			case !set.add(conn):
@@ -191,7 +191,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 	if length >= 0 && length < regionLen {
 		regionLen = length
 	}
-	addrs, token, err := c.dataAddrs(striped)
+	addrs, err := c.dataAddrs(striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -219,7 +219,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		c.drainReply() // the server is mid-transfer; consume its verdict
 		return TransferStats{}, err
 	}
-	err = c.pumpConns(ctx, addrs, token, sp, asm.Abort, func(conn net.Conn) error {
+	err = c.pumpConns(ctx, addrs, sp, asm.Abort, func(conn net.Conn) error {
 		_, err := asm.DrainConn(conn)
 		return err
 	})
@@ -273,7 +273,7 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	addrs, token, err := c.dataAddrs(striped)
+	addrs, err := c.dataAddrs(striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -362,7 +362,7 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 			}
 		}
 	}()
-	err = c.pumpConns(ctx, addrs, token, sp, func(error) { stopSend() }, func(conn net.Conn) error {
+	err = c.pumpConns(ctx, addrs, sp, func(error) { stopSend() }, func(conn net.Conn) error {
 		for b := range frames {
 			if _, err := conn.Write(b.buf[hdrAt:]); err != nil {
 				return err
