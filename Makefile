@@ -44,15 +44,16 @@ check:
 		./internal/connpool ./internal/pacing ./internal/fleet ./internal/rig .
 	$(MAKE) fuzz-smoke
 
-# Fuzz smoke: run each data-plane fuzz target briefly on top of its
-# committed seed corpus. go test accepts a single -fuzz pattern per
+# Fuzz smoke: run each data-plane fuzz target, and the session policy's
+# agreement with sessions.Group, briefly on top of its committed seed
+# corpus. go test accepts a single -fuzz pattern per
 # invocation, hence the loop. Override FUZZ_TIME for longer campaigns
 # (e.g. make fuzz-smoke FUZZ_TIME=5m).
 FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrameReader \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
-	pacing:FuzzBucketRefill
+	pacing:FuzzBucketRefill core:FuzzSessionPolicy
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fz=$${t##*:}; \
@@ -105,13 +106,16 @@ loc:
 		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $${d#./}; \
 	done | sort -k1,1nr -k2
 
-# Exported surface of the live transfer stack, one block per package:
+# Exported surface of the live transfer stack and of the VC decision
+# rule with its live user (core's SessionPolicy, vc/broker), one block
+# per package:
 # the listing a PR's "the API only shrank" claim quotes, re-derivable
 # from the CI log the way `make loc` makes its line-count claim. The
 # one-line declarations are followed by every exported struct's field
 # block (go doc -all, comment and blank lines dropped), since -short
 # folds those to `struct{ ... }` and would hide an added Config field.
-API_PKGS = ./internal/gridftp ./internal/connpool ./internal/xferman
+API_PKGS = ./internal/gridftp ./internal/connpool ./internal/xferman \
+	./internal/core ./internal/vc/broker
 api:
 	@for p in $(API_PKGS); do \
 		echo "== $$p"; $(GO) doc -short $$p || exit 1; \

@@ -2,19 +2,15 @@
 // whether dynamic virtual-circuit service is usable and worthwhile for
 // GridFTP workloads.
 //
-// Two pieces:
-//
-//   - The feasibility analyzer reproduces the Table IV methodology: given a
-//     session-grouped log, it computes hypothetical session durations at the
-//     dataset's third-quartile transfer throughput and asks for what share
-//     of sessions (and of transfers) the VC setup delay would be a tenth or
-//     less of the session duration.
-//
-//   - The hybrid engine is the operational counterpart: per session it
-//     chooses dynamic-VC or IP-routed service from the same rule, requests
-//     circuits from an OSCARS IDC, and falls back to IP when admission
-//     fails — the decision layer a deployment would put in front of the
-//     transfer tool.
+// The rule — a session is a run of transfers between one endpoint pair
+// with gaps of at most g, and it suits a circuit when its duration at the
+// reference throughput is at least ten setup delays — is applied
+// offline by the feasibility analyzer (the Table IV methodology over
+// sessions.Group's cut, at the dataset's third-quartile throughput) and
+// online by SessionPolicy, a clock-free per-pair state machine with two
+// users: the simulator's HybridEngine, which books its verdicts on an
+// OSCARS IDC and falls back to IP when admission fails, and the live
+// circuit broker (internal/vc/broker).
 package core
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"gftpvc/internal/netsim"
 	"gftpvc/internal/oscars"
@@ -81,37 +82,32 @@ func NewHybridEngine(cfg HybridConfig, idc *oscars.IDC) (*HybridEngine, error) {
 }
 
 // Decide plans service for a session of totalBytes between src and dst
-// starting now. VC-eligible sessions get a reservation request; if the IDC
+// starting now, by running SessionPolicy on it as one gap-less job of
+// known size. VC-eligible sessions get a reservation request; if the IDC
 // rejects it (no bandwidth on any path), the plan falls back to IP-routed
 // service, which is always available.
 func (e *HybridEngine) Decide(src, dst topo.NodeID, totalBytes float64, now simclock.Time) (*Plan, error) {
 	if totalBytes <= 0 {
 		return nil, errors.New("core: session size must be positive")
 	}
-	predicted := simclock.Duration(totalBytes * 8 / e.cfg.Feasibility.ReferenceThroughputBps)
-	plan := &Plan{PredictedDuration: predicted}
-	threshold := e.cfg.Feasibility.MinSuitableSessionBytes()
-	if totalBytes < threshold {
-		plan.Service = IPRouted
-		e.plans = append(e.plans, plan)
-		return plan, nil
-	}
-	hold := predicted + e.cfg.HoldSlack + e.idc.MinSetupDelay()
-	circuit, err := e.idc.CreateReservation(oscars.Request{
-		Src: src, Dst: dst,
-		RateBps: e.cfg.CircuitRateBps,
-		Start:   now,
-		End:     now.Add(hold),
-	})
-	if err != nil {
-		plan.Service = IPRouted
-		plan.FallbackReason = fmt.Sprintf("admission failed: %v", err)
-		e.plans = append(e.plans, plan)
-		return plan, nil
-	}
-	plan.Service = DynamicVC
-	plan.Circuit = circuit
+	ref := e.cfg.Feasibility.ReferenceThroughputBps
+	plan := &Plan{PredictedDuration: simclock.Duration(totalBytes * 8 / ref)}
 	e.plans = append(e.plans, plan)
+	// A fresh session anchored at the zero instant: the booking end the
+	// policy returns is the hold itself.
+	pol := SessionPolicy{Feasibility: e.cfg.Feasibility,
+		HoldSlack: time.Duration(float64(e.cfg.HoldSlack) * float64(time.Second))}
+	act := pol.Start(time.Time{}, int64(totalBytes), ref)
+	if act.Kind != ActReserve {
+		return plan, nil
+	}
+	circuit, err := e.idc.CreateReservation(oscars.Request{Src: src, Dst: dst, RateBps: e.cfg.CircuitRateBps,
+		Start: now, End: now.Add(simclock.Duration(act.End.Sub(time.Time{}).Seconds()))})
+	if err != nil {
+		plan.FallbackReason = fmt.Sprintf("admission failed: %v", err)
+		return plan, nil
+	}
+	plan.Service, plan.Circuit = DynamicVC, circuit
 	return plan, nil
 }
 

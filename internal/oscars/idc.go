@@ -151,15 +151,6 @@ func NewIDC(domain string, eng *simclock.Engine, ledger *Ledger, model SetupMode
 // Ledger returns the IDC's bandwidth ledger.
 func (idc *IDC) Ledger() *Ledger { return idc.ledger }
 
-// MinSetupDelay returns the minimum provisioning latency of the IDC's
-// signaling model, the quantity Table IV sweeps (1 min vs 50 ms).
-func (idc *IDC) MinSetupDelay() simclock.Duration {
-	if idc.model == HardwareSignaling {
-		return hardwareSetup
-	}
-	return batchInterval
-}
-
 // provisionTime computes when a circuit requested now for the given start
 // becomes usable under the signaling model.
 func (idc *IDC) provisionTime(now, start simclock.Time) simclock.Time {

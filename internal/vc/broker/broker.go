@@ -1,14 +1,14 @@
 // Package broker is the session-aware circuit broker of the hybrid
-// VC/IP control plane: it watches a transfer manager's job stream,
-// groups jobs into sessions with the paper's gap parameter g (the same
-// rule internal/sessions applies to usage logs), and brokers OSCARS
-// circuits for exactly the sessions long enough to amortize the ~1 min
-// VC setup delay — everything else stays on best-effort IP.
+// VC/IP control plane: it watches a transfer manager's job stream and
+// runs core.SessionPolicy — the paper's gap-g sessions and 10x-setup
+// amortization rule, the same rule internal/sessions and
+// core.FeasibilityConfig apply to usage logs — on each endpoint pair,
+// performing the OSCARS calls, timers and telemetry the policy asks for.
 //
 // Lifecycle per session: the first amortizing job triggers a Reserve
 // sized from the pair's recently observed throughput; while the session
-// stays hot, later jobs extend the hold with Modify; when the session
-// has been idle for g, the circuit is cancelled. Admission rejects and
+// stays hot, later jobs extend the hold with Modify; once it has been
+// idle longer than g, the circuit is cancelled. Admission rejects and
 // daemon outages degrade the session to IP without failing any
 // transfer, and every decision is counted on the telemetry hub.
 //
@@ -78,7 +78,7 @@ func StaticRoute(srcNode, dstNode string) RouteMapper {
 // Config parameterizes the broker.
 type Config struct {
 	// Gap is the paper's g parameter: a session closes (and its circuit
-	// is cancelled) once no job has been active for this long.
+	// is cancelled) once no job has been active for longer than this.
 	// Required.
 	Gap time.Duration
 	// SetupDelay is the assumed VC provisioning latency the session
@@ -155,44 +155,32 @@ type session struct {
 
 	key              pairKey
 	srcNode, dstNode string
+	started          time.Time
+	pol              core.SessionPolicy
 
-	active  int       // jobs currently executing
-	horizon time.Time // latest job end seen (the gap measures from here)
-	started time.Time
-	bytes   int64 // bytes moved so far
+	circuit *Disposition // the held circuit's verdict (no SetupWait)
+	closed  bool
 
-	circuit  *circuitState
-	fallback string // sticky IP reason after a failed circuit attempt
-	closed   bool
-
-	// watchers are the in-flight leases that asked to hear about
-	// circuit re-rates (Lease.OnRateChange): when a later job's
-	// extension re-books the circuit at a new rate, every watcher's
-	// live pacing bucket is re-filled instead of the new rate applying
-	// only to the next attempt.
+	// watchers are the in-flight leases that asked to hear about circuit
+	// re-rates (Lease.OnRateChange), so an extension's new rate re-fills
+	// their live pacing buckets rather than waiting for the next attempt.
 	watchers map[*Lease]func(rateBps float64)
 
 	timer *time.Timer
-}
-
-// circuitState is the session's held reservation.
-type circuitState struct {
-	id        int64
-	rateBps   float64
-	endSvc    float64 // service-clock end of the current booking
-	setupWait time.Duration
 }
 
 // Broker watches a job stream and brokers circuits per session.
 type Broker struct {
 	client *vc.Client
 	cfg    Config
+	policy core.SessionPolicy // a fresh session's policy
 	met    metrics
 
 	mu       sync.Mutex
 	sessions map[pairKey]*session
 	rates    map[pairKey]float64 // observed EWMA throughput, survives sessions
 	closed   bool
+	releases sync.WaitGroup // circuit cancels still in flight
 
 	clockMu     sync.Mutex
 	clockSynced time.Time // local time of last service-clock sync
@@ -216,8 +204,13 @@ func New(client *vc.Client, cfg Config) (*Broker, error) {
 		return nil, err
 	}
 	b := &Broker{
-		client:   client,
-		cfg:      cfg,
+		client: client,
+		cfg:    cfg,
+		policy: core.SessionPolicy{
+			Feasibility: core.FeasibilityConfig{SetupDelay: cfg.SetupDelay,
+				OverheadFactor: cfg.OverheadFactor, ReferenceThroughputBps: cfg.ReferenceThroughputBps},
+			Gap: cfg.Gap, HoldSlack: cfg.HoldSlack,
+		},
 		sessions: make(map[pairKey]*session),
 		rates:    make(map[pairKey]float64),
 	}
@@ -235,26 +228,6 @@ func New(client *vc.Client, cfg Config) (*Broker, error) {
 		}
 	}
 	return b, nil
-}
-
-// countFallback counts one degraded-to-IP decision by reason.
-func (b *Broker) countFallback(reason string) {
-	if b.cfg.Telemetry == nil {
-		return
-	}
-	b.cfg.Telemetry.Counter("vc_broker_fallback_total",
-		"Sessions that wanted a circuit but fell back to best-effort IP, by reason.",
-		telemetry.L("reason", reason)).Inc()
-}
-
-// countJob counts one dispatched job by service.
-func (b *Broker) countJob(svc Service) {
-	if b.cfg.Telemetry == nil {
-		return
-	}
-	b.cfg.Telemetry.Counter("vc_broker_jobs_total",
-		"Jobs dispatched, by transport service.",
-		telemetry.L("service", string(svc))).Inc()
 }
 
 // serviceNow returns the daemon's service clock, re-syncing over the
@@ -308,9 +281,10 @@ func (b *Broker) observe(key pairKey, bytes int64, d time.Duration) {
 	b.mu.Unlock()
 }
 
-// lookup returns the live session for a pair, creating (or replacing a
-// gap-expired idle) one as needed.
-func (b *Broker) lookup(key pairKey, srcNode, dstNode string) *session {
+// lookup returns the live session for a pair, opening one when there is
+// none or the last one has expired. An expired session's circuit is
+// cancelled off the caller's path: a Begin never waits on a Cancel.
+func (b *Broker) lookup(key pairKey, srcNode, dstNode string, routed bool) *session {
 	for {
 		b.mu.Lock()
 		if b.closed {
@@ -319,28 +293,24 @@ func (b *Broker) lookup(key pairKey, srcNode, dstNode string) *session {
 		}
 		s := b.sessions[key]
 		if s == nil {
-			s = &session{key: key, srcNode: srcNode, dstNode: dstNode, started: time.Now()}
+			s = &session{key: key, srcNode: srcNode, dstNode: dstNode, started: time.Now(), pol: b.policy}
+			if !routed {
+				s.pol.PinIP("") // no topology route: plain best-effort, no fallback story
+			}
 			b.sessions[key] = s
 			b.mu.Unlock()
 			return s
 		}
 		b.mu.Unlock()
 		s.mu.Lock()
-		if s.closed {
+		if !s.closed && !s.pol.Expired(time.Now()) {
 			s.mu.Unlock()
-			b.evict(key, s)
-			continue
+			return s
 		}
-		// The gap expired but the close timer has not fired yet: close
-		// inline and open a fresh session.
-		if s.active == 0 && !s.horizon.IsZero() && time.Since(s.horizon) > b.cfg.Gap {
-			b.closeSessionLocked(s)
-			s.mu.Unlock()
-			b.evict(key, s)
-			continue
-		}
+		release := b.closeLocked(s)
 		s.mu.Unlock()
-		return s
+		b.evict(key, s)
+		go release()
 	}
 }
 
@@ -403,13 +373,8 @@ func (l *Lease) End(bytes int64, d time.Duration) {
 		s := l.s
 		s.mu.Lock()
 		delete(s.watchers, l)
-		s.active--
-		s.bytes += bytes
-		now := time.Now()
-		if now.After(s.horizon) {
-			s.horizon = now
-		}
-		if s.active == 0 && !s.closed {
+		s.pol.End(time.Now(), bytes)
+		if !s.closed {
 			l.b.armCloseTimer(s)
 		}
 		s.mu.Unlock()
@@ -432,59 +397,27 @@ func (b *Broker) Begin(ctx context.Context, srcAddr, dstAddr string, sizeHint in
 	if b.cfg.Route != nil {
 		srcNode, dstNode, routed = b.cfg.Route(srcAddr, dstAddr)
 	}
-	s := b.lookup(key, srcNode, dstNode)
+	s := b.lookup(key, srcNode, dstNode, routed)
 	if s == nil { // broker closed
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	disp := Disposition{Service: ServiceIP}
-	switch {
-	case !routed:
-		// No topology route: plain best-effort, no fallback story.
-	case s.circuit != nil:
-		b.extendLocked(ctx, s, sizeHint)
-		if s.circuit != nil {
-			disp = Disposition{
-				Service:   ServiceVC,
-				CircuitID: s.circuit.id,
-				RateBps:   s.circuit.rateBps,
-			}
-		} else {
-			disp.Fallback = s.fallback
-		}
-	case s.fallback != "":
-		disp.Fallback = s.fallback
-	default:
-		b.decideLocked(ctx, s, sizeHint)
-		if s.circuit != nil {
-			disp = Disposition{
-				Service:   ServiceVC,
-				CircuitID: s.circuit.id,
-				SetupWait: s.circuit.setupWait,
-				RateBps:   s.circuit.rateBps,
-			}
-		} else {
-			disp.Fallback = s.fallback
-		}
-	}
-	s.active++
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	b.countJob(disp.Service)
+	disp := b.decideLocked(ctx, s, sizeHint)
 	b.recordDecision(ctx, disp, routed)
 	return &Lease{b: b, s: s, disp: disp}
 }
 
-// recordDecision lands the dispatch verdict in the flight recorder,
-// tagged with the transfer trace when the job context carries one.
+// recordDecision counts the dispatch verdict by service and lands it in
+// the flight recorder, tagged with the transfer trace when the job
+// context carries one.
 func (b *Broker) recordDecision(ctx context.Context, disp Disposition, routed bool) {
 	hub := b.cfg.Telemetry
 	if hub == nil {
 		return
 	}
+	hub.Counter("vc_broker_jobs_total", "Jobs dispatched, by transport service.",
+		telemetry.L("service", string(disp.Service))).Inc()
 	trace := ""
 	if ctx != nil {
 		trace = telemetry.TraceIDFrom(ctx)
@@ -502,131 +435,93 @@ func (b *Broker) recordDecision(ctx context.Context, disp Disposition, routed bo
 	}
 }
 
-// decisionCtx derives the bounded control-plane context.
-func (b *Broker) decisionCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, b.cfg.DecisionTimeout)
-}
-
-// predictedSeconds estimates how long a transfer of pendingBytes still
-// needs the network for at the given sizing rate.
-func predictedSeconds(rateBps float64, pendingBytes int64) float64 {
-	return float64(pendingBytes) * 8 / rateBps
-}
-
-// decideLocked takes the reserve-or-not decision for a circuit-less
-// session. Called with s.mu held.
-func (b *Broker) decideLocked(ctx context.Context, s *session, sizeHint int64) {
-	// One rate snapshot drives the whole decision — the amortization
-	// threshold, the hold prediction, and the reserved rate. rateFor
-	// clamps the EWMA (or, on a pair's first transfer, the configured
-	// reference) to [MinRateBps, MaxRateBps] BEFORE any of those uses,
-	// and reading it once keeps the three consistent when a concurrent
-	// observe() moves the EWMA mid-decision: a circuit must never be
-	// sized at one rate but held for a duration predicted at another.
+// decideLocked runs the session policy for one job and makes the
+// reservation call it asks for. Called with s.mu held.
+func (b *Broker) decideLocked(ctx context.Context, s *session, sizeHint int64) Disposition {
+	// One clamped rate snapshot drives the whole decision — threshold,
+	// hold and reserved rate — so a concurrent observe() moving the EWMA
+	// can never size a circuit at one rate but hold it for another.
 	rate := b.rateFor(s.key)
-	// The amortization rule, applied to what the session looks like so
-	// far: bytes already moved plus the hint for the job at hand.
-	predicted := s.bytes + sizeHint
-	threshold := core.FeasibilityConfig{
-		SetupDelay:             b.cfg.SetupDelay,
-		OverheadFactor:         b.cfg.OverheadFactor,
-		ReferenceThroughputBps: rate,
-	}.MinSuitableSessionBytes()
-	if float64(predicted) < threshold {
-		// Too short to amortize: stay IP, but keep the door open — the
-		// session re-qualifies as observed bytes accumulate.
-		return
+	now := time.Now()
+	act := s.pol.Start(now, sizeHint, rate)
+	switch act.Kind {
+	case core.ActStayIP:
+		return Disposition{Service: ServiceIP, Fallback: act.Reason}
+	case core.ActRide:
+		return *s.circuit
 	}
-	cctx, cancel := b.decisionCtx(ctx)
+	cctx, cancel := context.WithTimeout(ctx, b.cfg.DecisionTimeout)
 	defer cancel()
 	svcNow, err := b.serviceNow(cctx)
-	if err != nil {
-		s.fallback = "reservation service unavailable: " + err.Error()
-		b.countFallback("unavailable")
-		return
-	}
-	hold := predictedSeconds(rate, predicted-s.bytes) +
-		b.cfg.HoldSlack.Seconds() + b.cfg.Gap.Seconds() + b.cfg.SetupDelay.Seconds()
-	start := svcNow + 1
-	began := time.Now()
-	res, err := b.client.Reserve(cctx, vc.ReserveRequest{
-		Src: s.srcNode, Dst: s.dstNode,
-		RateBps: rate, Start: start, End: start + hold,
-	})
-	wait := time.Since(began)
-	switch {
-	case err == nil:
-		s.circuit = &circuitState{
-			id: res.ID, rateBps: rate, endSvc: start + hold, setupWait: wait,
+	// svc maps a policy instant onto the daemon's clock, a second late
+	// so a booking never starts in the daemon's past.
+	svc := func(t time.Time) float64 { return svcNow + 1 + t.Sub(now).Seconds() }
+	if act.Kind == core.ActReserve {
+		var res *vc.Reservation
+		began := time.Now()
+		if err == nil {
+			res, err = b.client.Reserve(cctx, vc.ReserveRequest{
+				Src: s.srcNode, Dst: s.dstNode, RateBps: rate, Start: svc(now), End: svc(act.End),
+			})
 		}
-		b.met.reserved.Inc()
-	case errors.Is(err, vc.ErrNoPath), errors.Is(err, vc.ErrRejected):
-		s.fallback = "admission rejected: " + err.Error()
-		b.countFallback("rejected")
-	default:
-		s.fallback = "reservation service unavailable: " + err.Error()
-		b.countFallback("unavailable")
+		switch {
+		case err == nil:
+			s.pol.Booked(act.End)
+			s.circuit = &Disposition{Service: ServiceVC, CircuitID: res.ID, RateBps: rate}
+			b.met.reserved.Inc()
+			first := *s.circuit
+			first.SetupWait = time.Since(began)
+			return first
+		case errors.Is(err, vc.ErrNoPath), errors.Is(err, vc.ErrRejected):
+			return b.pinLocked(s, "rejected", "admission rejected: "+err.Error())
+		default:
+			return b.pinLocked(s, "unavailable", "reservation service unavailable: "+err.Error())
+		}
 	}
-}
-
-// extendLocked keeps a hot session's circuit booked past the predicted
-// end of the job at hand, re-booking via Modify when the current hold
-// is too short. A lost circuit (daemon restart, expired booking)
-// degrades the session to IP. Called with s.mu held.
-func (b *Broker) extendLocked(ctx context.Context, s *session, sizeHint int64) {
-	cctx, cancel := b.decisionCtx(ctx)
-	defer cancel()
-	svcNow, err := b.serviceNow(cctx)
-	if err != nil {
-		b.dropCircuitLocked(s, "reservation service unavailable: "+err.Error())
-		return
+	if err == nil {
+		_, err = b.client.Modify(cctx, vc.ModifyRequest{
+			ID: s.circuit.CircuitID, RateBps: rate, Start: svc(now), End: svc(act.End),
+		})
 	}
-	// As in decideLocked: one rate snapshot sizes the hold prediction
-	// and the re-booked rate together.
-	rate := b.rateFor(s.key)
-	need := svcNow + predictedSeconds(rate, sizeHint) + b.cfg.HoldSlack.Seconds()
-	if need <= s.circuit.endSvc {
-		return // current hold already covers this job
-	}
-	end := need + b.cfg.Gap.Seconds()
-	_, err = b.client.Modify(cctx, vc.ModifyRequest{
-		ID: s.circuit.id, RateBps: rate, Start: svcNow + 1, End: end,
-	})
 	switch {
 	case err == nil:
-		old := s.circuit.rateBps
-		s.circuit.endSvc = end
-		s.circuit.rateBps = rate
+		s.pol.Booked(act.End)
 		b.met.extended.Inc()
-		if rate != old {
+		if rate != s.circuit.RateBps {
 			// Re-rate in-flight jobs. Fired on fresh goroutines: s.mu is
 			// held here and a watcher may call back into the lease.
 			for _, fn := range s.watchers {
 				go fn(rate)
 			}
 		}
+		s.circuit.RateBps = rate
 	case errors.Is(err, vc.ErrRejected):
 		// Extension refused but the old booking survives server-side:
 		// ride the circuit until it expires.
 	case errors.Is(err, vc.ErrUnknownCircuit):
-		b.dropCircuitLocked(s, "circuit lost: "+err.Error())
+		return b.pinLocked(s, "lost", "circuit lost: "+err.Error())
 	default:
-		b.dropCircuitLocked(s, "reservation service unavailable: "+err.Error())
+		return b.pinLocked(s, "lost", "reservation service unavailable: "+err.Error())
 	}
+	return *s.circuit
 }
 
-// dropCircuitLocked degrades a VC session to IP for the rest of its
-// life. Called with s.mu held.
-func (b *Broker) dropCircuitLocked(s *session, reason string) {
+// pinLocked degrades the session to IP for the rest of its life, counts
+// the fallback by label, and returns the job's IP verdict. Called with
+// s.mu held.
+func (b *Broker) pinLocked(s *session, label, reason string) Disposition {
 	s.circuit = nil
-	s.fallback = reason
-	b.countFallback("lost")
+	s.pol.PinIP(reason)
+	if hub := b.cfg.Telemetry; hub != nil {
+		hub.Counter("vc_broker_fallback_total",
+			"Sessions that wanted a circuit but fell back to best-effort IP, by reason.",
+			telemetry.L("reason", label)).Inc()
+	}
+	return Disposition{Service: ServiceIP, Fallback: reason}
 }
 
-// armCloseTimer schedules the gap-expiry close for an idle session.
+// armCloseTimer schedules the gap-expiry close, re-armed by every job
+// end; the last one to fire after the session expires closes it.
 // Called with s.mu held.
 func (b *Broker) armCloseTimer(s *session) {
 	if s.timer != nil {
@@ -634,47 +529,49 @@ func (b *Broker) armCloseTimer(s *session) {
 	}
 	s.timer = time.AfterFunc(b.cfg.Gap+50*time.Millisecond, func() {
 		s.mu.Lock()
-		if s.closed || s.active > 0 {
+		if s.closed || !s.pol.Expired(time.Now()) {
 			s.mu.Unlock()
 			return
 		}
-		if remaining := b.cfg.Gap - time.Since(s.horizon); remaining > 0 {
-			// A job ended after this timer was armed; try again later.
-			b.armCloseTimer(s)
-			s.mu.Unlock()
-			return
-		}
-		b.closeSessionLocked(s)
+		release := b.closeLocked(s)
 		s.mu.Unlock()
-		b.evict(s.key, s)
+		release()
+		b.evict(s.key, s) // after the cancel: Sessions() == 0 implies it landed
 	})
 }
 
-// closeSessionLocked cancels the session's circuit (if any) and records
-// the amortization outcome. Called with s.mu held.
-func (b *Broker) closeSessionLocked(s *session) {
+// closeLocked marks the session closed and returns the release of its
+// circuit, to run once s.mu is dropped; Close waits for every release.
+// Called with s.mu held.
+func (b *Broker) closeLocked(s *session) (release func()) {
+	if s.closed {
+		return func() {}
+	}
 	s.closed = true
 	if s.timer != nil {
 		s.timer.Stop()
-		s.timer = nil
 	}
-	if s.circuit == nil {
-		return
+	act := s.pol.Close()
+	if act.Kind != core.ActCancel {
+		return func() {}
 	}
-	id := s.circuit.id
+	id := s.circuit.CircuitID
 	s.circuit = nil
-	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.DecisionTimeout)
-	defer cancel()
-	// Best effort: a dead daemon or restarted ledger no longer holds
-	// the circuit anyway.
-	if err := b.client.Cancel(ctx, id); err == nil {
-		b.met.cancelled.Inc()
+	wall := max(act.End.Sub(s.started), 0)
+	// Counted while the session is still open, so before Close's Wait:
+	// Close closes every session it finds before it waits.
+	b.releases.Add(1)
+	return func() {
+		defer b.releases.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), b.cfg.DecisionTimeout)
+		defer cancel()
+		// Best effort: a dead daemon or restarted ledger no longer holds
+		// the circuit anyway.
+		if err := b.client.Cancel(ctx, id); err == nil {
+			b.met.cancelled.Inc()
+		}
+		b.met.amort.Observe(wall.Seconds() / b.cfg.SetupDelay.Seconds())
 	}
-	wall := s.horizon.Sub(s.started)
-	if wall < 0 {
-		wall = 0
-	}
-	b.met.amort.Observe(wall.Seconds() / b.cfg.SetupDelay.Seconds())
 }
 
 // Sessions reports the number of live sessions (for tests and
@@ -702,11 +599,11 @@ func (b *Broker) Close() {
 	b.mu.Unlock()
 	for _, s := range live {
 		s.mu.Lock()
-		if !s.closed {
-			b.closeSessionLocked(s)
-		}
+		release := b.closeLocked(s)
 		s.mu.Unlock()
+		release()
 	}
+	b.releases.Wait()
 }
 
 // String summarizes the broker configuration (for logs).

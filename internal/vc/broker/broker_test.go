@@ -441,3 +441,57 @@ func TestLeaseRateChangeWatcher(t *testing.T) {
 	ip.OnRateChange(func(float64) { t.Error("ip lease fired") })
 	ip.End(1<<20, 10*time.Millisecond)
 }
+
+// TestBeginSkipsExpiredSessionCancel: closing a gap-expired circuit
+// session cancels its circuit outside the session lock, and off Begin's
+// path, so a Begin on that pair while the control plane is stalled waits
+// out only its own Reserve — one DecisionTimeout — and not the stuck
+// Cancel before it. Both closers are covered: the gap timer, and a
+// Begin that finds the session expired before the timer fires.
+func TestBeginSkipsExpiredSessionCancel(t *testing.T) {
+	srv := startDaemon(t, 0.8)
+	proxy, err := faultnet.NewProxy(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	c := dialClient(t, proxy.Addr())
+	cfg := testConfig(nil)
+	cfg.DecisionTimeout = 500 * time.Millisecond
+	b := newBroker(t, c, cfg)
+	ctx := context.Background()
+
+	timerPair := b.Begin(ctx, "src:1", "dst:1", qualifying)
+	inlinePair := b.Begin(ctx, "src:2", "dst:2", qualifying)
+	for _, l := range []*Lease{timerPair, inlinePair} {
+		if d := l.Disposition(); d.Service != ServiceVC {
+			t.Fatalf("healthy session: %+v, want VC", d)
+		}
+	}
+	timerPair.End(qualifying, 100*time.Millisecond)
+	proxy.Stall()
+	proxy.Reset()
+
+	begin := func(pair string) {
+		t.Helper()
+		start := time.Now()
+		l := b.Begin(ctx, "src:"+pair, "dst:"+pair, qualifying)
+		elapsed := time.Since(start)
+		if d := l.Disposition(); d.Service != ServiceIP || !strings.Contains(d.Fallback, "unavailable") {
+			t.Fatalf("pair %s, new session under outage: %+v, want IP with unavailable fallback", pair, d)
+		}
+		if limit := cfg.DecisionTimeout + 150*time.Millisecond; elapsed > limit {
+			t.Fatalf("pair %s: Begin on a gap-expired session took %v, want <= %v", pair, elapsed, limit)
+		}
+		l.End(qualifying, 100*time.Millisecond)
+	}
+	// The close timer (Gap + 50ms) has fired and is stuck in its Cancel.
+	time.Sleep(cfg.Gap + 100*time.Millisecond)
+	begin("1")
+	// Past the gap but (usually) before the close timer: Begin closes
+	// the session itself.
+	inlinePair.End(qualifying, 100*time.Millisecond)
+	time.Sleep(cfg.Gap + 20*time.Millisecond)
+	begin("2")
+	proxy.Resume()
+}
