@@ -66,16 +66,17 @@ vet:
 
 # Context-plumbing lint: every exported blocking method on the hybrid
 # control plane's core types (vc.Client, broker.Broker, xferman.Manager),
+# the control-channel pool (connpool.Pool, whose Get and GetPair dial),
 # the pacing layer (pacing.Bucket, pacing.Limiter), and the fleet
 # (fleet.Dispatcher, fleet.Registry — whose Place and ScrapeNow issue
 # network RPCs) must take a context.Context first, so no caller can be
 # left without a cancellation path. Accessors, teardown, and
 # non-blocking bucket arithmetic are exempt by name.
-CTX_EXEMPT = Addr|ProtocolVersion|Close|Disposition|End|Sessions|String|Result|OnRateChange|SetRate|Rate|Burst|Waited|With|Registry|Snapshot
+CTX_EXEMPT = Addr|ProtocolVersion|Close|Disposition|End|Sessions|String|Result|OnRateChange|SetRate|Rate|Burst|Waited|With|Registry|Snapshot|Stats
 vet-ctx:
-	@bad=$$(grep -nE '^func \([A-Za-z] \*(Client|Broker|Manager|Lease|Bucket|Limiter|Dispatcher|Registry)\) [A-Z][A-Za-z]*\(' \
+	@bad=$$(grep -nE '^func \([A-Za-z] \*(Client|Broker|Manager|Lease|Bucket|Limiter|Dispatcher|Registry|Pool)\) [A-Z][A-Za-z]*\(' \
 		internal/vc/*.go internal/vc/broker/*.go internal/xferman/*.go \
-		internal/pacing/*.go internal/fleet/*.go \
+		internal/connpool/*.go internal/pacing/*.go internal/fleet/*.go \
 		| grep -v '_test.go:' \
 		| grep -vE '\(ctx context\.Context' \
 		| grep -vE '\) ($(CTX_EXEMPT))\('); \

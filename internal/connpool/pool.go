@@ -1,17 +1,22 @@
 // Package connpool pools authenticated GridFTP control channels by
 // endpoint, so managed-transfer workers pay the dial + USER/PASS +
 // TYPE/MODE handshake once per connection lifetime instead of once per
-// job. Checkout mirrors the pooled-connection discipline of
-// internal/vc: a reused channel is health-checked with NOOP and, when
-// it proves stale, replaced by exactly one fresh dial — the caller
-// never sees the dead connection. A background keepalive NOOPs idle
-// channels so the server's IdleTimeout cannot reap them between jobs,
-// and a max lifetime bounds how long any channel is reused regardless.
+// job. GetPair leases a src/dst pair: a pair released together parks as
+// mates and is handed out together again, so the data channel their
+// servers kept (gridftp.ThirdPartyFrom) carries the next job too.
+// Checkout checks a parked channel with no round trip
+// (gridftp.Client.CheckIdle), which catches a server that closed, reset
+// or spoke out of turn; a stale channel is replaced by exactly one fresh
+// dial. Only the keepalive's NOOPs, which also keep server idle timers
+// from firing, and the control timeout catch a silent half-open path. A
+// max lifetime bounds how long any channel is reused regardless.
 package connpool
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,9 +53,10 @@ type Config struct {
 // key identifies a pool bucket: same server, same credentials.
 type key struct{ addr, user, pass string }
 
-// pooled is one parked control channel.
+// pooled is one parked control channel and the mate GetPair leased it beside.
 type pooled struct {
 	cli  *gridftp.Client
+	mate *gridftp.Client
 	born time.Time
 }
 
@@ -146,6 +152,7 @@ type Conn struct {
 	pool *Pool
 	key  key
 	born time.Time
+	mate *gridftp.Client // parked with it on Release; see pooled
 	// done flips exactly once, by CAS: Release and Discard may race on
 	// the same Conn (worker teardown vs. job completion) and only one of
 	// them may run the lifecycle, or the leased census double-decrements.
@@ -153,39 +160,72 @@ type Conn struct {
 }
 
 // Get checks out an authenticated control channel to addr: a parked
-// channel when a healthy one exists, a fresh dial otherwise. Reused
-// channels are verified end to end with NOOP first; a stale one is
-// closed and replaced by a single fresh dial, so callers never receive
-// a dead connection and never pay more than one redial.
+// channel when one passes the liveness check, a fresh dial otherwise. A
+// stale channel is closed and replaced by a single fresh dial, so callers
+// never receive a dead connection and never pay more than one redial.
+// Taking a channel that was parked as one of a pair breaks the pair.
 func (p *Pool) Get(ctx context.Context, addr, user, pass string) (*Conn, error) {
-	if err := ctx.Err(); err != nil {
+	if err := p.ready(ctx); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
 	k := key{addr, user, pass}
+	return p.checkout(ctx, k, p.popIdle(k))
+}
+
+// GetPair checks out a src and a dst channel as Get does each, but
+// prefers a parked src whose mate, the dst it last ran with, is parked
+// too: the pair whose servers kept a data channel between them.
+// Releasing both parks them as mates again. On error neither is leased,
+// and the error names the side that failed.
+func (p *Pool) GetPair(ctx context.Context,
+	srcAddr, srcUser, srcPass, dstAddr, dstUser, dstPass string) (src, dst *Conn, err error) {
+	if err := p.ready(ctx); err != nil {
+		return nil, nil, err
+	}
+	sk := key{srcAddr, srcUser, srcPass}
+	dk := key{dstAddr, dstUser, dstPass}
+	ps, pd := p.popPair(sk, dk)
+	if src, err = p.checkout(ctx, sk, ps); err != nil {
+		if pd.cli != nil {
+			p.park(dk, pd)
+		}
+		return nil, nil, fmt.Errorf("src %s: %w", srcAddr, err)
+	}
+	if dst, err = p.checkout(ctx, dk, pd); err != nil {
+		src.Release()
+		return nil, nil, fmt.Errorf("dst %s: %w", dstAddr, err)
+	}
+	src.mate, dst.mate = dst.Client, src.Client
+	return src, dst, nil
+}
+
+// ready refuses a checkout on a closed pool or a done context.
+func (p *Pool) ready(ctx context.Context) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
+	return ctx.Err()
+}
+
+// checkout leases pc if it passes CheckIdle. Otherwise it retires pc
+// and leases one fresh dial; a zero pc is a plain miss.
+func (p *Pool) checkout(ctx context.Context, k key, pc pooled) (*Conn, error) {
 	trace := telemetry.TraceIDFrom(ctx)
-	if pc, ok := p.popIdle(k); ok {
-		if err := pc.cli.Noop(); err == nil {
+	if pc.cli != nil {
+		if pc.cli.CheckIdle() == nil {
 			p.hits.Add(1)
 			p.met.hits.Inc()
-			p.cfg.Telemetry.Event(trace, "pool_hit", addr)
+			p.cfg.Telemetry.Event(trace, "pool_hit", k.addr)
 			p.lease(1)
 			return &Conn{Client: pc.cli, pool: p, key: k, born: pc.born}, nil
 		}
-		// Stale: retire it and fall through to the one fresh dial.
 		p.evict(pc.cli)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	p.misses.Add(1)
 	p.met.misses.Inc()
-	p.cfg.Telemetry.Event(trace, "pool_miss", addr)
+	p.cfg.Telemetry.Event(trace, "pool_miss", k.addr)
 	cli, err := p.dial(k)
 	if err != nil {
 		return nil, err
@@ -211,27 +251,79 @@ func (p *Pool) dial(k key) (*gridftp.Client, error) {
 	return cli, nil
 }
 
-// popIdle takes the most recently parked channel for k, skipping (and
-// retiring) expired ones.
-func (p *Pool) popIdle(k key) (pooled, bool) {
+// popIdle takes the most recently parked live channel for k, or a zero
+// pooled when there is none.
+func (p *Pool) popIdle(k key) pooled {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		bucket := p.idle[k]
-		n := len(bucket)
-		if p.closed || n == 0 {
-			return pooled{}, false
+	dead := p.reap(k)
+	pc := p.take(k, len(p.idle[k])-1)
+	p.mu.Unlock()
+	p.retire(dead)
+	return pc
+}
+
+// popPair takes the most recently parked live src for sk whose mate is
+// parked for dk, and that mate; failing that, each side as popIdle.
+func (p *Pool) popPair(sk, dk key) (src, dst pooled) {
+	p.mu.Lock()
+	dead := append(p.reap(sk), p.reap(dk)...)
+	i := len(p.idle[sk]) - 1
+	for m := i; m >= 0; m-- {
+		if p.mateOf(dk, p.idle[sk][m]) >= 0 {
+			i = m
+			break
 		}
-		pc := bucket[n-1]
-		p.idle[k] = bucket[:n-1]
-		p.met.idle.Dec()
+	}
+	src = p.take(sk, i)
+	j := p.mateOf(dk, src)
+	if j < 0 {
+		j = len(p.idle[dk]) - 1
+	}
+	dst = p.take(dk, j)
+	p.mu.Unlock()
+	p.retire(dead)
+	return src, dst
+}
+
+// mateOf returns the index of pc's mate in k's bucket, if it is parked
+// there naming pc back, or -1. Callers hold p.mu.
+func (p *Pool) mateOf(k key, pc pooled) int {
+	return slices.IndexFunc(p.idle[k], func(d pooled) bool {
+		return d.cli == pc.mate && d.mate == pc.cli
+	})
+}
+
+// take removes and returns the channel at index i of k's bucket, or a
+// zero pooled when i < 0. Callers hold p.mu.
+func (p *Pool) take(k key, i int) (pc pooled) {
+	if i < 0 {
+		return pc
+	}
+	pc = p.idle[k][i]
+	p.idle[k] = slices.Delete(p.idle[k], i, i+1)
+	p.met.idle.Dec()
+	return pc
+}
+
+// reap removes k's expired channels and returns them for retire, which
+// the caller runs after dropping p.mu: Close waits for QUIT's reply, so
+// one stalled peer must not hold up checkouts on every other key.
+func (p *Pool) reap(k key) (dead []pooled) {
+	p.idle[k] = slices.DeleteFunc(p.idle[k], func(pc pooled) bool {
 		if p.expired(pc.born) {
-			// Closing under the lock is cheap: QUIT rides the dying
-			// connection's buffers and Close does not wait for a reply.
-			p.evict(pc.cli)
-			continue
+			dead = append(dead, pc)
+			return true
 		}
-		return pc, true
+		return false
+	})
+	p.met.idle.Add(-int64(len(dead)))
+	return dead
+}
+
+// retire evicts channels reap took off the pool.
+func (p *Pool) retire(dead []pooled) {
+	for _, pc := range dead {
+		p.evict(pc.cli)
 	}
 }
 
@@ -284,13 +376,19 @@ func (c *Conn) Release() {
 		p.evict(c.Client)
 		return
 	}
+	p.park(c.key, pooled{cli: c.Client, mate: c.mate, born: c.born})
+}
+
+// park puts pc in k's bucket, or retires it when the pool is closed or
+// the bucket full.
+func (p *Pool) park(k key, pc pooled) {
 	p.mu.Lock()
-	if p.closed || len(p.idle[c.key]) >= p.cfg.MaxIdlePerEndpoint {
+	if p.closed || len(p.idle[k]) >= p.cfg.MaxIdlePerEndpoint {
 		p.mu.Unlock()
-		p.evict(c.Client)
+		p.evict(pc.cli)
 		return
 	}
-	p.idle[c.key] = append(p.idle[c.key], pooled{cli: c.Client, born: c.born})
+	p.idle[k] = append(p.idle[k], pc)
 	p.mu.Unlock()
 	p.met.idle.Inc()
 }
@@ -322,49 +420,22 @@ func (p *Pool) keepAliveLoop() {
 	}
 }
 
-// sweep probes every idle channel once, returning survivors to their
-// buckets. Checkouts racing the sweep simply miss and dial fresh.
+// sweep probes every idle channel once and parks the survivors again;
+// park retires those that releases racing the probe left no room for.
+// Checkouts racing the sweep simply miss and dial fresh.
 func (p *Pool) sweep() {
 	p.mu.Lock()
 	taken := p.idle
 	p.idle = make(map[key][]pooled, len(taken))
 	p.mu.Unlock()
 	for k, bucket := range taken {
-		var kept []pooled
 		for _, pc := range bucket {
 			p.met.idle.Dec()
 			if p.expired(pc.born) || pc.cli.Noop() != nil {
 				p.evict(pc.cli)
 				continue
 			}
-			kept = append(kept, pc)
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			for _, pc := range kept {
-				p.evict(pc.cli)
-			}
-			continue
-		}
-		// Releases that raced the probe window have refilled the bucket;
-		// reinsert only up to the idle bound and retire the surplus, or
-		// the bucket grows past MaxIdlePerEndpoint.
-		room := p.cfg.MaxIdlePerEndpoint - len(p.idle[k])
-		if room < 0 {
-			room = 0
-		}
-		if room > len(kept) {
-			room = len(kept)
-		}
-		p.idle[k] = append(p.idle[k], kept[:room]...)
-		p.mu.Unlock()
-		p.met.idle.Add(int64(room))
-		for _, pc := range kept[room:] {
-			p.evict(pc.cli)
+			p.park(k, pc)
 		}
 	}
 }

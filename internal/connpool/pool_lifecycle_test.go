@@ -34,6 +34,12 @@ type scriptedServer struct {
 	// rejectClear answers SITE RATE 0 with 550 while still accepting
 	// nonzero rates — a shaped session that refuses to unshape.
 	rejectClear bool
+	// outOfTurn, when set, is written unprompted right after the first
+	// session's login completes (its MODE reply); outOfTurnSent is then
+	// closed.
+	outOfTurn     string
+	outOfTurnSent chan struct{}
+	once          sync.Once
 }
 
 func startScripted(t *testing.T, s *scriptedServer) string {
@@ -71,6 +77,12 @@ func (s *scriptedServer) serve(conn net.Conn) {
 			write("230 logged in")
 		case verb == "TYPE", verb == "MODE":
 			write("200 ok")
+			if verb == "MODE" && s.outOfTurn != "" {
+				s.once.Do(func() {
+					write(s.outOfTurn)
+					close(s.outOfTurnSent)
+				})
+			}
 		case verb == "NOOP":
 			select {
 			case s.noopSeen <- struct{}{}:

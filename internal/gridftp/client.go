@@ -274,6 +274,35 @@ func (c *Client) Noop() error {
 	return err
 }
 
+// errStale: an idle control channel's server hung up or spoke out of
+// turn (see CheckIdle).
+var errStale = errors.New("gridftp: idle control channel is stale")
+
+// CheckIdle verifies an idle control channel before reuse, with no
+// round trip where it can: a reply already buffered, or a byte, EOF or
+// reset waiting on the socket, means the server spoke out of turn or
+// hung up. A connection with no socket descriptor (an in-memory pipe, a
+// wrapping dialer) is checked with NOOP instead. A silent half-open
+// path passes the local check; only a round trip catches that.
+func (c *Client) CheckIdle() error {
+	if c.desynced {
+		return ErrDesynced
+	}
+	if c.r.Buffered() > 0 {
+		return errStale
+	}
+	// The last reply left a read deadline behind; once it has passed, the
+	// peek would fail before it looks. The next command sets its own.
+	c.conn.SetReadDeadline(time.Time{})
+	switch stale, ok := peekStale(c.conn); {
+	case !ok:
+		return c.Noop()
+	case stale:
+		return errStale
+	}
+	return nil
+}
+
 // Desynced reports whether the control channel has been poisoned by an
 // undrained failure; a pool must discard such a connection rather than
 // hand it to the next job.

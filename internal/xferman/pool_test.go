@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,5 +262,82 @@ func TestPooledJobSurvivesResetCachedChannel(t *testing.T) {
 				t.Fatalf("%d data listeners, want 2", n)
 			}
 		})
+	}
+}
+
+// noopCounter is a Config.ControlListen hook that counts the NOOP
+// commands clients send the server.
+type noopCounter struct{ n atomic.Int64 }
+
+func (c *noopCounter) Listen(network, addr string) (net.Listener, error) {
+	ln, err := net.Listen(network, addr)
+	return noopListener{ln, c}, err
+}
+
+type noopListener struct {
+	net.Listener
+	c *noopCounter
+}
+
+func (l noopListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return noopConn{conn, l.c}, nil
+}
+
+type noopConn struct {
+	net.Conn
+	c *noopCounter
+}
+
+func (c noopConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.c.n.Add(int64(bytes.Count(b[:n], []byte("NOOP\r\n"))))
+	return n, err
+}
+
+// TestPooledManagerKeepsPairs is the hit-rate guard for pair leases: two
+// workers run 400 third-party copies, each to its own name, through a
+// pool that parks two channels per endpoint. At least 97% of the copies
+// must run over the data channel their pair kept, the pool may dial
+// only the two pairs, and no checkout may put a NOOP on the wire.
+func TestPooledManagerKeepsPairs(t *testing.T) {
+	const jobs = 400
+	r := rig.New(t)
+	var wire noopCounter
+	src := r.Server(gridftp.Config{ControlListen: wire.Listen}, rig.Objects{"obj": rig.Payload(5, 64<<10)})
+	dst := r.Server(gridftp.Config{ControlListen: wire.Listen})
+	hub, _ := r.Hub("xferman")
+	pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: 2, KeepAlive: -1, Telemetry: hub,
+		Opts: func(string) []gridftp.Option { return []gridftp.Option{gridftp.WithTelemetry(hub)} }})
+	defer pool.Close()
+	m, err := New(2, WithPool(pool), WithTelemetry(hub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx := context.Background()
+	ids := make([]JobID, jobs)
+	for i := range ids {
+		if ids[i], err = m.Submit(ctx, Job{Src: ep(src), Dst: ep(dst), SrcName: "obj", DstName: fmt.Sprintf("copy%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		if res, err := m.Wait(ctx, id); err != nil || res.Status != Succeeded {
+			t.Fatalf("job %d: %+v, %v", id, res, err)
+		}
+	}
+	reuses := hub.Counter("gridftp_client_data_channel_reuses_total", "").Value()
+	if rate := float64(reuses) / jobs; rate < 0.97 {
+		t.Errorf("hit rate %.3f (%d of %d copies reused a cached data channel), want >= 0.97", rate, reuses, jobs)
+	}
+	if st := pool.Stats(); st.Misses > 4 || st.Leased != 0 {
+		t.Errorf("pool %+v: want at most 4 misses (two pairs) and nothing leased", st)
+	}
+	if n := wire.n.Load(); n != 0 {
+		t.Errorf("%d NOOPs reached the servers; checkout must need no round trip", n)
 	}
 }

@@ -309,10 +309,10 @@ func WithTelemetry(hub *telemetry.Hub) Option {
 }
 
 // WithPool draws workers' control channels from an endpoint-keyed pool
-// instead of dialing fresh per attempt: checkout costs a NOOP round
-// trip on a live channel rather than a dial + login handshake, and the
-// post-failure watermark probe reuses a pooled channel too. The manager
-// does not own the pool — close the manager first, then the pool.
+// instead of dialing fresh per attempt: an attempt's one GetPair costs
+// no round trip on a live pair rather than two dial + login handshakes,
+// and the post-failure watermark probe reuses a pooled channel too. The
+// manager does not own the pool — close the manager first, then the pool.
 //
 // Pooled channels outlive any one job, so they dial with the pool's own
 // dialer, not the job context's; cancellation still aborts the job
@@ -808,11 +808,25 @@ func (r *run) place() error {
 	return nil
 }
 
+// checkout takes the attempt's two control channels: with a pool, one
+// GetPair, which hands back the src/dst pair that last ran together so
+// a third-party copy finds the data channel their servers kept (settle
+// parks the two as mates again); without one, a dial of each.
 func (r *run) checkout() (err error) {
-	if r.src, err = r.m.checkout(r.ctx, r.from, r.job); err != nil {
+	var src, dst *connpool.Conn
+	if r.m.pool != nil {
+		src, dst, err = r.m.pool.GetPair(r.ctx,
+			r.from.Addr, r.from.User, r.from.Pass,
+			r.job.Dst.Addr, r.job.Dst.User, r.job.Dst.Pass)
+		if err != nil {
+			return fmt.Errorf("checkout: %w", err)
+		}
+	}
+	if r.src, err = r.m.checkout(r.ctx, r.from, r.job, src); err != nil {
+		dst.Release()
 		return fmt.Errorf("dial src: %w", err)
 	}
-	if r.dst, err = r.m.checkout(r.ctx, r.job.Dst, r.job); err != nil {
+	if r.dst, err = r.m.checkout(r.ctx, r.job.Dst, r.job, dst); err != nil {
 		return fmt.Errorf("dial dst: %w", err)
 	}
 	return nil
@@ -966,7 +980,7 @@ func (r *run) verify() error {
 // attempt's (which may be poisoned). Zero means "no usable partial" —
 // probing is best-effort and a failed probe only costs resumption.
 func (r *run) probeWatermark() int64 {
-	ch, err := r.m.checkout(r.ctx, r.job.Dst, r.job)
+	ch, err := r.m.checkout(r.ctx, r.job.Dst, r.job, nil)
 	if err != nil {
 		return 0
 	}
@@ -1043,20 +1057,24 @@ func (ch channel) finish(err error) {
 }
 
 // checkout obtains a control channel to ep bound to job's deadlines,
-// window, and trace. The job's options are built once: a fresh dial
-// runs under them from the greeting on; a pooled channel keeps the
-// transfer state of whoever used it last, so one ApplyOptions call
-// rebinds them (unset values to the defaults a fresh Dial applies).
-// The trace needs a logged-in session (SITE TRID), so it is bound after
-// either. Rate shaping is NOT bound here — it depends on the broker's
-// disposition, which the attempt only learns after checkout.
-func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job) (ch channel, err error) {
+// window, and trace: leased, else a pooled Get, else a dial of its own.
+// The job's options are built once: a fresh dial runs under them from
+// the greeting on; a pooled channel keeps the transfer state of whoever
+// used it last, so one ApplyOptions call rebinds them (unset values to
+// the defaults a fresh Dial applies). The trace needs a logged-in
+// session (SITE TRID), so it is bound after either. Rate shaping is NOT
+// bound here — it depends on the broker's disposition, which the
+// attempt only learns after checkout.
+func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job, leased *connpool.Conn) (ch channel, err error) {
 	opts := job.clientOptions()
-	if m.pool == nil {
+	if leased == nil && m.pool != nil {
+		leased, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass)
+	}
+	if leased != nil {
+		ch = channel{leased.Client, leased}
+	} else if err == nil {
 		ch.Client, err = m.dial(ctx, ep, opts)
 		opts = nil // Dial applied them
-	} else if ch.pooled, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass); err == nil {
-		ch.Client = ch.pooled.Client
 	}
 	if err != nil {
 		return channel{}, err
