@@ -132,11 +132,14 @@ race:
 # passes most runs (a reply written before the server has finished, a
 # pool slot released late) fails CI instead of one run in thirty.
 # -short skips the long single-shot measurements (xferman's 10^4-job
-# heap soak), which plain `go test ./...` still runs once.
+# heap soak), which plain `go test ./...` still runs once. The drain
+# loops' shared hold state (blocks waiting in their frame buffers for a
+# sibling's gap) is repeated under the race detector too.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold' ./internal/gridftp/
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

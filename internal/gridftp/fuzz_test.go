@@ -6,8 +6,10 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 // frameHeader builds a bare MODE E header announcing count payload bytes
@@ -493,8 +495,13 @@ func FuzzAssembler(f *testing.F) {
 	})
 }
 
-// FuzzDrainConn exercises the full per-connection read loop on arbitrary
-// streams.
+// FuzzDrainConn runs the transfer drain loop on arbitrary streams split
+// across two connections, frame by frame in turn (an unparsable tail
+// goes whole to the next one), each drained by one of two announced
+// loops as a two-stream transfer runs them. The sink must receive bytes
+// in order and exactly once — contiguous, each one a byte some frame
+// carried at its offset — or both loops fail with a classified error,
+// within a bound set by the park timeout.
 func FuzzDrainConn(f *testing.F) {
 	var good bytes.Buffer
 	WriteBlock(&good, Block{Offset: 0, Data: []byte("abc")})
@@ -516,14 +523,62 @@ func FuzzDrainConn(f *testing.F) {
 	WriteBlock(&huge, Block{Offset: 1 << 40, Data: []byte("boom")})
 	f.Add(huge.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		asm, err := NewAssembler(1 << 16)
+		const size, window, parkMax = 1 << 16, 1 << 12, 50 * time.Millisecond
+		var conns [2][]byte
+		var frames []Block
+		for turn := 0; len(data) > 0; turn ^= 1 {
+			n := len(data)
+			if n >= modeEHeaderLen {
+				if b, count, err := parseHeader(data); err == nil && count <= n-modeEHeaderLen {
+					n = modeEHeaderLen + count
+					b.Data = data[modeEHeaderLen:n]
+					frames = append(frames, b)
+				}
+			}
+			conns[turn] = append(conns[turn], data[:n]...)
+			data = data[n:]
+		}
+		var out bytes.Buffer
+		asm, err := NewWindowAssembler(&out, 0, size, window, parkMax)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := asm.DrainConn(bytes.NewReader(data))
-		if err == nil && n < 0 {
-			t.Fatal("negative byte count")
+		start := time.Now()
+		var wg sync.WaitGroup
+		var errs [2]error
+		for i, stream := range conns {
+			wg.Add(1)
+			go func(i int, stream []byte) {
+				defer wg.Done()
+				if _, errs[i] = asm.drain(&frameReader{r: bytes.NewReader(stream)}, 2, unboundedEnd); errs[i] != nil {
+					asm.Abort(errs[i])
+				}
+			}(i, stream)
 		}
-		_ = err // io errors expected on truncated input
+		wg.Wait()
+		if d := time.Since(start); d > parkMax+2*time.Second {
+			t.Fatalf("drain took %v with a %v park timeout", d, parkMax)
+		}
+		for _, err := range errs {
+			switch class := readClass(err); {
+			case class == nil, class == io.EOF, class == io.ErrUnexpectedEOF,
+				class == ErrDataProtocol, errors.Is(err, ErrWindowStalled):
+			default:
+				t.Fatalf("unclassified drain error %v", err)
+			}
+		}
+		got := out.Bytes()
+		if int64(len(got)) != asm.Delivered() || uint64(len(got)) != asm.Flushed() || len(got) > size {
+			t.Fatalf("sink holds %d bytes, delivered %d, watermark %d", len(got), asm.Delivered(), asm.Flushed())
+		}
+	next:
+		for i, c := range got {
+			for _, b := range frames {
+				if b.Offset <= uint64(i) && uint64(i)-b.Offset < uint64(len(b.Data)) && b.Data[uint64(i)-b.Offset] == c {
+					continue next
+				}
+			}
+			t.Fatalf("byte %d delivered as %#x, which no frame carried there", i, c)
+		}
 	})
 }

@@ -235,23 +235,3 @@ func (a *Assembler) Complete() bool { return a.received.Load() >= int64(len(a.bu
 
 // Bytes returns the assembled buffer; call only when Complete.
 func (a *Assembler) Bytes() []byte { return a.buf }
-
-// DrainConn reads frames from one data connection into the assembler
-// until EOD. It returns the number of payload bytes received.
-func (a *Assembler) DrainConn(r io.Reader) (int64, error) {
-	var n int64
-	fr := frameReader{r: r}
-	for {
-		b, err := fr.next()
-		if err != nil {
-			return n, err
-		}
-		if err := a.Place(b); err != nil {
-			return n, err
-		}
-		n += int64(len(b.Data))
-		if b.Desc&DescEOD != 0 {
-			return n, nil
-		}
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBlockRoundTrip(t *testing.T) {
@@ -89,10 +90,16 @@ func TestAssemblerValidation(t *testing.T) {
 	}
 }
 
+// TestStripedReassemblyProperty: any (payload size, block size, stripe
+// count) partition drained concurrently through the window, each stripe
+// on its own drain loop with the loop count announced, reassembles to
+// the original payload. With ascending stripes it does so at a window of
+// two blocks and never makes the ring: every block beyond the watermark
+// is held for the sibling carrying the gap. With one stripe's blocks
+// sent in reverse, no sibling carries that stripe's gaps, and the
+// transfer completes through the ring.
 func TestStripedReassemblyProperty(t *testing.T) {
-	// Property: any (payload size, block size, stripe count) partition
-	// reassembles to the original payload, including concurrent draining.
-	f := func(seed int64, sizeRaw, blockRaw uint16, stripesRaw uint8) bool {
+	f := func(seed int64, sizeRaw, blockRaw uint16, stripesRaw uint8, reverse bool) bool {
 		size := int(sizeRaw)%20000 + 1
 		block := int(blockRaw)%997 + 1
 		stripes := int(stripesRaw)%7 + 1
@@ -111,48 +118,80 @@ func TestStripedReassemblyProperty(t *testing.T) {
 				return false
 			}
 		}
-		asm, err := NewAssembler(int64(size))
-		if err != nil {
-			return false
+		windows := []int{2 * block, size}
+		if reverse {
+			// Stripe 0 descending: it can only complete through a ring
+			// that holds every other stripe's blocks.
+			streams[0].Reset()
+			for off := (size - 1) / (stripes * block) * stripes * block; off >= 0; off -= stripes * block {
+				WriteBlock(streams[0], Block{Offset: uint64(off), Data: payload[off:min(off+block, size)]})
+			}
+			WriteBlock(streams[0], Block{Desc: DescEOD})
+			windows = windows[1:]
 		}
-		var wg sync.WaitGroup
-		ok := make([]bool, stripes)
-		for i := range streams {
-			wg.Add(1)
-			go func(i int, r io.Reader) {
-				defer wg.Done()
-				_, err := asm.DrainConn(r)
-				ok[i] = err == nil
-			}(i, streams[i])
-		}
-		wg.Wait()
-		for _, o := range ok {
-			if !o {
+		for _, window := range windows {
+			var out bytes.Buffer
+			asm, err := NewWindowAssembler(&out, 0, int64(size), window, 5*time.Second)
+			if err != nil {
+				return false
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, stripes)
+			for i := range streams {
+				wg.Add(1)
+				go func(i int, r io.Reader) {
+					defer wg.Done()
+					if _, errs[i] = asm.drain(&frameReader{r: r}, stripes, unboundedEnd); errs[i] != nil {
+						asm.Abort(errs[i])
+					}
+				}(i, bytes.NewReader(streams[i].Bytes()))
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Logf("window %d: %v", window, err)
+				return false
+			}
+			if asm.Finish() != nil || !bytes.Equal(out.Bytes(), payload) {
+				return false
+			}
+			if ring := asm.win != nil; ring != (reverse && size > stripes*block) {
+				t.Logf("window %d, %d stripes of %d-byte blocks, reverse %v: ring made %v", window, stripes, block, reverse, ring)
 				return false
 			}
 		}
-		return asm.Complete() && bytes.Equal(asm.Bytes(), payload)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestDrainConnStopsAtEOD: the drain loop returns at EOD, and what the
+// sender wrote after it stays in the frame reader for the next transfer
+// on a cached channel.
 func TestDrainConnStopsAtEOD(t *testing.T) {
 	var buf bytes.Buffer
 	WriteBlock(&buf, Block{Offset: 0, Data: []byte("abc")})
 	WriteBlock(&buf, Block{Desc: DescEOD})
 	WriteBlock(&buf, Block{Offset: 3, Data: []byte("XYZ")}) // after EOD: unread
-	asm, _ := NewAssembler(6)
-	n, err := asm.DrainConn(&buf)
+	var out bytes.Buffer
+	asm, err := NewWindowAssembler(&out, 0, 6, 1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Errorf("drained %d bytes, want 3", n)
+	fr := &frameReader{r: &buf}
+	n, err := asm.drain(fr, 1, unboundedEnd)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if asm.Complete() {
+	if n != 3 || out.String() != "abc" {
+		t.Errorf("drained %d bytes delivering %q, want 3 delivering \"abc\"", n, out.String())
+	}
+	if asm.Finish() == nil {
 		t.Error("assembler should not be complete")
+	}
+	if b, err := fr.next(); err != nil || b.Offset != 3 || string(b.Data) != "XYZ" {
+		t.Errorf("frame after EOD: %+v, %v; want XYZ at 3", b, err)
 	}
 }
 

@@ -1276,28 +1276,9 @@ func (sess *session) cmdStor(name string, offset int64) {
 		}
 		maxSize := uint64(srv.cfg.MaxObjectSize)
 		return direction{
-			pump: func(_, _ int, dc *dataChan) error {
-				fr := &dc.fr
-				for {
-					b, err := fr.next()
-					if err != nil {
-						return err
-					}
-					if len(b.Data) > 0 {
-						// The size cap guards before any window logic so a
-						// malicious offset is a prompt 426, never a park.
-						if b.Offset > maxSize || uint64(len(b.Data)) > maxSize-b.Offset {
-							return fmt.Errorf("%w: block at offset %d exceeds the %d-byte object limit",
-								ErrDataProtocol, b.Offset, maxSize)
-						}
-						if err := asm.PlaceBlocking(b); err != nil {
-							return err
-						}
-					}
-					if b.Desc&DescEOD != 0 {
-						return nil
-					}
-				}
+			pump: func(_, n int, dc *dataChan) error {
+				_, err := asm.drain(&dc.fr, n, maxSize)
+				return err
 			},
 			// Wake siblings parked on the window; first error wins.
 			abort: asm.Abort,

@@ -220,7 +220,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		return TransferStats{}, err
 	}
 	err = c.pumpConns(ctx, addrs, sp, asm.Abort, func(conn net.Conn) error {
-		_, err := asm.DrainConn(conn)
+		_, err := asm.drain(&frameReader{r: conn}, len(addrs), unboundedEnd)
 		return err
 	})
 	stats = c.stats(asm.Delivered(), start, len(addrs), striped)

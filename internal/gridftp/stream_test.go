@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -290,13 +291,18 @@ func TestStreamStorOversizeRejectedBeforeParking(t *testing.T) {
 	}
 }
 
-// TestStorAllocBudget is the tier-1 guard on what storing a byte costs:
-// a 16 MiB two-stream STOR into a MemStore server (1 MiB window, so the
-// ring does not dominate) allocates at most 1.3x the object across
-// client and server — one copy of the object plus the window and the
-// per-stream buffers — and 1 MiB written as 1-byte regions at most
-// 1.5 MiB. A store that grows by doubling reads about 2x on the first
-// and over 2 MiB on the second.
+// TestStorAllocBudget is the tier-1 guard on what moving a byte costs.
+// A 16 MiB two-stream STOR into a MemStore server, at the default 8 MiB
+// window, allocates at most 1.1x the object across client and server:
+// one copy of the object and the per-stream buffers, no window, since
+// each stream's offsets ascend and a block beyond the watermark waits
+// in its frame buffer for the sibling carrying the gap. A 16 MiB
+// two-stream RetrTo into a discarding sink, at the default 4 MiB client
+// window, allocates for the same reason little more than its four
+// per-stream frame buffers, one 256 KiB block each on either side:
+// under 1 MiB and 128 KiB. And 1 MiB written as 1-byte regions
+// allocates at most 1.5 MiB. A store that grows by doubling reads
+// about 2x on the first and over 2 MiB on the last.
 func TestStorAllocBudget(t *testing.T) {
 	measure := func(op func()) float64 {
 		var before, after runtime.MemStats
@@ -305,14 +311,18 @@ func TestStorAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
-	t.Run("stor", func(t *testing.T) {
-		const size, stors = 16 << 20, 3
-		store := NewMemStore()
-		s := startServer(t, Config{Store: store, WindowSize: 1 << 20})
+	const size, ops = 16 << 20, 3
+	twoStreams := func(t *testing.T, store *MemStore) *Client {
+		s := startServer(t, Config{Store: store})
 		c := loginStream(t, s.Addr())
 		if err := c.SetParallelism(2); err != nil {
 			t.Fatal(err)
 		}
+		return c
+	}
+	t.Run("stor", func(t *testing.T) {
+		store := NewMemStore()
+		c := twoStreams(t, store)
 		payload := randomPayload(size)
 		stor := func() {
 			if _, err := c.StorFrom(context.Background(), "up.bin", bytes.NewReader(payload), size); err != nil {
@@ -321,15 +331,36 @@ func TestStorAllocBudget(t *testing.T) {
 		}
 		stor() // the first STOR registers the metric families
 		per := measure(func() {
-			for i := 0; i < stors; i++ {
+			for i := 0; i < ops; i++ {
 				stor()
 			}
-		}) / stors
-		if per > 1.3*size {
-			t.Errorf("a %d-byte STOR allocates %.0f bytes (%.2fx the object), budget 1.3x", size, per, per/size)
+		}) / ops
+		if per > 1.1*size {
+			t.Errorf("a %d-byte STOR allocates %.0f bytes (%.2fx the object), budget 1.1x", size, per, per/size)
 		}
 		if got, err := store.Get("up.bin"); err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("stored object differs (err=%v)", err)
+		}
+	})
+	t.Run("retr", func(t *testing.T) {
+		store := NewMemStore()
+		if err := store.Put("down.bin", randomPayload(size)); err != nil {
+			t.Fatal(err)
+		}
+		c := twoStreams(t, store)
+		retr := func() {
+			if stats, err := c.RetrTo(context.Background(), "down.bin", io.Discard); err != nil || stats.Bytes != size {
+				t.Fatalf("RetrTo: %d bytes, %v", stats.Bytes, err)
+			}
+		}
+		retr() // the first RETR registers the metric families
+		per := measure(func() {
+			for i := 0; i < ops; i++ {
+				retr()
+			}
+		}) / ops
+		if per >= 1<<20+128<<10 {
+			t.Errorf("a %d-byte RETR allocates %.0f bytes, budget 1.125 MiB", size, per)
 		}
 	})
 	t.Run("1-byte regions", func(t *testing.T) {

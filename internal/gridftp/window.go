@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
@@ -31,6 +32,14 @@ var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 // whole only when the first block has to be buffered: memory is nothing
 // until a block parks and the window from then on, whatever the size.
 // Every transfer on both endpoints reassembles through one.
+//
+// The window is the fallback, not the common path. Once a transfer's
+// drain loops have announced how many they are, a block read beyond the
+// watermark is held, uncopied, in its loop's frame buffer while a
+// sibling loop is still reading (neither finished nor waiting beyond
+// the watermark): when each connection's offsets ascend, that sibling
+// carries the gap. The window takes only the blocks no sibling can
+// fill the gap for.
 //
 // Concurrent Place/PlaceBlocking calls from parallel data connections
 // are safe; flushes to the sink are serialized under the assembler's
@@ -61,10 +70,15 @@ type WindowAssembler struct {
 	parkMax time.Duration
 	failed  error
 
+	loops    int      // drain loops announced; holds need two or more
+	finished int      // announced loops that have returned
+	waiting  []uint64 // offsets of the blocks placers are waiting with
+
 	// OnPark, when set, is invoked (under the assembler lock) the first
 	// time a PlaceBlocking call parks waiting for the window to slide,
 	// with the blocked block's offset — the flight-recorder hook for
-	// receiver-side backpressure. Set it before any data arrives.
+	// receiver-side backpressure. A block held for a sibling loop's gap
+	// is not parked and does not fire it. Set it before any data arrives.
 	OnPark func(offset uint64)
 }
 
@@ -73,10 +87,12 @@ type WindowAssembler struct {
 const unboundedEnd = ^uint64(0)
 
 // DefaultWindowSize is the mode-E reassembly window used when a
-// streaming API is not told otherwise: large enough to absorb the
-// stripe skew of parallel senders. It is what a transfer holds once a
-// block has parked; a transfer whose blocks all arrive in order (one
-// stream, or a one-block object) holds none of it.
+// streaming API is not told otherwise. Stripe skew is absorbed first by
+// the kernel socket buffers, behind loops holding blocks for their gap;
+// the window takes only what no sibling loop can deliver the gap for.
+// It is what a transfer holds once a block has parked; a transfer whose
+// blocks all arrive in order (one stream, a one-block object, or
+// ascending offsets on every connection) holds none of it.
 const DefaultWindowSize = 4 << 20
 
 // defaultParkTimeout bounds how long a PlaceBlocking call may wait for
@@ -337,44 +353,82 @@ func (a *WindowAssembler) writeSink(p []byte) error {
 
 // PlaceBlocking is Place with backpressure: a block beyond the window
 // parks the calling goroutine until earlier bytes flush and the window
-// slides. A park longer than the assembler's timeout fails with
-// ErrWindowStalled, and Abort wakes every parked caller with the
+// slides. A park that sees no slide for the assembler's timeout fails
+// with ErrWindowStalled, and Abort wakes every parked caller with the
 // aborting error — no goroutine is left parked forever.
 func (a *WindowAssembler) PlaceBlocking(b Block) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var timedOut bool
 	var timer *time.Timer
+	var deadline time.Time
+	mark, parked := a.flushed, false
 	defer func() {
 		if timer != nil {
 			timer.Stop()
 		}
 	}()
 	for {
-		err := a.placeLocked(b)
-		if !errors.Is(err, ErrWindowFull) {
-			return err
+		hold := a.holdLocked(b)
+		if !hold {
+			err := a.placeLocked(b)
+			if !errors.Is(err, ErrWindowFull) {
+				return err
+			}
+			if !parked && a.OnPark != nil {
+				a.OnPark(b.Offset)
+			}
+			parked = true
 		}
-		if timedOut {
+		switch {
+		case timer == nil:
+			timer = time.AfterFunc(a.parkMax, a.wake)
+			deadline = time.Now().Add(a.parkMax)
+		case a.flushed != mark:
+			// The window slid: the timeout bounds a wait without progress.
+			mark, deadline = a.flushed, time.Now().Add(a.parkMax)
+			timer.Reset(a.parkMax)
+		case !time.Now().Before(deadline):
 			if a.failed == nil {
 				a.failed = ErrWindowStalled
 				a.cond.Broadcast()
 			}
 			return ErrWindowStalled
 		}
-		if timer == nil {
-			if a.OnPark != nil {
-				a.OnPark(b.Offset)
-			}
-			timer = time.AfterFunc(a.parkMax, func() {
-				a.mu.Lock()
-				timedOut = true
-				a.cond.Broadcast()
-				a.mu.Unlock()
-			})
+		a.waiting = append(a.waiting, b.Offset)
+		if !hold {
+			a.cond.Broadcast() // a loop holding for this one falls back
 		}
 		a.cond.Wait()
+		i := slices.Index(a.waiting, b.Offset)
+		a.waiting = slices.Delete(a.waiting, i, i+1)
 	}
+}
+
+// holdLocked reports whether b, beyond the watermark, waits uncopied in
+// its drain loop's frame buffer: a sibling loop has neither finished nor
+// is waiting beyond the watermark, so it is reading and, when each
+// connection's offsets ascend, carries the gap. Blocks placeLocked
+// rejects are not held.
+func (a *WindowAssembler) holdLocked(b Block) bool {
+	end := b.Offset + uint64(len(b.Data))
+	if a.loops < 2 || a.failed != nil || b.Offset <= a.flushed || end < b.Offset ||
+		end > a.end || uint64(len(b.Data)) > a.window {
+		return false
+	}
+	idle := a.finished + 1 // this loop
+	for _, off := range a.waiting {
+		if off > a.flushed {
+			idle++
+		}
+	}
+	return idle < a.loops
+}
+
+// wake rouses every waiting placer to check its deadline.
+func (a *WindowAssembler) wake() {
+	a.mu.Lock()
+	a.cond.Broadcast()
+	a.mu.Unlock()
 }
 
 // Abort fails the assembler: parked placers wake with err and every
@@ -452,16 +506,41 @@ func (a *WindowAssembler) Window() int { return int(a.window) }
 // bytes read off this connection. On error the caller should Abort the
 // assembler so sibling connections unpark.
 func (a *WindowAssembler) DrainConn(r io.Reader) (int64, error) {
+	return a.drain(&frameReader{r: r}, 0, unboundedEnd)
+}
+
+// drain is every transfer's per-connection read loop: it places the
+// frames fr reads until EOD as one of loops drain loops (0: none
+// announced, nothing is held), all announcing the same count before
+// their first placement. A block past maxSize fails before any wait.
+// It returns the payload bytes read.
+func (a *WindowAssembler) drain(fr *frameReader, loops int, maxSize uint64) (int64, error) {
+	a.mu.Lock()
+	if a.loops == 0 {
+		a.loops, a.waiting = loops, make([]uint64, 0, loops)
+	}
+	a.mu.Unlock()
+	defer func() {
+		a.mu.Lock()
+		a.finished++
+		a.cond.Broadcast() // a loop holding for this one falls back
+		a.mu.Unlock()
+	}()
 	var n int64
-	fr := frameReader{r: r}
 	for {
 		b, err := fr.next()
 		if err != nil {
 			return n, err
 		}
 		n += int64(len(b.Data))
-		if err := a.PlaceBlocking(b); err != nil {
-			return n, err
+		if len(b.Data) > 0 {
+			if b.Offset > maxSize || uint64(len(b.Data)) > maxSize-b.Offset {
+				return n, fmt.Errorf("%w: block at offset %d exceeds the %d-byte object limit",
+					ErrDataProtocol, b.Offset, maxSize)
+			}
+			if err := a.PlaceBlocking(b); err != nil {
+				return n, err
+			}
 		}
 		if b.Desc&DescEOD != 0 {
 			return n, nil

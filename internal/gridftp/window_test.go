@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -460,5 +462,160 @@ func TestPresenceRangesMatchPerBit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWindowParkDeadlineRearms: the park timeout bounds a wait in which
+// the window does not slide, not the whole wait. A block parked behind a
+// window that slides a little every step, each step well inside the
+// timeout, waits longer than the timeout in all and still lands.
+func TestWindowParkDeadlineRearms(t *testing.T) {
+	const parkMax, step = 200 * time.Millisecond, 50 * time.Millisecond
+	payload := randomPayload(104)
+	var out bytes.Buffer
+	asm, err := NewWindowAssembler(&out, 0, int64(len(payload)), 64, parkMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan struct{})
+	asm.OnPark = func(uint64) { close(parked) }
+	done := make(chan error, 1)
+	go func() { done <- asm.PlaceBlocking(Block{Offset: 64, Data: payload[64:]}) }()
+	<-parked
+	// Five 8-byte steps slide the window far enough for the parked
+	// 40-byte block, 250 ms after it parked.
+	for off := 0; off < 40; off += 8 {
+		time.Sleep(step)
+		if err := asm.Place(Block{Offset: uint64(off), Data: payload[off : off+8]}); err != nil {
+			t.Fatalf("place at %d, %v after the park: %v", off, time.Duration(off/8+1)*step, err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("parked block: %v", err)
+	}
+	if err := asm.Place(Block{Offset: 40, Data: payload[40:64]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := asm.Finish(); err != nil || !bytes.Equal(out.Bytes(), payload) {
+		t.Fatalf("finish: %v; delivered bytes equal the input: %v", err, bytes.Equal(out.Bytes(), payload))
+	}
+}
+
+// holdRig drains two piped connections into one window as the two
+// announced drain loops of a transfer, aborting the window on a loop's
+// error as the transfer engines do.
+type holdRig struct {
+	asm  *WindowAssembler
+	out  bytes.Buffer
+	w    [2]*io.PipeWriter
+	errs [2]chan error
+	wg   sync.WaitGroup
+}
+
+const holdBlock = 16
+
+func newHoldRig(t *testing.T, payload []byte, parkMax time.Duration) *holdRig {
+	r := &holdRig{}
+	var err error
+	if r.asm, err = NewWindowAssembler(&r.out, 0, int64(len(payload)), len(payload), parkMax); err != nil {
+		t.Fatal(err)
+	}
+	for i := range r.w {
+		pr, pw := io.Pipe()
+		r.w[i], r.errs[i] = pw, make(chan error, 1)
+		r.wg.Add(1)
+		go func(i int) {
+			defer r.wg.Done()
+			_, err := r.asm.drain(&frameReader{r: pr}, 2, unboundedEnd)
+			if err != nil {
+				r.asm.Abort(err)
+			}
+			r.errs[i] <- err
+		}(i)
+	}
+	t.Cleanup(func() {
+		for _, w := range r.w {
+			w.Close()
+		}
+		r.wg.Wait()
+	})
+	return r
+}
+
+// send writes the frames of the given blocks (-1: EOD) to connection i
+// in the background, in one write.
+func (r *holdRig) send(i int, payload []byte, blocks ...int) {
+	var frames bytes.Buffer
+	for _, k := range blocks {
+		if k < 0 {
+			WriteBlock(&frames, Block{Desc: DescEOD})
+			continue
+		}
+		WriteBlock(&frames, Block{Offset: uint64(k * holdBlock), Data: payload[k*holdBlock : (k+1)*holdBlock]})
+	}
+	go r.w[i].Write(frames.Bytes())
+}
+
+// held waits until a loop waits with the block at off.
+func (r *holdRig) held(t *testing.T, off uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		r.asm.mu.Lock()
+		ok := slices.Contains(r.asm.waiting, off)
+		r.asm.mu.Unlock()
+		if ok {
+			return
+		}
+	}
+	t.Fatalf("no loop waits with the block at %d", off)
+}
+
+// TestHoldLiveness: a block held for a sibling loop's gap never waits
+// forever. A silent sibling ends the hold in ErrWindowStalled within
+// about two park timeouts; a sibling whose connection fails wakes it with
+// that error; and a sibling that finishes while the gap is later on the
+// holder's own connection sends the held block to the ring, and the
+// transfer completes. The last two wake the holder at once, not at its
+// park timeout.
+func TestHoldLiveness(t *testing.T) {
+	payload := randomPayload(4 * holdBlock)
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name    string
+		parkMax time.Duration
+		sibling func(r *holdRig) // runs once connection 0 holds block 1
+		want    error
+	}{
+		{"silent sibling", 200 * time.Millisecond, func(*holdRig) {}, ErrWindowStalled},
+		{"sibling fails", 10 * time.Second, func(r *holdRig) { r.w[1].CloseWithError(boom) }, boom},
+		{"sibling ends, gap on holder", 10 * time.Second, func(r *holdRig) { r.send(1, payload, 2, 3, -1) }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newHoldRig(t, payload, tc.parkMax)
+			start := time.Now()
+			r.send(0, payload, 1, 0, -1) // descending: block 0 comes after 1
+			r.held(t, holdBlock)
+			tc.sibling(r)
+			if err := <-r.errs[0]; !errors.Is(err, tc.want) {
+				t.Fatalf("holder ended with %v, want %v", err, tc.want)
+			}
+			d, bound := time.Since(start), tc.parkMax/2
+			if tc.want == ErrWindowStalled {
+				bound = 2 * tc.parkMax
+			}
+			if d > bound {
+				t.Fatalf("holder ended after %v, park timeout %v", d, tc.parkMax)
+			}
+			if tc.want != nil {
+				return
+			}
+			if err := <-r.errs[1]; err != nil {
+				t.Fatal(err)
+			}
+			if err := r.asm.Finish(); err != nil || !bytes.Equal(r.out.Bytes(), payload) || r.asm.win == nil {
+				t.Fatalf("finish: %v; delivered bytes equal the input: %v; through the ring: %v",
+					err, bytes.Equal(r.out.Bytes(), payload), r.asm.win != nil)
+			}
+		})
 	}
 }
