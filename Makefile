@@ -53,7 +53,7 @@ FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrameReader \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
-	pacing:FuzzBucketRefill core:FuzzSessionPolicy
+	gridftp:FuzzSessionState pacing:FuzzBucketRefill core:FuzzSessionPolicy
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fz=$${t##*:}; \

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gftpvc/internal/telemetry"
-	"gftpvc/internal/usagestats"
 )
 
 // srvMetrics resolves the server's registry instruments once at Serve
@@ -69,16 +68,6 @@ func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
 	return m
 }
 
-// knownVerbs bounds the verb label: unknown client input lands on
-// "other" instead of minting one series per typo.
-var knownVerbs = map[string]bool{
-	"USER": true, "PASS": true, "QUIT": true, "NOOP": true, "SYST": true,
-	"FEAT": true, "TYPE": true, "MODE": true, "SBUF": true, "OPTS": true,
-	"PASV": true, "SPAS": true, "PORT": true, "SIZE": true, "CKSM": true,
-	"NLST": true, "REST": true, "RETR": true, "ERET": true, "STOR": true,
-	"SITE": true,
-}
-
 // shardSession moves one session in or out of a registry shard's gauge.
 func (m *srvMetrics) shardSession(idx int, delta int64) {
 	if m.hub == nil {
@@ -95,13 +84,15 @@ func (m *srvMetrics) sessionRejected() {
 	m.sessionsRejected.Inc()
 }
 
-// command counts one dispatched control-channel command.
+// command counts one dispatched control-channel command. The verb
+// label comes from the session's verb table: unknown client input lands
+// on "other" instead of minting one series per typo.
 func (m *srvMetrics) command(verb string) {
 	if m.hub == nil {
 		return
 	}
 	label := "other"
-	if knownVerbs[verb] {
+	if _, ok := verbs[verb]; ok {
 		label = strings.ToLower(verb)
 	}
 	m.hub.Counter("gridftp_server_commands_total",
@@ -232,11 +223,13 @@ func resultLabel(err error) string {
 // reports as the partial byte count.
 type transferCtx struct {
 	op    string
-	typ   usagestats.TransferType
 	start time.Time
 	span  *telemetry.Span
 	wire  atomic.Int64
 	conns int
+	// stripes is the usage record's stripe count: the listeners of an
+	// armed SPAS, else one.
+	stripes int
 	// keep is the transfer's one data channel after a clean EOD, for
 	// settle to cache on a 226.
 	keep *dataChan

@@ -373,66 +373,35 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// session is one control-channel connection's state.
+// session is one control-channel connection: its protocol state, and
+// the I/O that state's effects run on.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	st   sessionState
 
-	user        string
-	authed      bool
-	binary      bool
-	modeE       bool
-	parallelism int
-	bufferBytes int64
-
-	// passive data listeners for the next transfer: PASV's one, or one
-	// per stripe for SPAS. striped marks the SPAS form, whose transfer
-	// takes one connection per listener rather than parallelism on one.
+	// passive holds the listeners of an armed PASV or SPAS target;
+	// cached is the data channel the last transfer kept (see settle).
+	// Both are nil unless st.target says so.
 	passive []net.Listener
-	striped bool
-	// active mode target (PORT), mutually exclusive with passive.
-	activeAddr string
-	// cached is the data channel the last transfer kept (see settle);
-	// the next transfer uses it. PASV, SPAS and PORT close it first, so
-	// it is never set beside an armed target.
-	cached *dataChan
-	// restartOffset is set by REST and consumed by the next RETR or
-	// STOR (resumed sends deliver from the offset onward).
-	restartOffset int64
-	// trace is the end-to-end trace context bound by SITE TRID; transfer
-	// spans on this session link back to the sender's span through it.
-	trace telemetry.TraceContext
-	// rateBps is the session rate requested by SITE RATE (0 = none);
-	// bucket enforces the effective rate — the request clamped by
-	// Config.MaxRateBps — across every data connection the session
-	// opens. Only the session goroutine mutates these; data-path
-	// goroutines capture the bucket pointer at transfer setup.
-	rateBps int64
-	bucket  *pacing.Bucket
+	cached  *dataChan
+	// bucket enforces the effective session rate across every data
+	// connection the session opens. Only the session goroutine mutates
+	// it; data-path goroutines capture the pointer at transfer setup.
+	bucket *pacing.Bucket
 	// pubRate is this session's contribution to the server's shaped-rate
 	// gauge (the effective rate last published); only the session
 	// goroutine mutates it, and teardown retracts it.
 	pubRate int64
 }
 
-// effectiveRate resolves the session's shaping rate: the SITE RATE
-// request clamped by the server-wide cap; 0 means unshaped.
-func (sess *session) effectiveRate() int64 {
-	eff := sess.srv.cfg.MaxRateBps
-	if sess.rateBps > 0 && (eff == 0 || sess.rateBps < eff) {
-		eff = sess.rateBps
-	}
-	return eff
-}
-
-// applyRate rebinds the session bucket to the effective rate. An
+// applyRate rebinds the session bucket to the effective rate eff. An
 // existing bucket is re-rated in place — tokens and debt carry over, so
 // re-negotiating mid-session cannot mint a free burst — and shaping is
 // only ever dropped when no rate applies at all.
-func (sess *session) applyRate() {
-	eff := sess.effectiveRate()
+func (sess *session) applyRate(eff int64) {
 	switch {
 	case eff <= 0:
 		sess.bucket = nil
@@ -450,19 +419,19 @@ func (sess *session) applyRate() {
 
 func (s *Server) handle(conn net.Conn) {
 	sess := &session{
-		srv:         s,
-		conn:        conn,
-		r:           bufio.NewReader(conn),
-		w:           bufio.NewWriter(conn),
-		parallelism: 1,
+		srv:  s,
+		conn: conn,
+		r:    bufio.NewReader(conn),
+		w:    bufio.NewWriter(conn),
+		st:   sessionState{auth: s.cfg.Auth, stripes: s.cfg.Stripes, maxRate: s.cfg.MaxRateBps, parallelism: 1},
 	}
-	sess.applyRate() // engage the server-wide cap before any transfer
+	sess.applyRate(sess.st.effectiveRate()) // engage the server-wide cap before any transfer
 	s.met.sessionsTotal.Inc()
 	s.met.sessionsActive.Inc()
 	s.met.hub.Event("", "session_accepted", conn.RemoteAddr().String())
 	defer s.met.sessionsActive.Dec()
 	defer func() { s.met.shapedRate.Add(-sess.pubRate) }()
-	defer sess.endTransfer()
+	defer sess.dropTarget()
 	defer conn.Close()
 	sess.reply(220, "gftpvc GridFTP server ready")
 	for {
@@ -473,31 +442,21 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
-		verb, arg, _ := strings.Cut(line, " ")
-		verb = strings.ToUpper(verb)
-		if quit := sess.dispatch(verb, arg); quit {
+		verb, arg, _ := strings.Cut(strings.TrimRight(line, "\r\n"), " ")
+		if sess.dispatch(strings.ToUpper(verb), arg) {
 			return
 		}
 	}
 }
 
-// armWrite bounds control-channel writes so a client that stops reading
-// cannot pin the session goroutine.
-func (sess *session) armWrite() {
+func (sess *session) reply(code int, text string) { sess.replyLines(code, nil, text) }
+
+// replyLines writes a reply under a write deadline, so a client that
+// stops reading cannot pin the session goroutine.
+func (sess *session) replyLines(code int, lines []string, last string) {
 	if idle := sess.srv.cfg.IdleTimeout; idle > 0 {
 		sess.conn.SetWriteDeadline(time.Now().Add(idle))
 	}
-}
-
-func (sess *session) reply(code int, text string) {
-	sess.armWrite()
-	fmt.Fprintf(sess.w, "%d %s\r\n", code, text)
-	sess.w.Flush()
-}
-
-func (sess *session) replyLines(code int, lines []string, last string) {
-	sess.armWrite()
 	for _, l := range lines {
 		fmt.Fprintf(sess.w, "%d-%s\r\n", code, l)
 	}
@@ -505,92 +464,97 @@ func (sess *session) replyLines(code int, lines []string, last string) {
 	sess.w.Flush()
 }
 
-// dispatch executes one command; it returns true when the session ends.
+// dispatch runs one command: the session state decides it, and the
+// session runs the effect. It returns true when the session ends.
 func (sess *session) dispatch(verb, arg string) bool {
 	sess.srv.met.command(verb)
-	// Commands allowed before authentication.
-	switch verb {
-	case "USER":
-		sess.user = arg
-		sess.reply(331, "password required")
+	e := sess.st.apply(verb, arg)
+	if e.event != "" {
+		sess.srv.met.hub.Event(sess.st.trace.TraceID, e.event, e.detail)
+	}
+	switch e.kind {
+	case effArm:
+		sess.st.armed(sess.arm(e.target))
 		return false
-	case "PASS":
-		if sess.srv.cfg.Auth == nil || sess.srv.cfg.Auth(sess.user, arg) {
-			sess.authed = true
-			sess.reply(230, "user "+sess.user+" logged in")
-		} else {
-			sess.reply(530, "authentication failed")
+	case effTransfer:
+		sess.transfer(e)
+		return false
+	case effQuery:
+		sess.query(e)
+		return false
+	case effPort, effDrop:
+		sess.dropTarget()
+	case effRate:
+		sess.applyRate(e.rate)
+	}
+	sess.replyLines(e.code, e.lines, e.text)
+	return e.kind == effQuit
+}
+
+// arm drops the data target and opens t's listeners, reporting their
+// addresses: PASV one, in the classic 227 host-port encoding; SPAS one
+// per stripe, always in the 229 multi-line form. The listeners bind the
+// control connection's local IPv4 address (loopback for an in-memory
+// control connection), since the h1,h2,h3,h4 encoding has no other
+// form; a control connection without one gets a 425 and no listener.
+// It reports whether every listener opened.
+func (sess *session) arm(t dataTarget) bool {
+	fail := func(msg string) bool {
+		sess.dropTarget()
+		sess.reply(425, msg)
+		return false
+	}
+	sess.dropTarget()
+	host := "127.0.0.1"
+	if ta, ok := sess.conn.LocalAddr().(*net.TCPAddr); ok {
+		ip4 := ta.IP.To4()
+		if ip4 == nil {
+			return fail("passive mode needs an IPv4 control connection")
 		}
-		return false
-	case "QUIT":
-		sess.reply(221, "goodbye")
+		host = ip4.String()
+	}
+	addrs := make([]string, 0, t.n)
+	for i := 0; i < t.n; i++ {
+		ln, err := sess.srv.cfg.DataListen("tcp", net.JoinHostPort(host, "0"))
+		if err != nil {
+			return fail("cannot open data listener")
+		}
+		sess.passive = append(sess.passive, ln)
+		sess.srv.met.listenersOpen.Inc()
+		hp := hostPortString(ln.Addr())
+		if hp == "" {
+			return fail("data listener has no IPv4 address")
+		}
+		addrs = append(addrs, hp)
+	}
+	if !t.striped {
+		sess.reply(227, "entering passive mode ("+addrs[0]+")")
 		return true
-	case "NOOP":
-		sess.reply(200, "ok")
-		return false
-	case "SYST":
-		sess.reply(215, "UNIX Type: L8")
-		return false
-	case "FEAT":
-		sess.replyLines(211, []string{
-			"Extensions supported:",
-			" PARALLEL", " SPAS", " SBUF", " SIZE", " MODE E", " ERET", " REST", " CKSM",
-		}, "end")
-		return false
 	}
-	if !sess.authed {
-		sess.reply(530, "please login with USER and PASS")
-		return false
+	lines := []string{"Entering striped passive mode"}
+	for _, a := range addrs {
+		lines = append(lines, " "+a)
 	}
-	switch verb {
-	case "TYPE":
-		if strings.EqualFold(arg, "I") {
-			sess.binary = true
-			sess.reply(200, "type set to I")
-		} else {
-			sess.reply(504, "only TYPE I supported")
-		}
-	case "MODE":
-		switch strings.ToUpper(arg) {
-		case "E":
-			sess.modeE = true
-			sess.reply(200, "mode set to E")
-		case "S":
-			sess.modeE = false
-			sess.reply(200, "mode set to S")
-		default:
-			sess.reply(504, "unknown mode")
-		}
-	case "SBUF":
-		n, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil || n < 0 {
-			sess.reply(501, "bad buffer size")
-			break
-		}
-		sess.bufferBytes = n
-		sess.reply(200, "buffer size set")
-	case "OPTS":
-		sess.cmdOpts(arg)
-	case "PASV":
-		sess.cmdPassive(false)
-	case "SPAS":
-		sess.cmdPassive(true)
-	case "PORT":
-		sess.cmdPort(arg)
+	sess.replyLines(229, lines, "end")
+	return true
+}
+
+// query runs a store query: SIZE, NLST or CKSM.
+func (sess *session) query(e effect) {
+	store := sess.srv.cfg.Store
+	switch e.op {
 	case "SIZE":
-		n, err := sess.srv.cfg.Store.Size(arg)
+		n, err := store.Size(e.name)
 		if err != nil {
 			sess.reply(550, err.Error())
-			break
+			return
 		}
 		sess.reply(213, strconv.FormatInt(n, 10))
-	case "CKSM":
-		sess.cmdCksm(arg)
 	case "NLST":
-		names, err := sess.srv.cfg.Store.List(arg)
+		names, err := store.List(e.name)
 		if err != nil {
 			sess.reply(550, err.Error())
-			break
+			return
 		}
 		lines := make([]string, 0, len(names)+1)
 		lines = append(lines, "listing")
@@ -598,156 +562,9 @@ func (sess *session) dispatch(verb, arg string) bool {
 			lines = append(lines, " "+n)
 		}
 		sess.replyLines(250, lines, fmt.Sprintf("%d objects", len(names)))
-	case "REST":
-		n, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil || n < 0 {
-			sess.reply(501, "bad restart offset")
-			break
-		}
-		sess.restartOffset = n
-		sess.srv.met.hub.Event(sess.trace.TraceID, "rest", "offset="+arg)
-		sess.reply(350, "restarting at "+arg+"; send RETR or STOR")
-	case "RETR":
-		offset := sess.restartOffset
-		sess.restartOffset = 0
-		sess.cmdRetr(arg, offset, -1)
-	case "ERET":
-		sess.cmdEret(arg)
-	case "STOR":
-		offset := sess.restartOffset
-		sess.restartOffset = 0
-		sess.cmdStor(arg, offset)
-	case "SITE":
-		sess.cmdSite(arg)
 	default:
-		sess.reply(502, "command not implemented: "+verb)
+		sess.cksm(e)
 	}
-	return false
-}
-
-// cmdSite handles SITE extensions. SITE TRID <token> binds an
-// end-to-end trace context to the session, so subsequent transfer
-// spans and flight-recorder events on this server link back to the
-// sending process's span. Unknown subcommands get a 500 — the reply
-// family clients treat as "old server, degrade silently" — which is
-// also what pre-TRID builds of this server said to SITE itself (502).
-func (sess *session) cmdSite(arg string) {
-	sub, rest, _ := strings.Cut(arg, " ")
-	switch strings.ToUpper(sub) {
-	case "TRID":
-		tc, err := telemetry.ParseTraceToken(strings.TrimSpace(rest))
-		if err != nil {
-			sess.reply(501, "bad trace token")
-			return
-		}
-		sess.trace = tc
-		sess.srv.met.hub.Event(tc.TraceID, "trid_bound", "parent="+tc.ParentSID)
-		sess.reply(200, "trace "+tc.TraceID+" bound")
-	case "RATE":
-		bps, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil || bps < 0 {
-			sess.reply(501, "bad rate")
-			return
-		}
-		sess.rateBps = bps
-		sess.applyRate()
-		if eff := sess.effectiveRate(); eff > 0 {
-			sess.reply(200, fmt.Sprintf("session shaped to %d bps", eff))
-		} else {
-			sess.reply(200, "session rate shaping cleared")
-		}
-	default:
-		sess.reply(500, "SITE "+sub+" not understood")
-	}
-}
-
-// cmdOpts handles "OPTS RETR Parallelism=n;" (the Globus client syntax).
-func (sess *session) cmdOpts(arg string) {
-	verb, rest, _ := strings.Cut(arg, " ")
-	if !strings.EqualFold(verb, "RETR") {
-		sess.reply(501, "only OPTS RETR supported")
-		return
-	}
-	for _, opt := range strings.Split(rest, ";") {
-		k, v, ok := strings.Cut(strings.TrimSpace(opt), "=")
-		if !ok || k == "" {
-			continue
-		}
-		if strings.EqualFold(k, "Parallelism") {
-			n, err := strconv.Atoi(strings.Split(v, ",")[0])
-			if err != nil || n < 1 || n > 64 {
-				sess.reply(501, "bad parallelism")
-				return
-			}
-			sess.parallelism = n
-		}
-	}
-	sess.reply(200, "options accepted")
-}
-
-// cmdPassive opens the next transfer's data listeners and reports their
-// addresses: PASV one, in the classic 227 host-port encoding; SPAS one
-// per stripe, always in the 229 multi-line form. The listeners bind the
-// control connection's local IPv4 address (loopback for an in-memory
-// control connection), since the h1,h2,h3,h4 encoding has no other
-// form; a control connection without one gets a 425 and no listener.
-func (sess *session) cmdPassive(striped bool) {
-	sess.endTransfer()
-	host := "127.0.0.1"
-	if ta, ok := sess.conn.LocalAddr().(*net.TCPAddr); ok {
-		ip4 := ta.IP.To4()
-		if ip4 == nil {
-			sess.reply(425, "passive mode needs an IPv4 control connection")
-			return
-		}
-		host = ip4.String()
-	}
-	n := 1
-	if striped {
-		n = sess.srv.cfg.Stripes
-	}
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		ln, err := sess.srv.cfg.DataListen("tcp", net.JoinHostPort(host, "0"))
-		if err != nil {
-			sess.closePassive()
-			sess.reply(425, "cannot open data listener")
-			return
-		}
-		sess.passive = append(sess.passive, ln)
-		sess.srv.met.listenersOpen.Inc()
-		hp := hostPortString(ln.Addr())
-		if hp == "" {
-			sess.closePassive()
-			sess.reply(425, "data listener has no IPv4 address")
-			return
-		}
-		addrs = append(addrs, hp)
-	}
-	sess.striped = striped
-	if !striped {
-		sess.reply(227, "entering passive mode ("+addrs[0]+")")
-		return
-	}
-	lines := []string{"Entering striped passive mode"}
-	for _, a := range addrs {
-		lines = append(lines, " "+a)
-	}
-	sess.replyLines(229, lines, "end")
-}
-
-// cmdPort records an active-mode target in h1,h2,h3,h4,p1,p2 form; the
-// server will dial it for the next transfer (the third-party-transfer
-// leg).
-func (sess *session) cmdPort(arg string) {
-	addr, err := parseHostPort(arg)
-	if err != nil {
-		sess.reply(501, err.Error())
-		return
-	}
-	sess.endTransfer()
-	sess.activeAddr = addr
-	sess.reply(200, "PORT command successful")
 }
 
 // hostPortString renders a TCP address in FTP h1,h2,h3,h4,p1,p2 form,
@@ -808,14 +625,14 @@ func (dc *dataChan) close(met *srvMetrics) {
 	}
 }
 
-// dataConns provides the data connections for a transfer: the cached
-// channel when the session holds one, else by accepting on the passive
-// listeners (parallelism conns on PASV's single listener, or one per
-// SPAS stripe listener) or by dialing the PORT target. Every connection
+// dataConns provides the data connections for a transfer over target
+// t: the cached channel, connections accepted on the passive listeners
+// (parallelism conns on PASV's single listener, or one per SPAS stripe
+// listener), or one dialed to the PORT address. Every connection
 // is instrumented afresh (see instrumentedConn) to count wire bytes
 // into the transfer context, the span, and the per-stripe live byte
 // counters.
-func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
+func (sess *session) dataConns(tx *transferCtx, t dataTarget) ([]*dataChan, error) {
 	met := sess.srv.met
 	// The session bucket (SITE RATE / Config.MaxRateBps) is shared by
 	// every connection wrapped here — cached, active and passive alike
@@ -842,31 +659,31 @@ func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
 		dc.fr.r = dc.conn
 		return dc
 	}
-	if dc := sess.cached; dc != nil {
-		sess.cached = nil
-		met.chanReuses.Inc()
-		return []*dataChan{wrap(dc)}, nil
-	}
 	open := func(c net.Conn, stripe string) *dataChan {
 		met.dataConns.Inc()
 		return wrap(&dataChan{raw: c, stripe: stripe})
 	}
-	if sess.activeAddr != "" {
-		c, err := net.DialTimeout("tcp", sess.activeAddr, sess.srv.cfg.AcceptTimeout)
+	switch t.kind {
+	case cachedTarget:
+		dc := sess.cached
+		sess.cached = nil
+		met.chanReuses.Inc()
+		return []*dataChan{wrap(dc)}, nil
+	case portTarget:
+		c, err := net.DialTimeout("tcp", t.addr, sess.srv.cfg.AcceptTimeout)
 		if err != nil {
 			met.acceptErrors.Inc()
 			return nil, err
 		}
 		return []*dataChan{open(c, "active")}, nil
+	case noTarget:
+		return nil, errors.New("no PASV/SPAS/PORT before transfer")
 	}
 	// Passive: PASV's one listener takes parallelism connections, SPAS
 	// one per stripe listener.
-	if len(sess.passive) == 0 {
-		return nil, errors.New("no PASV/SPAS/PORT before transfer")
-	}
 	stripes := len(sess.passive)
-	want := sess.parallelism
-	if sess.striped {
+	want := sess.st.parallelism
+	if t.striped {
 		want = stripes
 	}
 	chans := make([]*dataChan, 0, want)
@@ -886,28 +703,16 @@ func (sess *session) dataConns(tx *transferCtx) ([]*dataChan, error) {
 	return chans, nil
 }
 
-// stripes is the number of SPAS stripe endpoints armed for the next
-// transfer; PASV, PORT and no endpoint at all count as one.
-func (sess *session) stripes() int {
-	return max(len(sess.passive), 1)
-}
-
-func (sess *session) closePassive() {
+// dropTarget closes what the session holds for a data target: armed
+// listeners and a cached channel. Listeners serve exactly one transfer
+// attempt, win or lose, so a session looping transfers does not
+// accumulate open sockets; only settle keeps a channel past one.
+func (sess *session) dropTarget() {
 	for _, ln := range sess.passive {
 		ln.Close()
 	}
 	sess.srv.met.listenersOpen.Add(-int64(len(sess.passive)))
-	sess.passive, sess.striped = nil, false
-}
-
-// endTransfer releases a transfer's data targets: every passive
-// listener is closed — win or lose, so a session looping transfers does
-// not accumulate open sockets — the PORT target is cleared, and a
-// cached channel is closed. All are valid for exactly one transfer
-// attempt; only settle keeps a channel past one.
-func (sess *session) endTransfer() {
-	sess.closePassive()
-	sess.activeAddr = ""
+	sess.passive = nil
 	sess.cached.close(sess.srv.met)
 	sess.cached = nil
 }
@@ -916,15 +721,15 @@ func (sess *session) endTransfer() {
 // phase span (data_setup -> stream -> teardown) and the wire-byte
 // tally the failure path reports as the partial count. With telemetry
 // off the span is nil and every operation on it is a no-op.
-func (sess *session) beginTransfer(op string, typ usagestats.TransferType, target string) *transferCtx {
+func (sess *session) beginTransfer(e effect) *transferCtx {
 	tx := &transferCtx{
-		op:    op,
-		typ:   typ,
-		start: time.Now(),
-		span:  sess.srv.met.hub.Span(op, target, telemetry.PhaseSetup),
+		op:      e.op,
+		start:   time.Now(),
+		span:    sess.srv.met.hub.Span(e.op, e.name, telemetry.PhaseSetup),
+		stripes: max(e.target.n, 1),
 	}
-	if sess.trace.TraceID != "" {
-		tx.span.SetTrace(sess.trace.TraceID, sess.trace.ParentSID)
+	if trace := sess.st.trace; trace.TraceID != "" {
+		tx.span.SetTrace(trace.TraceID, trace.ParentSID)
 	}
 	return tx
 }
@@ -944,17 +749,23 @@ type direction struct {
 	done func(code int, msg string) (int, string)
 }
 
-// transfer is the skeleton every RETR, ERET and STOR runs: preconditions
-// -> open the source or sink -> 150 -> data connections -> one pump per
-// connection -> wait -> settle. open reports a nonzero code to reject
-// the transfer before any data connection is made; it must have
-// released whatever it acquired by then.
-func (sess *session) transfer(tx *transferCtx, open func() (direction, int, string)) {
-	code, msg := 504, "set TYPE I and MODE E first"
-	if sess.binary && sess.modeE {
+// transfer runs a transfer effect through the skeleton every RETR,
+// ERET and STOR shares: open the source or sink -> 150 -> data
+// connections -> one pump per connection -> wait -> settle. A transfer
+// the state rejected settles at once; open reports a nonzero code to
+// reject it before any data connection is made, having released
+// whatever it acquired by then.
+func (sess *session) transfer(e effect) {
+	tx := sess.beginTransfer(e)
+	code, msg := e.code, e.text
+	if code == 0 {
+		open := sess.openRetr
+		if e.op == "stor" {
+			open = sess.openStor
+		}
 		var d direction
-		if d, code, msg = open(); code == 0 {
-			code, msg = d.done(sess.moveData(tx, d))
+		if d, code, msg = open(tx, e); code == 0 {
+			code, msg = d.done(sess.moveData(tx, e.target, d))
 		}
 	}
 	sess.settle(tx, code, msg)
@@ -963,9 +774,9 @@ func (sess *session) transfer(tx *transferCtx, open func() (direction, int, stri
 // moveData is the data phase: it announces the transfer, establishes
 // the data connections, runs one pump per connection, and reports 226,
 // 425 (no data connection) or 426 (a pump failed).
-func (sess *session) moveData(tx *transferCtx, d direction) (int, string) {
+func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, string) {
 	sess.reply(150, "opening data connection")
-	chans, err := sess.dataConns(tx)
+	chans, err := sess.dataConns(tx, t)
 	if err != nil {
 		return 425, "data connection failed: " + err.Error()
 	}
@@ -1014,17 +825,16 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 	size, logCode := tx.size, 0
 	var err error
 	if code >= 400 {
-		met.hub.Event(sess.trace.TraceID, "reply_error", fmt.Sprintf("%s: %d %s", tx.op, code, msg))
+		met.hub.Event(sess.st.trace.TraceID, "reply_error", fmt.Sprintf("%s: %d %s", tx.op, code, msg))
 		size, logCode, err = wire, code, fmt.Errorf("%d %s", code, msg)
 	}
-	// The usage record derives stripes from the listeners, so it is cut
-	// before endTransfer closes them.
 	sess.logTransfer(tx, size, logCode)
 	met.transferDone(tx.op, code, wire, time.Since(tx.start).Seconds())
 	met.deliveredBytes(tx.op, tx.delivered)
 	tx.span.End(err)
-	sess.endTransfer()
-	if dc := tx.keep; dc != nil && code == 226 {
+	sess.dropTarget()
+	dc, kept := tx.keep, tx.keep != nil && code == 226
+	if kept {
 		if !dc.cached {
 			dc.cached = true
 			met.cachedChans.Inc()
@@ -1033,26 +843,42 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 	} else {
 		dc.close(met)
 	}
+	sess.st.settled(kept)
 	sess.reply(code, msg)
 }
 
-// openSource pins the named object for reading: one immutable version
-// for the caller's whole read when the store offers snapshots — so a
-// concurrent Put can't interleave versions the way per-block store
-// lookups would — else per-read lookups against a version-stable
-// store. release must be called once the reads are done; disk-backed
-// snapshots are open file handles.
-func (s *Server) openSource(name string) (src io.ReaderAt, size int64, release func(), err error) {
+// openRegion pins the named object for reading and bounds the region
+// [offset, offset+length) to it (length < 0: to the end). The pin is
+// one immutable version for the whole read when the store offers
+// snapshots — so a concurrent Put can't interleave versions the way
+// per-block store lookups would — else per-read lookups against a
+// version-stable store. A nonzero code rejects the read with nothing
+// pinned; otherwise release must be called once the reads are done
+// (disk-backed snapshots are open file handles).
+func (s *Server) openRegion(name string, offset, length int64) (src io.ReaderAt, n int64, release func(), code int, msg string) {
+	var size int64
+	var err error
 	release = func() {}
 	if s.snaps == nil {
+		src = storeReaderAt{s: s.reads, name: name}
 		size, err = s.cfg.Store.Size(name)
-		return storeReaderAt{s: s.reads, name: name}, size, release, err
+	} else if src, size, err = s.snaps.SnapshotObject(name); err == nil {
+		if closer, ok := src.(io.Closer); ok {
+			release = func() { closer.Close() }
+		}
 	}
-	src, size, err = s.snaps.SnapshotObject(name)
-	if closer, ok := src.(io.Closer); ok && err == nil {
-		release = func() { closer.Close() }
+	switch {
+	case err != nil:
+		return nil, 0, nil, 550, err.Error()
+	case offset > size:
+		release()
+		return nil, 0, nil, 551, "offset beyond object size"
 	}
-	return src, size, release, err
+	n = size - offset
+	if length >= 0 && length < n {
+		n = length
+	}
+	return src, n, release, 0, ""
 }
 
 // storeReaderAt adapts one object of a ReaderAtStore to io.ReaderAt,
@@ -1066,39 +892,20 @@ func (r storeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return r.s.ReadObjectAt(r.name, p, off)
 }
 
-// cmdCksm handles the GridFTP checksum command: "CKSM CRC32 <offset>
-// <length> <name>" (length -1 means to EOF), the integrity-verification
-// hook transfer managers call after a third-party transfer. It reads
-// the same pinned source RETR does, one block at a time, so checksumming
-// costs a block of memory whatever the object's size.
-func (sess *session) cmdCksm(arg string) {
-	fields := strings.Fields(arg)
-	if len(fields) != 4 || !strings.EqualFold(fields[0], "CRC32") {
-		sess.reply(504, "syntax: CKSM CRC32 <offset> <length> <name>")
-		return
-	}
-	offset, err1 := strconv.ParseInt(fields[1], 10, 64)
-	length, err2 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil || offset < 0 || length < -1 {
-		sess.reply(501, "bad checksum region")
-		return
-	}
-	src, size, release, err := sess.srv.openSource(fields[3])
-	if err != nil {
-		sess.reply(550, err.Error())
+// cksm answers the GridFTP checksum command, the integrity-verification
+// hook transfer managers call after a third-party transfer: the CRC32
+// of the region e names. It reads the same pinned source RETR does,
+// one block at a time, so checksumming costs a block of memory whatever
+// the object's size.
+func (sess *session) cksm(e effect) {
+	src, n, release, code, msg := sess.srv.openRegion(e.name, e.offset, e.length)
+	if code != 0 {
+		sess.reply(code, msg)
 		return
 	}
 	defer release()
-	if offset > size {
-		sess.reply(551, "offset beyond object size")
-		return
-	}
-	end := size
-	if length >= 0 && offset+length < end {
-		end = offset + length
-	}
 	sum := crc32.NewIEEE()
-	region := io.NewSectionReader(src, offset, end-offset)
+	region := io.NewSectionReader(src, e.offset, n)
 	if _, err := io.CopyBuffer(sum, region, make([]byte, sess.srv.cfg.BlockSize)); err != nil {
 		sess.reply(550, err.Error())
 		return
@@ -1106,66 +913,31 @@ func (sess *session) cmdCksm(arg string) {
 	sess.reply(213, fmt.Sprintf("%08x", sum.Sum32()))
 }
 
-// cmdEret handles GridFTP partial retrieval: "ERET P <offset> <length>
-// <name>" streams only the requested byte region, framed with absolute
-// file offsets.
-func (sess *session) cmdEret(arg string) {
-	fields := strings.Fields(arg)
-	if len(fields) != 4 || !strings.EqualFold(fields[0], "P") {
-		sess.endTransfer()
-		sess.reply(501, "syntax: ERET P <offset> <length> <name>")
-		return
+// openRetr opens a RETR or ERET: it pins the object and streams its
+// region to the client across the data connections, interleaving MODE
+// E blocks round-robin (stripe i of n sends blocks i, i+n, i+2n, ...)
+// read straight from the pinned source — per-connection memory is one
+// block, not the object. A nonzero offset serves a restarted or
+// partial transfer; a negative length means to the end of the object.
+func (sess *session) openRetr(tx *transferCtx, e effect) (direction, int, string) {
+	src, regionLen, release, code, msg := sess.srv.openRegion(e.name, e.offset, e.length)
+	if code != 0 {
+		return direction{}, code, msg
 	}
-	offset, err1 := strconv.ParseInt(fields[1], 10, 64)
-	length, err2 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil || offset < 0 || length <= 0 {
-		sess.endTransfer()
-		sess.reply(501, "bad partial region")
-		return
-	}
-	sess.cmdRetr(fields[3], offset, length)
-}
-
-// cmdRetr streams an object region to the client across the data
-// connections, interleaving MODE E blocks round-robin (stripe i of n
-// sends blocks i, i+n, i+2n, ...) read straight from the pinned source —
-// per-connection memory is one block, not the object. offset > 0
-// serves a restarted or partial transfer; length < 0 means to the end
-// of the object.
-func (sess *session) cmdRetr(name string, offset, length int64) {
-	op := "retr"
-	if length >= 0 {
-		op = "eret"
-	}
-	tx := sess.beginTransfer(op, usagestats.Retrieve, name)
-	sess.transfer(tx, func() (direction, int, string) {
-		src, size, release, err := sess.srv.openSource(name)
-		if err != nil {
-			return direction{}, 550, err.Error()
-		}
-		if offset > size {
+	offset, bs := e.offset, sess.srv.cfg.BlockSize
+	return direction{
+		pump: func(i, n int, dc *dataChan) (err error) {
+			dc.send, err = sendStoreRegion(src, dc.conn, dc.send, offset, regionLen, bs, i*bs, n*bs)
+			return err
+		},
+		done: func(code int, msg string) (int, string) {
 			release()
-			return direction{}, 551, "offset beyond object size"
-		}
-		regionLen := size - offset
-		if length >= 0 && length < regionLen {
-			regionLen = length
-		}
-		bs := sess.srv.cfg.BlockSize
-		return direction{
-			pump: func(i, n int, dc *dataChan) (err error) {
-				dc.send, err = sendStoreRegion(src, dc.conn, dc.send, offset, regionLen, bs, i*bs, n*bs)
-				return err
-			},
-			done: func(code int, msg string) (int, string) {
-				release()
-				if code == 226 {
-					tx.size, tx.delivered = regionLen, regionLen
-				}
-				return code, msg
-			},
-		}, 0, ""
-	})
+			if code == 226 {
+				tx.size, tx.delivered = regionLen, regionLen
+			}
+			return code, msg
+		},
+	}, 0, ""
 }
 
 // sendStoreRegion streams the object region [offset, offset+length) as
@@ -1230,7 +1002,7 @@ func (s *regionSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// cmdStor receives an object through a bounded reassembly window:
+// openStor receives an object through a bounded reassembly window:
 // blocks from all data connections place into one shared window, every
 // contiguous run flushes to the store immediately, and a connection
 // racing too far ahead parks until the window slides. Peak memory is
@@ -1238,68 +1010,65 @@ func (s *regionSink) Write(p []byte) (int, error) {
 // object size — and because BeginPut pins the stored object to the
 // delivered watermark, a failed transfer leaves a partial whose Size is
 // exactly the restart offset a resume-aware client probes for.
-// offset > 0 (REST) resumes such a partial: delivery starts at that
-// watermark, dropping any overlap the sender re-transmits.
-func (sess *session) cmdStor(name string, offset int64) {
-	tx := sess.beginTransfer("stor", usagestats.Store, name)
-	sess.transfer(tx, func() (direction, int, string) {
-		srv := sess.srv
-		unclaim, ok := srv.claimPut(name)
-		if !ok {
-			return direction{}, 450, "object busy: another STOR of it is in flight"
+// A nonzero offset (REST) resumes such a partial: delivery starts at
+// that watermark, dropping any overlap the sender re-transmits.
+func (sess *session) openStor(tx *transferCtx, e effect) (direction, int, string) {
+	srv, name, offset := sess.srv, e.name, e.offset
+	unclaim, ok := srv.claimPut(name)
+	if !ok {
+		return direction{}, 450, "object busy: another STOR of it is in flight"
+	}
+	if err := srv.puts.BeginPut(name, offset); err != nil {
+		unclaim()
+		return direction{}, 554, "restart rejected: " + err.Error()
+	}
+	// Once BeginPut engaged, every path ends the claim and every
+	// failure path releases the store's per-put resources (DirStore's
+	// open partial handle). The flushed watermark itself survives the
+	// abort — it is the restart offset a resume probes via SIZE.
+	endPut := func(sealed bool) {
+		if !sealed && srv.aborts != nil {
+			_ = srv.aborts.AbortPut(name)
 		}
-		if err := srv.puts.BeginPut(name, offset); err != nil {
-			unclaim()
-			return direction{}, 554, "restart rejected: " + err.Error()
+		unclaim()
+	}
+	sink := &regionSink{sp: srv.puts, name: name, off: offset}
+	asm, err := NewWindowAssembler(sink, uint64(offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
+	if err != nil {
+		endPut(false)
+		return direction{}, 451, err.Error()
+	}
+	if hub := srv.met.hub; hub != nil {
+		trace := sess.st.trace.TraceID
+		asm.OnPark = func(off uint64) {
+			hub.Event(trace, "block_parked", fmt.Sprintf("%s offset=%d", name, off))
 		}
-		// Once BeginPut engaged, every path ends the claim and every
-		// failure path releases the store's per-put resources (DirStore's
-		// open partial handle). The flushed watermark itself survives the
-		// abort — it is the restart offset a resume probes via SIZE.
-		endPut := func(sealed bool) {
-			if !sealed && srv.aborts != nil {
-				_ = srv.aborts.AbortPut(name)
+	}
+	maxSize := uint64(srv.cfg.MaxObjectSize)
+	return direction{
+		pump: func(_, n int, dc *dataChan) error {
+			_, err := asm.drain(&dc.fr, n, maxSize)
+			return err
+		},
+		// Wake siblings parked on the window; first error wins.
+		abort: asm.Abort,
+		done: func(code int, msg string) (int, string) {
+			tx.delivered = asm.Delivered()
+			if asm.DuplicateBytes() > 0 {
+				tx.wireRec = asm.WireBytes()
 			}
-			unclaim()
-		}
-		sink := &regionSink{sp: srv.puts, name: name, off: offset}
-		asm, err := NewWindowAssembler(sink, uint64(offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
-		if err != nil {
-			endPut(false)
-			return direction{}, 451, err.Error()
-		}
-		if hub := srv.met.hub; hub != nil {
-			trace := sess.trace.TraceID
-			asm.OnPark = func(off uint64) {
-				hub.Event(trace, "block_parked", fmt.Sprintf("%s offset=%d", name, off))
+			if code == 226 {
+				tx.size = int64(asm.Flushed())
+				if err := asm.Finish(); err != nil {
+					code, msg = 426, "transfer aborted: "+err.Error()
+				} else if err := srv.puts.FinishPut(name, tx.size); err != nil {
+					code, msg = 552, "store failed: "+err.Error()
+				}
 			}
-		}
-		maxSize := uint64(srv.cfg.MaxObjectSize)
-		return direction{
-			pump: func(_, n int, dc *dataChan) error {
-				_, err := asm.drain(&dc.fr, n, maxSize)
-				return err
-			},
-			// Wake siblings parked on the window; first error wins.
-			abort: asm.Abort,
-			done: func(code int, msg string) (int, string) {
-				tx.delivered = asm.Delivered()
-				if asm.DuplicateBytes() > 0 {
-					tx.wireRec = asm.WireBytes()
-				}
-				if code == 226 {
-					tx.size = int64(asm.Flushed())
-					if err := asm.Finish(); err != nil {
-						code, msg = 426, "transfer aborted: "+err.Error()
-					} else if err := srv.puts.FinishPut(name, tx.size); err != nil {
-						code, msg = 552, "store failed: "+err.Error()
-					}
-				}
-				endPut(code == 226)
-				return code, msg
-			},
-		}, 0, ""
-	})
+			endPut(code == 226)
+			return code, msg
+		},
+	}, 0, ""
 }
 
 // logTransfer appends a usage record to the local log and ships it to
@@ -1311,14 +1080,18 @@ func (sess *session) logTransfer(tx *transferCtx, size int64, code int) {
 	start := tx.start
 	// One stream per stripe when striped; transfers rejected before
 	// data-channel setup still log, as one stream.
-	stripes := sess.stripes()
+	stripes := tx.stripes
 	streams := tx.conns
 	if stripes > 1 || streams < 1 {
 		streams = 1
 	}
+	typ := usagestats.Retrieve
+	if tx.op == "stor" {
+		typ = usagestats.Store
+	}
 	remote, _, _ := net.SplitHostPort(sess.conn.RemoteAddr().String())
 	rec := usagestats.Record{
-		Type:        tx.typ,
+		Type:        typ,
 		SizeBytes:   size,
 		Start:       start.UTC(),
 		DurationSec: time.Since(start).Seconds(),
@@ -1326,7 +1099,7 @@ func (sess *session) logTransfer(tx *transferCtx, size int64, code int) {
 		RemoteHost:  remote,
 		Streams:     streams,
 		Stripes:     stripes,
-		BufferBytes: sess.bufferBytes,
+		BufferBytes: sess.st.sbuf,
 		BlockBytes:  int64(sess.srv.cfg.BlockSize),
 		Code:        code,
 		WireBytes:   tx.wireRec,

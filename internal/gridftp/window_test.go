@@ -168,12 +168,14 @@ func TestWindowAssemblerAbortWakesParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
+	parked := make(chan struct{})
+	asm.OnPark = func(uint64) { close(parked) }
 	done := make(chan error, 1)
 	go func() {
 		// Parks: offset 2048 is beyond the empty window.
 		done <- asm.PlaceBlocking(Block{Offset: 2048, Data: []byte("y")})
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-parked
 	asm.Abort(boom)
 	select {
 	case err := <-done:
