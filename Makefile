@@ -20,7 +20,7 @@ RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
 	./internal/pacing ./internal/fleet ./internal/rig .
 
-.PHONY: check vet vet-ctx rig-lint loc api race flake drills bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
+.PHONY: check vet vet-ctx rig-lint loc api race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
 
@@ -151,6 +151,12 @@ drills:
 		echo "drills: $$d"; \
 		timeout 60 $(GO) run ./examples/$$d >/dev/null || exit 1; \
 	done
+
+# Rewrite docs/exhibits.txt, the golden that TestRunAllMatchesSerial
+# holds `paperrepro -exp all` to, after an intended change to an
+# exhibit's output; review the diff before committing it.
+exhibits:
+	$(GO) test ./internal/experiments -run '^TestRunAllMatchesSerial$$' -count=1 -update
 
 # One iteration of every root benchmark, machine-readable, for
 # before/after comparisons across PRs. Override BENCH_OUT to record a

@@ -10,6 +10,7 @@ import (
 	"gftpvc/internal/netsim"
 	"gftpvc/internal/simclock"
 	"gftpvc/internal/snmp"
+	"gftpvc/internal/stats"
 	"gftpvc/internal/topo"
 )
 
@@ -209,7 +210,8 @@ func correlationTable(title string, rows []snmp.CorrelationRow, note string) str
 }
 
 // tableXI reproduces Table XI: correlation between per-transfer GridFTP
-// bytes and the Eq. 1 total link bytes, per quartile and per router.
+// bytes and the Eq. 1 total link bytes, per quartile and per router; its
+// values are the rows, one per router.
 func tableXI(seed int64) (Result, error) {
 	camp, err := runORNLCampaign(seed)
 	if err != nil {
@@ -223,14 +225,15 @@ func tableXI(seed int64) (Result, error) {
 		}
 		rows = append(rows, row)
 	}
-	return textResult{"table11", correlationTable(
+	return valued[[]snmp.CorrelationRow]{textResult{"table11", correlationTable(
 		"Table XI: correlation between GridFTP bytes and total link bytes B_i (NERSC-ORNL)",
 		rows,
-		"paper shape: \"The high correlations ... suggest that the 32GB transfers\ndominated the total traffic on the ESnet links\" — high in the All row and\neven within each throughput quartile, which surprised the authors for the\nlowest quartile.")}, nil
+		"paper shape: \"The high correlations ... suggest that the 32GB transfers\ndominated the total traffic on the ESnet links\" — high in the All row and\neven within each throughput quartile, which surprised the authors for the\nlowest quartile.")}, rows}, nil
 }
 
 // tableXII reproduces Table XII: correlation between GridFTP bytes and the
-// remaining (non-GridFTP) traffic.
+// remaining (non-GridFTP) traffic; its values are the rows, one per
+// router.
 func tableXII(seed int64) (Result, error) {
 	camp, err := runORNLCampaign(seed)
 	if err != nil {
@@ -244,14 +247,14 @@ func tableXII(seed int64) (Result, error) {
 		}
 		rows = append(rows, row)
 	}
-	return textResult{"table12", correlationTable(
+	return valued[[]snmp.CorrelationRow]{textResult{"table12", correlationTable(
 		"Table XII: correlation between GridFTP bytes and bytes from other flows (NERSC-ORNL)",
 		rows,
-		"paper shape: \"The low correlations imply that the remaining traffic does\nnot effect GridFTP transfer throughput.\"")}, nil
+		"paper shape: \"The low correlations imply that the remaining traffic does\nnot effect GridFTP transfer throughput.\"")}, rows}, nil
 }
 
 // tableXIII reproduces Table XIII: average link load (Gbps) during the
-// 32 GB transfers.
+// 32 GB transfers; its values are the load summaries, one per router.
 func tableXIII(seed int64) (Result, error) {
 	camp, err := runORNLCampaign(seed)
 	if err != nil {
@@ -260,13 +263,15 @@ func tableXIII(seed int64) (Result, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table XIII: average link load (Gbps) during the 32 GB transfers\n\n")
 	fmt.Fprintln(&b, summaryHeader())
+	var loads []stats.Summary
 	for i, id := range camp.egress {
 		s, err := camp.counters[id].LoadSummary(camp.obs)
 		if err != nil {
 			return nil, err
 		}
+		loads = append(loads, s)
 		fmt.Fprintln(&b, summaryRow(fmt.Sprintf("  rt%d", i+1), s))
 	}
 	fmt.Fprintln(&b, "\npaper shape: \"even the maximum loads are only slightly more than half the\nlink capacities (which are all 10 Gbps)\" — backbone links are lightly loaded.")
-	return textResult{"table13", b.String()}, nil
+	return valued[[]stats.Summary]{textResult{"table13", b.String()}, loads}, nil
 }

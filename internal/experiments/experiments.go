@@ -85,3 +85,10 @@ type textResult struct {
 
 func (t textResult) ID() string     { return t.id }
 func (t textResult) Render() string { return t.text }
+
+// valued is a pre-rendered result that also carries the numbers it was
+// rendered from, so a shape test checks exactly what paperrepro prints.
+type valued[V any] struct {
+	textResult
+	values V
+}

@@ -1,14 +1,24 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 )
 
+// goldenPath is the checked-in output of `paperrepro -exp all` at the
+// default seed.
+const goldenPath = "../../docs/exhibits.txt"
+
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the serial seed-42 run")
+
 // TestRunAllMatchesSerial regenerates every exhibit serially and on a
 // wide worker pool and requires byte-identical renders in identical
-// order — the paperrepro -parallel guarantee.
+// order — the paperrepro -parallel guarantee. The serial run, printed
+// the way paperrepro prints it, must also match docs/exhibits.txt byte
+// for byte (`make exhibits` rewrites the file).
 func TestRunAllMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exhibit suite is slow")
@@ -18,6 +28,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, serial)
 	par, err := RunAll(ids, 42, 2*runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +44,41 @@ func TestRunAllMatchesSerial(t *testing.T) {
 			t.Errorf("exhibit %s: parallel render differs from serial", id)
 		}
 	}
+}
+
+// checkGolden compares results, rendered as paperrepro prints them (a
+// separator line, then each Render, each followed by a newline), with
+// the golden file, or rewrites the file under -update.
+func checkGolden(t *testing.T, results []Result) {
+	t.Helper()
+	var b strings.Builder
+	for _, res := range results {
+		b.WriteString(strings.Repeat("=", 80) + "\n")
+		b.WriteString(res.Render() + "\n")
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s differs at line %d (run `make exhibits` if the change is intended):\n got: %s\nwant: %s",
+				goldenPath, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s differs in length: %d lines, want %d (run `make exhibits` if the change is intended)",
+		goldenPath, len(gl), len(wl))
 }
 
 // TestRunAllFirstErrorInIDOrder checks that the reported error is the

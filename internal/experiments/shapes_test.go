@@ -1,19 +1,35 @@
 package experiments
 
 import (
+	"math"
 	"testing"
+
+	"gftpvc/internal/snmp"
+	"gftpvc/internal/stats"
 )
 
 // These tests assert the reproduction's shape criteria quantitatively —
 // each inequality mirrors a sentence in the paper or a row of
-// EXPERIMENTS.md's findings scorecard.
+// EXPERIMENTS.md's findings scorecard. They read the numbers each
+// exhibit rendered from, so they check what paperrepro prints.
 
-func TestTableIVShape(t *testing.T) {
-	cells, err := TableIVData(42)
+// values runs exhibit id at seed 42 and returns the values it carries.
+func values[V any](t *testing.T, id string) V {
+	t.Helper()
+	res, err := Run(id, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(key string) TableIVCell {
+	v, ok := res.(valued[V])
+	if !ok {
+		t.Fatalf("%s: result %T does not carry %T", id, res, v.values)
+	}
+	return v.values
+}
+
+func TestTableIVShape(t *testing.T) {
+	cells := values[map[string]tableIVCell](t, "table4")
+	get := func(key string) tableIVCell {
 		c, ok := cells[key]
 		if !ok {
 			t.Fatalf("missing cell %s", key)
@@ -54,10 +70,7 @@ func TestTableIVShape(t *testing.T) {
 }
 
 func TestStreamShape(t *testing.T) {
-	sh, err := StreamShapeData(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := values[streamShape](t, "fig3")
 	// Small files: 8 streams clearly win (slow start).
 	if sh.SmallFileAdvantage < 1.5 {
 		t.Errorf("small-file 8-stream advantage = %v, want > 1.5x", sh.SmallFileAdvantage)
@@ -87,16 +100,18 @@ func TestStreamShape(t *testing.T) {
 		t.Errorf("1-stream knee = %.0f MB, paper ~575 MB", sh.Knee1/1e6)
 	}
 	// Fig 4 dip: roughly a 50% drop.
-	if sh.DipRatio < 0.35 || sh.DipRatio > 0.7 {
-		t.Errorf("dip ratio = %v, paper ~0.5", sh.DipRatio)
+	dip := values[dipShape](t, "fig4")
+	var dipRatio float64
+	if dip.Out > 0 {
+		dipRatio = dip.In / dip.Out
+	}
+	if dipRatio < 0.35 || dipRatio > 0.7 {
+		t.Errorf("dip ratio = %v, paper ~0.5", dipRatio)
 	}
 }
 
 func TestEq2Shape(t *testing.T) {
-	sh, err := Eq2ShapeData(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := values[eq2Shape](t, "fig8")
 	if sh.Rows != 84 {
 		t.Errorf("mem-mem rows = %d, want 84", sh.Rows)
 	}
@@ -107,25 +122,39 @@ func TestEq2Shape(t *testing.T) {
 }
 
 func TestSNMPShape(t *testing.T) {
-	sh, err := SNMPShapeData(42)
-	if err != nil {
-		t.Fatal(err)
+	total := values[[]snmp.CorrelationRow](t, "table11")
+	other := values[[]snmp.CorrelationRow](t, "table12")
+	loads := values[[]stats.Summary](t, "table13")
+	if len(total) != 5 || len(other) != 5 || len(loads) != 5 {
+		t.Fatalf("router rows = %d/%d/%d, want 5 each", len(total), len(other), len(loads))
+	}
+	minAllCorrTotal, maxAllCorrOther, maxLoadGbps := 1.0, 0.0, 0.0
+	for i := range total {
+		if total[i].All < minAllCorrTotal {
+			minAllCorrTotal = total[i].All
+		}
+		if math.Abs(other[i].All) > maxAllCorrOther {
+			maxAllCorrOther = math.Abs(other[i].All)
+		}
+		if loads[i].Max > maxLoadGbps {
+			maxLoadGbps = loads[i].Max
+		}
 	}
 	// Table XI: high everywhere.
-	if sh.MinAllCorrTotal < 0.9 {
-		t.Errorf("weakest Table XI All = %v, want > 0.9", sh.MinAllCorrTotal)
+	if minAllCorrTotal < 0.9 {
+		t.Errorf("weakest Table XI All = %v, want > 0.9", minAllCorrTotal)
 	}
 	// Table XII: low everywhere.
-	if sh.MaxAllCorrOther > 0.5 {
-		t.Errorf("strongest Table XII All = %v, want < 0.5", sh.MaxAllCorrOther)
+	if maxAllCorrOther > 0.5 {
+		t.Errorf("strongest Table XII All = %v, want < 0.5", maxAllCorrOther)
 	}
 	// Table XIII: lightly loaded 10 Gbps links.
-	if sh.MaxLoadGbps > 7 {
-		t.Errorf("max link load = %v Gbps, want lightly loaded", sh.MaxLoadGbps)
+	if maxLoadGbps > 7 {
+		t.Errorf("max link load = %v Gbps, want lightly loaded", maxLoadGbps)
 	}
 	// The correlation regimes must be clearly separated.
-	if sh.MinAllCorrTotal < 2*sh.MaxAllCorrOther {
+	if minAllCorrTotal < 2*maxAllCorrOther {
 		t.Errorf("regimes not separated: XI min %v vs XII max %v",
-			sh.MinAllCorrTotal, sh.MaxAllCorrOther)
+			minAllCorrTotal, maxAllCorrOther)
 	}
 }

@@ -112,25 +112,33 @@ func tableIII(seed int64) (Result, error) {
 
 // paperTableIV: percentage of sessions (percentage of transfers) suitable
 // for dynamic VCs, from the paper.
-var paperTableIV = map[string][2]string{
-	"ncar/g=0s/1m0s":   {"2.x% (2.14%)", ""},
-	"ncar/g=0s/50ms":   {"87.09% (89.33%)", ""},
-	"ncar/g=1m0s/1m0s": {"56.87% (90.54%)", ""},
-	"ncar/g=1m0s/50ms": {"92.89% (98.04%)", ""},
-	"ncar/g=2m0s/1m0s": {"62.16% (90.71%)", ""},
-	"ncar/g=2m0s/50ms": {"94.59% (98.17%)", ""},
-	"slac/g=0s/1m0s":   {"1.95% (39.41%)", ""},
-	"slac/g=0s/50ms":   {"52.58% (89.68%)", ""},
-	"slac/g=1m0s/1m0s": {"12.54% (78.38%)", ""},
-	"slac/g=1m0s/50ms": {"93.56% (99.73%)", ""},
-	"slac/g=2m0s/1m0s": {"15.93% (85.49%)", ""},
-	"slac/g=2m0s/50ms": {"94.47% (99.85%)", ""},
+var paperTableIV = map[string]string{
+	"ncar/g=0s/1m0s":   "2.x% (2.14%)",
+	"ncar/g=0s/50ms":   "87.09% (89.33%)",
+	"ncar/g=1m0s/1m0s": "56.87% (90.54%)",
+	"ncar/g=1m0s/50ms": "92.89% (98.04%)",
+	"ncar/g=2m0s/1m0s": "62.16% (90.71%)",
+	"ncar/g=2m0s/50ms": "94.59% (98.17%)",
+	"slac/g=0s/1m0s":   "1.95% (39.41%)",
+	"slac/g=0s/50ms":   "52.58% (89.68%)",
+	"slac/g=1m0s/1m0s": "12.54% (78.38%)",
+	"slac/g=1m0s/50ms": "93.56% (99.73%)",
+	"slac/g=2m0s/1m0s": "15.93% (85.49%)",
+	"slac/g=2m0s/50ms": "94.47% (99.85%)",
+}
+
+// tableIVCell is one Table IV entry.
+type tableIVCell struct {
+	SessionsPct  float64
+	TransfersPct float64
 }
 
 // tableIV reproduces Table IV: the share of sessions (and transfers) for
 // which dynamic-VC setup delay is an acceptable overhead, across both
-// datasets, three g values, and two setup-delay regimes.
+// datasets, three g values, and two setup-delay regimes. Its values are
+// the cells keyed by "<dataset>/g=<g>/<setup>".
 func tableIV(seed int64) (Result, error) {
+	cells := map[string]tableIVCell{}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table IV: %% sessions (%% transfers) suitable for dynamic VCs\n")
 	fmt.Fprintf(&b, "rule: hypothetical duration at Q3 transfer throughput >= 10 x setup delay\n\n")
@@ -164,13 +172,14 @@ func tableIV(seed int64) (Result, error) {
 					return nil, err
 				}
 				key := fmt.Sprintf("%s/g=%s/%s", entry.name, g, setup)
+				c := tableIVCell{res.PercentSessions(), res.PercentTransfers()}
+				cells[key] = c
 				fmt.Fprintf(&b, "%-22s %15.2f%% (%5.2f%%) %28s\n",
-					key, res.PercentSessions(), res.PercentTransfers(),
-					paperTableIV[key][0])
+					key, c.SessionsPct, c.TransfersPct, paperTableIV[key])
 			}
 		}
 	}
-	return textResult{"table4", b.String()}, nil
+	return valued[map[string]tableIVCell]{textResult{"table4", b.String()}, cells}, nil
 }
 
 // tableV reproduces Table V: duration and throughput of the 145 32 GB
@@ -243,78 +252,53 @@ func tableVII(seed int64) (Result, error) {
 	return textResult{"table7", b.String()}, nil
 }
 
-// groupedThroughputTable renders the Table VIII/IX layout.
-func groupedThroughputTable(title string, groups map[string][]float64, order []string, note string) string {
+// ncarSplitTable renders the Table VIII/IX layout: the 16G and 4G NCAR
+// subsets, each split by one integer attribute (field) into the given
+// values, one row per non-empty group keyed by keyFmt(tag, value).
+func ncarSplitTable(seed int64, id, title, keyFmt string,
+	field func(workload.LargeTransfer) int, values []int, note string) (Result, error) {
+	nl, err := ncarLarge(seed)
+	if err != nil {
+		return nil, err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n\n", title)
 	fmt.Fprintf(&b, "%-12s %6s %8s %8s %8s %8s %8s %8s %10s\n",
 		"group", "n", "Min", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max", "StdDev")
-	for _, name := range order {
-		xs := groups[name]
-		if len(xs) == 0 {
-			continue
+	for _, set := range []struct {
+		tag string
+		ts  []workload.LargeTransfer
+	}{{"16G", nl.t16}, {"4G", nl.t4}} {
+		for _, v := range values {
+			xs := workload.ThroughputsOf(workload.FilterLarge(set.ts,
+				func(l workload.LargeTransfer) bool { return field(l) == v }))
+			if len(xs) == 0 {
+				continue
+			}
+			s := stats.MustSummarize(xs)
+			fmt.Fprintf(&b, "%-12s %6d %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %10.1f\n",
+				fmt.Sprintf(keyFmt, set.tag, v), s.N, s.Min, s.Q1, s.Median, s.Mean, s.Q3, s.Max, s.StdDev)
 		}
-		s := stats.MustSummarize(xs)
-		fmt.Fprintf(&b, "%-12s %6d %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %10.1f\n",
-			name, s.N, s.Min, s.Q1, s.Median, s.Mean, s.Q3, s.Max, s.StdDev)
 	}
 	fmt.Fprintln(&b, "\n"+note)
-	return b.String()
+	return textResult{id, b.String()}, nil
 }
 
 // tableVIII reproduces Table VIII: year-based throughput of the 16GB/4GB
 // NCAR subsets (the frost cluster shrank from 3 servers to 1 over
 // 2009–2011).
 func tableVIII(seed int64) (Result, error) {
-	nl, err := ncarLarge(seed)
-	if err != nil {
-		return nil, err
-	}
-	t16, t4 := nl.t16, nl.t4
-	groups := map[string][]float64{}
-	var order []string
-	for _, set := range []struct {
-		tag string
-		ts  []workload.LargeTransfer
-	}{{"16G", t16}, {"4G", t4}} {
-		for _, year := range []int{2009, 2010, 2011} {
-			key := fmt.Sprintf("%s/%d", set.tag, year)
-			order = append(order, key)
-			y := year
-			groups[key] = workload.ThroughputsOf(workload.FilterLarge(set.ts,
-				func(l workload.LargeTransfer) bool { return l.Year == y }))
-		}
-	}
-	return textResult{"table8", groupedThroughputTable(
-		"Table VIII: year-based throughput of 16GB/4GB NCAR transfers (Mbps)",
-		groups, order,
-		"paper shape: medians decline from 2009 to 2011 as the NCAR cluster shrank\nfrom 3 servers to 1.")}, nil
+	return ncarSplitTable(seed, "table8",
+		"Table VIII: year-based throughput of 16GB/4GB NCAR transfers (Mbps)", "%s/%d",
+		func(l workload.LargeTransfer) int { return l.Year }, []int{2009, 2010, 2011},
+		"paper shape: medians decline from 2009 to 2011 as the NCAR cluster shrank\nfrom 3 servers to 1.")
 }
 
 // tableIX reproduces Table IX: stripes-based throughput of the same
 // subsets; the median rises with the stripe count.
 func tableIX(seed int64) (Result, error) {
-	nl, err := ncarLarge(seed)
-	if err != nil {
-		return nil, err
-	}
-	t16, t4 := nl.t16, nl.t4
-	groups := map[string][]float64{}
-	var order []string
-	for _, set := range []struct {
-		tag string
-		ts  []workload.LargeTransfer
-	}{{"16G", t16}, {"4G", t4}} {
-		for _, stripes := range []int{1, 2, 3} {
-			key := fmt.Sprintf("%s/%d-stripe", set.tag, stripes)
-			order = append(order, key)
-			n := stripes
-			groups[key] = workload.ThroughputsOf(workload.FilterLarge(set.ts,
-				func(l workload.LargeTransfer) bool { return l.Stripes == n }))
-		}
-	}
-	return textResult{"table9", groupedThroughputTable(
-		"Table IX: stripes-based throughput of 16GB/4GB NCAR transfers (Mbps)",
-		groups, order,
-		"paper shape: \"the median column is the one to consider. This is higher when\nthe number of stripes is higher\" — for both subsets.")}, nil
+	return ncarSplitTable(seed, "table9",
+		"Table IX: stripes-based throughput of 16GB/4GB NCAR transfers (Mbps)", "%s/%d-stripe",
+		func(l workload.LargeTransfer) int { return l.Stripes }, []int{1, 2, 3},
+		"paper shape: \"the median column is the one to consider. This is higher when\nthe number of stripes is higher\" — for both subsets.")
 }

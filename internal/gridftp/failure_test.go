@@ -2,9 +2,11 @@ package gridftp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,5 +273,49 @@ func TestConcurrentStorsOfOneObjectSerialize(t *testing.T) {
 	b.expect(t, "226")
 	if got, err := store.Get("x"); err != nil || string(got) != "second writer" {
 		t.Fatalf("x = %q, %v; want the second writer's bytes", got, err)
+	}
+}
+
+// failingListener fails its first n Accepts the way a process out of
+// file descriptors does, then accepts normally.
+type failingListener struct {
+	net.Listener
+	n atomic.Int32
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if l.n.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: errors.New("too many open files")}
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptErrorKeepsServing: transient Accept failures are retried,
+// so the server still greets and serves the next client, and Close
+// still ends the loop.
+func TestAcceptErrorKeepsServing(t *testing.T) {
+	srv := startServer(t, Config{ControlListen: func(network, addr string) (net.Listener, error) {
+		ln, err := net.Listen(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		fl := &failingListener{Listener: ln}
+		fl.n.Store(3)
+		return fl, nil
+	}})
+	c, err := Dial(srv.Addr(), WithControlTimeout(3*time.Second))
+	if err != nil {
+		t.Fatalf("dial after failed accepts: %v", err)
+	}
+	defer c.Close()
+	if err := c.Login("anonymous", "test@"); err != nil {
+		t.Fatalf("login after failed accepts: %v", err)
+	}
+	done := make(chan struct{})
+	go func() { srv.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after retried accepts")
 	}
 }

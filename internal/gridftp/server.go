@@ -348,11 +348,23 @@ func (s *Server) reject(conn net.Conn) {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			return
+			// Only Close ends the loop. Any other failure (EMFILE, an
+			// aborted handshake) is retried after a backoff of 5 ms
+			// doubling to 1 s, as net/http does, so one failed Accept
+			// cannot leave the server up but deaf, and Close waits at
+			// most one step.
+			if s.closed.Load() || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		if max := int64(s.cfg.MaxSessions); max > 0 && s.active.Load() >= max {
 			s.reject(conn)
 			continue

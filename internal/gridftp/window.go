@@ -498,9 +498,6 @@ func (a *WindowAssembler) DuplicateBytes() int64 {
 	return a.dup
 }
 
-// Window returns the configured window size in bytes.
-func (a *WindowAssembler) Window() int { return int(a.window) }
-
 // DrainConn reads frames from one data connection into the assembler
 // until EOD, parking on out-of-window blocks. It returns the payload
 // bytes read off this connection. On error the caller should Abort the

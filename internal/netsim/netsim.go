@@ -76,9 +76,6 @@ type Flow struct {
 // Rate returns the flow's currently allocated rate in bits/second.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns the bytes left to transfer (Inf for background flows).
-func (f *Flow) Remaining() float64 { return f.remainingBytes }
-
 // Transferred returns the bytes moved so far, as of the last network event.
 func (f *Flow) Transferred() float64 {
 	if math.IsInf(f.sizeBytes, 1) {

@@ -53,14 +53,6 @@ func (h *Hub) Epoch() time.Time {
 	return h.epoch
 }
 
-// SinceEpoch converts a wall-clock time to seconds on the hub clock.
-func (h *Hub) SinceEpoch(t time.Time) float64 {
-	if h == nil {
-		return 0
-	}
-	return t.Sub(h.epoch).Seconds()
-}
-
 // Registry returns the metrics registry (nil for a nil hub).
 func (h *Hub) Registry() *Registry {
 	if h == nil {
