@@ -20,7 +20,7 @@ RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
 	./internal/pacing ./internal/fleet ./internal/rig .
 
-.PHONY: check vet vet-ctx rig-lint loc api race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
+.PHONY: check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
 
@@ -124,6 +124,13 @@ api:
 			on && !/^[[:space:]]*(\/\/|$$)/ { print } /^\}$$/ { on = 0 }'; \
 		echo; \
 	done
+
+# API gate: the exported surface must equal the committed golden
+# docs/api.txt, so an API change shows up as a diff in review instead of
+# a claim about it. After an intended change, regenerate the golden with
+# `make -s api > docs/api.txt` and review its diff.
+api-check:
+	$(MAKE) -s --no-print-directory api | diff - docs/api.txt
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)

@@ -533,7 +533,7 @@ func (c *Client) stats(size int64, start time.Time, conns int, striped bool) Tra
 // timeout, so both clients remain usable — a failed transfer must not
 // poison the sessions that retry managers like xferman reuse.
 func ThirdParty(src, dst *Client, srcName, dstName string) error {
-	_, err := ThirdPartyFrom(src, dst, srcName, dstName, 0)
+	_, _, err := ThirdPartyFrom(src, dst, srcName, dstName, 0)
 	return err
 }
 
@@ -550,30 +550,34 @@ func ThirdParty(src, dst *Client, srcName, dstName string) error {
 // untouched, and resuming at its stale size would splice old bytes
 // under new ones.
 //
+// size is the region length src announced in its RETR 150 ("(N
+// bytes)"), reported even when the transfer then fails, and -1 when src
+// announced none or never sent its 150.
+//
 // When both servers end a transfer with a cached-channel 226, src and
 // dst remember each other, and their next transfer together skips PASV
 // and PORT: both servers run it over the data connection they kept.
 // Anything else leaves both forgetting, so a server that never caches
 // sees today's conversation exactly.
-func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (dstEngaged bool, err error) {
+func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (size int64, dstEngaged bool, err error) {
 	if offset < 0 {
-		return false, errors.New("gridftp: negative restart offset")
+		return -1, false, errors.New("gridftp: negative restart offset")
 	}
 	reuse := src.peer == dst && dst.peer == src
 	src.peer, dst.peer = nil, nil
 	if reuse {
 		src.met.reuses.Inc()
 	} else if err := pointAt(src, dst); err != nil {
-		return false, err
+		return -1, false, err
 	}
 	if offset > 0 {
 		if _, err := dst.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
-			return false, err
+			return -1, false, err
 		}
 	}
 	// Start the receiver first, then the sender.
 	if _, err := dst.do("STOR", "STOR "+dstName, 150); err != nil {
-		return false, err
+		return -1, false, err
 	}
 	// From here dst is mid-transfer and owes a completion reply; every
 	// early exit must drain it or the next command on dst would read a
@@ -581,23 +585,40 @@ func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (ds
 	if offset > 0 {
 		if _, err := src.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
 			dst.drainReply()
-			return true, err
+			return -1, true, err
 		}
 	}
-	if _, err := src.do("RETR", "RETR "+srcName, 150); err != nil {
+	opening, err := src.do("RETR", "RETR "+srcName, 150)
+	if err != nil {
 		dst.drainReply()
-		return true, err
+		return -1, true, err
 	}
+	size = announcedSize(opening.Text)
 	srep, err := src.expect("RETR-complete", 226)
 	if err != nil {
 		dst.drainReply()
-		return true, err
+		return size, true, err
 	}
 	drep, err := dst.expect("STOR-complete", 226)
 	if err == nil && strings.HasSuffix(srep.Text, channelCached) && strings.HasSuffix(drep.Text, channelCached) {
 		src.peer, dst.peer = dst, src
 	}
-	return true, err
+	return size, true, err
+}
+
+// announcedSize parses the "(N bytes)" of a RETR 150, the wu-ftpd form
+// this server and most others send; -1 when the text carries no size.
+func announcedSize(text string) int64 {
+	end := strings.LastIndex(text, " bytes)")
+	start := strings.LastIndexByte(text[:max(end, 0)], '(')
+	if start < 0 {
+		return -1
+	}
+	size, err := strconv.ParseInt(text[start+1:end], 10, 64)
+	if err != nil || size < 0 {
+		return -1
+	}
+	return size
 }
 
 // channelCached ends the 226 of a transfer whose server kept its data

@@ -10,7 +10,8 @@ import (
 )
 
 // srvMetrics resolves the server's registry instruments once at Serve
-// time. With a nil hub every instrument is nil and each call degrades
+// time; the labelled ones are vecs, whose series are resolved on first
+// use. With a nil hub every instrument is nil and each call degrades
 // to a couple of nil checks, so the data path pays nothing when
 // telemetry is off.
 type srvMetrics struct {
@@ -29,6 +30,8 @@ type srvMetrics struct {
 	shapedRate       *telemetry.Gauge
 	cachedChans      *telemetry.Gauge
 	chanReuses       *telemetry.Counter
+
+	commands, transfers, xferBytes, delivered *telemetry.CounterVec
 }
 
 func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
@@ -65,6 +68,14 @@ func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
 		"Data channels sessions kept open past a clean 226 for their next transfer.")
 	m.chanReuses = hub.Counter("gridftp_server_data_channel_reuses_total",
 		"Transfers that ran over the session's cached data channel: no listen, accept or dial.")
+	m.commands = hub.CounterVec("gridftp_server_commands_total",
+		"Control-channel commands dispatched, by verb.", "verb")
+	m.transfers = hub.CounterVec("gridftp_server_transfers_total",
+		"Transfers by operation and result.", "op", "result")
+	m.xferBytes = hub.CounterVec("gridftp_server_transfer_bytes_total",
+		"Wire bytes moved on data channels, by operation.", "op")
+	m.delivered = hub.CounterVec("gridftp_server_delivered_bytes_total",
+		"Payload bytes delivered to the store exactly once, by operation.", "op")
 	return m
 }
 
@@ -95,9 +106,7 @@ func (m *srvMetrics) command(verb string) {
 	if _, ok := verbs[verb]; ok {
 		label = strings.ToLower(verb)
 	}
-	m.hub.Counter("gridftp_server_commands_total",
-		"Control-channel commands dispatched, by verb.",
-		telemetry.L("verb", label)).Inc()
+	m.commands.With(label).Inc()
 }
 
 // transferDone records one finished transfer attempt: result-split
@@ -110,12 +119,8 @@ func (m *srvMetrics) transferDone(op string, code int, bytes int64, seconds floa
 	if code >= 400 {
 		result = "error"
 	}
-	m.hub.Counter("gridftp_server_transfers_total",
-		"Transfers by operation and result.",
-		telemetry.L("op", op), telemetry.L("result", result)).Inc()
-	m.hub.Counter("gridftp_server_transfer_bytes_total",
-		"Wire bytes moved on data channels, by operation.",
-		telemetry.L("op", op)).Add(bytes)
+	m.transfers.With(op, result).Inc()
+	m.xferBytes.With(op).Add(bytes)
 	m.durations.Observe(seconds)
 	m.sizes.Observe(float64(bytes))
 }
@@ -141,17 +146,19 @@ func (m *srvMetrics) deliveredBytes(op string, n int64) {
 	if m.hub == nil || n <= 0 {
 		return
 	}
-	m.hub.Counter("gridftp_server_delivered_bytes_total",
-		"Payload bytes delivered to the store exactly once, by operation.",
-		telemetry.L("op", op)).Add(n)
+	m.delivered.With(op).Add(n)
 }
 
-// cliMetrics is the client-side instrument set, resolved at Dial.
+// cliMetrics is the client-side instrument set, resolved at Dial. Its
+// vecs are the hub's, shared by every client dialed with it, so each
+// labelled series is resolved once per hub, not once per dial.
 type cliMetrics struct {
 	hub *telemetry.Hub
 
 	durations *telemetry.Histogram
 	reuses    *telemetry.Counter
+
+	dials, transfers, xferBytes, delivered *telemetry.CounterVec
 }
 
 func newCliMetrics(hub *telemetry.Hub) *cliMetrics {
@@ -163,6 +170,14 @@ func newCliMetrics(hub *telemetry.Hub) *cliMetrics {
 		"Wall time of client-driven transfers.", telemetry.DurationBuckets)
 	m.reuses = hub.Counter("gridftp_client_data_channel_reuses_total",
 		"Third-party transfers that reused the pair's cached data channel: no PASV, PORT or new connection.")
+	m.dials = hub.CounterVec("gridftp_client_dials_total",
+		"Control-channel dials, by result.", "result")
+	m.transfers = hub.CounterVec("gridftp_client_transfers_total",
+		"Client transfers by operation and result.", "op", "result")
+	m.xferBytes = hub.CounterVec("gridftp_client_transfer_bytes_total",
+		"Wire bytes moved on client data channels, by operation.", "op")
+	m.delivered = hub.CounterVec("gridftp_client_delivered_bytes_total",
+		"Payload bytes delivered to the client sink exactly once, by operation.", "op")
 	return m
 }
 
@@ -171,9 +186,7 @@ func (m *cliMetrics) dialDone(err error) {
 	if m.hub == nil {
 		return
 	}
-	m.hub.Counter("gridftp_client_dials_total",
-		"Control-channel dials, by result.",
-		telemetry.L("result", resultLabel(err))).Inc()
+	m.dials.With(resultLabel(err)).Inc()
 }
 
 // transferDone records one finished client transfer attempt.
@@ -181,12 +194,8 @@ func (m *cliMetrics) transferDone(op string, err error, bytes int64, seconds flo
 	if m.hub == nil {
 		return
 	}
-	m.hub.Counter("gridftp_client_transfers_total",
-		"Client transfers by operation and result.",
-		telemetry.L("op", op), telemetry.L("result", resultLabel(err))).Inc()
-	m.hub.Counter("gridftp_client_transfer_bytes_total",
-		"Wire bytes moved on client data channels, by operation.",
-		telemetry.L("op", op)).Add(bytes)
+	m.transfers.With(op, resultLabel(err)).Inc()
+	m.xferBytes.With(op).Add(bytes)
 	m.durations.Observe(seconds)
 }
 
@@ -206,9 +215,7 @@ func (m *cliMetrics) deliveredBytes(op string, n int64) {
 	if m.hub == nil || n <= 0 {
 		return
 	}
-	m.hub.Counter("gridftp_client_delivered_bytes_total",
-		"Payload bytes delivered to the client sink exactly once, by operation.",
-		telemetry.L("op", op)).Add(n)
+	m.delivered.With(op).Add(n)
 }
 
 func resultLabel(err error) string {

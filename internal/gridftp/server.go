@@ -749,6 +749,10 @@ func (sess *session) beginTransfer(e effect) *transferCtx {
 // direction is what differs between RETR and STOR inside the one
 // transfer skeleton; a transfer's open step returns it.
 type direction struct {
+	// opening is the 150 text. A RETR's announces the region length in
+	// the wu-ftpd form "(N bytes)", so a client learns the size it is
+	// about to receive without a SIZE round trip.
+	opening string
 	// pump moves data connection i of n's share of the object; it runs
 	// on its own goroutine and the skeleton closes or keeps dc after.
 	pump func(i, n int, dc *dataChan) error
@@ -787,7 +791,7 @@ func (sess *session) transfer(e effect) {
 // the data connections, runs one pump per connection, and reports 226,
 // 425 (no data connection) or 426 (a pump failed).
 func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, string) {
-	sess.reply(150, "opening data connection")
+	sess.reply(150, d.opening)
 	chans, err := sess.dataConns(tx, t)
 	if err != nil {
 		return 425, "data connection failed: " + err.Error()
@@ -938,6 +942,7 @@ func (sess *session) openRetr(tx *transferCtx, e effect) (direction, int, string
 	}
 	offset, bs := e.offset, sess.srv.cfg.BlockSize
 	return direction{
+		opening: fmt.Sprintf("opening data connection (%d bytes)", regionLen),
 		pump: func(i, n int, dc *dataChan) (err error) {
 			dc.send, err = sendStoreRegion(src, dc.conn, dc.send, offset, regionLen, bs, i*bs, n*bs)
 			return err
@@ -1058,6 +1063,7 @@ func (sess *session) openStor(tx *transferCtx, e effect) (direction, int, string
 	}
 	maxSize := uint64(srv.cfg.MaxObjectSize)
 	return direction{
+		opening: "opening data connection",
 		pump: func(_, n int, dc *dataChan) error {
 			_, err := asm.drain(&dc.fr, n, maxSize)
 			return err

@@ -272,17 +272,18 @@ func (p *cachePair) client(t *testing.T, s *Server) *Client {
 }
 
 // thirdParty runs ThirdPartyFrom(src, dst, "obj", name, offset) and checks
-// that it reused the pair's cached channel exactly when reuse is set —
-// no PASV or PORT on any control channel, no listener opened, no data
-// connection made — and otherwise armed a fresh one. Either way the
+// that src announced the region's length and that the copy reused the
+// pair's cached channel exactly when reuse is set — no PASV or PORT on
+// any control channel, no listener opened, no data connection made —
+// and otherwise armed a fresh one. Either way the
 // bytes dst read for it are WriteBlock's reference frames of the region
 // and the copy is intact.
 func (p *cachePair) thirdParty(t *testing.T, src, dst *Client, name string, offset int64, reuse bool) {
 	t.Helper()
 	verbs, listeners := p.ctl.verbs(), p.track.Total()
 	prev, seen := p.data.last()
-	if _, err := ThirdPartyFrom(src, dst, "obj", name, offset); err != nil {
-		t.Fatalf("%s: %v", name, err)
+	if size, _, err := ThirdPartyFrom(src, dst, "obj", name, offset); err != nil || size != int64(len(p.payload))-offset {
+		t.Fatalf("%s: announced size %d, %v; want %d", name, size, err, int64(len(p.payload))-offset)
 	}
 	after := p.ctl.verbs()
 	armed := after["PASV"] - verbs["PASV"] + after["PORT"] - verbs["PORT"]
@@ -386,4 +387,66 @@ func TestCachedChannelNeverCrossesPairs(t *testing.T) {
 		p.dstStore.Put("resumed", p.payload[:off])
 		p.thirdParty(t, a, b, "resumed", off, true)
 	})
+}
+
+// TestOpeningReplyText pins the 150 each transfer opens with. A RETR's
+// announces the length of the region it is about to send in the
+// wu-ftpd form "(N bytes)": the whole object, the object past a REST
+// offset, an ERET's length. A STOR's carries no size, as before.
+func TestOpeningReplyText(t *testing.T) {
+	ctl := &wireRecorder{}
+	store := NewMemStore()
+	store.Put("obj", randomPayload(40<<10+7))
+	s := startServer(t, Config{Store: store, ControlListen: ctl.Listen})
+	c := login(t, s.Addr())
+	conn, _ := ctl.last()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"RETR", func() error { _, _, err := c.Retr("obj"); return err },
+			"150 opening data connection (40967 bytes)"},
+		{"REST+RETR", func() error { _, _, err := c.RetrFrom("obj", 1000); return err },
+			"150 opening data connection (39967 bytes)"},
+		{"ERET", func() error { _, _, err := c.RetrPartial("obj", 1000, 5000); return err },
+			"150 opening data connection (5000 bytes)"},
+		{"STOR", func() error { _, err := c.Stor("up", randomPayload(100)); return err },
+			"150 opening data connection"},
+	} {
+		written, _, _ := conn.seen()
+		before := len(written)
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		written, _, _ = conn.seen()
+		var openings []string
+		for _, line := range strings.Split(string(written[before:]), "\r\n") {
+			if strings.HasPrefix(line, "150") {
+				openings = append(openings, line)
+			}
+		}
+		if len(openings) != 1 || openings[0] != tc.want {
+			t.Errorf("%s: 150 replies %q, want [%q]", tc.name, openings, tc.want)
+		}
+	}
+}
+
+// TestAnnouncedSize: the client reads this server's 150 and the
+// classic wu-ftpd one; anything else announces no size.
+func TestAnnouncedSize(t *testing.T) {
+	for text, want := range map[string]int64{
+		"opening data connection (40967 bytes)":                         40967,
+		"opening data connection (0 bytes)":                             0,
+		"Opening BINARY mode data connection for obj (1234 bytes).":     1234,
+		"Opening BINARY mode data connection for a (b) (9 bytes)":       9,
+		"opening data connection":                                       -1,
+		"opening data connection (-5 bytes)":                            -1,
+		"opening data connection (many bytes)":                          -1,
+		"opening data connection (99999999999999999999999999999 bytes)": -1,
+	} {
+		if got := announcedSize(text); got != want {
+			t.Errorf("announcedSize(%q) = %d, want %d", text, got, want)
+		}
+	}
 }

@@ -82,6 +82,11 @@ func (h *Hub) Counter(name, help string, labels ...Label) *Counter {
 	return h.Registry().Counter(name, help, labels...)
 }
 
+// CounterVec resolves a registry counter vec (nil-safe).
+func (h *Hub) CounterVec(name, help string, keys ...string) *CounterVec {
+	return h.Registry().CounterVec(name, help, keys...)
+}
+
 // Gauge resolves a registry gauge (nil-safe).
 func (h *Hub) Gauge(name, help string, labels ...Label) *Gauge {
 	return h.Registry().Gauge(name, help, labels...)

@@ -89,11 +89,12 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	vecs     map[string]*CounterVec
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), vecs: make(map[string]*CounterVec)}
 }
 
 // lookup returns the family for name, creating it with the given kind
@@ -183,6 +184,62 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	}
 	f := r.lookup(name, help, KindCounter)
 	return f.instrument(labels, func() instrument { return newCounter(labels) }).(*Counter)
+}
+
+// CounterVec is the counters of one family keyed by the values of up
+// to two labels, each series resolved on its first With and kept. A
+// per-call site that resolves its series through Counter renders the
+// label set every time; With costs a map read. Nothing is registered
+// before the first With, so the exposition lists only the series
+// something touched. A nil *CounterVec hands out nil counters.
+type CounterVec struct {
+	r          *Registry
+	name, help string
+	keys       []string
+
+	mu     sync.Mutex
+	series map[[2]string]*Counter
+}
+
+// CounterVec returns the vec of name's counters labelled by keys;
+// asking for the same name again returns the same vec.
+func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
+	if len(keys) > 2 {
+		panic(fmt.Sprintf("telemetry: counter vec %q has %d labels, at most 2", name, len(keys)))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.vecs[name]
+	if !ok {
+		v = &CounterVec{r: r, name: name, help: help, keys: keys, series: make(map[[2]string]*Counter)}
+		r.vecs[name] = v
+	}
+	return v
+}
+
+// With returns the counter whose labels take values, in the order of
+// the vec's keys.
+func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
+	var key [2]string
+	copy(key[:], values)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c, ok := v.series[key]
+	if !ok {
+		labels := make([]Label, len(v.keys))
+		for i, k := range v.keys {
+			labels[i] = L(k, key[i])
+		}
+		c = v.r.Counter(v.name, v.help, labels...)
+		v.series[key] = c
+	}
+	return c
 }
 
 // Gauge returns the up-down series for name+labels.

@@ -28,6 +28,50 @@ func TestCounterValue(t *testing.T) {
 	}
 }
 
+// TestCounterVec: a vec's series are Counter's own, resolved on first
+// With and not before — an untouched vec leaves the exposition as it
+// was — and a hit costs no allocation.
+func TestCounterVec(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("test_ops_total", "help", "op", "result")
+	if r.CounterVec("test_ops_total", "help", "op", "result") != v {
+		t.Fatal("same name must resolve to the same vec")
+	}
+	var b strings.Builder
+	if r.WriteProm(&b); b.Len() != 0 {
+		t.Fatalf("untouched vec exposed %q", b.String())
+	}
+	v.With("retr", "ok").Inc()
+	if c := r.Counter("test_ops_total", "help", L("result", "ok"), L("op", "retr")); c.Value() != 1 || c != v.With("retr", "ok") {
+		t.Fatal("vec series differs from Counter's")
+	}
+	if v.With("retr", "error") == v.With("retr", "ok") {
+		t.Fatal("different label values must be distinct series")
+	}
+	if n := testing.AllocsPerRun(100, func() { v.With("retr", "ok").Inc() }); n != 0 {
+		t.Errorf("With hit allocates %v times", n)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(op string) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				v.With(op, "ok").Inc()
+			}
+		}([]string{"stor", "eret"}[i%2])
+	}
+	wg.Wait()
+	if s, e := v.With("stor", "ok").Value(), v.With("eret", "ok").Value(); s != 400 || e != 400 {
+		t.Errorf("concurrent Withs counted stor %d, eret %d; want 400 each", s, e)
+	}
+	var nilVec *CounterVec
+	nilVec.With("x").Inc()
+	if (*Registry)(nil).CounterVec("x", "") != nil {
+		t.Error("nil registry must hand out a nil vec")
+	}
+}
+
 func TestCounterConcurrentAdds(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_concurrent_total", "help")

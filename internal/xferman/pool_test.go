@@ -13,6 +13,7 @@ import (
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/rig"
+	"gftpvc/internal/telemetry"
 )
 
 // TestPooledManagerReusesChannels runs a batch of jobs through a
@@ -339,5 +340,53 @@ func TestPooledManagerKeepsPairs(t *testing.T) {
 	}
 	if n := wire.n.Load(); n != 0 {
 		t.Errorf("%d NOOPs reached the servers; checkout must need no round trip", n)
+	}
+}
+
+// TestPooledCopyControlRoundTrips counts what a cached-pair copy costs
+// the servers' control channels: over N pooled jobs, one STOR and one
+// RETR each and no SIZE (the source's RETR 150 announces the length
+// that Result.Bytes reports), and after the first job, which arms the
+// pair's data channel, no PASV or PORT.
+func TestPooledCopyControlRoundTrips(t *testing.T) {
+	const jobs, size = 20, 64 << 10
+	r := rig.New(t)
+	hubSrv, _ := r.Hub("gftpd")
+	src := r.Server(gridftp.Config{Telemetry: hubSrv}, rig.Objects{"obj": rig.Payload(6, size)})
+	dst := r.Server(gridftp.Config{Telemetry: hubSrv})
+	pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: 1, KeepAlive: -1})
+	defer pool.Close()
+	m, err := New(1, WithPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	commands := func() map[string]int64 {
+		n := map[string]int64{}
+		for _, verb := range []string{"size", "stor", "retr", "pasv", "port"} {
+			n[verb] = hubSrv.Counter("gridftp_server_commands_total", "", telemetry.L("verb", verb)).Value()
+		}
+		return n
+	}
+	var armed map[string]int64
+	for i := 0; i < jobs; i++ {
+		res := runJob(t, m, Job{Src: ep(src), Dst: ep(dst), SrcName: "obj", DstName: fmt.Sprintf("copy%d", i)})
+		if res.Bytes != size {
+			t.Fatalf("job %d: Bytes = %d, want %d", i, res.Bytes, size)
+		}
+		if i == 0 {
+			armed = commands()
+		}
+	}
+	got := commands()
+	for verb, want := range map[string]int64{"size": 0, "stor": jobs, "retr": jobs} {
+		if got[verb] != want {
+			t.Errorf("%s: %d commands over %d jobs, want %d", verb, got[verb], jobs, want)
+		}
+	}
+	for _, verb := range []string{"pasv", "port"} {
+		if d := got[verb] - armed[verb]; d != 0 {
+			t.Errorf("%s: %d commands after the first job, want 0", verb, d)
+		}
 	}
 }

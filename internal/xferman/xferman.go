@@ -91,7 +91,8 @@ type Job struct {
 	Timeout time.Duration
 	// SizeHint, when positive, tells the circuit broker how many bytes
 	// this job expects to move without a SIZE round trip. Zero means
-	// probe the source.
+	// probe the source, or the source's 150 for a third-party job
+	// without a broker.
 	SizeHint int64
 	// Stream relays the object through the manager's own data plane
 	// (streaming RETR into a pipe feeding a streaming STOR) instead of
@@ -211,8 +212,9 @@ type Result struct {
 	// Checksum is the verified CRC32 when Verify was requested.
 	Checksum string
 	Duration time.Duration
-	// Bytes is the object size the transfer moved (from SizeHint or a
-	// SIZE probe; zero when neither was available).
+	// Bytes is the object size the transfer moved (from SizeHint, a
+	// SIZE probe, or the source's 150; zero when none was available).
+	// NoResume third-party jobs report it too, from the 150.
 	Bytes int64
 	// WireBytes is the payload the job pushed toward the destination
 	// summed across ALL attempts, duplicates included — the number
@@ -832,12 +834,14 @@ func (r *run) checkout() (err error) {
 	return nil
 }
 
-// size probes the object size an unhinted job needs: the broker sizes
-// circuits from bytes, the streaming relay needs the region length, and
-// resume-aware retries clamp destination watermarks against it. A
-// failed probe just means an unhinted decision, not a failed job.
+// size probes the object size an unhinted job needs before any byte
+// moves: the broker sizes circuits from bytes and the streaming relay
+// needs the region length. A plain third-party job skips it: its source
+// announces the size in the RETR 150 (see transfer), before any byte
+// can reach the destination whose watermark a retry clamps against it.
+// A failed probe just means an unhinted decision, not a failed job.
 func (r *run) size() error {
-	if r.job.SizeHint <= 0 && (r.m.broker != nil || r.job.Stream || !r.job.NoResume) {
+	if r.job.SizeHint <= 0 && (r.m.broker != nil || r.job.Stream) {
 		if n, err := r.src.Size(r.job.SrcName); err == nil && n > 0 {
 			r.res.Bytes = n
 		}
@@ -901,7 +905,16 @@ func (r *run) transfer() (err error) {
 	if r.job.Stream {
 		err = r.streamRelay()
 	} else {
-		r.dstEngaged, err = gridftp.ThirdPartyFrom(r.src.Client, r.dst.Client, r.job.SrcName, r.job.DstName, r.restart)
+		var n int64
+		n, r.dstEngaged, err = gridftp.ThirdPartyFrom(r.src.Client, r.dst.Client, r.job.SrcName, r.job.DstName, r.restart)
+		if n >= 0 {
+			r.res.Bytes = r.restart + n
+		} else if err == nil && r.res.Bytes <= 0 {
+			// The source announced no size: ask it, as the size stage would.
+			if n, err := r.src.Size(r.job.SrcName); err == nil && n > 0 {
+				r.res.Bytes = n
+			}
+		}
 		// Third-party attempts can't see their own wire count; the delta
 		// from the restart offset to the object end is exact for a clean
 		// attempt (skipped when the size never became known — better to

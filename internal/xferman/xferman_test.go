@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +110,58 @@ func TestSuccessfulVerifiedTransfer(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("payload corrupted")
 	}
+}
+
+// TestUnannouncedSizeFallsBackToProbe: a source whose RETR 150 carries
+// no "(N bytes)", as some servers send, still gives Result.Bytes the
+// object size, through one SIZE probe after the copy.
+func TestUnannouncedSizeFallsBackToProbe(t *testing.T) {
+	const size = 100<<10 + 3
+	r := rig.New(t)
+	hubSrv, _ := r.Hub("gftpd")
+	src := r.Server(gridftp.Config{Telemetry: hubSrv, ControlListen: sizelessOpening},
+		rig.Objects{"data.bin": rig.Payload(4, size)})
+	dst := r.Server(gridftp.Config{})
+	m, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	res := runJob(t, m, Job{Src: ep(src), Dst: ep(dst), SrcName: "data.bin", DstName: "copy.bin", Verify: true})
+	if res.Bytes != size {
+		t.Errorf("Bytes = %d, want %d", res.Bytes, size)
+	}
+	if n := hubSrv.Counter("gridftp_server_commands_total", "", telemetry.L("verb", "size")).Value(); n != 1 {
+		t.Errorf("source saw %d SIZE commands, want 1", n)
+	}
+}
+
+// sizelessOpening is a Config.ControlListen whose connections strip the
+// "(N bytes)" from every reply the server writes.
+func sizelessOpening(network, addr string) (net.Listener, error) {
+	ln, err := net.Listen(network, addr)
+	return sizelessListener{ln}, err
+}
+
+type sizelessListener struct{ net.Listener }
+
+func (l sizelessListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return sizelessConn{c}, nil
+}
+
+type sizelessConn struct{ net.Conn }
+
+var announcedSize = regexp.MustCompile(` \(\d+ bytes\)`)
+
+func (c sizelessConn) Write(p []byte) (int, error) {
+	if _, err := c.Conn.Write(announcedSize.ReplaceAll(p, nil)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 func TestRetryRecoversFromTransientFailure(t *testing.T) {
