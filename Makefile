@@ -141,12 +141,13 @@ race:
 # -short skips the long single-shot measurements (xferman's 10^4-job
 # heap soak), which plain `go test ./...` still runs once. The drain
 # loops' shared hold state (blocks waiting in their frame buffers for a
-# sibling's gap) is repeated under the race detector too.
+# sibling's gap) is repeated under the race detector too, and so are
+# the pipelined third-party copy's ordering tests.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold' ./internal/gridftp/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin' ./internal/gridftp/
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

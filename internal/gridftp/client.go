@@ -23,9 +23,10 @@ const (
 	defaultDialTimeout    = 10 * time.Second
 )
 
-// ErrDesynced reports a control channel whose pending transfer status
-// could not be drained after a failure: replies on it no longer match
-// commands, so the client refuses further use. Open a fresh connection.
+// ErrDesynced reports a control channel where a command's write or a
+// reply's read failed, such as a transfer status that could not be
+// drained: replies on it no longer match commands, so the client
+// refuses further use. Open a fresh connection.
 var ErrDesynced = errors.New("gridftp: control channel desynced by earlier failure; reconnect")
 
 // Client drives a GridFTP server over a control connection. It supports
@@ -159,26 +160,35 @@ func (c *Client) Close() error {
 
 // cmd sends one command and reads its reply.
 func (c *Client) cmd(line string) (Reply, error) {
-	if c.desynced {
-		return Reply{}, ErrDesynced
-	}
-	if c.conn == nil {
-		return Reply{}, errNoSession
-	}
-	if c.controlTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.controlTimeout))
-	}
-	if _, err := fmt.Fprintf(c.conn, "%s\r\n", line); err != nil {
+	if err := c.send(line); err != nil {
 		return Reply{}, err
 	}
 	return c.readReply()
 }
 
+// send writes one command without reading its reply. A failed write
+// leaves the command's fate unknown, so it desyncs c.
+func (c *Client) send(line string) error {
+	if c.desynced {
+		return ErrDesynced
+	}
+	if c.conn == nil {
+		return errNoSession
+	}
+	if c.controlTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.controlTimeout))
+	}
+	_, err := fmt.Fprintf(c.conn, "%s\r\n", line)
+	c.desynced = err != nil
+	return err
+}
+
 // readReply parses a single- or multi-line FTP reply. Each line read is
 // bounded by the control timeout so a mute server cannot hang the
-// client.
-func (c *Client) readReply() (Reply, error) {
-	var rep Reply
+// client. A reply that could not be read is still owed, so an error
+// desyncs c.
+func (c *Client) readReply() (rep Reply, err error) {
+	defer func() { c.desynced = c.desynced || err != nil }()
 	for {
 		if c.controlTimeout > 0 {
 			c.conn.SetReadDeadline(time.Now().Add(c.controlTimeout))
@@ -232,9 +242,7 @@ func (c *Client) drainReply() {
 		c.conn.SetReadDeadline(time.Now().Add(DefaultControlTimeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	if _, err := c.readReply(); err != nil {
-		c.desynced = true
-	}
+	c.readReply()
 }
 
 // do sends a command and requires the given reply code.
@@ -559,6 +567,21 @@ func ThirdParty(src, dst *Client, srcName, dstName string) error {
 // and PORT: both servers run it over the data connection they kept.
 // Anything else leaves both forgetting, so a server that never caches
 // sees today's conversation exactly.
+//
+// The copy is pipelined: STOR goes to dst and RETR to src back to back,
+// and then dst's 150, src's 150, src's 226 and dst's 226 are read in
+// order, so a copy waits on one control round trip, not two. src's bytes
+// may reach dst's channel before dst has read its STOR; an authenticated
+// STOR consumes dst's data target whatever its reply, so a rejected one
+// closes the channel or listener under src's send. Each REST's 350 is
+// read before either verb goes out, since a STOR sent behind a rejected
+// REST would truncate the partial object. On failure:
+//   - dst replies anything but 150: src's RETR reply is read and, if it
+//     was 150, src's completion drained; dstEngaged is false.
+//   - src replies anything but 150: dst's completion is drained; src's
+//     failed RETR dropped its end of a cached channel, so dst sees EOF.
+//   - a write or read error that leaves a client's reply unread marks
+//     that client desynced.
 func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (size int64, dstEngaged bool, err error) {
 	if offset < 0 {
 		return -1, false, errors.New("gridftp: negative restart offset")
@@ -571,27 +594,38 @@ func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (si
 		return -1, false, err
 	}
 	if offset > 0 {
-		if _, err := dst.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
+		rest := fmt.Sprintf("REST %d", offset)
+		if _, err := dst.do("REST", rest, 350); err != nil {
+			return -1, false, err
+		}
+		if _, err := src.do("REST", rest, 350); err != nil {
+			dst.desynced = true // its REST is pending and would shift its next STOR
 			return -1, false, err
 		}
 	}
-	// Start the receiver first, then the sender.
-	if _, err := dst.do("STOR", "STOR "+dstName, 150); err != nil {
+	if err := dst.send("STOR " + dstName); err != nil {
 		return -1, false, err
 	}
-	// From here dst is mid-transfer and owes a completion reply; every
-	// early exit must drain it or the next command on dst would read a
-	// stale 425/426 as its own reply.
-	if offset > 0 {
-		if _, err := src.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
-			dst.drainReply()
-			return -1, true, err
-		}
+	// From here dst may be mid-transfer and owe a completion reply;
+	// every early exit that saw its 150 must drain it or the next
+	// command on dst would read a stale 425/426 as its own reply.
+	serr := src.send("RETR " + srcName)
+	_, derr := dst.expect("STOR", 150)
+	var opening Reply
+	if serr == nil {
+		opening, serr = src.expect("RETR", 150)
 	}
-	opening, err := src.do("RETR", "RETR "+srcName, 150)
-	if err != nil {
+	switch {
+	case derr != nil:
+		size = -1
+		if serr == nil {
+			size = announcedSize(opening.Text)
+			src.drainReply()
+		}
+		return size, false, derr
+	case serr != nil:
 		dst.drainReply()
-		return -1, true, err
+		return -1, true, serr
 	}
 	size = announcedSize(opening.Text)
 	srep, err := src.expect("RETR-complete", 226)

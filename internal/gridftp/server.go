@@ -753,8 +753,9 @@ type direction struct {
 	// the wu-ftpd form "(N bytes)", so a client learns the size it is
 	// about to receive without a SIZE round trip.
 	opening string
-	// pump moves data connection i of n's share of the object; it runs
-	// on its own goroutine and the skeleton closes or keeps dc after.
+	// pump moves data connection i of n's share of the object, all n
+	// at once: connection 0 on the session goroutine, each other on its
+	// own. The skeleton closes or keeps dc after.
 	pump func(i, n int, dc *dataChan) error
 	// abort, when set, is told the first pump error so sibling pumps
 	// parked on shared state wake.
@@ -799,20 +800,21 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, 
 	tx.conns = len(chans)
 	tx.span.SetStreams(len(chans))
 	tx.span.Phase(telemetry.PhaseStream)
-	var wg sync.WaitGroup
 	errs := make([]error, len(chans))
-	for i, dc := range chans {
-		wg.Add(1)
-		go func(i int, dc *dataChan) {
-			defer wg.Done()
-			if errs[i] = d.pump(i, len(chans), dc); errs[i] != nil && d.abort != nil {
-				d.abort(errs[i])
-			}
-			if errs[i] != nil || len(chans) > 1 {
-				dc.close(sess.srv.met)
-			}
-		}(i, dc)
+	pump := func(i int) {
+		if errs[i] = d.pump(i, len(chans), chans[i]); errs[i] != nil && d.abort != nil {
+			d.abort(errs[i])
+		}
+		if errs[i] != nil || len(chans) > 1 {
+			chans[i].close(sess.srv.met)
+		}
 	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(chans); i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); pump(i) }()
+	}
+	pump(0)
 	wg.Wait()
 	tx.span.Phase(telemetry.PhaseTeardown)
 	for _, e := range errs {

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/telemetry"
@@ -254,10 +256,13 @@ type cachePair struct {
 	block                  int
 }
 
-func newCachePair(t *testing.T) *cachePair {
+func newCachePair(t *testing.T) *cachePair { return newCachePairOf(t, 40<<10+7) }
+
+// newCachePairOf is newCachePair with a source object of size bytes.
+func newCachePairOf(t *testing.T, size int) *cachePair {
 	p := &cachePair{ctl: &wireRecorder{}, track: &faultnet.Tracker{}, dstStore: NewMemStore(),
 		srcHub: telemetry.NewHub(), dstHub: telemetry.NewHub(), cliHub: telemetry.NewHub(),
-		payload: randomPayload(40<<10 + 7), block: 16 << 10}
+		payload: randomPayload(size), block: 16 << 10}
 	p.data = &wireRecorder{listen: p.track.Listen}
 	srcStore := NewMemStore()
 	srcStore.Put("obj", p.payload)
@@ -308,6 +313,15 @@ func (p *cachePair) thirdParty(t *testing.T, src, dst *Client, name string, offs
 	if got, err := p.dstStore.Get(name); err != nil || !bytes.Equal(got, p.payload) {
 		t.Fatalf("%s: copy differs from its source (err %v)", name, err)
 	}
+}
+
+// cachedChans sums the two servers' cached-channel gauges.
+func (p *cachePair) cachedChans() int64 {
+	var n int64
+	for _, hub := range []*telemetry.Hub{p.srcHub, p.dstHub} {
+		n += hub.Gauge("gridftp_server_data_channels_cached", "").Value()
+	}
+	return n
 }
 
 // TestThirdPartyReusesCachedChannel: once a pair's transfer ends with
@@ -387,6 +401,128 @@ func TestCachedChannelNeverCrossesPairs(t *testing.T) {
 		p.dstStore.Put("resumed", p.payload[:off])
 		p.thirdParty(t, a, b, "resumed", off, true)
 	})
+}
+
+// tapListen is a Config.ControlListen hook whose connections pass
+// onRead what each Read returned and onWrite what each Write is about
+// to send; either may be nil.
+func tapListen(onRead, onWrite func([]byte)) func(network, addr string) (net.Listener, error) {
+	return func(network, addr string) (net.Listener, error) {
+		ln, err := net.Listen(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return tapListener{Listener: ln, onRead: onRead, onWrite: onWrite}, nil
+	}
+}
+
+type tapListener struct {
+	net.Listener
+	onRead, onWrite func([]byte)
+}
+
+func (l tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tapConn{Conn: c, tap: l}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	tap tapListener
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.tap.onRead != nil {
+		c.tap.onRead(p[:n])
+	}
+	return n, err
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	if c.tap.onWrite != nil {
+		c.tap.onWrite(p)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestThirdPartyPipelinesStorAndRetr: a third-party copy writes RETR to
+// the source before it reads the destination's 150. The destination
+// holds its k-th 150 until the source has read its k-th RETR, for at
+// most 2 s; a client that waits for that 150 before it sends RETR
+// stalls the hold out. The fresh-channel copy and the cached-channel
+// one both deliver exact bytes.
+func TestThirdPartyPipelinesStorAndRetr(t *testing.T) {
+	retrs := make(chan struct{}, 2) // one per copy: the tap never blocks src
+	countRetrs := func(p []byte) {
+		for _, line := range bytes.Split(p, []byte("\r\n")) {
+			if bytes.HasPrefix(line, []byte("RETR ")) {
+				retrs <- struct{}{}
+			}
+		}
+	}
+	hold150 := func(p []byte) {
+		if !bytes.HasPrefix(p, []byte("150 ")) {
+			return
+		}
+		select {
+		case <-retrs:
+		case <-time.After(2 * time.Second):
+			t.Errorf("dst held its 150 for 2s and src read no RETR: the client waited for dst's 150 first")
+		}
+	}
+	payload := randomPayload(40<<10 + 7)
+	srcStore, dstStore := NewMemStore(), NewMemStore()
+	srcStore.Put("obj", payload)
+	src := startServer(t, Config{Store: srcStore, ControlListen: tapListen(countRetrs, nil)})
+	dst := startServer(t, Config{Store: dstStore, ControlListen: tapListen(nil, hold150)})
+	hub := telemetry.NewHub()
+	a, b := loginStream(t, src.Addr(), WithTelemetry(hub)), loginStream(t, dst.Addr(), WithTelemetry(hub))
+	for reuses, name := range []string{"fresh", "cached"} {
+		if _, _, err := ThirdPartyFrom(a, b, "obj", name, 0); err != nil {
+			t.Fatalf("%s copy: %v", name, err)
+		}
+		if got, err := dstStore.Get(name); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s copy differs from its source (err %v)", name, err)
+		}
+		if n := hub.Counter("gridftp_client_data_channel_reuses_total", "").Value(); n != int64(reuses) {
+			t.Fatalf("%s copy: %d channel reuses so far, want %d", name, n, reuses)
+		}
+	}
+}
+
+// TestPipelinedCopyRejectedStor: on a cached pair, a copy resumed at
+// byte 100 of an object dst lacks has src's RETR in flight when dst
+// rejects its STOR (554: the restart is past dst's 0 bytes). The copy
+// fails with dst not engaged and src's announced size, neither client
+// is desynced, the next copy re-arms a fresh channel and delivers exact
+// frames, and the servers' cached-channel gauges are back at their
+// census. At 8 MiB src's send outruns the socket buffers, so it must
+// fail on dst's close rather than hang.
+func TestPipelinedCopyRejectedStor(t *testing.T) {
+	for _, size := range []int{64 << 10, 8 << 20} {
+		t.Run(fmt.Sprintf("%d bytes", size), func(t *testing.T) {
+			p := newCachePairOf(t, size)
+			a, b := p.client(t, p.src), p.client(t, p.dst)
+			p.thirdParty(t, a, b, "first", 0, false)
+			census := p.cachedChans()
+			announced, engaged, err := ThirdPartyFrom(a, b, "obj", "fresh", 100)
+			var pe *ProtocolError
+			if !errors.As(err, &pe) || pe.Reply.Code != 554 || engaged || announced != int64(size-100) {
+				t.Fatalf("rejected copy: size %d, engaged %v, err %v; want %d, false, a 554", announced, engaged, err, size-100)
+			}
+			if a.Desynced() || b.Desynced() {
+				t.Fatalf("desynced: src %v, dst %v", a.Desynced(), b.Desynced())
+			}
+			p.thirdParty(t, a, b, "second", 0, false)
+			if n := p.cachedChans(); n != census {
+				t.Errorf("%d cached channels after the next copy, census %d", n, census)
+			}
+		})
+	}
 }
 
 // TestOpeningReplyText pins the 150 each transfer opens with. A RETR's

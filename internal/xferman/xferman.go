@@ -298,6 +298,8 @@ type xmMetrics struct {
 	wireBytes      *telemetry.Counter
 	deliveredBytes *telemetry.Counter
 	resumed        *telemetry.Counter
+	completed      *telemetry.CounterVec // by final status
+	paced          *telemetry.CounterVec // rate-shaped jobs, by QoS class
 }
 
 // Option configures a Manager.
@@ -397,6 +399,10 @@ func New(workers int, opts ...Option) (*Manager, error) {
 				"Payload bytes durably delivered to destinations exactly once."),
 			resumed: m.hub.Counter("xferman_resumed_attempts_total",
 				"Retry attempts that restarted from a destination watermark instead of byte zero."),
+			completed: m.hub.CounterVec("xferman_jobs_completed_total",
+				"Jobs finished, by final status.", "status"),
+			paced: m.hub.CounterVec("xferman_paced_jobs_total",
+				"Jobs whose data plane was rate-shaped, by QoS class.", "class"),
 		}
 	}
 	for i := 0; i < workers; i++ {
@@ -584,15 +590,9 @@ func (m *Manager) worker() {
 		m.met.durations.Observe(res.Duration.Seconds())
 		m.met.wireBytes.Add(res.WireBytes)
 		m.met.deliveredBytes.Add(r.delivered)
-		if m.hub != nil {
-			m.hub.Counter("xferman_jobs_completed_total",
-				"Jobs finished, by final status.",
-				telemetry.L("status", res.Status.String())).Inc()
-			if res.ShapedRateBps > 0 {
-				m.hub.Counter("xferman_paced_jobs_total",
-					"Jobs whose data plane was rate-shaped, by QoS class.",
-					telemetry.L("class", string(res.Job.Class))).Inc()
-			}
+		m.met.completed.With(res.Status.String()).Inc()
+		if res.ShapedRateBps > 0 {
+			m.met.paced.With(string(res.Job.Class)).Inc()
 		}
 		close(tr.done)
 	}
