@@ -142,12 +142,14 @@ race:
 # heap soak), which plain `go test ./...` still runs once. The drain
 # loops' shared hold state (blocks waiting in their frame buffers for a
 # sibling's gap) is repeated under the race detector too, and so are
-# the pipelined third-party copy's ordering tests.
+# the pipelined third-party copy's ordering tests and MemStore's
+# snapshot pins, which decide when an overwrite may refill the chunks
+# of the version it replaces.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin' ./internal/gridftp/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore' ./internal/gridftp/
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -82,15 +83,19 @@ type PutAborter interface {
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[string]memObject
+	pins    map[string]int // open snapshots per name
 }
 
 // memObject is one object's bytes as a list of chunks, each filled by
-// one Put or PutRegion copy. Bytes once in a chunk are never written
-// again: Put replaces the list, PutRegion appends (a small region into
-// the tail chunk's spare room, past every byte a reader can see), and
-// BeginPut truncates with the tail chunk's capacity pinned.
+// one Put or PutRegion copy. Bytes are never written while a snapshot
+// could read them: Put replaces the list, PutRegion appends (a small
+// region into the tail chunk's spare room, past every byte a reader can
+// see), and BeginPut truncates with the tail chunk's capacity pinned.
+// The chunks BeginPut cuts whole are spare for PutRegion to refill when
+// no snapshot pins the name; FinishPut and Put drop what is left.
 type memObject struct {
 	chunks [][]byte
+	spare  [][]byte
 	size   int64
 }
 
@@ -101,7 +106,7 @@ const memChunkFloor = 64 << 10
 
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore {
-	return &MemStore{objects: make(map[string]memObject)}
+	return &MemStore{objects: make(map[string]memObject), pins: make(map[string]int)}
 }
 
 // object returns the named object or ErrNotFound; the caller holds mu.
@@ -140,28 +145,55 @@ func (m *MemStore) Put(name string, data []byte) error {
 }
 
 // SnapshotObject implements SnapshotStore without copying bytes: the
-// reader holds its own copy of the chunk list, whose chunks no later
-// write reaches (see memObject).
+// reader holds its own copy of the chunk list and pins the name, so no
+// BeginPut hands its chunks to a later write until Close (see
+// memObject). A snapshot that is never closed only stops the reuse.
 func (m *MemStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	o, err := m.object(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	o.chunks = append([][]byte(nil), o.chunks...)
-	return o, o.size, nil
+	m.pins[name]++
+	o = memObject{chunks: append([][]byte(nil), o.chunks...), size: o.size}
+	return &memSnapshot{m: m, name: name, o: o}, o.size, nil
 }
 
-// ReadAt serves a snapshot with bytes.Reader's io.ReaderAt behaviour.
-func (o memObject) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
+// memSnapshot is one pinned version of a MemStore object.
+type memSnapshot struct {
+	m      *MemStore
+	name   string
+	o      memObject
+	closed bool // under m.mu
+}
+
+// ReadAt serves a snapshot with bytes.Reader's io.ReaderAt behaviour,
+// until Close; the store's read lock keeps a Close from handing the
+// chunks to an overwrite mid-read.
+func (s *memSnapshot) ReadAt(p []byte, off int64) (int, error) {
+	s.m.mu.RLock()
+	defer s.m.mu.RUnlock()
+	switch {
+	case s.closed:
+		return 0, errors.New("gridftp: read of a closed snapshot")
+	case off < 0:
 		return 0, errors.New("gridftp: negative snapshot offset")
-	}
-	if off >= o.size {
+	case off >= s.o.size:
 		return 0, io.EOF
 	}
-	return o.readAt(p, off)
+	return s.o.readAt(p, off)
+}
+
+// Close releases the snapshot's pin; closing twice is a no-op.
+func (s *memSnapshot) Close() error {
+	s.m.mu.Lock()
+	defer s.m.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		s.m.pins[s.name]--
+	}
+	return nil
 }
 
 // readAt copies the bytes at off into p, across chunks; a read that
@@ -202,7 +234,8 @@ func (m *MemStore) ReadObjectAt(name string, p []byte, off int64) (int, error) {
 // BeginPut implements StreamPutter: the object is truncated to base so
 // its Size tracks the delivered watermark during a streaming STOR. The
 // chunk the cut lands in keeps its bytes but loses its spare capacity,
-// so no later region is written over bytes an earlier snapshot reads.
+// so no later region is written over bytes an earlier snapshot reads;
+// the chunks past it become spare unless a snapshot pins the name.
 func (m *MemStore) BeginPut(name string, base int64) error {
 	if name == "" {
 		return errors.New("gridftp: empty object name")
@@ -222,6 +255,9 @@ func (m *MemStore) BeginPut(name string, base int64) error {
 			o.chunks[keep] = c[:rest:rest]
 		}
 		rest -= int64(len(o.chunks[keep]))
+	}
+	if m.pins[name] == 0 {
+		o.spare = append(o.spare, o.chunks[keep:]...)
 	}
 	clear(o.chunks[keep:]) // drop the cut chunks now, not when their slots are reused
 	o.chunks, o.size = o.chunks[:keep], base
@@ -250,13 +286,11 @@ func (m *MemStore) PutRegion(name string, off int64, p []byte) error {
 	tail := len(o.chunks) - 1
 	switch {
 	case len(p) >= memChunkFloor:
-		c := make([]byte, len(p))
-		copy(c, p)
-		o.chunks = append(o.chunks, c)
+		o.chunks = append(o.chunks, append(o.chunk(len(p)), p...))
 	case tail >= 0 && cap(o.chunks[tail])-len(o.chunks[tail]) >= len(p):
 		o.chunks[tail] = append(o.chunks[tail], p...)
 	default:
-		o.chunks = append(o.chunks, append(make([]byte, 0, memChunkFloor), p...))
+		o.chunks = append(o.chunks, append(o.chunk(memChunkFloor), p...))
 	}
 	o.size += int64(len(p))
 	m.objects[name] = o
@@ -274,7 +308,21 @@ func (m *MemStore) FinishPut(name string, size int64) error {
 	if o.size != size {
 		return fmt.Errorf("gridftp: finish size %d, stored %d bytes", size, o.size)
 	}
+	o.spare = nil
+	m.objects[name] = o
 	return nil
+}
+
+// chunk returns an empty chunk of capacity at least n: the last spare
+// that fits, taken off the list, else a new one.
+func (o *memObject) chunk(n int) []byte {
+	for i := len(o.spare) - 1; i >= 0; i-- {
+		if c := o.spare[i]; cap(c) >= n {
+			o.spare = slices.Delete(o.spare, i, i+1)
+			return c[:0]
+		}
+	}
+	return make([]byte, 0, n)
 }
 
 // Size implements Store.

@@ -19,18 +19,19 @@ func memPattern(fill byte, n int) []byte {
 // FuzzMemStore holds MemStore to a model — the object as one flat
 // slice, nil when absent — under arbitrary op streams. After every op,
 // Size and Get must match the model, and every snapshot taken so far
-// must still read, through ReadAt, exactly the bytes the model held
-// when it was taken: no later BeginPut, PutRegion or Put may reach the
-// bytes a snapshot pins. ReadObjectAt must return what
-// bytes.NewReader(model).ReadAt returns.
+// still held must read, through ReadAt, exactly the bytes the model
+// held when it was taken: no later BeginPut, PutRegion or Put may reach
+// the bytes a snapshot pins, though an overwrite may refill them once
+// it is closed. A closed snapshot must refuse to read. ReadObjectAt
+// must return what bytes.NewReader(model).ReadAt returns.
 //
 // Ops are 4 bytes each: [kind, a, b, fill] with kind%8 selecting
 // BeginPut(base=(a|b<<8)%1500), a PutRegion of (a|b<<8)*3/2 bytes at
 // the watermark (both sides of the 64 KiB chunk floor), a 64-byte
 // PutRegion at the arbitrary offset (a|b<<8)%2000, a 1-byte PutRegion
 // at the watermark, FinishPut with a correct or perturbed size, Put of
-// a|b<<8 bytes, SnapshotObject, or ReadObjectAt at a random offset and
-// length.
+// a|b<<8 bytes, SnapshotObject (b odd: then Close the oldest held), or
+// ReadObjectAt at a random offset and length.
 func FuzzMemStore(f *testing.F) {
 	// Clean upload: begin, regions below and above the floor, finish.
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 100, 0, 7, 1, 0, 200, 9, 3, 0, 0, 4, 4, 0, 0, 0, 7, 50, 0, 200})
@@ -45,6 +46,16 @@ func FuzzMemStore(f *testing.F) {
 	// Region before any BeginPut, finish of an absent object, snapshot
 	// and read of an absent object.
 	f.Add([]byte{1, 10, 0, 3, 4, 0, 0, 0, 6, 0, 0, 0, 7, 0, 0, 0})
+	// Overwrite after a close: a snapshot taken and closed unpins the
+	// object, so the next put refills its chunks, big and small.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 200, 7, 1, 100, 0, 8, 6, 0, 1, 0, 0, 0, 0, 0,
+		1, 0, 180, 9, 3, 0, 0, 4, 1, 50, 0, 5, 4, 0, 0, 0, 7, 50, 0, 200})
+	// Overwrite with a snapshot held: no chunk is reused, a resumed put
+	// cuts mid-chunk, and closing the older of two held snapshots leaves
+	// the newer one pinning the object through the next overwrite.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 200, 7, 3, 0, 0, 1, 6, 0, 0, 0, 0, 0, 0, 0,
+		1, 0, 200, 8, 1, 100, 0, 9, 4, 0, 0, 0, 0, 10, 0, 0, 1, 0, 180, 3,
+		6, 0, 1, 0, 0, 0, 0, 0, 1, 0, 200, 5, 4, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := NewMemStore()
 		const name = "obj"
@@ -131,7 +142,7 @@ func FuzzMemStore(f *testing.F) {
 				err := m.Put(name, data)
 				model = data
 				check(step, "Put", err, true)
-			case 6: // SnapshotObject, the first eight held to the end
+			case 6: // SnapshotObject, up to eight held; b odd closes the oldest
 				r, size, err := m.SnapshotObject(name)
 				if err == nil && size != int64(len(model)) {
 					t.Fatalf("step %d: snapshot size %d, model %d", step, size, len(model))
@@ -140,6 +151,15 @@ func FuzzMemStore(f *testing.F) {
 					snaps = append(snaps, held{r, append([]byte(nil), model...)})
 				}
 				check(step, "SnapshotObject", err, model != nil)
+				if b%2 == 1 && len(snaps) > 0 {
+					// Checked one last time above; closed, it must refuse.
+					oldest := snaps[0].r
+					snaps = snaps[1:]
+					oldest.(io.Closer).Close()
+					if n, err := oldest.ReadAt(make([]byte, 1), 0); err == nil {
+						t.Fatalf("step %d: closed snapshot read %d bytes without an error", step, n)
+					}
+				}
 			case 7: // ReadObjectAt at a random offset and length
 				off := int64(ab) % (int64(len(model)) + 100)
 				buf := make([]byte, 1+int(fill)*1024)

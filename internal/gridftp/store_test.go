@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -169,6 +170,125 @@ func TestMemStoreSnapshotsRaceWrites(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		putRegions(t, m, "obj", int64(500+i%200), memPattern(byte(i), 300), 10)
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestMemStoreSnapshotClose pins the snapshot's pin: a closed snapshot
+// cannot read, closing twice releases one pin, a held snapshot keeps
+// its version through an overwrite, and once nothing pins the name an
+// overwrite refills the chunks of the version it replaces instead of
+// allocating the object again. A resumed put never hands out the chunk
+// its cut lands in, whose head is still the object's prefix.
+func TestMemStoreSnapshotClose(t *testing.T) {
+	const size, region = 1 << 20, 256 << 10
+	m := NewMemStore()
+	v1 := memPattern(1, size)
+	putRegions(t, m, "obj", 0, v1, region)
+
+	a, _, err := m.SnapshotObject("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.ReadAt(make([]byte, 10), 0); err == nil {
+		t.Fatalf("ReadAt after Close read %d bytes without an error", n)
+	}
+
+	// b is held while a is closed a second time: had that Close released
+	// b's pin, the overwrite would refill the chunks b reads.
+	b, bsize, err := m.SnapshotObject("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	putRegions(t, m, "obj", 0, memPattern(2, size), region)
+	if !bytes.Equal(readSnapshot(t, b, bsize), v1) {
+		t.Fatal("a held snapshot observed the overwrite")
+	}
+	b.(io.Closer).Close()
+
+	payloads := [][]byte{memPattern(3, size), memPattern(4, size), memPattern(5, size)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range payloads {
+		putRegions(t, m, "obj", 0, p, region)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(payloads)); per >= 4<<10 {
+		t.Errorf("an unpinned overwrite of a %d-byte object allocates %d bytes, budget 4 KiB", size, per)
+	}
+	last := payloads[len(payloads)-1]
+	if got, err := m.Get("obj"); err != nil || !bytes.Equal(got, last) {
+		t.Fatalf("overwritten object differs (err=%v)", err)
+	}
+
+	// Resume mid-chunk and append more regions than there are whole
+	// chunks past the cut, each small enough to fit the cut chunk's
+	// pinned capacity, so a cut chunk on the spare list would be handed
+	// out and overwrite the prefix it still holds.
+	const base = region + memChunkFloor
+	suffix := memPattern(9, size)
+	putRegions(t, m, "obj", base, suffix, memChunkFloor)
+	want := append(append([]byte{}, last[:base]...), suffix...)
+	if got, err := m.Get("obj"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed object differs (err=%v)", err)
+	}
+}
+
+// TestMemStoreSnapshotPinsRaceOverwrites runs the reuse path under
+// concurrency: readers snapshot, read twice and close while the writer
+// overwrites, so chunks pass from version to version as pins come and
+// go. Run under -race, a snapshot must read the same bytes both times,
+// and those bytes must be a prefix of one version — a refilled chunk
+// it still pinned would show as a mix.
+func TestMemStoreSnapshotPinsRaceOverwrites(t *testing.T) {
+	const size, region = 200_000, 70_000
+	versions := make([][]byte, 5)
+	for i := range versions {
+		versions[i] = memPattern(byte(1+i*50), size)
+	}
+	m := NewMemStore()
+	putRegions(t, m, "obj", 0, versions[0], region)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, n, err := m.SnapshotObject("obj")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				first, again := make([]byte, n), make([]byte, n)
+				r.ReadAt(first, 0)
+				r.ReadAt(again, 0)
+				r.(io.Closer).Close()
+				whole := false
+				for _, v := range versions {
+					whole = whole || bytes.Equal(first, v[:n])
+				}
+				if !whole || !bytes.Equal(first, again) {
+					t.Error("a snapshot read bytes of a later overwrite")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		putRegions(t, m, "obj", 0, versions[i%len(versions)], region)
 	}
 	close(stop)
 	wg.Wait()

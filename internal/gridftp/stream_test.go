@@ -376,3 +376,45 @@ func TestStorAllocBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestStorOverwriteAllocBudget guards the overwrite path the write
+// workloads take: every STOR after the first replaces an object nobody
+// is reading, so the MemStore server refills the chunks of the version
+// it replaces. Each of three two-stream 16 MiB overwrites allocates at
+// most 0.2x the object across client and server — the per-stream
+// buffers and per-transfer state, not a second copy of the object,
+// which a store that allocates every version reads as about 1x.
+func TestStorOverwriteAllocBudget(t *testing.T) {
+	const size = 16 << 20
+	store := NewMemStore()
+	s := startServer(t, Config{Store: store})
+	c := loginStream(t, s.Addr())
+	if err := c.SetParallelism(2); err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, 4)
+	for k := range payloads {
+		payloads[k] = randomPayload(size)
+		for i := range payloads[k] {
+			payloads[k][i] += byte(k)
+		}
+	}
+	stor := func(p []byte) {
+		if _, err := c.StorFrom(context.Background(), "up.bin", bytes.NewReader(p), size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stor(payloads[0]) // creates the object and registers the metric families
+	for k, p := range payloads[1:] {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stor(p)
+		runtime.ReadMemStats(&after)
+		if per := float64(after.TotalAlloc - before.TotalAlloc); per > 0.2*size {
+			t.Errorf("overwrite %d of a %d-byte object allocates %.0f bytes (%.2fx), budget 0.2x", k+1, size, per, per/size)
+		}
+	}
+	if got, err := store.Get("up.bin"); err != nil || !bytes.Equal(got, payloads[len(payloads)-1]) {
+		t.Fatalf("stored object is not the last payload (err=%v)", err)
+	}
+}
