@@ -20,11 +20,12 @@ RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
 	./internal/pacing ./internal/fleet ./internal/rig .
 
-.PHONY: check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
+.PHONY: check fmt-check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
 
-# Tier-1 verify: the whole module must build, every test pass, vet (and
+# Tier-1 verify: every Go file must be gofmt-clean, the whole module must
+# build, every test pass, vet (and
 # the context-plumbing lint) stay clean, the transfer engine's fault
 # matrix, the telemetry registry, and the hybrid control plane run under
 # the race detector, and every fuzz corpus gets a short randomized shake.
@@ -32,6 +33,7 @@ all: check
 # vetted and tested here too: an API change that breaks its build fails
 # CI rather than the next benchmark run.
 check:
+	$(MAKE) fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) vet-ctx
@@ -43,6 +45,11 @@ check:
 		./internal/telemetry ./internal/vc/... ./internal/xferman \
 		./internal/connpool ./internal/pacing ./internal/fleet ./internal/rig .
 	$(MAKE) fuzz-smoke
+
+# Format gate: read-only (it lists, never rewrites), over the whole
+# tree, bench/ included. Fix a failure with gofmt -w on the files listed.
+fmt-check:
+	@bad=$$(gofmt -l .); if [ -n "$$bad" ]; then echo "$$bad"; echo "fmt-check: files above are not gofmt-clean"; exit 1; fi
 
 # Fuzz smoke: run each data-plane fuzz target, and the session policy's
 # agreement with sessions.Group, briefly on top of its committed seed

@@ -346,9 +346,14 @@ func errClass(err error) error {
 // tails must be either delivered contiguously or rejected — never
 // panic, never deliver a byte twice, never deliver out of order. After
 // every Place the assembler must agree with windowModel on the sink's
-// content, every counter and the error class. Every input runs at three
-// windows: one presence-map word (64), a ring that ends mid-word (200),
-// and one whose blocks span many words (1000).
+// content, every counter and the error class: a block beyond the
+// watermark is copied into the sorted list of held runs, overwriting
+// the bytes it shares with them (last write wins, each one a duplicate)
+// and adding each gap between them as a run of its own, and a block at
+// the watermark delivers the runs it reaches and drops the held bytes
+// it covers as duplicates. Every input runs at three windows (64, 200
+// and 1000 bytes), so one block sequence is refused as window-full at
+// one width and held at another, and the widest holds many runs at once.
 func FuzzWindowAssembler(f *testing.F) {
 	// Encoded op stream: each 5 bytes are [offLo offHi lenLo lenHi fill].
 	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 16, 0, 16, 0, 2})
@@ -357,27 +362,31 @@ func FuzzWindowAssembler(f *testing.F) {
 	f.Add(uint16(4), []byte{0, 0, 8, 0, 7})                  // below base
 	f.Add(uint16(0), []byte{0, 0, 32, 0, 1, 0, 0, 32, 0, 2}) // pure duplicate
 	f.Add(uint16(0), []byte{4, 0, 8, 0, 5, 0, 0, 16, 0, 6})  // overlap across watermark
-	// The shapes the in-order shortcut and the lazily made ring divide
-	// on: in order only; one parked, then in order; overlap across the
-	// watermark with nothing parked; parked runs that wrap the ring.
+	// The shapes the in-order shortcut and the held runs divide on: in
+	// order only; one held, then in order; overlap across the watermark
+	// with nothing held; held runs released out of arrival order.
 	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 16, 0, 16, 0, 2, 32, 0, 16, 0, 3})
 	f.Add(uint16(0), []byte{16, 0, 16, 0, 2, 0, 0, 16, 0, 1, 32, 0, 16, 0, 3})
 	f.Add(uint16(0), []byte{0, 0, 16, 0, 1, 8, 0, 16, 0, 2})
 	f.Add(uint16(0), []byte{0, 0, 48, 0, 1, 56, 0, 16, 0, 3, 48, 0, 8, 0, 2,
 		72, 0, 40, 0, 4, 120, 0, 16, 0, 6, 112, 0, 8, 0, 5})
-	// The shapes the word-wide presence walk divides on: a parked block
-	// straddling a word boundary (60..70), and a parked run that wraps
-	// the 200-byte ring (180..240) released by the block before it.
+	// Blocks the 64-byte window refuses and the wider ones hold: 60..70
+	// until the block before it, and 180..240 released by 150..180.
 	f.Add(uint16(0), []byte{60, 0, 10, 0, 2, 0, 0, 60, 0, 1})
 	f.Add(uint16(0), []byte{0, 0, 150, 0, 1, 180, 0, 60, 0, 3, 150, 0, 30, 0, 2})
 	// A block at the watermark goes straight to the sink even while
-	// others are parked, clearing the parked duplicates it covers:
-	// covering two parked runs whole, covering one in part, and
-	// covering parked runs that wrap the 200- and 1000-byte rings.
+	// others are held, dropping the held duplicates it covers: covering
+	// two held runs whole, covering one in part, and covering held runs
+	// that end past the first 200 and 1000 bytes.
 	f.Add(uint16(0), []byte{16, 0, 16, 0, 2, 40, 0, 8, 0, 3, 0, 0, 48, 0, 1})
 	f.Add(uint16(0), []byte{8, 0, 16, 0, 2, 32, 0, 8, 0, 4, 0, 0, 12, 0, 1, 12, 0, 20, 0, 5})
 	f.Add(uint16(0), []byte{0, 0, 150, 0, 1, 190, 0, 40, 0, 3, 150, 0, 90, 0, 2})
 	f.Add(uint16(0), []byte{0, 0, 0xF4, 1, 1, 0xF4, 1, 0x90, 1, 1, 0xE8, 3, 200, 0, 3, 0x84, 3, 0x90, 1, 2})
+	// A held block spanning two held runs and the gaps around them, with
+	// a fill byte of its own; and a block at the watermark covering one
+	// held run whole and cutting into the next.
+	f.Add(uint16(0), []byte{16, 0, 8, 0, 2, 40, 0, 8, 0, 3, 8, 0, 48, 0, 4, 0, 0, 8, 0, 1})
+	f.Add(uint16(0), []byte{16, 0, 8, 0, 2, 32, 0, 16, 0, 3, 0, 0, 40, 0, 1})
 	f.Fuzz(func(t *testing.T, base uint16, ops []byte) {
 		for _, window := range []int{64, 200, 1000} {
 			checkWindowOps(t, base, ops, window)

@@ -94,10 +94,10 @@ func TestAssemblerValidation(t *testing.T) {
 // count) partition drained concurrently through the window, each stripe
 // on its own drain loop with the loop count announced, reassembles to
 // the original payload. With ascending stripes it does so at a window of
-// two blocks and never makes the ring: every block beyond the watermark
+// two blocks and never copies a block: every block beyond the watermark
 // is held for the sibling carrying the gap. With one stripe's blocks
 // sent in reverse, no sibling carries that stripe's gaps, and the
-// transfer completes through the ring.
+// transfer completes by copying blocks into the held runs.
 func TestStripedReassemblyProperty(t *testing.T) {
 	f := func(seed int64, sizeRaw, blockRaw uint16, stripesRaw uint8, reverse bool) bool {
 		size := int(sizeRaw)%20000 + 1
@@ -120,8 +120,8 @@ func TestStripedReassemblyProperty(t *testing.T) {
 		}
 		windows := []int{2 * block, size}
 		if reverse {
-			// Stripe 0 descending: it can only complete through a ring
-			// that holds every other stripe's blocks.
+			// Stripe 0 descending: it can only complete by copying every
+			// other stripe's blocks into the held runs.
 			streams[0].Reset()
 			for off := (size - 1) / (stripes * block) * stripes * block; off >= 0; off -= stripes * block {
 				WriteBlock(streams[0], Block{Offset: uint64(off), Data: payload[off:min(off+block, size)]})
@@ -154,8 +154,8 @@ func TestStripedReassemblyProperty(t *testing.T) {
 			if asm.Finish() != nil || !bytes.Equal(out.Bytes(), payload) {
 				return false
 			}
-			if ring := asm.win != nil; ring != (reverse && size > stripes*block) {
-				t.Logf("window %d, %d stripes of %d-byte blocks, reverse %v: ring made %v", window, stripes, block, reverse, ring)
+			if copied := asm.copied > 0; copied != (reverse && size > stripes*block) {
+				t.Logf("window %d, %d stripes of %d-byte blocks, reverse %v: copied %v", window, stripes, block, reverse, copied)
 				return false
 			}
 		}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 )
@@ -24,22 +24,21 @@ var ErrWindowFull = errors.New("gridftp: block beyond reassembly window")
 var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 
 // WindowAssembler reassembles MODE E blocks into a contiguous stream
-// with bounded memory: a fixed-size sliding window buffers out-of-order
-// blocks, and every byte that becomes contiguous with the delivery
-// watermark is flushed to the sink immediately. A block that lands on
-// the watermark goes straight to the sink, even while others are
-// parked, and the window (plus its 1-bit-per-byte presence map) is made
-// whole only when the first block has to be buffered: memory is nothing
-// until a block parks and the window from then on, whatever the size.
-// Every transfer on both endpoints reassembles through one.
+// with bounded memory: out-of-order blocks are accepted only within a
+// sliding window beyond the delivery watermark, and every byte that
+// becomes contiguous with the watermark is flushed to the sink
+// immediately. A block that lands on the watermark goes straight to the
+// sink, even while others are parked, and a block beyond it that has to
+// be kept is copied into a list of held runs. Memory is the most bytes
+// held at once, never more than the window and in a bounded number of
+// runs, and nothing while blocks arrive in order. Every transfer on both
+// endpoints reassembles through one.
 //
-// The window is the fallback, not the common path. Once a transfer's
-// drain loops have announced how many they are, a block read beyond the
-// watermark is held, uncopied, in its loop's frame buffer while a
-// sibling loop is still reading (neither finished nor waiting beyond
-// the watermark): when each connection's offsets ascend, that sibling
-// carries the gap. The window takes only the blocks no sibling can
-// fill the gap for.
+// The held list is the fallback, not the common path: once a transfer's
+// drain loops have announced how many they are, a block beyond the
+// watermark waits uncopied in its loop's frame buffer while a sibling
+// loop that is still reading can carry the gap (holdLocked). Only the
+// blocks no sibling can fill the gap for are copied.
 //
 // Concurrent Place/PlaceBlocking calls from parallel data connections
 // are safe; flushes to the sink are serialized under the assembler's
@@ -54,14 +53,17 @@ type WindowAssembler struct {
 	cond *sync.Cond
 	sink io.Writer
 
-	win    []byte   // ring buffer, indexed by absolute offset % window; nil until a block parks
-	bits   presence // presence bitmap over the same ring
-	window uint64
+	held    [][]heldRun // runs copied beyond the watermark, in chunks: sorted by offset, never overlapping
+	runs    int         // runs in held, at most maxRuns
+	maxRuns int         // one per 4 KiB of window, at least 1<<15: a window under 32 KiB never reaches it
+	spare   [][]byte    // buffers of delivered runs, for the next runs
+	window  uint64
 
 	base    uint64 // region start: delivery begins here
 	end     uint64 // region end (exclusive); ^uint64(0) when unbounded
 	flushed uint64 // next absolute offset to deliver
-	pending uint64 // bytes buffered in-window, not yet contiguous
+	pending uint64 // bytes in held runs, not yet contiguous
+	copied  int64  // bytes ever copied into held runs
 
 	wire      int64 // payload bytes offered, duplicates included
 	dup       int64 // duplicate bytes dropped or overwritten
@@ -82,17 +84,26 @@ type WindowAssembler struct {
 	OnPark func(offset uint64)
 }
 
+// heldRun is a run of bytes copied out of a block, at absolute offset off.
+type heldRun struct {
+	off  uint64
+	data []byte
+}
+
+func (r heldRun) end() uint64 { return r.off + uint64(len(r.data)) }
+
+// runChunk sizes the held list's chunks: one that grows past twice
+// runChunk runs splits into halves.
+const runChunk = 64
+
 // unboundedEnd marks a region whose total size is unknown (a STOR
 // receiver learns the size only from the blocks themselves).
 const unboundedEnd = ^uint64(0)
 
 // DefaultWindowSize is the mode-E reassembly window used when a
-// streaming API is not told otherwise. Stripe skew is absorbed first by
-// the kernel socket buffers, behind loops holding blocks for their gap;
-// the window takes only what no sibling loop can deliver the gap for.
-// It is what a transfer holds once a block has parked; a transfer whose
-// blocks all arrive in order (one stream, a one-block object, or
-// ascending offsets on every connection) holds none of it.
+// streaming API is not told otherwise. A transfer holds at most the
+// window, and only the bytes no sibling drain loop could carry the gap
+// for; one whose blocks all arrive in order holds nothing.
 const DefaultWindowSize = 4 << 20
 
 // defaultParkTimeout bounds how long a PlaceBlocking call may wait for
@@ -122,6 +133,7 @@ func NewWindowAssembler(sink io.Writer, base uint64, size int64, window int, par
 	a := &WindowAssembler{
 		sink:    sink,
 		window:  uint64(window),
+		maxRuns: max(window/4096, 1<<15),
 		base:    base,
 		end:     end,
 		flushed: base,
@@ -184,33 +196,17 @@ func (a *WindowAssembler) placeLocked(b Block) error {
 	// Committed: nothing below rejects the block, so it counts as offered.
 	a.wire += int64(n)
 	a.dup += int64(skip)
-	lo, hi, rest := a.ringSpan(off, uint64(len(data)))
 	if off == a.flushed {
-		// At the watermark: straight to the sink, even past parked
-		// blocks; parked bytes it covers were in-window duplicates.
+		// At the watermark: straight to the sink, even past held runs;
+		// advanceLocked counts the held bytes it covers as duplicates.
 		if a.writeSink(data) != nil {
 			return a.failed
-		}
-		if a.pending > 0 {
-			covered := a.bits.clear(lo, hi) + a.bits.clear(0, rest)
-			a.dup += int64(covered)
-			a.pending -= uint64(covered)
 		}
 		a.flushed += uint64(len(data))
 		a.delivered += int64(len(data))
 		a.cond.Broadcast()
 	} else {
-		// The block parks: copy it into the ring (made by the first) and
-		// set its presence bits; those already set were duplicates.
-		if a.win == nil {
-			a.win = make([]byte, a.window)
-			a.bits = make(presence, (a.window+63)/64)
-		}
-		copy(a.win[lo:hi], data)
-		copy(a.win[:rest], data[hi-lo:])
-		fresh := a.bits.set(lo, hi) + a.bits.set(0, rest)
-		a.dup += int64(len(data)) - int64(fresh)
-		a.pending += uint64(fresh)
+		a.insertLocked(off, data)
 	}
 	a.advanceLocked()
 	// A sink failure during the flush surfaces on the call that
@@ -218,124 +214,107 @@ func (a *WindowAssembler) placeLocked(b Block) error {
 	return a.failed
 }
 
-// ringSpan maps the n ring positions from absolute offset off onto
-// the ring: [lo, hi) up to the wrap point, then [0, rest) past it.
-func (a *WindowAssembler) ringSpan(off, n uint64) (lo, hi, rest uint64) {
-	lo = off % a.window
-	if hi = lo + n; hi > a.window {
-		return lo, a.window, hi - a.window
+// insertLocked copies data, which starts beyond the watermark, into the
+// held runs: bytes already held are overwritten in place (last write
+// wins) and count as duplicates, and each gap between held runs becomes
+// a run of its own. A run past maxRuns fails the assembler.
+func (a *WindowAssembler) insertLocked(off uint64, data []byte) {
+	a.copied += int64(len(data))
+	// Start at the first held run that ends beyond off, or past the last.
+	c := sort.Search(len(a.held), func(c int) bool { return a.held[c][len(a.held[c])-1].end() > off })
+	i := 0
+	if c < len(a.held) {
+		i = sort.Search(len(a.held[c]), func(i int) bool { return a.held[c][i].end() > off })
+	} else if c > 0 {
+		c, i = c-1, len(a.held[c-1])
 	}
-	return lo, hi, 0
-}
-
-// advanceLocked flushes the contiguous run at the watermark to the
-// sink, clears its presence bits, and wakes parked placers.
-func (a *WindowAssembler) advanceLocked() {
-	run := a.runLenLocked()
-	if run == 0 {
-		return
-	}
-	lo, hi, rest := a.ringSpan(a.flushed, run)
-	if err := a.writeSink(a.win[lo:hi]); err != nil {
-		return
-	}
-	if rest > 0 {
-		if err := a.writeSink(a.win[:rest]); err != nil {
+	for len(data) > 0 {
+		if c+1 < len(a.held) && i == len(a.held[c]) {
+			c, i = c+1, 0
+		}
+		next := c < len(a.held) && i < len(a.held[c])
+		var n int
+		if next && a.held[c][i].off <= off {
+			r := a.held[c][i]
+			n = copy(r.data[off-r.off:], data)
+			a.dup += int64(n)
+		} else if a.runs >= a.maxRuns {
+			a.failed = fmt.Errorf("%w: more than %d held runs", ErrDataProtocol, a.maxRuns)
+			a.cond.Broadcast()
 			return
-		}
-	}
-	a.bits.clear(lo, hi)
-	a.bits.clear(0, rest)
-	a.flushed += run
-	a.pending -= run
-	a.delivered += int64(run)
-	a.cond.Broadcast()
-}
-
-// runLenLocked measures the contiguous present run starting at the
-// watermark. It cannot exceed the pending bytes, so the scan stops there.
-func (a *WindowAssembler) runLenLocked() uint64 {
-	lo, hi, rest := a.ringSpan(a.flushed, a.pending)
-	run := a.bits.run(lo, hi)
-	if run == hi-lo {
-		run += a.bits.run(0, rest)
-	}
-	return run
-}
-
-// presence is the ring's 1-bit-per-byte map, walked a 64-bit word at a
-// time: every range operation touches each word it covers once.
-type presence []uint64
-
-// word returns the index of the word holding bit lo, the mask of the
-// bits of [lo, hi) in that word, and the first bit past them.
-func (p presence) word(lo, hi uint64) (w, mask, next uint64) {
-	n := min(hi-lo, 64-lo%64)
-	return lo / 64, ^uint64(0) >> (64 - n) << (lo % 64), lo + n
-}
-
-// set sets bits [lo, hi) and returns how many of them were clear:
-// masks for a partial first and last word, whole words between them
-// filled in one pass.
-func (p presence) set(lo, hi uint64) int {
-	fresh := 0
-	for lo < hi {
-		if lo%64 == 0 && hi-lo >= 64 {
-			ws := p[lo/64 : hi/64]
-			for i, w := range ws {
-				fresh += bits.OnesCount64(^w)
-				ws[i] = ^uint64(0)
+		} else {
+			n = len(data)
+			if next {
+				n = min(n, int(a.held[c][i].off-off))
 			}
-			lo += uint64(len(ws)) * 64
-			continue
+			buf := a.runBuffer(n)
+			copy(buf, data)
+			c, i = a.insertRun(c, i, heldRun{off, buf})
 		}
-		w, mask, next := p.word(lo, hi)
-		fresh += bits.OnesCount64(mask &^ p[w])
-		p[w] |= mask
-		lo = next
+		off, data, i = off+uint64(n), data[n:], i+1
 	}
-	return fresh
 }
 
-// clear clears bits [lo, hi) and returns how many of them were set:
-// masks for a partial first and last word, whole words between them
-// in one pass.
-func (p presence) clear(lo, hi uint64) int {
-	was := 0
-	for lo < hi {
-		if lo%64 == 0 && hi-lo >= 64 {
-			ws := p[lo/64 : hi/64]
-			for i, w := range ws {
-				was += bits.OnesCount64(w)
-				ws[i] = 0
-			}
-			lo += uint64(len(ws)) * 64
-			continue
-		}
-		w, mask, next := p.word(lo, hi)
-		was += bits.OnesCount64(p[w] & mask)
-		p[w] &^= mask
-		lo = next
+// insertRun puts r at index i of chunk c and returns where it landed: a
+// chunk that grows past 2*runChunk runs splits in halves, so an insert
+// moves at most a chunk of runs and a chunk header per runChunk runs.
+func (a *WindowAssembler) insertRun(c, i int, r heldRun) (int, int) {
+	if c == len(a.held) {
+		a.held = append(a.held, nil)
 	}
-	return was
+	a.held[c] = slices.Insert(a.held[c], i, r)
+	a.runs++
+	a.pending += uint64(len(r.data))
+	if len(a.held[c]) > 2*runChunk {
+		a.held = slices.Insert(a.held, c+1, a.held[c][runChunk:])
+		a.held[c] = a.held[c][:runChunk:runChunk]
+		if i >= runChunk {
+			c, i = c+1, i-runChunk
+		}
+	}
+	return c, i
 }
 
-// run returns the length of the run of set bits starting at lo,
-// counting no further than hi.
-func (p presence) run(lo, hi uint64) uint64 {
-	if lo == hi {
-		return 0
+// runBuffer returns an n-byte buffer for a new held run: the last
+// delivered run's when it is the same size, as a sender's blocks are.
+// On a miss the spares are dropped, so held and spare buffers together
+// never exceed the window.
+func (a *WindowAssembler) runBuffer(n int) []byte {
+	if k := len(a.spare) - 1; k >= 0 && len(a.spare[k]) == n {
+		buf := a.spare[k]
+		a.spare = a.spare[:k]
+		return buf
 	}
-	first := lo / 64
-	for w, x := range p[first : (hi+63)/64] {
-		if w == 0 {
-			x |= 1<<(lo%64) - 1 // the bits below lo do not end the run
+	a.spare = nil
+	return make([]byte, n)
+}
+
+// advanceLocked delivers the held runs the watermark has reached, in
+// offset order, and wakes parked placers. Bytes of a run below the
+// watermark were covered by a block written at it and count as
+// duplicates. Each delivered run's buffer is kept for the next run.
+func (a *WindowAssembler) advanceLocked() {
+	moved := false
+	for len(a.held) > 0 && a.held[0][0].off <= a.flushed && a.failed == nil {
+		r := a.held[0][0]
+		a.held[0][0] = heldRun{} // the chunk must not pin a spare the next miss drops
+		if a.held[0] = a.held[0][1:]; len(a.held[0]) == 0 {
+			a.held[0], a.held = nil, a.held[1:]
 		}
-		if x != ^uint64(0) {
-			return min((first+uint64(w))*64+uint64(bits.TrailingZeros64(^x)), hi) - lo
+		a.runs--
+		a.pending -= uint64(len(r.data))
+		a.spare = append(a.spare, r.data)
+		skip := min(a.flushed-r.off, uint64(len(r.data)))
+		a.dup += int64(skip)
+		if rest := r.data[skip:]; len(rest) > 0 && a.writeSink(rest) == nil {
+			a.flushed += uint64(len(rest))
+			a.delivered += int64(len(rest))
 		}
+		moved = true
 	}
-	return hi - lo
+	if moved {
+		a.cond.Broadcast()
+	}
 }
 
 // writeSink forwards one flushed segment; a sink failure fails the
@@ -446,7 +425,7 @@ func (a *WindowAssembler) Abort(err error) {
 	a.mu.Unlock()
 }
 
-// Finish validates completion: no gap may remain parked in the window,
+// Finish validates completion: no bytes may remain held behind a gap,
 // and when the region size was announced every byte must have been
 // delivered.
 func (a *WindowAssembler) Finish() error {

@@ -349,7 +349,7 @@ func TestWindowSinkWritesUnchanged(t *testing.T) {
 		{0, 16}, {16, 16}, {32, 16}, // block 0 alone; 1 at the watermark releases the parked 2
 		{48, 16}, {64, 16}, // 3 releases 4
 		{80, 16},                       // 5 in order, nothing parked
-		{96, 16}, {112, 16}, {128, 16}, // 6 releases 7 and 8, split where the ring wraps
+		{96, 16}, {112, 16}, {128, 16}, // 6 releases 7 and 8, one write per held run
 		{144, 16}, {160, 16}, {176, 16},
 	}
 	sink := &spanSink{}
@@ -416,54 +416,104 @@ func TestWindowInOrderNeverBuffers(t *testing.T) {
 	}
 }
 
-// TestPresenceRangesMatchPerBit holds the presence map's three range
-// walks (set, clear, run) to a bit-at-a-time reference for every
-// (lo, hi) over maps of one to three words, from an empty, a full, a
-// random and a mostly-full starting map.
-func TestPresenceRangesMatchPerBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	bit := func(p presence, i uint64) bool { return p[i/64]>>(i%64)&1 == 1 }
-	for words := 1; words <= 3; words++ {
-		n := uint64(words) * 64
-		empty, full, random, mostly := make(presence, words), make(presence, words), make(presence, words), make(presence, words)
-		for i := uint64(0); i < n; i++ {
-			full[i/64] |= 1 << (i % 64)
-			if rng.Intn(2) == 0 {
-				random[i/64] |= 1 << (i % 64)
-			}
-			if rng.Intn(40) != 0 {
-				mostly[i/64] |= 1 << (i % 64)
-			}
+// TestWindowHeldRunsBounded: a sender of 1-byte blocks at descending
+// offsets on one connection makes a held run of every block. At the
+// server's 8 MiB window the assembler fails it with ErrDataProtocol once
+// the runs pass their bound, having allocated less than the window and
+// without the quadratic cost of inserting every block at the head of
+// one long list.
+func TestWindowHeldRunsBounded(t *testing.T) {
+	const window, blocks = 8 << 20, 1 << 16
+	var wire bytes.Buffer
+	for i := blocks - 1; i >= 0; i-- {
+		WriteBlock(&wire, Block{Offset: uint64(i), Data: []byte{byte(i)}})
+	}
+	WriteBlock(&wire, Block{Desc: DescEOD})
+	fr := &frameReader{r: &wire, buf: make([]byte, 4096)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	asm, err := NewWindowAssembler(io.Discard, 0, blocks, window, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = asm.drain(fr, 0, unboundedEnd)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrDataProtocol) {
+		t.Fatalf("drain of %d descending 1-byte blocks: %v, want ErrDataProtocol", blocks, err)
+	}
+	if asm.runs > asm.maxRuns {
+		t.Errorf("held %d runs, bound %d", asm.runs, asm.maxRuns)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > window {
+		t.Errorf("allocated %d bytes before failing, more than the %d-byte window", delta, window)
+	}
+}
+
+// TestWindowFallbackAllocBudget: the fallback allocates the bytes it
+// holds, not the window, and reuses a delivered run's buffer for the
+// next run. Two streams' blocks placed pairwise swapped (1, 0, 3, 2, …)
+// at the server's 8 MiB window hold one block at a time; one connection
+// drained with its blocks in reversed 16-block groups holds 15 blocks
+// at its peak.
+func TestWindowFallbackAllocBudget(t *testing.T) {
+	const window, blockLen, blocks, group = 8 << 20, 64 << 10, 64, 16
+	payload := randomPayload(blocks * blockLen)
+	block := func(i int) Block {
+		return Block{Offset: uint64(i * blockLen), Data: payload[i*blockLen : (i+1)*blockLen]}
+	}
+	var reversed bytes.Buffer
+	for g := 0; g < blocks; g += group {
+		for i := g + group - 1; i >= g; i-- {
+			WriteBlock(&reversed, block(i))
 		}
-		for _, start := range []presence{empty, full, random, mostly} {
-			for lo := uint64(0); lo <= n; lo++ {
-				for hi := lo; hi <= n; hi++ {
-					set, cleared := append(presence(nil), start...), append(presence(nil), start...)
-					fresh := set.set(lo, hi)
-					cleared.clear(lo, hi)
-					wantFresh, wantRun := 0, uint64(0)
-					for i := lo; i < hi && bit(start, i); i++ {
-						wantRun++
-					}
-					for i := uint64(0); i < n; i++ {
-						in := lo <= i && i < hi
-						if in && !bit(start, i) {
-							wantFresh++
-						}
-						if bit(set, i) != (bit(start, i) || in) || bit(cleared, i) != (bit(start, i) && !in) {
-							t.Fatalf("%d words, [%d,%d): bit %d after set=%v clear=%v, start %v",
-								words, lo, hi, i, bit(set, i), bit(cleared, i), bit(start, i))
-						}
-					}
-					if fresh != wantFresh {
-						t.Fatalf("%d words, set [%d,%d) reported %d fresh bits, want %d", words, lo, hi, fresh, wantFresh)
-					}
-					if got := start.run(lo, hi); got != wantRun {
-						t.Fatalf("%d words, run [%d,%d) = %d, want %d", words, lo, hi, got, wantRun)
-					}
+	}
+	WriteBlock(&reversed, Block{Desc: DescEOD})
+	// The frame reader's buffer is made before measuring: it is the
+	// drain loop's, not the fallback's.
+	fr := &frameReader{r: &reversed, buf: make([]byte, 4*blockLen)}
+	for _, tc := range []struct {
+		name           string
+		copied, budget int
+		run            func(*WindowAssembler) error
+	}{
+		{"two streams", blocks / 2 * blockLen, 2 * blockLen, func(a *WindowAssembler) error {
+			for i := 0; i < blocks; i++ {
+				if err := a.Place(block(i ^ 1)); err != nil {
+					return err
 				}
 			}
-		}
+			return nil
+		}},
+		{"reversed groups", blocks / group * (group - 1) * blockLen, (group-1)*blockLen + blockLen, func(a *WindowAssembler) error {
+			_, err := a.drain(fr, 0, unboundedEnd)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := bytes.NewBuffer(make([]byte, 0, len(payload)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			asm, err := NewWindowAssembler(out, 0, int64(len(payload)), window, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(asm); err != nil {
+				t.Fatal(err)
+			}
+			if err := asm.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if delta := after.TotalAlloc - before.TotalAlloc; delta > uint64(tc.budget) {
+				t.Errorf("fallback allocated %d bytes under a %d-byte window, budget %d", delta, window, tc.budget)
+			}
+			if asm.copied != int64(tc.copied) {
+				t.Errorf("copied %d bytes, want %d", asm.copied, tc.copied)
+			}
+			if !bytes.Equal(out.Bytes(), payload) {
+				t.Fatal("delivered bytes differ from input")
+			}
+		})
 	}
 }
 
@@ -576,8 +626,8 @@ func (r *holdRig) held(t *testing.T, off uint64) {
 // forever. A silent sibling ends the hold in ErrWindowStalled within
 // about two park timeouts; a sibling whose connection fails wakes it with
 // that error; and a sibling that finishes while the gap is later on the
-// holder's own connection sends the held block to the ring, and the
-// transfer completes. The last two wake the holder at once, not at its
+// holder's own connection has the held block copied into the held
+// runs, and the transfer completes. The last two wake the holder at once, not at its
 // park timeout.
 func TestHoldLiveness(t *testing.T) {
 	payload := randomPayload(4 * holdBlock)
@@ -614,9 +664,9 @@ func TestHoldLiveness(t *testing.T) {
 			if err := <-r.errs[1]; err != nil {
 				t.Fatal(err)
 			}
-			if err := r.asm.Finish(); err != nil || !bytes.Equal(r.out.Bytes(), payload) || r.asm.win == nil {
-				t.Fatalf("finish: %v; delivered bytes equal the input: %v; through the ring: %v",
-					err, bytes.Equal(r.out.Bytes(), payload), r.asm.win != nil)
+			if err := r.asm.Finish(); err != nil || !bytes.Equal(r.out.Bytes(), payload) || r.asm.copied == 0 {
+				t.Fatalf("finish: %v; delivered bytes equal the input: %v; copied: %v",
+					err, bytes.Equal(r.out.Bytes(), payload), r.asm.copied > 0)
 			}
 		})
 	}

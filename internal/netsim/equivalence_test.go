@@ -413,7 +413,7 @@ func buildScenario(seed int64) scenario {
 		}
 		if math.IsInf(op.size, 1) || rng.Float64() < 0.15 {
 			ops = append(ops, scriptOp{
-				at:   op.at + simclock.Time(5 + rng.Float64()*60),
+				at:   op.at + simclock.Time(5+rng.Float64()*60),
 				kind: opStop, flow: i,
 			})
 		}

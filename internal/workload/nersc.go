@@ -128,7 +128,8 @@ func NERSCANL(seed int64) ([]ANLTransfer, error) {
 			// Bursts of 2-4 concurrent transfers: contention for the
 			// shared aggregate R is the dominant variance source — the
 			// paper's finding (v) — which is what makes the Eq. 2
-			// predictor correlate at ρ ≈ 0.88 (Fig 8). Per-transfer
+			// predictor correlate (Fig 8: the paper's ρ is 0.884, this
+			// generator's 0.807). Per-transfer
 			// noise (gsd 1.24) adds the residual spread behind Table
 			// VI's coefficients of variation.
 			switch r := rng.Float64(); {
