@@ -149,14 +149,16 @@ race:
 # heap soak), which plain `go test ./...` still runs once. The drain
 # loops' shared hold state (blocks waiting in their frame buffers for a
 # sibling's gap) is repeated under the race detector too, and so are
-# the pipelined third-party copy's ordering tests and MemStore's
+# the pipelined third-party copy's ordering tests, MemStore's
 # snapshot pins, which decide when an overwrite may refill the chunks
-# of the version it replaces.
+# of the version it replaces, and the cached data channels' reuse tests,
+# whose kept connections pass from one transfer's goroutines to the
+# next's.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore' ./internal/gridftp/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|Cached|Reuse' ./internal/gridftp/
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

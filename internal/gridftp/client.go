@@ -68,10 +68,14 @@ type Client struct {
 	aggLimiter *pacing.Limiter
 	rateWired  bool
 
-	// peer is the Client whose last third-party transfer with this one
-	// ended in two cached-channel 226s; PASV, SPAS, a failed transfer
-	// and Close clear it (see ThirdPartyFrom).
-	peer *Client
+	// A Client holds at most one of two caches (see dropCache): peer,
+	// the Client whose last third-party transfer with this one ended in
+	// two cached-channel 226s (see ThirdPartyFrom), or chans, the data
+	// connections its own last transfer kept, with bufs, the upload
+	// buffers they were sent from (see keep).
+	peer  *Client
+	chans []*dataChan
+	bufs  [][]byte
 }
 
 // Reply is a control-channel response.
@@ -133,25 +137,10 @@ func (c *Client) dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, defaultDialTimeout)
 }
 
-// dataConn dials one data endpoint and instruments it: the data timeout
-// per I/O, wire bytes counted into the transfer span (a nil span counts
-// nothing), and pacing when lim is non-nil (see wrapDataConn).
-func (c *Client) dataConn(ctx context.Context, addr string, sp *telemetry.Span, lim *pacing.Limiter) (net.Conn, error) {
-	conn, err := c.dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	ic := instrumentedConn{Conn: conn, idle: c.dataTimeout, span: sp}
-	if lim != nil {
-		ic.shaped = c.met.shapedBytes()
-	}
-	return wrapDataConn(ctx, ic, lim), nil
-}
-
 // Close terminates the session with QUIT.
 func (c *Client) Close() error {
 	c.sess.Phase(telemetry.PhaseTeardown)
-	c.peer = nil
+	c.dropCache()
 	_, _ = c.cmd("QUIT")
 	err := c.conn.Close()
 	c.sess.End(nil)
@@ -317,13 +306,17 @@ func (c *Client) CheckIdle() error {
 func (c *Client) Desynced() bool { return c.desynced }
 
 // SetParallelism sets the number of parallel TCP streams for subsequent
-// transfers (the Globus -p flag; OPTS RETR Parallelism).
+// transfers (the Globus -p flag; OPTS RETR Parallelism). A changed count
+// drops the cached data channels on both ends.
 func (c *Client) SetParallelism(n int) error {
 	if n < 1 || n > 64 {
 		return errors.New("gridftp: parallelism must be in [1,64]")
 	}
 	if _, err := c.do("OPTS", fmt.Sprintf("OPTS RETR Parallelism=%d,%d,%d;", n, n, n), 200); err != nil {
 		return err
+	}
+	if n != c.parallelism {
+		c.dropCache()
 	}
 	c.parallelism = n
 	return nil
@@ -388,7 +381,7 @@ func (c *Client) Features() ([]string, error) {
 
 // passive requests PASV and returns the data address.
 func (c *Client) passive() (string, error) {
-	c.peer = nil
+	c.dropCache()
 	rep, err := c.do("PASV", "PASV", 227)
 	if err != nil {
 		return "", err
@@ -404,7 +397,7 @@ func (c *Client) passive() (string, error) {
 // stripedPassive requests SPAS and returns one data address per stripe:
 // the reply's comma lines, after its header line.
 func (c *Client) stripedPassive() ([]string, error) {
-	c.peer = nil
+	c.dropCache()
 	rep, err := c.do("SPAS", "SPAS", 229)
 	if err != nil {
 		return nil, err
@@ -566,7 +559,8 @@ func ThirdParty(src, dst *Client, srcName, dstName string) error {
 // dst remember each other, and their next transfer together skips PASV
 // and PORT: both servers run it over the data connection they kept.
 // Anything else leaves both forgetting, so a server that never caches
-// sees today's conversation exactly.
+// sees today's conversation exactly. Either client's own kept data
+// connections are closed first: a Client holds one cache at a time.
 //
 // The copy is pipelined: STOR goes to dst and RETR to src back to back,
 // and then dst's 150, src's 150, src's 226 and dst's 226 are read in
@@ -587,7 +581,8 @@ func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (si
 		return -1, false, errors.New("gridftp: negative restart offset")
 	}
 	reuse := src.peer == dst && dst.peer == src
-	src.peer, dst.peer = nil, nil
+	src.dropCache()
+	dst.dropCache()
 	if reuse {
 		src.met.reuses.Inc()
 	} else if err := pointAt(src, dst); err != nil {

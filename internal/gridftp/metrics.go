@@ -65,9 +65,9 @@ func newSrvMetrics(hub *telemetry.Hub) *srvMetrics {
 	m.shapedRate = hub.Gauge("gridftp_server_shaped_rate_bps",
 		"Summed effective session rates (SITE RATE clamped by MaxRateBps) across open sessions — the capacity already promised to clients, scraped by fleet registries as committed load.")
 	m.cachedChans = hub.Gauge("gridftp_server_data_channels_cached",
-		"Data channels sessions kept open past a clean 226 for their next transfer.")
+		"Data connections sessions kept open past a clean 226 for their next transfer, one per stream.")
 	m.chanReuses = hub.Counter("gridftp_server_data_channel_reuses_total",
-		"Transfers that ran over the session's cached data channel: no listen, accept or dial.")
+		"Transfers that ran over the session's cached data channels: no listen, accept or dial.")
 	m.commands = hub.CounterVec("gridftp_server_commands_total",
 		"Control-channel commands dispatched, by verb.", "verb")
 	m.transfers = hub.CounterVec("gridftp_server_transfers_total",
@@ -169,7 +169,7 @@ func newCliMetrics(hub *telemetry.Hub) *cliMetrics {
 	m.durations = hub.Histogram("gridftp_client_transfer_duration_seconds",
 		"Wall time of client-driven transfers.", telemetry.DurationBuckets)
 	m.reuses = hub.Counter("gridftp_client_data_channel_reuses_total",
-		"Third-party transfers that reused the pair's cached data channel: no PASV, PORT or new connection.")
+		"Transfers that reused cached data channels, their own or a third-party pair's: no PASV, PORT or new connection.")
 	m.dials = hub.CounterVec("gridftp_client_dials_total",
 		"Control-channel dials, by result.", "result")
 	m.transfers = hub.CounterVec("gridftp_client_transfers_total",
@@ -237,9 +237,9 @@ type transferCtx struct {
 	// stripes is the usage record's stripe count: the listeners of an
 	// armed SPAS, else one.
 	stripes int
-	// keep is the transfer's one data channel after a clean EOD, for
-	// settle to cache on a 226.
-	keep *dataChan
+	// keep is the transfer's data channels after a clean EOD on each,
+	// for settle to cache on a 226 and close otherwise.
+	keep []*dataChan
 
 	// size is the object region a completed transfer moved (the usage
 	// record's byte count on success; a failure logs the partial wire

@@ -395,10 +395,10 @@ type session struct {
 	st   sessionState
 
 	// passive holds the listeners of an armed PASV or SPAS target;
-	// cached is the data channel the last transfer kept (see settle).
+	// cached holds the data channels the last transfer kept (see settle).
 	// Both are nil unless st.target says so.
 	passive []net.Listener
-	cached  *dataChan
+	cached  []*dataChan
 	// bucket enforces the effective session rate across every data
 	// connection the session opens. Only the session goroutine mutates
 	// it; data-path goroutines capture the pointer at transfer setup.
@@ -612,11 +612,12 @@ func parseHostPort(s string) (string, error) {
 	return net.JoinHostPort(ip, strconv.Itoa(nums[4]*256+nums[5])), nil
 }
 
-// dataChan is one data connection: the raw socket, the frame buffers
-// read and sent through it, and one transfer's instrumented view of it
-// (conn, which fr reads through). A transfer that moved over exactly
-// one dataChan and replies 226 keeps it as the session's cached
-// channel (see settle).
+// dataChan is one data connection, on either endpoint: the raw socket,
+// the frame buffers read and sent through it, and one transfer's
+// instrumented view of it (conn, which fr reads through). A server
+// transfer that is not striped and replies 226 keeps its dataChans as
+// the session's cached channels (see settle); a client keeps its own
+// when that 226 says so (see Client.keep).
 type dataChan struct {
 	raw    net.Conn
 	stripe string
@@ -626,19 +627,18 @@ type dataChan struct {
 	cached bool        // counted in the cached-channels gauge
 }
 
-// close drops the channel and its share of the cached-channels gauge.
+// close drops the channel and its share of the cached-channels gauge;
+// a second close changes nothing.
 func (dc *dataChan) close(met *srvMetrics) {
-	if dc == nil {
-		return
-	}
 	dc.raw.Close()
 	if dc.cached {
+		dc.cached = false
 		met.cachedChans.Dec()
 	}
 }
 
 // dataConns provides the data connections for a transfer over target
-// t: the cached channel, connections accepted on the passive listeners
+// t: the cached channels, connections accepted on the passive listeners
 // (parallelism conns on PASV's single listener, or one per SPAS stripe
 // listener), or one dialed to the PORT address. Every connection
 // is instrumented afresh (see instrumentedConn) to count wire bytes
@@ -677,10 +677,13 @@ func (sess *session) dataConns(tx *transferCtx, t dataTarget) ([]*dataChan, erro
 	}
 	switch t.kind {
 	case cachedTarget:
-		dc := sess.cached
+		chans := sess.cached
 		sess.cached = nil
 		met.chanReuses.Inc()
-		return []*dataChan{wrap(dc)}, nil
+		for _, dc := range chans {
+			wrap(dc)
+		}
+		return chans, nil
 	case portTarget:
 		c, err := net.DialTimeout("tcp", t.addr, sess.srv.cfg.AcceptTimeout)
 		if err != nil {
@@ -716,7 +719,7 @@ func (sess *session) dataConns(tx *transferCtx, t dataTarget) ([]*dataChan, erro
 }
 
 // dropTarget closes what the session holds for a data target: armed
-// listeners and a cached channel. Listeners serve exactly one transfer
+// listeners and cached channels. Listeners serve exactly one transfer
 // attempt, win or lose, so a session looping transfers does not
 // accumulate open sockets; only settle keeps a channel past one.
 func (sess *session) dropTarget() {
@@ -725,7 +728,9 @@ func (sess *session) dropTarget() {
 	}
 	sess.srv.met.listenersOpen.Add(-int64(len(sess.passive)))
 	sess.passive = nil
-	sess.cached.close(sess.srv.met)
+	for _, dc := range sess.cached {
+		dc.close(sess.srv.met)
+	}
 	sess.cached = nil
 }
 
@@ -755,7 +760,7 @@ type direction struct {
 	opening string
 	// pump moves data connection i of n's share of the object, all n
 	// at once: connection 0 on the session goroutine, each other on its
-	// own. The skeleton closes or keeps dc after.
+	// own. The skeleton closes or keeps every dc after.
 	pump func(i, n int, dc *dataChan) error
 	// abort, when set, is told the first pump error so sibling pumps
 	// parked on shared state wake.
@@ -802,11 +807,11 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, 
 	tx.span.Phase(telemetry.PhaseStream)
 	errs := make([]error, len(chans))
 	pump := func(i int) {
-		if errs[i] = d.pump(i, len(chans), chans[i]); errs[i] != nil && d.abort != nil {
-			d.abort(errs[i])
-		}
-		if errs[i] != nil || len(chans) > 1 {
-			chans[i].close(sess.srv.met)
+		if errs[i] = d.pump(i, len(chans), chans[i]); errs[i] != nil {
+			if d.abort != nil {
+				d.abort(errs[i])
+			}
+			chans[i].close(sess.srv.met) // the peer sees the failure now
 		}
 	}
 	var wg sync.WaitGroup
@@ -817,13 +822,17 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, 
 	pump(0)
 	wg.Wait()
 	tx.span.Phase(telemetry.PhaseTeardown)
+	tx.keep = chans // settle keeps them on a 226, or closes them
 	for _, e := range errs {
 		if e != nil {
 			return 426, "transfer aborted: " + e.Error()
 		}
 	}
-	if len(chans) == 1 {
-		tx.keep = chans[0] // at a clean EOD; settle keeps it on a 226
+	if t.striped {
+		tx.keep = nil
+		for _, dc := range chans {
+			dc.close(sess.srv.met)
+		}
 	}
 	return 226, "transfer complete"
 }
@@ -833,8 +842,8 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, 
 // on it the usage record exists, the metrics are published, the span is
 // in the hub's ended ring, and the data listeners are closed (the
 // source snapshot and the put were released by the direction's done
-// step), and the transfer's one data channel is cached on a 226, said
-// so in the reply, or closed. Unlike success-only Globus loggers a
+// step), and the transfer's data channels are cached on a 226, said so
+// in the reply, or closed. Unlike success-only Globus loggers a
 // failure still emits a usage record — carrying the error code and the
 // partial wire-byte count — so live failure rates are observable.
 func (sess *session) settle(tx *transferCtx, code int, msg string) {
@@ -851,17 +860,19 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 	met.deliveredBytes(tx.op, tx.delivered)
 	tx.span.End(err)
 	sess.dropTarget()
-	dc, kept := tx.keep, tx.keep != nil && code == 226
-	if kept {
-		if !dc.cached {
+	for _, dc := range tx.keep {
+		switch {
+		case code != 226:
+			dc.close(met)
+		case !dc.cached:
 			dc.cached = true
 			met.cachedChans.Inc()
 		}
-		sess.cached, msg = dc, msg+"; "+channelCached
-	} else {
-		dc.close(met)
 	}
-	sess.st.settled(kept)
+	if code == 226 && len(tx.keep) > 0 {
+		sess.cached, msg = tx.keep, msg+"; "+channelCached
+	}
+	sess.st.settled(len(sess.cached))
 	sess.reply(code, msg)
 }
 
@@ -1025,10 +1036,12 @@ func (s *regionSink) Write(p []byte) (int, error) {
 // blocks from all data connections place into one shared window, every
 // contiguous run flushes to the store immediately, and a connection
 // racing too far ahead parks until the window slides. Peak memory is
-// at most the window (made only once a block parks), independent of
-// object size — and because BeginPut pins the stored object to the
-// delivered watermark, a failed transfer leaves a partial whose Size is
-// exactly the restart offset a resume-aware client probes for.
+// the held runs, the bytes copied beyond the watermark that no sibling
+// connection could carry the gap for: at most the window, nothing while
+// blocks arrive in order, and independent of object size. Because
+// BeginPut pins the stored object to the delivered watermark, a failed
+// transfer leaves a partial whose Size is exactly the restart offset a
+// resume-aware client probes for.
 // A nonzero offset (REST) resumes such a partial: delivery starts at
 // that watermark, dropping any overlap the sender re-transmits.
 func (sess *session) openStor(tx *transferCtx, e effect) (direction, int, string) {

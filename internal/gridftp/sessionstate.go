@@ -15,13 +15,13 @@ const (
 	noTarget      targetKind = iota
 	passiveTarget            // PASV or SPAS armed listeners
 	portTarget               // PORT named an address to dial
-	cachedTarget             // the last transfer kept its data channel
+	cachedTarget             // the last transfer kept its n data connections
 )
 
 // dataTarget is a session's one data target (DESIGN §3).
 type dataTarget struct {
 	kind    targetKind
-	n       int    // passive: listeners armed, one per SPAS stripe
+	n       int    // passive: listeners armed, one per SPAS stripe; cached: connections kept
 	striped bool   // passive: SPAS, one connection per listener
 	addr    string // port: the address the transfer dials
 }
@@ -212,12 +212,12 @@ func (st *sessionState) armed(ok bool) {
 	}
 }
 
-// settled reports a transfer's end: its one data channel is kept as
-// the cached target, or the session has none.
-func (st *sessionState) settled(kept bool) {
+// settled reports a transfer's end: its n data connections are kept as
+// the cached target, or (n == 0) the session has none.
+func (st *sessionState) settled(n int) {
 	st.target = dataTarget{}
-	if kept {
-		st.target.kind = cachedTarget
+	if n > 0 {
+		st.target = dataTarget{kind: cachedTarget, n: n}
 	}
 }
 
@@ -240,11 +240,13 @@ func (st *sessionState) transfer(op, name string, offset, length int64) effect {
 }
 
 // opts handles "OPTS RETR Parallelism=n;" (the Globus client syntax).
+// A count that changes drops a cached target, kept at the old count.
 func (st *sessionState) opts(arg string) effect {
 	verb, rest, _ := strings.Cut(arg, " ")
 	if !strings.EqualFold(verb, "RETR") {
 		return reply(501, "only OPTS RETR supported")
 	}
+	prev, e := st.parallelism, reply(200, "options accepted")
 	for _, opt := range strings.Split(rest, ";") {
 		k, v, ok := strings.Cut(strings.TrimSpace(opt), "=")
 		if !ok || !strings.EqualFold(k, "Parallelism") {
@@ -252,11 +254,15 @@ func (st *sessionState) opts(arg string) effect {
 		}
 		n, err := strconv.Atoi(strings.Split(v, ",")[0])
 		if err != nil || n < 1 || n > 64 {
-			return reply(501, "bad parallelism")
+			e = reply(501, "bad parallelism")
+			break
 		}
 		st.parallelism = n
 	}
-	return reply(200, "options accepted")
+	if st.parallelism != prev && st.target.kind == cachedTarget {
+		st.target, e.kind = dataTarget{}, effDrop
+	}
+	return e
 }
 
 // site handles the SITE extensions. SITE TRID <token> binds an

@@ -27,9 +27,10 @@ func newTestState() sessionState {
 
 // step applies one command line to st the way handle splits it, then
 // reports the effect's outcome as the executor would: an arm succeeds
-// and a transfer keeps its channel when ok, a kept channel needing a
-// transfer that ran over a target. It returns the effect and fails t
-// when an invariant breaks.
+// and a transfer keeps its channels when ok, kept channels needing a
+// transfer that ran over a target that is not striped: PASV's
+// parallelism connections, PORT's one, or the cached ones. It returns
+// the effect and fails t when an invariant breaks.
 func step(t *testing.T, st *sessionState, line string, ok bool) effect {
 	t.Helper()
 	verb, arg, _ := strings.Cut(line, " ")
@@ -43,7 +44,14 @@ func step(t *testing.T, st *sessionState, line string, ok bool) effect {
 	case effArm:
 		st.armed(ok)
 	case effTransfer:
-		st.settled(ok && e.code == 0 && e.target.kind != noTarget)
+		kept := 0
+		if ok && e.code == 0 {
+			kept = map[targetKind]int{passiveTarget: st.parallelism, portTarget: 1, cachedTarget: e.target.n}[e.target.kind]
+			if e.target.striped {
+				kept = 0
+			}
+		}
+		st.settled(kept)
 	}
 	if err := checkTarget(st.target, st.stripes); err != nil {
 		t.Fatalf("%s, outcome %v: %v", line, ok, err)
@@ -54,9 +62,13 @@ func step(t *testing.T, st *sessionState, line string, ok bool) effect {
 // checkTarget holds the one data target to a well-formed value.
 func checkTarget(tg dataTarget, stripes int) error {
 	switch tg.kind {
-	case noTarget, cachedTarget:
-		if tg != (dataTarget{kind: tg.kind}) {
-			return fmt.Errorf("%v target carries a payload: %+v", tg.kind, tg)
+	case noTarget:
+		if tg != (dataTarget{}) {
+			return fmt.Errorf("no target carries a payload: %+v", tg)
+		}
+	case cachedTarget:
+		if tg.addr != "" || tg.striped || tg.n < 1 {
+			return fmt.Errorf("bad cached target %+v", tg)
 		}
 	case passiveTarget:
 		if tg.addr != "" || (!tg.striped && tg.n != 1) || (tg.striped && tg.n != stripes) {
@@ -86,7 +98,7 @@ var replyClasses = map[string][]string{
 	"USER": {"331"}, "PASS": {"230", "530"}, "QUIT": {"quit 221"},
 	"NOOP": {"200"}, "SYST": {"215"}, "FEAT": {"211"},
 	"TYPE": {"200", "504"}, "MODE": {"200", "504"}, "SBUF": {"200", "501"},
-	"OPTS": {"200", "501"}, "PASV": {"arm"}, "SPAS": {"arm"},
+	"OPTS": {"200", "501", "drop 200", "drop 501"}, "PASV": {"arm"}, "SPAS": {"arm"},
 	"PORT": {"port 200", "501"}, "SIZE": {"query"}, "NLST": {"query"},
 	"CKSM": {"query", "501", "504"}, "REST": {"350", "501"},
 	"RETR": {"transfer", "transfer 504"}, "STOR": {"transfer", "transfer 504"},
@@ -226,7 +238,7 @@ func TestSessionStateTable(t *testing.T) {
 		{"TYPE I", [7]string{"530", "200", "200", "200", "200", "200", "200"}},
 		{"MODE E", [7]string{"530", "200", "200", "200", "200", "200", "200"}},
 		{"SBUF 65536", [7]string{"530", "200", "200", "200", "200", "200", "200"}},
-		{"OPTS RETR Parallelism=4;", [7]string{"530", "200", "200", "200", "200", "200", "200"}},
+		{"OPTS RETR Parallelism=4;", [7]string{"530", "200", "200", "200", "200", "drop 200", "200"}},
 		{"PASV", [7]string{"530", "arm PASV", "arm PASV", "arm PASV", "arm PASV", "arm PASV", "arm PASV"}},
 		{"SPAS", [7]string{"530", "arm SPAS×2", "arm SPAS×2", "arm SPAS×2", "arm SPAS×2", "arm SPAS×2", "arm SPAS×2"}},
 		{"PORT 127,0,0,1,4,1", [7]string{"530", "port 200", "port 200", "port 200", "port 200", "port 200", "port 200"}},
@@ -299,8 +311,8 @@ func cell(before, after sessionState, e effect) string {
 }
 
 // TestSessionStateOutcomes pins how effect outcomes move the target: a
-// failed arm leaves none, and a transfer leaves the cached channel only
-// when it kept one.
+// failed arm leaves none, a transfer leaves cached channels only when it
+// kept them, and a changed parallelism drops them.
 func TestSessionStateOutcomes(t *testing.T) {
 	st := newTestState()
 	for _, line := range tableStates[2].script {
@@ -319,6 +331,18 @@ func TestSessionStateOutcomes(t *testing.T) {
 	if st.target.kind != noTarget {
 		t.Fatalf("unkept transfer left %+v", st.target)
 	}
+	step(t, &st, "OPTS RETR Parallelism=2;", true)
+	step(t, &st, "PASV", true)
+	step(t, &st, "RETR obj", true)
+	if st.target != (dataTarget{kind: cachedTarget, n: 2}) {
+		t.Fatalf("two-stream transfer cached %+v, want two channels", st.target)
+	}
+	if e := step(t, &st, "OPTS RETR Parallelism=2;", true); e.kind != effReply || st.target.n != 2 {
+		t.Fatalf("an unchanged count moved the cache: %+v, %+v", e, st.target)
+	}
+	if e := step(t, &st, "OPTS RETR Parallelism=4;", true); e.kind != effDrop || st.target.kind != noTarget {
+		t.Fatalf("a changed count kept the cache: %+v, %+v", e, st.target)
+	}
 }
 
 // fuzzCommands is FuzzSessionState's alphabet: every verb of the table,
@@ -326,7 +350,7 @@ func TestSessionStateOutcomes(t *testing.T) {
 var fuzzCommands = []string{
 	"USER u", "USER mallory", "PASS p", "PASS wrong", "QUIT", "NOOP", "SYST", "FEAT",
 	"TYPE I", "TYPE A", "MODE E", "MODE S", "MODE X", "SBUF 65536", "SBUF -1",
-	"OPTS RETR Parallelism=4;", "OPTS RETR Parallelism=0;", "OPTS STOR x",
+	"OPTS RETR Parallelism=4;", "OPTS RETR Parallelism=2;", "OPTS RETR Parallelism=0;", "OPTS STOR x",
 	"PASV", "SPAS", "PORT 127,0,0,1,4,1", "PORT 127,0,0,1,4,2", "PORT bad",
 	"SIZE obj", "NLST", "CKSM CRC32 0 -1 obj", "CKSM MD5 0 1 obj", "CKSM CRC32 -1 1 obj",
 	"REST 10", "REST 0", "REST -1", "RETR obj", "ERET P 0 3 obj", "ERET P 0 0 obj", "ERET X",
@@ -380,6 +404,10 @@ func FuzzSessionState(f *testing.F) {
 		// and a reset of the cached channel.
 		{"PASV", "STOR obj", "STOR obj", "STOR obj!", "PASV", "STOR obj"},
 		{"PORT 127,0,0,1,4,1", "RETR obj", "RETR obj", "REST 10", "RETR obj!", "PORT 127,0,0,1,4,2", "RETR obj"},
+		// Four-stream channels cached across both directions, then a count
+		// that stays, one that changes, and one that fails.
+		{"OPTS RETR Parallelism=4;", "PASV", "RETR obj", "STOR obj", "OPTS RETR Parallelism=4;", "ERET P 0 3 obj",
+			"OPTS RETR Parallelism=2;", "PASV", "STOR obj", "OPTS RETR Parallelism=0;", "RETR obj!", "SPAS", "RETR obj"},
 		// Striped on a one-stripe-looking order, and rate and trace binds.
 		{"OPTS RETR Parallelism=4;", "SPAS", "PASV", "SITE RATE 1000", "SITE TRID " + testTraceToken, "RETR obj", "QUIT"},
 	}

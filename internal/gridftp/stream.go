@@ -1,11 +1,13 @@
 package gridftp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,74 +55,142 @@ func (s *connSet) closeAll() {
 	}
 }
 
-// dataAddrs asks the server for the transfer's data endpoints: one
-// address per SPAS stripe, or the PASV address repeated once per
-// parallel stream.
-func (c *Client) dataAddrs(striped bool) ([]string, error) {
+// dataChans provides a transfer's data connections: the ones the last
+// transfer kept, when it is not striped and every kept one is still
+// idle, or else fresh ones, returned as addresses to dial: one per SPAS
+// stripe, or the PASV address once per parallel stream. Kept ones that
+// are not reused are closed, and the PASV or SPAS drops the server's.
+func (c *Client) dataChans(striped bool) ([]*dataChan, []string, error) {
+	kept := c.chans
+	c.chans = nil
+	if !striped && len(kept) == c.parallelism && idleChans(kept) {
+		c.met.reuses.Inc()
+		return kept, nil, nil
+	}
+	closeChans(kept)
 	if striped {
-		return c.stripedPassive()
+		addrs, err := c.stripedPassive()
+		return nil, addrs, err
 	}
 	addr, err := c.passive()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	addrs := make([]string, c.parallelism)
 	for i := range addrs {
 		addrs[i] = addr
 	}
-	return addrs, nil
+	return nil, addrs, nil
+}
+
+// idleChans reports whether kept data connections may carry another
+// transfer: no frame bytes left buffered, and no byte, EOF or reset
+// waiting on a socket, by the peek CheckIdle makes. A connection with
+// no socket descriptor (a WithDialFunc wrapper) passes unchecked, so a
+// failure on it ends the transfer that finds it.
+func idleChans(chans []*dataChan) bool {
+	for _, dc := range chans {
+		dc.raw.SetReadDeadline(time.Time{}) // a passed deadline fails the peek
+		if stale, _ := peekStale(dc.raw); stale || dc.fr.at != dc.fr.n {
+			return false
+		}
+	}
+	return true
+}
+
+func closeChans(chans []*dataChan) {
+	for _, dc := range chans {
+		if dc.raw != nil {
+			dc.raw.Close()
+		}
+	}
+}
+
+// keep ends a transfer that ran over chans: it holds them, and the
+// upload buffers it sent from, for the next transfer when it succeeded
+// and its 226 says the server kept its ends too, and closes them
+// otherwise. Kept connections are c's one cache, so c.peer is nil (see
+// dropCache).
+func (c *Client) keep(rep Reply, chans []*dataChan, striped bool, bufs [][]byte, err error) {
+	if err != nil || striped || !strings.HasSuffix(rep.Text, channelCached) {
+		closeChans(chans)
+		return
+	}
+	c.chans, c.bufs = chans, bufs
+}
+
+// dropCache forgets both kinds of cache a Client holds: the third-party
+// peer, and its own kept data connections, which it closes. PASV,
+// SPAS, a changed parallelism, a third-party copy (which may send PORT)
+// and Close all start with it, so the server, which drops its cached
+// channels on each of those, and the client never disagree about one.
+func (c *Client) dropCache() {
+	closeChans(c.chans)
+	c.peer, c.chans, c.bufs = nil, nil, nil
 }
 
 // pumpConns is the data phase both engines share: dial every data
-// address, run pump on each connection concurrently, wait. abort is
-// told the first failure — a pump or dial error, or ctx's cancellation,
-// which also closes every open connection so blocked reads and writes
-// fail at once — so state the pumps share (a window, a chunk queue)
-// releases its waiters. The result is the failure's root cause, nil
-// when every pump finished.
-func (c *Client) pumpConns(ctx context.Context, addrs []string, sp *telemetry.Span, abort func(error), pump func(net.Conn) error) error {
-	sp.SetStreams(len(addrs))
+// address, or re-wrap the kept connections when chans is set, run pump
+// on each connection concurrently, wait. abort is told the first
+// failure — a pump or dial error, or ctx's cancellation, which also
+// closes every open connection so blocked reads and writes fail at
+// once — so state the pumps share (a window, a chunk queue) releases
+// its waiters. It returns the connections, for keep, and nil with the
+// failure's root cause, having closed them all, when a pump failed.
+func (c *Client) pumpConns(ctx context.Context, chans []*dataChan, addrs []string, sp *telemetry.Span, abort func(error), pump func(*dataChan) error) ([]*dataChan, error) {
+	if chans == nil {
+		chans = make([]*dataChan, len(addrs))
+		for i := range chans {
+			chans[i] = &dataChan{}
+		}
+	}
+	sp.SetStreams(len(chans))
 	sp.Phase(telemetry.PhaseStream)
 	lim := c.xferLimiter()
+	var shaped *telemetry.Counter
+	if lim != nil {
+		shaped = c.met.shapedBytes()
+	}
 	set := &connSet{}
 	stop := context.AfterFunc(ctx, func() {
 		abort(ctx.Err())
 		set.closeAll()
 	})
 	var wg sync.WaitGroup
-	errs := make([]error, len(addrs))
-	for i, addr := range addrs {
+	errs := make([]error, len(chans))
+	for i, dc := range chans {
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func() {
 			defer wg.Done()
-			conn, err := c.dataConn(ctx, addr, sp, lim)
+			var err error
+			if dc.raw == nil {
+				dc.raw, err = c.dial(addrs[i])
+			}
 			switch {
 			case err != nil:
-			case !set.add(conn):
+			case !set.add(dc.raw):
 				err = ctx.Err()
 			default:
-				err = pump(conn)
-				conn.Close()
+				// Each transfer wraps with its own deadline, span and pacing.
+				dc.conn = wrapDataConn(ctx, instrumentedConn{Conn: dc.raw, idle: c.dataTimeout, span: sp, shaped: shaped}, lim)
+				dc.fr.r = dc.conn
+				err = pump(dc)
 			}
 			if errs[i] = err; err != nil {
 				abort(err)
 			}
-		}(i, addr)
+		}()
 	}
 	wg.Wait()
 	stop()
 	sp.Phase(telemetry.PhaseTeardown)
 	// A cancellation caused the connection errors it raced, so it is
 	// the root cause.
-	if err := ctx.Err(); err != nil {
-		return err
+	if err := cmp.Or(ctx.Err(), cmp.Or(errs...)); err != nil {
+		closeChans(chans)
+		return nil, err
 	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return chans, nil
 }
 
 // beginTransfer opens one client transfer's instrumentation as op: a
@@ -161,10 +231,12 @@ func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, offset 
 // span tracing data_setup -> stream -> teardown and the client transfer
 // metrics. It fetches [offset, offset+length) of the named object
 // (length < 0: to the end) into w — as ERET when a length is given,
-// REST+RETR when only an offset is, plain RETR otherwise — over
-// parallelism connections to one PASV listener, or one connection per
-// SPAS stripe when striped. opts are applied (and persist) before
-// anything else runs.
+// REST+RETR when only an offset is, plain RETR otherwise — over the
+// kept data connections (see dataChans), parallelism connections to one
+// PASV listener, or one connection per SPAS stripe when striped. The
+// region length is the one the 150 announces; a server that announces
+// none has the delivered length checked by a SIZE after its 226. opts
+// are applied (and persist) before anything else runs.
 func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, striped bool, offset, length int64, opts []Option) (stats TransferStats, err error) {
 	if err := c.ApplyOptions(opts...); err != nil {
 		return TransferStats{}, err
@@ -180,36 +252,29 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	size, err := c.Size(name)
+	chans, addrs, err := c.dataChans(striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
-	if offset > size {
-		return TransferStats{}, errors.New("gridftp: offset beyond object size")
-	}
-	regionLen := size - offset
-	if length >= 0 && length < regionLen {
-		regionLen = length
-	}
-	addrs, err := c.dataAddrs(striped)
-	if err != nil {
-		return TransferStats{}, err
-	}
+	var opening, rep Reply // rep, the 226, says whether to keep chans
+	defer func() { c.keep(rep, chans, striped, nil, err) }()
+	n := max(len(chans), len(addrs))
 	start := time.Now()
 	switch {
 	case length >= 0:
-		_, err = c.do("ERET", fmt.Sprintf("ERET P %d %d %s", offset, length, name), 150)
+		opening, err = c.do("ERET", fmt.Sprintf("ERET P %d %d %s", offset, length, name), 150)
 	case offset > 0:
 		if _, err = c.do("REST", fmt.Sprintf("REST %d", offset), 350); err == nil {
-			_, err = c.do("RETR", "RETR "+name, 150)
+			opening, err = c.do("RETR", "RETR "+name, 150)
 		}
 	default:
-		_, err = c.do("RETR", "RETR "+name, 150)
+		opening, err = c.do("RETR", "RETR "+name, 150)
 	}
 	if err != nil {
 		return TransferStats{}, err
 	}
-	if bs, ok := w.(*byteSink); ok {
+	regionLen := announcedSize(opening.Text)
+	if bs, ok := w.(*byteSink); ok && regionLen > 0 {
 		// The length is the server's claim: presize up to a bound, and
 		// let anything larger grow as bytes actually arrive.
 		bs.buf = make([]byte, 0, min(regionLen, 256<<20))
@@ -219,28 +284,45 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		c.drainReply() // the server is mid-transfer; consume its verdict
 		return TransferStats{}, err
 	}
-	err = c.pumpConns(ctx, addrs, sp, asm.Abort, func(conn net.Conn) error {
-		_, err := asm.drain(&frameReader{r: conn}, len(addrs), unboundedEnd)
+	chans, err = c.pumpConns(ctx, chans, addrs, sp, asm.Abort, func(dc *dataChan) error {
+		_, err := asm.drain(&dc.fr, n, unboundedEnd)
 		return err
 	})
-	stats = c.stats(asm.Delivered(), start, len(addrs), striped)
+	stats = c.stats(asm.Delivered(), start, n, striped)
 	stats.WireBytes = asm.WireBytes()
 	if err != nil {
 		c.drainReply()
 		return stats, err
 	}
-	if _, err := c.expect("RETR-complete", 226); err != nil {
-		return stats, err
+	if rep, err = c.expect("RETR-complete", 226); err == nil {
+		err = asm.Finish()
 	}
-	if err := asm.Finish(); err != nil {
-		return stats, err
+	if err == nil && regionLen < 0 {
+		err = c.checkDelivered(name, offset, length, asm.Delivered())
 	}
-	return stats, nil
+	return stats, err
+}
+
+// checkDelivered holds a retrieval whose 150 announced no length to the
+// region SIZE bounds: [offset, size), cut to length when that is set.
+func (c *Client) checkDelivered(name string, offset, length, delivered int64) error {
+	size, err := c.Size(name)
+	if err != nil {
+		return err
+	}
+	want := size - offset
+	if length >= 0 {
+		want = min(want, length)
+	}
+	if delivered != want {
+		return fmt.Errorf("%w: delivered %d bytes, SIZE bounds the region at %d", ErrDataProtocol, delivered, want)
+	}
+	return nil
 }
 
 // StorFrom uploads size bytes read from r (size < 0 when unknown; it
-// is informational only — the server is not told it; ROADMAP 1(b),
-// ALLO, is where it would be). Memory stays bounded at a few MODE E
+// is informational only — the server is not told it; ROADMAP item
+// 21(c) is where it would be). Memory stays bounded at a few MODE E
 // blocks per stream regardless of object size.
 func (c *Client) StorFrom(ctx context.Context, name string, r io.Reader, size int64, opts ...Option) (TransferStats, error) {
 	return c.StorFromAt(ctx, name, r, 0, size, opts...)
@@ -255,9 +337,8 @@ func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, offse
 
 // store is the client's one upload engine, instrumented as op like
 // retrieve. It sends r as the named object's bytes from offset onward
-// (REST+STOR when offset > 0) over parallelism connections to one PASV
-// listener, or one connection per SPAS stripe when striped. opts are
-// applied first, as in retrieve.
+// (REST+STOR when offset > 0) over the connections dataChans provides,
+// as retrieve does. opts are applied first, as in retrieve.
 func (c *Client) store(ctx context.Context, op, name string, r io.Reader, striped bool, offset int64, opts []Option) (stats TransferStats, err error) {
 	if err := c.ApplyOptions(opts...); err != nil {
 		return TransferStats{}, err
@@ -273,10 +354,13 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	addrs, err := c.dataAddrs(striped)
+	chans, addrs, err := c.dataChans(striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
+	var rep Reply // the 226, which says whether to keep chans and bufs
+	var bufs [][]byte
+	defer func() { c.keep(rep, chans, striped, bufs, err) }()
 	start := time.Now()
 	if offset > 0 {
 		if _, err := c.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
@@ -286,7 +370,7 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if _, err := c.do("STOR", "STOR "+name, 150); err != nil {
 		return TransferStats{}, err
 	}
-	n := len(addrs)
+	n := max(len(chans), len(addrs))
 	// Upload blocks must fit inside the receiver's reassembly window
 	// (a block larger than the window is a protocol error there), so
 	// the chunk size follows the client's own window setting: a peer
@@ -302,15 +386,23 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	// The reader goroutine frames framesPerWrite blocks of r in place in
 	// a buffer (the first payload at payloadAt) for a sender's one Write.
 	// The free list caps in-flight buffers at two per stream, the upload
-	// path's whole memory budget.
+	// path's whole memory budget; it starts from the buffers kept with
+	// the connections, when they are of this size.
 	type batch struct {
 		buf     []byte
 		payload int
 	} // frames from hdrAt on
 	per := framesPerWrite(blockSize)
+	size := hdrAt + per*(modeEHeaderLen+blockSize)
 	free := make(chan []byte, 2*n)
+	bufs, c.bufs = c.bufs, nil
 	for i := 0; i < 2*n; i++ {
-		free <- make([]byte, hdrAt+per*(modeEHeaderLen+blockSize))
+		if k := len(bufs) - 1; k >= 0 && len(bufs[k]) == size {
+			free <- bufs[k]
+			bufs = bufs[:k]
+		} else {
+			free <- make([]byte, size)
+		}
 	}
 	frames := make(chan batch, n)
 	stopc := make(chan struct{})
@@ -347,7 +439,9 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 					pos += uint64(m)
 				}
 			}
-			if b.payload > 0 {
+			if b.payload == 0 {
+				free <- buf // its slot is free: the buffer came from there
+			} else {
 				select {
 				case frames <- b:
 				case <-stopc:
@@ -362,9 +456,9 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 			}
 		}
 	}()
-	err = c.pumpConns(ctx, addrs, sp, func(error) { stopSend() }, func(conn net.Conn) error {
+	chans, err = c.pumpConns(ctx, chans, addrs, sp, func(error) { stopSend() }, func(dc *dataChan) error {
 		for b := range frames {
-			if _, err := conn.Write(b.buf[hdrAt:]); err != nil {
+			if _, err := dc.conn.Write(b.buf[hdrAt:]); err != nil {
 				return err
 			}
 			// Payload counts only once its frames reached the socket:
@@ -376,7 +470,7 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 				return ctx.Err()
 			}
 		}
-		return WriteBlock(conn, Block{Desc: DescEOD})
+		return WriteBlock(dc.conn, Block{Desc: DescEOD})
 	})
 	stopSend()
 	stats = c.stats(sent.Load(), start, n, striped)
@@ -404,8 +498,9 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 		c.drainReply()
 		return stats, fmt.Errorf("gridftp: reading upload source: %w", srcErr)
 	}
-	if _, err := c.expect("STOR-complete", 226); err != nil {
-		return stats, err
+	for bufs = bufs[:0]; len(free) > 0; {
+		bufs = append(bufs, <-free)
 	}
-	return stats, nil
+	rep, err = c.expect("STOR-complete", 226)
+	return stats, err
 }

@@ -373,7 +373,7 @@ func TestWindowSinkWritesUnchanged(t *testing.T) {
 
 // TestWindowInOrderNeverBuffers: a transfer whose blocks all arrive in
 // order — one stream drained off a connection, or a one-block object —
-// never makes the ring. Seen from outside, the whole transfer allocates
+// never holds a run. Seen from outside, the whole transfer allocates
 // far less than the 8 MiB window it is bounded by.
 func TestWindowInOrderNeverBuffers(t *testing.T) {
 	const window, blockLen = 8 << 20, 64 << 10

@@ -159,7 +159,8 @@ func testFramesOnWire(t *testing.T, block int) {
 				per := framesPerWrite(block)
 				wantWrites[frames] = max((len(stripe)+per-1)/per, 1)
 			}
-			for _, wc := range rec.take() {
+			retrConns := rec.take()
+			for _, wc := range retrConns {
 				written, _, writes := wc.seen()
 				frames := string(written)
 				sent = append(sent, frames)
@@ -180,8 +181,10 @@ func testFramesOnWire(t *testing.T, block int) {
 			// Blocks go to whichever connection is free, so each
 			// connection's bytes must be WriteBlock's frames of the
 			// blocks it carried, and together they carry every block once.
+			// The STOR runs over the channels the RETR kept, which read
+			// nothing before it.
 			var carried []Block
-			conns := rec.take()
+			conns := append(retrConns, rec.take()...)
 			if len(conns) != streams {
 				t.Fatalf("%s: STOR used %d connections", name, len(conns))
 			}
