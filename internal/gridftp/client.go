@@ -42,6 +42,8 @@ var ErrDesynced = errors.New("gridftp: control channel desynced by earlier failu
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
+	wbuf []byte   // the command send writes
+	peek idlePeek // CheckIdle's look at conn
 
 	parallelism    int
 	controlTimeout time.Duration
@@ -149,15 +151,16 @@ func (c *Client) Close() error {
 
 // cmd sends one command and reads its reply.
 func (c *Client) cmd(line string) (Reply, error) {
-	if err := c.send(line); err != nil {
+	if err := c.send(line, ""); err != nil {
 		return Reply{}, err
 	}
 	return c.readReply()
 }
 
-// send writes one command without reading its reply. A failed write
-// leaves the command's fate unknown, so it desyncs c.
-func (c *Client) send(line string) error {
+// send writes one command, verb then arg, without reading its reply; it
+// is composed in the client's command buffer, so it costs no string. A
+// failed write leaves the command's fate unknown, so it desyncs c.
+func (c *Client) send(verb, arg string) error {
 	if c.desynced {
 		return ErrDesynced
 	}
@@ -167,7 +170,8 @@ func (c *Client) send(line string) error {
 	if c.controlTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.controlTimeout))
 	}
-	_, err := fmt.Fprintf(c.conn, "%s\r\n", line)
+	c.wbuf = append(append(append(c.wbuf[:0], verb...), arg...), "\r\n"...)
+	_, err := c.conn.Write(c.wbuf)
 	c.desynced = err != nil
 	return err
 }
@@ -291,7 +295,7 @@ func (c *Client) CheckIdle() error {
 	// The last reply left a read deadline behind; once it has passed, the
 	// peek would fail before it looks. The next command sets its own.
 	c.conn.SetReadDeadline(time.Time{})
-	switch stale, ok := peekStale(c.conn); {
+	switch stale, ok := c.peek.stale(c.conn); {
 	case !ok:
 		return c.Noop()
 	case stale:
@@ -589,22 +593,29 @@ func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (si
 		return -1, false, err
 	}
 	if offset > 0 {
-		rest := fmt.Sprintf("REST %d", offset)
-		if _, err := dst.do("REST", rest, 350); err != nil {
+		rest := strconv.FormatInt(offset, 10)
+		restAt := func(c *Client) error {
+			if err := c.send("REST ", rest); err != nil {
+				return err
+			}
+			_, err := c.expect("REST", 350)
+			return err
+		}
+		if err := restAt(dst); err != nil {
 			return -1, false, err
 		}
-		if _, err := src.do("REST", rest, 350); err != nil {
+		if err := restAt(src); err != nil {
 			dst.desynced = true // its REST is pending and would shift its next STOR
 			return -1, false, err
 		}
 	}
-	if err := dst.send("STOR " + dstName); err != nil {
+	if err := dst.send("STOR ", dstName); err != nil {
 		return -1, false, err
 	}
 	// From here dst may be mid-transfer and owe a completion reply;
 	// every early exit that saw its 150 must drain it or the next
 	// command on dst would read a stale 425/426 as its own reply.
-	serr := src.send("RETR " + srcName)
+	serr := src.send("RETR ", srcName)
 	_, derr := dst.expect("STOR", 150)
 	var opening Reply
 	if serr == nil {

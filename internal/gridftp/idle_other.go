@@ -4,6 +4,8 @@ package gridftp
 
 import "net"
 
-// peekStale has no socket to look at off unix: CheckIdle falls back to
+// idlePeek has no socket to look at off unix: CheckIdle falls back to
 // NOOP.
-func peekStale(net.Conn) (stale, ok bool) { return false, false }
+type idlePeek struct{}
+
+func (*idlePeek) stale(net.Conn) (stale, ok bool) { return false, false }

@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"io"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -225,15 +226,24 @@ func resultLabel(err error) string {
 	return "ok"
 }
 
-// transferCtx carries one transfer attempt's instrumentation: its span,
-// the wall-clock start, and the wire-byte tally the failure path
-// reports as the partial byte count.
+// transferCtx carries one transfer attempt's instrumentation — its
+// span, the wall-clock start, and the wire-byte tally the failure path
+// reports as the partial byte count — and its direction's state.
 type transferCtx struct {
-	op    string
-	start time.Time
-	span  *telemetry.Span
-	wire  atomic.Int64
-	conns int
+	op     string
+	name   string
+	offset int64 // the region's start: REST or ERET
+	start  time.Time
+	span   *telemetry.Span
+	wire   atomic.Int64
+	conns  int
+	// A RETR's pinned source and region length (-1 on a STOR); a STOR's
+	// window, its sink and its claim (see claimPut). asm is nil on a RETR.
+	src    io.ReaderAt
+	region int64
+	asm    *WindowAssembler
+	sink   regionSink
+	claim  chan struct{}
 	// stripes is the usage record's stripe count: the listeners of an
 	// armed SPAS, else one.
 	stripes int

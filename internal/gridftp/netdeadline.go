@@ -37,11 +37,11 @@ type instrumentedConn struct {
 // spent by it; every byte still passes both layers, so counted bytes
 // are exactly the rate-enforced bytes, and throttle stalls land on the
 // span. ctx bounds in-flight throttle waits.
-func wrapDataConn(ctx context.Context, c instrumentedConn, lim *pacing.Limiter) net.Conn {
+func wrapDataConn(ctx context.Context, c *instrumentedConn, lim *pacing.Limiter) net.Conn {
 	if lim == nil {
-		return &c
+		return c
 	}
-	return pacing.WrapConn(ctx, &c, lim, c.span.AddThrottleWait)
+	return pacing.WrapConn(ctx, c, lim, c.span.AddThrottleWait)
 }
 
 func (c *instrumentedConn) Read(p []byte) (int, error) {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -171,8 +172,9 @@ func (s *Server) addConn(c net.Conn) (int, bool) {
 
 // claimPut makes name one STOR's to write, waiting up to the accept
 // timeout for another session's STOR of it to settle: two puts of one
-// object would interleave its regions. unclaim ends the claim.
-func (s *Server) claimPut(name string) (unclaim func(), ok bool) {
+// object would interleave its regions. unclaim(name, done) ends the
+// claim.
+func (s *Server) claimPut(name string) (done chan struct{}, ok bool) {
 	var timeout <-chan time.Time
 	s.mu.Lock()
 	for busy := s.stors[name]; busy != nil; busy = s.stors[name] {
@@ -187,15 +189,18 @@ func (s *Server) claimPut(name string) (unclaim func(), ok bool) {
 		}
 		s.mu.Lock()
 	}
-	done := make(chan struct{})
+	done = make(chan struct{})
 	s.stors[name] = done
 	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(s.stors, name)
-		s.mu.Unlock()
-		close(done)
-	}, true
+	return done, true
+}
+
+// unclaim ends a claim claimPut made, waking the STORs waiting on it.
+func (s *Server) unclaim(name string, done chan struct{}) {
+	s.mu.Lock()
+	delete(s.stors, name)
+	s.mu.Unlock()
+	close(done)
 }
 
 // dropConn removes a session connection from its shard.
@@ -407,6 +412,15 @@ type session struct {
 	// gauge (the effective rate last published); only the session
 	// goroutine mutates it, and teardown retracts it.
 	pubRate int64
+
+	// Kept across transfers, so a transfer allocates none of them: the
+	// transfer in flight, its pumps' outcomes and all but its first pump,
+	// the usage records' client host, and a STOR window's park hook.
+	tx     transferCtx
+	errs   []error
+	pumps  sync.WaitGroup
+	remote string
+	onPark func(offset uint64)
 }
 
 // applyRate rebinds the session bucket to the effective rate eff. An
@@ -461,19 +475,31 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-func (sess *session) reply(code int, text string) { sess.replyLines(code, nil, text) }
+func (sess *session) reply(code int, text string) { sess.replyLines(code, nil, text, -1, "") }
 
 // replyLines writes a reply under a write deadline, so a client that
-// stops reading cannot pin the session goroutine.
-func (sess *session) replyLines(code int, lines []string, last string) {
+// stops reading cannot pin the session goroutine. Its last line carries
+// n and tail as replyLine describes.
+func (sess *session) replyLines(code int, lines []string, last string, n int64, tail string) {
 	if idle := sess.srv.cfg.IdleTimeout; idle > 0 {
 		sess.conn.SetWriteDeadline(time.Now().Add(idle))
 	}
 	for _, l := range lines {
-		fmt.Fprintf(sess.w, "%d-%s\r\n", code, l)
+		sess.replyLine(code, '-', l, -1, "")
 	}
-	fmt.Fprintf(sess.w, "%d %s\r\n", code, last)
+	sess.replyLine(code, ' ', last, n, tail)
 	sess.w.Flush()
+}
+
+// replyLine writes one line: code, sep and text, then " (n bytes)" when
+// n >= 0, then tail. It is composed in the writer's free buffer, so a
+// reply costs no string.
+func (sess *session) replyLine(code int, sep byte, text string, n int64, tail string) {
+	b := append(strconv.AppendInt(sess.w.AvailableBuffer(), int64(code), 10), sep)
+	if b = append(b, text...); n >= 0 {
+		b = append(strconv.AppendInt(append(b, " ("...), n, 10), " bytes)"...)
+	}
+	sess.w.Write(append(append(b, tail...), "\r\n"...))
 }
 
 // dispatch runs one command: the session state decides it, and the
@@ -499,7 +525,7 @@ func (sess *session) dispatch(verb, arg string) bool {
 	case effRate:
 		sess.applyRate(e.rate)
 	}
-	sess.replyLines(e.code, e.lines, e.text)
+	sess.replyLines(e.code, e.lines, e.text, -1, "")
 	return e.kind == effQuit
 }
 
@@ -547,7 +573,7 @@ func (sess *session) arm(t dataTarget) bool {
 	for _, a := range addrs {
 		lines = append(lines, " "+a)
 	}
-	sess.replyLines(229, lines, "end")
+	sess.replyLines(229, lines, "end", -1, "")
 	return true
 }
 
@@ -573,7 +599,7 @@ func (sess *session) query(e effect) {
 		for _, n := range names {
 			lines = append(lines, " "+n)
 		}
-		sess.replyLines(250, lines, fmt.Sprintf("%d objects", len(names)))
+		sess.replyLines(250, lines, fmt.Sprintf("%d objects", len(names)), -1, "")
 	default:
 		sess.cksm(e)
 	}
@@ -614,17 +640,20 @@ func parseHostPort(s string) (string, error) {
 
 // dataChan is one data connection, on either endpoint: the raw socket,
 // the frame buffers read and sent through it, and one transfer's
-// instrumented view of it (conn, which fr reads through). A server
-// transfer that is not striped and replies 226 keeps its dataChans as
-// the session's cached channels (see settle); a client keeps its own
-// when that 226 says so (see Client.keep).
+// instrumented view of it (conn, which fr reads through: ic, refilled
+// per transfer, under any pacing). A server transfer that is not
+// striped and replies 226 keeps its dataChans as the session's cached
+// channels (see settle); a client keeps its own when that 226 says so
+// (see Client.keep).
 type dataChan struct {
 	raw    net.Conn
 	stripe string
+	ic     instrumentedConn
 	conn   net.Conn
 	fr     frameReader // bytes read past an EOD stay for the next transfer
 	send   []byte      // sendStoreRegion's frame buffer
 	cached bool        // counted in the cached-channels gauge
+	peek   idlePeek    // the client's stale check of raw (see idleChans)
 }
 
 // close drops the channel and its share of the cached-channels gauge;
@@ -660,14 +689,15 @@ func (sess *session) dataConns(tx *transferCtx, t dataTarget) ([]*dataChan, erro
 		shaped = met.shapedBytes(tx.op)
 	}
 	wrap := func(dc *dataChan) *dataChan {
-		dc.conn = wrapDataConn(context.Background(), instrumentedConn{
+		dc.ic = instrumentedConn{
 			Conn:   dc.raw,
 			idle:   sess.srv.cfg.DataTimeout,
 			wire:   &tx.wire,
 			live:   met.hub.LiveCounter(dc.stripe),
 			span:   tx.span,
 			shaped: shaped,
-		}, lim)
+		}
+		dc.conn = wrapDataConn(context.Background(), &dc.ic, lim)
 		dc.fr.r = dc.conn
 		return dc
 	}
@@ -737,57 +767,40 @@ func (sess *session) dropTarget() {
 // beginTransfer opens one transfer attempt's instrumentation: the
 // phase span (data_setup -> stream -> teardown) and the wire-byte
 // tally the failure path reports as the partial count. With telemetry
-// off the span is nil and every operation on it is a no-op.
+// off the span is nil and every operation on it is a no-op. The
+// session's one transfer record is reset for it.
 func (sess *session) beginTransfer(e effect) *transferCtx {
-	tx := &transferCtx{
+	sess.tx = transferCtx{
 		op:      e.op,
+		name:    e.name,
+		offset:  e.offset,
 		start:   time.Now(),
 		span:    sess.srv.met.hub.Span(e.op, e.name, telemetry.PhaseSetup),
 		stripes: max(e.target.n, 1),
 	}
+	tx := &sess.tx
 	if trace := sess.st.trace; trace.TraceID != "" {
 		tx.span.SetTrace(trace.TraceID, trace.ParentSID)
 	}
 	return tx
 }
 
-// direction is what differs between RETR and STOR inside the one
-// transfer skeleton; a transfer's open step returns it.
-type direction struct {
-	// opening is the 150 text. A RETR's announces the region length in
-	// the wu-ftpd form "(N bytes)", so a client learns the size it is
-	// about to receive without a SIZE round trip.
-	opening string
-	// pump moves data connection i of n's share of the object, all n
-	// at once: connection 0 on the session goroutine, each other on its
-	// own. The skeleton closes or keeps every dc after.
-	pump func(i, n int, dc *dataChan) error
-	// abort, when set, is told the first pump error so sibling pumps
-	// parked on shared state wake.
-	abort func(error)
-	// done receives the data phase's outcome, releases what open
-	// acquired — the pinned source, or the put, sealed on 226 and
-	// aborted otherwise — and returns the transfer's final outcome.
-	done func(code int, msg string) (int, string)
-}
-
 // transfer runs a transfer effect through the skeleton every RETR,
 // ERET and STOR shares: open the source or sink -> 150 -> data
-// connections -> one pump per connection -> wait -> settle. A transfer
-// the state rejected settles at once; open reports a nonzero code to
-// reject it before any data connection is made, having released
-// whatever it acquired by then.
+// connections -> one pump per connection -> wait -> finish -> settle.
+// Opening leaves the direction's state in tx, or rejects the transfer
+// with a nonzero code, having released what it acquired by then.
 func (sess *session) transfer(e effect) {
 	tx := sess.beginTransfer(e)
 	code, msg := e.code, e.text
 	if code == 0 {
-		open := sess.openRetr
 		if e.op == "stor" {
-			open = sess.openStor
+			code, msg = sess.openStor(tx)
+		} else {
+			tx.src, tx.region, code, msg = sess.srv.openRegion(e.name, e.offset, e.length)
 		}
-		var d direction
-		if d, code, msg = open(tx, e); code == 0 {
-			code, msg = d.done(sess.moveData(tx, e.target, d))
+		if code == 0 {
+			code, msg = sess.finish(sess.moveData(tx, e.target))
 		}
 	}
 	sess.settle(tx, code, msg)
@@ -795,9 +808,12 @@ func (sess *session) transfer(e effect) {
 
 // moveData is the data phase: it announces the transfer, establishes
 // the data connections, runs one pump per connection, and reports 226,
-// 425 (no data connection) or 426 (a pump failed).
-func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, string) {
-	sess.reply(150, d.opening)
+// 425 (no data connection) or 426 (a pump failed). A RETR's 150
+// announces the region length in the wu-ftpd form "(N bytes)", so a
+// client learns the size it is about to receive without a SIZE round
+// trip.
+func (sess *session) moveData(tx *transferCtx, t dataTarget) (int, string) {
+	sess.replyLines(150, nil, "opening data connection", tx.region, "")
 	chans, err := sess.dataConns(tx, t)
 	if err != nil {
 		return 425, "data connection failed: " + err.Error()
@@ -805,25 +821,16 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, 
 	tx.conns = len(chans)
 	tx.span.SetStreams(len(chans))
 	tx.span.Phase(telemetry.PhaseStream)
-	errs := make([]error, len(chans))
-	pump := func(i int) {
-		if errs[i] = d.pump(i, len(chans), chans[i]); errs[i] != nil {
-			if d.abort != nil {
-				d.abort(errs[i])
-			}
-			chans[i].close(sess.srv.met) // the peer sees the failure now
-		}
-	}
-	var wg sync.WaitGroup
+	sess.errs = slices.Grow(sess.errs[:0], len(chans))[:len(chans)]
 	for i := 1; i < len(chans); i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); pump(i) }()
+		sess.pumps.Add(1)
+		go func() { defer sess.pumps.Done(); sess.pump(tx, chans, i) }()
 	}
-	pump(0)
-	wg.Wait()
+	sess.pump(tx, chans, 0)
+	sess.pumps.Wait()
 	tx.span.Phase(telemetry.PhaseTeardown)
 	tx.keep = chans // settle keeps them on a 226, or closes them
-	for _, e := range errs {
+	for _, e := range sess.errs {
 		if e != nil {
 			return 426, "transfer aborted: " + e.Error()
 		}
@@ -837,12 +844,28 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget, d direction) (int, 
 	return 226, "transfer complete"
 }
 
+// pump moves chans[i]'s share of the transfer: a RETR's every
+// len(chans)-th block, or a STOR's drain into the window. A failure
+// aborts the window, waking parked siblings, and closes chans[i] so
+// the peer sees it now.
+func (sess *session) pump(tx *transferCtx, chans []*dataChan, i int) {
+	dc, n, err := chans[i], len(chans), error(nil)
+	if tx.asm == nil {
+		bs := sess.srv.cfg.BlockSize
+		dc.send, err = sendStoreRegion(tx.src, dc.conn, dc.send, tx.offset, tx.region, bs, i*bs, n*bs)
+	} else if _, err = tx.asm.drain(&dc.fr, n, uint64(sess.srv.cfg.MaxObjectSize)); err != nil {
+		tx.asm.Abort(err) // first error wins
+	}
+	if sess.errs[i] = err; err != nil {
+		dc.close(sess.srv.met)
+	}
+}
+
 // settle ends a transfer attempt, and is the only code that writes a
 // completion reply. The reply goes last: by the time a client can act
 // on it the usage record exists, the metrics are published, the span is
 // in the hub's ended ring, and the data listeners are closed (the
-// source snapshot and the put were released by the direction's done
-// step), and the transfer's data channels are cached on a 226, said so
+// source snapshot and the put were released by finish), and the transfer's data channels are cached on a 226, said so
 // in the reply, or closed. Unlike success-only Globus loggers a
 // failure still emits a usage record — carrying the error code and the
 // partial wire-byte count — so live failure rates are observable.
@@ -869,11 +892,13 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 			met.cachedChans.Inc()
 		}
 	}
+	tail := ""
 	if code == 226 && len(tx.keep) > 0 {
-		sess.cached, msg = tx.keep, msg+"; "+channelCached
+		sess.cached, tail = tx.keep, "; "+channelCached
 	}
+	tx.keep = nil
 	sess.st.settled(len(sess.cached))
-	sess.reply(code, msg)
+	sess.replyLines(code, nil, msg, -1, tail)
 }
 
 // openRegion pins the named object for reading and bounds the region
@@ -882,32 +907,36 @@ func (sess *session) settle(tx *transferCtx, code int, msg string) {
 // snapshots — so a concurrent Put can't interleave versions the way
 // per-block store lookups would — else per-read lookups against a
 // version-stable store. A nonzero code rejects the read with nothing
-// pinned; otherwise release must be called once the reads are done
+// pinned; otherwise release(src) must be called once the reads are done
 // (disk-backed snapshots are open file handles).
-func (s *Server) openRegion(name string, offset, length int64) (src io.ReaderAt, n int64, release func(), code int, msg string) {
+func (s *Server) openRegion(name string, offset, length int64) (src io.ReaderAt, n int64, code int, msg string) {
 	var size int64
 	var err error
-	release = func() {}
 	if s.snaps == nil {
 		src = storeReaderAt{s: s.reads, name: name}
 		size, err = s.cfg.Store.Size(name)
-	} else if src, size, err = s.snaps.SnapshotObject(name); err == nil {
-		if closer, ok := src.(io.Closer); ok {
-			release = func() { closer.Close() }
-		}
+	} else {
+		src, size, err = s.snaps.SnapshotObject(name)
 	}
 	switch {
 	case err != nil:
-		return nil, 0, nil, 550, err.Error()
+		return nil, 0, 550, err.Error()
 	case offset > size:
-		release()
-		return nil, 0, nil, 551, "offset beyond object size"
+		release(src)
+		return nil, 0, 551, "offset beyond object size"
 	}
 	n = size - offset
 	if length >= 0 && length < n {
 		n = length
 	}
-	return src, n, release, 0, ""
+	return src, n, 0, ""
+}
+
+// release ends openRegion's pin on src, closing a snapshot that has to be.
+func release(src io.ReaderAt) {
+	if c, ok := src.(io.Closer); ok {
+		c.Close()
+	}
 }
 
 // storeReaderAt adapts one object of a ReaderAtStore to io.ReaderAt,
@@ -927,12 +956,12 @@ func (r storeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // one block at a time, so checksumming costs a block of memory whatever
 // the object's size.
 func (sess *session) cksm(e effect) {
-	src, n, release, code, msg := sess.srv.openRegion(e.name, e.offset, e.length)
+	src, n, code, msg := sess.srv.openRegion(e.name, e.offset, e.length)
 	if code != 0 {
 		sess.reply(code, msg)
 		return
 	}
-	defer release()
+	defer release(src)
 	sum := crc32.NewIEEE()
 	region := io.NewSectionReader(src, e.offset, n)
 	if _, err := io.CopyBuffer(sum, region, make([]byte, sess.srv.cfg.BlockSize)); err != nil {
@@ -942,32 +971,41 @@ func (sess *session) cksm(e effect) {
 	sess.reply(213, fmt.Sprintf("%08x", sum.Sum32()))
 }
 
-// openRetr opens a RETR or ERET: it pins the object and streams its
-// region to the client across the data connections, interleaving MODE
-// E blocks round-robin (stripe i of n sends blocks i, i+n, i+2n, ...)
-// read straight from the pinned source — per-connection memory is one
-// block, not the object. A nonzero offset serves a restarted or
-// partial transfer; a negative length means to the end of the object.
-func (sess *session) openRetr(tx *transferCtx, e effect) (direction, int, string) {
-	src, regionLen, release, code, msg := sess.srv.openRegion(e.name, e.offset, e.length)
-	if code != 0 {
-		return direction{}, code, msg
+// finish takes the session transfer's data-phase outcome and returns
+// its final one, releasing what opening it acquired: a RETR's pinned
+// source; a STOR's claim, and on failure the store's per-put resources
+// (DirStore's open partial handle), though the flushed watermark that a
+// resume probes via SIZE survives. A STOR's 226 needs a complete window
+// and a sealed put.
+func (sess *session) finish(code int, msg string) (int, string) {
+	tx, srv := &sess.tx, sess.srv
+	if tx.asm == nil {
+		release(tx.src)
+		tx.src = nil
+		if code == 226 {
+			tx.size, tx.delivered = tx.region, tx.region
+		}
+		return code, msg
 	}
-	offset, bs := e.offset, sess.srv.cfg.BlockSize
-	return direction{
-		opening: fmt.Sprintf("opening data connection (%d bytes)", regionLen),
-		pump: func(i, n int, dc *dataChan) (err error) {
-			dc.send, err = sendStoreRegion(src, dc.conn, dc.send, offset, regionLen, bs, i*bs, n*bs)
-			return err
-		},
-		done: func(code int, msg string) (int, string) {
-			release()
-			if code == 226 {
-				tx.size, tx.delivered = regionLen, regionLen
-			}
-			return code, msg
-		},
-	}, 0, ""
+	asm := tx.asm
+	tx.delivered = asm.Delivered()
+	if asm.DuplicateBytes() > 0 {
+		tx.wireRec = asm.WireBytes()
+	}
+	if code == 226 {
+		tx.size = int64(asm.Flushed())
+		if err := asm.Finish(); err != nil {
+			code, msg = 426, "transfer aborted: "+err.Error()
+		} else if err := srv.puts.FinishPut(tx.name, tx.size); err != nil {
+			code, msg = 552, "store failed: "+err.Error()
+		}
+	}
+	if code != 226 && srv.aborts != nil {
+		_ = srv.aborts.AbortPut(tx.name)
+	}
+	srv.unclaim(tx.name, tx.claim)
+	tx.asm, tx.claim = nil, nil
+	return code, msg
 }
 
 // sendStoreRegion streams the object region [offset, offset+length) as
@@ -1032,8 +1070,8 @@ func (s *regionSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// openStor receives an object through a bounded reassembly window:
-// blocks from all data connections place into one shared window, every
+// openStor opens a STOR, which receives the object through a bounded
+// reassembly window: blocks from all data connections place into it, every
 // contiguous run flushes to the store immediately, and a connection
 // racing too far ahead parks until the window slides. Peak memory is
 // the held runs, the bytes copied beyond the watermark that no sibling
@@ -1044,64 +1082,34 @@ func (s *regionSink) Write(p []byte) (int, error) {
 // resume-aware client probes for.
 // A nonzero offset (REST) resumes such a partial: delivery starts at
 // that watermark, dropping any overlap the sender re-transmits.
-func (sess *session) openStor(tx *transferCtx, e effect) (direction, int, string) {
-	srv, name, offset := sess.srv, e.name, e.offset
-	unclaim, ok := srv.claimPut(name)
-	if !ok {
-		return direction{}, 450, "object busy: another STOR of it is in flight"
-	}
-	if err := srv.puts.BeginPut(name, offset); err != nil {
-		unclaim()
-		return direction{}, 554, "restart rejected: " + err.Error()
-	}
-	// Once BeginPut engaged, every path ends the claim and every
-	// failure path releases the store's per-put resources (DirStore's
-	// open partial handle). The flushed watermark itself survives the
-	// abort — it is the restart offset a resume probes via SIZE.
-	endPut := func(sealed bool) {
-		if !sealed && srv.aborts != nil {
-			_ = srv.aborts.AbortPut(name)
-		}
-		unclaim()
-	}
-	sink := &regionSink{sp: srv.puts, name: name, off: offset}
-	asm, err := NewWindowAssembler(sink, uint64(offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
+func (sess *session) openStor(tx *transferCtx) (int, string) {
+	srv := sess.srv
+	tx.sink, tx.region = regionSink{sp: srv.puts, name: tx.name, off: tx.offset}, -1 // a STOR's 150 announces no length
+	asm, err := NewWindowAssembler(&tx.sink, uint64(tx.offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
 	if err != nil {
-		endPut(false)
-		return direction{}, 451, err.Error()
+		return 451, err.Error()
 	}
-	if hub := srv.met.hub; hub != nil {
-		trace := sess.st.trace.TraceID
-		asm.OnPark = func(off uint64) {
-			hub.Event(trace, "block_parked", fmt.Sprintf("%s offset=%d", name, off))
+	if srv.met.hub != nil {
+		if sess.onPark == nil {
+			sess.onPark = sess.parked
 		}
+		asm.OnPark = sess.onPark
 	}
-	maxSize := uint64(srv.cfg.MaxObjectSize)
-	return direction{
-		opening: "opening data connection",
-		pump: func(_, n int, dc *dataChan) error {
-			_, err := asm.drain(&dc.fr, n, maxSize)
-			return err
-		},
-		// Wake siblings parked on the window; first error wins.
-		abort: asm.Abort,
-		done: func(code int, msg string) (int, string) {
-			tx.delivered = asm.Delivered()
-			if asm.DuplicateBytes() > 0 {
-				tx.wireRec = asm.WireBytes()
-			}
-			if code == 226 {
-				tx.size = int64(asm.Flushed())
-				if err := asm.Finish(); err != nil {
-					code, msg = 426, "transfer aborted: "+err.Error()
-				} else if err := srv.puts.FinishPut(name, tx.size); err != nil {
-					code, msg = 552, "store failed: "+err.Error()
-				}
-			}
-			endPut(code == 226)
-			return code, msg
-		},
-	}, 0, ""
+	claim, ok := srv.claimPut(tx.name)
+	if !ok {
+		return 450, "object busy: another STOR of it is in flight"
+	}
+	if err := srv.puts.BeginPut(tx.name, tx.offset); err != nil {
+		srv.unclaim(tx.name, claim)
+		return 554, "restart rejected: " + err.Error()
+	}
+	tx.asm, tx.claim = asm, claim
+	return 0, ""
+}
+
+// parked flight-records a block parked on the session's STOR window.
+func (sess *session) parked(off uint64) {
+	sess.srv.met.hub.Event(sess.st.trace.TraceID, "block_parked", fmt.Sprintf("%s offset=%d", sess.tx.name, off))
 }
 
 // logTransfer appends a usage record to the local log and ships it to
@@ -1122,14 +1130,16 @@ func (sess *session) logTransfer(tx *transferCtx, size int64, code int) {
 	if tx.op == "stor" {
 		typ = usagestats.Store
 	}
-	remote, _, _ := net.SplitHostPort(sess.conn.RemoteAddr().String())
+	if sess.remote == "" {
+		sess.remote, _, _ = net.SplitHostPort(sess.conn.RemoteAddr().String())
+	}
 	rec := usagestats.Record{
 		Type:        typ,
 		SizeBytes:   size,
 		Start:       start.UTC(),
 		DurationSec: time.Since(start).Seconds(),
 		ServerHost:  sess.srv.cfg.ServerHost,
-		RemoteHost:  remote,
+		RemoteHost:  sess.remote,
 		Streams:     streams,
 		Stripes:     stripes,
 		BufferBytes: sess.st.sbuf,

@@ -92,7 +92,8 @@ type MemStore struct {
 // region into the tail chunk's spare room, past every byte a reader can
 // see), and BeginPut truncates with the tail chunk's capacity pinned.
 // The chunks BeginPut cuts whole are spare for PutRegion to refill when
-// no snapshot pins the name; FinishPut and Put drop what is left.
+// no snapshot pins the name; FinishPut and Put drop what is left, and
+// keep the spare list's array for the next overwrite.
 type memObject struct {
 	chunks [][]byte
 	spare  [][]byte
@@ -139,7 +140,9 @@ func (m *MemStore) Put(name string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	m.mu.Lock()
-	m.objects[name] = memObject{chunks: [][]byte{cp}, size: int64(len(cp))}
+	spare := m.objects[name].spare
+	clear(spare)
+	m.objects[name] = memObject{chunks: [][]byte{cp}, spare: spare[:0], size: int64(len(cp))}
 	m.mu.Unlock()
 	return nil
 }
@@ -156,15 +159,18 @@ func (m *MemStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
 		return nil, 0, err
 	}
 	m.pins[name]++
-	o = memObject{chunks: append([][]byte(nil), o.chunks...), size: o.size}
-	return &memSnapshot{m: m, name: name, o: o}, o.size, nil
+	s := &memSnapshot{m: m, name: name, o: memObject{size: o.size}}
+	s.o.chunks = append(s.chunk0[:0:len(s.chunk0)], o.chunks...)
+	return s, o.size, nil
 }
 
-// memSnapshot is one pinned version of a MemStore object.
+// memSnapshot is one pinned version of a MemStore object: its own copy
+// of the chunk list, held in chunk0 when the object is one chunk.
 type memSnapshot struct {
 	m      *MemStore
 	name   string
 	o      memObject
+	chunk0 [1][]byte
 	closed bool // under m.mu
 }
 
@@ -308,7 +314,8 @@ func (m *MemStore) FinishPut(name string, size int64) error {
 	if o.size != size {
 		return fmt.Errorf("gridftp: finish size %d, stored %d bytes", size, o.size)
 	}
-	o.spare = nil
+	clear(o.spare)
+	o.spare = o.spare[:0]
 	m.objects[name] = o
 	return nil
 }

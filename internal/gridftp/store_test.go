@@ -241,6 +241,30 @@ func TestMemStoreSnapshotClose(t *testing.T) {
 	}
 }
 
+// TestMemStoreSpareListKept: an overwrite keeps the spare list's array
+// from the one before, so an unpinned overwrite of a 16 MiB object in
+// 64 KiB regions, whose 256 chunks all pass through the spare list,
+// allocates under 1 KiB. A list made afresh per overwrite is 6 KiB.
+func TestMemStoreSpareListKept(t *testing.T) {
+	const size, region, overwrites = 16 << 20, 64 << 10, 4
+	m := NewMemStore()
+	payloads := [][]byte{memPattern(1, size), memPattern(2, size)}
+	putRegions(t, m, "obj", 0, payloads[0], region)
+	putRegions(t, m, "obj", 0, payloads[1], region)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < overwrites; i++ {
+		putRegions(t, m, "obj", 0, payloads[i%2], region)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / overwrites; per >= 1<<10 {
+		t.Errorf("an unpinned overwrite of a %d-byte object in %d-byte regions allocates %d bytes, budget 1 KiB", size, region, per)
+	}
+	if got, err := m.Get("obj"); err != nil || !bytes.Equal(got, payloads[(overwrites-1)%2]) {
+		t.Fatalf("overwritten object differs (err=%v)", err)
+	}
+}
+
 // TestMemStoreSnapshotPinsRaceOverwrites runs the reuse path under
 // concurrency: readers snapshot, read twice and close while the writer
 // overwrites, so chunks pass from version to version as pins come and

@@ -91,7 +91,7 @@ func (c *Client) dataChans(striped bool) ([]*dataChan, []string, error) {
 func idleChans(chans []*dataChan) bool {
 	for _, dc := range chans {
 		dc.raw.SetReadDeadline(time.Time{}) // a passed deadline fails the peek
-		if stale, _ := peekStale(dc.raw); stale || dc.fr.at != dc.fr.n {
+		if stale, _ := dc.peek.stale(dc.raw); stale || dc.fr.at != dc.fr.n {
 			return false
 		}
 	}
@@ -172,7 +172,8 @@ func (c *Client) pumpConns(ctx context.Context, chans []*dataChan, addrs []strin
 				err = ctx.Err()
 			default:
 				// Each transfer wraps with its own deadline, span and pacing.
-				dc.conn = wrapDataConn(ctx, instrumentedConn{Conn: dc.raw, idle: c.dataTimeout, span: sp, shaped: shaped}, lim)
+				dc.ic = instrumentedConn{Conn: dc.raw, idle: c.dataTimeout, span: sp, shaped: shaped}
+				dc.conn = wrapDataConn(ctx, &dc.ic, lim)
 				dc.fr.r = dc.conn
 				err = pump(dc)
 			}

@@ -50,7 +50,7 @@ var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 // make redundant-retry traffic visible.
 type WindowAssembler struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // on mu
 	sink io.Writer
 
 	held    [][]heldRun // runs copied beyond the watermark, in chunks: sorted by offset, never overlapping
@@ -71,10 +71,15 @@ type WindowAssembler struct {
 
 	parkMax time.Duration
 	failed  error
+	// timer, made by the first wait, wakes every waiting placer at
+	// timerAt, the earliest of their deadlines (zero: not armed).
+	timer   *time.Timer
+	timerAt time.Time
 
-	loops    int      // drain loops announced; holds need two or more
-	finished int      // announced loops that have returned
-	waiting  []uint64 // offsets of the blocks placers are waiting with
+	loops    int       // drain loops announced; holds need two or more
+	finished int       // announced loops that have returned
+	waiting  []uint64  // offsets of the blocks placers are waiting with
+	waitBuf  [2]uint64 // waiting's array for up to two drain loops
 
 	// OnPark, when set, is invoked (under the assembler lock) the first
 	// time a PlaceBlocking call parks waiting for the window to slide,
@@ -139,7 +144,7 @@ func NewWindowAssembler(sink io.Writer, base uint64, size int64, window int, par
 		flushed: base,
 		parkMax: parkMax,
 	}
-	a.cond = sync.NewCond(&a.mu)
+	a.cond.L = &a.mu
 	return a, nil
 }
 
@@ -338,14 +343,14 @@ func (a *WindowAssembler) writeSink(p []byte) error {
 func (a *WindowAssembler) PlaceBlocking(b Block) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var timer *time.Timer
-	var deadline time.Time
-	mark, parked := a.flushed, false
 	defer func() {
-		if timer != nil {
-			timer.Stop()
+		if len(a.waiting) == 0 && a.timer != nil { // no placer waits
+			a.timer.Stop()
+			a.timerAt = time.Time{}
 		}
 	}()
+	var deadline time.Time
+	mark, parked := a.flushed, false
 	for {
 		hold := a.holdLocked(b)
 		if !hold {
@@ -358,21 +363,18 @@ func (a *WindowAssembler) PlaceBlocking(b Block) error {
 			}
 			parked = true
 		}
-		switch {
-		case timer == nil:
-			timer = time.AfterFunc(a.parkMax, a.wake)
-			deadline = time.Now().Add(a.parkMax)
-		case a.flushed != mark:
+		switch now := time.Now(); {
+		case deadline.IsZero() || a.flushed != mark:
 			// The window slid: the timeout bounds a wait without progress.
-			mark, deadline = a.flushed, time.Now().Add(a.parkMax)
-			timer.Reset(a.parkMax)
-		case !time.Now().Before(deadline):
+			mark, deadline = a.flushed, now.Add(a.parkMax)
+		case !now.Before(deadline):
 			if a.failed == nil {
 				a.failed = ErrWindowStalled
 				a.cond.Broadcast()
 			}
 			return ErrWindowStalled
 		}
+		a.armLocked(deadline)
 		a.waiting = append(a.waiting, b.Offset)
 		if !hold {
 			a.cond.Broadcast() // a loop holding for this one falls back
@@ -403,9 +405,25 @@ func (a *WindowAssembler) holdLocked(b Block) bool {
 	return idle < a.loops
 }
 
-// wake rouses every waiting placer to check its deadline.
+// armLocked has the timer fire by deadline; it is never re-armed
+// later, so no waiter's deadline is pushed back by another's.
+func (a *WindowAssembler) armLocked(deadline time.Time) {
+	if !a.timerAt.IsZero() && !deadline.Before(a.timerAt) {
+		return // it fires no later
+	}
+	a.timerAt = deadline
+	if a.timer == nil {
+		a.timer = time.AfterFunc(time.Until(deadline), a.wake)
+	} else {
+		a.timer.Reset(time.Until(deadline))
+	}
+}
+
+// wake rouses every waiting placer to check its deadline; each one
+// still waiting re-arms the timer for its own.
 func (a *WindowAssembler) wake() {
 	a.mu.Lock()
+	a.timerAt = time.Time{}
 	a.cond.Broadcast()
 	a.mu.Unlock()
 }
@@ -493,7 +511,7 @@ func (a *WindowAssembler) DrainConn(r io.Reader) (int64, error) {
 func (a *WindowAssembler) drain(fr *frameReader, loops int, maxSize uint64) (int64, error) {
 	a.mu.Lock()
 	if a.loops == 0 {
-		a.loops, a.waiting = loops, make([]uint64, 0, loops)
+		a.loops, a.waiting = loops, slices.Grow(a.waitBuf[:0], loops)
 	}
 	a.mu.Unlock()
 	defer func() {

@@ -671,3 +671,114 @@ func TestHoldLiveness(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowHoldAllocBudget: holds wait on the assembler's one timer,
+// not on a timer each. Two drain loops share 256 blocks, one taking the
+// even blocks and the other the odd, so each block a loop reads while
+// its sibling has yet to place the one before waits uncopied in its
+// frame buffer: about every other block holds. Both loops together
+// allocate at most the timer and its callback. The fewest of eight
+// trials counts, since the runtime's own timer heap grows now and then.
+func TestWindowHoldAllocBudget(t *testing.T) {
+	const blocks, blockLen = 256, 1 << 10
+	payload := randomPayload(blocks * blockLen)
+	var wires [2]bytes.Buffer
+	for i := 0; i < blocks; i++ {
+		WriteBlock(&wires[i%2], Block{Offset: uint64(i * blockLen), Data: payload[i*blockLen : (i+1)*blockLen]})
+	}
+	for i := range wires {
+		WriteBlock(&wires[i], Block{Desc: DescEOD})
+	}
+	best := uint64(1 << 62)
+	for trial := 0; trial < 8; trial++ {
+		out := bytes.NewBuffer(make([]byte, 0, len(payload)))
+		asm, err := NewWindowAssembler(out, 0, int64(len(payload)), len(payload), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, 2)
+		var wg sync.WaitGroup
+		for i := range wires {
+			fr := &frameReader{r: bytes.NewReader(wires[i].Bytes()), buf: make([]byte, minIOBytes)}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, err := asm.drain(fr, 2, unboundedEnd)
+				errs <- err
+			}()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		close(start)
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		for range wires {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := asm.Finish(); err != nil || !bytes.Equal(out.Bytes(), payload) || asm.copied != 0 {
+			t.Fatalf("finish: %v; delivered bytes equal the input: %v; copied %d bytes",
+				err, bytes.Equal(out.Bytes(), payload), asm.copied)
+		}
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best > 2 {
+		t.Errorf("two drain loops over %d interleaved blocks allocated %d times, budget 2", blocks, best)
+	}
+}
+
+// TestWindowSharedTimerKeepsEachDeadline: placers parked on one
+// assembler share its timer, and each still stalls at its own deadline.
+// The first of two placers parked half a park timeout apart fails about
+// one timeout after it parked, not pushed back to the second's
+// deadline; and Abort wakes both at once.
+func TestWindowSharedTimerKeepsEachDeadline(t *testing.T) {
+	const parkMax = time.Second
+	park := func(t *testing.T) (*WindowAssembler, [2]chan error, [2]time.Time) {
+		asm, err := NewWindowAssembler(io.Discard, 0, 4096, 1024, parkMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := make(chan struct{}, 2)
+		asm.OnPark = func(uint64) { parked <- struct{}{} }
+		var done [2]chan error
+		var at [2]time.Time
+		for i := range done {
+			if i > 0 {
+				time.Sleep(parkMax / 2)
+			}
+			done[i] = make(chan error, 1)
+			at[i] = time.Now()
+			go func() { done[i] <- asm.PlaceBlocking(Block{Offset: uint64(2048 + i), Data: []byte("y")}) }()
+			<-parked
+		}
+		return asm, done, at
+	}
+	t.Run("stall", func(t *testing.T) {
+		_, done, at := park(t)
+		err := <-done[0]
+		if d := time.Since(at[0]); !errors.Is(err, ErrWindowStalled) || d < parkMax || d > parkMax+parkMax/4 {
+			t.Fatalf("first placer ended with %v after %v, want ErrWindowStalled after its %v timeout", err, d, parkMax)
+		}
+		if err := <-done[1]; !errors.Is(err, ErrWindowStalled) {
+			t.Fatalf("second placer ended with %v, want ErrWindowStalled", err)
+		}
+	})
+	t.Run("abort", func(t *testing.T) {
+		asm, done, _ := park(t)
+		boom := errors.New("boom")
+		start := time.Now()
+		asm.Abort(boom)
+		for i := range done {
+			if err := <-done[i]; !errors.Is(err, boom) {
+				t.Fatalf("placer %d woke with %v, want boom", i, err)
+			}
+		}
+		if d := time.Since(start); d > parkMax/4 {
+			t.Fatalf("Abort woke the placers after %v", d)
+		}
+	})
+}

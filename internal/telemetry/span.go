@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -81,14 +82,27 @@ const (
 // completed span sum exactly to its wall time. All methods are
 // nil-safe and safe for concurrent use (data-path goroutines call
 // AddBytes while the control path switches phases).
+//
+// A span is write-once: End hands its snapshot to the log's ring
+// without copying it, sharing the span's arrays, and every mutator is a
+// no-op from then on, so a ring entry never changes.
 type Span struct {
 	log *SpanLog
 
-	mu      sync.Mutex
-	snap    SpanSnapshot
-	started []time.Time // phase start times, parallel to snap.Phases
-	done    bool
+	mu    sync.Mutex
+	snap  SpanSnapshot
+	begun time.Time // when the open phase started
+	done  bool
+
+	// Inline room for the first spanInline phases and the first
+	// timeline bin, so a transfer's span is one allocation.
+	phases [spanInline]PhaseSnapshot
+	bin0   [1]int64
 }
+
+// spanInline is how many phases a span holds without growing: a
+// server transfer's three and an error.
+const spanInline = 4
 
 // Phase closes the current phase and opens the named one.
 func (s *Span) Phase(p Phase) {
@@ -102,16 +116,14 @@ func (s *Span) Phase(p Phase) {
 		return
 	}
 	s.closePhaseLocked(now)
-	s.snap.Phases = append(s.snap.Phases, PhaseSnapshot{Name: p})
-	s.started = append(s.started, now)
+	s.snap.Phases = append(s.snap.Phases, PhaseSnapshot{Name: p, StartSec: s.log.sinceEpoch(now)})
+	s.begun = now
 }
 
-// closePhaseLocked stamps the open phase's start/duration at t.
+// closePhaseLocked stamps the open phase's duration at t.
 func (s *Span) closePhaseLocked(t time.Time) {
 	if n := len(s.snap.Phases); n > 0 {
-		ph := &s.snap.Phases[n-1]
-		ph.StartSec = s.log.sinceEpoch(s.started[n-1])
-		ph.DurationSec = t.Sub(s.started[n-1]).Seconds()
+		s.snap.Phases[n-1].DurationSec = t.Sub(s.begun).Seconds()
 	}
 }
 
@@ -123,6 +135,10 @@ func (s *Span) AddBytes(n int64) {
 	}
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done {
+		return
+	}
 	s.snap.Bytes += n
 	bin := int(now.Sub(s.snap.Start) / timelineBin)
 	if bin < 0 {
@@ -131,12 +147,13 @@ func (s *Span) AddBytes(n int64) {
 	if bin >= timelineMaxBins {
 		bin = timelineMaxBins - 1
 	}
-	if bin >= len(s.snap.TimelineBytes) {
-		s.snap.TimelineBytes = append(s.snap.TimelineBytes,
-			make([]int64, bin+1-len(s.snap.TimelineBytes))...)
+	if tl := s.snap.TimelineBytes; bin >= len(tl) {
+		if tl == nil {
+			tl = s.bin0[:0]
+		}
+		s.snap.TimelineBytes = slices.Grow(tl, bin+1-len(tl))[:bin+1]
 	}
 	s.snap.TimelineBytes[bin] += n
-	s.mu.Unlock()
 }
 
 // AddThrottleWait accumulates time a data connection spent stalled in
@@ -148,7 +165,9 @@ func (s *Span) AddThrottleWait(d time.Duration) {
 		return
 	}
 	s.mu.Lock()
-	s.snap.ThrottleWaitSec += d.Seconds()
+	if !s.done {
+		s.snap.ThrottleWaitSec += d.Seconds()
+	}
 	s.mu.Unlock()
 }
 
@@ -156,13 +175,16 @@ func (s *Span) AddThrottleWait(d time.Duration) {
 // of the remote parent that caused it (empty at the root), mints the
 // span's own 8-hex span ID, and returns it so callers can propagate
 // the parent link downstream. Repeated calls re-tag but keep the first
-// minted span ID.
+// minted span ID. An ended span keeps its tags.
 func (s *Span) SetTrace(traceID, parentSID string) (sid string) {
 	if s == nil {
 		return ""
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.done {
+		return s.snap.SID
+	}
 	if s.snap.SID == "" {
 		s.snap.SID = NewSpanID()
 	}
@@ -197,13 +219,16 @@ func (s *Span) SetStreams(n int) {
 		return
 	}
 	s.mu.Lock()
-	s.snap.Streams = n
+	if !s.done {
+		s.snap.Streams = n
+	}
 	s.mu.Unlock()
 }
 
 // End completes the span: the open phase is closed, a zero-length
-// "error" phase is appended when err != nil, and the span moves to the
-// log's completed ring. End is idempotent.
+// "error" phase is appended when err != nil, and the span's snapshot
+// moves to the log's completed ring, sharing the span's arrays, which
+// no later call changes. End is idempotent.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
@@ -228,8 +253,6 @@ func (s *Span) End(err error) {
 		s.snap.TimelineBinMS = timelineBin.Milliseconds()
 	}
 	snap := s.snap
-	snap.Phases = append([]PhaseSnapshot(nil), s.snap.Phases...)
-	snap.TimelineBytes = append([]int64(nil), s.snap.TimelineBytes...)
 	s.mu.Unlock()
 	s.log.complete(snap)
 }
@@ -282,10 +305,11 @@ func (l *SpanLog) Start(op, target string, first Phase) *Span {
 			Target:   target,
 			Start:    now,
 			StartSec: l.sinceEpoch(now),
-			Phases:   []PhaseSnapshot{{Name: first}},
 		},
-		started: []time.Time{now},
+		begun: now,
 	}
+	s.phases[0] = PhaseSnapshot{Name: first, StartSec: s.snap.StartSec}
+	s.snap.Phases = s.phases[:1]
 	return s
 }
 

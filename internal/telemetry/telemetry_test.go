@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -227,6 +228,59 @@ func TestSpanError(t *testing.T) {
 	last := s.Phases[len(s.Phases)-1]
 	if last.Name != PhaseError || last.DurationSec != 0 {
 		t.Fatalf("terminal phase = %+v, want zero-length error", last)
+	}
+}
+
+// TestSpanOneAllocation: a transfer's span — Start, two more phases,
+// its bytes and End — is one allocation, the Span itself; the ring
+// takes its snapshot without a copy.
+func TestSpanOneAllocation(t *testing.T) {
+	log := NewSpanLog(time.Now(), 4)
+	n := testing.AllocsPerRun(100, func() {
+		sp := log.Start("retr", "x.bin", PhaseSetup)
+		sp.Phase(PhaseStream)
+		sp.AddBytes(64 << 10)
+		sp.Phase(PhaseTeardown)
+		sp.End(nil)
+	})
+	if n > 1 {
+		t.Errorf("a span's lifecycle allocates %.0f times, want 1", n)
+	}
+}
+
+// TestSpanFrozenAfterEnd: the ring shares an ended span's arrays, so
+// nothing called on the span after End may show in Snapshot or ByTrace,
+// nor in what the span itself reports.
+func TestSpanFrozenAfterEnd(t *testing.T) {
+	const trace = "00112233445566aa"
+	log := NewSpanLog(time.Now(), 4)
+	sp := log.Start("retr", "x.bin", PhaseSetup)
+	sid := sp.SetTrace(trace, "")
+	sp.SetStreams(2)
+	sp.Phase(PhaseStream)
+	sp.AddBytes(100)
+	sp.End(nil)
+	snap, byTrace := log.Snapshot(), log.ByTrace(trace)
+	if len(snap) != 1 || len(byTrace) != 1 {
+		t.Fatalf("ring holds %d spans, %d under the trace; want 1 and 1", len(snap), len(byTrace))
+	}
+	sp.AddBytes(50)
+	sp.AddThrottleWait(time.Second)
+	sp.SetStreams(7)
+	sp.SetTrace("ffeeddccbbaa9988", "0badcafe")
+	sp.Phase(PhaseIdle)
+	sp.End(errors.New("late"))
+	if got := log.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Errorf("Snapshot changed after End:\n got %+v\nwant %+v", got, snap)
+	}
+	if got := log.ByTrace(trace); !reflect.DeepEqual(got, byTrace) {
+		t.Errorf("ByTrace changed after End:\n got %+v\nwant %+v", got, byTrace)
+	}
+	if got := log.ByTrace("ffeeddccbbaa9988"); got != nil {
+		t.Errorf("an ended span was re-tagged: %+v", got)
+	}
+	if gotTrace, gotSID := sp.Trace(); sp.Bytes() != 100 || gotTrace != trace || gotSID != sid {
+		t.Errorf("the ended span reports %d bytes, trace %s/%s; want 100, %s/%s", sp.Bytes(), gotTrace, gotSID, trace, sid)
 	}
 }
 

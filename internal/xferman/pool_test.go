@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -388,5 +389,49 @@ func TestPooledCopyControlRoundTrips(t *testing.T) {
 		if d := got[verb] - armed[verb]; d != 0 {
 			t.Errorf("%s: %d commands after the first job, want 0", verb, d)
 		}
+	}
+}
+
+// TestPooledJobAllocBudget guards what a steady-state pooled job
+// allocates, measured over Submit and Wait: 200 64 KiB third-party jobs
+// over one cached pair, with every process instrumented as the
+// benchmark's small_files is, cost at most 3.5 KiB each. The worker
+// refills its one run and Result, so a job costs its tracked record and
+// done channel, two pool leases, its options, and the engine's own
+// share (gridftp's TestSmallTransferAllocBudget). Warm-up jobs first
+// fill the rings that grow once: the read-job ring, the servers' usage
+// records and the span rings.
+func TestPooledJobAllocBudget(t *testing.T) {
+	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 3584
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}, rig.Objects{"obj": rig.Payload(6, size)})
+	dst := r.Server(gridftp.Config{})
+	hub := telemetry.NewHub()
+	pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: 1, KeepAlive: -1, Telemetry: hub,
+		Opts: func(string) []gridftp.Option { return []gridftp.Option{gridftp.WithTelemetry(hub)} }})
+	defer pool.Close()
+	m, err := New(1, WithPool(pool), WithTelemetry(hub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	job := Job{Src: ep(src), Dst: ep(dst), SrcName: "obj", DstName: "copy"}
+	for i := 0; i < warmup; i++ {
+		runJob(t, m, job)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		id, err := m.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := m.Wait(context.Background(), id); err != nil || res.Status != Succeeded || res.Bytes != size {
+			t.Fatalf("job %d: %v, status %v, %d bytes: %s", i, err, res.Status, res.Bytes, res.Err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / jobs; per > budget {
+		t.Errorf("a pooled %d-byte job allocates %d bytes, budget %d", size, per, budget)
 	}
 }

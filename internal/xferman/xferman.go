@@ -564,18 +564,21 @@ func (m *Manager) readLocked(id JobID, tr *tracked) {
 
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	// The worker's one run and Result, refilled per job. The run fills
+	// res, the worker's own copy of the job's result, published whole
+	// when the job settles: Result may read tr.result at any moment.
+	var res Result
+	r := &run{}
 	for id := range m.queue {
 		m.mu.Lock()
 		tr := m.jobs[id]
 		tr.result.Status = Running
-		// The run fills the worker's own copy, published whole when the
-		// job settles: Result may read tr.result at any moment.
-		res := tr.result
+		res = tr.result
 		m.mu.Unlock()
 		m.met.queueDepth.Dec()
 		m.met.running.Inc()
 
-		r := run{m: m, ctx: tr.ctx, job: res.Job, res: &res}
+		*r = run{m: m, ctx: tr.ctx, job: res.Job, res: &res}
 		start := time.Now()
 		err := r.execute()
 		res.Duration = time.Since(start)
@@ -598,8 +601,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// run is one job's execution state, private to the worker executing it.
-// The stages fill res — the job's own Result — in place.
+// run is one job's execution state, private to the worker executing it,
+// which keeps one and refills it per job. The stages fill res — the
+// worker's copy of the job's Result — in place.
 type run struct {
 	m    *Manager
 	ctx  context.Context
