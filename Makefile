@@ -60,7 +60,7 @@ FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrameReader \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
-	gridftp:FuzzSessionState pacing:FuzzBucketRefill core:FuzzSessionPolicy
+	gridftp:FuzzSessionState gridftp:FuzzSendBlocks pacing:FuzzBucketRefill core:FuzzSessionPolicy
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fz=$${t##*:}; \

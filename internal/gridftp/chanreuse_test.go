@@ -94,7 +94,7 @@ func TestRepeatedTransfersReuseDataChannels(t *testing.T) {
 // TestRepeatedRetrAllocBudget: once a session's data channels are
 // cached, a two-stream RetrTo of an 8 MiB MemStore object into
 // io.Discard, and a StorFrom over it, allocates at most 64 KiB across
-// client and server: no frame reader, send buffer or upload free list
+// client and server: no frame reader or frame buffer, on either end,
 // is made again. Each costs about 1.1 MB when every transfer opens its
 // own connections.
 func TestRepeatedRetrAllocBudget(t *testing.T) {

@@ -73,11 +73,10 @@ type Client struct {
 	// A Client holds at most one of two caches (see dropCache): peer,
 	// the Client whose last third-party transfer with this one ended in
 	// two cached-channel 226s (see ThirdPartyFrom), or chans, the data
-	// connections its own last transfer kept, with bufs, the upload
-	// buffers they were sent from (see keep).
+	// connections its own last transfer kept, with their frame buffers
+	// (see keep).
 	peer  *Client
 	chans []*dataChan
-	bufs  [][]byte
 }
 
 // Reply is a control-channel response.

@@ -591,3 +591,136 @@ func FuzzDrainConn(f *testing.F) {
 		}
 	})
 }
+
+// failingReaderAt serves data below at and fails any read that reaches
+// past it with err, after the bytes below.
+type failingReaderAt struct {
+	data []byte
+	at   int64
+	err  error
+}
+
+func (r failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > r.at {
+		return copy(p, r.data[off:max(off, r.at)]), r.err
+	}
+	return copy(p, r.data[off:]), nil
+}
+
+// FuzzSendBlocks runs 1–4 senders concurrently over one source: a
+// region at base of a bytes.Reader read as an io.ReaderAt, or an
+// io.Reader that returns short reads, either of which may fail partway.
+// Each connection's bytes must parse as frames at ascending offsets
+// ended by exactly one EOD; the frames together must be the region,
+// once, with the sent counter equal to it. A failure must reach every
+// sender, and no frame past it may be sent. A sender given a buffer
+// too small grows it; one given a full batch's buffer returns it.
+func FuzzSendBlocks(f *testing.F) {
+	for _, block := range []uint16{4 << 10, 0} { // 0: a 64 KiB block
+		bs := int(block)
+		if bs == 0 {
+			bs = minIOBytes
+		}
+		for _, size := range []int{0, 1, bs - 1, bs, 3*bs + 5, 40*bs + 3} {
+			for senders := uint8(1); senders <= 3; senders++ {
+				f.Add(uint32(size), block, senders, uint8(0), uint8(0), uint32(0))
+				f.Add(uint32(size), block, senders, uint8(1), uint8(3), uint32(0))
+			}
+		}
+	}
+	f.Add(uint32(10000), uint16(100), uint8(3), uint8(0), uint8(1), uint32(3001))
+	f.Add(uint32(10000), uint16(100), uint8(4), uint8(1), uint8(9), uint32(301))
+	f.Add(uint32(300), uint16(100), uint8(2), uint8(1), uint8(0), uint32(301))
+	f.Fuzz(func(t *testing.T, sizeRaw uint32, blockRaw uint16, sendersRaw, kind, baseRaw uint8, failRaw uint32) {
+		size := int(sizeRaw % (3 << 20))
+		bs := max(int(blockRaw), size>>14, 1) // at most 16Ki blocks
+		if blockRaw == 0 {
+			bs = minIOBytes
+		}
+		senders, base := int(sendersRaw)%4+1, int64(baseRaw)*7
+		payload := randomPayload(size)
+		boom := errors.New("source failed")
+		src := &blockSource{pos: base, blockSize: bs}
+		failAt := size + 1 // no failure
+		if kind%2 == 0 {
+			data := append(make([]byte, base), payload...)
+			src.end = base + int64(size)
+			src.at = bytes.NewReader(data)
+			if failRaw != 0 && int(failRaw-1)%(size+1) < size {
+				failAt = int(failRaw-1) % (size + 1)
+				src.at = failingReaderAt{data: data, at: base + int64(failAt), err: boom}
+			}
+		} else {
+			src.end = -1
+			src.r = iotest.HalfReader(bytes.NewReader(payload))
+			if failRaw != 0 {
+				failAt = int(failRaw-1) % (size + 1)
+				src.r = iotest.HalfReader(&failingReader{data: payload[:failAt], err: boom})
+			}
+		}
+		full := hdrAt + framesPerWrite(bs)*(modeEHeaderLen+bs) + modeEHeaderLen
+		wires := make([]bytes.Buffer, senders)
+		bufs := make([][]byte, senders)
+		errs := make([]error, senders)
+		var wg sync.WaitGroup
+		for i := range wires {
+			given := make([]byte, 8) // too small for any batch
+			if i%2 == 1 {
+				given = make([]byte, full)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bufs[i], errs[i] = sendBlocks(src, &wires[i], given)
+				if i%2 == 1 && &bufs[i][0] != &given[0] {
+					t.Errorf("sender %d was given a full batch's buffer and returned another", i)
+				}
+				if i%2 == 0 && errs[i] == nil && len(bufs[i]) <= len(given) {
+					t.Errorf("sender %d was given %d bytes and returned %d", i, len(given), len(bufs[i]))
+				}
+			}()
+		}
+		wg.Wait()
+		got := make([]byte, size)
+		covered, sent := 0, int64(0)
+		for i := range wires {
+			if failAt <= size {
+				if !errors.Is(errs[i], boom) {
+					t.Fatalf("sender %d returned %v after the source failed at %d", i, errs[i], failAt)
+				}
+			} else if errs[i] != nil {
+				t.Fatalf("sender %d: %v", i, errs[i])
+			}
+			r, last, eod := bytes.NewReader(wires[i].Bytes()), int64(-1), false
+			for r.Len() > 0 {
+				b, err := ReadBlock(r)
+				if err != nil || eod {
+					t.Fatalf("sender %d: frame after EOD %v, or unparsable: %v", i, eod, err)
+				}
+				if eod = b.Desc&DescEOD != 0; eod {
+					continue
+				}
+				off := int64(b.Offset) - base
+				if b.Desc != 0 || off <= last || off < 0 || off+int64(len(b.Data)) > int64(min(size, failAt)) {
+					t.Fatalf("sender %d: block [%d,%d) after %d, of %d bytes failing at %d", i, off, off+int64(len(b.Data)), last, size, failAt)
+				}
+				if !bytes.Equal(b.Data, payload[off:off+int64(len(b.Data))]) {
+					t.Fatalf("sender %d: block at %d does not carry the region's bytes", i, off)
+				}
+				last = off
+				copy(got[off:], b.Data)
+				covered += len(b.Data)
+				sent += int64(len(b.Data))
+			}
+			if eod != (errs[i] == nil) {
+				t.Fatalf("sender %d returned %v with an EOD sent: %v", i, errs[i], eod)
+			}
+		}
+		if sent != src.sent.Load() {
+			t.Fatalf("frames carry %d payload bytes, the sent counter %d", sent, src.sent.Load())
+		}
+		if failAt > size && (covered != size || !bytes.Equal(got, payload)) {
+			t.Fatalf("frames cover %d bytes of a %d-byte region", covered, size)
+		}
+	})
+}

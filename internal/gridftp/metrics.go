@@ -1,9 +1,8 @@
 package gridftp
 
 import (
-	"io"
+	"cmp"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -103,11 +102,7 @@ func (m *srvMetrics) command(verb string) {
 	if m.hub == nil {
 		return
 	}
-	label := "other"
-	if _, ok := verbs[verb]; ok {
-		label = strings.ToLower(verb)
-	}
-	m.commands.With(label).Inc()
+	m.commands.With(cmp.Or(verbs[verb].label, "other")).Inc()
 }
 
 // transferDone records one finished transfer attempt: result-split
@@ -237,10 +232,11 @@ type transferCtx struct {
 	span   *telemetry.Span
 	wire   atomic.Int64
 	conns  int
-	// A RETR's pinned source and region length (-1 on a STOR); a STOR's
-	// window, its sink and its claim (see claimPut). asm is nil on a RETR.
-	src    io.ReaderAt
+	// A RETR's region length (-1 on a STOR) and its senders' source,
+	// which holds the pinned store region; a STOR's window, its sink and
+	// its claim (see claimPut). asm is nil on a RETR.
 	region int64
+	blocks blockSource
 	asm    *WindowAssembler
 	sink   regionSink
 	claim  chan struct{}

@@ -13,10 +13,12 @@
 package gridftp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 )
 
@@ -132,6 +134,117 @@ const (
 // framesPerWrite is how many blockSize frames a sender packs into one
 // Write: enough for minIOBytes, and one for blocks that large.
 func framesPerWrite(blockSize int) int { return max(1, minIOBytes/blockSize) }
+
+// blockSource is the region a transfer's senders share, read from at,
+// a pinned store region, or else from r, whose EOF ends it. Each
+// sendBlocks call claims the next batch under mu, so whichever data
+// connection is free sends next, and every connection's offsets ascend.
+// The reads hold mu: r yields the region's bytes in turn, so a batch's
+// offsets are known only once it is read.
+type blockSource struct {
+	mu        sync.Mutex
+	at        io.ReaderAt
+	r         io.Reader
+	pos, end  int64 // the next block's offset; the region's end, < 0 when unknown
+	blockSize int
+	frameBuf  int          // a frame buffer's length, sized at the region's first claim
+	done      bool         // the region is claimed to its end
+	err       error        // the first failure, which every later claim returns
+	sent      atomic.Int64 // payload bytes whose frames were written
+}
+
+// fail records err as the source's first failure.
+func (s *blockSource) fail(err error) {
+	s.mu.Lock()
+	s.err = cmp.Or(s.err, err)
+	s.mu.Unlock()
+}
+
+// frame reads the block at pos into p after its header, heads it, and
+// returns the frame's length: 0 when an upload had no byte left, or
+// when the read failed, which it records as the source's error. The
+// caller holds mu.
+func (s *blockSource) frame(p []byte) int {
+	n := s.blockSize
+	if s.end >= 0 {
+		n = int(min(int64(n), s.end-s.pos))
+	}
+	var m int
+	var err error
+	if s.at != nil {
+		if m, err = s.at.ReadAt(p[modeEHeaderLen:modeEHeaderLen+n], s.pos); m < n {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			s.err = fmt.Errorf("gridftp: short store read at %d: %w", s.pos, err)
+			return 0
+		}
+	} else if m, err = io.ReadFull(s.r, p[modeEHeaderLen:modeEHeaderLen+n]); err == io.EOF || err == io.ErrUnexpectedEOF {
+		s.done = true
+	} else if err != nil {
+		s.err = fmt.Errorf("gridftp: reading upload source: %w", err)
+		return 0
+	}
+	if m == 0 {
+		return 0
+	}
+	putHeader(p, 0, m, uint64(s.pos))
+	s.pos += int64(m)
+	s.done = s.done || s.pos == s.end
+	return modeEHeaderLen + m
+}
+
+// sendBlocks is one data connection's MODE E sender. Under src's lock
+// it claims the next framesPerWrite blocks and frames them in buf; then
+// it writes the batch in one Write, until the region is claimed. The
+// batch that ends the region carries the EOD, and a connection that
+// finds it ended sends a bare one. Every sender's buffer holds one
+// batch of the region's largest block, whichever batches it claims:
+// buf when it is that large, and the buffer used is returned, for a
+// kept channel. A read or write failure, or one given to src.fail,
+// ends every sender at its next claim.
+func sendBlocks(src *blockSource, w io.Writer, buf []byte) ([]byte, error) {
+	bs := src.blockSize
+	if bs <= 0 {
+		return buf, fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
+	}
+	per := framesPerWrite(bs)
+	for {
+		src.mu.Lock()
+		if src.frameBuf == 0 {
+			batch, block := per, bs
+			if rem := src.end - src.pos; src.end >= 0 {
+				batch, block = max(1, min(batch, int((rem+int64(bs)-1)/int64(bs)))), int(min(int64(bs), rem))
+			}
+			src.frameBuf = hdrAt + batch*(modeEHeaderLen+block) + modeEHeaderLen
+		}
+		if len(buf) < src.frameBuf {
+			buf = make([]byte, src.frameBuf)
+		}
+		end, from := hdrAt, src.pos
+		src.done = src.done || src.pos == src.end
+		for k := 0; k < per && !src.done && src.err == nil; k++ {
+			end += src.frame(buf[end:])
+		}
+		last, payload, err := src.done, src.pos-from, src.err
+		src.mu.Unlock()
+		if err != nil {
+			return buf, err
+		}
+		if last {
+			putHeader(buf[end:], DescEOD, 0, 0)
+			end += modeEHeaderLen
+		}
+		if _, err := w.Write(buf[hdrAt:end]); err != nil {
+			src.fail(err)
+			return buf, err
+		}
+		src.sent.Add(payload)
+		if last {
+			return buf, nil
+		}
+	}
+}
 
 // frameReader reads a data connection's MODE E frames through one
 // buffer, of the largest frame plus a header or of minIOBytes, that is

@@ -63,17 +63,13 @@ func TestReadBlockOversized(t *testing.T) {
 	}
 }
 
-func TestSendStoreRegionGeometryValidation(t *testing.T) {
-	var buf bytes.Buffer
-	src := bytes.NewReader([]byte("x"))
-	if _, err := sendStoreRegion(src, &buf, nil, 0, 1, 0, 0, 1); err == nil {
-		t.Error("zero block size should fail")
-	}
-	if _, err := sendStoreRegion(src, &buf, nil, 0, 1, 1, -1, 1); err == nil {
-		t.Error("negative base should fail")
-	}
-	if _, err := sendStoreRegion(src, &buf, nil, 0, 1, 1, 0, 0); err == nil {
-		t.Error("zero step should fail")
+func TestSendBlocksValidation(t *testing.T) {
+	for _, bs := range []int{0, -1} {
+		var buf bytes.Buffer
+		src := &blockSource{at: bytes.NewReader([]byte("x")), end: 1, blockSize: bs}
+		if _, err := sendBlocks(src, &buf, nil); err == nil || buf.Len() != 0 {
+			t.Errorf("block size %d: err %v after %d bytes sent, want a failure before any", bs, err, buf.Len())
+		}
 	}
 }
 
@@ -107,16 +103,15 @@ func TestStripedReassemblyProperty(t *testing.T) {
 		payload := make([]byte, size)
 		rng.Read(payload)
 
-		// Render each stripe's byte stream, through one frame buffer as a
-		// cached channel would; last stripe first, so it has to grow.
+		// Render each stripe's byte stream: blocks i, i+stripes, ...
+		// ascending, then EOD.
 		streams := make([]*bytes.Buffer, stripes)
-		var frames []byte
-		for i := stripes - 1; i >= 0; i-- {
-			streams[i] = &bytes.Buffer{}
-			var err error
-			if frames, err = sendStoreRegion(bytes.NewReader(payload), streams[i], frames, 0, int64(size), block, i*block, stripes*block); err != nil {
-				return false
+		for i := range streams {
+			var stripe []Block
+			for off := i * block; off < size; off += stripes * block {
+				stripe = append(stripe, Block{Offset: uint64(off), Data: payload[off:min(off+block, size)]})
 			}
+			streams[i] = bytes.NewBuffer(referenceFrames(stripe))
 		}
 		windows := []int{2 * block, size}
 		if reverse {

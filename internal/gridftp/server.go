@@ -651,7 +651,7 @@ type dataChan struct {
 	ic     instrumentedConn
 	conn   net.Conn
 	fr     frameReader // bytes read past an EOD stay for the next transfer
-	send   []byte      // sendStoreRegion's frame buffer
+	send   []byte      // sendBlocks's frame buffer
 	cached bool        // counted in the cached-channels gauge
 	peek   idlePeek    // the client's stale check of raw (see idleChans)
 }
@@ -797,7 +797,8 @@ func (sess *session) transfer(e effect) {
 		if e.op == "stor" {
 			code, msg = sess.openStor(tx)
 		} else {
-			tx.src, tx.region, code, msg = sess.srv.openRegion(e.name, e.offset, e.length)
+			tx.blocks.at, tx.region, code, msg = sess.srv.openRegion(e.name, e.offset, e.length)
+			tx.blocks.pos, tx.blocks.end, tx.blocks.blockSize = e.offset, e.offset+tx.region, sess.srv.cfg.BlockSize
 		}
 		if code == 0 {
 			code, msg = sess.finish(sess.moveData(tx, e.target))
@@ -844,16 +845,15 @@ func (sess *session) moveData(tx *transferCtx, t dataTarget) (int, string) {
 	return 226, "transfer complete"
 }
 
-// pump moves chans[i]'s share of the transfer: a RETR's every
-// len(chans)-th block, or a STOR's drain into the window. A failure
-// aborts the window, waking parked siblings, and closes chans[i] so
-// the peer sees it now.
+// pump moves chans[i]'s share of the transfer: a RETR's batches as
+// that connection claims them, or a STOR's drain into the window. A
+// failure aborts the window, waking parked siblings, and closes
+// chans[i] so the peer sees it now.
 func (sess *session) pump(tx *transferCtx, chans []*dataChan, i int) {
-	dc, n, err := chans[i], len(chans), error(nil)
+	dc, err := chans[i], error(nil)
 	if tx.asm == nil {
-		bs := sess.srv.cfg.BlockSize
-		dc.send, err = sendStoreRegion(tx.src, dc.conn, dc.send, tx.offset, tx.region, bs, i*bs, n*bs)
-	} else if _, err = tx.asm.drain(&dc.fr, n, uint64(sess.srv.cfg.MaxObjectSize)); err != nil {
+		dc.send, err = sendBlocks(&tx.blocks, dc.conn, dc.send)
+	} else if _, err = tx.asm.drain(&dc.fr, len(chans), uint64(sess.srv.cfg.MaxObjectSize)); err != nil {
 		tx.asm.Abort(err) // first error wins
 	}
 	if sess.errs[i] = err; err != nil {
@@ -980,8 +980,8 @@ func (sess *session) cksm(e effect) {
 func (sess *session) finish(code int, msg string) (int, string) {
 	tx, srv := &sess.tx, sess.srv
 	if tx.asm == nil {
-		release(tx.src)
-		tx.src = nil
+		release(tx.blocks.at)
+		tx.blocks.at = nil
 		if code == 226 {
 			tx.size, tx.delivered = tx.region, tx.region
 		}
@@ -1006,51 +1006,6 @@ func (sess *session) finish(code int, msg string) (int, string) {
 	srv.unclaim(tx.name, tx.claim)
 	tx.asm, tx.claim = nil, nil
 	return code, msg
-}
-
-// sendStoreRegion streams the object region [offset, offset+length) as
-// MODE E blocks read directly from the store, in stripe geometry:
-// region-relative offsets base, base+step, base+2*step, ... each
-// carrying up to blockSize bytes framed at absolute file offsets (a
-// stripe with base=i*blockSize, step=n*blockSize sends every n-th
-// block). Frames are built in place in one buffer sized by the first
-// (largest) block, framesPerWrite to a Write, the last with the EOD.
-// The buffer is buf when that is large enough; the one used is
-// returned, for a cached channel to keep.
-func sendStoreRegion(s io.ReaderAt, w io.Writer, buf []byte, offset, length int64, blockSize, base, step int) ([]byte, error) {
-	if blockSize <= 0 {
-		return buf, fmt.Errorf("%w: non-positive block size", ErrDataProtocol)
-	}
-	if base < 0 || step <= 0 {
-		return buf, fmt.Errorf("%w: bad stripe geometry base=%d step=%d", ErrDataProtocol, base, step)
-	}
-	rem := max(length-int64(base), 0)
-	batch := max(1, min(int64(framesPerWrite(blockSize)), (rem+int64(step)-1)/int64(step)))
-	if need := int(hdrAt + batch*(modeEHeaderLen+min(int64(blockSize), rem)) + modeEHeaderLen); len(buf) < need {
-		buf = make([]byte, need)
-	}
-	end := hdrAt
-	for off, k := int64(base), int64(1); off < length; off, k = off+int64(step), k+1 {
-		n := min(int64(blockSize), length-off)
-		m, err := s.ReadAt(buf[end+modeEHeaderLen:end+modeEHeaderLen+int(n)], offset+off)
-		if int64(m) < n {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return buf, fmt.Errorf("gridftp: short store read at %d: %w", offset+off, err)
-		}
-		putHeader(buf[end:], 0, int(n), uint64(offset+off))
-		end += modeEHeaderLen + int(n)
-		if k%batch == 0 && off+int64(step) < length {
-			if _, err := w.Write(buf[hdrAt:end]); err != nil {
-				return buf, err
-			}
-			end = hdrAt
-		}
-	}
-	putHeader(buf[end:], DescEOD, 0, 0)
-	_, err := w.Write(buf[hdrAt : end+modeEHeaderLen])
-	return buf, err
 }
 
 // regionSink adapts a StreamPutter to the io.Writer a window assembler

@@ -87,6 +87,7 @@ type verbEntry struct {
 	open  bool // allowed before login
 	xfer  bool // a transfer verb: consumes the pending REST
 	apply func(st *sessionState, arg string) effect
+	label string // the verb's commands-counter label, lower case
 }
 
 var featLines = []string{"Extensions supported:",
@@ -186,6 +187,15 @@ var verbs = map[string]verbEntry{
 	}},
 	"STOR": {xfer: true, apply: func(st *sessionState, arg string) effect { return st.transfer("stor", arg, st.rest, -1) }},
 	"SITE": {apply: (*sessionState).site},
+}
+
+// init labels each verb for the commands counter once, so counting a
+// command allocates nothing.
+func init() {
+	for name, v := range verbs {
+		v.label = strings.ToLower(name)
+		verbs[name] = v
+	}
 }
 
 // apply decides one command.

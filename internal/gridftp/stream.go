@@ -9,7 +9,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gftpvc/internal/telemetry"
@@ -17,11 +16,13 @@ import (
 
 // This file is the client's data plane, one engine per direction:
 // retrieve delivers an object region into an io.Writer through a
-// bounded reassembly window, and store sends from an io.Reader in
-// block-size chunks — peak memory is at most a window (receive) or a
-// few blocks (send), independent of object size. RetrTo/RetrToAt and
-// StorFrom/StorFromAt expose them directly; the buffered Retr/Stor
-// families (client.go) are the same engines over a byte slice.
+// bounded reassembly window, and store sends an io.Reader through the
+// server's own sender, sendBlocks, whose connections claim its blocks
+// as they come free — peak memory is at most a window (receive) or a
+// frame buffer per connection (send), independent of object size.
+// RetrTo/RetrToAt and StorFrom/StorFromAt expose them directly; the
+// buffered Retr/Stor families (client.go) are the same engines over a
+// byte slice.
 
 // connSet tracks a transfer's open data connections so a context
 // cancellation can tear them down from outside the transfer
@@ -106,17 +107,16 @@ func closeChans(chans []*dataChan) {
 	}
 }
 
-// keep ends a transfer that ran over chans: it holds them, and the
-// upload buffers it sent from, for the next transfer when it succeeded
-// and its 226 says the server kept its ends too, and closes them
-// otherwise. Kept connections are c's one cache, so c.peer is nil (see
-// dropCache).
-func (c *Client) keep(rep Reply, chans []*dataChan, striped bool, bufs [][]byte, err error) {
+// keep ends a transfer that ran over chans: it holds them, with their
+// frame buffers, for the next transfer when it succeeded and its 226
+// says the server kept its ends too, and closes them otherwise. Kept
+// connections are c's one cache, so c.peer is nil (see dropCache).
+func (c *Client) keep(rep Reply, chans []*dataChan, striped bool, err error) {
 	if err != nil || striped || !strings.HasSuffix(rep.Text, channelCached) {
 		closeChans(chans)
 		return
 	}
-	c.chans, c.bufs = chans, bufs
+	c.chans = chans
 }
 
 // dropCache forgets both kinds of cache a Client holds: the third-party
@@ -126,7 +126,7 @@ func (c *Client) keep(rep Reply, chans []*dataChan, striped bool, bufs [][]byte,
 // channels on each of those, and the client never disagree about one.
 func (c *Client) dropCache() {
 	closeChans(c.chans)
-	c.peer, c.chans, c.bufs = nil, nil, nil
+	c.peer, c.chans = nil, nil
 }
 
 // pumpConns is the data phase both engines share: dial every data
@@ -134,7 +134,7 @@ func (c *Client) dropCache() {
 // on each connection concurrently, wait. abort is told the first
 // failure — a pump or dial error, or ctx's cancellation, which also
 // closes every open connection so blocked reads and writes fail at
-// once — so state the pumps share (a window, a chunk queue) releases
+// once — so state the pumps share (a window, a block source) releases
 // its waiters. It returns the connections, for keep, and nil with the
 // failure's root cause, having closed them all, when a pump failed.
 func (c *Client) pumpConns(ctx context.Context, chans []*dataChan, addrs []string, sp *telemetry.Span, abort func(error), pump func(*dataChan) error) ([]*dataChan, error) {
@@ -258,7 +258,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		return TransferStats{}, err
 	}
 	var opening, rep Reply // rep, the 226, says whether to keep chans
-	defer func() { c.keep(rep, chans, striped, nil, err) }()
+	defer func() { c.keep(rep, chans, striped, err) }()
 	n := max(len(chans), len(addrs))
 	start := time.Now()
 	switch {
@@ -323,8 +323,8 @@ func (c *Client) checkDelivered(name string, offset, length, delivered int64) er
 
 // StorFrom uploads size bytes read from r (size < 0 when unknown; it
 // is informational only — the server is not told it; ROADMAP item
-// 21(c) is where it would be). Memory stays bounded at a few MODE E
-// blocks per stream regardless of object size.
+// 21(c) is where it would be). Memory stays bounded at one batch of
+// MODE E blocks per stream regardless of object size.
 func (c *Client) StorFrom(ctx context.Context, name string, r io.Reader, size int64, opts ...Option) (TransferStats, error) {
 	return c.StorFromAt(ctx, name, r, 0, size, opts...)
 }
@@ -359,9 +359,8 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if err != nil {
 		return TransferStats{}, err
 	}
-	var rep Reply // the 226, which says whether to keep chans and bufs
-	var bufs [][]byte
-	defer func() { c.keep(rep, chans, striped, bufs, err) }()
+	var rep Reply // the 226, which says whether to keep chans
+	defer func() { c.keep(rep, chans, striped, err) }()
 	start := time.Now()
 	if offset > 0 {
 		if _, err := c.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
@@ -374,107 +373,15 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	n := max(len(chans), len(addrs))
 	// Upload blocks must fit inside the receiver's reassembly window
 	// (a block larger than the window is a protocol error there), so
-	// the chunk size follows the client's own window setting: a peer
+	// the block size follows the client's own window setting: a peer
 	// configured symmetrically always accepts our blocks, with room
 	// for four in flight before anything parks.
-	blockSize := c.windowSize / 4
-	if blockSize > 256<<10 {
-		blockSize = 256 << 10
-	}
-	if blockSize < 4<<10 {
-		blockSize = 4 << 10
-	}
-	// The reader goroutine frames framesPerWrite blocks of r in place in
-	// a buffer (the first payload at payloadAt) for a sender's one Write.
-	// The free list caps in-flight buffers at two per stream, the upload
-	// path's whole memory budget; it starts from the buffers kept with
-	// the connections, when they are of this size.
-	type batch struct {
-		buf     []byte
-		payload int
-	} // frames from hdrAt on
-	per := framesPerWrite(blockSize)
-	size := hdrAt + per*(modeEHeaderLen+blockSize)
-	free := make(chan []byte, 2*n)
-	bufs, c.bufs = c.bufs, nil
-	for i := 0; i < 2*n; i++ {
-		if k := len(bufs) - 1; k >= 0 && len(bufs[k]) == size {
-			free <- bufs[k]
-			bufs = bufs[:k]
-		} else {
-			free <- make([]byte, size)
-		}
-	}
-	frames := make(chan batch, n)
-	stopc := make(chan struct{})
-	var stopOnce sync.Once
-	stopSend := func() { stopOnce.Do(func() { close(stopc) }) }
-	var sent atomic.Int64
-	var readErr error
-	// readerDone closes before frames (LIFO defers), so senders that
-	// drained a closed frames channel are guaranteed to observe the
-	// reader's final readErr — a source read error can never be
-	// mistaken for a clean EOF.
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(frames)
-		defer close(readerDone)
-		pos := uint64(offset)
-		for {
-			var buf []byte
-			select {
-			case buf = <-free:
-			case <-stopc:
-				return
-			}
-			b := batch{buf: buf[:hdrAt]}
-			var err error
-			for k := 0; k < per && err == nil; k++ {
-				at := len(b.buf)
-				var m int
-				m, err = io.ReadFull(r, buf[at+modeEHeaderLen:at+modeEHeaderLen+blockSize])
-				if m > 0 {
-					putHeader(buf[at:], 0, m, pos)
-					b.buf = buf[:at+modeEHeaderLen+m]
-					b.payload += m
-					pos += uint64(m)
-				}
-			}
-			if b.payload == 0 {
-				free <- buf // its slot is free: the buffer came from there
-			} else {
-				select {
-				case frames <- b:
-				case <-stopc:
-					return
-				}
-			}
-			if err != nil {
-				if err != io.EOF && err != io.ErrUnexpectedEOF {
-					readErr = err
-				}
-				return
-			}
-		}
-	}()
-	chans, err = c.pumpConns(ctx, chans, addrs, sp, func(error) { stopSend() }, func(dc *dataChan) error {
-		for b := range frames {
-			if _, err := dc.conn.Write(b.buf[hdrAt:]); err != nil {
-				return err
-			}
-			// Payload counts only once its frames reached the socket:
-			// WireBytes promises exact accounting even on failure.
-			sent.Add(int64(b.payload))
-			select {
-			case free <- b.buf[:cap(b.buf)]:
-			case <-stopc:
-				return ctx.Err()
-			}
-		}
-		return WriteBlock(dc.conn, Block{Desc: DescEOD})
+	src := &blockSource{r: r, pos: offset, end: -1, blockSize: min(max(c.windowSize/4, 4<<10), 256<<10)}
+	chans, err = c.pumpConns(ctx, chans, addrs, sp, src.fail, func(dc *dataChan) (err error) {
+		dc.send, err = sendBlocks(src, dc.conn, dc.send)
+		return err
 	})
-	stopSend()
-	stats = c.stats(sent.Load(), start, n, striped)
+	stats = c.stats(src.sent.Load(), start, n, striped)
 	stats.WireBytes = stats.Bytes
 	// Every path past the STOR exchange above lands here, so the
 	// server has accepted the upload and begun (or truncated) the named
@@ -484,23 +391,6 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if err != nil {
 		c.drainReply()
 		return stats, err
-	}
-	// Senders completed cleanly, which only happens after the reader
-	// closed frames — and readerDone closes before frames, so this
-	// read of readErr is ordered after its final write. (A reader
-	// still blocked on r implies a sender error, caught above.)
-	var srcErr error
-	select {
-	case <-readerDone:
-		srcErr = readErr
-	default:
-	}
-	if srcErr != nil {
-		c.drainReply()
-		return stats, fmt.Errorf("gridftp: reading upload source: %w", srcErr)
-	}
-	for bufs = bufs[:0]; len(free) > 0; {
-		bufs = append(bufs, <-free)
 	}
 	rep, err = c.expect("STOR-complete", 226)
 	return stats, err

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -416,5 +417,50 @@ func TestStorOverwriteAllocBudget(t *testing.T) {
 	}
 	if got, err := store.Get("up.bin"); err != nil || !bytes.Equal(got, payloads[len(payloads)-1]) {
 		t.Fatalf("stored object is not the last payload (err=%v)", err)
+	}
+}
+
+// failingReader yields data, then fails with err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestStorSourceErrorNeverCleanEnd: an upload whose reader fails after
+// three blocks returns an error wrapping the reader's, the server logs
+// a failed transfer rather than a 226, and no object of the three
+// blocks' length is committed under the name.
+func TestStorSourceErrorNeverCleanEnd(t *testing.T) {
+	const block = 4 << 10
+	boom := errors.New("source disk failed")
+	for _, streams := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d streams", streams), func(t *testing.T) {
+			s := startServer(t, Config{BlockSize: block})
+			// A window of four blocks makes the upload blocks block-sized.
+			c := loginStream(t, s.Addr(), WithWindow(4*block))
+			if err := c.SetParallelism(streams); err != nil {
+				t.Fatal(err)
+			}
+			src := &failingReader{data: randomPayload(3 * block), err: boom}
+			if _, err := c.StorFrom(context.Background(), "cut.bin", src, 10*block); !errors.Is(err, boom) {
+				t.Fatalf("StorFrom from a failing reader: %v, want it to wrap %v", err, boom)
+			}
+			recs := s.Records()
+			if len(recs) == 0 || recs[len(recs)-1].Code == 0 {
+				t.Fatalf("server logged the failed upload as a success: %+v", recs)
+			}
+			if size, err := c.Size("cut.bin"); err == nil && size == 3*block {
+				t.Fatalf("SIZE shows the truncated %d bytes committed", size)
+			}
+		})
 	}
 }

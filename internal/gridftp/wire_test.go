@@ -109,12 +109,14 @@ func referenceFrames(blocks []Block) []byte {
 
 // TestFramesOnWireUnchanged pins the bytes on every data connection to
 // WriteBlock's reference frames, whatever the engines do to build them:
-// server RETR stripes (block i, i+n, ... then EOD) and client StorFrom
-// uploads (each connection's share of the blocks, then EOD), at 1–3
-// streams, object sizes around the block size and past framesPerWrite
-// blocks, and block sizes below and at minIOBytes. Server RETR packs
-// framesPerWrite blocks into each Write (one per block at 64 KiB), its
-// EOD riding the last one.
+// server RETR downloads and client StorFrom uploads, at 1–3 streams,
+// object sizes around the block size and past framesPerWrite blocks,
+// and block sizes below and at minIOBytes. Both directions send each
+// batch on whichever connection claims it, so each connection carries
+// its blocks at ascending offsets, then EOD, and together they carry
+// every block once. A RETR packs framesPerWrite blocks into each Write
+// (one per block at 64 KiB): the batch that ends the object carries its
+// connection's EOD, and every other connection sends a bare one.
 func TestFramesOnWireUnchanged(t *testing.T) {
 	for _, block := range []int{4 << 10, minIOBytes} {
 		t.Run(fmt.Sprintf("block %d", block), func(t *testing.T) { testFramesOnWire(t, block) })
@@ -147,71 +149,74 @@ func testFramesOnWire(t *testing.T, block int) {
 			if _, err := c.RetrTo(ctx, "obj", &got); err != nil || !bytes.Equal(got.Bytes(), payload) {
 				t.Fatalf("%s: RETR err %v, payload intact %v", name, err, bytes.Equal(got.Bytes(), payload))
 			}
-			var want, sent []string
-			wantWrites := map[string]int{}
-			for i := 0; i < streams; i++ {
-				var stripe []Block
-				for k := i; k < len(blocks); k += streams {
-					stripe = append(stripe, blocks[k])
-				}
-				frames := string(referenceFrames(stripe))
-				want = append(want, frames)
-				per := framesPerWrite(block)
-				wantWrites[frames] = max((len(stripe)+per-1)/per, 1)
-			}
 			retrConns := rec.take()
+			var carried []Block
+			writes := 0
 			for _, wc := range retrConns {
-				written, _, writes := wc.seen()
-				frames := string(written)
-				sent = append(sent, frames)
-				if writes != wantWrites[frames] {
-					t.Errorf("%s: RETR connection sent its %d bytes in %d writes, want %d",
-						name, len(frames), writes, wantWrites[frames])
-				}
+				written, _, n := wc.seen()
+				carried = append(carried, framesCarried(t, name+": RETR", written)...)
+				writes += n
 			}
-			slices.Sort(want)
-			slices.Sort(sent)
-			if !slices.Equal(sent, want) {
-				t.Fatalf("%s: RETR frames differ from WriteBlock's", name)
+			checkCarried(t, name+": RETR", carried, blocks)
+			per := framesPerWrite(block)
+			if want := max((len(blocks)+per-1)/per, 1) + streams - 1; writes != want {
+				t.Errorf("%s: RETR connections made %d writes, want %d", name, writes, want)
 			}
 
 			if _, err := c.StorFrom(ctx, "up", bytes.NewReader(payload), int64(size)); err != nil {
 				t.Fatalf("%s: STOR: %v", name, err)
 			}
-			// Blocks go to whichever connection is free, so each
-			// connection's bytes must be WriteBlock's frames of the
-			// blocks it carried, and together they carry every block once.
 			// The STOR runs over the channels the RETR kept, which read
 			// nothing before it.
-			var carried []Block
 			conns := append(retrConns, rec.take()...)
 			if len(conns) != streams {
 				t.Fatalf("%s: STOR used %d connections", name, len(conns))
 			}
+			carried = carried[:0]
 			for _, wc := range conns {
 				_, read, _ := wc.seen()
-				r := bytes.NewReader(read)
-				var mine []Block
-				for {
-					b, err := ReadBlock(r)
-					if err != nil {
-						t.Fatalf("%s: STOR connection: %v", name, err)
-					}
-					if b.Desc&DescEOD != 0 {
-						break
-					}
-					mine = append(mine, b)
-				}
-				if r.Len() != 0 || !bytes.Equal(read, referenceFrames(mine)) {
-					t.Fatalf("%s: STOR frames differ from WriteBlock's", name)
-				}
-				carried = append(carried, mine...)
+				carried = append(carried, framesCarried(t, name+": STOR", read)...)
 			}
-			slices.SortFunc(carried, func(a, b Block) int { return int(a.Offset) - int(b.Offset) })
-			if fmt.Sprint(carried) != fmt.Sprint(blocks) {
-				t.Fatalf("%s: STOR carried %d blocks, not the object's %d", name, len(carried), len(blocks))
-			}
+			checkCarried(t, name+": STOR", carried, blocks)
 		}
+	}
+}
+
+// framesCarried returns the blocks one data connection's bytes carry,
+// which must be WriteBlock's frames of them at ascending offsets, then
+// one EOD.
+func framesCarried(t *testing.T, what string, wire []byte) []Block {
+	t.Helper()
+	r := bytes.NewReader(wire)
+	var mine []Block
+	for {
+		b, err := ReadBlock(r)
+		if err != nil {
+			t.Fatalf("%s connection: %v", what, err)
+		}
+		if b.Desc&DescEOD != 0 {
+			break
+		}
+		if k := len(mine); k > 0 && b.Offset <= mine[k-1].Offset {
+			t.Fatalf("%s connection: offset %d after %d", what, b.Offset, mine[k-1].Offset)
+		}
+		mine = append(mine, b)
+	}
+	if r.Len() != 0 || !bytes.Equal(wire, referenceFrames(mine)) {
+		t.Fatalf("%s frames differ from WriteBlock's", what)
+	}
+	return mine
+}
+
+// checkCarried fails unless the connections together carried every
+// block once.
+func checkCarried(t *testing.T, what string, carried, blocks []Block) {
+	t.Helper()
+	slices.SortFunc(carried, func(a, b Block) int { return int(a.Offset) - int(b.Offset) })
+	if !slices.EqualFunc(carried, blocks, func(a, b Block) bool {
+		return a.Desc == b.Desc && a.Offset == b.Offset && bytes.Equal(a.Data, b.Data)
+	}) {
+		t.Fatalf("%s carried %d blocks, not the object's %d", what, len(carried), len(blocks))
 	}
 }
 

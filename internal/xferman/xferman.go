@@ -578,7 +578,7 @@ func (m *Manager) worker() {
 		m.met.queueDepth.Dec()
 		m.met.running.Inc()
 
-		*r = run{m: m, ctx: tr.ctx, job: res.Job, res: &res}
+		*r = run{m: m, ctx: tr.ctx, job: res.Job, opts: res.Job.clientOptions(), res: &res}
 		start := time.Now()
 		err := r.execute()
 		res.Duration = time.Since(start)
@@ -608,7 +608,8 @@ type run struct {
 	m    *Manager
 	ctx  context.Context
 	job  Job
-	span *telemetry.Span // root "job" span; nil unless the manager traces
+	opts []gridftp.Option // the job's client options, built once for its checkouts
+	span *telemetry.Span  // root "job" span; nil unless the manager traces
 	res  *Result
 
 	restart   int64 // offset the next attempt RESTs both endpoints to
@@ -828,11 +829,11 @@ func (r *run) checkout() (err error) {
 			return fmt.Errorf("checkout: %w", err)
 		}
 	}
-	if r.src, err = r.m.checkout(r.ctx, r.from, r.job, src); err != nil {
+	if r.src, err = r.m.checkout(r.ctx, r.from, r.opts, src); err != nil {
 		dst.Release()
 		return fmt.Errorf("dial src: %w", err)
 	}
-	if r.dst, err = r.m.checkout(r.ctx, r.job.Dst, r.job, dst); err != nil {
+	if r.dst, err = r.m.checkout(r.ctx, r.job.Dst, r.opts, dst); err != nil {
 		return fmt.Errorf("dial dst: %w", err)
 	}
 	return nil
@@ -937,10 +938,10 @@ func (r *run) transfer() (err error) {
 // streamRelay moves the object through this process: a streaming RETR
 // feeds an io.Pipe that a streaming STOR drains, both restarting at
 // r.restart. Memory is bounded by the client window on the read side
-// and a few blocks on the write side. It records the payload pushed to
-// dst (duplicates included), which is exact even on failure, and
-// whether dst accepted the STOR — the precondition for trusting its
-// SIZE as this job's watermark on the next attempt.
+// and a batch of blocks per stream on the write side. It records the
+// payload pushed to dst (duplicates included), which is exact even on
+// failure, and whether dst accepted the STOR — the precondition for
+// trusting its SIZE as this job's watermark on the next attempt.
 func (r *run) streamRelay() error {
 	pr, pw := io.Pipe()
 	region := int64(-1)
@@ -997,7 +998,7 @@ func (r *run) verify() error {
 // attempt's (which may be poisoned). Zero means "no usable partial" —
 // probing is best-effort and a failed probe only costs resumption.
 func (r *run) probeWatermark() int64 {
-	ch, err := r.m.checkout(r.ctx, r.job.Dst, r.job, nil)
+	ch, err := r.m.checkout(r.ctx, r.job.Dst, r.opts, nil)
 	if err != nil {
 		return 0
 	}
@@ -1073,17 +1074,16 @@ func (ch channel) finish(err error) {
 	}
 }
 
-// checkout obtains a control channel to ep bound to job's deadlines,
-// window, and trace: leased, else a pooled Get, else a dial of its own.
-// The job's options are built once: a fresh dial runs under them from
-// the greeting on; a pooled channel keeps the transfer state of whoever
+// checkout obtains a control channel to ep bound to opts, a job's
+// deadlines and window (built once per job), and to ctx's trace:
+// leased, else a pooled Get, else a dial of its own. A fresh dial runs
+// under opts from the greeting on; a pooled channel keeps the transfer state of whoever
 // used it last, so one ApplyOptions call rebinds them (unset values to
 // the defaults a fresh Dial applies). The trace needs a logged-in
 // session (SITE TRID), so it is bound after either. Rate shaping is NOT
 // bound here — it depends on the broker's disposition, which the
 // attempt only learns after checkout.
-func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job, leased *connpool.Conn) (ch channel, err error) {
-	opts := job.clientOptions()
+func (m *Manager) checkout(ctx context.Context, ep Endpoint, opts []gridftp.Option, leased *connpool.Conn) (ch channel, err error) {
 	if leased == nil && m.pool != nil {
 		leased, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass)
 	}
@@ -1097,7 +1097,7 @@ func (m *Manager) checkout(ctx context.Context, ep Endpoint, job Job, leased *co
 		return channel{}, err
 	}
 	if tc, ok := telemetry.TraceFrom(ctx); ok {
-		opts = append(opts, gridftp.WithTrace(tc))
+		opts = append(opts[:len(opts):len(opts)], gridftp.WithTrace(tc)) // not into the job's array
 	}
 	if err := ch.ApplyOptions(opts...); err != nil {
 		ch.finish(err)
