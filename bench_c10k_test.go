@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sort"
@@ -195,7 +196,7 @@ func runC10k(t *testing.T, plateaus []int) []plateauReport {
 		// TCP dial, accept).
 		xc := r.Login("mem:ctrl", gridftp.WithDialFunc(dialer), gridftp.WithTelemetry(hub))
 		for i := 0; i < c10kTransfers; i++ {
-			if _, _, err := xc.Retr("obj"); err != nil {
+			if _, err := xc.RetrTo(context.Background(), "obj", io.Discard); err != nil {
 				t.Fatalf("transfer %d at %d sessions: %v", i, target, err)
 			}
 		}

@@ -12,6 +12,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"sync"
@@ -48,7 +49,7 @@ func main() {
 			go func(i int) {
 				defer wg.Done()
 				start := time.Now()
-				if _, _, err := c.Retr("dataset.bin", arm.opts...); err != nil {
+				if _, err := c.RetrTo(context.Background(), "dataset.bin", io.Discard, arm.opts...); err != nil {
 					log.Fatal(err)
 				}
 				durs[i] = time.Since(start)

@@ -7,7 +7,10 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"log"
 	"time"
 
@@ -36,22 +39,24 @@ func main() {
 	dst := r.Server(gridftp.Config{ServerHost: "dtn-dst.example.org", UsageAddr: collector.Addr()})
 
 	// Parallel-stream retrieval (OPTS RETR Parallelism=8).
+	ctx := context.Background()
 	c := r.Login(src.Addr())
 	if err := c.SetParallelism(8); err != nil {
 		log.Fatal(err)
 	}
-	data, stats8, err := c.Retr("dataset.bin")
+	var data bytes.Buffer
+	stats8, err := c.RetrTo(ctx, "dataset.bin", &data)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("8-stream RETR: %d bytes in %v (%.0f Mbps)\n",
 		stats8.Bytes, stats8.Duration.Round(time.Millisecond), stats8.ThroughputBps/1e6)
-	if len(data) != len(payload) {
+	if data.Len() != len(payload) {
 		log.Fatal("payload corrupted")
 	}
 
 	// Striped retrieval (SPAS; one connection per server stripe).
-	_, statsStriped, err := c.RetrStriped("dataset.bin")
+	statsStriped, err := c.RetrToAt(ctx, "dataset.bin", io.Discard, gridftp.Region{Striped: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func main() {
 		gridftp.WithDataTimeout(500*time.Millisecond))
 	proxy.Stall()
 	start := time.Now()
-	_, _, err = cStall.Retr("dataset.bin")
+	_, err = cStall.RetrTo(ctx, "dataset.bin", io.Discard)
 	if err == nil {
 		log.Fatal("transfer over a stalled path should have failed")
 	}

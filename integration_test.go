@@ -2,6 +2,8 @@ package gftpvc_test
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -46,11 +48,11 @@ func TestLiveTransferAnalysisPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		data, _, err := c.Retr(name)
-		if err != nil {
+		var data bytes.Buffer
+		if _, err := c.RetrTo(context.Background(), name, &data); err != nil {
 			t.Fatalf("RETR %s: %v", name, err)
 		}
-		if !bytes.Equal(data, objects[name]) {
+		if !bytes.Equal(data.Bytes(), objects[name]) {
 			t.Fatalf("payload corrupted for %s", name)
 		}
 	}
@@ -106,7 +108,7 @@ func TestLiveTransferAnalysisPipeline(t *testing.T) {
 func TestLogFileRoundTripThroughAnalysis(t *testing.T) {
 	r := rig.New(t)
 	srv := r.Server(gridftp.Config{}, rig.Objects{"x": rig.Payload(5, 256<<10)})
-	if _, _, err := r.Login(srv.Addr()).Retr("x"); err != nil {
+	if _, err := r.Login(srv.Addr()).RetrTo(context.Background(), "x", io.Discard); err != nil {
 		t.Fatal(err)
 	}
 

@@ -27,7 +27,7 @@ func benchRetr(b *testing.B, streams int, size int) {
 	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, _, err := c.Retr("bench.bin")
+		data, _, err := fetch(c, "bench.bin", Region{})
 		if err != nil {
 			b.Fatal(err)
 		}

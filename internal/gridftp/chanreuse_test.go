@@ -239,10 +239,10 @@ func TestRetrieveSendsNoSize(t *testing.T) {
 	ctx := context.Background()
 	for _, off := range []int64{0, 1000, int64(len(payload))} {
 		var got bytes.Buffer
-		if _, err := c.RetrToAt(ctx, "obj", &got, off); err != nil || !bytes.Equal(got.Bytes(), payload[off:]) {
+		if _, err := c.RetrToAt(ctx, "obj", &got, Region{Offset: off}); err != nil || !bytes.Equal(got.Bytes(), payload[off:]) {
 			t.Fatalf("RetrToAt %d: %v", off, err)
 		}
-		part, _, err := c.RetrPartial("obj", off/2, 70_000)
+		part, _, err := fetch(c, "obj", Region{Offset: off / 2, Length: 70_000})
 		if want := payload[off/2 : min(off/2+70_000, int64(len(payload)))]; err != nil || !bytes.Equal(part, want) {
 			t.Fatalf("ERET at %d: %v", off/2, err)
 		}
@@ -251,7 +251,7 @@ func TestRetrieveSendsNoSize(t *testing.T) {
 		t.Fatalf("retrievals sent %d SIZE commands, want 0", n)
 	}
 	var pe *ProtocolError
-	_, err := c.RetrToAt(ctx, "obj", io.Discard, int64(len(payload))+1)
+	_, err := c.RetrToAt(ctx, "obj", io.Discard, Region{Offset: int64(len(payload)) + 1})
 	if !errors.As(err, &pe) || pe.Reply.Code != 551 || pe.Reply.Text != "offset beyond object size" {
 		t.Fatalf("REST past the end: %v, want the server's 551", err)
 	}

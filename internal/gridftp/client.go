@@ -2,8 +2,6 @@ package gridftp
 
 import (
 	"bufio"
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -325,13 +323,6 @@ func (c *Client) SetParallelism(n int) error {
 	return nil
 }
 
-// SetBuffer sets the server's TCP buffer size hint (SBUF), recorded in
-// usage logs.
-func (c *Client) SetBuffer(bytes int64) error {
-	_, err := c.do("SBUF", "SBUF "+strconv.FormatInt(bytes, 10), 200)
-	return err
-}
-
 // Size returns an object's size.
 func (c *Client) Size(name string) (int64, error) {
 	rep, err := c.do("SIZE", "SIZE "+name, 213)
@@ -371,15 +362,6 @@ func (c *Client) List(prefix string) ([]string, error) {
 		}
 	}
 	return names, nil
-}
-
-// Features returns the server's FEAT list.
-func (c *Client) Features() ([]string, error) {
-	rep, err := c.do("FEAT", "FEAT", 211)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Lines, nil
 }
 
 // passive requests PASV and returns the data address.
@@ -439,77 +421,6 @@ type TransferStats struct {
 	// object, so resume logic must not read a pre-existing object's
 	// SIZE as this transfer's delivered watermark.
 	StorAccepted bool
-}
-
-// The buffered calls below are the streaming engines (stream.go) in a
-// second call shape: the same retrieve and store run with no
-// cancellation context, collecting into or reading from a byte slice.
-// On failure they return no data and zero stats.
-
-// byteSink collects a retrieval in memory; the engine presizes buf once
-// the region length is known, so delivery does not reallocate.
-type byteSink struct{ buf []byte }
-
-func (s *byteSink) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
-}
-
-// retrBytes runs one retrieval into memory.
-func (c *Client) retrBytes(op, name string, striped bool, offset, length int64, opts []Option) ([]byte, TransferStats, error) {
-	var sink byteSink
-	stats, err := c.retrieve(context.Background(), op, name, &sink, striped, offset, length, opts)
-	if err != nil {
-		return nil, TransferStats{}, err
-	}
-	return sink.buf, stats, nil
-}
-
-// Retr fetches an object using the configured parallelism over a single
-// stripe (PASV + n connections to the same listener).
-func (c *Client) Retr(name string, opts ...Option) ([]byte, TransferStats, error) {
-	return c.retrBytes("retr", name, false, 0, -1, opts)
-}
-
-// RetrStriped fetches an object in striped mode (SPAS; one connection per
-// server stripe).
-func (c *Client) RetrStriped(name string, opts ...Option) ([]byte, TransferStats, error) {
-	return c.retrBytes("retr_striped", name, true, 0, -1, opts)
-}
-
-// RetrPartial fetches the byte region [offset, offset+length) of an
-// object with GridFTP's ERET extension.
-func (c *Client) RetrPartial(name string, offset, length int64, opts ...Option) ([]byte, TransferStats, error) {
-	if offset < 0 || length <= 0 {
-		return nil, TransferStats{}, errors.New("gridftp: invalid partial region")
-	}
-	return c.retrBytes("eret", name, false, offset, length, opts)
-}
-
-// RetrFrom resumes a retrieval at offset using REST, the failure-recovery
-// path GridFTP sessions rely on.
-func (c *Client) RetrFrom(name string, offset int64, opts ...Option) ([]byte, TransferStats, error) {
-	return c.retrBytes("rest_retr", name, false, offset, -1, opts)
-}
-
-// storBytes runs one upload from memory.
-func (c *Client) storBytes(op, name string, data []byte, striped bool, opts []Option) (TransferStats, error) {
-	stats, err := c.store(context.Background(), op, name, bytes.NewReader(data), striped, 0, opts)
-	if err != nil {
-		return TransferStats{}, err
-	}
-	return stats, nil
-}
-
-// Stor uploads an object using the configured parallelism.
-func (c *Client) Stor(name string, data []byte, opts ...Option) (TransferStats, error) {
-	return c.storBytes("stor", name, data, false, opts)
-}
-
-// StorStriped uploads an object in striped mode: one data connection per
-// server stripe (SPAS).
-func (c *Client) StorStriped(name string, data []byte, opts ...Option) (TransferStats, error) {
-	return c.storBytes("stor_striped", name, data, true, opts)
 }
 
 func (c *Client) stats(size int64, start time.Time, conns int, striped bool) TransferStats {

@@ -208,7 +208,7 @@ func TestDirStoreStorResetLeavesExactOnDiskWatermark(t *testing.T) {
 	}
 
 	// Resume exactly from the on-disk watermark.
-	if _, err := c.StorFromAt(ctx, "fault.bin", bytes.NewReader(want[watermark:]), watermark, size-watermark); err != nil {
+	if _, err := c.StorFromAt(ctx, "fault.bin", bytes.NewReader(want[watermark:]), Region{Offset: watermark}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := store.Get("fault.bin")

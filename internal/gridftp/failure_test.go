@@ -204,7 +204,7 @@ func TestManyConcurrentSessions(t *testing.T) {
 				return
 			}
 			for j := 0; j < 3; j++ {
-				if _, _, err := c.Retr("x"); err != nil {
+				if _, _, err := fetch(c, "x", Region{}); err != nil {
 					done <- err
 					return
 				}

@@ -89,12 +89,12 @@ func TestFaultMatrix(t *testing.T) {
 		thirdParty bool
 		run        func(c *Client) error
 	}{
-		{name: "retr", run: func(c *Client) error { _, _, err := c.Retr("x"); return err }},
-		{name: "retr-striped", run: func(c *Client) error { _, _, err := c.RetrStriped("x"); return err }},
-		{name: "eret", run: func(c *Client) error { _, _, err := c.RetrPartial("x", 1000, 100_000); return err }},
-		{name: "rest-retr", run: func(c *Client) error { _, _, err := c.RetrFrom("x", 1000); return err }},
-		{name: "stor", run: func(c *Client) error { _, err := c.Stor("up.bin", payload); return err }},
-		{name: "stor-striped", run: func(c *Client) error { _, err := c.StorStriped("up.bin", payload); return err }},
+		{name: "retr", run: func(c *Client) error { _, _, err := fetch(c, "x", Region{}); return err }},
+		{name: "retr-striped", run: func(c *Client) error { _, _, err := fetch(c, "x", Region{Striped: true}); return err }},
+		{name: "eret", run: func(c *Client) error { _, _, err := fetch(c, "x", Region{Offset: 1000, Length: 100_000}); return err }},
+		{name: "rest-retr", run: func(c *Client) error { _, _, err := fetch(c, "x", Region{Offset: 1000}); return err }},
+		{name: "stor", run: func(c *Client) error { _, err := upload(c, "up.bin", payload, Region{}); return err }},
+		{name: "stor-striped", run: func(c *Client) error { _, err := upload(c, "up.bin", payload, Region{Striped: true}); return err }},
 		{name: "third-party", thirdParty: true},
 	}
 	for _, st := range fmStores {
@@ -273,6 +273,8 @@ func TestClientMethodsBoundedOnSilentServer(t *testing.T) {
 	}()
 	const d = 400 * time.Millisecond
 	small := []byte("payload")
+	// The transfer rows are RetrToAt and StorFromAt shapes, named after
+	// the calls each Region replaced.
 	methods := []struct {
 		name    string
 		call    func(c *Client) error
@@ -280,17 +282,15 @@ func TestClientMethodsBoundedOnSilentServer(t *testing.T) {
 	}{
 		{"Login", func(c *Client) error { return c.Login("u", "p") }, true},
 		{"SetParallelism", func(c *Client) error { return c.SetParallelism(2) }, true},
-		{"SetBuffer", func(c *Client) error { return c.SetBuffer(1 << 20) }, true},
 		{"Size", func(c *Client) error { _, err := c.Size("x"); return err }, true},
 		{"Checksum", func(c *Client) error { _, err := c.Checksum("x"); return err }, true},
 		{"List", func(c *Client) error { _, err := c.List(""); return err }, true},
-		{"Features", func(c *Client) error { _, err := c.Features(); return err }, true},
-		{"Retr", func(c *Client) error { _, _, err := c.Retr("x"); return err }, true},
-		{"RetrStriped", func(c *Client) error { _, _, err := c.RetrStriped("x"); return err }, true},
-		{"RetrPartial", func(c *Client) error { _, _, err := c.RetrPartial("x", 0, 10); return err }, true},
-		{"RetrFrom", func(c *Client) error { _, _, err := c.RetrFrom("x", 0); return err }, true},
-		{"Stor", func(c *Client) error { _, err := c.Stor("x", small); return err }, true},
-		{"StorStriped", func(c *Client) error { _, err := c.StorStriped("x", small); return err }, true},
+		{"Retr", func(c *Client) error { _, _, err := fetch(c, "x", Region{}); return err }, true},
+		{"RetrStriped", func(c *Client) error { _, _, err := fetch(c, "x", Region{Striped: true}); return err }, true},
+		{"RetrPartial", func(c *Client) error { _, _, err := fetch(c, "x", Region{Length: 10}); return err }, true},
+		{"RetrFrom", func(c *Client) error { _, _, err := fetch(c, "x", Region{}); return err }, true},
+		{"Stor", func(c *Client) error { _, err := upload(c, "x", small, Region{}); return err }, true},
+		{"StorStriped", func(c *Client) error { _, err := upload(c, "x", small, Region{Striped: true}); return err }, true},
 		{"ThirdParty", func(c *Client) error {
 			c2, err := Dial(c.conn.RemoteAddr().String(), WithControlTimeout(d), WithDataTimeout(d))
 			if err != nil {
@@ -400,7 +400,7 @@ func TestRetrBoundedWhenServerDiesMidTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err = c.Retr("ghost.bin")
+	_, _, err = fetch(c, "ghost.bin", Region{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Retr succeeded against a dead server")
@@ -436,11 +436,11 @@ func TestPassiveListenersClosedPerTransfer(t *testing.T) {
 		var err error
 		switch i % 3 {
 		case 0:
-			_, _, err = c.Retr("x")
+			_, _, err = fetch(c, "x", Region{})
 		case 1:
-			_, _, err = c.RetrStriped("x")
+			_, _, err = fetch(c, "x", Region{Striped: true})
 		default:
-			_, err = c.Stor("up.bin", payload)
+			_, err = upload(c, "up.bin", payload, Region{})
 		}
 		if err != nil {
 			t.Fatalf("transfer %d: %v", i, err)

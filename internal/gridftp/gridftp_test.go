@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -40,6 +41,26 @@ func login(t *testing.T, addr string) *Client {
 	return c
 }
 
+// fetch retrieves the region at of name into memory; on failure it
+// returns no data and zero stats.
+func fetch(c *Client, name string, at Region, opts ...Option) ([]byte, TransferStats, error) {
+	var buf bytes.Buffer
+	stats, err := c.RetrToAt(context.Background(), name, &buf, at, opts...)
+	if err != nil {
+		return nil, TransferStats{}, err
+	}
+	return buf.Bytes(), stats, nil
+}
+
+// upload stores data as name, at at; on failure it returns zero stats.
+func upload(c *Client, name string, data []byte, at Region, opts ...Option) (TransferStats, error) {
+	stats, err := c.StorFromAt(context.Background(), name, bytes.NewReader(data), at, opts...)
+	if err != nil {
+		return TransferStats{}, err
+	}
+	return stats, nil
+}
+
 func randomPayload(n int) []byte {
 	rng := rand.New(rand.NewSource(99))
 	data := make([]byte, n)
@@ -72,7 +93,7 @@ func TestRetrSingleStream(t *testing.T) {
 	store.Put("data.bin", want)
 	s := startServer(t, Config{Store: store})
 	c := login(t, s.Addr())
-	got, stats, err := c.Retr("data.bin")
+	got, stats, err := fetch(c, "data.bin", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +117,7 @@ func TestRetrParallelStreams(t *testing.T) {
 	if err := c.SetParallelism(8); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := c.Retr("data.bin")
+	got, stats, err := fetch(c, "data.bin", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestRetrStriped(t *testing.T) {
 	store.Put("data.bin", want)
 	s := startServer(t, Config{Store: store, Stripes: 4, BlockSize: 32 << 10})
 	c := login(t, s.Addr())
-	got, stats, err := c.RetrStriped("data.bin")
+	got, stats, err := fetch(c, "data.bin", Region{Striped: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +167,7 @@ func TestStorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := randomPayload(1<<20 + 99)
-	stats, err := c.Stor("up.bin", want)
+	stats, err := upload(c, "up.bin", want, Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +192,7 @@ func TestStorStriped(t *testing.T) {
 	s := startServer(t, Config{Store: store, Stripes: 3, BlockSize: 32 << 10})
 	c := login(t, s.Addr())
 	want := randomPayload(1<<20 + 4321)
-	stats, err := c.StorStriped("up.bin", want)
+	stats, err := upload(c, "up.bin", want, Region{Striped: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +215,7 @@ func TestStorStriped(t *testing.T) {
 func TestRetrMissingObject(t *testing.T) {
 	s := startServer(t, Config{})
 	c := login(t, s.Addr())
-	_, _, err := c.Retr("missing.bin")
+	_, _, err := fetch(c, "missing.bin", Region{})
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want ProtocolError", err)
@@ -261,12 +282,12 @@ func TestTransferRequiresModeE(t *testing.T) {
 func TestFeatures(t *testing.T) {
 	s := startServer(t, Config{})
 	c := login(t, s.Addr())
-	feats, err := c.Features()
+	rep, err := c.do("FEAT", "FEAT", 211)
 	if err != nil {
 		t.Fatal(err)
 	}
 	joined := ""
-	for _, f := range feats {
+	for _, f := range rep.Lines {
 		joined += f + "\n"
 	}
 	for _, want := range []string{"PARALLEL", "SPAS", "MODE E"} {
@@ -288,12 +309,12 @@ func TestSizeAndSetBuffer(t *testing.T) {
 	if _, err := c.Size("nope"); err == nil {
 		t.Error("missing object SIZE should fail")
 	}
-	if err := c.SetBuffer(4 << 20); err != nil {
+	if _, err := c.do("SBUF", "SBUF 4194304", 200); err != nil {
 		t.Fatal(err)
 	}
 	want := randomPayload(4096)
 	store.Put("y", want)
-	if _, _, err := c.Retr("y"); err != nil {
+	if _, _, err := fetch(c, "y", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	recs := s.Records()
@@ -351,7 +372,7 @@ func TestUsageStatsCollection(t *testing.T) {
 	store.Put("x", randomPayload(64<<10))
 	s := startServer(t, Config{Store: store, UsageAddr: col.Addr(), ServerHost: "dtn.example.org"})
 	c := login(t, s.Addr())
-	if _, _, err := c.Retr("x"); err != nil {
+	if _, _, err := fetch(c, "x", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -378,7 +399,7 @@ func TestLocalLogWriter(t *testing.T) {
 	store.Put("x", randomPayload(4096))
 	s := startServer(t, Config{Store: store, LogWriter: &buf})
 	c := login(t, s.Addr())
-	if _, _, err := c.Retr("x"); err != nil {
+	if _, _, err := fetch(c, "x", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -405,7 +426,7 @@ func TestSessionOfBackToBackTransfers(t *testing.T) {
 	c := login(t, s.Addr())
 	c.SetParallelism(2)
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		if _, _, err := c.Retr(name); err != nil {
+		if _, _, err := fetch(c, name, Region{}); err != nil {
 			t.Fatalf("transfer %s: %v", name, err)
 		}
 	}

@@ -14,21 +14,23 @@ import (
 // Option sets one piece of a Client's state — deadlines, streaming
 // window, dialer, telemetry, trace binding, rate shaping. It is the
 // client's only option type: Dial, ApplyOptions (the one rebind a pool
-// checkout does) and the variadic tail of every transfer call take the
-// same values, apply them in order, and stop at the first error. An
-// option that is not passed keeps the current value (at Dial, the
-// default), and an applied option persists until overridden — a
-// per-call option is ApplyOptions followed by the call — because a
-// control channel serves one job at a time and each checkout re-applies
-// its job's options anyway.
+// checkout does) and the variadic tail of RetrToAt and StorFromAt (and
+// of RetrTo and StorFrom, their zero-Region forms) take the same
+// values, apply them in order, and stop at the first error; the
+// third-party calls take none. An option that is not passed keeps the
+// current value (at Dial, the default), and an applied option persists
+// until overridden — a per-call option is ApplyOptions followed by the
+// call — because a control channel serves one job at a time and each
+// checkout re-applies its job's options anyway.
 //
 // Two placement rules, each enforced in one place:
 //
 //   - An option that must tell the server something — WithRate above
 //     zero (SITE RATE), a non-zero WithTrace (SITE TRID) — needs a
 //     logged-in session, so Dial rejects it; pass it to ApplyOptions or
-//     a transfer call after Login. Their clearing forms (WithRate(0),
-//     the zero TraceContext) touch no wire and are accepted anywhere.
+//     a retrieve or store call after Login. Their clearing forms
+//     (WithRate(0), the zero TraceContext) touch no wire and are
+//     accepted anywhere.
 //   - WithTelemetry is accepted only by Dial, where the client's
 //     metrics and session span are built.
 type Option func(*Client) error

@@ -32,10 +32,10 @@ func TestClientRateShapedByteIdentical(t *testing.T) {
 
 	// Unshaped reference upload + download.
 	ref := login(t, srv.Addr())
-	if _, err := ref.Stor("obj", payload); err != nil {
+	if _, err := upload(ref, "obj", payload, Region{}); err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := ref.Retr("obj")
+	plain, _, err := fetch(ref, "obj", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestClientRateShapedByteIdentical(t *testing.T) {
 	// beyond one SITE RATE.
 	c := login(t, srv.Addr())
 	start := time.Now()
-	shapedData, _, err := c.Retr("obj", WithRate(rate))
+	shapedData, _, err := fetch(c, "obj", Region{}, WithRate(rate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestClientRateShapedByteIdentical(t *testing.T) {
 
 	// Shaped upload through the same client (rate persists).
 	start = time.Now()
-	if _, err := c.Stor("obj2", payload); err != nil {
+	if _, err := upload(c, "obj2", payload, Region{}); err != nil {
 		t.Fatal(err)
 	}
 	expectShaped(t, "shaped STOR", int64(len(payload)), rate, time.Since(start))
-	got, _, err := ref.Retr("obj2")
+	got, _, err := fetch(ref, "obj2", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestServerMaxRate(t *testing.T) {
 	srv := startServer(t, Config{MaxRateBps: capBps, Telemetry: hub})
 	payload := randomPayload(2 << 20)
 	c := login(t, srv.Addr())
-	if _, err := c.Stor("obj", payload); err != nil {
+	if _, err := upload(c, "obj", payload, Region{}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	got, _, err := c.Retr("obj")
+	got, _, err := fetch(c, "obj", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestServerMaxRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	if _, _, err := c.Retr("obj"); err != nil {
+	if _, _, err := fetch(c, "obj", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	expectShaped(t, "over-request RETR", int64(len(payload)), capBps, time.Since(start))
@@ -143,7 +143,7 @@ func TestStreamShapedWithThrottleAttribution(t *testing.T) {
 	srv := startServer(t, Config{MaxRateBps: rate, Telemetry: hub})
 	payload := randomPayload(2 << 20)
 	c := login(t, srv.Addr())
-	if _, err := c.Stor("obj", payload); err != nil {
+	if _, err := upload(c, "obj", payload, Region{}); err != nil {
 		t.Fatal(err)
 	}
 	var sink bytes.Buffer
@@ -218,7 +218,7 @@ func TestServerAggregateRate(t *testing.T) {
 	srv := startServer(t, Config{AggregateRateBps: aggBps, Telemetry: hub})
 	payload := randomPayload(4 << 20)
 	seed := login(t, srv.Addr())
-	if _, err := seed.Stor("obj", payload); err != nil {
+	if _, err := upload(seed, "obj", payload, Region{}); err != nil {
 		t.Fatal(err)
 	}
 	type result struct {
@@ -239,7 +239,7 @@ func TestServerAggregateRate(t *testing.T) {
 				return
 			}
 			start := time.Now()
-			got, _, err := c.Retr("obj")
+			got, _, err := fetch(c, "obj", Region{})
 			if err == nil && !bytes.Equal(got, payload) {
 				err = context.DeadlineExceeded // placeholder: corrupt payload
 			}

@@ -16,7 +16,7 @@ func TestRetrPartial(t *testing.T) {
 	c := login(t, s.Addr())
 	c.SetParallelism(4)
 	const off, length = 100_000, 250_000
-	got, stats, err := c.RetrPartial("data.bin", off, length)
+	got, stats, err := fetch(c, "data.bin", Region{Offset: off, Length: length})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRetrPartialBeyondEOF(t *testing.T) {
 	s := startServer(t, Config{Store: store})
 	c := login(t, s.Addr())
 	// Region overruns the object: server truncates at EOF.
-	got, _, err := c.RetrPartial("data.bin", 8_000, 50_000)
+	got, _, err := fetch(c, "data.bin", Region{Offset: 8_000, Length: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestRetrPartialBeyondEOF(t *testing.T) {
 func TestRetrPartialValidation(t *testing.T) {
 	s := startServer(t, Config{})
 	c := login(t, s.Addr())
-	if _, _, err := c.RetrPartial("x", -1, 10); err == nil {
+	if _, _, err := fetch(c, "x", Region{Offset: -1, Length: 10}); err == nil {
 		t.Error("negative offset should fail")
 	}
-	if _, _, err := c.RetrPartial("x", 0, 0); err == nil {
-		t.Error("zero length should fail")
+	if _, _, err := fetch(c, "x", Region{Length: -1}); err == nil {
+		t.Error("negative length should fail")
 	}
 	// Malformed ERET straight on the wire.
 	if rep, err := c.cmd("ERET Q 0 10 x"); err != nil || rep.Code != 501 {
@@ -75,7 +75,7 @@ func TestRestRestart(t *testing.T) {
 	// Simulate a failed transfer that got the first 200,000 bytes, then
 	// resume from there.
 	const resumeAt = 200_000
-	rest, _, err := c.RetrFrom("data.bin", resumeAt)
+	rest, _, err := fetch(c, "data.bin", Region{Offset: resumeAt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRestRestart(t *testing.T) {
 		t.Fatal("restarted region corrupted")
 	}
 	// The restart offset must not leak into the next plain RETR.
-	full, _, err := c.Retr("data.bin")
+	full, _, err := fetch(c, "data.bin", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRestRestart(t *testing.T) {
 func TestRestValidation(t *testing.T) {
 	s := startServer(t, Config{})
 	c := login(t, s.Addr())
-	if _, _, err := c.RetrFrom("x", -1); err == nil {
+	if _, _, err := fetch(c, "x", Region{Offset: -1}); err == nil {
 		t.Error("negative restart should fail client-side")
 	}
 	if rep, err := c.cmd("REST notanumber"); err != nil || rep.Code != 501 {
@@ -108,7 +108,7 @@ func TestRetrOffsetBeyondSize(t *testing.T) {
 	store.Put("x", []byte("tiny"))
 	s := startServer(t, Config{Store: store})
 	c := login(t, s.Addr())
-	if _, _, err := c.RetrFrom("x", 100); err == nil {
+	if _, _, err := fetch(c, "x", Region{Offset: 100}); err == nil {
 		t.Error("offset beyond size should fail")
 	}
 }
@@ -216,7 +216,7 @@ func TestServerWithDirStore(t *testing.T) {
 	s := startServer(t, Config{Store: ds})
 	c := login(t, s.Addr())
 	c.SetParallelism(4)
-	got, _, err := c.Retr("data.bin")
+	got, _, err := fetch(c, "data.bin", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestServerWithDirStore(t *testing.T) {
 		t.Fatal("payload corrupted through DirStore")
 	}
 	// And a STOR lands on disk.
-	if _, err := c.Stor("up.bin", want[:1000]); err != nil {
+	if _, err := upload(c, "up.bin", want[:1000], Region{}); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, err := os.ReadFile(filepath.Join(dir, "up.bin"))

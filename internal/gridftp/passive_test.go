@@ -25,7 +25,7 @@ func TestStripedOnOneStripeServer(t *testing.T) {
 	if err := c.SetParallelism(3); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := c.RetrStriped("data.bin")
+	got, stats, err := fetch(c, "data.bin", Region{Striped: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestStripedOnOneStripeServer(t *testing.T) {
 	if stats.Stripes != 1 {
 		t.Errorf("retr stripes = %d, want 1", stats.Stripes)
 	}
-	if _, err := c.StorStriped("up.bin", want); err != nil {
+	if _, err := upload(c, "up.bin", want, Region{Striped: true}); err != nil {
 		t.Fatal(err)
 	}
 	if back, _ := store.Get("up.bin"); !bytes.Equal(back, want) {

@@ -504,7 +504,7 @@ func TestRestConsumedByEret(t *testing.T) {
 	if rep, err := c.cmd("REST 10"); err != nil || rep.Code != 350 {
 		t.Fatalf("REST 10: %v %v", rep, err)
 	}
-	got, _, err := c.RetrPartial("obj", 0, 3)
+	got, _, err := fetch(c, "obj", Region{Length: 3})
 	if err != nil || !bytes.Equal(got, payload[:3]) {
 		t.Fatalf("ERET P 0 3: %q, %v", got, err)
 	}

@@ -172,12 +172,12 @@ func TestReplyMeansDone(t *testing.T) {
 			run  func()
 		}{
 			{"RETR 226", 226, "retr", objSize, func() {
-				if _, _, err := c.Retr("x"); err != nil {
+				if _, _, err := fetch(c, "x", Region{}); err != nil {
 					t.Fatal(err)
 				}
 			}},
 			{"STOR 226", 226, "stor", objSize, func() {
-				if _, err := c.Stor("up.bin", payload); err != nil {
+				if _, err := upload(c, "up.bin", payload, Region{}); err != nil {
 					t.Fatal(err)
 				}
 			}},

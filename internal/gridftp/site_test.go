@@ -108,7 +108,7 @@ func TestClientSetTraceDegrade(t *testing.T) {
 	if err := c.ApplyOptions(WithTrace(tc)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Retr("x.bin"); err != nil {
+	if _, _, err := fetch(c, "x.bin", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := hub.Spans().ByTrace(tc.TraceID); len(got) != 1 || got[0].ParentSID != "deadbeef" {
@@ -125,7 +125,7 @@ func TestClientSetTraceDegrade(t *testing.T) {
 	if err := c.ApplyOptions(WithTrace(telemetry.TraceContext{})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Retr("x.bin"); err != nil {
+	if _, _, err := fetch(c, "x.bin", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := chub.Spans().ByTrace(tc.TraceID); len(got) != 1 {

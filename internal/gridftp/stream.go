@@ -15,14 +15,12 @@ import (
 )
 
 // This file is the client's data plane, one engine per direction:
-// retrieve delivers an object region into an io.Writer through a
-// bounded reassembly window, and store sends an io.Reader through the
+// RetrToAt delivers an object region into an io.Writer through a
+// bounded reassembly window, and StorFromAt sends an io.Reader through the
 // server's own sender, sendBlocks, whose connections claim its blocks
 // as they come free — peak memory is at most a window (receive) or a
 // frame buffer per connection (send), independent of object size.
-// RetrTo/RetrToAt and StorFrom/StorFromAt expose them directly; the
-// buffered Retr/Stor families (client.go) are the same engines over a
-// byte slice.
+// A Region picks the transfer's shape.
 
 // connSet tracks a transfer's open data connections so a context
 // cancellation can tear them down from outside the transfer
@@ -211,34 +209,68 @@ func (c *Client) beginTransfer(op, name string) (*telemetry.Span, func(TransferS
 	}
 }
 
-// RetrTo fetches an object and streams it into w with bounded memory:
-// out-of-order MODE E blocks park in a sliding window (WithWindow) and
-// every byte reaching w is contiguous and delivered exactly once. The
-// returned stats carry the delivered count in Bytes and the raw
-// payload count in WireBytes even when the transfer fails — the
-// delivered watermark (offset + Bytes) is the REST offset a
-// resume-aware retry restarts from.
+// Region is the part of an object a transfer moves, and how. The zero
+// Region is the whole object over the session's parallel streams. A
+// Length above zero retrieves [Offset, Offset+Length) with ERET;
+// otherwise an Offset above zero restarts at Offset with REST, and a
+// retrieval runs to the end of the object. Striped runs the transfer
+// over one connection per server stripe (SPAS) instead.
+type Region struct {
+	Offset, Length int64
+	Striped        bool
+}
+
+// op names a transfer over at as its span and metric op, or says why at
+// is not a region: a negative field, or a length on a store.
+func (at Region) op(store bool) (string, error) {
+	switch {
+	case at.Offset < 0:
+		return "", errors.New("gridftp: negative restart offset")
+	case at.Length < 0:
+		return "", errors.New("gridftp: negative region length")
+	case store && at.Length != 0:
+		return "", errors.New("gridftp: a store takes no region length")
+	case store && at.Offset > 0:
+		return "rest_stor", nil
+	case store && at.Striped:
+		return "stor_striped", nil
+	case store:
+		return "stor", nil
+	case at.Length > 0:
+		return "eret", nil
+	case at.Offset > 0:
+		return "rest_retr", nil
+	case at.Striped:
+		return "retr_striped", nil
+	}
+	return "retr", nil
+}
+
+// RetrTo retrieves the whole object into w: RetrToAt at the zero Region.
 func (c *Client) RetrTo(ctx context.Context, name string, w io.Writer, opts ...Option) (TransferStats, error) {
-	return c.RetrToAt(ctx, name, w, 0, opts...)
+	return c.RetrToAt(ctx, name, w, Region{}, opts...)
 }
 
-// RetrToAt is RetrTo resuming at a byte offset: REST is issued and w
-// receives the object's bytes from offset onward.
-func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, offset int64, opts ...Option) (TransferStats, error) {
-	return c.retrieve(ctx, "retr_stream", name, w, false, offset, -1, opts)
-}
-
-// retrieve is the client's one download engine, instrumented as op: a
-// span tracing data_setup -> stream -> teardown and the client transfer
-// metrics. It fetches [offset, offset+length) of the named object
-// (length < 0: to the end) into w — as ERET when a length is given,
-// REST+RETR when only an offset is, plain RETR otherwise — over the
+// RetrToAt is the client's one download engine. It fetches the region
+// at of the named object into w with bounded memory: out-of-order MODE
+// E blocks park in a sliding window (WithWindow) and every byte
+// reaching w is contiguous and delivered exactly once. It runs over the
 // kept data connections (see dataChans), parallelism connections to one
-// PASV listener, or one connection per SPAS stripe when striped. The
-// region length is the one the 150 announces; a server that announces
-// none has the delivered length checked by a SIZE after its 226. opts
-// are applied (and persist) before anything else runs.
-func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, striped bool, offset, length int64, opts []Option) (stats TransferStats, err error) {
+// PASV listener, or one connection per SPAS stripe, instrumented under
+// the op at names: a span tracing data_setup -> stream -> teardown and
+// the client transfer metrics. The region length is the one the 150
+// announces; a server that announces none has the delivered length
+// checked by a SIZE after its 226. A Region that is not one fails
+// before anything reaches the wire; opts are applied (and persist)
+// before anything else runs. The returned stats carry the delivered
+// count in Bytes and the raw payload count in WireBytes even when the
+// transfer fails — the delivered watermark (at.Offset + Bytes) is the
+// REST offset a resume-aware retry restarts from.
+func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, at Region, opts ...Option) (stats TransferStats, err error) {
+	op, err := at.op(false)
+	if err != nil {
+		return TransferStats{}, err
+	}
 	if err := c.ApplyOptions(opts...); err != nil {
 		return TransferStats{}, err
 	}
@@ -247,25 +279,22 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 	if w == nil {
 		return TransferStats{}, errors.New("gridftp: nil sink")
 	}
-	if offset < 0 {
-		return TransferStats{}, errors.New("gridftp: negative restart offset")
-	}
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	chans, addrs, err := c.dataChans(striped)
+	chans, addrs, err := c.dataChans(at.Striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
 	var opening, rep Reply // rep, the 226, says whether to keep chans
-	defer func() { c.keep(rep, chans, striped, err) }()
+	defer func() { c.keep(rep, chans, at.Striped, err) }()
 	n := max(len(chans), len(addrs))
 	start := time.Now()
 	switch {
-	case length >= 0:
-		opening, err = c.do("ERET", fmt.Sprintf("ERET P %d %d %s", offset, length, name), 150)
-	case offset > 0:
-		if _, err = c.do("REST", fmt.Sprintf("REST %d", offset), 350); err == nil {
+	case at.Length > 0:
+		opening, err = c.do("ERET", fmt.Sprintf("ERET P %d %d %s", at.Offset, at.Length, name), 150)
+	case at.Offset > 0:
+		if _, err = c.do("REST", fmt.Sprintf("REST %d", at.Offset), 350); err == nil {
 			opening, err = c.do("RETR", "RETR "+name, 150)
 		}
 	default:
@@ -275,12 +304,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		return TransferStats{}, err
 	}
 	regionLen := announcedSize(opening.Text)
-	if bs, ok := w.(*byteSink); ok && regionLen > 0 {
-		// The length is the server's claim: presize up to a bound, and
-		// let anything larger grow as bytes actually arrive.
-		bs.buf = make([]byte, 0, min(regionLen, 256<<20))
-	}
-	asm, err := NewWindowAssembler(w, uint64(offset), regionLen, c.windowSize, c.dataTimeout)
+	asm, err := NewWindowAssembler(w, uint64(at.Offset), regionLen, c.windowSize, c.dataTimeout)
 	if err != nil {
 		c.drainReply() // the server is mid-transfer; consume its verdict
 		return TransferStats{}, err
@@ -289,7 +313,7 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		_, err := asm.drain(&dc.fr, n, unboundedEnd)
 		return err
 	})
-	stats = c.stats(asm.Delivered(), start, n, striped)
+	stats = c.stats(asm.Delivered(), start, n, at.Striped)
 	stats.WireBytes = asm.WireBytes()
 	if err != nil {
 		c.drainReply()
@@ -299,21 +323,22 @@ func (c *Client) retrieve(ctx context.Context, op, name string, w io.Writer, str
 		err = asm.Finish()
 	}
 	if err == nil && regionLen < 0 {
-		err = c.checkDelivered(name, offset, length, asm.Delivered())
+		err = c.checkDelivered(name, at, asm.Delivered())
 	}
 	return stats, err
 }
 
 // checkDelivered holds a retrieval whose 150 announced no length to the
-// region SIZE bounds: [offset, size), cut to length when that is set.
-func (c *Client) checkDelivered(name string, offset, length, delivered int64) error {
+// region SIZE bounds: [at.Offset, size), cut to at.Length when that is
+// set.
+func (c *Client) checkDelivered(name string, at Region, delivered int64) error {
 	size, err := c.Size(name)
 	if err != nil {
 		return err
 	}
-	want := size - offset
-	if length >= 0 {
-		want = min(want, length)
+	want := size - at.Offset
+	if at.Length > 0 {
+		want = min(want, at.Length)
 	}
 	if delivered != want {
 		return fmt.Errorf("%w: delivered %d bytes, SIZE bounds the region at %d", ErrDataProtocol, delivered, want)
@@ -321,26 +346,23 @@ func (c *Client) checkDelivered(name string, offset, length, delivered int64) er
 	return nil
 }
 
-// StorFrom uploads size bytes read from r (size < 0 when unknown; it
-// is informational only — the server is not told it; ROADMAP item
-// 21(c) is where it would be). Memory stays bounded at one batch of
-// MODE E blocks per stream regardless of object size.
+// StorFrom uploads r as the whole object: StorFromAt at the zero
+// Region. size is not read.
 func (c *Client) StorFrom(ctx context.Context, name string, r io.Reader, size int64, opts ...Option) (TransferStats, error) {
-	return c.StorFromAt(ctx, name, r, 0, size, opts...)
+	return c.StorFromAt(ctx, name, r, Region{}, opts...)
 }
 
-// StorFromAt is StorFrom resuming at a byte offset: REST is issued and
-// r must supply the object's bytes from offset onward — the windowed
-// receiver appends them to its partial object.
-func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, offset, size int64, opts ...Option) (TransferStats, error) {
-	return c.store(ctx, "stor_stream", name, r, false, offset, opts)
-}
-
-// store is the client's one upload engine, instrumented as op like
-// retrieve. It sends r as the named object's bytes from offset onward
-// (REST+STOR when offset > 0) over the connections dataChans provides,
-// as retrieve does. opts are applied first, as in retrieve.
-func (c *Client) store(ctx context.Context, op, name string, r io.Reader, striped bool, offset int64, opts []Option) (stats TransferStats, err error) {
+// StorFromAt is the client's one upload engine, instrumented, checked
+// and connected like RetrToAt. It sends r as the named object's bytes
+// from at.Offset onward, the windowed receiver appending them to its
+// partial object when at.Offset is above zero (REST). A store Region
+// has no Length. Memory stays bounded at one batch of MODE E blocks per
+// stream regardless of object size.
+func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, at Region, opts ...Option) (stats TransferStats, err error) {
+	op, err := at.op(true)
+	if err != nil {
+		return TransferStats{}, err
+	}
 	if err := c.ApplyOptions(opts...); err != nil {
 		return TransferStats{}, err
 	}
@@ -349,21 +371,18 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	if r == nil {
 		return TransferStats{}, errors.New("gridftp: nil source")
 	}
-	if offset < 0 {
-		return TransferStats{}, errors.New("gridftp: negative restart offset")
-	}
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	chans, addrs, err := c.dataChans(striped)
+	chans, addrs, err := c.dataChans(at.Striped)
 	if err != nil {
 		return TransferStats{}, err
 	}
 	var rep Reply // the 226, which says whether to keep chans
-	defer func() { c.keep(rep, chans, striped, err) }()
+	defer func() { c.keep(rep, chans, at.Striped, err) }()
 	start := time.Now()
-	if offset > 0 {
-		if _, err := c.do("REST", fmt.Sprintf("REST %d", offset), 350); err != nil {
+	if at.Offset > 0 {
+		if _, err := c.do("REST", fmt.Sprintf("REST %d", at.Offset), 350); err != nil {
 			return TransferStats{}, err
 		}
 	}
@@ -376,12 +395,12 @@ func (c *Client) store(ctx context.Context, op, name string, r io.Reader, stripe
 	// the block size follows the client's own window setting: a peer
 	// configured symmetrically always accepts our blocks, with room
 	// for four in flight before anything parks.
-	src := &blockSource{r: r, pos: offset, end: -1, blockSize: min(max(c.windowSize/4, 4<<10), 256<<10)}
+	src := &blockSource{r: r, pos: at.Offset, end: -1, blockSize: min(max(c.windowSize/4, 4<<10), 256<<10)}
 	chans, err = c.pumpConns(ctx, chans, addrs, sp, src.fail, func(dc *dataChan) (err error) {
 		dc.send, err = sendBlocks(src, dc.conn, dc.send)
 		return err
 	})
-	stats = c.stats(src.sent.Load(), start, n, striped)
+	stats = c.stats(src.sent.Load(), start, n, at.Striped)
 	stats.WireBytes = stats.Bytes
 	// Every path past the STOR exchange above lands here, so the
 	// server has accepted the upload and begun (or truncated) the named

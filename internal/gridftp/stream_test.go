@@ -62,7 +62,7 @@ func TestStreamRetrLargerThanWindow(t *testing.T) {
 		t.Fatalf("wire=%d delivered=%d: clean transfer should re-send nothing", stats.WireBytes, stats.Bytes)
 	}
 	// The buffered call shape is the same engine over a byte slice.
-	buffered, bstats, err := c.Retr("big.bin")
+	buffered, bstats, err := fetch(c, "big.bin", Region{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestStreamStorLargerThanWindow(t *testing.T) {
 		t.Fatal("windowed store differs from payload")
 	}
 	// Same payload through the buffered call shape, checked server-side.
-	if _, err := c.Stor("up2.bin", want); err != nil {
+	if _, err := upload(c, "up2.bin", want, Region{}); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := c.Checksum("up2.bin")
@@ -125,7 +125,7 @@ func TestStreamRetrResumeAt(t *testing.T) {
 
 	const offset = 200_000
 	var out bytes.Buffer
-	stats, err := c.RetrToAt(context.Background(), "obj.bin", &out, offset)
+	stats, err := c.RetrToAt(context.Background(), "obj.bin", &out, Region{Offset: offset})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStreamStorResumeAppends(t *testing.T) {
 	if watermark != cut {
 		t.Fatalf("watermark %d, want %d", watermark, cut)
 	}
-	if _, err := c.StorFromAt(ctx, "res.bin", bytes.NewReader(want[watermark:]), watermark, int64(len(want))-watermark); err != nil {
+	if _, err := c.StorFromAt(ctx, "res.bin", bytes.NewReader(want[watermark:]), Region{Offset: watermark}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := store.Get("res.bin")
@@ -228,7 +228,7 @@ func TestStreamStorResetLeavesResumablePartial(t *testing.T) {
 	}
 
 	// Resume from the watermark.
-	if _, err := c.StorFromAt(ctx, "fault.bin", bytes.NewReader(want[watermark:]), watermark, size-watermark); err != nil {
+	if _, err := c.StorFromAt(ctx, "fault.bin", bytes.NewReader(want[watermark:]), Region{Offset: watermark}); err != nil {
 		t.Fatal(err)
 	}
 	got, err = store.Get("fault.bin")

@@ -72,7 +72,7 @@ func TestTransferSpanPhases(t *testing.T) {
 	store.Put("x", payload)
 	s := startServer(t, Config{Store: store, Telemetry: hub})
 	c := login(t, s.Addr())
-	if _, _, err := c.Retr("x"); err != nil {
+	if _, _, err := fetch(c, "x", Region{}); err != nil {
 		t.Fatal(err)
 	}
 	waitNoActiveSpans(t, hub)
@@ -128,7 +128,7 @@ func TestSpanClosedUnderFaults(t *testing.T) {
 				AcceptTimeout: fmAccept, DataTimeout: fmData,
 				DataListen: fault.tracker().Listen, Telemetry: hub})
 			c := fmLogin(t, s.Addr())
-			if _, _, err := c.Retr("x"); err == nil {
+			if _, _, err := fetch(c, "x", Region{}); err == nil {
 				t.Fatal("Retr succeeded under injected fault")
 			}
 			waitNoActiveSpans(t, hub)
@@ -162,7 +162,7 @@ func TestLiveCountersFeedSNMPPipeline(t *testing.T) {
 	c := login(t, s.Addr())
 	const transfers = 100
 	for i := 0; i < transfers; i++ {
-		if _, _, err := c.Retr(fmt.Sprintf("obj%d", i%10)); err != nil {
+		if _, _, err := fetch(c, fmt.Sprintf("obj%d", i%10), Region{}); err != nil {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 		if i%10 == 9 {
@@ -237,7 +237,7 @@ func TestFailedTransfersLogged(t *testing.T) {
 	rs.expect(t, "425")
 	// Success for contrast: the historical record shape (Code 0).
 	c := login(t, s.Addr())
-	if _, _, err := c.Retr("x"); err != nil {
+	if _, _, err := fetch(c, "x", Region{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -178,7 +178,7 @@ func TestTieredStoreServesServer(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), big) {
 		t.Fatal("tiered round trip differs")
 	}
-	if _, err := ts.Cold().Get("big.bin"); err != nil {
+	if _, err := ts.cold.Get("big.bin"); err != nil {
 		t.Fatalf("object not durably on the disk tier: %v", err)
 	}
 

@@ -98,10 +98,6 @@ func NewTieredStore(cold *DirStore, opts TieredOptions) (*TieredStore, error) {
 	return t, nil
 }
 
-// Cold returns the disk tier, for tests and tooling that inspect the
-// backing files directly.
-func (t *TieredStore) Cold() *DirStore { return t.cold }
-
 // lookup returns the cached bytes for name, bumping its recency. The
 // returned slice is the immutable cache copy — callers must not write
 // to it.

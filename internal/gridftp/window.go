@@ -495,14 +495,6 @@ func (a *WindowAssembler) DuplicateBytes() int64 {
 	return a.dup
 }
 
-// DrainConn reads frames from one data connection into the assembler
-// until EOD, parking on out-of-window blocks. It returns the payload
-// bytes read off this connection. On error the caller should Abort the
-// assembler so sibling connections unpark.
-func (a *WindowAssembler) DrainConn(r io.Reader) (int64, error) {
-	return a.drain(&frameReader{r: r}, 0, unboundedEnd)
-}
-
 // drain is every transfer's per-connection read loop: it places the
 // frames fr reads until EOD as one of loops drain loops (0: none
 // announced, nothing is held), all announcing the same count before

@@ -388,7 +388,10 @@ func TestWindowInOrderNeverBuffers(t *testing.T) {
 		want []byte
 		run  func(*WindowAssembler) error
 	}{
-		{"one stream", payload, func(a *WindowAssembler) error { _, err := a.DrainConn(&stream); return err }},
+		{"one stream", payload, func(a *WindowAssembler) error {
+			_, err := a.drain(&frameReader{r: &stream}, 0, unboundedEnd)
+			return err
+		}},
 		{"one block", payload[:blockLen], func(a *WindowAssembler) error { return a.PlaceBlocking(Block{Data: payload[:blockLen]}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -549,13 +549,13 @@ func TestOpeningReplyText(t *testing.T) {
 		run  func() error
 		want string
 	}{
-		{"RETR", func() error { _, _, err := c.Retr("obj"); return err },
+		{"RETR", func() error { _, _, err := fetch(c, "obj", Region{}); return err },
 			"150 opening data connection (40967 bytes)"},
-		{"REST+RETR", func() error { _, _, err := c.RetrFrom("obj", 1000); return err },
+		{"REST+RETR", func() error { _, _, err := fetch(c, "obj", Region{Offset: 1000}); return err },
 			"150 opening data connection (39967 bytes)"},
-		{"ERET", func() error { _, _, err := c.RetrPartial("obj", 1000, 5000); return err },
+		{"ERET", func() error { _, _, err := fetch(c, "obj", Region{Offset: 1000, Length: 5000}); return err },
 			"150 opening data connection (5000 bytes)"},
-		{"STOR", func() error { _, err := c.Stor("up", randomPayload(100)); return err },
+		{"STOR", func() error { _, err := upload(c, "up", randomPayload(100), Region{}); return err },
 			"150 opening data connection"},
 	} {
 		written, _, _ := conn.seen()

@@ -1,7 +1,9 @@
 package rig
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -59,7 +61,7 @@ func TestCensusReportsLeaks(t *testing.T) {
 	tb = &fakeTB{}
 	r = New(tb)
 	srv = r.Server(gridftp.Config{}, Objects{"x": Payload(1, 64<<10)})
-	if _, _, err := r.Login(srv.Addr()).Retr("x"); err != nil {
+	if _, err := r.Login(srv.Addr()).RetrTo(context.Background(), "x", io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	r.Load(srv.Addr(), "x", 2)
@@ -148,7 +150,7 @@ func TestServerKeepsCallerFields(t *testing.T) {
 			return deadlineListener{ln, &acceptBy}, err
 		},
 	}, Objects{"x": Payload(1, 1<<10)})
-	if _, _, err := r.Login(srv.Addr()).Retr("x"); err != nil {
+	if _, err := r.Login(srv.Addr()).RetrTo(context.Background(), "x", io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	_, seeded := store.Get("x")

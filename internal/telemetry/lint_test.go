@@ -57,7 +57,7 @@ func TestStackMetricsLint(t *testing.T) {
 	if err := c.Login("u", "p"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Retr("obj.bin"); err != nil {
+	if _, err := c.RetrTo(context.Background(), "obj.bin", io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()

@@ -840,11 +840,11 @@ func (r *run) checkout() (err error) {
 }
 
 // size probes the object size an unhinted job needs before any byte
-// moves: the broker sizes circuits from bytes and the streaming relay
-// needs the region length. A plain third-party job skips it: its source
-// announces the size in the RETR 150 (see transfer), before any byte
-// can reach the destination whose watermark a retry clamps against it.
-// A failed probe just means an unhinted decision, not a failed job.
+// moves: the broker sizes circuits from bytes, and a retry clamps the
+// destination's watermark against it. A plain third-party job skips it:
+// its source announces the size in the RETR 150 (see transfer), before
+// any byte can reach the destination. A failed probe just means an
+// unhinted decision, not a failed job.
 func (r *run) size() error {
 	if r.job.SizeHint <= 0 && (r.m.broker != nil || r.job.Stream) {
 		if n, err := r.src.Size(r.job.SrcName); err == nil && n > 0 {
@@ -944,10 +944,7 @@ func (r *run) transfer() (err error) {
 // trusting its SIZE as this job's watermark on the next attempt.
 func (r *run) streamRelay() error {
 	pr, pw := io.Pipe()
-	region := int64(-1)
-	if r.res.Bytes > 0 {
-		region = r.res.Bytes - r.restart
-	}
+	at := gridftp.Region{Offset: r.restart}
 	var stats gridftp.TransferStats
 	var storErr error
 	done := make(chan struct{})
@@ -955,11 +952,11 @@ func (r *run) streamRelay() error {
 		defer close(done)
 		// The limiter paces only the STOR leg; the pipe's backpressure
 		// throttles the RETR leg to the same rate transitively.
-		stats, storErr = r.dst.StorFromAt(r.ctx, r.job.DstName, pr, r.restart, region, gridftp.WithLimiter(r.lim))
+		stats, storErr = r.dst.StorFromAt(r.ctx, r.job.DstName, pr, at, gridftp.WithLimiter(r.lim))
 		// Unblock the RETR side if the STOR leg died first.
 		pr.CloseWithError(storErr)
 	}()
-	_, retrErr := r.src.RetrToAt(r.ctx, r.job.SrcName, pw, r.restart)
+	_, retrErr := r.src.RetrToAt(r.ctx, r.job.SrcName, pw, at)
 	// nil closes the pipe cleanly (EOF): the STOR leg finishes its
 	// drain; an error propagates to its reader as the source failure.
 	pw.CloseWithError(retrErr)
