@@ -12,13 +12,17 @@ GO ?= go
 # token-bucket pacing layer (whose buckets are shared across concurrent
 # data streams), the fleet registry/dispatcher (whose scrape loop and
 # placement path race against each other by design), the cluster rig
-# (whose background-load sessions run beside the test goroutine), and
-# the root package whose C10k rig hammers the sharded session registry
-# and the per-transfer passive listeners.
+# (whose background-load sessions run beside the test goroutine), the
+# root package whose C10k rig hammers the sharded session registry
+# and the per-transfer passive listeners, and the reservation calendar
+# with both its users (the OSCARS ledger and daemon, whose tests race
+# refused modifies against reserves, and the server calendar, whose
+# tests churn reserves and releases from many goroutines).
 RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 	./internal/gridftp/... ./internal/faultnet/... ./internal/telemetry \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
-	./internal/pacing ./internal/fleet ./internal/rig .
+	./internal/pacing ./internal/fleet ./internal/rig \
+	./internal/oscars ./internal/oscarsd ./internal/dtnsched .
 
 .PHONY: check fmt-check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
@@ -27,8 +31,9 @@ all: check
 # Tier-1 verify: every Go file must be gofmt-clean, the whole module must
 # build, every test pass, vet (and
 # the context-plumbing lint) stay clean, the transfer engine's fault
-# matrix, the telemetry registry, and the hybrid control plane run under
-# the race detector, and every fuzz corpus gets a short randomized shake.
+# matrix, the telemetry registry, the hybrid control plane and the
+# reservation calendar with its users run under the race detector, and
+# every fuzz corpus gets a short randomized shake.
 # The benchmark is its own module (bench/, outside ./...), so it is
 # vetted and tested here too: an API change that breaks its build fails
 # CI rather than the next benchmark run.
@@ -43,7 +48,8 @@ check:
 	$(GO) -C bench test ./...
 	$(GO) test -race -count=1 ./internal/gridftp/... ./internal/faultnet/... \
 		./internal/telemetry ./internal/vc/... ./internal/xferman \
-		./internal/connpool ./internal/pacing ./internal/fleet ./internal/rig .
+		./internal/connpool ./internal/pacing ./internal/fleet ./internal/rig \
+		./internal/oscars ./internal/oscarsd ./internal/dtnsched .
 	$(MAKE) fuzz-smoke
 
 # Format gate: read-only (it lists, never rewrites), over the whole

@@ -14,7 +14,7 @@ import (
 	"gftpvc/internal/simclock"
 )
 
-func mustReserve(t *testing.T, s *Scheduler, rate float64, start, end simclock.Time) Reservation {
+func mustReserve(t *testing.T, s *Calendar, rate float64, start, end simclock.Time) Reservation {
 	t.Helper()
 	r, err := s.Reserve(rate, start, end)
 	if err != nil {
@@ -23,7 +23,7 @@ func mustReserve(t *testing.T, s *Scheduler, rate float64, start, end simclock.T
 	return r
 }
 
-func availOf(t *testing.T, s *Scheduler, start, end simclock.Time) float64 {
+func availOf(t *testing.T, s *Calendar, start, end simclock.Time) float64 {
 	t.Helper()
 	a, err := s.Available(start, end)
 	if err != nil {
@@ -175,10 +175,11 @@ func TestPruneDropsOnlyExpired(t *testing.T) {
 func TestWallClockCalendar(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	w, err := NewWallAt(1000, clock)
+	w, err := NewWall(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.epoch, w.now = now, clock
 	if a := w.AvailableNow(10 * time.Second); a != 1000 {
 		t.Fatalf("fresh calendar: AvailableNow = %.0f, want 1000", a)
 	}
@@ -192,16 +193,16 @@ func TestWallClockCalendar(t *testing.T) {
 	if _, err := w.ReserveNow(600, time.Second); err == nil {
 		t.Fatal("oversubscribing ReserveNow admitted")
 	}
-	if w.Claims() != 1 {
-		t.Fatalf("Claims = %d, want 1", w.Claims())
+	if n := w.s.Reservations(); n != 1 {
+		t.Fatalf("live claims = %d, want 1", n)
 	}
 	// The clock passes the claim's end: it stops binding and prunes.
 	now = now.Add(11 * time.Second)
 	if a := w.AvailableNow(10 * time.Second); a != 1000 {
 		t.Fatalf("expired claim still binds: AvailableNow = %.0f", a)
 	}
-	if w.Claims() != 0 {
-		t.Fatalf("expired claim not pruned: Claims = %d", w.Claims())
+	if n := w.s.Reservations(); n != 0 {
+		t.Fatalf("expired claim not pruned: %d live claims", n)
 	}
 	w.Release(r.ID) // idempotent on an expired claim
 	// Release frees capacity before expiry.

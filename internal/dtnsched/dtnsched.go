@@ -1,10 +1,13 @@
-// Package dtnsched implements the paper's concluding recommendation:
-// "solutions to reduce throughput variance require scheduling of server
-// resources prior to data transfers, not just network bandwidth." It is
-// the data-transfer-node counterpart of the OSCARS bandwidth ledger: an
-// admission-controlled reservation calendar over a DTN's aggregate
-// capacity (the R of Eq. 2), with earliest-feasible-slot placement so
-// transfers run at a guaranteed server rate instead of competing for it.
+// Package dtnsched holds the reservation calendar both scheduled
+// resources share: an admission-controlled list of bookings over one
+// capacity, with earliest-feasible-slot placement. A data-transfer
+// node's aggregate capacity (the R of Eq. 2) is one calendar — the
+// paper's concluding recommendation, "solutions to reduce throughput
+// variance require scheduling of server resources prior to data
+// transfers, not just network bandwidth" — and the OSCARS bandwidth
+// ledger (internal/oscars) keeps one per link, so servers are
+// scheduled by the very calendar that schedules the network. Wall maps
+// a calendar onto the wall clock for live admission control.
 package dtnsched
 
 import (
@@ -17,11 +20,11 @@ import (
 	"gftpvc/internal/simclock"
 )
 
-// ReservationID identifies one admitted server-capacity claim.
+// ReservationID identifies one admitted claim on a calendar.
 type ReservationID int64
 
-// Reservation is an admitted claim: rateBps of the server's aggregate
-// capacity during [Start, End).
+// Reservation is an admitted claim: RateBps of the calendar's capacity
+// during [Start, End).
 type Reservation struct {
 	ID      ReservationID
 	RateBps float64
@@ -29,70 +32,67 @@ type Reservation struct {
 	End     simclock.Time
 }
 
-type booking struct {
-	start, end simclock.Time
-	rate       float64
-	id         ReservationID
-}
-
-// Scheduler is a reservation calendar over one DTN's aggregate capacity.
-// It is safe for concurrent use.
-type Scheduler struct {
+// Calendar is a reservation calendar over one capacity: the bookings
+// admitted against it, and the one booking-peak sweep that admits
+// them. It is safe for concurrent use.
+type Calendar struct {
 	capacity float64
 
 	mu       sync.Mutex
 	nextID   ReservationID
-	bookings []booking
+	bookings []Reservation
 }
 
-// New creates a scheduler for a server that sustains capacityBps across
-// all concurrent transfers.
-func New(capacityBps float64) (*Scheduler, error) {
+// New creates a calendar over capacityBps: a server's rate across all
+// its concurrent transfers, or a link's reservable share.
+func New(capacityBps float64) (*Calendar, error) {
 	if capacityBps <= 0 {
 		return nil, errors.New("dtnsched: capacity must be positive")
 	}
-	return &Scheduler{capacity: capacityBps}, nil
+	return &Calendar{capacity: capacityBps}, nil
 }
 
-// Capacity returns the server's aggregate capacity.
-func (s *Scheduler) Capacity() float64 { return s.capacity }
-
 // Available returns the guaranteed-free capacity throughout [start, end).
-func (s *Scheduler) Available(start, end simclock.Time) (float64, error) {
+func (c *Calendar) Available(start, end simclock.Time) (float64, error) {
 	if end <= start {
 		return 0, errors.New("dtnsched: empty interval")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.availableLocked(start, end), nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.availableLocked(start, end), nil
 }
 
-func (s *Scheduler) availableLocked(start, end simclock.Time) float64 {
+// availableLocked is capacity minus the peak booked rate within [start,
+// end), found by sweeping booking boundaries. Intervals are half-open,
+// so a booking ending where another begins does not overlap it.
+func (c *Calendar) availableLocked(start, end simclock.Time) float64 {
 	type edge struct {
 		at    simclock.Time
 		delta float64
 	}
 	var edges []edge
-	for _, b := range s.bookings {
-		if b.end <= start || b.start >= end {
+	for _, b := range c.bookings {
+		if b.End <= start || b.Start >= end {
 			continue
 		}
-		lo, hi := b.start, b.end
+		lo, hi := b.Start, b.End
 		if lo < start {
 			lo = start
 		}
 		if hi > end {
 			hi = end
 		}
-		edges = append(edges, edge{lo, b.rate}, edge{hi, -b.rate})
+		edges = append(edges, edge{lo, b.RateBps}, edge{hi, -b.RateBps})
 	}
 	if len(edges) == 0 {
-		return s.capacity
+		return c.capacity
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].at != edges[j].at {
 			return edges[i].at < edges[j].at
 		}
+		// Releases before claims at the same instant, so back-to-back
+		// bookings do not double-count.
 		return edges[i].delta < edges[j].delta
 	})
 	cur, peak := 0.0, 0.0
@@ -102,34 +102,32 @@ func (s *Scheduler) availableLocked(start, end simclock.Time) float64 {
 			peak = cur
 		}
 	}
-	avail := s.capacity - peak
-	if avail < 0 {
-		avail = 0
-	}
-	return avail
+	return math.Max(0, c.capacity-peak)
+}
+
+// admitLocked books a claim the caller has found headroom for.
+func (c *Calendar) admitLocked(rateBps float64, start, end simclock.Time) Reservation {
+	c.nextID++
+	r := Reservation{ID: c.nextID, RateBps: rateBps, Start: start, End: end}
+	c.bookings = append(c.bookings, r)
+	return r
 }
 
 // Reserve admits a claim of rateBps during [start, end), or fails when
 // the calendar lacks headroom.
-func (s *Scheduler) Reserve(rateBps float64, start, end simclock.Time) (Reservation, error) {
+func (c *Calendar) Reserve(rateBps float64, start, end simclock.Time) (Reservation, error) {
 	if rateBps <= 0 {
 		return Reservation{}, errors.New("dtnsched: rate must be positive")
-	}
-	if rateBps > s.capacity {
-		return Reservation{}, fmt.Errorf("dtnsched: rate %.0f exceeds capacity %.0f", rateBps, s.capacity)
 	}
 	if end <= start {
 		return Reservation{}, errors.New("dtnsched: empty interval")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.availableLocked(start, end) < rateBps-1e-9 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.availableLocked(start, end) < rateBps-1e-9 {
 		return Reservation{}, fmt.Errorf("dtnsched: no headroom for %.0f bps in [%v,%v)", rateBps, start, end)
 	}
-	s.nextID++
-	r := Reservation{ID: s.nextID, RateBps: rateBps, Start: start, End: end}
-	s.bookings = append(s.bookings, booking{start: start, end: end, rate: rateBps, id: r.ID})
-	return r, nil
+	return c.admitLocked(rateBps, start, end), nil
 }
 
 // ReserveEarliest places a claim of rateBps for durationSec at the
@@ -137,29 +135,26 @@ func (s *Scheduler) Reserve(rateBps float64, start, end simclock.Time) (Reservat
 // transfer tool calls before starting: "when can this server give me
 // 1 Gbps for ten minutes?". Candidate starts are notBefore and the ends
 // of existing bookings (capacity only frees at those instants).
-func (s *Scheduler) ReserveEarliest(rateBps, durationSec float64, notBefore simclock.Time) (Reservation, error) {
+func (c *Calendar) ReserveEarliest(rateBps, durationSec float64, notBefore simclock.Time) (Reservation, error) {
 	if rateBps <= 0 || durationSec <= 0 {
 		return Reservation{}, errors.New("dtnsched: rate and duration must be positive")
 	}
-	if rateBps > s.capacity {
-		return Reservation{}, fmt.Errorf("dtnsched: rate %.0f exceeds capacity %.0f", rateBps, s.capacity)
+	if rateBps > c.capacity {
+		return Reservation{}, fmt.Errorf("dtnsched: rate %.0f exceeds capacity %.0f", rateBps, c.capacity)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	candidates := []simclock.Time{notBefore}
-	for _, b := range s.bookings {
-		if b.end > notBefore {
-			candidates = append(candidates, b.end)
+	for _, b := range c.bookings {
+		if b.End > notBefore {
+			candidates = append(candidates, b.End)
 		}
 	}
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 	dur := simclock.Duration(durationSec)
 	for _, at := range candidates {
-		if s.availableLocked(at, at.Add(dur)) >= rateBps-1e-9 {
-			s.nextID++
-			r := Reservation{ID: s.nextID, RateBps: rateBps, Start: at, End: at.Add(dur)}
-			s.bookings = append(s.bookings, booking{start: r.Start, end: r.End, rate: rateBps, id: r.ID})
-			return r, nil
+		if c.availableLocked(at, at.Add(dur)) >= rateBps-1e-9 {
+			return c.admitLocked(rateBps, at, at.Add(dur)), nil
 		}
 	}
 	// Unreachable: the slot after the last booking always has full
@@ -167,24 +162,37 @@ func (s *Scheduler) ReserveEarliest(rateBps, durationSec float64, notBefore simc
 	return Reservation{}, errors.New("dtnsched: no feasible slot")
 }
 
-// Release frees a reservation. It is idempotent.
-func (s *Scheduler) Release(id ReservationID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.bookings[:0]
-	for _, b := range s.bookings {
-		if b.id != id {
+// Release frees every booking held under id and returns them, so that a
+// caller can Put them back exactly. It is idempotent.
+func (c *Calendar) Release(id ReservationID) []Reservation {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.removeLocked(func(b Reservation) bool { return b.ID == id })
+}
+
+// removeLocked drops the bookings that match and returns them.
+func (c *Calendar) removeLocked(match func(Reservation) bool) []Reservation {
+	var removed []Reservation
+	kept := c.bookings[:0]
+	for _, b := range c.bookings {
+		if match(b) {
+			removed = append(removed, b)
+		} else {
 			kept = append(kept, b)
 		}
 	}
-	s.bookings = kept
+	c.bookings = kept
+	return removed
 }
 
-// Reservations returns the number of live reservations.
-func (s *Scheduler) Reservations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.bookings)
+// Put adds bookings as given, IDs included, without an admission
+// check. It is for a caller that puts back what Release returned, or
+// that found the headroom itself under a lock covering every calendar
+// it books: the OSCARS ledger books a path's links that way.
+func (c *Calendar) Put(rs ...Reservation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bookings = append(c.bookings, rs...)
 }
 
 // Prune drops every booking that ended at or before cutoff, returning
@@ -192,18 +200,10 @@ func (s *Scheduler) Reservations() int {
 // expired bookings forever without it — they no longer constrain any
 // present or future interval, but every Available sweep still walks
 // them.
-func (s *Scheduler) Prune(cutoff simclock.Time) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.bookings[:0]
-	for _, b := range s.bookings {
-		if b.end > cutoff {
-			kept = append(kept, b)
-		}
-	}
-	dropped := len(s.bookings) - len(kept)
-	s.bookings = kept
-	return dropped
+func (c *Calendar) Prune(cutoff simclock.Time) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.removeLocked(func(b Reservation) bool { return b.End <= cutoff }))
 }
 
 // ScheduledOutcome describes one transfer run under scheduling.
@@ -222,14 +222,14 @@ type ScheduledOutcome struct {
 // same workload with server capacity reserved up front runs at its
 // reserved rate with zero throughput variance from contention, trading
 // variance for bounded start delay.
-func (s *Scheduler) ScheduleTransfers(reqs []TransferRequest) ([]ScheduledOutcome, error) {
+func (c *Calendar) ScheduleTransfers(reqs []TransferRequest) ([]ScheduledOutcome, error) {
 	out := make([]ScheduledOutcome, 0, len(reqs))
 	for i, r := range reqs {
 		if r.SizeBytes <= 0 || r.RateBps <= 0 {
 			return nil, fmt.Errorf("dtnsched: request %d invalid", i)
 		}
 		dur := r.SizeBytes * 8 / r.RateBps
-		res, err := s.ReserveEarliest(r.RateBps, dur, r.At)
+		res, err := c.ReserveEarliest(r.RateBps, dur, r.At)
 		if err != nil {
 			return nil, err
 		}

@@ -11,12 +11,12 @@ import (
 	"gftpvc/internal/simclock"
 )
 
-// Wall is a wall-clock view of a Scheduler: reservations are claimed
+// Wall is a wall-clock view of a Calendar: reservations are claimed
 // "from now" for a duration, and expired bookings are pruned as time
-// advances. It is safe for concurrent use (the underlying Scheduler
+// advances. It is safe for concurrent use (the underlying Calendar
 // serializes) and adds no state of its own beyond the epoch.
 type Wall struct {
-	s     *Scheduler
+	s     *Calendar
 	epoch time.Time
 	// now is injectable for tests; defaults to time.Now.
 	now func() time.Time
@@ -31,23 +31,12 @@ func NewWall(capacityBps float64) (*Wall, error) {
 	return &Wall{s: s, epoch: time.Now(), now: time.Now}, nil
 }
 
-// NewWallAt is NewWall with an injected clock, for deterministic tests.
-func NewWallAt(capacityBps float64, now func() time.Time) (*Wall, error) {
-	w, err := NewWall(capacityBps)
-	if err != nil {
-		return nil, err
-	}
-	w.epoch = now()
-	w.now = now
-	return w, nil
-}
-
-// Capacity returns the calendar's aggregate capacity.
-func (w *Wall) Capacity() float64 { return w.s.Capacity() }
-
-// at maps a wall instant onto the calendar's simulated timeline.
-func (w *Wall) at(t time.Time) simclock.Time {
-	return simclock.Time(t.Sub(w.epoch).Seconds())
+// next prunes what has expired and maps the next dur of wall time onto
+// the calendar's simulated timeline.
+func (w *Wall) next(dur time.Duration) (start, end simclock.Time) {
+	start = simclock.Time(w.now().Sub(w.epoch).Seconds())
+	w.s.Prune(start)
+	return start, start.Add(simclock.Duration(dur.Seconds()))
 }
 
 // AvailableNow returns the capacity guaranteed free for the next dur.
@@ -55,9 +44,7 @@ func (w *Wall) AvailableNow(dur time.Duration) float64 {
 	if dur <= 0 {
 		return 0
 	}
-	now := w.at(w.now())
-	w.s.Prune(now)
-	avail, err := w.s.Available(now, now.Add(simclock.Duration(dur.Seconds())))
+	avail, err := w.s.Available(w.next(dur))
 	if err != nil {
 		return 0
 	}
@@ -69,16 +56,9 @@ func (w *Wall) AvailableNow(dur time.Duration) float64 {
 // a live job starts now or places elsewhere — so the claim fails when
 // the next dur lacks headroom.
 func (w *Wall) ReserveNow(rateBps float64, dur time.Duration) (Reservation, error) {
-	now := w.at(w.now())
-	w.s.Prune(now)
-	return w.s.Reserve(rateBps, now, now.Add(simclock.Duration(dur.Seconds())))
+	start, end := w.next(dur)
+	return w.s.Reserve(rateBps, start, end)
 }
 
 // Release frees a claim. It is idempotent.
 func (w *Wall) Release(id ReservationID) { w.s.Release(id) }
-
-// Claims returns the number of live (unexpired, unreleased) claims.
-func (w *Wall) Claims() int {
-	w.s.Prune(w.at(w.now()))
-	return w.s.Reservations()
-}

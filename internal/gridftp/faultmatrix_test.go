@@ -274,7 +274,8 @@ func TestClientMethodsBoundedOnSilentServer(t *testing.T) {
 	const d = 400 * time.Millisecond
 	small := []byte("payload")
 	// The transfer rows are RetrToAt and StorFromAt shapes, named after
-	// the calls each Region replaced.
+	// the calls each Region replaced; StorRest is the REST store, which
+	// had no call of its own.
 	methods := []struct {
 		name    string
 		call    func(c *Client) error
@@ -288,9 +289,10 @@ func TestClientMethodsBoundedOnSilentServer(t *testing.T) {
 		{"Retr", func(c *Client) error { _, _, err := fetch(c, "x", Region{}); return err }, true},
 		{"RetrStriped", func(c *Client) error { _, _, err := fetch(c, "x", Region{Striped: true}); return err }, true},
 		{"RetrPartial", func(c *Client) error { _, _, err := fetch(c, "x", Region{Length: 10}); return err }, true},
-		{"RetrFrom", func(c *Client) error { _, _, err := fetch(c, "x", Region{}); return err }, true},
+		{"RetrFrom", func(c *Client) error { _, _, err := fetch(c, "x", Region{Offset: 1000}); return err }, true},
 		{"Stor", func(c *Client) error { _, err := upload(c, "x", small, Region{}); return err }, true},
 		{"StorStriped", func(c *Client) error { _, err := upload(c, "x", small, Region{Striped: true}); return err }, true},
+		{"StorRest", func(c *Client) error { _, err := upload(c, "x", small, Region{Offset: 3}); return err }, true},
 		{"ThirdParty", func(c *Client) error {
 			c2, err := Dial(c.conn.RemoteAddr().String(), WithControlTimeout(d), WithDataTimeout(d))
 			if err != nil {

@@ -3,7 +3,7 @@ package oscars
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math"
 
 	"gftpvc/internal/simclock"
 	"gftpvc/internal/topo"
@@ -74,9 +74,6 @@ type Request struct {
 	RateBps  float64
 	Start    simclock.Time
 	End      simclock.Time
-	// MessageSignaling selects explicit createPath provisioning instead of
-	// automatic signaling; the caller must invoke CreatePath itself.
-	MessageSignaling bool
 }
 
 // Circuit is an admitted reservation and, once provisioned, a live VC.
@@ -87,18 +84,10 @@ type Circuit struct {
 
 	state         State
 	provisionedAt simclock.Time
-	releasedAt    simclock.Time
 }
 
 // State returns the circuit's lifecycle state.
 func (c *Circuit) State() State { return c.state }
-
-// ProvisionedAt returns when the circuit became Active (valid once Active
-// or Released).
-func (c *Circuit) ProvisionedAt() simclock.Time { return c.provisionedAt }
-
-// ReleasedAt returns when the circuit was torn down (valid once Released).
-func (c *Circuit) ReleasedAt() simclock.Time { return c.releasedAt }
 
 // SetupDelay returns how long after the requested start the circuit became
 // usable.
@@ -112,7 +101,8 @@ func (c *Circuit) SetupDelay() simclock.Duration {
 //
 // IDC methods must be called from the simulation goroutine. (The
 // wall-clock daemon in cmd/oscarsd wraps only the Ledger, which is
-// concurrency-safe.)
+// concurrency-safe.) Callers keep the *Circuit that CreateReservation
+// returns; the IDC holds no index of its own.
 type IDC struct {
 	Domain string
 
@@ -126,9 +116,6 @@ type IDC struct {
 	// attach and detach guaranteed-rate flows.
 	OnActive  func(*Circuit)
 	OnRelease func(*Circuit)
-
-	mu       sync.Mutex
-	circuits map[CircuitID]*Circuit
 }
 
 // NewIDC creates an IDC over the engine and ledger.
@@ -139,13 +126,7 @@ func NewIDC(domain string, eng *simclock.Engine, ledger *Ledger, model SetupMode
 	if model != BatchedSignaling && model != HardwareSignaling {
 		return nil, errors.New("oscars: unknown setup model")
 	}
-	return &IDC{
-		Domain:   domain,
-		eng:      eng,
-		ledger:   ledger,
-		model:    model,
-		circuits: make(map[CircuitID]*Circuit),
-	}, nil
+	return &IDC{Domain: domain, eng: eng, ledger: ledger, model: model}, nil
 }
 
 // Ledger returns the IDC's bandwidth ledger.
@@ -164,22 +145,13 @@ func (idc *IDC) provisionTime(now, start simclock.Time) simclock.Time {
 	// boundary at or after the start time, then routers take
 	// routerConfigTime to install the circuit.
 	boundary := simclock.Time(float64(batchInterval) *
-		ceilDiv(float64(start), float64(batchInterval)))
+		math.Ceil(float64(start)/float64(batchInterval)))
 	return boundary.Add(routerConfigTime)
 }
 
-func ceilDiv(x, unit float64) float64 {
-	q := x / unit
-	iq := float64(int64(q))
-	if q > iq {
-		iq++
-	}
-	return iq
-}
-
 // CreateReservation admits a reservation: computes a path with guaranteed
-// bandwidth over [Start, End), books it, and (unless MessageSignaling)
-// schedules automatic provisioning and teardown.
+// bandwidth over [Start, End), books it, and schedules provisioning and
+// teardown.
 func (idc *IDC) CreateReservation(req Request) (*Circuit, error) {
 	now := idc.eng.Now()
 	if req.RateBps <= 0 {
@@ -191,41 +163,14 @@ func (idc *IDC) CreateReservation(req Request) (*Circuit, error) {
 	if req.Start < now {
 		return nil, fmt.Errorf("oscars: startTime %v in the past (now %v)", req.Start, now)
 	}
-	path, err := idc.ledger.PathWithBandwidth(req.Src, req.Dst, req.RateBps, req.Start, req.End)
+	path, err := idc.ledger.Book(idc.nextID+1, req.Src, req.Dst, req.RateBps, req.Start, req.End)
 	if err != nil {
 		return nil, fmt.Errorf("oscars: no feasible path: %w", err)
 	}
-	idc.mu.Lock()
 	idc.nextID++
 	c := &Circuit{ID: idc.nextID, Request: req, Path: path, state: Reserved}
-	idc.circuits[c.ID] = c
-	idc.mu.Unlock()
-	if err := idc.ledger.book(path, req.RateBps, req.Start, req.End, c.ID); err != nil {
-		idc.mu.Lock()
-		delete(idc.circuits, c.ID)
-		idc.mu.Unlock()
-		return nil, err
-	}
-	if !req.MessageSignaling {
-		idc.scheduleProvision(c, idc.provisionTime(now, req.Start))
-	}
+	idc.scheduleProvision(c, idc.provisionTime(now, req.Start))
 	return c, nil
-}
-
-// CreatePath triggers provisioning for a message-signaled reservation (the
-// explicit createPath message of the OSCARS API).
-func (idc *IDC) CreatePath(c *Circuit) error {
-	if c == nil {
-		return errors.New("oscars: nil circuit")
-	}
-	if !c.Request.MessageSignaling {
-		return errors.New("oscars: circuit uses automatic signaling")
-	}
-	if c.state != Reserved {
-		return fmt.Errorf("oscars: createPath in state %v", c.state)
-	}
-	idc.scheduleProvision(c, idc.provisionTime(idc.eng.Now(), c.Request.Start))
-	return nil
 }
 
 func (idc *IDC) scheduleProvision(c *Circuit, at simclock.Time) {
@@ -240,9 +185,7 @@ func (idc *IDC) scheduleProvision(c *Circuit, at simclock.Time) {
 			idc.OnActive(c)
 		}
 		// Teardown at the scheduled end (or immediately if the setup
-		// delay consumed the whole window). The event re-checks the end
-		// time when it fires: Modify may have extended the circuit, in
-		// which case it re-arms for the new end.
+		// delay consumed the whole window).
 		end := c.Request.End
 		if end < idc.eng.Now() {
 			end = idc.eng.Now()
@@ -253,10 +196,11 @@ func (idc *IDC) scheduleProvision(c *Circuit, at simclock.Time) {
 
 // Modify atomically re-books a reservation with a new rate and/or end
 // time (the OSCARS modifyReservation operation). Only circuits that have
-// not finished can be modified; the path is recomputed against the ledger
-// with the circuit's own bookings released first, so shrinking a
-// reservation always succeeds and growing one succeeds when headroom
-// exists. On failure the original booking is restored untouched.
+// not finished can be modified; an Active circuit's new booking starts
+// now. Ledger.Book recomputes the path with the circuit's own bookings
+// lifted out, so shrinking a reservation always succeeds and growing one
+// succeeds when headroom exists; on failure the original bookings stand
+// exactly as they were.
 func (idc *IDC) Modify(c *Circuit, newRateBps float64, newEnd simclock.Time) error {
 	if c == nil {
 		return errors.New("oscars: nil circuit")
@@ -276,29 +220,16 @@ func (idc *IDC) Modify(c *Circuit, newRateBps float64, newEnd simclock.Time) err
 	if newEnd <= start {
 		return errors.New("oscars: new end precedes the effective start")
 	}
-	old := c.Request
-	idc.ledger.release(c.ID)
-	path, err := idc.ledger.PathWithBandwidth(old.Src, old.Dst, newRateBps, start, newEnd)
-	if err == nil {
-		err = idc.ledger.book(path, newRateBps, start, newEnd, c.ID)
-	}
+	path, err := idc.ledger.Book(c.ID, c.Request.Src, c.Request.Dst, newRateBps, start, newEnd)
 	if err != nil {
-		// Restore the original booking; it fit before, so it fits now.
-		restoreStart := old.Start
-		if c.state == Active {
-			restoreStart = idc.eng.Now()
-		}
-		if rbErr := idc.ledger.book(c.Path, old.RateBps, restoreStart, old.End, c.ID); rbErr != nil {
-			return fmt.Errorf("oscars: modify failed (%v) and rollback failed: %w", err, rbErr)
-		}
 		return fmt.Errorf("oscars: modify rejected: %w", err)
 	}
 	c.Path = path
 	c.Request.RateBps = newRateBps
 	c.Request.End = newEnd
 	// An active circuit's teardown event is armed for the old end; arm
-	// another for the new end (whichever fires when due wins, the rest
-	// no-op).
+	// another for the new end (the one that fires when the circuit is
+	// due wins, the rest lapse).
 	if c.state == Active {
 		at := newEnd
 		if at < idc.eng.Now() {
@@ -309,18 +240,13 @@ func (idc *IDC) Modify(c *Circuit, newRateBps float64, newEnd simclock.Time) err
 	return nil
 }
 
-// teardownIfDue releases an active circuit whose end time has arrived,
-// re-arming itself when the circuit was extended after this event was
-// scheduled.
+// teardownIfDue releases an active circuit whose end time has arrived.
+// An event armed for an end that a Modify has since moved later lapses:
+// the Modify armed another for the new end.
 func (idc *IDC) teardownIfDue(c *Circuit) {
-	if c.state != Active {
-		return
+	if c.state == Active && c.Request.End <= idc.eng.Now() {
+		idc.release(c)
 	}
-	if c.Request.End > idc.eng.Now() {
-		idc.eng.MustAt(c.Request.End, func() { idc.teardownIfDue(c) })
-		return
-	}
-	idc.release(c)
 }
 
 // Cancel withdraws a reservation. A Reserved or Provisioning circuit is
@@ -332,7 +258,7 @@ func (idc *IDC) Cancel(c *Circuit) error {
 	switch c.state {
 	case Reserved, Provisioning:
 		c.state = Cancelled
-		idc.ledger.release(c.ID)
+		idc.ledger.Release(c.ID)
 		return nil
 	case Active:
 		idc.release(c)
@@ -348,16 +274,8 @@ func (idc *IDC) release(c *Circuit) {
 		return
 	}
 	c.state = Released
-	c.releasedAt = idc.eng.Now()
-	idc.ledger.release(c.ID)
+	idc.ledger.Release(c.ID)
 	if idc.OnRelease != nil {
 		idc.OnRelease(c)
 	}
-}
-
-// Circuit returns the circuit with the given ID, or nil.
-func (idc *IDC) Circuit(id CircuitID) *Circuit {
-	idc.mu.Lock()
-	defer idc.mu.Unlock()
-	return idc.circuits[id]
 }

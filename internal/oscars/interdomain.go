@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"gftpvc/internal/simclock"
 	"gftpvc/internal/topo"
 )
 
@@ -62,18 +61,6 @@ func (c *InterDomainCircuit) State() State {
 		}
 	}
 	return state
-}
-
-// ProvisionedAt returns the instant the last segment came up — when the
-// end-to-end circuit became usable.
-func (c *InterDomainCircuit) ProvisionedAt() simclock.Time {
-	var latest simclock.Time
-	for _, seg := range c.Segments {
-		if seg.provisionedAt > latest {
-			latest = seg.provisionedAt
-		}
-	}
-	return latest
 }
 
 // CreateReservation daisy-chains a reservation across all domains:

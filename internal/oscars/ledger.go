@@ -9,32 +9,31 @@ package oscars
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
+	"gftpvc/internal/dtnsched"
 	"gftpvc/internal/simclock"
 	"gftpvc/internal/topo"
 )
-
-// booking is one admitted bandwidth claim on a link over a time interval.
-type booking struct {
-	start, end simclock.Time
-	rateBps    float64
-	circuit    CircuitID
-}
 
 // Ledger tracks admitted advance reservations per directed link. It is the
 // persistent state of the IDC's scheduler and can also be used standalone
 // (the oscarsd daemon wraps it with wall-clock times).
 //
+// Each link's bookings live on its own dtnsched.Calendar over the link's
+// reservable share, keyed by circuit ID; the ledger keeps only the path
+// work — PathWithBandwidth, and booking every link of a path or none
+// under its own lock, which also guards its calendars.
+//
 // Ledger is safe for concurrent use.
 type Ledger struct {
-	mu sync.Mutex
-	// ReservableFraction caps how much of each link's capacity may be
+	// reservableFraction caps how much of each link's capacity may be
 	// booked for circuits (providers keep headroom for IP-routed traffic).
 	reservableFraction float64
 	topo               *topo.Topology
-	byLink             map[topo.LinkID][]booking
+
+	mu    sync.Mutex
+	links map[topo.LinkID]*dtnsched.Calendar
 }
 
 // NewLedger creates a ledger over the topology. reservableFraction must be
@@ -49,7 +48,7 @@ func NewLedger(tp *topo.Topology, reservableFraction float64) (*Ledger, error) {
 	return &Ledger{
 		reservableFraction: reservableFraction,
 		topo:               tp,
-		byLink:             make(map[topo.LinkID][]booking),
+		links:              make(map[topo.LinkID]*dtnsched.Calendar),
 	}, nil
 }
 
@@ -71,62 +70,76 @@ func (l *Ledger) Available(link *topo.Link, start, end simclock.Time) (float64, 
 	return l.availableLocked(link, start, end), nil
 }
 
-func (l *Ledger) availableLocked(link *topo.Link, start, end simclock.Time) float64 {
-	cap := link.CapacityBps * l.reservableFraction
-	peak := l.peakBookedLocked(link.ID, start, end)
-	avail := cap - peak
-	if avail < 0 {
-		avail = 0
+// calendarLocked returns the link's calendar, creating it on first use.
+// topo admits only positive link capacities and NewLedger only a
+// positive fraction, so the calendar's capacity is valid.
+func (l *Ledger) calendarLocked(link *topo.Link) *dtnsched.Calendar {
+	cal := l.links[link.ID]
+	if cal == nil {
+		cal, _ = dtnsched.New(link.CapacityBps * l.reservableFraction)
+		l.links[link.ID] = cal
 	}
+	return cal
+}
+
+// availableLocked is Available for a validated, non-empty interval.
+func (l *Ledger) availableLocked(link *topo.Link, start, end simclock.Time) float64 {
+	avail, _ := l.calendarLocked(link).Available(start, end)
 	return avail
 }
 
-// peakBookedLocked computes the maximum simultaneous booked rate on the
-// link within [start, end) by sweeping booking boundaries.
-func (l *Ledger) peakBookedLocked(id topo.LinkID, start, end simclock.Time) float64 {
-	type edge struct {
-		at    simclock.Time
-		delta float64
-	}
-	var edges []edge
-	for _, b := range l.byLink[id] {
-		s, e := b.start, b.end
-		if e <= start || s >= end {
-			continue
-		}
-		if s < start {
-			s = start
-		}
-		if e > end {
-			e = end
-		}
-		edges = append(edges, edge{s, b.rateBps}, edge{e, -b.rateBps})
-	}
-	if len(edges) == 0 {
-		return 0
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		// Process releases before claims at the same instant so that
-		// back-to-back reservations do not double-count.
-		return edges[i].delta < edges[j].delta
+// pathLocked is PathWithBandwidth for validated arguments.
+func (l *Ledger) pathLocked(src, dst topo.NodeID, rateBps float64, start, end simclock.Time) (topo.Path, error) {
+	return l.topo.ConstrainedShortestPath(src, dst, func(link *topo.Link) bool {
+		return l.availableLocked(link, start, end) >= rateBps-1e-9
 	})
-	cur, peak := 0.0, 0.0
-	for _, e := range edges {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
 }
 
-// book admits a claim on every link of the path. The caller must have
-// verified availability; book re-verifies atomically and fails without
-// partial effects if any link lacks headroom.
-func (l *Ledger) book(path topo.Path, rateBps float64, start, end simclock.Time, id CircuitID) error {
+// putLocked books the claim on every link of a path whose headroom the
+// caller has checked under the same hold of the lock.
+func (l *Ledger) putLocked(path topo.Path, rateBps float64, start, end simclock.Time, id CircuitID) {
+	r := dtnsched.Reservation{ID: dtnsched.ReservationID(id), RateBps: rateBps, Start: start, End: end}
+	for _, link := range path {
+		l.calendarLocked(link).Put(r)
+	}
+}
+
+// liftLocked removes the circuit's bookings from every link and returns
+// them by calendar, so that a refused Book can put them back exactly.
+func (l *Ledger) liftLocked(id CircuitID) map[*dtnsched.Calendar][]dtnsched.Reservation {
+	var lifted map[*dtnsched.Calendar][]dtnsched.Reservation
+	for _, cal := range l.links {
+		if bs := cal.Release(dtnsched.ReservationID(id)); len(bs) > 0 {
+			if lifted == nil {
+				lifted = make(map[*dtnsched.Calendar][]dtnsched.Reservation)
+			}
+			lifted[cal] = bs
+		}
+	}
+	return lifted
+}
+
+// validClaim checks the arguments every booking operation takes.
+func validClaim(rateBps float64, start, end simclock.Time) error {
+	if rateBps <= 0 {
+		return errors.New("oscars: rate must be positive")
+	}
+	if end <= start {
+		return errors.New("oscars: empty interval")
+	}
+	return nil
+}
+
+// Reserve books rateBps on every link of path throughout [start, end)
+// under the given circuit ID. It is atomic: either every link is booked or
+// none.
+func (l *Ledger) Reserve(path topo.Path, rateBps float64, start, end simclock.Time, id CircuitID) error {
+	if err := validClaim(rateBps, start, end); err != nil {
+		return err
+	}
+	if len(path) == 0 {
+		return errors.New("oscars: empty path")
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, link := range path {
@@ -135,77 +148,52 @@ func (l *Ledger) book(path topo.Path, rateBps float64, start, end simclock.Time,
 				link.ID, rateBps, start, end)
 		}
 	}
-	for _, link := range path {
-		l.byLink[link.ID] = append(l.byLink[link.ID], booking{
-			start: start, end: end, rateBps: rateBps, circuit: id,
-		})
-	}
+	l.putLocked(path, rateBps, start, end, id)
 	return nil
 }
 
-// release removes all bookings belonging to the circuit. It is idempotent.
-func (l *Ledger) release(id CircuitID) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for linkID, bs := range l.byLink {
-		kept := bs[:0]
-		for _, b := range bs {
-			if b.circuit != id {
-				kept = append(kept, b)
-			}
-		}
-		l.byLink[linkID] = kept
-	}
-}
-
-// BookedCircuits returns the number of distinct circuits with at least one
-// active booking.
-func (l *Ledger) BookedCircuits() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seen := make(map[CircuitID]bool)
-	for _, bs := range l.byLink {
-		for _, b := range bs {
-			seen[b.circuit] = true
-		}
-	}
-	return len(seen)
-}
-
-// Reserve books rateBps on every link of path throughout [start, end)
-// under the given circuit ID. It is atomic: either every link is booked or
-// none. Standalone ledger users (the oscarsd daemon) drive this directly;
-// the simulation-bound IDC wraps it with signaling and lifecycle.
-func (l *Ledger) Reserve(path topo.Path, rateBps float64, start, end simclock.Time, id CircuitID) error {
-	if rateBps <= 0 {
-		return errors.New("oscars: rate must be positive")
-	}
-	if end <= start {
-		return errors.New("oscars: empty interval")
-	}
-	if len(path) == 0 {
-		return errors.New("oscars: empty path")
-	}
-	return l.book(path, rateBps, start, end, id)
-}
-
 // Release removes all bookings held by the circuit. It is idempotent.
-func (l *Ledger) Release(id CircuitID) { l.release(id) }
+func (l *Ledger) Release(id CircuitID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.liftLocked(id)
+}
+
+// Book books the circuit at rateBps over [start, end) on the
+// minimum-delay path from src to dst that fits, in one critical section
+// — the createReservation and modifyReservation operations of both the
+// IDC and the oscarsd daemon. It first lifts out whatever the circuit
+// already holds, so a modify is re-pathed against the ledger without
+// its own old booking; when no path fits, it puts the lifted bookings
+// back exactly as they were, which cannot fail, so a refused Book leaves
+// the ledger as it found it and a modified circuit still standing.
+func (l *Ledger) Book(id CircuitID, src, dst topo.NodeID, rateBps float64, start, end simclock.Time) (topo.Path, error) {
+	if err := validClaim(rateBps, start, end); err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lifted := l.liftLocked(id)
+	path, err := l.pathLocked(src, dst, rateBps, start, end)
+	if err != nil {
+		for cal, bs := range lifted {
+			cal.Put(bs...)
+		}
+		return nil, err
+	}
+	l.putLocked(path, rateBps, start, end, id)
+	return path, nil
+}
 
 // PathWithBandwidth computes the minimum-delay path from src to dst whose
 // every link can guarantee rateBps throughout [start, end). This is the
 // OSCARS path computation element: explicit route selection based on
 // current reservations, one of the paper's three VC advantages.
 func (l *Ledger) PathWithBandwidth(src, dst topo.NodeID, rateBps float64, start, end simclock.Time) (topo.Path, error) {
-	if rateBps <= 0 {
-		return nil, errors.New("oscars: rate must be positive")
-	}
-	if end <= start {
-		return nil, errors.New("oscars: empty interval")
+	if err := validClaim(rateBps, start, end); err != nil {
+		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.topo.ConstrainedShortestPath(src, dst, func(link *topo.Link) bool {
-		return l.availableLocked(link, start, end) >= rateBps-1e-9
-	})
+	return l.pathLocked(src, dst, rateBps, start, end)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gftpvc/internal/dtnsched"
 	"gftpvc/internal/simclock"
 	"gftpvc/internal/topo"
 )
@@ -75,7 +76,7 @@ func TestBookingReducesAvailability(t *testing.T) {
 	tp := chain(t)
 	led, _ := NewLedger(tp, 0.8)
 	path, _ := tp.ShortestPath("a", "c")
-	if err := led.book(path, 3e9, 10, 20, 1); err != nil {
+	if err := led.Reserve(path, 3e9, 10, 20, 1); err != nil {
 		t.Fatal(err)
 	}
 	l := tp.Link("a", "b")
@@ -95,20 +96,33 @@ func TestBookingReducesAvailability(t *testing.T) {
 	}
 }
 
+// TestBackToBackBookingsDoNotDoubleCount runs through both users of
+// the calendar: the ledger's links and a server's calendar.
 func TestBackToBackBookingsDoNotDoubleCount(t *testing.T) {
 	tp := chain(t)
 	led, _ := NewLedger(tp, 1.0)
 	path, _ := tp.ShortestPath("a", "c")
-	if err := led.book(path, 6e9, 0, 10, 1); err != nil {
+	if err := led.Reserve(path, 6e9, 0, 10, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := led.book(path, 6e9, 10, 20, 2); err != nil {
+	if err := led.Reserve(path, 6e9, 10, 20, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Peak within [0,20) is 6e9, not 12e9.
-	l := tp.Link("a", "b")
-	if got, _ := led.Available(l, 0, 20); got != 4e9 {
-		t.Errorf("available = %v, want 4e9", got)
+	for _, l := range path {
+		if got, _ := led.Available(l, 0, 20); got != 4e9 {
+			t.Errorf("link %s: available = %v, want 4e9", l.ID, got)
+		}
+	}
+	server, _ := dtnsched.New(10e9)
+	if _, err := server.Reserve(6e9, 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Reserve(6e9, 10, 20); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := server.Available(0, 20); got != 4e9 {
+		t.Errorf("server: available = %v, want 4e9", got)
 	}
 }
 
@@ -116,10 +130,10 @@ func TestBookAtomicOnFailure(t *testing.T) {
 	tp := chain(t)
 	led, _ := NewLedger(tp, 0.5) // 5 Gbps reservable
 	path, _ := tp.ShortestPath("a", "c")
-	if err := led.book(path, 4e9, 0, 10, 1); err != nil {
+	if err := led.Reserve(path, 4e9, 0, 10, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := led.book(path, 2e9, 0, 10, 2); err == nil {
+	if err := led.Reserve(path, 2e9, 0, 10, 2); err == nil {
 		t.Fatal("overbooking should fail")
 	}
 	// The failed attempt must not leave partial bookings.
@@ -129,18 +143,29 @@ func TestBookAtomicOnFailure(t *testing.T) {
 	}
 }
 
+// TestReleaseIdempotent runs through both users of the calendar: the
+// ledger's links and a server's calendar.
 func TestReleaseIdempotent(t *testing.T) {
 	tp := chain(t)
 	led, _ := NewLedger(tp, 1.0)
 	path, _ := tp.ShortestPath("a", "c")
-	led.book(path, 1e9, 0, 10, 7)
-	if led.BookedCircuits() != 1 {
-		t.Fatal("expected one booked circuit")
+	led.Reserve(path, 1e9, 0, 10, 7)
+	if got, _ := led.Available(path[0], 0, 10); got != 9e9 {
+		t.Fatalf("available = %v, want 9e9 with one circuit booked", got)
 	}
-	led.release(7)
-	led.release(7)
-	if led.BookedCircuits() != 0 {
-		t.Error("release did not clear bookings")
+	led.Release(7)
+	led.Release(7)
+	for _, l := range path {
+		if got, _ := led.Available(l, 0, 10); got != 10e9 {
+			t.Errorf("link %s: release did not clear bookings: available = %v", l.ID, got)
+		}
+	}
+	server, _ := dtnsched.New(10e9)
+	r, _ := server.Reserve(1e9, 0, 10)
+	server.Release(r.ID)
+	server.Release(r.ID)
+	if got, _ := server.Available(0, 10); got != 10e9 {
+		t.Errorf("server: release did not clear bookings: available = %v", got)
 	}
 }
 
@@ -148,7 +173,7 @@ func TestPathWithBandwidthRejectsSaturated(t *testing.T) {
 	tp := chain(t)
 	led, _ := NewLedger(tp, 0.5)
 	path, _ := tp.ShortestPath("a", "c")
-	led.book(path, 5e9, 0, 100, 1)
+	led.Reserve(path, 5e9, 0, 100, 1)
 	if _, err := led.PathWithBandwidth("a", "c", 1e9, 0, 100); err == nil {
 		t.Error("saturated interval should have no path")
 	}
@@ -244,8 +269,10 @@ func TestCircuitLifecycleAndCallbacks(t *testing.T) {
 	if math.Abs(float64(releaseAt)-20) > 1e-9 {
 		t.Errorf("released at %v, want 20", releaseAt)
 	}
-	if idc.Ledger().BookedCircuits() != 0 {
-		t.Error("ledger not cleared after release")
+	for _, l := range c.Path {
+		if got, _ := idc.Ledger().Available(l, 10, 20); got != 8e9 {
+			t.Errorf("link %s not cleared after release: available = %v", l.ID, got)
+		}
 	}
 }
 
@@ -295,38 +322,6 @@ func TestAdmissionControlBlocksOverbooking(t *testing.T) {
 	}
 }
 
-func TestMessageSignaling(t *testing.T) {
-	tp := chain(t)
-	eng, idc := newIDC(t, tp, HardwareSignaling)
-	var c *Circuit
-	eng.MustAt(0, func() {
-		var err error
-		c, err = idc.CreateReservation(Request{
-			Src: "a", Dst: "c", RateBps: 1e9, Start: 0, End: 100,
-			MessageSignaling: true,
-		})
-		if err != nil {
-			t.Errorf("CreateReservation: %v", err)
-		}
-	})
-	eng.RunUntil(10)
-	if c.State() != Reserved {
-		t.Fatalf("state = %v, want RESERVED until createPath", c.State())
-	}
-	eng.MustAt(10, func() {
-		if err := idc.CreatePath(c); err != nil {
-			t.Errorf("CreatePath: %v", err)
-		}
-	})
-	eng.RunUntil(11)
-	if c.State() != Active {
-		t.Fatalf("state = %v, want ACTIVE after createPath", c.State())
-	}
-	if err := idc.CreatePath(c); err == nil {
-		t.Error("double createPath should fail")
-	}
-}
-
 func TestCancelBeforeAndAfterActivation(t *testing.T) {
 	tp := chain(t)
 	eng, idc := newIDC(t, tp, HardwareSignaling)
@@ -360,23 +355,6 @@ func TestCancelBeforeAndAfterActivation(t *testing.T) {
 	}
 	if err := idc.Cancel(nil); err == nil {
 		t.Error("cancel nil should fail")
-	}
-}
-
-func TestCircuitLookup(t *testing.T) {
-	tp := chain(t)
-	_, idc := newIDC(t, tp, HardwareSignaling)
-	c, err := idc.CreateReservation(Request{
-		Src: "a", Dst: "c", RateBps: 1e9, Start: 0, End: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idc.Circuit(c.ID) != c {
-		t.Error("Circuit lookup failed")
-	}
-	if idc.Circuit(9999) != nil {
-		t.Error("unknown ID should be nil")
 	}
 }
 
@@ -466,8 +444,10 @@ func TestFederationEndToEnd(t *testing.T) {
 	if got := c.Segments[1].Path.String(); got != "b1->y->c" {
 		t.Errorf("segment 1 path = %s", got)
 	}
-	if c.ProvisionedAt() <= 0 {
-		t.Error("ProvisionedAt not set")
+	for i, seg := range c.Segments {
+		if seg.provisionedAt <= 0 {
+			t.Errorf("segment %d: provisionedAt not set", i)
+		}
 	}
 }
 
@@ -481,14 +461,21 @@ func TestFederationRollbackOnRejection(t *testing.T) {
 		}); err != nil {
 			t.Errorf("pre-booking: %v", err)
 		}
-		before := idcs[0].Ledger().BookedCircuits()
+		led := idcs[0].Ledger()
+		links := led.Topology().Links()
+		before := make([]float64, len(links))
+		for i, l := range links {
+			before[i], _ = led.Available(l, 0, 100)
+		}
 		if _, err := fed.CreateReservation(Request{
 			Src: "a", Dst: "c", RateBps: 2e9, Start: 0, End: 100,
 		}); err == nil {
 			t.Error("federation should fail when a domain is saturated")
 		}
-		if after := idcs[0].Ledger().BookedCircuits(); after != before {
-			t.Errorf("domain 1 ledger leaked: %d -> %d bookings", before, after)
+		for i, l := range links {
+			if after, _ := led.Available(l, 0, 100); after != before[i] {
+				t.Errorf("domain 1 ledger leaked on %s: available %v -> %v", l.ID, before[i], after)
+			}
 		}
 	})
 	eng.RunUntil(1)

@@ -54,8 +54,9 @@ const (
 	// bandwidth over the requested window — the admission reject the
 	// hybrid dispatcher falls back to best-effort IP on.
 	CodeNoPath = "no-path"
-	// CodeRejected: the ledger refused the booking (lost an admission
-	// race, or a modify could not be re-booked).
+	// CodeRejected: the ledger refused a modify, because no path fits
+	// the new rate and window; the circuit's old booking stands exactly
+	// as it was.
 	CodeRejected = "rejected"
 	// CodeUnknownCircuit: cancel/modify named a circuit this daemon is
 	// not holding.
@@ -132,12 +133,11 @@ func fail(code, msg string) Response {
 type Server struct {
 	ln     net.Listener
 	ledger *oscars.Ledger
-	tp     *topo.Topology
 	epoch  time.Time
 
 	mu     sync.Mutex
 	nextID oscars.CircuitID
-	held   map[oscars.CircuitID]holding
+	held   map[oscars.CircuitID]endpoints
 
 	wg     sync.WaitGroup
 	conns  map[net.Conn]bool
@@ -187,13 +187,8 @@ func (s *Server) countModify(ok bool) {
 		telemetry.L("result", result)).Inc()
 }
 
-// holding records an admitted reservation's booking so modify can roll
-// back.
-type holding struct {
-	path       topo.Path
-	rateBps    float64
-	start, end simclock.Time
-}
+// endpoints are a held circuit's ends, which a modify re-paths between.
+type endpoints struct{ src, dst topo.NodeID }
 
 // scenarioTopo resolves a scenario name.
 func scenarioTopo(name string) (*topo.Scenario, error) {
@@ -228,9 +223,8 @@ func Start(cfg Config) (*Server, error) {
 	s := &Server{
 		ln:     ln,
 		ledger: ledger,
-		tp:     sc.Topo,
 		epoch:  time.Now(),
-		held:   make(map[oscars.CircuitID]holding),
+		held:   make(map[oscars.CircuitID]endpoints),
 		conns:  make(map[net.Conn]bool),
 		hub:    cfg.Telemetry,
 	}
@@ -356,7 +350,7 @@ func (s *Server) dispatchOp(req Request) Response {
 	case OpAvailable:
 		return s.available(req)
 	case OpTopology:
-		nodes := s.tp.Nodes()
+		nodes := s.ledger.Topology().Nodes()
 		names := make([]string, len(nodes))
 		for i, n := range nodes {
 			names[i] = string(n)
@@ -381,52 +375,40 @@ func pathNames(p topo.Path) []string {
 	return out
 }
 
-// findPath validates the request window and computes a feasible path;
-// the returned code classifies failures (CodeBadRequest for validation,
-// CodeNoPath for admission).
-func (s *Server) findPath(req Request) (topo.Path, string, error) {
-	if req.RateBps <= 0 {
-		return nil, CodeBadRequest, errors.New("rate_bps must be positive")
+// checkWindow validates a reserve or available request before it
+// touches the ledger.
+func (s *Server) checkWindow(req Request) error {
+	switch {
+	case req.RateBps <= 0:
+		return errors.New("rate_bps must be positive")
+	case req.End <= req.Start:
+		return errors.New("end must follow start")
+	case float64(s.now()) > req.Start:
+		return errors.New("start is in the past")
 	}
-	if req.End <= req.Start {
-		return nil, CodeBadRequest, errors.New("end must follow start")
-	}
-	if float64(s.now()) > req.Start {
-		return nil, CodeBadRequest, errors.New("start is in the past")
-	}
-	path, err := s.ledger.PathWithBandwidth(
-		topo.NodeID(req.Src), topo.NodeID(req.Dst),
-		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
-	if err != nil {
-		return nil, CodeNoPath, err
-	}
-	return path, "", nil
+	return nil
 }
 
+// reserve books a new circuit through Ledger.Book, which finds its path
+// and books it in one critical section of the ledger.
 func (s *Server) reserve(req Request) Response {
-	path, code, err := s.findPath(req)
+	if err := s.checkWindow(req); err != nil {
+		s.met.rejected.Inc()
+		return fail(CodeBadRequest, err.Error())
+	}
+	ends := endpoints{topo.NodeID(req.Src), topo.NodeID(req.Dst)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	path, err := s.ledger.Book(s.nextID+1, ends.src, ends.dst,
+		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
 	if err != nil {
 		s.met.rejected.Inc()
-		return fail(code, err.Error())
+		return fail(CodeNoPath, err.Error())
 	}
-	s.mu.Lock()
 	s.nextID++
-	id := s.nextID
-	h := holding{
-		path: path, rateBps: req.RateBps,
-		start: simclock.Time(req.Start), end: simclock.Time(req.End),
-	}
-	s.held[id] = h
-	s.mu.Unlock()
-	if err := s.ledger.Reserve(path, h.rateBps, h.start, h.end, id); err != nil {
-		s.mu.Lock()
-		delete(s.held, id)
-		s.mu.Unlock()
-		s.met.rejected.Inc()
-		return fail(CodeRejected, err.Error())
-	}
+	s.held[s.nextID] = ends
 	s.met.admitted.Inc()
-	return Response{OK: true, ID: int64(id), Path: pathNames(path), Src: req.Src, Dst: req.Dst}
+	return Response{OK: true, ID: int64(s.nextID), Path: pathNames(path), Src: req.Src, Dst: req.Dst}
 }
 
 func (s *Server) cancel(req Request) Response {
@@ -443,48 +425,39 @@ func (s *Server) cancel(req Request) Response {
 	return Response{OK: true, ID: req.ID}
 }
 
-// modify atomically re-books a held reservation with a new rate and/or
-// window (the OSCARS modifyReservation operation). On failure the old
-// booking is restored.
+// modify re-books a held reservation with a new rate and/or window (the
+// OSCARS modifyReservation operation) through Ledger.Book: a refused
+// modify leaves the old booking standing. The daemon's lock is held
+// throughout so that a cancel cannot release the circuit between the
+// lookup and the re-book.
 func (s *Server) modify(req Request) Response {
 	id := oscars.CircuitID(req.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, known := s.held[id]
+	ends, known := s.held[id]
 	if !known {
 		return fail(CodeUnknownCircuit, fmt.Sprintf("unknown circuit %d", req.ID))
 	}
 	if req.RateBps <= 0 || req.End <= req.Start {
 		return fail(CodeBadRequest, "modify needs rate_bps and a valid window")
 	}
-	s.ledger.Release(id)
-	path, err := s.ledger.PathWithBandwidth(
-		old.path[0].Src, old.path[len(old.path)-1].Dst,
+	path, err := s.ledger.Book(id, ends.src, ends.dst,
 		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
-	if err == nil {
-		err = s.ledger.Reserve(path, req.RateBps,
-			simclock.Time(req.Start), simclock.Time(req.End), id)
-	}
+	s.countModify(err == nil)
 	if err != nil {
-		s.countModify(false)
-		// Restore; the old booking fit before, so it fits again.
-		if rbErr := s.ledger.Reserve(old.path, old.rateBps, old.start, old.end, id); rbErr != nil {
-			return fail(CodeRejected, fmt.Sprintf("modify failed (%v) and rollback failed (%v)", err, rbErr))
-		}
 		return fail(CodeRejected, "modify rejected: "+err.Error())
-	}
-	s.countModify(true)
-	s.held[id] = holding{
-		path: path, rateBps: req.RateBps,
-		start: simclock.Time(req.Start), end: simclock.Time(req.End),
 	}
 	return Response{OK: true, ID: req.ID, Path: pathNames(path)}
 }
 
 func (s *Server) available(req Request) Response {
-	path, code, err := s.findPath(req)
+	if err := s.checkWindow(req); err != nil {
+		return fail(CodeBadRequest, err.Error())
+	}
+	path, err := s.ledger.PathWithBandwidth(topo.NodeID(req.Src), topo.NodeID(req.Dst),
+		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
 	if err != nil {
-		return fail(code, err.Error())
+		return fail(CodeNoPath, err.Error())
 	}
 	return Response{OK: true, Path: pathNames(path)}
 }

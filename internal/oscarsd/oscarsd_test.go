@@ -4,7 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -26,22 +30,29 @@ func dial(t *testing.T, addr string) *client {
 
 func (c *client) roundTrip(t *testing.T, req Request) Response {
 	t.Helper()
-	data, err := json.Marshal(req)
+	resp, err := c.call(req)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.conn.Write(append(data, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	line, err := c.r.ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// call is roundTrip for goroutines other than the test's own.
+func (c *client) call(req Request) (Response, error) {
+	var resp Response
+	data, err := json.Marshal(req)
+	if err != nil {
+		return resp, err
+	}
+	if _, err := c.conn.Write(append(data, '\n')); err != nil {
+		return resp, err
+	}
+	line, err := c.r.ReadBytes('\n')
+	if err != nil {
+		return resp, err
+	}
+	err = json.Unmarshal(line, &resp)
+	return resp, err
 }
 
 func startServer(t *testing.T) *Server {
@@ -302,5 +313,95 @@ func TestConcurrentClients(t *testing.T) {
 	// all four must be admitted.
 	if okCount != 4 {
 		t.Errorf("admitted %d of 4 disjoint reservations", okCount)
+	}
+}
+
+// TestModifyRaceNeverDoubleSells races refused modifies against
+// reserves for the same window. Circuit A fills the path's 5 Gbps. One
+// loop keeps trying to grow it to 6 Gbps, which must be refused with a
+// plain rejection (A stands as it was); another keeps reserving 5 Gbps,
+// which must never be admitted while A is held. A modify lifts A's
+// booking out and puts it back inside one critical section of the
+// ledger, so no reserve can see the gap.
+func TestModifyRaceNeverDoubleSells(t *testing.T) {
+	const modifies = 2000
+	srv := startServer(t)
+	c := dial(t, srv.Addr())
+	now := c.roundTrip(t, Request{Op: OpTopology}).Now
+	window := Request{
+		Src: "nersc-ornl-dtn-src", Dst: "nersc-ornl-dtn-dst",
+		Start: now + 1000, End: now + 2000,
+	}
+	reserve := window
+	reserve.Op, reserve.RateBps = OpReserve, 5e9
+	a := c.roundTrip(t, reserve)
+	if !a.OK {
+		t.Fatalf("reserve A: %+v", a)
+	}
+	grow := window
+	grow.Op, grow.ID, grow.RateBps = OpModify, a.ID, 6e9
+
+	var (
+		wg       sync.WaitGroup
+		done     atomic.Bool
+		mu       sync.Mutex
+		failures []string
+	)
+	failf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(failures) < 5 {
+			failures = append(failures, fmt.Sprintf(format, args...))
+		}
+	}
+	modifier, reserver := dial(t, srv.Addr()), dial(t, srv.Addr())
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < modifies; i++ {
+			r, err := modifier.call(grow)
+			switch {
+			case err != nil:
+				failf("modify %d: %v", i, err)
+				return
+			case r.OK:
+				failf("modify %d: growing A past the link was admitted: %+v", i, r)
+				return
+			case r.Code != CodeRejected || !strings.HasPrefix(r.Error, "modify rejected: "):
+				failf("modify %d: %+v, want a plain %q", i, r, CodeRejected)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for n := 0; !done.Load(); n++ {
+			r, err := reserver.call(reserve)
+			switch {
+			case err != nil:
+				failf("reserve %d: %v", n, err)
+				return
+			case r.OK:
+				failf("reserve %d admitted while A holds the link: %+v", n, r)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for _, f := range failures {
+		t.Error(f)
+	}
+	// A still stands: nothing more fits, and cancelling it frees the link.
+	probe := reserve
+	probe.RateBps = 1e9
+	if r := c.roundTrip(t, probe); r.OK {
+		t.Fatalf("A's booking was lost: %+v", r)
+	}
+	if r := c.roundTrip(t, Request{Op: OpCancel, ID: a.ID}); !r.OK {
+		t.Fatalf("cancel A: %+v", r)
+	}
+	if r := c.roundTrip(t, reserve); !r.OK {
+		t.Fatalf("reserve after cancelling A: %+v", r)
 	}
 }
