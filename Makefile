@@ -159,14 +159,18 @@ race:
 # snapshot pins, which decide when an overwrite may refill the chunks
 # of the version it replaces, and the cached data channels' reuse tests,
 # whose kept connections pass from one transfer's goroutines to the
-# next's. The telemetry tests repeat too: a span's ring entry shares
-# the span's arrays, so one mutation that gets past End shows in a
-# snapshot on some runs only.
+# next's. So are the owner-kept pieces a transfer re-arms instead of
+# allocating: a session's STOR window, whose timer callback can outlive
+# the transfer that armed it, and the spans a transfer record or client
+# begins again, whose ring slots own their arrays and whose readers get
+# deep copies, so a write that races End or a reuse shows in a snapshot
+# on some runs only.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig ./internal/telemetry
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|Cached|Reuse' ./internal/gridftp/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|Cached|Reuse|Rearm|Span' \
+		./internal/gridftp/ ./internal/telemetry
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

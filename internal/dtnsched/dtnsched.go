@@ -11,10 +11,11 @@
 package dtnsched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"gftpvc/internal/simclock"
@@ -62,14 +63,25 @@ func (c *Calendar) Available(start, end simclock.Time) (float64, error) {
 	return c.availableLocked(start, end), nil
 }
 
+// edge is one end of a booking in a sweep: its rate claimed (delta > 0)
+// or released (delta < 0) at the instant at.
+type edge struct {
+	at    simclock.Time
+	delta float64
+}
+
+// sortEdges orders a sweep's edges by time, releases before claims at
+// the same instant, so back-to-back bookings do not double-count.
+func sortEdges(edges []edge) {
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
+	})
+}
+
 // availableLocked is capacity minus the peak booked rate within [start,
 // end), found by sweeping booking boundaries. Intervals are half-open,
 // so a booking ending where another begins does not overlap it.
 func (c *Calendar) availableLocked(start, end simclock.Time) float64 {
-	type edge struct {
-		at    simclock.Time
-		delta float64
-	}
 	var edges []edge
 	for _, b := range c.bookings {
 		if b.End <= start || b.Start >= end {
@@ -87,14 +99,7 @@ func (c *Calendar) availableLocked(start, end simclock.Time) float64 {
 	if len(edges) == 0 {
 		return c.capacity
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		// Releases before claims at the same instant, so back-to-back
-		// bookings do not double-count.
-		return edges[i].delta < edges[j].delta
-	})
+	sortEdges(edges)
 	cur, peak := 0.0, 0.0
 	for _, e := range edges {
 		cur += e.delta
@@ -144,22 +149,42 @@ func (c *Calendar) ReserveEarliest(rateBps, durationSec float64, notBefore simcl
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	candidates := []simclock.Time{notBefore}
+	dur := simclock.Duration(durationSec)
+	at := c.earliestLocked(rateBps, dur, notBefore)
+	return c.admitLocked(rateBps, at, at.Add(dur)), nil
+}
+
+// earliestLocked finds ReserveEarliest's start in one sorted pass over
+// the edges of the bookings that end after notBefore. The booked rate
+// is constant between consecutive edge instants; a start at is feasible
+// when no such segment that overlaps [at, at+dur) lacks the headroom.
+// A segment that does moves the start to the segment's end, where a
+// booking ends — the next candidate that segment does not refuse.
+// Past the last edge nothing is booked, so the pass always ends on a
+// feasible start, in O(n log n) for n bookings.
+func (c *Calendar) earliestLocked(rateBps float64, dur simclock.Duration, notBefore simclock.Time) simclock.Time {
+	edges := make([]edge, 0, 2*len(c.bookings))
 	for _, b := range c.bookings {
 		if b.End > notBefore {
-			candidates = append(candidates, b.End)
+			edges = append(edges, edge{b.Start, b.RateBps}, edge{b.End, -b.RateBps})
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	dur := simclock.Duration(durationSec)
-	for _, at := range candidates {
-		if c.availableLocked(at, at.Add(dur)) >= rateBps-1e-9 {
-			return c.admitLocked(rateBps, at, at.Add(dur)), nil
+	sortEdges(edges)
+	at, cur := notBefore, 0.0
+	for i := 0; i < len(edges); {
+		t := edges[i].at
+		for ; i < len(edges) && edges[i].at == t; i++ {
+			cur += edges[i].delta
+		}
+		// cur is booked throughout [t, next).
+		if i == len(edges) || t >= at.Add(dur) {
+			break
+		}
+		if next := edges[i].at; next > at && math.Max(0, c.capacity-cur) < rateBps-1e-9 {
+			at = next
 		}
 	}
-	// Unreachable: the slot after the last booking always has full
-	// capacity, and the last booking's end is always a candidate.
-	return Reservation{}, errors.New("dtnsched: no feasible slot")
+	return at
 }
 
 // Release frees every booking held under id and returns them, so that a

@@ -53,6 +53,9 @@ type Client struct {
 	hub  *telemetry.Hub
 	met  *cliMetrics
 	sess *telemetry.Span // session-scoped span: control_dial, auth, idle, teardown
+	// xfer is the span of the transfer in flight, re-armed by each
+	// RetrToAt and StorFromAt (see beginTransfer).
+	xfer telemetry.Span
 
 	// trace is the end-to-end context bound by WithTrace; zero
 	// when tracing is off (the default), in which case nothing

@@ -12,7 +12,7 @@ import (
 
 // checkedPackages are the packages, as directories under internal/,
 // whose exported functions and methods must each have a non-test caller.
-var checkedPackages = []string{"gridftp", "oscars", "dtnsched", "oscarsd"}
+var checkedPackages = []string{"gridftp", "oscars", "dtnsched", "oscarsd", "telemetry", "usagestats"}
 
 // uncalledExports may stay exported with no non-test caller, keyed
 // package.Name. ReadBlock waits on the benchmark module's next change:

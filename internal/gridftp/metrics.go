@@ -223,18 +223,21 @@ func resultLabel(err error) string {
 
 // transferCtx carries one transfer attempt's instrumentation — its
 // span, the wall-clock start, and the wire-byte tally the failure path
-// reports as the partial byte count — and its direction's state.
+// reports as the partial byte count — and its direction's state. The
+// span is held by value and begun afresh by every transfer (see
+// beginTransfer), so a transfer allocates none.
 type transferCtx struct {
 	op     string
 	name   string
 	offset int64 // the region's start: REST or ERET
 	start  time.Time
-	span   *telemetry.Span
+	span   telemetry.Span
 	wire   atomic.Int64
 	conns  int
 	// A RETR's region length (-1 on a STOR) and its senders' source,
-	// which holds the pinned store region; a STOR's window, its sink and
-	// its claim (see claimPut). asm is nil on a RETR.
+	// which holds the pinned store region; a STOR's window (the
+	// session's, re-armed by openStor), its sink and its claim (see
+	// claimPut). asm is nil on a RETR.
 	region int64
 	blocks blockSource
 	asm    *WindowAssembler

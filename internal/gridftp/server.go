@@ -414,13 +414,14 @@ type session struct {
 	pubRate int64
 
 	// Kept across transfers, so a transfer allocates none of them: the
-	// transfer in flight, its pumps' outcomes and all but its first pump,
-	// the usage records' client host, and a STOR window's park hook.
+	// transfer in flight with its span, its pumps' outcomes and all but
+	// its first pump, the usage records' client host, and the STOR
+	// window, which openStor re-arms and finish empties.
 	tx     transferCtx
 	errs   []error
 	pumps  sync.WaitGroup
 	remote string
-	onPark func(offset uint64)
+	win    WindowAssembler
 }
 
 // applyRate rebinds the session bucket to the effective rate eff. An
@@ -443,14 +444,23 @@ func (sess *session) applyRate(eff int64) {
 	sess.pubRate = eff
 }
 
-func (s *Server) handle(conn net.Conn) {
-	sess := &session{
+// handle serves one accepted control connection.
+func (s *Server) handle(conn net.Conn) { s.newSession(conn).serve() }
+
+// newSession builds the session state for a control connection.
+func (s *Server) newSession(conn net.Conn) *session {
+	return &session{
 		srv:  s,
 		conn: conn,
 		r:    bufio.NewReader(conn),
 		w:    bufio.NewWriter(conn),
 		st:   sessionState{auth: s.cfg.Auth, stripes: s.cfg.Stripes, maxRate: s.cfg.MaxRateBps, parallelism: 1},
 	}
+}
+
+// serve runs the session from its greeting to its end.
+func (sess *session) serve() {
+	s, conn := sess.srv, sess.conn
 	sess.applyRate(sess.st.effectiveRate()) // engage the server-wide cap before any transfer
 	s.met.sessionsTotal.Inc()
 	s.met.sessionsActive.Inc()
@@ -694,7 +704,7 @@ func (sess *session) dataConns(tx *transferCtx, t dataTarget) ([]*dataChan, erro
 			idle:   sess.srv.cfg.DataTimeout,
 			wire:   &tx.wire,
 			live:   met.hub.LiveCounter(dc.stripe),
-			span:   tx.span,
+			span:   &tx.span,
 			shaped: shaped,
 		}
 		dc.conn = wrapDataConn(context.Background(), &dc.ic, lim)
@@ -766,19 +776,20 @@ func (sess *session) dropTarget() {
 
 // beginTransfer opens one transfer attempt's instrumentation: the
 // phase span (data_setup -> stream -> teardown) and the wire-byte
-// tally the failure path reports as the partial count. With telemetry
-// off the span is nil and every operation on it is a no-op. The
-// session's one transfer record is reset for it.
+// tally the failure path reports as the partial count. The session's
+// one transfer record is reset for it, and its span begun in place;
+// with telemetry off the span is never begun and every operation on it
+// is a no-op.
 func (sess *session) beginTransfer(e effect) *transferCtx {
 	sess.tx = transferCtx{
 		op:      e.op,
 		name:    e.name,
 		offset:  e.offset,
 		start:   time.Now(),
-		span:    sess.srv.met.hub.Span(e.op, e.name, telemetry.PhaseSetup),
 		stripes: max(e.target.n, 1),
 	}
 	tx := &sess.tx
+	sess.srv.met.hub.Spans().Begin(&tx.span, e.op, e.name, telemetry.PhaseSetup)
 	if trace := sess.st.trace; trace.TraceID != "" {
 		tx.span.SetTrace(trace.TraceID, trace.ParentSID)
 	}
@@ -1004,6 +1015,7 @@ func (sess *session) finish(code int, msg string) (int, string) {
 		_ = srv.aborts.AbortPut(tx.name)
 	}
 	srv.unclaim(tx.name, tx.claim)
+	asm.reset(windowState{}) // an idle session keeps no window bytes
 	tx.asm, tx.claim = nil, nil
 	return code, msg
 }
@@ -1040,15 +1052,9 @@ func (s *regionSink) Write(p []byte) (int, error) {
 func (sess *session) openStor(tx *transferCtx) (int, string) {
 	srv := sess.srv
 	tx.sink, tx.region = regionSink{sp: srv.puts, name: tx.name, off: tx.offset}, -1 // a STOR's 150 announces no length
-	asm, err := NewWindowAssembler(&tx.sink, uint64(tx.offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
+	st, err := newWindowState(&tx.sink, uint64(tx.offset), -1, srv.cfg.WindowSize, srv.cfg.DataTimeout)
 	if err != nil {
 		return 451, err.Error()
-	}
-	if srv.met.hub != nil {
-		if sess.onPark == nil {
-			sess.onPark = sess.parked
-		}
-		asm.OnPark = sess.onPark
 	}
 	claim, ok := srv.claimPut(tx.name)
 	if !ok {
@@ -1058,7 +1064,11 @@ func (sess *session) openStor(tx *transferCtx) (int, string) {
 		srv.unclaim(tx.name, claim)
 		return 554, "restart rejected: " + err.Error()
 	}
-	tx.asm, tx.claim = asm, claim
+	if srv.met.hub != nil && sess.win.OnPark == nil {
+		sess.win.OnPark = sess.parked
+	}
+	sess.win.reset(st)
+	tx.asm, tx.claim = &sess.win, claim
 	return 0, ""
 }
 

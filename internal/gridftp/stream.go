@@ -192,21 +192,25 @@ func (c *Client) pumpConns(ctx context.Context, chans []*dataChan, addrs []strin
 	return chans, nil
 }
 
-// beginTransfer opens one client transfer's instrumentation as op: a
-// span tracing data_setup -> stream -> teardown, linked into the bound
-// trace. The returned end func closes the span and publishes the client
-// transfer metrics.
-func (c *Client) beginTransfer(op, name string) (*telemetry.Span, func(TransferStats, error)) {
-	sp := c.hub.Span(op, name, telemetry.PhaseSetup)
+// beginTransfer opens one client transfer's instrumentation as op: the
+// Client's one transfer span, begun afresh, tracing data_setup ->
+// stream -> teardown and linked into the bound trace. endTransfer
+// closes it.
+func (c *Client) beginTransfer(op, name string) *telemetry.Span {
+	sp := &c.xfer
+	c.hub.Spans().Begin(sp, op, name, telemetry.PhaseSetup)
 	if c.trace.TraceID != "" {
 		sp.SetTrace(c.trace.TraceID, c.trace.ParentSID)
 	}
-	start := time.Now()
-	return sp, func(stats TransferStats, err error) {
-		c.met.transferDone(op, err, sp.Bytes(), time.Since(start).Seconds())
-		c.met.deliveredBytes(op, stats.Bytes)
-		sp.End(err)
-	}
+	return sp
+}
+
+// endTransfer closes the transfer span beginTransfer opened as op at
+// start and publishes the client transfer metrics.
+func (c *Client) endTransfer(op string, start time.Time, stats TransferStats, err error) {
+	c.met.transferDone(op, err, c.xfer.Bytes(), time.Since(start).Seconds())
+	c.met.deliveredBytes(op, stats.Bytes)
+	c.xfer.End(err)
 }
 
 // Region is the part of an object a transfer moves, and how. The zero
@@ -274,8 +278,8 @@ func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, at Regi
 	if err := c.ApplyOptions(opts...); err != nil {
 		return TransferStats{}, err
 	}
-	sp, end := c.beginTransfer(op, name)
-	defer func() { end(stats, err) }()
+	sp, began := c.beginTransfer(op, name), time.Now()
+	defer func() { c.endTransfer(op, began, stats, err) }()
 	if w == nil {
 		return TransferStats{}, errors.New("gridftp: nil sink")
 	}
@@ -304,6 +308,10 @@ func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, at Regi
 		return TransferStats{}, err
 	}
 	regionLen := announcedSize(opening.Text)
+	// The window is this call's own, unlike the span: pumpConns' abort
+	// hook (a context.AfterFunc) can still run after the call returns,
+	// and on a window kept in the Client it would abort the next
+	// transfer with this call's context error.
 	asm, err := NewWindowAssembler(w, uint64(at.Offset), regionLen, c.windowSize, c.dataTimeout)
 	if err != nil {
 		c.drainReply() // the server is mid-transfer; consume its verdict
@@ -366,8 +374,8 @@ func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, at Re
 	if err := c.ApplyOptions(opts...); err != nil {
 		return TransferStats{}, err
 	}
-	sp, end := c.beginTransfer(op, name)
-	defer func() { end(stats, err) }()
+	sp, began := c.beginTransfer(op, name), time.Now()
+	defer func() { c.endTransfer(op, began, stats, err) }()
 	if r == nil {
 		return TransferStats{}, errors.New("gridftp: nil source")
 	}

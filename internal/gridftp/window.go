@@ -51,6 +51,25 @@ var ErrWindowStalled = errors.New("gridftp: reassembly window stalled")
 type WindowAssembler struct {
 	mu   sync.Mutex
 	cond sync.Cond // on mu
+	// timer, made by the first wait, wakes every waiting placer at
+	// timerAt, the earliest of their deadlines (zero: not armed). It
+	// outlives a re-arm (see reset).
+	timer *time.Timer
+
+	windowState
+
+	// OnPark, when set, is invoked (under the assembler lock) the first
+	// time a PlaceBlocking call parks waiting for the window to slide,
+	// with the blocked block's offset — the flight-recorder hook for
+	// receiver-side backpressure. A block held for a sibling loop's gap
+	// is not parked and does not fire it. Set it before any data arrives.
+	OnPark func(offset uint64)
+}
+
+// windowState is everything one region's reassembly sets, which reset
+// replaces whole: a session's one STOR window starts each transfer
+// from a fresh one.
+type windowState struct {
 	sink io.Writer
 
 	held    [][]heldRun // runs copied beyond the watermark, in chunks: sorted by offset, never overlapping
@@ -71,22 +90,12 @@ type WindowAssembler struct {
 
 	parkMax time.Duration
 	failed  error
-	// timer, made by the first wait, wakes every waiting placer at
-	// timerAt, the earliest of their deadlines (zero: not armed).
-	timer   *time.Timer
 	timerAt time.Time
 
 	loops    int       // drain loops announced; holds need two or more
 	finished int       // announced loops that have returned
 	waiting  []uint64  // offsets of the blocks placers are waiting with
 	waitBuf  [2]uint64 // waiting's array for up to two drain loops
-
-	// OnPark, when set, is invoked (under the assembler lock) the first
-	// time a PlaceBlocking call parks waiting for the window to slide,
-	// with the blocked block's offset — the flight-recorder hook for
-	// receiver-side backpressure. A block held for a sibling loop's gap
-	// is not parked and does not fire it. Set it before any data arrives.
-	OnPark func(offset uint64)
 }
 
 // heldRun is a run of bytes copied out of a block, at absolute offset off.
@@ -122,11 +131,23 @@ const defaultParkTimeout = 30 * time.Second
 // buffer in bytes; parkMax bounds each PlaceBlocking wait (<= 0 uses a
 // 30s default).
 func NewWindowAssembler(sink io.Writer, base uint64, size int64, window int, parkMax time.Duration) (*WindowAssembler, error) {
+	st, err := newWindowState(sink, base, size, window, parkMax)
+	if err != nil {
+		return nil, err
+	}
+	a := &WindowAssembler{windowState: st}
+	a.cond.L = &a.mu
+	return a, nil
+}
+
+// newWindowState validates NewWindowAssembler's arguments into the
+// state of a window that has received nothing.
+func newWindowState(sink io.Writer, base uint64, size int64, window int, parkMax time.Duration) (windowState, error) {
 	if sink == nil {
-		return nil, errors.New("gridftp: nil window sink")
+		return windowState{}, errors.New("gridftp: nil window sink")
 	}
 	if window < 1 {
-		return nil, errors.New("gridftp: window must be positive")
+		return windowState{}, errors.New("gridftp: window must be positive")
 	}
 	if parkMax <= 0 {
 		parkMax = defaultParkTimeout
@@ -135,7 +156,7 @@ func NewWindowAssembler(sink io.Writer, base uint64, size int64, window int, par
 	if size >= 0 {
 		end = base + uint64(size)
 	}
-	a := &WindowAssembler{
+	return windowState{
 		sink:    sink,
 		window:  uint64(window),
 		maxRuns: max(window/4096, 1<<15),
@@ -143,9 +164,23 @@ func NewWindowAssembler(sink io.Writer, base uint64, size int64, window int, par
 		end:     end,
 		flushed: base,
 		parkMax: parkMax,
+	}, nil
+}
+
+// reset re-arms a with st, dropping the last region's held runs, spare
+// buffers, counters, failure and drain loops, so an assembler that is
+// reused — a session's STOR window — carries nothing from one transfer
+// into the next. The shared timer is stopped and kept; its callback may
+// still run once, which only wakes placers to re-check their deadlines.
+// Nothing may be placing when a is reset.
+func (a *WindowAssembler) reset(st windowState) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.timer != nil {
+		a.timer.Stop()
 	}
-	a.cond.L = &a.mu
-	return a, nil
+	a.windowState = st
+	a.cond.L = &a.mu // a zero assembler's first arming
 }
 
 // Place stores one block without blocking. Blocks entirely below the

@@ -1,16 +1,22 @@
 package gridftp
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gftpvc/internal/telemetry"
 )
 
 func TestWindowAssemblerInOrder(t *testing.T) {
@@ -784,4 +790,127 @@ func TestWindowSharedTimerKeepsEachDeadline(t *testing.T) {
 			t.Fatalf("Abort woke the placers after %v", d)
 		}
 	})
+}
+
+// replyHook runs hook on the session goroutine with each reply the
+// server writes, before it goes out.
+type replyHook struct {
+	net.Conn
+	hook func(reply string)
+}
+
+func (c replyHook) Write(b []byte) (int, error) {
+	c.hook(string(b))
+	return c.Conn.Write(b)
+}
+
+// TestStorWindowRearmed: a session keeps one STOR window and re-arms it
+// per STOR. After a STOR that fails mid-transfer with a 426 — a run
+// held beyond the watermark, a block parked past the window, the
+// stalled failure — the next STOR on the session starts from the state
+// of a fresh window: no held run, watermark, counters, failure, drain
+// loops or timer deadline of the first. Between the two the session
+// keeps no window bytes.
+func TestStorWindowRearmed(t *testing.T) {
+	const window = 8 << 10
+	store := NewMemStore()
+	s := startServer(t, Config{Store: store, WindowSize: window, DataTimeout: 200 * time.Millisecond,
+		AcceptTimeout: 2 * time.Second, Telemetry: telemetry.NewHub()})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvConn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Captured on the session goroutine, read after the reply arrives.
+	var mu sync.Mutex
+	var atPark, atReply []windowState
+	var sess *session
+	sess = s.newSession(replyHook{Conn: srvConn, hook: func(reply string) {
+		if code := reply[:3]; code == "150" || code == "226" || code == "426" {
+			sess.win.mu.Lock()
+			st := sess.win.windowState
+			sess.win.mu.Unlock()
+			mu.Lock()
+			atReply = append(atReply, st)
+			mu.Unlock()
+		}
+	}})
+	sess.win.OnPark = func(uint64) { // under the window's lock
+		mu.Lock()
+		atPark = append(atPark, sess.win.windowState)
+		mu.Unlock()
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); sess.serve() }()
+	defer func() { cli.Close(); <-done }()
+	rs := &rawSession{conn: cli, r: bufio.NewReader(cli)}
+	rs.expect(t, "220")
+	rs.login(t)
+	stor := func(name string) net.Conn {
+		t.Helper()
+		reply := rs.cmd(t, "PASV", "227")
+		addr, err := parseHostPort(reply[strings.Index(reply, "(")+1 : strings.LastIndex(reply, ")")])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.cmd(t, "STOR "+name, "150")
+		dc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dc
+	}
+
+	// First STOR: a run held at 2048, then a block past the window that
+	// parks until the stall fails the transfer.
+	dc := stor("a.bin")
+	WriteBlock(dc, Block{Offset: 2048, Data: randomPayload(1024)})
+	WriteBlock(dc, Block{Offset: 2 * window, Data: randomPayload(1024)})
+	rs.expect(t, "426")
+	dc.Close()
+	mu.Lock()
+	if len(atPark) != 1 || atPark[0].runs != 1 || atPark[0].pending != 1024 || atPark[0].loops != 1 {
+		t.Fatalf("the first STOR parked %d times, holding %+v; want once, over one held run", len(atPark), atPark)
+	}
+	if st := atReply[1]; st.held != nil || st.spare != nil || st.sink != nil {
+		t.Errorf("after its 426 the session keeps the failed STOR's window: %d held runs, %d spares", st.runs, len(st.spare))
+	}
+	mu.Unlock()
+
+	// Second STOR: in order over one connection, from offset 0.
+	want := randomPayload(3 * window)
+	dc = stor("b.bin")
+	for off := 0; off < len(want); off += window / 2 {
+		WriteBlock(dc, Block{Offset: uint64(off), Data: want[off : off+window/2]})
+	}
+	WriteBlock(dc, Block{Desc: DescEOD})
+	rs.expect(t, "226")
+	dc.Close()
+	fresh, err := newWindowState(&sess.tx.sink, 0, -1, window, 200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(atReply) != 4 {
+		t.Fatalf("captured %d replies, want 150 426 150 226", len(atReply))
+	}
+	if st := atReply[2]; !reflect.DeepEqual(st, fresh) {
+		t.Errorf("the second STOR's window starts at %d with %d held runs, %d loops, failure %v, timer at %v; want a fresh one",
+			st.flushed, st.runs, st.loops, st.failed, st.timerAt)
+	}
+	if st := atReply[3]; st.held != nil || st.spare != nil || st.sink != nil {
+		t.Errorf("after its 226 the session keeps the STOR's window: %d held runs, %d spares", st.runs, len(st.spare))
+	}
+	if got, err := store.Get("b.bin"); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the second STOR stored %d bytes (err %v), want the %d sent", len(got), err, len(want))
+	}
 }

@@ -159,6 +159,18 @@ func (l *Ledger) Release(id CircuitID) {
 	l.liftLocked(id)
 }
 
+// Prune drops, from every link's calendar, the bookings that ended at
+// or before cutoff. A ledger on the wall clock (the oscarsd daemon)
+// would otherwise keep every circuit that ended without a cancel, and
+// every later path search would sweep over it.
+func (l *Ledger) Prune(cutoff simclock.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, cal := range l.links {
+		cal.Prune(cutoff)
+	}
+}
+
 // Book books the circuit at rateBps over [start, end) on the
 // minimum-delay path from src to dst that fits, in one critical section
 // — the createReservation and modifyReservation operations of both the

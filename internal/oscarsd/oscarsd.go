@@ -399,6 +399,7 @@ func (s *Server) reserve(req Request) Response {
 	ends := endpoints{topo.NodeID(req.Src), topo.NodeID(req.Dst)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.ledger.Prune(s.now())
 	path, err := s.ledger.Book(s.nextID+1, ends.src, ends.dst,
 		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
 	if err != nil {
@@ -430,6 +431,12 @@ func (s *Server) cancel(req Request) Response {
 // modify leaves the old booking standing. The daemon's lock is held
 // throughout so that a cancel cannot release the circuit between the
 // lookup and the re-book.
+//
+// A circuit whose booking has ended is still held: the broker extends a
+// circuit that lapsed a moment before its next job, and cancels one
+// after it ends, so a modify of it re-books it and a cancel answers ok.
+// Only its expired bookings are pruned, as every reserve and modify
+// prunes the ledger to the daemon's now.
 func (s *Server) modify(req Request) Response {
 	id := oscars.CircuitID(req.ID)
 	s.mu.Lock()
@@ -441,6 +448,7 @@ func (s *Server) modify(req Request) Response {
 	if req.RateBps <= 0 || req.End <= req.Start {
 		return fail(CodeBadRequest, "modify needs rate_bps and a valid window")
 	}
+	s.ledger.Prune(s.now())
 	path, err := s.ledger.Book(id, ends.src, ends.dst,
 		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
 	s.countModify(err == nil)

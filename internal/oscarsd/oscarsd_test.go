@@ -10,6 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"gftpvc/internal/simclock"
 )
 
 // client is a minimal test client for the line-JSON protocol.
@@ -403,5 +406,70 @@ func TestModifyRaceNeverDoubleSells(t *testing.T) {
 	}
 	if r := c.roundTrip(t, reserve); !r.OK {
 		t.Fatalf("reserve after cancelling A: %+v", r)
+	}
+}
+
+// TestExpiredCircuitsPruned: circuits that end without a cancel leave no
+// booking in any link calendar once a later modify or reserve has run
+// on the daemon's clock, and they stay held: a modify of one re-books
+// it and a cancel of one answers ok.
+func TestExpiredCircuitsPruned(t *testing.T) {
+	const n, rate = 8, 0.5e9
+	srv := startServer(t)
+	c := dial(t, srv.Addr())
+	reserve := func(start, end float64) Response {
+		t.Helper()
+		r := c.roundTrip(t, Request{Op: OpReserve, Src: "nersc-ornl-dtn-src", Dst: "nersc-ornl-dtn-dst",
+			RateBps: rate, Start: start, End: end})
+		if !r.OK {
+			t.Fatalf("reserve [%v,%v): %+v", start, end, r)
+		}
+		return r
+	}
+	// booked sums what the links' calendars hold over [start, end).
+	booked := func(start, end float64) float64 {
+		total := 0.0
+		for _, l := range srv.ledger.Topology().Links() {
+			avail, err := srv.ledger.Available(l, simclock.Time(start), simclock.Time(end))
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += l.CapacityBps*0.5 - avail
+		}
+		return total
+	}
+	// expire reserves n circuits that end a moment from now and waits
+	// until the daemon's clock has passed their end.
+	expire := func() (ids []int64, start, end float64) {
+		t.Helper()
+		now := c.roundTrip(t, Request{Op: OpTopology}).Now
+		start, end = now+0.05, now+0.15
+		for range n {
+			ids = append(ids, reserve(start, end).ID)
+		}
+		if booked(start, end) == 0 {
+			t.Fatal("the circuits booked nothing")
+		}
+		for c.roundTrip(t, Request{Op: OpTopology}).Now <= end {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return ids, start, end
+	}
+
+	ids, start, end := expire()
+	if m := c.roundTrip(t, Request{Op: OpModify, ID: ids[0], RateBps: rate, Start: end + 100, End: end + 200}); !m.OK {
+		t.Fatalf("modify of an expired circuit: %+v", m)
+	}
+	if got := booked(start, end); got != 0 {
+		t.Errorf("after a modify the calendars still book %.0f bps of expired circuits", got)
+	}
+	if rc := c.roundTrip(t, Request{Op: OpCancel, ID: ids[1]}); !rc.OK {
+		t.Errorf("cancel of an expired circuit: %+v", rc)
+	}
+
+	_, start, end = expire()
+	reserve(end+100, end+200)
+	if got := booked(start, end); got != 0 {
+		t.Errorf("after a reserve the calendars still book %.0f bps of expired circuits", got)
 	}
 }

@@ -27,13 +27,18 @@ type ring[T any] struct {
 	cap  int
 }
 
-func (r *ring[T]) add(v T) {
+// next returns the slot the next value goes in: a new zero one until
+// the ring is full, then the oldest, whose value the caller overwrites
+// (and may reuse the arrays of).
+func (r *ring[T]) next() *T {
 	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, v)
-		return
+		var zero T
+		r.buf = append(r.buf, zero)
+		return &r.buf[len(r.buf)-1]
 	}
-	r.buf[r.head] = v
+	slot := &r.buf[r.head]
 	r.head = (r.head + 1) % r.cap
+	return slot
 }
 
 // oldestFirst returns a copy of the kept values that keep accepts (all
@@ -81,14 +86,14 @@ func (l *EventLog) Add(trace, kind, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	l.ring.add(Event{
+	*l.ring.next() = Event{
 		Seq:     l.seq,
 		Wall:    now,
 		TimeSec: now.Sub(l.epoch).Seconds(),
 		Trace:   trace,
 		Kind:    kind,
 		Detail:  detail,
-	})
+	}
 }
 
 // Snapshot returns the recorded events, oldest first.

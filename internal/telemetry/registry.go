@@ -65,7 +65,6 @@ func (k Kind) String() string {
 type instrument interface {
 	labelKey() string
 	expose(w *bufio.Writer, name, labels string)
-	seriesCount() int
 }
 
 // family groups every labeled instrument under one metric name.
@@ -278,26 +277,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// SeriesCount returns the number of exposition series (histograms count
-// their buckets plus _sum and _count).
-func (r *Registry) SeriesCount() int {
-	if r == nil {
-		return 0
-	}
-	total := 0
-	for _, name := range r.Names() {
-		r.mu.Lock()
-		f := r.families[name]
-		r.mu.Unlock()
-		f.mu.Lock()
-		for _, inst := range f.byLabel {
-			total += inst.seriesCount()
-		}
-		f.mu.Unlock()
-	}
-	return total
-}
-
 // WriteProm renders the registry in the Prometheus text exposition
 // format (version 0.0.4), families sorted by name, series by label key.
 func (r *Registry) WriteProm(w io.Writer) error {
@@ -384,7 +363,6 @@ func (c *Counter) Value() int64 {
 }
 
 func (c *Counter) labelKey() string { return c.labels }
-func (c *Counter) seriesCount() int { return 1 }
 
 func (c *Counter) expose(w *bufio.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, labels, c.Value())
@@ -430,7 +408,6 @@ func (g *Gauge) Value() int64 {
 }
 
 func (g *Gauge) labelKey() string { return g.labels }
-func (g *Gauge) seriesCount() int { return 1 }
 
 func (g *Gauge) expose(w *bufio.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, labels, g.Value())
@@ -511,7 +488,6 @@ func (h *Histogram) Sum() float64 {
 }
 
 func (h *Histogram) labelKey() string { return h.labels }
-func (h *Histogram) seriesCount() int { return len(h.bounds) + 3 } // buckets + +Inf + _sum + _count
 
 func (h *Histogram) expose(w *bufio.Writer, name, labels string) {
 	// _bucket series carry the extra le label inside the existing set.

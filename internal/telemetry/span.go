@@ -83,19 +83,22 @@ const (
 // nil-safe and safe for concurrent use (data-path goroutines call
 // AddBytes while the control path switches phases).
 //
-// A span is write-once: End hands its snapshot to the log's ring
-// without copying it, sharing the span's arrays, and every mutator is a
-// no-op from then on, so a ring entry never changes.
+// A span belongs to its owner. Hub.Span allocates one; a transfer
+// record keeps one by value and re-arms it for every transfer with
+// SpanLog.Begin, reusing its arrays. End copies the span's snapshot
+// into a ring slot that owns its own arrays, and every mutator is a
+// no-op from then on until the next Begin. A zero Span, or one begun on
+// a nil log, is inert: every method is a no-op.
 type Span struct {
 	log *SpanLog
 
 	mu    sync.Mutex
 	snap  SpanSnapshot
 	begun time.Time // when the open phase started
-	done  bool
+	live  bool      // begun and not yet ended
 
 	// Inline room for the first spanInline phases and the first
-	// timeline bin, so a transfer's span is one allocation.
+	// timeline bin, so a span never grows for a short transfer.
 	phases [spanInline]PhaseSnapshot
 	bin0   [1]int64
 }
@@ -112,7 +115,7 @@ func (s *Span) Phase(p Phase) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done {
+	if !s.live {
 		return
 	}
 	s.closePhaseLocked(now)
@@ -136,7 +139,7 @@ func (s *Span) AddBytes(n int64) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done {
+	if !s.live {
 		return
 	}
 	s.snap.Bytes += n
@@ -151,7 +154,9 @@ func (s *Span) AddBytes(n int64) {
 		if tl == nil {
 			tl = s.bin0[:0]
 		}
+		// A re-armed span's array may hold an earlier transfer's bins.
 		s.snap.TimelineBytes = slices.Grow(tl, bin+1-len(tl))[:bin+1]
+		clear(s.snap.TimelineBytes[len(tl):])
 	}
 	s.snap.TimelineBytes[bin] += n
 }
@@ -165,7 +170,7 @@ func (s *Span) AddThrottleWait(d time.Duration) {
 		return
 	}
 	s.mu.Lock()
-	if !s.done {
+	if s.live {
 		s.snap.ThrottleWaitSec += d.Seconds()
 	}
 	s.mu.Unlock()
@@ -182,7 +187,7 @@ func (s *Span) SetTrace(traceID, parentSID string) (sid string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done {
+	if !s.live {
 		return s.snap.SID
 	}
 	if s.snap.SID == "" {
@@ -219,27 +224,27 @@ func (s *Span) SetStreams(n int) {
 		return
 	}
 	s.mu.Lock()
-	if !s.done {
+	if s.live {
 		s.snap.Streams = n
 	}
 	s.mu.Unlock()
 }
 
 // End completes the span: the open phase is closed, a zero-length
-// "error" phase is appended when err != nil, and the span's snapshot
-// moves to the log's completed ring, sharing the span's arrays, which
-// no later call changes. End is idempotent.
+// "error" phase is appended when err != nil, and the span's snapshot is
+// copied into the log's completed ring, which no later call changes.
+// End is idempotent.
 func (s *Span) End(err error) {
 	if s == nil {
 		return
 	}
 	now := time.Now()
 	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if !s.live {
 		return
 	}
-	s.done = true
+	s.live = false
 	s.closePhaseLocked(now)
 	if err != nil {
 		s.snap.Err = err.Error()
@@ -252,13 +257,14 @@ func (s *Span) End(err error) {
 	if len(s.snap.TimelineBytes) > 0 {
 		s.snap.TimelineBinMS = timelineBin.Milliseconds()
 	}
-	snap := s.snap
-	s.mu.Unlock()
-	s.log.complete(snap)
+	s.log.complete(&s.snap)
 }
 
 // SpanLog tracks in-flight spans and keeps a bounded ring of completed
-// ones for the /spans snapshot.
+// ones for the /spans snapshot. Each ring slot owns its phase and
+// timeline arrays: End copies into them, reusing the arrays of the
+// entry it overwrites once the ring has wrapped, and readers get deep
+// copies.
 type SpanLog struct {
 	epoch time.Time
 
@@ -285,11 +291,25 @@ func (l *SpanLog) sinceEpoch(t time.Time) float64 {
 	return t.Sub(l.epoch).Seconds()
 }
 
-// Start opens a span for op (e.g. "retr") against target (object name,
-// peer address) with its first phase. A nil log returns a nil span.
+// Start opens a new span for op (e.g. "retr") against target (object
+// name, peer address) with its first phase: Begin on a span of its own.
+// A nil log returns a nil span.
 func (l *SpanLog) Start(op, target string, first Phase) *Span {
 	if l == nil {
 		return nil
+	}
+	s := new(Span)
+	l.Begin(s, op, target, first)
+	return s
+}
+
+// Begin opens s, storage its owner keeps, as a span for op against
+// target with its first phase, reusing the arrays s holds from its last
+// use. s must be a zero Span or an ended one. With a nil log s is left
+// as it is, so a zero s stays inert.
+func (l *SpanLog) Begin(s *Span, op, target string, first Phase) {
+	if l == nil || s == nil {
+		return
 	}
 	now := time.Now()
 	l.mu.Lock()
@@ -297,27 +317,39 @@ func (l *SpanLog) Start(op, target string, first Phase) *Span {
 	id := l.nextID
 	l.active++
 	l.mu.Unlock()
-	s := &Span{
-		log: l,
-		snap: SpanSnapshot{
-			ID:       id,
-			Op:       op,
-			Target:   target,
-			Start:    now,
-			StartSec: l.sinceEpoch(now),
-		},
-		begun: now,
+	start := l.sinceEpoch(now)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	phases := s.snap.Phases[:0]
+	if phases == nil {
+		phases = s.phases[:0]
 	}
-	s.phases[0] = PhaseSnapshot{Name: first, StartSec: s.snap.StartSec}
-	s.snap.Phases = s.phases[:1]
-	return s
+	s.log, s.begun, s.live = l, now, true
+	s.snap = SpanSnapshot{
+		ID:            id,
+		Op:            op,
+		Target:        target,
+		Start:         now,
+		StartSec:      start,
+		Phases:        append(phases, PhaseSnapshot{Name: first, StartSec: start}),
+		TimelineBytes: s.snap.TimelineBytes[:0],
+	}
 }
 
-func (l *SpanLog) complete(snap SpanSnapshot) {
+// complete moves an ended span's snapshot into the ring, copying it
+// into the next slot's own arrays.
+func (l *SpanLog) complete(snap *SpanSnapshot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.active--
-	l.ring.add(snap)
+	slot := l.ring.next()
+	phases := slot.Phases[:0]
+	if cap(phases) < len(snap.Phases) {
+		phases = make([]PhaseSnapshot, 0, max(len(snap.Phases), spanInline))
+	}
+	bins := append(slot.TimelineBytes[:0], snap.TimelineBytes...)
+	*slot = *snap
+	slot.Phases, slot.TimelineBytes = append(phases, snap.Phases...), bins
 }
 
 // Active returns the number of spans started but not yet ended.
@@ -330,23 +362,39 @@ func (l *SpanLog) Active() int {
 	return l.active
 }
 
-// Snapshot returns the completed spans, oldest first.
+// Snapshot returns deep copies of the completed spans, oldest first.
 func (l *SpanLog) Snapshot() []SpanSnapshot {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.oldestFirst(nil)
+	return detach(l.ring.oldestFirst(nil))
 }
 
-// ByTrace returns the completed spans tagged with the given trace ID,
-// oldest first.
+// ByTrace returns deep copies of the completed spans tagged with the
+// given trace ID, oldest first.
 func (l *SpanLog) ByTrace(trace string) []SpanSnapshot {
 	if l == nil || trace == "" {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ring.oldestFirst(func(s *SpanSnapshot) bool { return s.TraceID == trace })
+	return detach(l.ring.oldestFirst(func(s *SpanSnapshot) bool { return s.TraceID == trace }))
+}
+
+// detach gives copies of ring entries arrays of their own, so a later
+// End that reuses a slot's arrays cannot change them. Called with the
+// log's lock held.
+func detach(snaps []SpanSnapshot) []SpanSnapshot {
+	for i := range snaps {
+		s := &snaps[i]
+		s.Phases = slices.Clone(s.Phases)
+		if len(s.TimelineBytes) == 0 {
+			s.TimelineBytes = nil
+		} else {
+			s.TimelineBytes = slices.Clone(s.TimelineBytes)
+		}
+	}
+	return snaps
 }

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -231,20 +233,71 @@ func TestSpanError(t *testing.T) {
 	}
 }
 
-// TestSpanOneAllocation: a transfer's span — Start, two more phases,
-// its bytes and End — is one allocation, the Span itself; the ring
-// takes its snapshot without a copy.
+// TestSpanOneAllocation: a transfer's span — begun, two more phases,
+// its bytes and End — allocates nothing once the ring has filled when
+// its owner keeps it (SpanLog.Begin), and only the Span itself when
+// Hub.Span makes it: End copies into a ring slot's own arrays.
 func TestSpanOneAllocation(t *testing.T) {
-	log := NewSpanLog(time.Now(), 4)
-	n := testing.AllocsPerRun(100, func() {
-		sp := log.Start("retr", "x.bin", PhaseSetup)
+	hub := NewHubConfig(0, 4)
+	log := hub.Spans()
+	var owned Span
+	lifecycle := func(sp *Span) {
 		sp.Phase(PhaseStream)
 		sp.AddBytes(64 << 10)
 		sp.Phase(PhaseTeardown)
 		sp.End(nil)
-	})
-	if n > 1 {
-		t.Errorf("a span's lifecycle allocates %.0f times, want 1", n)
+	}
+	for range 4 { // fill the ring
+		log.Begin(&owned, "retr", "x.bin", PhaseSetup)
+		lifecycle(&owned)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		log.Begin(&owned, "retr", "x.bin", PhaseSetup)
+		lifecycle(&owned)
+	}); n != 0 {
+		t.Errorf("an owner-held span's lifecycle allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		lifecycle(hub.Span("retr", "x.bin", PhaseSetup))
+	}); n > 1 {
+		t.Errorf("a Hub.Span lifecycle allocates %.0f times, want at most 1", n)
+	}
+}
+
+// TestSpanReuseKeepsSnapshot: a Snapshot is a deep copy, so it reads
+// byte-identically after its span is begun again and the ring slot it
+// was copied from is overwritten.
+func TestSpanReuseKeepsSnapshot(t *testing.T) {
+	log := NewSpanLog(time.Now(), 2)
+	var sp Span
+	log.Begin(&sp, "stor", "a.bin", PhaseSetup)
+	sp.SetTrace("00112233445566aa", "")
+	sp.Phase(PhaseStream)
+	sp.AddBytes(100)
+	sp.End(errors.New("426 aborted"))
+	snap := log.Snapshot()
+	byTrace := log.ByTrace("00112233445566aa")
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTrace, _ := json.Marshal(byTrace)
+	for i := range 4 { // re-arm the span and wrap the ring twice over
+		log.Begin(&sp, "retr", "b.bin", PhaseSetup)
+		sp.Phase(PhaseStream)
+		sp.AddBytes(int64(7 + i))
+		sp.Phase(PhaseTeardown)
+		sp.End(nil)
+	}
+	if got, _ := json.Marshal(snap); !bytes.Equal(got, want) {
+		t.Errorf("Snapshot changed when its span was reused:\n got %s\nwant %s", got, want)
+	}
+	if got, _ := json.Marshal(byTrace); !bytes.Equal(got, wantTrace) {
+		t.Errorf("ByTrace changed when its span was reused:\n got %s\nwant %s", got, wantTrace)
+	}
+	last := log.Snapshot()[1]
+	if last.Op != "retr" || last.Err != "" || last.Bytes != 10 || len(last.Phases) != 3 || len(last.TimelineBytes) != 1 || last.TimelineBytes[0] != 10 {
+		t.Errorf("the re-armed span carries its last use: %+v", last)
 	}
 }
 
@@ -402,12 +455,36 @@ func TestNilSafety(t *testing.T) {
 	if _, _, bytes := lc.Snapshot(); bytes != nil {
 		t.Fatal("nil live counter must snapshot nil")
 	}
-	if h.Registry().SeriesCount() != 0 || h.Spans().Active() != 0 || h.Live().Counters() != nil {
+	if seriesCount(h.Registry()) != 0 || h.Spans().Active() != 0 || h.Live().Counters() != nil {
 		t.Fatal("nil hub must expose empty streams")
 	}
 	if err := h.Registry().WriteProm(io.Discard); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// seriesCount counts r's exposition series: one per counter and gauge,
+// and a histogram's buckets plus +Inf, _sum and _count.
+func seriesCount(r *Registry) int {
+	if r == nil {
+		return 0
+	}
+	total := 0
+	for _, name := range r.Names() {
+		r.mu.Lock()
+		f := r.families[name]
+		r.mu.Unlock()
+		f.mu.Lock()
+		for _, inst := range f.byLabel {
+			if h, ok := inst.(*Histogram); ok {
+				total += len(h.bounds) + 3
+			} else {
+				total++
+			}
+		}
+		f.mu.Unlock()
+	}
+	return total
 }
 
 // TestConcurrentRegistryScrape hammers the registry from mutating
@@ -439,7 +516,7 @@ func TestConcurrentRegistryScrape(t *testing.T) {
 		if err := r.WriteProm(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		if r.SeriesCount() < 0 {
+		if seriesCount(r) < 0 {
 			t.Fatal("unreachable")
 		}
 	}

@@ -96,13 +96,6 @@ func (c *Collector) Records() []Record {
 	return out
 }
 
-// Dropped returns how many malformed packets were discarded.
-func (c *Collector) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
-
 // Close stops the collector and waits for the receive loop to exit.
 func (c *Collector) Close() error {
 	err := c.pc.Close()

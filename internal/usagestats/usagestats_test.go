@@ -258,7 +258,12 @@ func TestCollectorDropsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for col.Dropped() == 0 {
+	dropped := func() int {
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		return col.dropped
+	}
+	for dropped() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("malformed packet never counted")
 		}

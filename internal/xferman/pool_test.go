@@ -395,14 +395,14 @@ func TestPooledCopyControlRoundTrips(t *testing.T) {
 // TestPooledJobAllocBudget guards what a steady-state pooled job
 // allocates, measured over Submit and Wait: 200 64 KiB third-party jobs
 // over one cached pair, with every process instrumented as the
-// benchmark's small_files is, cost at most 3.5 KiB each. The worker
+// benchmark's small_files is, cost at most 1.5 KiB each. The worker
 // refills its one run and Result, so a job costs its tracked record and
 // done channel, two pool leases, its options, and the engine's own
 // share (gridftp's TestSmallTransferAllocBudget). Warm-up jobs first
 // fill the rings that grow once: the read-job ring, the servers' usage
 // records and the span rings.
 func TestPooledJobAllocBudget(t *testing.T) {
-	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 3584
+	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 1536
 	r := rig.New(t)
 	src := r.Server(gridftp.Config{}, rig.Objects{"obj": rig.Payload(6, size)})
 	dst := r.Server(gridftp.Config{})
