@@ -1,10 +1,9 @@
 GO ?= go
 
-# Packages exercised by the concurrency-sensitive paths (parallel exhibit
-# runner, memoized workloads, allocator scratch state) plus the live
-# transfer engine — including the disk (DirStore partial-sidecar
-# streaming) and tiered (LRU hot cache over disk) store backends, whose
-# tests race concurrent Puts against List walks and snapshots — its
+# Packages `make check` runs under the race detector: the live transfer
+# engine — including the disk (DirStore partial-sidecar streaming) and
+# tiered (LRU hot cache over disk) store backends, whose tests race
+# concurrent Puts against List walks and snapshots — its
 # fault-injection harness, the telemetry layer (whose tests scrape the
 # registry while the data path mutates it), the hybrid control plane
 # (the pooled vc client, the session broker, and the xferman pool that
@@ -18,11 +17,15 @@ GO ?= go
 # with both its users (the OSCARS ledger and daemon, whose tests race
 # refused modifies against reserves, and the server calendar, whose
 # tests churn reserves and releases from many goroutines).
-RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
-	./internal/gridftp/... ./internal/faultnet/... ./internal/telemetry \
+CHECK_RACE_PKGS = ./internal/gridftp/... ./internal/faultnet/... ./internal/telemetry \
 	./internal/vc/... ./internal/xferman ./internal/connpool \
 	./internal/pacing ./internal/fleet ./internal/rig \
 	./internal/oscars ./internal/oscarsd ./internal/dtnsched .
+
+# `make race` adds the simulator's concurrency-sensitive paths: the
+# parallel exhibit runner, memoized workloads, and allocator scratch
+# state.
+RACE_PKGS = $(CHECK_RACE_PKGS) ./internal/netsim ./internal/experiments ./internal/sessions
 
 .PHONY: check fmt-check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
@@ -46,10 +49,7 @@ check:
 	$(GO) test ./...
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
-	$(GO) test -race -count=1 ./internal/gridftp/... ./internal/faultnet/... \
-		./internal/telemetry ./internal/vc/... ./internal/xferman \
-		./internal/connpool ./internal/pacing ./internal/fleet ./internal/rig \
-		./internal/oscars ./internal/oscarsd ./internal/dtnsched .
+	$(GO) test -race -count=1 $(CHECK_RACE_PKGS)
 	$(MAKE) fuzz-smoke
 
 # Format gate: read-only (it lists, never rewrites), over the whole
@@ -57,16 +57,18 @@ check:
 fmt-check:
 	@bad=$$(gofmt -l .); if [ -n "$$bad" ]; then echo "$$bad"; echo "fmt-check: files above are not gofmt-clean"; exit 1; fi
 
-# Fuzz smoke: run each data-plane fuzz target, and the session policy's
-# agreement with sessions.Group, briefly on top of its committed seed
-# corpus. go test accepts a single -fuzz pattern per
-# invocation, hence the loop. Override FUZZ_TIME for longer campaigns
+# Fuzz smoke: run each data-plane fuzz target, the session policy's
+# agreement with sessions.Group, the reservation daemon's replies and
+# the usage-record parser (which reads UDP datagrams from other
+# processes), briefly on top of its committed seed corpus. go test
+# accepts a single -fuzz pattern per invocation, hence the loop. Override FUZZ_TIME for longer campaigns
 # (e.g. make fuzz-smoke FUZZ_TIME=5m).
 FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrameReader \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
-	gridftp:FuzzSessionState gridftp:FuzzSendBlocks pacing:FuzzBucketRefill core:FuzzSessionPolicy
+	gridftp:FuzzSessionState gridftp:FuzzSendBlocks pacing:FuzzBucketRefill core:FuzzSessionPolicy \
+	oscarsd:FuzzDaemonDispatch usagestats:FuzzUnmarshal
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fz=$${t##*:}; \
@@ -85,7 +87,7 @@ vet:
 # network RPCs) must take a context.Context first, so no caller can be
 # left without a cancellation path. Accessors, teardown, and
 # non-blocking bucket arithmetic are exempt by name.
-CTX_EXEMPT = Addr|ProtocolVersion|Close|Disposition|End|Sessions|String|Result|OnRateChange|SetRate|Rate|Burst|Waited|With|Registry|Snapshot|Stats
+CTX_EXEMPT = Addr|Close|Disposition|End|Sessions|String|Result|OnRateChange|SetRate|With|Registry|Snapshot|Stats
 vet-ctx:
 	@bad=$$(grep -nE '^func \([A-Za-z] \*(Client|Broker|Manager|Lease|Bucket|Limiter|Dispatcher|Registry|Pool)\) [A-Z][A-Za-z]*\(' \
 		internal/vc/*.go internal/vc/broker/*.go internal/xferman/*.go \

@@ -149,8 +149,7 @@ func main() {
 			_, err := client.Now(pctx)
 			return err
 		})
-		fmt.Fprintf(os.Stderr, "gftpxfer: hybrid dispatch via %s (protocol v%d, gap %v)\n",
-			*oscars, client.ProtocolVersion(), *gap)
+		fmt.Fprintf(os.Stderr, "gftpxfer: hybrid dispatch via %s (gap %v)\n", *oscars, *gap)
 	}
 	if *poolIdle > 0 {
 		pool := connpool.New(connpool.Config{

@@ -14,21 +14,18 @@
 //	     survives on rejection)
 //	{"op":"cancel","id":1}        -> {"ok":true,"id":1}
 //	{"op":"available","src":"...","dst":"...","rate_bps":1e9,"start":0,"end":600}
-//	  -> {"ok":true,"path":[...]} or {"ok":false,"error":"..."}
+//	  -> {"ok":true,"path":[...]} or {"ok":false,"code":"no-path","error":"..."}
 //	{"op":"topology"}             -> {"ok":true,"nodes":[...],"now":12.5}
-//	{"op":"hello","ver":1}        -> {"ok":true,"ver":1,"now":12.5}
+//	{"op":"hello"}                -> {"ok":true,"now":12.5}
 //
-// The hello op negotiates the protocol version: clients send the highest
-// version they speak and the server answers with the highest it will
-// serve (currently 1). Seed-era servers reject hello as an unknown op,
-// which clients interpret as version 0; all other requests and replies
-// are identical across versions, so the protocol is wire-compatible in
-// both directions. Failure responses carry a machine-readable "code"
-// field ("bad-request", "no-path", "rejected", "unknown-circuit",
-// "unknown-op", "malformed") alongside the human-readable "error"
-// message; version-0 peers simply ignore it. Unknown ops always get a
-// structured {"ok":false,"code":"unknown-op",...} reply rather than a
-// dropped connection.
+// A client sends hello as its handshake when it connects, and again
+// whenever it only needs the service clock. Every failure
+// response carries a machine-readable "code" field ("bad-request",
+// "no-path", "rejected", "unknown-circuit", "unknown-op", "malformed")
+// alongside the human-readable "error" message; clients classify
+// failures by the code. Unknown ops always get a structured
+// {"ok":false,"code":"unknown-op",...} reply rather than a dropped
+// connection.
 //
 // internal/vc wraps this wire protocol in a typed Go client, and
 // cmd/vcreq is the command-line front end.

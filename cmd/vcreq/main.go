@@ -2,8 +2,7 @@
 // requests, probes, and cancels virtual circuits, playing the role of
 // the data-transfer application that asks the IDC for a circuit before
 // starting a GridFTP session. It speaks the typed internal/vc client
-// API, negotiating the protocol version on connect and interoperating
-// with both current and seed-era daemons.
+// API, which refuses a peer that does not answer its hello handshake.
 //
 // Usage:
 //

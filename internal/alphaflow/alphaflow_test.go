@@ -46,20 +46,6 @@ func TestIsAlpha(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	c := DefaultClassifier()
-	records := []usagestats.Record{
-		rec("a", "b", 4e9, 16),   // alpha
-		rec("a", "b", 1e6, 1),    // small
-		rec("a", "c", 8e9, 40),   // alpha
-		rec("a", "c", 2e9, 1000), // slow
-	}
-	alpha, other := c.Partition(records)
-	if len(alpha) != 2 || len(other) != 2 {
-		t.Errorf("partition = %d/%d, want 2/2", len(alpha), len(other))
-	}
-}
-
 func TestRedirectorLearns(t *testing.T) {
 	r, err := NewRedirector(DefaultClassifier())
 	if err != nil {

@@ -192,10 +192,6 @@ func TestDecideSmallSessionIP(t *testing.T) {
 	if plan.Service != IPRouted || plan.Circuit != nil {
 		t.Errorf("plan = %+v, want IP-routed", plan)
 	}
-	opts := plan.FlowOptionsFor()
-	if opts.GuaranteedBps != 0 {
-		t.Error("IP plan should have no guarantee")
-	}
 }
 
 func TestDecideLargeSessionVC(t *testing.T) {
@@ -208,9 +204,8 @@ func TestDecideLargeSessionVC(t *testing.T) {
 	if plan.Service != DynamicVC || plan.Circuit == nil {
 		t.Fatalf("plan = %+v, want dynamic VC", plan)
 	}
-	opts := plan.FlowOptionsFor()
-	if opts.GuaranteedBps != 1e9 {
-		t.Errorf("guarantee = %v, want 1e9", opts.GuaranteedBps)
+	if got := plan.Circuit.Request.RateBps; got != 1e9 {
+		t.Errorf("circuit rate = %v, want 1e9", got)
 	}
 	eng.RunUntil(1)
 	if plan.Circuit.State() != oscars.Active {
@@ -246,8 +241,8 @@ func TestDecideFallsBackWhenSaturated(t *testing.T) {
 	if vc != 5 || ip != 1 || fb != 1 {
 		t.Errorf("stats = %d/%d/%d", vc, ip, fb)
 	}
-	if len(e.Plans()) != 6 {
-		t.Errorf("plans = %d, want 6", len(e.Plans()))
+	if len(e.plans) != 6 {
+		t.Errorf("plans = %d, want 6", len(e.plans))
 	}
 }
 

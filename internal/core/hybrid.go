@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"gftpvc/internal/netsim"
 	"gftpvc/internal/oscars"
 	"gftpvc/internal/simclock"
 	"gftpvc/internal/topo"
@@ -111,9 +110,6 @@ func (e *HybridEngine) Decide(src, dst topo.NodeID, totalBytes float64, now simc
 	return plan, nil
 }
 
-// Plans returns every decision taken so far.
-func (e *HybridEngine) Plans() []*Plan { return e.plans }
-
 // Stats tallies the engine's decisions.
 func (e *HybridEngine) Stats() (vc, ip, fallbacks int) {
 	for _, p := range e.plans {
@@ -128,13 +124,4 @@ func (e *HybridEngine) Stats() (vc, ip, fallbacks int) {
 		}
 	}
 	return vc, ip, fallbacks
-}
-
-// FlowOptionsFor translates a plan into netsim flow options: VC sessions
-// run with the circuit's guaranteed rate, IP sessions best-effort.
-func (p *Plan) FlowOptionsFor() netsim.FlowOptions {
-	if p.Service == DynamicVC && p.Circuit != nil {
-		return netsim.FlowOptions{GuaranteedBps: p.Circuit.Request.RateBps}
-	}
-	return netsim.FlowOptions{}
 }

@@ -28,21 +28,21 @@ func TestGuaranteesExceedLineRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.Rate() != 1e9 {
-		t.Errorf("first guaranteed rate = %v, want 1e9 (clamped to line rate)", g1.Rate())
+	if g1.rate != 1e9 {
+		t.Errorf("first guaranteed rate = %v, want 1e9 (clamped to line rate)", g1.rate)
 	}
-	if g2.Rate() != 0 {
-		t.Errorf("second guaranteed rate = %v, want 0 (residual exhausted)", g2.Rate())
+	if g2.rate != 0 {
+		t.Errorf("second guaranteed rate = %v, want 0 (residual exhausted)", g2.rate)
 	}
-	if be.Rate() != 0 {
-		t.Errorf("best-effort rate = %v, want 0 on saturated path", be.Rate())
+	if be.rate != 0 {
+		t.Errorf("best-effort rate = %v, want 0 on saturated path", be.rate)
 	}
 	// Releasing the first guarantee hands the line rate to the second.
-	if err := nw.StopFlow(g1); err != nil {
+	if err := nw.stopFlow(g1); err != nil {
 		t.Fatal(err)
 	}
-	if g2.Rate() != 1e9 {
-		t.Errorf("after stop, second guaranteed rate = %v, want 1e9", g2.Rate())
+	if g2.rate != 1e9 {
+		t.Errorf("after stop, second guaranteed rate = %v, want 1e9", g2.rate)
 	}
 }
 
@@ -62,22 +62,22 @@ func TestStopFlowMidProgressiveFill(t *testing.T) {
 		flows[i] = f
 	}
 	for i, f := range flows {
-		if math.Abs(f.Rate()-300e6) > 1 {
-			t.Fatalf("flow %d rate = %v, want 300e6", i, f.Rate())
+		if math.Abs(f.rate-300e6) > 1 {
+			t.Fatalf("flow %d rate = %v, want 300e6", i, f.rate)
 		}
 	}
 	eng.MustAt(4, func() {
-		if err := nw.StopFlow(flows[1]); err != nil {
+		if err := nw.stopFlow(flows[1]); err != nil {
 			t.Error(err)
 		}
 	})
 	eng.RunUntil(4)
-	if got := flows[1].Transferred(); math.Abs(got-150e6) > 1 {
+	if got := flows[1].sizeBytes - flows[1].remainingBytes; math.Abs(got-150e6) > 1 {
 		t.Errorf("stopped flow transferred %v bytes, want 150e6", got)
 	}
 	for _, i := range []int{0, 2} {
-		if math.Abs(flows[i].Rate()-450e6) > 1 {
-			t.Errorf("survivor flow %d rate = %v, want 450e6", i, flows[i].Rate())
+		if math.Abs(flows[i].rate-450e6) > 1 {
+			t.Errorf("survivor flow %d rate = %v, want 450e6", i, flows[i].rate)
 		}
 	}
 	eng.RunUntil(10)
@@ -110,8 +110,8 @@ func TestZeroResidualLinkRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if be.Rate() != 0 {
-		t.Fatalf("best-effort rate = %v, want 0 while guarantee holds the link", be.Rate())
+	if be.rate != 0 {
+		t.Fatalf("best-effort rate = %v, want 0 while guarantee holds the link", be.rate)
 	}
 	eng.MustAt(5, func() {
 		if err := nw.SetGuarantee(g, 0); err != nil {
@@ -126,7 +126,7 @@ func TestZeroResidualLinkRecovery(t *testing.T) {
 	if math.Abs(float64(doneAt)-7.0) > 1e-6 {
 		t.Errorf("completed at %v, want 7s", doneAt)
 	}
-	if got := be.Transferred(); math.Abs(got-125e6) > 1 {
+	if got := be.sizeBytes - be.remainingBytes; math.Abs(got-125e6) > 1 {
 		t.Errorf("transferred %v, want 125e6", got)
 	}
 }

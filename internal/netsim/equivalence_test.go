@@ -456,7 +456,7 @@ func runNew(t *testing.T, sc scenario) ([]completionRecord, []simclock.Time, map
 				flows[idx] = f
 			case opStop:
 				if f := flows[op.flow]; f != nil {
-					nw.StopFlow(f) // error (already done) intentionally ignored
+					nw.stopFlow(f) // error (already done) intentionally ignored
 				}
 			case opSetCap:
 				if f := flows[op.flow]; f != nil {

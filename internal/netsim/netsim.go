@@ -73,17 +73,6 @@ type Flow struct {
 	onDone func(*Flow, simclock.Time)
 }
 
-// Rate returns the flow's currently allocated rate in bits/second.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Transferred returns the bytes moved so far, as of the last network event.
-func (f *Flow) Transferred() float64 {
-	if math.IsInf(f.sizeBytes, 1) {
-		return math.Inf(1)
-	}
-	return f.sizeBytes - f.remainingBytes
-}
-
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
 
@@ -219,12 +208,8 @@ func (n *Network) LinkBytes(id topo.LinkID) (float64, error) {
 	return total, nil
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
-
 // StartFlow injects a flow of sizeBytes along path, beginning now. For a
-// background stream of unbounded duration, pass math.Inf(1) as sizeBytes
-// and stop it later with StopFlow.
+// background stream of unbounded duration, pass math.Inf(1) as sizeBytes.
 func (n *Network) StartFlow(path topo.Path, sizeBytes float64, opts FlowOptions) (*Flow, error) {
 	if len(path) == 0 {
 		return nil, errors.New("netsim: empty path")
@@ -265,9 +250,10 @@ func (n *Network) StartFlow(path topo.Path, sizeBytes float64, opts FlowOptions)
 	return f, nil
 }
 
-// StopFlow removes a flow (typically a background stream) before it
-// completes. Its OnDone callback is not invoked.
-func (n *Network) StopFlow(f *Flow) error {
+// stopFlow removes a flow (typically a background stream) before it
+// completes, through the same settle, remove and reallocate steps a
+// completion takes. Its OnDone callback is not invoked.
+func (n *Network) stopFlow(f *Flow) error {
 	if f == nil || n.flows[f.ID] != f {
 		return errors.New("netsim: flow not active")
 	}

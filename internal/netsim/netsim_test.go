@@ -41,8 +41,8 @@ func TestSingleFlowFullCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Rate() != 1e9 {
-		t.Errorf("rate = %v, want 1e9", f.Rate())
+	if f.rate != 1e9 {
+		t.Errorf("rate = %v, want 1e9", f.rate)
 	}
 	eng.Run()
 	if !f.Done() {
@@ -62,8 +62,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	nw := New(eng, tp)
 	f1, _ := nw.StartFlow(path, 125e6, FlowOptions{})
 	f2, _ := nw.StartFlow(path, 125e6, FlowOptions{})
-	if f1.Rate() != 5e8 || f2.Rate() != 5e8 {
-		t.Errorf("rates = %v, %v; want 5e8 each", f1.Rate(), f2.Rate())
+	if f1.rate != 5e8 || f2.rate != 5e8 {
+		t.Errorf("rates = %v, %v; want 5e8 each", f1.rate, f2.rate)
 	}
 	eng.Run()
 	// Both finish at 2s (each got half rate throughout).
@@ -78,12 +78,12 @@ func TestRateCapRespected(t *testing.T) {
 	nw := New(eng, tp)
 	f1, _ := nw.StartFlow(path, 125e6, FlowOptions{RateCapBps: 2e8})
 	f2, _ := nw.StartFlow(path, 125e6, FlowOptions{})
-	if f1.Rate() != 2e8 {
-		t.Errorf("capped flow rate = %v, want 2e8", f1.Rate())
+	if f1.rate != 2e8 {
+		t.Errorf("capped flow rate = %v, want 2e8", f1.rate)
 	}
 	// Max-min gives the uncapped flow the rest.
-	if math.Abs(f2.Rate()-8e8) > 1 {
-		t.Errorf("uncapped flow rate = %v, want 8e8", f2.Rate())
+	if math.Abs(f2.rate-8e8) > 1 {
+		t.Errorf("uncapped flow rate = %v, want 8e8", f2.rate)
 	}
 	eng.Run()
 }
@@ -94,11 +94,11 @@ func TestGuaranteedFlowPriority(t *testing.T) {
 	nw := New(eng, tp)
 	vc, _ := nw.StartFlow(path, 1e12, FlowOptions{GuaranteedBps: 7e8})
 	be, _ := nw.StartFlow(path, 1e12, FlowOptions{})
-	if vc.Rate() != 7e8 {
-		t.Errorf("VC rate = %v, want 7e8", vc.Rate())
+	if vc.rate != 7e8 {
+		t.Errorf("VC rate = %v, want 7e8", vc.rate)
 	}
-	if math.Abs(be.Rate()-3e8) > 1 {
-		t.Errorf("best-effort rate = %v, want 3e8", be.Rate())
+	if math.Abs(be.rate-3e8) > 1 {
+		t.Errorf("best-effort rate = %v, want 3e8", be.rate)
 	}
 }
 
@@ -130,8 +130,8 @@ func TestBackgroundFlowAndStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	fg, _ := nw.StartFlow(path, 75e6, FlowOptions{}) // 0.6 Gbit at 0.6 Gbps -> 1s
-	if math.Abs(fg.Rate()-6e8) > 1 {
-		t.Errorf("fg rate = %v, want 6e8", fg.Rate())
+	if math.Abs(fg.rate-6e8) > 1 {
+		t.Errorf("fg rate = %v, want 6e8", fg.rate)
 	}
 	eng.Run()
 	if !fg.Done() {
@@ -140,14 +140,14 @@ func TestBackgroundFlowAndStop(t *testing.T) {
 	if bg.Done() {
 		t.Fatal("background flow should not finish on its own")
 	}
-	if err := nw.StopFlow(bg); err != nil {
+	if err := nw.stopFlow(bg); err != nil {
 		t.Fatal(err)
 	}
-	if nw.ActiveFlows() != 0 {
-		t.Errorf("ActiveFlows = %d, want 0", nw.ActiveFlows())
+	if len(nw.flows) != 0 {
+		t.Errorf("active flows = %d, want 0", len(nw.flows))
 	}
-	if err := nw.StopFlow(bg); err == nil {
-		t.Error("double StopFlow should fail")
+	if err := nw.stopFlow(bg); err == nil {
+		t.Error("double stopFlow should fail")
 	}
 }
 
@@ -199,8 +199,8 @@ func TestSetRateCapMidFlight(t *testing.T) {
 	if err := nw.SetRateCap(f, 5e8); err != nil {
 		t.Fatal(err)
 	}
-	if f.Rate() != 5e8 {
-		t.Errorf("rate after cap = %v, want 5e8", f.Rate())
+	if f.rate != 5e8 {
+		t.Errorf("rate after cap = %v, want 5e8", f.rate)
 	}
 	eng.Run()
 	// Remaining 1 Gbit at 0.5 Gbps -> +2s.
@@ -221,26 +221,26 @@ func TestSetGuaranteeMidFlight(t *testing.T) {
 	nw := New(eng, tp)
 	vc, _ := nw.StartFlow(path, 1e12, FlowOptions{}) // starts best-effort
 	be, _ := nw.StartFlow(path, 1e12, FlowOptions{})
-	if vc.Rate() != 5e8 || be.Rate() != 5e8 {
-		t.Fatalf("initial shares = %v, %v", vc.Rate(), be.Rate())
+	if vc.rate != 5e8 || be.rate != 5e8 {
+		t.Fatalf("initial shares = %v, %v", vc.rate, be.rate)
 	}
 	// The circuit comes up: the flow is upgraded to a 7e8 guarantee.
 	eng.RunUntil(60)
 	if err := nw.SetGuarantee(vc, 7e8); err != nil {
 		t.Fatal(err)
 	}
-	if vc.Rate() != 7e8 {
-		t.Errorf("guaranteed rate = %v, want 7e8", vc.Rate())
+	if vc.rate != 7e8 {
+		t.Errorf("guaranteed rate = %v, want 7e8", vc.rate)
 	}
-	if math.Abs(be.Rate()-3e8) > 1 {
-		t.Errorf("best-effort rate = %v, want 3e8", be.Rate())
+	if math.Abs(be.rate-3e8) > 1 {
+		t.Errorf("best-effort rate = %v, want 3e8", be.rate)
 	}
 	// Circuit released: back to fair sharing.
 	if err := nw.SetGuarantee(vc, 0); err != nil {
 		t.Fatal(err)
 	}
-	if vc.Rate() != 5e8 || be.Rate() != 5e8 {
-		t.Errorf("post-release shares = %v, %v", vc.Rate(), be.Rate())
+	if vc.rate != 5e8 || be.rate != 5e8 {
+		t.Errorf("post-release shares = %v, %v", vc.rate, be.rate)
 	}
 	if err := nw.SetGuarantee(vc, -1); err == nil {
 		t.Error("negative guarantee should fail")
@@ -288,15 +288,15 @@ func TestManyFlowsConserveCapacity(t *testing.T) {
 	}
 	total := 0.0
 	for _, f := range flows {
-		total += f.Rate()
+		total += f.rate
 	}
 	if math.Abs(total-1e9) > 1e3 {
 		t.Errorf("sum of rates = %v, want 1e9", total)
 	}
 	// All equal shares.
 	for _, f := range flows {
-		if math.Abs(f.Rate()-5e7) > 1e3 {
-			t.Errorf("rate = %v, want 5e7", f.Rate())
+		if math.Abs(f.rate-5e7) > 1e3 {
+			t.Errorf("rate = %v, want 5e7", f.rate)
 		}
 	}
 }
@@ -307,8 +307,8 @@ func TestGuaranteeCappedByLineRate(t *testing.T) {
 	nw := New(eng, tp)
 	// Guarantee above line rate: flow gets at most the line rate.
 	f, _ := nw.StartFlow(path, 1e12, FlowOptions{GuaranteedBps: 5e9})
-	if f.Rate() != 1e9 {
-		t.Errorf("rate = %v, want 1e9 (line rate)", f.Rate())
+	if f.rate != 1e9 {
+		t.Errorf("rate = %v, want 1e9 (line rate)", f.rate)
 	}
 }
 
@@ -325,7 +325,7 @@ func TestDisjointFlowsDoNotInterfere(t *testing.T) {
 	p2, _ := tp.ShortestPath("c", "d")
 	f1, _ := nw.StartFlow(p1, 1e9, FlowOptions{})
 	f2, _ := nw.StartFlow(p2, 1e9, FlowOptions{})
-	if f1.Rate() != 1e9 || f2.Rate() != 1e9 {
-		t.Errorf("disjoint flows throttled: %v, %v", f1.Rate(), f2.Rate())
+	if f1.rate != 1e9 || f2.rate != 1e9 {
+		t.Errorf("disjoint flows throttled: %v, %v", f1.rate, f2.rate)
 	}
 }

@@ -94,7 +94,7 @@ func TestCapacityRespectedProperty(t *testing.T) {
 					continue
 				}
 				for _, l := range fl.Path {
-					perLink[l.ID] += fl.Rate()
+					perLink[l.ID] += fl.rate
 				}
 			}
 			for id, sum := range perLink {
@@ -153,7 +153,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		}
 		total := 0.0
 		for _, fl := range flows {
-			total += fl.Rate()
+			total += fl.rate
 		}
 		if math.Abs(total-path.BottleneckBps()) > 1e3 {
 			t.Fatalf("trial %d: uncapped flows leave bottleneck unsaturated: %v of %v",

@@ -30,22 +30,15 @@ const (
 	OpCancel    = "cancel"
 	OpAvailable = "available"
 	OpTopology  = "topology"
-	// OpHello negotiates the protocol revision: the client sends the
-	// highest version it speaks in Request.Ver, the server answers with
-	// min(client, server) in Response.Ver. Seed-era servers predate the
-	// op and answer with an unknown-op error, which clients treat as
-	// version 0 (the original, code-less protocol) — negotiation is
-	// therefore wire-compatible in both directions.
+	// OpHello is the handshake a client sends when it connects, and the
+	// cheap clock read after it: the reply carries only the service
+	// clock (Response.Now).
 	OpHello = "hello"
 )
 
-// ProtocolVersion is the highest protocol revision this daemon speaks.
-// Version 1 adds OpHello and the machine-readable Response.Code field;
-// the five operation payloads are unchanged from version 0.
-const ProtocolVersion = 1
-
-// Machine-readable error codes carried in Response.Code (protocol >= 1).
-// Version-0 clients ignore the field; version-0 servers never set it.
+// Machine-readable error codes carried in Response.Code. Every failure
+// reply carries one of these beside its human-readable Error line; the
+// internal/vc client classifies a failure by its code alone.
 const (
 	// CodeBadRequest: the request failed validation before touching the
 	// ledger (missing rate, inverted window, start in the past).
@@ -96,13 +89,9 @@ type Request struct {
 	Start   float64 `json:"start,omitempty"`
 	End     float64 `json:"end,omitempty"`
 	ID      int64   `json:"id,omitempty"`
-	// Ver is the highest protocol version the sender speaks; only
-	// meaningful with OpHello (absent otherwise).
-	Ver int `json:"ver,omitempty"`
 	// Trace is the end-to-end trace ID of the transfer this request
 	// serves, if any; the daemon tags its flight-recorder events with
-	// it. Older daemons ignore the unknown field, so it is wire-
-	// compatible in both directions.
+	// it.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -116,15 +105,13 @@ type Response struct {
 	Dst   string   `json:"dst,omitempty"`
 	Nodes []string `json:"nodes,omitempty"`
 	Now   float64  `json:"now,omitempty"`
-	// Code is the machine-readable error class (Code* constants),
-	// set alongside Error on protocol >= 1 failures.
+	// Code is the machine-readable error class (Code* constants), set
+	// alongside Error on every failure.
 	Code string `json:"code,omitempty"`
-	// Ver is the negotiated protocol version in an OpHello reply.
-	Ver int `json:"ver,omitempty"`
 }
 
 // fail builds an error response carrying both the human-readable line
-// (version-0 clients read only this) and the structured code.
+// and the structured code.
 func fail(code, msg string) Response {
 	return Response{Error: msg, Code: code}
 }
@@ -208,6 +195,20 @@ func scenarioTopo(name string) (*topo.Scenario, error) {
 
 // Start launches the daemon.
 func Start(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.ln, err = net.Listen("tcp", cfg.Addr); err != nil {
+		return nil, err
+	}
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// newServer builds a daemon that is not yet listening.
+func newServer(cfg Config) (*Server, error) {
 	sc, err := scenarioTopo(cfg.Scenario)
 	if err != nil {
 		return nil, err
@@ -216,12 +217,7 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		ln:     ln,
 		ledger: ledger,
 		epoch:  time.Now(),
 		held:   make(map[oscars.CircuitID]endpoints),
@@ -240,8 +236,6 @@ func Start(cfg Config) (*Server, error) {
 				"Protocol connections currently open."),
 		}
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
@@ -310,17 +304,19 @@ func (s *Server) handle(conn net.Conn) {
 	sc.Buffer(make([]byte, 0, 4096), 1<<16)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {
-		var req Request
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			resp = fail(CodeMalformed, "malformed request: "+err.Error())
-		} else {
-			resp = s.dispatch(req)
-		}
-		if err := enc.Encode(resp); err != nil {
+		if err := enc.Encode(s.handleLine(sc.Bytes())); err != nil {
 			return
 		}
 	}
+}
+
+// handleLine answers one request line.
+func (s *Server) handleLine(line []byte) Response {
+	var req Request
+	if err := json.Unmarshal(line, &req); err != nil {
+		return fail(CodeMalformed, "malformed request: "+err.Error())
+	}
+	return s.dispatch(req)
 }
 
 func (s *Server) dispatch(req Request) Response {
@@ -357,11 +353,7 @@ func (s *Server) dispatchOp(req Request) Response {
 		}
 		return Response{OK: true, Nodes: names, Now: float64(s.now())}
 	case OpHello:
-		ver := req.Ver
-		if ver <= 0 || ver > ProtocolVersion {
-			ver = ProtocolVersion
-		}
-		return Response{OK: true, Ver: ver, Now: float64(s.now())}
+		return Response{OK: true, Now: float64(s.now())}
 	default:
 		return fail(CodeUnknownOp, fmt.Sprintf("unknown op %q", req.Op))
 	}

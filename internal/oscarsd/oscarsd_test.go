@@ -218,22 +218,18 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestHelloNegotiation(t *testing.T) {
+// TestHelloHandshake: hello, the handshake and clock read, answers with
+// the service clock and leaves the connection usable.
+func TestHelloHandshake(t *testing.T) {
 	srv := startServer(t)
 	c := dial(t, srv.Addr())
-	// A current client asks for the server's version.
-	if r := c.roundTrip(t, Request{Op: OpHello, Ver: ProtocolVersion}); !r.OK || r.Ver != ProtocolVersion {
-		t.Fatalf("hello: %+v, want OK with ver %d", r, ProtocolVersion)
+	r := c.roundTrip(t, Request{Op: OpHello})
+	if !r.OK || r.Now <= 0 || r.Code != "" {
+		t.Fatalf("hello: %+v, want OK with the service clock", r)
 	}
-	// A future client speaking a higher revision is held to ours.
-	if r := c.roundTrip(t, Request{Op: OpHello, Ver: ProtocolVersion + 7}); !r.OK || r.Ver != ProtocolVersion {
-		t.Fatalf("future hello: %+v, want ver %d", r, ProtocolVersion)
+	if later := c.roundTrip(t, Request{Op: OpHello}); !later.OK || later.Now < r.Now {
+		t.Fatalf("second hello: %+v, want a clock no earlier than %v", later, r.Now)
 	}
-	// A hello with no version (or zero) also gets the server's best.
-	if r := c.roundTrip(t, Request{Op: OpHello}); !r.OK || r.Ver != ProtocolVersion {
-		t.Fatalf("bare hello: %+v, want ver %d", r, ProtocolVersion)
-	}
-	// The connection remains usable for real operations afterwards.
 	if r := c.roundTrip(t, Request{Op: OpTopology}); !r.OK {
 		t.Fatalf("topology after hello: %+v", r)
 	}

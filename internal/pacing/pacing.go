@@ -33,7 +33,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -173,25 +172,6 @@ func (b *Bucket) SetRate(rateBps int64) {
 	b.rateBps = rateBps
 }
 
-// Rate returns the bucket's current rate in bits per second (0 for a
-// nil bucket).
-func (b *Bucket) Rate() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rateBps
-}
-
-// Burst returns the bucket's burst capacity in bytes (0 for nil).
-func (b *Bucket) Burst() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.burst
-}
-
 // sleep waits for d or ctx, whichever ends first.
 func sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
@@ -210,7 +190,6 @@ func sleep(ctx context.Context, d time.Duration) error {
 // inert.
 type Limiter struct {
 	buckets []*Bucket
-	waited  atomic.Int64 // nanoseconds spent throttled, across all users
 }
 
 // NewLimiter composes the given buckets, skipping nils. With no live
@@ -254,37 +233,12 @@ func (l *Limiter) WaitN(ctx context.Context, n int) error {
 		if d <= 0 {
 			continue
 		}
-		l.waited.Add(int64(d))
 		if err := sleep(ctx, d); err != nil {
 			b.refund(int64(n))
 			return err
 		}
 	}
 	return nil
-}
-
-// Waited reports the cumulative time WaitN has spent (or committed to
-// spend) throttled across every user of this limiter.
-func (l *Limiter) Waited() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return time.Duration(l.waited.Load())
-}
-
-// Rate returns the tightest (lowest) rate across the limiter's buckets
-// — the rate the composed flow converges to. 0 means unshaped.
-func (l *Limiter) Rate() int64 {
-	if l == nil {
-		return 0
-	}
-	var min int64
-	for _, b := range l.buckets {
-		if r := b.Rate(); r > 0 && (min == 0 || r < min) {
-			min = r
-		}
-	}
-	return min
 }
 
 // A Conn paces bytes crossing a net.Conn: writes clear the limiter

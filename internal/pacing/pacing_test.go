@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -36,14 +37,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil bucket WaitN: %v", err)
 	}
 	b.SetRate(5)
-	if b.Rate() != 0 || b.Burst() != 0 {
-		t.Fatalf("nil bucket rate/burst not zero")
-	}
 	if err := l.WaitN(context.Background(), 1<<20); err != nil {
 		t.Fatalf("nil limiter WaitN: %v", err)
-	}
-	if l.Waited() != 0 || l.Rate() != 0 {
-		t.Fatalf("nil limiter accounting not zero")
 	}
 	if NewBucket(0, 0) != nil {
 		t.Fatalf("NewBucket(0) must be nil (unshaped)")
@@ -148,8 +143,10 @@ func TestAggregateFairness(t *testing.T) {
 			t.Fatalf("stream %d moved %d bytes, outside [1/2, 2]x fair share %d (all: %v)", i, n, fair, got)
 		}
 	}
-	if lim.Waited() <= 0 {
-		t.Fatalf("limiter recorded no throttle time under contention")
+	// The shared bucket held the aggregate to its burst plus its rate
+	// over the run (with slack for waits the deadline cut short).
+	if limit := int64((64<<10 + rate/8*runFor.Seconds()) * 1.25); total > limit {
+		t.Fatalf("streams moved %d bytes in %v, want <= %d at the shared rate", total, runFor, limit)
 	}
 }
 
@@ -219,24 +216,27 @@ func TestSetRateLive(t *testing.T) {
 	if d < 500*time.Microsecond || d > 2*time.Millisecond {
 		t.Fatalf("post-SetRate wait %v, want ~1ms", d)
 	}
-	if b.Rate() != 80e6 {
-		t.Fatalf("Rate() = %d after SetRate", b.Rate())
+	if b.rateBps != 80e6 {
+		t.Fatalf("rate = %d after SetRate", b.rateBps)
 	}
 }
 
-// TestLimiterWith: composition shares buckets, and Rate() reports the
-// tightest bound.
+// TestLimiterWith: composition shares buckets, leaving the receiver
+// unchanged.
 func TestLimiterWith(t *testing.T) {
 	agg := NewBucket(100e6, 0)
 	per := NewBucket(40e6, 0)
-	l := NewLimiter(agg).With(per)
-	if got := l.Rate(); got != 40e6 {
-		t.Fatalf("composed Rate() = %d, want the tighter 40e6", got)
+	base := NewLimiter(agg)
+	if l := base.With(per); !slices.Equal(l.buckets, []*Bucket{agg, per}) {
+		t.Fatalf("composed buckets %v, want the aggregate then the per-transfer bucket", l.buckets)
 	}
-	if l2 := (*Limiter)(nil).With(per); l2 == nil || l2.Rate() != 40e6 {
+	if !slices.Equal(base.buckets, []*Bucket{agg}) {
+		t.Fatalf("With changed its receiver: %v", base.buckets)
+	}
+	if l2 := (*Limiter)(nil).With(per); l2 == nil || !slices.Equal(l2.buckets, []*Bucket{per}) {
 		t.Fatalf("nil.With(bucket) should compose a live limiter")
 	}
-	if l3 := NewLimiter(agg).With(nil); l3.Rate() != 100e6 {
+	if l3 := base.With(nil); !slices.Equal(l3.buckets, []*Bucket{agg}) {
 		t.Fatalf("With(nil) should keep the receiver's buckets")
 	}
 }

@@ -56,17 +56,6 @@ func (s *Session) DurationSec() float64 {
 	return s.End().Sub(s.Start()).Seconds()
 }
 
-// EffectiveThroughputBps returns total size over wall-clock duration, the
-// quantity the paper quotes for its largest sessions (e.g. the 12 TB
-// SLAC-BNL session at 1.06 Gbps effective).
-func (s *Session) EffectiveThroughputBps() float64 {
-	d := s.DurationSec()
-	if d <= 0 {
-		return 0
-	}
-	return float64(s.SizeBytes()) * 8 / d
-}
-
 // ErrNoRemote is returned when records lack remote-host information, as in
 // the paper's NERSC dataset ("the remote IP address was anonymized for
 // privacy reasons. Without knowledge of the remote end ... transfers could

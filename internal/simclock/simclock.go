@@ -102,18 +102,6 @@ func (e *Engine) MustAfter(d Duration, fn func()) {
 	}
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// PeekNext returns the time of the next queued event and true, or 0 and
-// false when the queue is empty.
-func (e *Engine) PeekNext() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
-}
-
 // Stop makes the currently executing Run/RunUntil return after the current
 // event completes. Queued events remain queued.
 func (e *Engine) Stop() { e.stopped = true }

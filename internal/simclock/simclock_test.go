@@ -89,8 +89,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 5 {
 		t.Errorf("Now = %v, want 5 (clock advances to deadline)", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
+	if len(e.heap) != 1 {
+		t.Errorf("pending events = %d, want 1", len(e.heap))
 	}
 	e.Run()
 	if fired != 3 {
@@ -107,19 +107,8 @@ func TestStop(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("Stop did not halt the run; fired=%d", fired)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-}
-
-func TestPeekNext(t *testing.T) {
-	e := New()
-	if _, ok := e.PeekNext(); ok {
-		t.Error("PeekNext on empty queue should report !ok")
-	}
-	e.MustAt(7, func() {})
-	if at, ok := e.PeekNext(); !ok || at != 7 {
-		t.Errorf("PeekNext = %v,%v; want 7,true", at, ok)
+	if len(e.heap) != 1 {
+		t.Errorf("pending events = %d, want 1", len(e.heap))
 	}
 }
 

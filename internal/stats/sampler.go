@@ -148,9 +148,6 @@ func (q *QuantileSampler) SampleN(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// Gamma reports the fitted tail exponent (1 when no mean was specified).
-func (q *QuantileSampler) Gamma() float64 { return q.gamma }
-
 // Mean returns the expectation of the reconstructed distribution, computed
 // by numeric integration of the inverse CDF.
 func (q *QuantileSampler) Mean() float64 {

@@ -96,8 +96,8 @@ func TestQuantileSamplerSampleQuartiles(t *testing.T) {
 func TestQuantileSamplerNoMean(t *testing.T) {
 	s := Summary{Min: 1, Q1: 2, Median: 3, Q3: 4, Max: 10} // Mean unset
 	q := MustQuantileSampler(s)
-	if q.Gamma() != 1 {
-		t.Errorf("Gamma = %v, want 1 when mean unspecified", q.Gamma())
+	if q.gamma != 1 {
+		t.Errorf("gamma = %v, want 1 when mean unspecified", q.gamma)
 	}
 }
 
@@ -105,14 +105,14 @@ func TestQuantileSamplerUnreachableMean(t *testing.T) {
 	// Mean below the lightest-tail expectation: gamma should clamp high.
 	s := Summary{Min: 1, Q1: 2, Median: 3, Mean: 1.01, Q3: 4, Max: 10}
 	q := MustQuantileSampler(s)
-	if q.Gamma() < 50 {
-		t.Errorf("Gamma = %v, want clamp near upper bound", q.Gamma())
+	if q.gamma < 50 {
+		t.Errorf("gamma = %v, want clamp near upper bound", q.gamma)
 	}
 	// Mean above the heaviest-tail expectation: clamp low.
 	s2 := Summary{Min: 1, Q1: 2, Median: 3, Mean: 9.99, Q3: 4, Max: 10}
 	q2 := MustQuantileSampler(s2)
-	if q2.Gamma() > 0.05 {
-		t.Errorf("Gamma = %v, want clamp near lower bound", q2.Gamma())
+	if q2.gamma > 0.05 {
+		t.Errorf("gamma = %v, want clamp near lower bound", q2.gamma)
 	}
 }
 

@@ -194,35 +194,3 @@ func (c Config) Transfer(sizeBytes float64, streams int) (Result, error) {
 		SteadyBps:     steady,
 	}, nil
 }
-
-// PlateauOnsetBytes returns the smallest transfer size (within tol
-// relative) whose modelled throughput reaches frac (e.g. 0.95) of the
-// steady rate, found by bisection. It locates the "knee" sizes the paper
-// reads off Fig 3 (≈146 MB for 8 streams, ≈575 MB for 1 stream).
-func (c Config) PlateauOnsetBytes(streams int, frac float64) (float64, error) {
-	if frac <= 0 || frac >= 1 {
-		return 0, errors.New("tcpmodel: frac must be in (0,1)")
-	}
-	lo, hi := c.MSSBytes, 64e9
-	r, err := c.Transfer(hi, streams)
-	if err != nil {
-		return 0, err
-	}
-	target := frac * r.SteadyBps
-	if r.ThroughputBps < target {
-		return 0, errors.New("tcpmodel: plateau not reachable")
-	}
-	for i := 0; i < 80; i++ {
-		mid := math.Sqrt(lo * hi) // geometric bisection over decades
-		rm, err := c.Transfer(mid, streams)
-		if err != nil {
-			return 0, err
-		}
-		if rm.ThroughputBps >= target {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
-}

@@ -34,7 +34,9 @@ func startDaemon(t *testing.T, reservable float64) *oscarsd.Server {
 
 func dialClient(t *testing.T, addr string) *vc.Client {
 	t.Helper()
-	c, err := vc.Dial(context.Background(), addr, vc.WithCallTimeout(2*time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	c, err := vc.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

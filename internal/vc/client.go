@@ -5,12 +5,13 @@
 // manager calls to ask the IDC for a rate-guaranteed circuit before
 // (or while) a GridFTP session runs.
 //
-// Dial connects, negotiates a protocol version, and returns a Client
-// whose methods (Reserve, Modify, Cancel, Available, Topology) take
-// request structs and return typed results. Connections are pooled and
-// re-established transparently, so one Client serves a long-lived
-// daemon's worth of calls; a request that fails on a stale pooled
-// connection is retried once on a fresh dial.
+// Dial connects, checks with a hello that the peer is an oscarsd
+// daemon, and returns a Client whose methods (Reserve, Modify, Cancel,
+// Available, Topology, Now) take request structs and return typed
+// results. Connections are pooled and re-established transparently, so
+// one Client serves a long-lived daemon's worth of calls; a request
+// that fails on a stale pooled connection is retried once on a fresh
+// dial.
 //
 // Failures wrap sentinel errors (ErrRejected, ErrNoPath,
 // ErrUnavailable, ErrUnknownCircuit) so policy code — like the session
@@ -32,35 +33,18 @@ import (
 	"gftpvc/internal/telemetry"
 )
 
-// Defaults applied by Dial; see the corresponding options.
+// A context deadline tighter than these wins: dialTimeout bounds each
+// TCP connection attempt, callTimeout each round trip, and poolSize
+// caps the idle connections kept between calls (concurrent calls
+// beyond it dial extra connections and drop them on return).
 const (
-	DefaultDialTimeout = 5 * time.Second
-	DefaultCallTimeout = 10 * time.Second
-	defaultPoolSize    = 2
+	dialTimeout = 5 * time.Second
+	callTimeout = 10 * time.Second
+	poolSize    = 2
 )
 
 // Option configures a Client at Dial time.
 type Option func(*Client)
-
-// WithDialTimeout bounds each TCP connection attempt (default
-// DefaultDialTimeout). A context deadline tighter than this wins.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Client) { c.dialTimeout = d }
-}
-
-// WithCallTimeout bounds each round trip when the caller's context has
-// no deadline of its own (default DefaultCallTimeout). A context
-// deadline always takes precedence.
-func WithCallTimeout(d time.Duration) Option {
-	return func(c *Client) { c.callTimeout = d }
-}
-
-// WithPoolSize caps the idle connections kept between calls (default
-// 2). Concurrent calls beyond the cap dial extra connections and drop
-// them on return.
-func WithPoolSize(n int) Option {
-	return func(c *Client) { c.poolSize = n }
-}
 
 // WithTelemetry publishes per-call metrics on hub:
 // vc_client_calls_total{op,result} with result ok | rejected |
@@ -73,15 +57,11 @@ func WithTelemetry(hub *telemetry.Hub) Option {
 // daemon. It is safe for concurrent use; each call runs on its own
 // pooled connection.
 type Client struct {
-	addr        string
-	dialTimeout time.Duration
-	callTimeout time.Duration
-	poolSize    int
-	hub         *telemetry.Hub
+	addr string
+	hub  *telemetry.Hub
 
 	mu     sync.Mutex
 	idle   []*wire
-	ver    int
 	closed bool
 }
 
@@ -92,17 +72,13 @@ type wire struct {
 	reused bool
 }
 
-// Dial connects to an oscarsd daemon, negotiates the protocol version
-// (gracefully falling back to the code-less version 0 with seed-era
-// daemons), and returns a ready Client. The context bounds only the
-// initial connect + handshake; later calls carry their own contexts.
+// Dial connects to an oscarsd daemon, sends the hello handshake, and
+// returns a ready Client. A peer that refuses hello is not an oscarsd
+// daemon: Dial fails with an error wrapping ErrRejected and closes the
+// connection. The context bounds only the initial connect + handshake;
+// later calls carry their own contexts.
 func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
-	c := &Client{
-		addr:        addr,
-		dialTimeout: DefaultDialTimeout,
-		callTimeout: DefaultCallTimeout,
-		poolSize:    defaultPoolSize,
-	}
+	c := &Client{addr: addr}
 	for _, o := range opts {
 		o(c)
 	}
@@ -110,33 +86,20 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, w, oscarsd.Request{
-		Op: oscarsd.OpHello, Ver: oscarsd.ProtocolVersion,
-	})
+	resp, err := c.roundTrip(ctx, w, oscarsd.Request{Op: oscarsd.OpHello})
+	if err == nil && !resp.OK {
+		err = &ServerError{Op: oscarsd.OpHello, Code: resp.Code, Msg: resp.Error}
+	}
 	if err != nil {
 		w.conn.Close()
 		return nil, err
 	}
-	if resp.OK {
-		c.ver = resp.Ver
-	}
-	// A !OK reply (unknown op "hello") marks a version-0 peer; the
-	// connection is still good — the seed server answers each line
-	// independently.
 	c.put(w)
 	return c, nil
 }
 
 // Addr returns the daemon address this client dials.
 func (c *Client) Addr() string { return c.addr }
-
-// ProtocolVersion returns the negotiated protocol revision: 0 for a
-// seed-era daemon, oscarsd.ProtocolVersion for a current one.
-func (c *Client) ProtocolVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ver
-}
 
 // Close releases all pooled connections. In-flight calls fail; further
 // calls return ErrClosed.
@@ -156,7 +119,7 @@ func (c *Client) Close() error {
 
 // connect dials one fresh protocol connection.
 func (c *Client) connect(ctx context.Context) (*wire, error) {
-	d := net.Dialer{Timeout: c.dialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -191,7 +154,7 @@ func (c *Client) get(ctx context.Context) (w *wire, fresh bool, err error) {
 func (c *Client) put(w *wire) {
 	w.reused = true
 	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.poolSize {
+	if !c.closed && len(c.idle) < poolSize {
 		c.idle = append(c.idle, w)
 		c.mu.Unlock()
 		return
@@ -204,7 +167,7 @@ func (c *Client) put(w *wire) {
 // bounded by the context deadline (or the call timeout) and aborted
 // early on context cancellation.
 func (c *Client) roundTrip(ctx context.Context, w *wire, req oscarsd.Request) (oscarsd.Response, error) {
-	deadline := time.Now().Add(c.callTimeout)
+	deadline := time.Now().Add(callTimeout)
 	ctxBound := false // the context deadline, not the call timeout, governs
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -213,15 +176,8 @@ func (c *Client) roundTrip(ctx context.Context, w *wire, req oscarsd.Request) (o
 	w.conn.SetDeadline(deadline)
 	// Cancellation without a deadline must still unblock the I/O:
 	// close the connection when the context fires mid-call.
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			w.conn.Close()
-		case <-stop:
-		}
-	}()
-	defer close(stop)
+	stop := context.AfterFunc(ctx, func() { w.conn.Close() })
+	defer stop()
 
 	var resp oscarsd.Response
 	data, err := json.Marshal(req)
@@ -266,7 +222,7 @@ func (c *Client) transportErr(ctx context.Context, ctxBound bool, err error) err
 func (c *Client) call(ctx context.Context, req oscarsd.Request) (oscarsd.Response, error) {
 	// The transfer trace rides the line protocol to the daemon, so one
 	// trace ID joins the reservation decision to the data movement it
-	// governed. Old daemons ignore the extra field.
+	// governed.
 	if req.Trace == "" {
 		req.Trace = telemetry.TraceIDFrom(ctx)
 	}
@@ -418,24 +374,13 @@ func (c *Client) Topology(ctx context.Context) (*Topology, error) {
 	return &Topology{Nodes: resp.Nodes, Now: resp.Now}, nil
 }
 
-// Now returns the daemon's service clock in seconds. Reservation
-// windows are expressed on this clock, so schedulers sample it to
-// anchor Start/End. Protocol-1 peers answer via the cheap hello op;
-// version-0 peers fall back to Topology.
+// Now returns the daemon's service clock in seconds, read with the
+// hello op. Reservation windows are expressed on this clock, so
+// schedulers sample it to anchor Start/End.
 func (c *Client) Now(ctx context.Context) (float64, error) {
-	c.mu.Lock()
-	ver := c.ver
-	c.mu.Unlock()
-	if ver >= 1 {
-		resp, err := c.call(ctx, oscarsd.Request{Op: oscarsd.OpHello, Ver: ver})
-		if err != nil {
-			return 0, err
-		}
-		return resp.Now, nil
-	}
-	t, err := c.Topology(ctx)
+	resp, err := c.call(ctx, oscarsd.Request{Op: oscarsd.OpHello})
 	if err != nil {
 		return 0, err
 	}
-	return t.Now, nil
+	return resp.Now, nil
 }

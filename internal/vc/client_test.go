@@ -3,8 +3,8 @@ package vc
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -45,9 +45,6 @@ func TestTypedOperations(t *testing.T) {
 	c := dialClient(t, srv.Addr())
 	ctx := context.Background()
 
-	if v := c.ProtocolVersion(); v != oscarsd.ProtocolVersion {
-		t.Fatalf("negotiated version %d, want %d", v, oscarsd.ProtocolVersion)
-	}
 	top, err := c.Topology(ctx)
 	if err != nil || len(top.Nodes) == 0 {
 		t.Fatalf("Topology: %+v, %v", top, err)
@@ -125,8 +122,9 @@ func TestSentinelMapping(t *testing.T) {
 
 func TestUnavailableAndClosed(t *testing.T) {
 	// Nothing listens here (immediate refusal on loopback).
-	if _, err := Dial(context.Background(), "127.0.0.1:1",
-		WithDialTimeout(200*time.Millisecond)); !errors.Is(err, ErrUnavailable) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := Dial(ctx, "127.0.0.1:1"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("dial dead addr: %v, want ErrUnavailable", err)
 	}
 	srv := startDaemon(t)
@@ -191,7 +189,7 @@ func TestAutoReconnectAfterReset(t *testing.T) {
 func TestConcurrentCalls(t *testing.T) {
 	srv := startDaemon(t)
 	hub := telemetry.NewHub()
-	c := dialClient(t, srv.Addr(), WithTelemetry(hub), WithPoolSize(4))
+	c := dialClient(t, srv.Addr(), WithTelemetry(hub))
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -217,101 +215,44 @@ func TestConcurrentCalls(t *testing.T) {
 	}
 }
 
-// legacyServer speaks the seed-era version-0 protocol: string ops, no
-// hello, bare error strings without codes — the wire behavior of an
-// unmodified oscarsd deployment.
-type legacyServer struct {
-	ln net.Listener
-}
-
-func startLegacyServer(t *testing.T) *legacyServer {
-	t.Helper()
+// TestDialRefusedHello: a peer that answers hello with a refusal is not
+// an oscarsd daemon. Dial fails with an error wrapping ErrRejected and
+// closes the connection it made.
+func TestDialRefusedHello(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &legacyServer{ln: ln}
-	go s.loop()
 	t.Cleanup(func() { ln.Close() })
-	return s
-}
-
-func (s *legacyServer) loop() {
-	for {
-		conn, err := s.ln.Accept()
+	closed := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
 		if err != nil {
+			closed <- err
 			return
 		}
-		go s.handle(conn)
-	}
-}
-
-func (s *legacyServer) handle(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	enc := json.NewEncoder(conn)
-	nextID := int64(0)
-	for sc.Scan() {
-		var req map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			enc.Encode(map[string]any{"ok": false, "error": "malformed request"})
-			continue
-		}
-		op, _ := req["op"].(string)
-		var resp map[string]any
-		switch op {
-		case "topology":
-			resp = map[string]any{"ok": true, "nodes": []string{"a", "b"}, "now": 12.5}
-		case "reserve":
-			if rate, _ := req["rate_bps"].(float64); rate > 1e9 {
-				resp = map[string]any{"ok": false, "error": "topo: no path"}
-			} else {
-				nextID++
-				resp = map[string]any{"ok": true, "id": nextID, "path": []string{"a->b"},
-					"src": req["src"], "dst": req["dst"]}
-			}
-		case "cancel":
-			resp = map[string]any{"ok": false, "error": "unknown circuit 7"}
-		default:
-			resp = map[string]any{"ok": false, "error": "unknown op \"" + op + "\""}
-		}
-		if err := enc.Encode(resp); err != nil {
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		if _, err := r.ReadBytes('\n'); err != nil {
+			closed <- err
 			return
 		}
+		conn.Write([]byte(`{"ok":false,"error":"unknown op \"hello\""}` + "\n"))
+		// The client must hang up now: the next read sees EOF, not a
+		// request or the read deadline.
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		_, err = r.ReadBytes('\n')
+		closed <- err
+	}()
+	c, err := Dial(context.Background(), ln.Addr().String())
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a peer that refused hello")
 	}
-}
-
-func TestLegacyPeerNegotiation(t *testing.T) {
-	s := startLegacyServer(t)
-	c := dialClient(t, s.ln.Addr().String())
-	ctx := context.Background()
-	if v := c.ProtocolVersion(); v != 0 {
-		t.Fatalf("legacy peer negotiated version %d, want 0", v)
+	if !errors.Is(err, ErrRejected) {
+		t.Fatalf("Dial: %v, want ErrRejected", err)
 	}
-	top, err := c.Topology(ctx)
-	if err != nil || len(top.Nodes) != 2 {
-		t.Fatalf("legacy Topology: %+v, %v", top, err)
-	}
-	// Now falls back to the topology op on version-0 peers.
-	if now, err := c.Now(ctx); err != nil || now != 12.5 {
-		t.Fatalf("legacy Now: %v, %v", now, err)
-	}
-	res, err := c.Reserve(ctx, ReserveRequest{
-		Src: "a", Dst: "b", RateBps: 1e8, Start: 100, End: 200,
-	})
-	if err != nil || res.ID != 1 {
-		t.Fatalf("legacy Reserve: %+v, %v", res, err)
-	}
-	// Code-less error strings still map onto the right sentinels.
-	_, err = c.Reserve(ctx, ReserveRequest{Src: "a", Dst: "b", RateBps: 9e9, Start: 1, End: 2})
-	if !errors.Is(err, ErrNoPath) {
-		t.Fatalf("legacy no-path: %v, want ErrNoPath", err)
-	}
-	var se *ServerError
-	if !errors.As(err, &se) || se.Code != "" {
-		t.Fatalf("legacy ServerError should have no code: %+v", se)
-	}
-	if err := c.Cancel(ctx, 7); !errors.Is(err, ErrUnknownCircuit) {
-		t.Fatalf("legacy unknown circuit: %v, want ErrUnknownCircuit", err)
+	if err := <-closed; !errors.Is(err, io.EOF) {
+		t.Fatalf("peer saw %v after the refusal, want EOF (connection closed)", err)
 	}
 }

@@ -2,7 +2,6 @@ package vc
 
 import (
 	"errors"
-	"strings"
 
 	"gftpvc/internal/oscarsd"
 )
@@ -37,13 +36,12 @@ var (
 
 // ServerError is a structured rejection from the daemon: the operation
 // reached the service and was refused. It unwraps to one of the
-// sentinel errors above, chosen from the protocol-1 error code when the
-// peer sent one and from the message text for version-0 peers.
+// sentinel errors above, chosen by its Code.
 type ServerError struct {
 	// Op is the protocol operation that was refused.
 	Op string
 	// Code is the machine-readable error class (an oscarsd.Code*
-	// constant); empty when the peer speaks protocol 0.
+	// constant).
 	Code string
 	// Msg is the daemon's human-readable error line, verbatim.
 	Msg string
@@ -51,25 +49,14 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return "vc: " + e.Op + ": " + e.Msg }
 
-// Unwrap maps the rejection onto its sentinel so errors.Is works.
+// Unwrap maps the rejection onto its sentinel so errors.Is works; a
+// code outside the oscarsd set is a rejection.
 func (e *ServerError) Unwrap() error {
 	switch e.Code {
 	case oscarsd.CodeNoPath:
 		return ErrNoPath
 	case oscarsd.CodeUnknownCircuit:
 		return ErrUnknownCircuit
-	case oscarsd.CodeRejected, oscarsd.CodeBadRequest,
-		oscarsd.CodeUnknownOp, oscarsd.CodeMalformed:
-		return ErrRejected
 	}
-	// Version-0 peer: classify from the seed daemon's message texts.
-	switch {
-	case strings.Contains(e.Msg, "no path"),
-		strings.Contains(e.Msg, "bandwidth"):
-		return ErrNoPath
-	case strings.Contains(e.Msg, "unknown circuit"):
-		return ErrUnknownCircuit
-	default:
-		return ErrRejected
-	}
+	return ErrRejected
 }
