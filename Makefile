@@ -67,7 +67,8 @@ FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrameReader \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
-	gridftp:FuzzSessionState gridftp:FuzzSendBlocks pacing:FuzzBucketRefill core:FuzzSessionPolicy \
+	gridftp:FuzzSessionState gridftp:FuzzSendBlocks gridftp:FuzzReadReply \
+	pacing:FuzzBucketRefill core:FuzzSessionPolicy \
 	oscarsd:FuzzDaemonDispatch usagestats:FuzzUnmarshal
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
@@ -129,14 +130,17 @@ loc:
 # from the CI log the way `make loc` makes its line-count claim. The
 # one-line declarations are followed by every exported struct's field
 # block (go doc -all, comment and blank lines dropped), since -short
-# folds those to `struct{ ... }` and would hide an added Config field.
+# folds those to `struct{ ... }` and would hide an added Config field,
+# and then by every exported type's method set (go doc -all's
+# `func (…)` lines), which -short leaves out altogether.
 API_PKGS = ./internal/gridftp ./internal/connpool ./internal/xferman \
 	./internal/core ./internal/vc/broker
 api:
 	@for p in $(API_PKGS); do \
 		echo "== $$p"; $(GO) doc -short $$p || exit 1; \
 		$(GO) doc -all $$p | awk '/^type [A-Z][A-Za-z0-9_]* struct \{$$/ { on = 1 } \
-			on && !/^[[:space:]]*(\/\/|$$)/ { print } /^\}$$/ { on = 0 }'; \
+			on && !/^[[:space:]]*(\/\/|$$)/ { print } /^\}$$/ { on = 0 } \
+			/^func \(/ { methods = methods $$0 "\n" } END { printf "%s", methods }'; \
 		echo; \
 	done
 

@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -78,6 +79,12 @@ type Client struct {
 	// (see keep).
 	peer  *Client
 	chans []*dataChan
+
+	// texts are the texts of recent replies, which readReply hands out
+	// again when a reply repeats one (a 150 or 226 of the same object);
+	// textNext is the slot the next new text overwrites.
+	texts    [8]string
+	textNext int
 }
 
 // Reply is a control-channel response.
@@ -179,36 +186,83 @@ func (c *Client) send(verb, arg string) error {
 // readReply parses a single- or multi-line FTP reply. Each line read is
 // bounded by the control timeout so a mute server cannot hang the
 // client. A reply that could not be read is still owed, so an error
-// desyncs c.
+// desyncs c. Lines are parsed in the reader's buffer, and a text that
+// repeats a recent one reuses its string (see intern), so a steady
+// stream of equal replies makes none.
 func (c *Client) readReply() (rep Reply, err error) {
 	defer func() { c.desynced = c.desynced || err != nil }()
 	for {
 		if c.controlTimeout > 0 {
 			c.conn.SetReadDeadline(time.Now().Add(c.controlTimeout))
 		}
-		line, err := c.r.ReadString('\n')
+		line, err := readLine(c.r)
 		if err != nil {
 			return rep, err
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if len(line) < 4 {
-			return rep, fmt.Errorf("gridftp: malformed reply %q", line)
-		}
-		code, err := strconv.Atoi(line[:3])
-		if err != nil {
+		code, ok := replyCode(line)
+		if !ok {
 			return rep, fmt.Errorf("gridftp: malformed reply %q", line)
 		}
 		rep.Code = code
 		switch line[3] {
 		case ' ':
-			rep.Text = line[4:]
+			rep.Text = c.intern(line[4:])
 			return rep, nil
 		case '-':
-			rep.Lines = append(rep.Lines, line[4:])
+			rep.Lines = append(rep.Lines, string(line[4:]))
 		default:
 			return rep, fmt.Errorf("gridftp: malformed reply %q", line)
 		}
 	}
+}
+
+// readLine reads one line, its trailing CRs and LFs cut. The line is
+// r's buffer, valid until the next read, unless it outgrew the buffer
+// and had to be gathered.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// replyCode parses a reply line's code: three ASCII digits (RFC 959)
+// followed by a separator.
+func replyCode(line []byte) (int, bool) {
+	if len(line) < 4 {
+		return 0, false
+	}
+	code := 0
+	for _, d := range line[:3] {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		code = code*10 + int(d-'0')
+	}
+	return code, true
+}
+
+// intern returns text as a string, the one c handed out for an equal
+// text lately if there is one.
+func (c *Client) intern(text []byte) string {
+	for _, s := range c.texts {
+		if s == string(text) {
+			return s
+		}
+	}
+	s := string(text)
+	c.texts[c.textNext] = s
+	c.textNext = (c.textNext + 1) % len(c.texts)
+	return s
 }
 
 // expect reads/validates a reply against the wanted code.

@@ -236,13 +236,12 @@ type transferCtx struct {
 	conns  int
 	// A RETR's region length (-1 on a STOR) and its senders' source,
 	// which holds the pinned store region; a STOR's window (the
-	// session's, re-armed by openStor), its sink and its claim (see
-	// claimPut). asm is nil on a RETR.
+	// session's, re-armed by openStor) and its sink. asm is nil on a
+	// RETR; a STOR holds the claim on name (see claimPut) while it is set.
 	region int64
 	blocks blockSource
 	asm    *WindowAssembler
 	sink   regionSink
-	claim  chan struct{}
 	// stripes is the usage record's stripe count: the listeners of an
 	// armed SPAS, else one.
 	stripes int

@@ -142,7 +142,10 @@ type Server struct {
 	mu      sync.Mutex          // guards logs, logHead and stors
 	logs    []usagestats.Record // ring of the last maxLogRecords, oldest at logHead once full
 	logHead int
-	stors   map[string]chan struct{} // objects a STOR is writing; closed when it settles
+	// stors holds the objects a STOR is writing. An entry's channel is
+	// nil until a second STOR of the object waits, and is closed when
+	// the claim ends.
+	stors map[string]chan struct{}
 }
 
 // maxLogRecords is how many transfer records a server keeps.
@@ -172,12 +175,21 @@ func (s *Server) addConn(c net.Conn) (int, bool) {
 
 // claimPut makes name one STOR's to write, waiting up to the accept
 // timeout for another session's STOR of it to settle: two puts of one
-// object would interleave its regions. unclaim(name, done) ends the
-// claim.
-func (s *Server) claimPut(name string) (done chan struct{}, ok bool) {
+// object would interleave its regions. unclaim(name) ends the claim. An
+// uncontended claim allocates nothing: the first waiter makes the
+// channel the claim's end closes.
+func (s *Server) claimPut(name string) bool {
 	var timeout <-chan time.Time
 	s.mu.Lock()
-	for busy := s.stors[name]; busy != nil; busy = s.stors[name] {
+	for {
+		busy, claimed := s.stors[name]
+		if !claimed {
+			break
+		}
+		if busy == nil {
+			busy = make(chan struct{})
+			s.stors[name] = busy
+		}
 		s.mu.Unlock()
 		if timeout == nil {
 			timeout = time.After(s.cfg.AcceptTimeout)
@@ -185,22 +197,24 @@ func (s *Server) claimPut(name string) (done chan struct{}, ok bool) {
 		select {
 		case <-busy:
 		case <-timeout:
-			return nil, false
+			return false
 		}
 		s.mu.Lock()
 	}
-	done = make(chan struct{})
-	s.stors[name] = done
+	s.stors[name] = nil
 	s.mu.Unlock()
-	return done, true
+	return true
 }
 
 // unclaim ends a claim claimPut made, waking the STORs waiting on it.
-func (s *Server) unclaim(name string, done chan struct{}) {
+func (s *Server) unclaim(name string) {
 	s.mu.Lock()
+	busy := s.stors[name]
 	delete(s.stors, name)
 	s.mu.Unlock()
-	close(done)
+	if busy != nil {
+		close(busy)
+	}
 }
 
 // dropConn removes a session connection from its shard.
@@ -1014,9 +1028,9 @@ func (sess *session) finish(code int, msg string) (int, string) {
 	if code != 226 && srv.aborts != nil {
 		_ = srv.aborts.AbortPut(tx.name)
 	}
-	srv.unclaim(tx.name, tx.claim)
+	srv.unclaim(tx.name)
 	asm.reset(windowState{}) // an idle session keeps no window bytes
-	tx.asm, tx.claim = nil, nil
+	tx.asm = nil
 	return code, msg
 }
 
@@ -1056,19 +1070,18 @@ func (sess *session) openStor(tx *transferCtx) (int, string) {
 	if err != nil {
 		return 451, err.Error()
 	}
-	claim, ok := srv.claimPut(tx.name)
-	if !ok {
+	if !srv.claimPut(tx.name) {
 		return 450, "object busy: another STOR of it is in flight"
 	}
 	if err := srv.puts.BeginPut(tx.name, tx.offset); err != nil {
-		srv.unclaim(tx.name, claim)
+		srv.unclaim(tx.name)
 		return 554, "restart rejected: " + err.Error()
 	}
 	if srv.met.hub != nil && sess.win.OnPark == nil {
 		sess.win.OnPark = sess.parked
 	}
 	sess.win.reset(st)
-	tx.asm, tx.claim = &sess.win, claim
+	tx.asm = &sess.win
 	return 0, ""
 }
 

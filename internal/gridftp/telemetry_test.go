@@ -268,25 +268,27 @@ func TestFailedTransfersLogged(t *testing.T) {
 
 // TestSmallTransferAllocBudget is the tier-1 guard on the fixed cost of
 // a small transfer: a pooled 64 KiB third-party copy between two servers
-// with hubs, driven by one client pair, allocates at most 512 B in at
-// most 10 allocations across both servers and the client. The loop keeps
+// with hubs, driven by one client pair, allocates at most 192 B in at
+// most 4 allocations across both servers and the client. The loop keeps
 // one pair, so every copy after the first runs over the cached data
 // channel and its frame buffers, and the destination's overwrite refills
 // the chunks of the version it replaces. Each session keeps its
-// transfer's span and its STOR window and re-arms them. What is left is
-// what outlives no transfer (DESIGN §3): the command and reply lines
-// read off the control channels, the source's snapshot and the
-// destination's claim. Warm-up copies first fill the span rings and the
-// usage-record rings, whose growth is once per server. A closure, a
-// formatted reply or a wrapper made per transfer again fails it (4.1 KB
-// in 73 allocations before the session kept its transfer record; 1.6 KB
-// in 11 before it kept its span and window), as does one more 64 KiB
-// buffer per copy. Resolving
-// an existing one-label counter — some twenty times per job across the
+// transfer's span and its STOR window and re-arms them; the clients
+// parse replies in their read buffers and reuse the strings of repeated
+// texts, and an uncontended STOR claim makes no channel. What is left is
+// what outlives no transfer (DESIGN §3): the two command lines the
+// servers read and the source's snapshot. Warm-up copies first fill the
+// span rings and the usage-record rings, whose growth is once per
+// server. A closure, a formatted reply, a reply string or a wrapper made
+// per transfer again fails it (4.1 KB in 73 allocations before the
+// session kept its transfer record; 1.6 KB in 11 before it kept its span
+// and window; 432 B in 8 before the reply texts and the claim stopped
+// allocating), as does one more 64 KiB buffer per copy. Resolving an
+// existing one-label counter — some twenty times per job across the
 // servers and the client — costs no more than its label key.
 func TestSmallTransferAllocBudget(t *testing.T) {
 	const warmup, transfers, size = 1100, 2000, 64 << 10
-	const budget, allocs = 512, 10
+	const budget, allocs = 192, 4
 	srcStore := NewMemStore()
 	want := randomPayload(size)
 	srcStore.Put("src.bin", want)

@@ -3,7 +3,9 @@ package xferman
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"gftpvc/internal/connpool"
@@ -121,4 +123,156 @@ func TestHistorySoak(t *testing.T) {
 	if late := heapInuse(); late > 2*early {
 		t.Errorf("HeapInuse %d after 10^4 jobs, more than 2x the %d after %d", late, early, 2*maxSettledJobs)
 	}
+}
+
+// TestRecycledJobRecords runs maxSettledJobs + 100 jobs in batches,
+// each job waited on by two goroutines at once: both must get its exact
+// Result, whatever record it was refilled into. While a batch is
+// unread the manager keeps at most maxSettledJobs + the batch, and
+// afterwards at most maxSettledJobs. Every forgotten ID then answers
+// ErrUnknownJob from Wait and Result, never a later job's Result.
+func TestRecycledJobRecords(t *testing.T) {
+	const jobs, batch = maxSettledJobs + 100, 50
+	c := newHistoryCluster(t)
+	ctx := context.Background()
+	kept := func() int {
+		c.m.mu.Lock()
+		defer c.m.mu.Unlock()
+		return len(c.m.jobs)
+	}
+	var ids []JobID
+	for len(ids) < jobs {
+		first := len(ids)
+		for i := 0; i < batch; i++ {
+			id, err := c.m.Submit(ctx, c.job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		if n := kept(); n > maxSettledJobs+batch {
+			t.Fatalf("manager keeps %d jobs with %d unread, want <= %d", n, batch, maxSettledJobs+batch)
+		}
+		for _, id := range ids[first:] {
+			var res [2]Result
+			var errs [2]error
+			var wg sync.WaitGroup
+			for w := range res {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res[w], errs[w] = c.m.Wait(ctx, id)
+				}()
+			}
+			wg.Wait()
+			for w := range res {
+				if errs[w] != nil || res[w].ID != id || res[w].Status != Succeeded {
+					t.Fatalf("waiter %d on job %d: %+v, %v", w, id, res[w], errs[w])
+				}
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("job %d: waiters got %+v and %+v", id, res[0], res[1])
+			}
+		}
+		if n := kept(); n > maxSettledJobs {
+			t.Fatalf("manager keeps %d jobs with none unread, want <= %d", n, maxSettledJobs)
+		}
+	}
+	forgotten := len(ids) - maxSettledJobs
+	for _, id := range ids[:forgotten] {
+		if res, err := c.m.Result(id); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("Result on forgotten job %d: %+v, %v; want ErrUnknownJob", id, res, err)
+		}
+		if res, err := c.m.Wait(ctx, id); !errors.Is(err, ErrUnknownJob) {
+			t.Fatalf("Wait on forgotten job %d: %+v, %v; want ErrUnknownJob", id, res, err)
+		}
+	}
+	for _, id := range ids[forgotten:] {
+		if res, err := c.m.Result(id); err != nil || res.ID != id {
+			t.Fatalf("kept job %d: %+v, %v", id, res, err)
+		}
+	}
+}
+
+// selectHook is a context that reports when Wait, having looked the job
+// up, starts waiting on it.
+type selectHook struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (h *selectHook) Done() <-chan struct{} {
+	h.once.Do(func() { close(h.waiting) })
+	return h.Context.Done()
+}
+
+// TestWaitOnRecycledRecord: a Wait that looked a job up before other
+// readers read it and maxSettledJobs later reads forgot it, handing its
+// record to a new job, answers ErrUnknownJob when it wakes, not the new
+// job's Result. The manager runs no workers; the test settles each job
+// as a worker does, and holds job X between publishing its result and
+// closing its done channel, the window in which that can happen.
+func TestWaitOnRecycledRecord(t *testing.T) {
+	m := &Manager{queue: make(chan JobID, 1), jobs: make(map[JobID]*tracked)}
+	ctx := context.Background()
+	job := Job{Src: Endpoint{Addr: "src"}, Dst: Endpoint{Addr: "dst"}, SrcName: "a", DstName: "b"}
+	submit := func() JobID {
+		t.Helper()
+		id, err := m.Submit(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	// publish takes the queued job and publishes it Succeeded as a
+	// worker does, returning its record and its done channel unclosed.
+	publish := func() (*tracked, chan struct{}) {
+		id := <-m.queue
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		tr := m.jobs[id]
+		tr.result.Status = Succeeded
+		return tr, tr.done
+	}
+
+	x := submit()
+	xRecord, xDone := publish()
+	hook := &selectHook{Context: ctx, waiting: make(chan struct{})}
+	type waited struct {
+		res Result
+		err error
+	}
+	woke := make(chan waited, 1)
+	go func() {
+		res, err := m.Wait(hook, x)
+		woke <- waited{res, err}
+	}()
+	<-hook.waiting
+	if _, err := m.Result(x); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxSettledJobs; i++ {
+		id := submit()
+		_, done := publish()
+		close(done)
+		if _, err := m.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	y := submit()
+	m.mu.Lock()
+	recycled := m.jobs[y] == xRecord
+	m.mu.Unlock()
+	if !recycled {
+		t.Fatalf("job %d did not get forgotten job %d's record", y, x)
+	}
+	close(xDone)
+	if w := <-woke; !errors.Is(w.err, ErrUnknownJob) {
+		t.Fatalf("Wait on job %d after its record went to job %d: %+v, %v; want ErrUnknownJob", x, y, w.res, w.err)
+	}
+	if res, err := m.Result(x); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("Result on forgotten job %d: %+v, %v; want ErrUnknownJob", x, res, err)
+	}
+	<-m.queue
 }

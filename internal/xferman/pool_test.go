@@ -395,14 +395,18 @@ func TestPooledCopyControlRoundTrips(t *testing.T) {
 // TestPooledJobAllocBudget guards what a steady-state pooled job
 // allocates, measured over Submit and Wait: 200 64 KiB third-party jobs
 // over one cached pair, with every process instrumented as the
-// benchmark's small_files is, cost at most 1.5 KiB each. The worker
-// refills its one run and Result, so a job costs its tracked record and
-// done channel, two pool leases, its options, and the engine's own
-// share (gridftp's TestSmallTransferAllocBudget). Warm-up jobs first
-// fill the rings that grow once: the read-job ring, the servers' usage
-// records and the span rings.
+// benchmark's small_files is, cost at most 576 B each. The worker
+// refills its one run and Result, the read-job ring hands each
+// forgotten job's record to the next Submit, and a job with default
+// timeouts shares one option slice, so a job costs its done channel,
+// two pool leases, and the engine's own share (gridftp's
+// TestSmallTransferAllocBudget). A job record, an option slice or a
+// reply string made per job again fails it (1,264 B before the record
+// was recycled and the replies and the STOR claim stopped allocating).
+// Warm-up jobs first fill the rings that grow once: the read-job ring,
+// the servers' usage records and the span rings.
 func TestPooledJobAllocBudget(t *testing.T) {
-	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 1536
+	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 576
 	r := rig.New(t)
 	src := r.Server(gridftp.Config{}, rig.Objects{"obj": rig.Payload(6, size)})
 	dst := r.Server(gridftp.Config{})

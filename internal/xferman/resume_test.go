@@ -12,6 +12,7 @@ import (
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/rig"
+	"gftpvc/internal/telemetry"
 )
 
 // TestBackoffDelayBounds pins the jittered exponential schedule: every
@@ -349,6 +350,27 @@ func TestStreamJobResumesAfterReset(t *testing.T) {
 	}
 	if slack := int64(window + 512<<10); res.WireBytes > size+slack {
 		t.Fatalf("WireBytes=%d re-sent more than window+slack (%d): resume did not take", res.WireBytes, size+slack)
+	}
+}
+
+// TestCleanStreamJobSendsNoSize: a Stream job without a SizeHint or a
+// broker asks neither endpoint for SIZE when no retry follows. Its
+// Result.Bytes is the relay's own count; only a failed attempt that
+// leaves a watermark to clamp sends the probe.
+func TestCleanStreamJobSendsNoSize(t *testing.T) {
+	const size = 256 << 10
+	r := rig.New(t)
+	hub, _ := r.Hub("gftpd")
+	src := r.Server(gridftp.Config{Telemetry: hub}, rig.Objects{"data.bin": rig.Payload(4, size)})
+	dst := r.Server(gridftp.Config{Telemetry: hub})
+	m, _ := New(1)
+	defer m.Close()
+	res := runJob(t, m, Job{Src: ep(src), Dst: ep(dst), SrcName: "data.bin", DstName: "copy.bin", Stream: true})
+	if res.Bytes != size || res.WireBytes != size {
+		t.Fatalf("Bytes=%d WireBytes=%d, want %d/%d", res.Bytes, res.WireBytes, size, size)
+	}
+	if n := hub.Counter("gridftp_server_commands_total", "", telemetry.L("verb", "size")).Value(); n != 0 {
+		t.Fatalf("a clean streamed job sent %d SIZE commands, want 0", n)
 	}
 }
 

@@ -213,8 +213,9 @@ type Result struct {
 	Checksum string
 	Duration time.Duration
 	// Bytes is the object size the transfer moved (from SizeHint, a
-	// SIZE probe, or the source's 150; zero when none was available).
-	// NoResume third-party jobs report it too, from the 150.
+	// SIZE probe, the source's 150, or a clean streaming relay's own
+	// count; zero when none was available). NoResume third-party jobs
+	// report it too, from the 150.
 	Bytes int64
 	// WireBytes is the payload the job pushed toward the destination
 	// summed across ALL attempts, duplicates included — the number
@@ -243,11 +244,15 @@ type Result struct {
 	Replica string
 }
 
+// tracked is one job's record. The settled ring owns the record of a
+// read job: forgetting it hands the record to the next Submit, which
+// refills it, so a reader that looked a record up before it was
+// forgotten must check result.ID under mu before trusting it.
 type tracked struct {
 	result Result
 	ctx    context.Context
-	done   chan struct{}
-	read   bool // final result returned by Wait or Result
+	done   chan struct{} // closed when the job settles; one per job
+	read   bool          // final result returned by Wait or Result
 }
 
 // maxSettledJobs is how many read jobs a Manager remembers: a job whose
@@ -264,10 +269,12 @@ type Manager struct {
 
 	mu   sync.Mutex
 	jobs map[JobID]*tracked
-	// settled rings the IDs of read jobs, oldest at settledHead once
-	// full; overwriting a slot forgets the job it held.
-	settled     []JobID
+	// settled rings the records of read jobs, oldest at settledHead once
+	// full; overwriting a slot forgets the job it held and leaves its
+	// record in spare for the next Submit to refill.
+	settled     []*tracked
 	settledHead int
+	spare       *tracked
 
 	nextID     JobID
 	submitting sync.WaitGroup // in-flight Submit sends, gated by mu+closed
@@ -429,11 +436,16 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 	}
 	m.nextID++
 	id := m.nextID
-	m.jobs[id] = &tracked{
+	tr := m.spare
+	if m.spare = nil; tr == nil {
+		tr = new(tracked)
+	}
+	*tr = tracked{
 		result: Result{ID: id, Job: job, Status: Queued},
 		ctx:    ctx,
 		done:   make(chan struct{}),
 	}
+	m.jobs[id] = tr
 	// Register the queue send while still under the closed check, so
 	// Close cannot close(m.queue) between our unlock and the send.
 	m.submitting.Add(1)
@@ -461,21 +473,28 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 func (m *Manager) Wait(ctx context.Context, id JobID) (Result, error) {
 	m.mu.Lock()
 	tr := m.jobs[id]
-	m.mu.Unlock()
 	if tr == nil {
+		m.mu.Unlock()
 		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
 	}
+	done := tr.done
+	m.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	select {
-	case <-tr.done:
+	case <-done:
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.readLocked(id, tr)
+	// Other readers may have read the job and later ones may have
+	// forgotten it since, handing its record to another job.
+	if tr.result.ID != id {
+		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
+	}
+	m.readLocked(tr)
 	return tr.result, nil
 }
 
@@ -489,7 +508,7 @@ func (m *Manager) Result(id JobID) (Result, error) {
 		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
 	}
 	if s := tr.result.Status; s == Succeeded || s == Failed {
-		m.readLocked(id, tr)
+		m.readLocked(tr)
 	}
 	return tr.result, nil
 }
@@ -545,20 +564,23 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// readLocked records that the finished job id's result has been
-// returned, forgetting the oldest read job once maxSettledJobs are
-// remembered.
-func (m *Manager) readLocked(id JobID, tr *tracked) {
+// readLocked records that the finished job's result has been returned,
+// forgetting the oldest read job once maxSettledJobs are remembered and
+// keeping its emptied record as the spare.
+func (m *Manager) readLocked(tr *tracked) {
 	if tr.read {
 		return
 	}
 	tr.read = true
 	if len(m.settled) < maxSettledJobs {
-		m.settled = append(m.settled, id)
+		m.settled = append(m.settled, tr)
 		return
 	}
-	delete(m.jobs, m.settled[m.settledHead])
-	m.settled[m.settledHead] = id
+	old := m.settled[m.settledHead]
+	delete(m.jobs, old.result.ID)
+	*old = tracked{}
+	m.spare = old
+	m.settled[m.settledHead] = tr
 	m.settledHead = (m.settledHead + 1) % maxSettledJobs
 }
 
@@ -574,11 +596,12 @@ func (m *Manager) worker() {
 		tr := m.jobs[id]
 		tr.result.Status = Running
 		res = tr.result
+		ctx := tr.ctx
 		m.mu.Unlock()
 		m.met.queueDepth.Dec()
 		m.met.running.Inc()
 
-		*r = run{m: m, ctx: tr.ctx, job: res.Job, opts: res.Job.clientOptions(), res: &res}
+		*r = run{m: m, ctx: ctx, job: res.Job, opts: res.Job.clientOptions(), res: &res}
 		start := time.Now()
 		err := r.execute()
 		res.Duration = time.Since(start)
@@ -586,8 +609,11 @@ func (m *Manager) worker() {
 		if err != nil {
 			res.Status, res.Err = Failed, err.Error()
 		}
+		// Once published the job can be read and its record handed to
+		// another job, so its done channel is taken with the result.
 		m.mu.Lock()
 		tr.result = res
+		done := tr.done
 		m.mu.Unlock()
 		m.met.running.Dec()
 		m.met.durations.Observe(res.Duration.Seconds())
@@ -597,7 +623,7 @@ func (m *Manager) worker() {
 		if res.ShapedRateBps > 0 {
 			m.met.paced.With(string(res.Job.Class)).Inc()
 		}
-		close(tr.done)
+		close(done)
 	}
 }
 
@@ -711,6 +737,10 @@ func (r *run) execute() (err error) {
 		if !final {
 			r.span.Phase(telemetry.PhaseIdle)
 			probe = r.probeWatermark
+			if r.job.Stream && r.dstEngaged && r.res.Bytes <= 0 {
+				// The watermark clamp needs the size no failed relay learned.
+				r.res.Bytes = r.probeSize(r.from, r.job.SrcName)
+			}
 		}
 		var wire int64
 		r.restart, canResume, wire, r.delivered = resumeAfter(
@@ -840,13 +870,14 @@ func (r *run) checkout() (err error) {
 }
 
 // size probes the object size an unhinted job needs before any byte
-// moves: the broker sizes circuits from bytes, and a retry clamps the
-// destination's watermark against it. A plain third-party job skips it:
-// its source announces the size in the RETR 150 (see transfer), before
-// any byte can reach the destination. A failed probe just means an
-// unhinted decision, not a failed job.
+// moves: the broker sizes circuits from bytes. Without a broker no job
+// needs it this early: a third-party source announces the size in the
+// RETR 150 (see transfer), a clean streaming relay counts it, and a
+// failed one that leaves a retry to clamp a watermark against it asks
+// then (see execute). A failed probe just means an unhinted decision,
+// not a failed job.
 func (r *run) size() error {
-	if r.job.SizeHint <= 0 && (r.m.broker != nil || r.job.Stream) {
+	if r.job.SizeHint <= 0 && r.m.broker != nil {
 		if n, err := r.src.Size(r.job.SrcName); err == nil && n > 0 {
 			r.res.Bytes = n
 		}
@@ -956,7 +987,7 @@ func (r *run) streamRelay() error {
 		// Unblock the RETR side if the STOR leg died first.
 		pr.CloseWithError(storErr)
 	}()
-	_, retrErr := r.src.RetrToAt(r.ctx, r.job.SrcName, pw, at)
+	retrStats, retrErr := r.src.RetrToAt(r.ctx, r.job.SrcName, pw, at)
 	// nil closes the pipe cleanly (EOF): the STOR leg finishes its
 	// drain; an error propagates to its reader as the source failure.
 	pw.CloseWithError(retrErr)
@@ -968,6 +999,8 @@ func (r *run) streamRelay() error {
 	if storErr != nil {
 		return fmt.Errorf("stor leg: %w", storErr)
 	}
+	// A clean RETR leg delivered the object from the restart offset on.
+	r.res.Bytes = r.restart + retrStats.Bytes
 	return nil
 }
 
@@ -991,15 +1024,21 @@ func (r *run) verify() error {
 }
 
 // probeWatermark asks the destination how many contiguous bytes of the
-// job's object it holds, over a channel that is not the failed
-// attempt's (which may be poisoned). Zero means "no usable partial" —
-// probing is best-effort and a failed probe only costs resumption.
+// job's object it holds. Zero means "no usable partial" — probing is
+// best-effort and a failed probe only costs resumption.
 func (r *run) probeWatermark() int64 {
-	ch, err := r.m.checkout(r.ctx, r.job.Dst, r.opts, nil)
+	return r.probeSize(r.job.Dst, r.job.DstName)
+}
+
+// probeSize asks ep for the size of name between attempts, over a
+// channel that is not the failed attempt's (which may be poisoned).
+// Zero means the size is unknown.
+func (r *run) probeSize(ep Endpoint, name string) int64 {
+	ch, err := r.m.checkout(r.ctx, ep, r.opts, nil)
 	if err != nil {
 		return 0
 	}
-	n, err := ch.Size(r.job.DstName)
+	n, err := ch.Size(name)
 	ch.finish(err)
 	if err != nil || n < 0 {
 		return 0
@@ -1103,10 +1142,22 @@ func (m *Manager) checkout(ctx context.Context, ep Endpoint, opts []gridftp.Opti
 	return ch, nil
 }
 
+// defaultClientOptions are the options of every job with neither a
+// Timeout nor Stream. Its len equals its cap, so an append to it (see
+// checkout and dial) copies instead of writing into the shared array.
+var defaultClientOptions = []gridftp.Option{
+	gridftp.WithControlTimeout(gridftp.DefaultControlTimeout),
+	gridftp.WithDataTimeout(gridftp.DefaultDataTimeout),
+}
+
 // clientOptions is the one place a Job becomes gridftp options: its
 // per-operation deadline resolved against the client defaults, and the
-// reassembly window a streaming job relays through.
+// reassembly window a streaming job relays through. The result is
+// read-only: a job with neither gets the shared defaultClientOptions.
 func (j *Job) clientOptions() []gridftp.Option {
+	if j.Timeout <= 0 && !j.Stream {
+		return defaultClientOptions
+	}
 	control, data := gridftp.DefaultControlTimeout, gridftp.DefaultDataTimeout
 	if j.Timeout > 0 {
 		control, data = j.Timeout, j.Timeout

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"regexp"
 	"sync"
 	"testing"
 	"time"
 
+	"gftpvc/internal/connpool"
 	"gftpvc/internal/faultnet"
 	"gftpvc/internal/gridftp"
 	"gftpvc/internal/rig"
@@ -599,5 +601,52 @@ func TestManagerDialsReachTelemetry(t *testing.T) {
 	}
 	if got := dials.Value(); got != 1+2+1+2 {
 		t.Errorf("dials after the retried job = %v, want 6 (listing, attempt, probe, attempt)", got)
+	}
+}
+
+// TestDefaultClientOptionsShared pins the one option slice every job
+// with neither a Timeout nor Stream shares: its len equals its cap, so
+// checkout's clamped append of a trace and dial's append of a dialer
+// and a hub copy it instead of writing into it, and jobs that set
+// either option get slices of their own. A traced job run through a
+// dial and a pooled checkout leaves it as it was.
+func TestDefaultClientOptionsShared(t *testing.T) {
+	shared := (&Job{}).clientOptions()
+	if len(shared) != cap(shared) {
+		t.Fatalf("shared options: len %d, cap %d; an append would write into them", len(shared), cap(shared))
+	}
+	if again := (&Job{Verify: true}).clientOptions(); &again[0] != &shared[0] {
+		t.Fatal("two default jobs got option slices of their own")
+	}
+	for _, j := range []Job{{Timeout: time.Second}, {Stream: true}} {
+		if own := j.clientOptions(); &own[0] == &shared[0] {
+			t.Fatalf("job %+v got the shared options", j)
+		}
+	}
+	code := func(opts []gridftp.Option) []uintptr {
+		var ps []uintptr
+		for _, o := range opts {
+			ps = append(ps, reflect.ValueOf(o).Pointer())
+		}
+		return ps
+	}
+	want := code(shared)
+
+	r := rig.New(t)
+	src := r.Server(gridftp.Config{}, rig.Objects{"obj": rig.Payload(7, 4<<10)})
+	dst := r.Server(gridftp.Config{})
+	hub, _ := r.Hub("xferman")
+	pool := connpool.New(connpool.Config{})
+	defer pool.Close()
+	for _, opts := range [][]Option{{WithTracing(), WithTelemetry(hub)}, {WithTracing(), WithTelemetry(hub), WithPool(pool)}} {
+		m, err := New(1, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runJob(t, m, Job{Src: ep(src), Dst: ep(dst), SrcName: "obj", DstName: "copy"})
+		m.Close()
+	}
+	if got := (&Job{}).clientOptions(); len(got) != len(want) || cap(got) != len(want) || !reflect.DeepEqual(code(got), want) {
+		t.Fatalf("shared options changed by the jobs: len %d cap %d", len(got), cap(got))
 	}
 }
