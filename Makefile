@@ -132,7 +132,8 @@ loc:
 # block (go doc -all, comment and blank lines dropped), since -short
 # folds those to `struct{ ... }` and would hide an added Config field,
 # and then by every exported type's method set (go doc -all's
-# `func (…)` lines), which -short leaves out altogether.
+# `func (…)` lines, a signature split over lines joined into one, so a
+# changed result type shows), which -short leaves out altogether.
 API_PKGS = ./internal/gridftp ./internal/connpool ./internal/xferman \
 	./internal/core ./internal/vc/broker
 api:
@@ -140,7 +141,8 @@ api:
 		echo "== $$p"; $(GO) doc -short $$p || exit 1; \
 		$(GO) doc -all $$p | awk '/^type [A-Z][A-Za-z0-9_]* struct \{$$/ { on = 1 } \
 			on && !/^[[:space:]]*(\/\/|$$)/ { print } /^\}$$/ { on = 0 } \
-			/^func \(/ { methods = methods $$0 "\n" } END { printf "%s", methods }'; \
+			/^func \(/ { sig = $$0; while (sig ~ /[,(]$$/ && (getline more) > 0) { sub(/^[[:space:]]+/, " ", more); sig = sig more } \
+				methods = methods sig "\n" } END { printf "%s", methods }'; \
 		echo; \
 	done
 
@@ -170,13 +172,18 @@ race:
 # the transfer that armed it, and the spans a transfer record or client
 # begins again, whose ring slots own their arrays and whose readers get
 # deep copies, so a write that races End or a reuse shows in a snapshot
-# on some runs only.
+# on some runs only. So are the records that outlive their holders: a
+# pool lease record, which a stale or copied handle may try to end after
+# the channel was leased again, and the job records the manager refills
+# for later Submits while an earlier Wait may still hold one.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig ./internal/telemetry
 	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|Cached|Reuse|Rearm|Span' \
 		./internal/gridftp/ ./internal/telemetry
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Lease|Stale|ReleaseDiscard|GetPair|Recycl|Spare|PooledJob|PooledManager' \
+		./internal/connpool/ ./internal/xferman/
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

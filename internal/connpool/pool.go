@@ -53,11 +53,23 @@ type Config struct {
 // key identifies a pool bucket: same server, same credentials.
 type key struct{ addr, user, pass string }
 
-// pooled is one parked control channel and the mate GetPair leased it beside.
+// pooled is one dialed control channel's lease record, allocated once
+// by the dial: it sits in its bucket while the channel is parked and
+// stays behind every Conn that leases it, so a checkout allocates
+// nothing. gen counts the channel's leases; a Conn holds the value it
+// was leased at, and the one Release or Discard that moves gen on ends
+// that lease, so a copied or stale handle finds gen moved and does
+// nothing, even once the channel is leased again.
 type pooled struct {
 	cli  *gridftp.Client
-	mate *gridftp.Client
+	pool *Pool
+	key  key
 	born time.Time
+	// mate is the channel GetPair leased this one beside, parked with it
+	// on Release. Written by the holder while leased, read under p.mu
+	// while parked.
+	mate *gridftp.Client
+	gen  atomic.Uint64
 }
 
 // Pool is an endpoint-keyed pool of authenticated control channels.
@@ -75,7 +87,7 @@ type Pool struct {
 	evictions atomic.Int64
 
 	mu     sync.Mutex
-	idle   map[key][]pooled
+	idle   map[key][]*pooled
 	leased int
 	closed bool
 
@@ -120,7 +132,7 @@ func New(cfg Config) *Pool {
 	}
 	p := &Pool{
 		cfg:  cfg,
-		idle: make(map[key][]pooled),
+		idle: make(map[key][]*pooled),
 		stop: make(chan struct{}),
 	}
 	if hub := cfg.Telemetry; hub != nil {
@@ -144,19 +156,14 @@ func New(cfg Config) *Pool {
 	return p
 }
 
-// Conn is a checked-out control channel. Exactly one of Release or
-// Discard must be called when the job is done with it; both are
-// idempotent.
+// Conn is a checked-out control channel: a handle on the channel's
+// lease record, passed by value. Exactly one of Release or Discard ends
+// the lease; a second call, or either call on a copy of an ended
+// handle, does nothing. The zero Conn holds no channel.
 type Conn struct {
 	*gridftp.Client
-	pool *Pool
-	key  key
-	born time.Time
-	mate *gridftp.Client // parked with it on Release; see pooled
-	// done flips exactly once, by CAS: Release and Discard may race on
-	// the same Conn (worker teardown vs. job completion) and only one of
-	// them may run the lifecycle, or the leased census double-decrements.
-	done atomic.Bool
+	rec *pooled
+	gen uint64 // rec.gen when this lease began
 }
 
 // Get checks out an authenticated control channel to addr: a parked
@@ -164,9 +171,9 @@ type Conn struct {
 // stale channel is closed and replaced by a single fresh dial, so callers
 // never receive a dead connection and never pay more than one redial.
 // Taking a channel that was parked as one of a pair breaks the pair.
-func (p *Pool) Get(ctx context.Context, addr, user, pass string) (*Conn, error) {
+func (p *Pool) Get(ctx context.Context, addr, user, pass string) (Conn, error) {
 	if err := p.ready(ctx); err != nil {
-		return nil, err
+		return Conn{}, err
 	}
 	k := key{addr, user, pass}
 	return p.checkout(ctx, k, p.popIdle(k))
@@ -178,24 +185,24 @@ func (p *Pool) Get(ctx context.Context, addr, user, pass string) (*Conn, error) 
 // Releasing both parks them as mates again. On error neither is leased,
 // and the error names the side that failed.
 func (p *Pool) GetPair(ctx context.Context,
-	srcAddr, srcUser, srcPass, dstAddr, dstUser, dstPass string) (src, dst *Conn, err error) {
+	srcAddr, srcUser, srcPass, dstAddr, dstUser, dstPass string) (src, dst Conn, err error) {
 	if err := p.ready(ctx); err != nil {
-		return nil, nil, err
+		return Conn{}, Conn{}, err
 	}
 	sk := key{srcAddr, srcUser, srcPass}
 	dk := key{dstAddr, dstUser, dstPass}
 	ps, pd := p.popPair(sk, dk)
 	if src, err = p.checkout(ctx, sk, ps); err != nil {
-		if pd.cli != nil {
-			p.park(dk, pd)
+		if pd != nil {
+			p.park(pd)
 		}
-		return nil, nil, fmt.Errorf("src %s: %w", srcAddr, err)
+		return Conn{}, Conn{}, fmt.Errorf("src %s: %w", srcAddr, err)
 	}
 	if dst, err = p.checkout(ctx, dk, pd); err != nil {
 		src.Release()
-		return nil, nil, fmt.Errorf("dst %s: %w", dstAddr, err)
+		return Conn{}, Conn{}, fmt.Errorf("dst %s: %w", dstAddr, err)
 	}
-	src.mate, dst.mate = dst.Client, src.Client
+	src.rec.mate, dst.rec.mate = dst.Client, src.Client
 	return src, dst, nil
 }
 
@@ -210,16 +217,16 @@ func (p *Pool) ready(ctx context.Context) error {
 }
 
 // checkout leases pc if it passes CheckIdle. Otherwise it retires pc
-// and leases one fresh dial; a zero pc is a plain miss.
-func (p *Pool) checkout(ctx context.Context, k key, pc pooled) (*Conn, error) {
+// and leases one fresh dial under a new record; a nil pc is a plain
+// miss.
+func (p *Pool) checkout(ctx context.Context, k key, pc *pooled) (Conn, error) {
 	trace := telemetry.TraceIDFrom(ctx)
-	if pc.cli != nil {
+	if pc != nil {
 		if pc.cli.CheckIdle() == nil {
 			p.hits.Add(1)
 			p.met.hits.Inc()
 			p.cfg.Telemetry.Event(trace, "pool_hit", k.addr)
-			p.lease(1)
-			return &Conn{Client: pc.cli, pool: p, key: k, born: pc.born}, nil
+			return p.lease(pc), nil
 		}
 		p.evict(pc.cli)
 	}
@@ -228,10 +235,9 @@ func (p *Pool) checkout(ctx context.Context, k key, pc pooled) (*Conn, error) {
 	p.cfg.Telemetry.Event(trace, "pool_miss", k.addr)
 	cli, err := p.dial(k)
 	if err != nil {
-		return nil, err
+		return Conn{}, err
 	}
-	p.lease(1)
-	return &Conn{Client: cli, pool: p, key: k, born: time.Now()}, nil
+	return p.lease(&pooled{cli: cli, pool: p, key: k, born: time.Now()}), nil
 }
 
 // dial opens and authenticates a fresh control channel for k.
@@ -251,9 +257,9 @@ func (p *Pool) dial(k key) (*gridftp.Client, error) {
 	return cli, nil
 }
 
-// popIdle takes the most recently parked live channel for k, or a zero
-// pooled when there is none.
-func (p *Pool) popIdle(k key) pooled {
+// popIdle takes the most recently parked live channel for k, or nil
+// when there is none.
+func (p *Pool) popIdle(k key) *pooled {
 	p.mu.Lock()
 	dead := p.reap(k)
 	pc := p.take(k, len(p.idle[k])-1)
@@ -264,7 +270,7 @@ func (p *Pool) popIdle(k key) pooled {
 
 // popPair takes the most recently parked live src for sk whose mate is
 // parked for dk, and that mate; failing that, each side as popIdle.
-func (p *Pool) popPair(sk, dk key) (src, dst pooled) {
+func (p *Pool) popPair(sk, dk key) (src, dst *pooled) {
 	p.mu.Lock()
 	dead := append(p.reap(sk), p.reap(dk)...)
 	i := len(p.idle[sk]) - 1
@@ -275,7 +281,10 @@ func (p *Pool) popPair(sk, dk key) (src, dst pooled) {
 		}
 	}
 	src = p.take(sk, i)
-	j := p.mateOf(dk, src)
+	j := -1
+	if src != nil {
+		j = p.mateOf(dk, src)
+	}
 	if j < 0 {
 		j = len(p.idle[dk]) - 1
 	}
@@ -287,19 +296,19 @@ func (p *Pool) popPair(sk, dk key) (src, dst pooled) {
 
 // mateOf returns the index of pc's mate in k's bucket, if it is parked
 // there naming pc back, or -1. Callers hold p.mu.
-func (p *Pool) mateOf(k key, pc pooled) int {
-	return slices.IndexFunc(p.idle[k], func(d pooled) bool {
+func (p *Pool) mateOf(k key, pc *pooled) int {
+	return slices.IndexFunc(p.idle[k], func(d *pooled) bool {
 		return d.cli == pc.mate && d.mate == pc.cli
 	})
 }
 
-// take removes and returns the channel at index i of k's bucket, or a
-// zero pooled when i < 0. Callers hold p.mu.
-func (p *Pool) take(k key, i int) (pc pooled) {
+// take removes and returns the channel at index i of k's bucket, or nil
+// when i < 0. Callers hold p.mu.
+func (p *Pool) take(k key, i int) *pooled {
 	if i < 0 {
-		return pc
+		return nil
 	}
-	pc = p.idle[k][i]
+	pc := p.idle[k][i]
 	p.idle[k] = slices.Delete(p.idle[k], i, i+1)
 	p.met.idle.Dec()
 	return pc
@@ -308,8 +317,8 @@ func (p *Pool) take(k key, i int) (pc pooled) {
 // reap removes k's expired channels and returns them for retire, which
 // the caller runs after dropping p.mu: Close waits for QUIT's reply, so
 // one stalled peer must not hold up checkouts on every other key.
-func (p *Pool) reap(k key) (dead []pooled) {
-	p.idle[k] = slices.DeleteFunc(p.idle[k], func(pc pooled) bool {
+func (p *Pool) reap(k key) (dead []*pooled) {
+	p.idle[k] = slices.DeleteFunc(p.idle[k], func(pc *pooled) bool {
 		if p.expired(pc.born) {
 			dead = append(dead, pc)
 			return true
@@ -321,7 +330,7 @@ func (p *Pool) reap(k key) (dead []pooled) {
 }
 
 // retire evicts channels reap took off the pool.
-func (p *Pool) retire(dead []pooled) {
+func (p *Pool) retire(dead []*pooled) {
 	for _, pc := range dead {
 		p.evict(pc.cli)
 	}
@@ -331,7 +340,15 @@ func (p *Pool) expired(born time.Time) bool {
 	return p.cfg.MaxLifetime > 0 && time.Since(born) > p.cfg.MaxLifetime
 }
 
-func (p *Pool) lease(delta int) {
+// lease counts pc as leased and returns the handle for its current
+// generation.
+func (p *Pool) lease(pc *pooled) Conn {
+	p.count(1)
+	return Conn{Client: pc.cli, rec: pc, gen: pc.gen.Load()}
+}
+
+// count moves the leased census by delta.
+func (p *Pool) count(delta int) {
 	p.mu.Lock()
 	p.leased += delta
 	p.mu.Unlock()
@@ -345,16 +362,25 @@ func (p *Pool) evict(cli *gridftp.Client) {
 	p.met.evictions.Inc()
 }
 
+// end ends c's lease, once: the CAS fails for a zero, copied or stale
+// handle, and for the loser of a Release that races a Discard.
+func (c Conn) end() bool {
+	if c.rec == nil || !c.rec.gen.CompareAndSwap(c.gen, c.gen+1) {
+		return false
+	}
+	c.rec.pool.count(-1)
+	return true
+}
+
 // Release parks the channel for reuse. Channels that are desynced,
 // expired, or surplus to the idle bound are closed instead — a job that
 // failed mid-transfer should Discard, but Release still refuses to park
 // a channel the client itself marked unusable.
-func (c *Conn) Release() {
-	if c == nil || !c.done.CompareAndSwap(false, true) {
+func (c Conn) Release() {
+	if !c.end() {
 		return
 	}
-	p := c.pool
-	p.lease(-1)
+	p := c.rec.pool
 	// Drop any trace binding and rate shaping before parking: the next
 	// checkout is a different job and must not inherit this one's trace
 	// ID, pacing bucket, or server-side rate. Clearing is client-side
@@ -372,35 +398,33 @@ func (c *Conn) Release() {
 		p.evict(c.Client)
 		return
 	}
-	if c.Client.Desynced() || p.expired(c.born) {
+	if c.Client.Desynced() || p.expired(c.rec.born) {
 		p.evict(c.Client)
 		return
 	}
-	p.park(c.key, pooled{cli: c.Client, mate: c.mate, born: c.born})
+	p.park(c.rec)
 }
 
-// park puts pc in k's bucket, or retires it when the pool is closed or
+// park puts pc in its bucket, or retires it when the pool is closed or
 // the bucket full.
-func (p *Pool) park(k key, pc pooled) {
+func (p *Pool) park(pc *pooled) {
 	p.mu.Lock()
-	if p.closed || len(p.idle[k]) >= p.cfg.MaxIdlePerEndpoint {
+	if p.closed || len(p.idle[pc.key]) >= p.cfg.MaxIdlePerEndpoint {
 		p.mu.Unlock()
 		p.evict(pc.cli)
 		return
 	}
-	p.idle[k] = append(p.idle[k], pc)
+	p.idle[pc.key] = append(p.idle[pc.key], pc)
 	p.mu.Unlock()
 	p.met.idle.Inc()
 }
 
 // Discard closes the channel instead of parking it: the job saw a
 // failure and the channel's state cannot be trusted.
-func (c *Conn) Discard() {
-	if c == nil || !c.done.CompareAndSwap(false, true) {
-		return
+func (c Conn) Discard() {
+	if c.end() {
+		c.rec.pool.evict(c.Client)
 	}
-	c.pool.lease(-1)
-	c.pool.evict(c.Client)
 }
 
 // keepAliveLoop NOOPs every parked channel each interval so server idle
@@ -426,16 +450,16 @@ func (p *Pool) keepAliveLoop() {
 func (p *Pool) sweep() {
 	p.mu.Lock()
 	taken := p.idle
-	p.idle = make(map[key][]pooled, len(taken))
+	p.idle = make(map[key][]*pooled, len(taken))
 	p.mu.Unlock()
-	for k, bucket := range taken {
+	for _, bucket := range taken {
 		for _, pc := range bucket {
 			p.met.idle.Dec()
 			if p.expired(pc.born) || pc.cli.Noop() != nil {
 				p.evict(pc.cli)
 				continue
 			}
-			p.park(k, pc)
+			p.park(pc)
 		}
 	}
 }
@@ -466,7 +490,7 @@ func (p *Pool) Close() {
 	}
 	p.closed = true
 	taken := p.idle
-	p.idle = make(map[key][]pooled)
+	p.idle = make(map[key][]*pooled)
 	p.mu.Unlock()
 	close(p.stop)
 	p.wg.Wait()

@@ -196,3 +196,103 @@ func TestPoolReleaseEvictsWhenRateClearRejected(t *testing.T) {
 		t.Fatalf("want the tainted channel evicted, got %+v", st)
 	}
 }
+
+// TestStaleLeaseHandleIsNoop ends a lease, keeps a copy of its handle
+// and the handle itself, and lets the channel be leased again: Release
+// and Discard on either old handle (and on a zero Conn) must change
+// nothing, neither the census and gauges nor the new holder's lease,
+// which still works and still parks its channel on its own Release.
+func TestStaleLeaseHandleIsNoop(t *testing.T) {
+	r := rig.New(t)
+	hub, _ := r.Hub("pool")
+	s := r.Server(gridftp.Config{})
+	p := newPool(t, Config{Telemetry: hub, KeepAlive: -1})
+	ctx := context.Background()
+	leased := hub.Gauge("gridftp_pool_leased", "Control channels checked out to jobs.")
+	idle := hub.Gauge("gridftp_pool_idle", "Control channels parked in the pool.")
+	census := func(wantLeased, wantIdle int) {
+		t.Helper()
+		st := p.Stats()
+		if st.Leased != wantLeased || st.Idle != wantIdle || st.Evictions != 0 {
+			t.Fatalf("census %+v, want %d leased, %d idle, no evictions", st, wantLeased, wantIdle)
+		}
+		if l, i := leased.Value(), idle.Value(); l != int64(wantLeased) || i != int64(wantIdle) {
+			t.Fatalf("gauges: %d leased, %d idle; want %d, %d", l, i, wantLeased, wantIdle)
+		}
+	}
+	old, err := p.Get(ctx, s.Addr(), "u", "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := old
+	old.Release()
+	copied.Release()
+	copied.Discard()
+	census(0, 1)
+	cur, err := p.Get(ctx, s.Addr(), "u", "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Client != old.Client {
+		t.Fatal("the parked channel was not leased again")
+	}
+	for _, stale := range []Conn{old, copied, {}} {
+		stale.Release()
+		stale.Discard()
+	}
+	census(1, 0)
+	if err := cur.Noop(); err != nil {
+		t.Fatalf("the new holder's channel after stale ends: %v", err)
+	}
+	cur.Release()
+	census(0, 1)
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stale ends touched the counters: %+v", st)
+	}
+}
+
+// TestStaleLeaseHandleRacesNewLease ends stale handles while another
+// goroutine leases and releases the same channel over and over: no
+// stale end may take the new holder's lease, so the census never goes
+// negative and ends with the one channel parked. Under -race a stale
+// end that read or wrote the record past its failed CAS shows here.
+func TestStaleLeaseHandleRacesNewLease(t *testing.T) {
+	s := rig.New(t).Server(gridftp.Config{})
+	p := newPool(t, Config{MaxIdlePerEndpoint: 1, KeepAlive: -1})
+	ctx := context.Background()
+	first, err := p.Get(ctx, s.Addr(), "u", "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Release()
+	const leases = 50
+	stale := make(chan Conn, leases+1) // every ended handle, sent without waiting
+	stale <- first
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for h := range stale {
+			h.Release()
+			h.Discard()
+		}
+	}()
+	for i := 0; i < leases; i++ {
+		c, err := p.Get(ctx, s.Addr(), "u", "p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Noop(); err != nil {
+			t.Fatalf("lease %d: %v", i, err)
+		}
+		if st := p.Stats(); st.Leased != 1 {
+			t.Fatalf("lease %d: census %+v, want 1 leased", i, st)
+		}
+		c.Release()
+		stale <- c
+	}
+	close(stale)
+	<-done
+	if st := p.Stats(); st.Leased != 0 || st.Idle != 1 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("after the race: %+v, want the one channel parked", st)
+	}
+}

@@ -26,7 +26,7 @@ func noops(hub *telemetry.Hub) int64 {
 // spoil while it sits idle, and checks it out again. A stale channel
 // must cost exactly one redial and no error; a healthy one must be a
 // hit. The second checkout is returned, still leased.
-func parkThenCheckout(t *testing.T, p *Pool, addr string, spoil func(), stale bool) *Conn {
+func parkThenCheckout(t *testing.T, p *Pool, addr string, spoil func(), stale bool) Conn {
 	t.Helper()
 	ctx := context.Background()
 	c, err := p.Get(ctx, addr, "u", "p")
@@ -235,7 +235,7 @@ func TestGetPairPrefersMates(t *testing.T) {
 	a, b := r.Server(gridftp.Config{}), r.Server(gridftp.Config{})
 	p := newPool(t, Config{KeepAlive: -1})
 	ctx := context.Background()
-	getPair := func() (*Conn, *Conn) {
+	getPair := func() (Conn, Conn) {
 		t.Helper()
 		src, dst, err := p.GetPair(ctx, a.Addr(), "u", "p", b.Addr(), "u", "p")
 		if err != nil {

@@ -196,6 +196,9 @@ func (c *Client) readReply() (rep Reply, err error) {
 			c.conn.SetReadDeadline(time.Now().Add(c.controlTimeout))
 		}
 		line, err := readLine(c.r)
+		if err == errLongLine {
+			return rep, fmt.Errorf("gridftp: malformed reply: %w", err)
+		}
 		if err != nil {
 			return rep, err
 		}
@@ -216,18 +219,32 @@ func (c *Client) readReply() (rep Reply, err error) {
 	}
 }
 
+// maxControlLine bounds one control-channel line, its line end
+// included: a longer reply line is malformed, and a longer command gets
+// 500 and ends the session. So a peer that streams bytes without a
+// newline is refused once it has sent this many, rather than gathered
+// until a deadline fires, or forever without one.
+const maxControlLine = 8 << 10
+
+// errLongLine: a control line ran past maxControlLine bytes.
+var errLongLine = fmt.Errorf("line longer than %d bytes", maxControlLine)
+
 // readLine reads one line, its trailing CRs and LFs cut. The line is
 // r's buffer, valid until the next read, unless it outgrew the buffer
-// and had to be gathered.
+// and had to be gathered. A line longer than maxControlLine is
+// errLongLine, read no further than one buffer past the cap.
 func readLine(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		long := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull {
+		for err == bufio.ErrBufferFull && len(long) <= maxControlLine {
 			line, err = r.ReadSlice('\n')
 			long = append(long, line...)
 		}
 		line = long
+	}
+	if len(line) > maxControlLine {
+		return nil, errLongLine
 	}
 	if err != nil {
 		return nil, err

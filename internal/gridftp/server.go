@@ -125,6 +125,7 @@ type Server struct {
 	aborts PutAborter
 
 	ln     net.Listener
+	addr   string // ln.Addr().String(), formatted once by Serve
 	sender *usagestats.Sender
 	met    *srvMetrics
 	// agg is the server-wide data-plane bucket (AggregateRateBps); nil
@@ -291,10 +292,11 @@ func Serve(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	addr := ln.Addr().String()
 	if cfg.ServerHost == "" {
-		cfg.ServerHost = ln.Addr().String()
+		cfg.ServerHost = addr
 	}
-	s := &Server{cfg: cfg, reads: reads, puts: puts, ln: ln, met: newSrvMetrics(cfg.Telemetry),
+	s := &Server{cfg: cfg, reads: reads, puts: puts, ln: ln, addr: addr, met: newSrvMetrics(cfg.Telemetry),
 		stors: make(map[string]chan struct{})}
 	s.snaps, _ = cfg.Store.(SnapshotStore)
 	s.aborts, _ = cfg.Store.(PutAborter)
@@ -313,7 +315,7 @@ func Serve(cfg Config) (*Server, error) {
 }
 
 // Addr returns the control-channel address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // Records returns the last maxLogRecords transfer records, oldest first.
 func (s *Server) Records() []usagestats.Record {
@@ -488,11 +490,15 @@ func (sess *session) serve() {
 		if idle := s.cfg.IdleTimeout; idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		line, err := sess.r.ReadString('\n')
+		line, err := readLine(sess.r)
+		if err == errLongLine {
+			sess.reply(500, "command line too long")
+			return
+		}
 		if err != nil {
 			return
 		}
-		verb, arg, _ := strings.Cut(strings.TrimRight(line, "\r\n"), " ")
+		verb, arg, _ := strings.Cut(string(line), " ")
 		if sess.dispatch(strings.ToUpper(verb), arg) {
 			return
 		}

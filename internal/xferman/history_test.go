@@ -276,3 +276,74 @@ func TestWaitOnRecycledRecord(t *testing.T) {
 	}
 	<-m.queue
 }
+
+// TestSpareRecordsOutlastInterleaving: however many jobs are submitted
+// before any of them is read, up to maxSpareRecords, the next as many
+// Submits refill the records their reads forgot, so a job's allocation
+// does not depend on how concurrent submitters interleave. With a
+// single spare, all but one of them made a fresh record. The manager
+// runs no workers; the test settles each job as a worker does.
+func TestSpareRecordsOutlastInterleaving(t *testing.T) {
+	// The queue holds the largest round, submitted before any job is taken.
+	m := &Manager{queue: make(chan JobID, max(2, maxSpareRecords)), jobs: make(map[JobID]*tracked)}
+	ctx := context.Background()
+	job := Job{Src: Endpoint{Addr: "src"}, Dst: Endpoint{Addr: "dst"}, SrcName: "a", DstName: "b"}
+	// round submits n jobs, then settles and reads each.
+	round := func(n int) {
+		t.Helper()
+		ids := make([]JobID, n)
+		for i := range ids {
+			id, err := m.Submit(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = id
+		}
+		for range ids {
+			id := <-m.queue
+			m.mu.Lock()
+			m.jobs[id].result.Status = Succeeded
+			close(m.jobs[id].done)
+			m.mu.Unlock()
+		}
+		for _, id := range ids {
+			if _, err := m.Wait(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < maxSettledJobs; i++ {
+		round(1)
+	}
+	for _, n := range []int{2, maxSpareRecords} {
+		m.mu.Lock()
+		forgotten := map[*tracked]bool{}
+		for i := 0; i < n; i++ {
+			forgotten[m.settled[(m.settledHead+i)%maxSettledJobs]] = true
+		}
+		m.mu.Unlock()
+		round(n)
+		for i := 0; i < n; i++ {
+			id, err := m.Submit(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.mu.Lock()
+			refilled := forgotten[m.jobs[id]]
+			m.mu.Unlock()
+			if !refilled {
+				t.Fatalf("after %d jobs in flight at once, Submit %d of %d made a fresh record", n, i+1, n)
+			}
+		}
+		for i := 0; i < n; i++ {
+			id := <-m.queue
+			m.mu.Lock()
+			m.jobs[id].result.Status = Succeeded
+			close(m.jobs[id].done)
+			m.mu.Unlock()
+			if _, err := m.Wait(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -395,47 +396,82 @@ func TestPooledCopyControlRoundTrips(t *testing.T) {
 // TestPooledJobAllocBudget guards what a steady-state pooled job
 // allocates, measured over Submit and Wait: 200 64 KiB third-party jobs
 // over one cached pair, with every process instrumented as the
-// benchmark's small_files is, cost at most 576 B each. The worker
-// refills its one run and Result, the read-job ring hands each
-// forgotten job's record to the next Submit, and a job with default
-// timeouts shares one option slice, so a job costs its done channel,
-// two pool leases, and the engine's own share (gridftp's
-// TestSmallTransferAllocBudget). A job record, an option slice or a
-// reply string made per job again fails it (1,264 B before the record
-// was recycled and the replies and the STOR claim stopped allocating).
+// benchmark's small_files is, cost at most 320 B each. The worker
+// refills its one run and Result, the spare list hands each forgotten
+// job's record to a later Submit, a job with default timeouts shares
+// one option slice, and a pool lease is a handle on a record the dial
+// made, so a job costs its done channel and the engine's own share
+// (gridftp's TestSmallTransferAllocBudget). A job record, an option
+// slice, a reply string or a pool lease made per job again fails it
+// (480 B before leases became handles, 1,264 B before the record was
+// recycled and the replies and the STOR claim stopped allocating).
 // Warm-up jobs first fill the rings that grow once: the read-job ring,
 // the servers' usage records and the span rings.
 func TestPooledJobAllocBudget(t *testing.T) {
-	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 576
+	pooledJobAllocBudget(t, 1)
+}
+
+// TestPooledJobAllocBudgetTwoSubmitters is the same budget with two
+// goroutines submitting and waiting at once on two workers, the shape
+// of small_files, where a job's cost must not depend on how their calls
+// interleave. TestSpareRecordsOutlastInterleaving holds the record
+// refill that this rests on for every interleaving.
+func TestPooledJobAllocBudgetTwoSubmitters(t *testing.T) {
+	pooledJobAllocBudget(t, 2)
+}
+
+// pooledJobAllocBudget runs the budget with n submitters, each on its
+// own worker and its own cached pair.
+func pooledJobAllocBudget(t *testing.T, n int) {
+	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 320
 	r := rig.New(t)
 	src := r.Server(gridftp.Config{}, rig.Objects{"obj": rig.Payload(6, size)})
 	dst := r.Server(gridftp.Config{})
 	hub := telemetry.NewHub()
-	pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: 1, KeepAlive: -1, Telemetry: hub,
+	pool := connpool.New(connpool.Config{MaxIdlePerEndpoint: n, KeepAlive: -1, Telemetry: hub,
 		Opts: func(string) []gridftp.Option { return []gridftp.Option{gridftp.WithTelemetry(hub)} }})
 	defer pool.Close()
-	m, err := New(1, WithPool(pool), WithTelemetry(hub))
+	m, err := New(n, WithPool(pool), WithTelemetry(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	job := Job{Src: ep(src), Dst: ep(dst), SrcName: "obj", DstName: "copy"}
-	for i := 0; i < warmup; i++ {
-		runJob(t, m, job)
+	// submit runs count jobs from each of n goroutines at once, each
+	// to its own object, as small_files copies distinct objects: two
+	// STORs of one object would wait on each other's claim.
+	submit := func(count int) {
+		var wg sync.WaitGroup
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				job := Job{Src: ep(src), Dst: ep(dst), SrcName: "obj", DstName: fmt.Sprintf("copy%d", w)}
+				for i := 0; i < count; i++ {
+					id, err := m.Submit(context.Background(), job)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if res, err := m.Wait(context.Background(), id); err != nil || res.Status != Succeeded || res.Bytes != size {
+						t.Errorf("job %d: %v, status %v, %d bytes: %s", id, err, res.Status, res.Bytes, res.Err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
+	submit(warmup / n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < jobs; i++ {
-		id, err := m.Submit(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res, err := m.Wait(context.Background(), id); err != nil || res.Status != Succeeded || res.Bytes != size {
-			t.Fatalf("job %d: %v, status %v, %d bytes: %s", i, err, res.Status, res.Bytes, res.Err)
-		}
-	}
+	submit(jobs / n)
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / jobs; per > budget {
-		t.Errorf("a pooled %d-byte job allocates %d bytes, budget %d", size, per, budget)
+	per := (after.TotalAlloc - before.TotalAlloc) / jobs
+	t.Logf("a pooled %d-byte job allocates %d bytes with %d submitters", size, per, n)
+	if per > budget {
+		t.Errorf("a pooled %d-byte job allocates %d bytes with %d submitters, budget %d", size, per, n, budget)
 	}
 }

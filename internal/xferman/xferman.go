@@ -245,9 +245,9 @@ type Result struct {
 }
 
 // tracked is one job's record. The settled ring owns the record of a
-// read job: forgetting it hands the record to the next Submit, which
-// refills it, so a reader that looked a record up before it was
-// forgotten must check result.ID under mu before trusting it.
+// read job: forgetting it hands the record to the spare list, whence a
+// later Submit refills it, so a reader that looked a record up before
+// it was forgotten must check result.ID under mu before trusting it.
 type tracked struct {
 	result Result
 	ctx    context.Context
@@ -263,6 +263,13 @@ type tracked struct {
 // waiting on each in turn loses none.
 const maxSettledJobs = 1024
 
+// maxSpareRecords bounds the forgotten records a Manager keeps for
+// Submit to refill. Each job in flight at once (submitted, not yet
+// read) takes one, so with up to this many concurrent submitters every
+// Submit in steady state refills a record, however their calls
+// interleave; a record forgotten with the list full is dropped.
+const maxSpareRecords = 16
+
 // Manager executes jobs on a bounded worker pool.
 type Manager struct {
 	queue chan JobID
@@ -270,11 +277,12 @@ type Manager struct {
 	mu   sync.Mutex
 	jobs map[JobID]*tracked
 	// settled rings the records of read jobs, oldest at settledHead once
-	// full; overwriting a slot forgets the job it held and leaves its
-	// record in spare for the next Submit to refill.
+	// full; overwriting a slot forgets the job it held and stacks its
+	// record on spare[:spares] for a later Submit to refill.
 	settled     []*tracked
 	settledHead int
-	spare       *tracked
+	spare       [maxSpareRecords]*tracked
+	spares      int
 
 	nextID     JobID
 	submitting sync.WaitGroup // in-flight Submit sends, gated by mu+closed
@@ -436,8 +444,11 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 	}
 	m.nextID++
 	id := m.nextID
-	tr := m.spare
-	if m.spare = nil; tr == nil {
+	var tr *tracked
+	if m.spares > 0 {
+		m.spares--
+		tr, m.spare[m.spares] = m.spare[m.spares], nil
+	} else {
 		tr = new(tracked)
 	}
 	*tr = tracked{
@@ -566,7 +577,7 @@ func (m *Manager) Close() {
 
 // readLocked records that the finished job's result has been returned,
 // forgetting the oldest read job once maxSettledJobs are remembered and
-// keeping its emptied record as the spare.
+// keeping its emptied record as a spare while the list has room.
 func (m *Manager) readLocked(tr *tracked) {
 	if tr.read {
 		return
@@ -579,7 +590,10 @@ func (m *Manager) readLocked(tr *tracked) {
 	old := m.settled[m.settledHead]
 	delete(m.jobs, old.result.ID)
 	*old = tracked{}
-	m.spare = old
+	if m.spares < maxSpareRecords {
+		m.spare[m.spares] = old
+		m.spares++
+	}
 	m.settled[m.settledHead] = tr
 	m.settledHead = (m.settledHead + 1) % maxSettledJobs
 }
@@ -850,7 +864,7 @@ func (r *run) place() error {
 // a third-party copy finds the data channel their servers kept (settle
 // parks the two as mates again); without one, a dial of each.
 func (r *run) checkout() (err error) {
-	var src, dst *connpool.Conn
+	var src, dst connpool.Conn
 	if r.m.pool != nil {
 		src, dst, err = r.m.pool.GetPair(r.ctx,
 			r.from.Addr, r.from.User, r.from.Pass,
@@ -1034,7 +1048,7 @@ func (r *run) probeWatermark() int64 {
 // channel that is not the failed attempt's (which may be poisoned).
 // Zero means the size is unknown.
 func (r *run) probeSize(ep Endpoint, name string) int64 {
-	ch, err := r.m.checkout(r.ctx, ep, r.opts, nil)
+	ch, err := r.m.checkout(r.ctx, ep, r.opts, connpool.Conn{})
 	if err != nil {
 		return 0
 	}
@@ -1090,10 +1104,11 @@ func isRestRejected(err error) bool {
 }
 
 // channel is one control channel held for an attempt or a probe: a
-// pooled checkout when the manager has a pool, its own dial otherwise.
+// pooled checkout when the manager has a pool, its own dial otherwise
+// (a zero pooled).
 type channel struct {
 	*gridftp.Client
-	pooled *connpool.Conn
+	pooled connpool.Conn
 }
 
 // finish settles the channel with its holder's final error: a clean
@@ -1101,7 +1116,7 @@ type channel struct {
 func (ch channel) finish(err error) {
 	switch {
 	case ch.Client == nil: // never obtained
-	case ch.pooled == nil:
+	case ch.pooled.Client == nil:
 		ch.Close()
 	case err != nil:
 		ch.pooled.Discard()
@@ -1119,11 +1134,11 @@ func (ch channel) finish(err error) {
 // session (SITE TRID), so it is bound after either. Rate shaping is NOT
 // bound here — it depends on the broker's disposition, which the
 // attempt only learns after checkout.
-func (m *Manager) checkout(ctx context.Context, ep Endpoint, opts []gridftp.Option, leased *connpool.Conn) (ch channel, err error) {
-	if leased == nil && m.pool != nil {
+func (m *Manager) checkout(ctx context.Context, ep Endpoint, opts []gridftp.Option, leased connpool.Conn) (ch channel, err error) {
+	if leased.Client == nil && m.pool != nil {
 		leased, err = m.pool.Get(ctx, ep.Addr, ep.User, ep.Pass)
 	}
-	if leased != nil {
+	if leased.Client != nil {
 		ch = channel{leased.Client, leased}
 	} else if err == nil {
 		ch.Client, err = m.dial(ctx, ep, opts)
