@@ -341,8 +341,10 @@ func (p *Pool) expired(born time.Time) bool {
 }
 
 // lease counts pc as leased and returns the handle for its current
-// generation.
+// generation. It clears pc's mate, so a channel leased alone parks
+// unpaired; GetPair pairs its two leases again.
 func (p *Pool) lease(pc *pooled) Conn {
+	pc.mate = nil
 	p.count(1)
 	return Conn{Client: pc.cli, rec: pc, gen: pc.gen.Load()}
 }

@@ -262,11 +262,11 @@ func TestGetPairPrefersMates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lone.Release()
 	if lone.Client != b2.Client {
 		t.Fatal("plain Get did not take the most recent channel")
 	}
-	src, dst = getPair() // a2 is parked on top, but only (a1, b1) is whole
+	lone.Release()       // parks b2 alone: the lone lease broke its pair
+	src, dst = getPair() // a2 and b2 are parked on top, but only (a1, b1) is whole
 	defer src.Release()
 	defer dst.Release()
 	if src.Client != a1.Client || dst.Client != b1.Client {

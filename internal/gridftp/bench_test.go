@@ -1,10 +1,6 @@
 package gridftp
 
-import (
-	"fmt"
-	"io"
-	"testing"
-)
+import "testing"
 
 // benchRetr measures end-to-end loopback transfer throughput for a given
 // stream count; b.SetBytes makes `go test -bench` report MB/s.
@@ -43,34 +39,3 @@ func benchRetr(b *testing.B, streams int, size int) {
 
 func BenchmarkRetr1Stream(b *testing.B) { benchRetr(b, 1, 8<<20) }
 func BenchmarkRetr8Stream(b *testing.B) { benchRetr(b, 8, 8<<20) }
-
-// BenchmarkSendBlocksOffset sends a 64 MiB MemStore region in 256 KiB
-// blocks through sendBlocks to io.Discard, from a REST offset on and
-// off the 8-byte grid: store-region batches place their payloads at
-// the offset's phase mod 16, so an odd offset copies about as fast as
-// an aligned one rather than by memmove's slow REP MOVSQ path.
-func BenchmarkSendBlocksOffset(b *testing.B) {
-	const size, block = 64 << 20, 256 << 10
-	store := NewMemStore()
-	if err := store.Put("obj", randomPayload(size)); err != nil {
-		b.Fatal(err)
-	}
-	for _, off := range []int64{0, 3, 8, 13} {
-		b.Run(fmt.Sprintf("off%d", off), func(b *testing.B) {
-			at, n, err := store.SnapshotObject("obj")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer release(at)
-			var buf []byte
-			b.SetBytes(n - off)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := &blockSource{at: at, pos: off, end: n, blockSize: block}
-				if buf, err = sendBlocks(src, io.Discard, buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -122,9 +122,7 @@ func ReadBlockInto(r io.Reader, scratch []byte) (Block, []byte, error) {
 // payloadAt is where a frame's payload starts in a frame buffer, its
 // header just before it at hdrAt, so senders send a frame in one Write.
 // It is 64-byte aligned: payloads are copied whole (out of a store, into
-// the window or a store), markedly slower at an unaligned address. A
-// store-region batch at an offset off the 8-byte grid starts earlier
-// instead (see sendBlocks and DESIGN.md "Copy alignment").
+// the window or a store), markedly slower at an unaligned address.
 // minIOBytes is what a data connection moves per Write or Read when
 // blocks are smaller, so small blocks do not multiply the syscalls.
 const (
@@ -205,13 +203,6 @@ func (s *blockSource) frame(p []byte) int {
 // buf when it is that large, and the buffer used is returned, for a
 // kept channel. A read or write failure, or one given to src.fail,
 // ends every sender at its next claim.
-//
-// A store region's batch whose offset is not a multiple of 8 starts up
-// to 15 bytes before hdrAt, so that its first payload lies at the
-// offset's phase mod 16, the phase of the store bytes it is copied
-// from: memmove copies a 16-byte-aligned destination of 2 KiB or more
-// with REP MOVSQ, about 3x slower from a source off the 8-byte grid.
-// The bytes written are the same either way.
 func sendBlocks(src *blockSource, w io.Writer, buf []byte) ([]byte, error) {
 	bs := src.blockSize
 	if bs <= 0 {
@@ -231,10 +222,6 @@ func sendBlocks(src *blockSource, w io.Writer, buf []byte) ([]byte, error) {
 			buf = make([]byte, src.frameBuf)
 		}
 		end, from := hdrAt, src.pos
-		if src.at != nil && from&7 != 0 {
-			end -= int(-from & 15)
-		}
-		start := end
 		src.done = src.done || src.pos == src.end
 		for k := 0; k < per && !src.done && src.err == nil; k++ {
 			end += src.frame(buf[end:])
@@ -248,7 +235,7 @@ func sendBlocks(src *blockSource, w io.Writer, buf []byte) ([]byte, error) {
 			putHeader(buf[end:], DescEOD, 0, 0)
 			end += modeEHeaderLen
 		}
-		if _, err := w.Write(buf[start:end]); err != nil {
+		if _, err := w.Write(buf[hdrAt:end]); err != nil {
 			src.fail(err)
 			return buf, err
 		}
