@@ -174,15 +174,18 @@ race:
 # deep copies, so a write that races End or a reuse shows in a snapshot
 # on some runs only. So are the records that outlive their holders: a
 # pool lease record, which a stale or copied handle may try to end after
-# the channel was leased again, and the job records the manager refills
-# for later Submits while an earlier Wait may still hold one.
+# the channel was leased again, a MemStore snapshot record, which a
+# closed handle may try to read or close after the store lent it again,
+# and the job records the manager refills for later Submits while an
+# earlier Wait may still hold one, with the wake channel their waiters
+# pass a token through.
 FLAKE_COUNT ?= 10
 flake:
 	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
 		./internal/vc/... ./internal/rig ./internal/telemetry
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|Cached|Reuse|Rearm|Span' \
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|StaleSnapshot|Cached|Reuse|Rearm|Span' \
 		./internal/gridftp/ ./internal/telemetry
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Lease|Stale|ReleaseDiscard|GetPair|Recycl|Spare|PooledJob|PooledManager' \
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Lease|Stale|ReleaseDiscard|GetPair|Recycl|Spare|PooledJob|PooledManager|WaitSettled|WaitCancelled' \
 		./internal/connpool/ ./internal/xferman/
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong

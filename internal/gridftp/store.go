@@ -83,8 +83,13 @@ type PutAborter interface {
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[string]memObject
-	pins    map[string]int // open snapshots per name
+	pins    map[string]int                  // open snapshots per name
+	spare   [maxSpareSnapshots]*memSnapshot // closed ones on spare[:spares]
+	spares  int
 }
+
+// maxSpareSnapshots bounds the closed snapshot records kept to lend again.
+const maxSpareSnapshots = 16
 
 // memObject is one object's bytes as a list of chunks, each filled by
 // one Put or PutRegion copy. Bytes are never written while a snapshot
@@ -148,7 +153,7 @@ func (m *MemStore) Put(name string, data []byte) error {
 }
 
 // SnapshotObject implements SnapshotStore without copying bytes: the
-// reader holds its own copy of the chunk list and pins the name, so no
+// reader, a lent record, copies the chunk list and pins the name, so no
 // BeginPut hands its chunks to a later write until Close (see
 // memObject). A snapshot that is never closed only stops the reuse.
 func (m *MemStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
@@ -159,45 +164,64 @@ func (m *MemStore) SnapshotObject(name string) (io.ReaderAt, int64, error) {
 		return nil, 0, err
 	}
 	m.pins[name]++
-	s := &memSnapshot{m: m, name: name, o: memObject{size: o.size}}
-	s.o.chunks = append(s.chunk0[:0:len(s.chunk0)], o.chunks...)
-	return s, o.size, nil
+	var s *memSnapshot
+	if m.spares > 0 {
+		m.spares--
+		s, m.spare[m.spares] = m.spare[m.spares], nil
+	} else {
+		s = &memSnapshot{m: m}
+	}
+	s.name, s.o = name, memObject{chunks: append(s.o.chunks[:0], o.chunks...), size: o.size}
+	return snapshotHandle{s, s.gen}, o.size, nil
 }
 
-// memSnapshot is one pinned version of a MemStore object: its own copy
-// of the chunk list, held in chunk0 when the object is one chunk.
+// memSnapshot is the record of one pinned version of a MemStore object:
+// its own copy of the chunk list, whose array it keeps across lends. A
+// snapshotHandle is one lend, live while gen is the one it was lent at.
 type memSnapshot struct {
-	m      *MemStore
-	name   string
-	o      memObject
-	chunk0 [1][]byte
-	closed bool // under m.mu
+	m    *MemStore
+	name string
+	o    memObject
+	gen  uint64 // under m.mu; Close moves it on, ending the lend
+}
+
+type snapshotHandle struct {
+	s   *memSnapshot
+	gen uint64
 }
 
 // ReadAt serves a snapshot with bytes.Reader's io.ReaderAt behaviour,
 // until Close; the store's read lock keeps a Close from handing the
 // chunks to an overwrite mid-read.
-func (s *memSnapshot) ReadAt(p []byte, off int64) (int, error) {
-	s.m.mu.RLock()
-	defer s.m.mu.RUnlock()
+func (h snapshotHandle) ReadAt(p []byte, off int64) (int, error) {
+	h.s.m.mu.RLock()
+	defer h.s.m.mu.RUnlock()
 	switch {
-	case s.closed:
+	case h.s.gen != h.gen:
 		return 0, errors.New("gridftp: read of a closed snapshot")
 	case off < 0:
 		return 0, errors.New("gridftp: negative snapshot offset")
-	case off >= s.o.size:
+	case off >= h.s.o.size:
 		return 0, io.EOF
 	}
-	return s.o.readAt(p, off)
+	return h.s.o.readAt(p, off)
 }
 
-// Close releases the snapshot's pin; closing twice is a no-op.
-func (s *memSnapshot) Close() error {
-	s.m.mu.Lock()
-	defer s.m.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		s.m.pins[s.name]--
+// Close releases the snapshot's pin and stacks its record, its chunks
+// dropped, for a later lend; closing twice is a no-op.
+func (h snapshotHandle) Close() error {
+	s, m := h.s, h.s.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s.gen != h.gen {
+		return nil
+	}
+	s.gen++
+	m.pins[s.name]--
+	clear(s.o.chunks)
+	if m.spares < maxSpareSnapshots {
+		m.spare[m.spares] = s
+		m.spares++
 	}
 	return nil
 }

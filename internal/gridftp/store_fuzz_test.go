@@ -22,16 +22,19 @@ func memPattern(fill byte, n int) []byte {
 // still held must read, through ReadAt, exactly the bytes the model
 // held when it was taken: no later BeginPut, PutRegion or Put may reach
 // the bytes a snapshot pins, though an overwrite may refill them once
-// it is closed. A closed snapshot must refuse to read. ReadObjectAt
-// must return what bytes.NewReader(model).ReadAt returns.
+// it is closed. A closed snapshot must refuse to read, and closing it
+// again must release no pin, even once the store has lent its record
+// to a later snapshot. ReadObjectAt must return what
+// bytes.NewReader(model).ReadAt returns.
 //
 // Ops are 4 bytes each: [kind, a, b, fill] with kind%8 selecting
 // BeginPut(base=(a|b<<8)%1500), a PutRegion of (a|b<<8)*3/2 bytes at
 // the watermark (both sides of the 64 KiB chunk floor), a 64-byte
 // PutRegion at the arbitrary offset (a|b<<8)%2000, a 1-byte PutRegion
 // at the watermark, FinishPut with a correct or perturbed size, Put of
-// a|b<<8 bytes, SnapshotObject (b odd: then Close the oldest held), or
-// ReadObjectAt at a random offset and length.
+// a|b<<8 bytes, SnapshotObject (b odd: then Close the oldest held and
+// every closed one again), or ReadObjectAt at a random offset and
+// length.
 func FuzzMemStore(f *testing.F) {
 	// Clean upload: begin, regions below and above the floor, finish.
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 100, 0, 7, 1, 0, 200, 9, 3, 0, 0, 4, 4, 0, 0, 0, 7, 50, 0, 200})
@@ -56,6 +59,14 @@ func FuzzMemStore(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 200, 7, 3, 0, 0, 1, 6, 0, 0, 0, 0, 0, 0, 0,
 		1, 0, 200, 8, 1, 100, 0, 9, 4, 0, 0, 0, 0, 10, 0, 0, 1, 0, 180, 3,
 		6, 0, 1, 0, 0, 0, 0, 0, 1, 0, 200, 5, 4, 0, 0, 0})
+	// A closed snapshot's record lent again: the closed handle must not
+	// read the new lend's bytes.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 200, 7, 6, 0, 1, 0, 6, 0, 0, 0, 3, 0, 0, 5})
+	// Closed again while its record is lent to a held snapshot, then an
+	// overwrite: the stale Close must leave the held snapshot's pin, or
+	// the overwrite refills the chunk it reads.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 200, 7, 1, 100, 0, 8, 6, 0, 1, 0, 6, 0, 0, 0,
+		6, 0, 1, 0, 0, 0, 0, 0, 1, 0, 200, 9, 4, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := NewMemStore()
 		const name = "obj"
@@ -65,6 +76,7 @@ func FuzzMemStore(f *testing.F) {
 			want []byte
 		}
 		var snaps []held
+		var closed []io.ReaderAt // up to eight
 
 		check := func(step int, op string, gotErr error, wantOK bool) {
 			t.Helper()
@@ -90,6 +102,11 @@ func FuzzMemStore(f *testing.F) {
 				if k != wk || err != werr || !bytes.Equal(buf[:k], s.want) {
 					t.Fatalf("step %d %s: snapshot %d reads (%d, %v), model (%d, %v) over %d bytes",
 						step, op, i, k, err, wk, werr, len(s.want))
+				}
+			}
+			for i, r := range closed {
+				if n, err := r.ReadAt(make([]byte, 1), 0); err == nil {
+					t.Fatalf("step %d %s: closed snapshot %d read %d bytes without an error", step, op, i, n)
 				}
 			}
 		}
@@ -142,7 +159,7 @@ func FuzzMemStore(f *testing.F) {
 				err := m.Put(name, data)
 				model = data
 				check(step, "Put", err, true)
-			case 6: // SnapshotObject, up to eight held; b odd closes the oldest
+			case 6: // SnapshotObject, up to eight held; b odd closes the oldest, and the closed again
 				r, size, err := m.SnapshotObject(name)
 				if err == nil && size != int64(len(model)) {
 					t.Fatalf("step %d: snapshot size %d, model %d", step, size, len(model))
@@ -158,6 +175,12 @@ func FuzzMemStore(f *testing.F) {
 					oldest.(io.Closer).Close()
 					if n, err := oldest.ReadAt(make([]byte, 1), 0); err == nil {
 						t.Fatalf("step %d: closed snapshot read %d bytes without an error", step, n)
+					}
+					for _, r := range closed {
+						r.(io.Closer).Close()
+					}
+					if len(closed) < 8 {
+						closed = append(closed, oldest)
 					}
 				}
 			case 7: // ReadObjectAt at a random offset and length

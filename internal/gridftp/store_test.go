@@ -317,3 +317,48 @@ func TestMemStoreSnapshotPinsRaceOverwrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestStaleSnapshotHandleRacesNewLend reads and closes closed snapshot
+// handles from another goroutine while the store lends their record
+// again, over and over, and overwrites the object under each lend. A
+// stale handle must read nothing and release no pin: a released pin
+// would let the overwrite refill the chunks the current lend reads, and
+// each stale Close would leave the pin count one lower. Under -race a
+// stale call that touched the record outside the store's lock shows
+// here.
+func TestStaleSnapshotHandleRacesNewLend(t *testing.T) {
+	const size, region, lends = 200_000, 70_000, 50
+	versions := [][]byte{memPattern(1, size), memPattern(101, size)}
+	m := NewMemStore()
+	putRegions(t, m, "obj", 0, versions[0], region)
+	stale := make(chan io.ReaderAt, lends) // every closed handle, sent without waiting
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := range stale {
+			if n, err := r.ReadAt(make([]byte, 1), 0); err == nil {
+				t.Errorf("a closed snapshot read %d bytes without an error", n)
+			}
+			r.(io.Closer).Close()
+		}
+	}()
+	for i := 0; i < lends; i++ {
+		r, n, err := m.SnapshotObject("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		putRegions(t, m, "obj", 0, versions[(i+1)%2], region)
+		if !bytes.Equal(readSnapshot(t, r, n), versions[i%2]) {
+			t.Fatalf("lend %d read bytes of the overwrite made under it", i)
+		}
+		r.(io.Closer).Close()
+		stale <- r
+	}
+	close(stale)
+	<-done
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.pins["obj"] != 0 || m.spares != 1 {
+		t.Fatalf("after the race: %d pins and %d spare records, want 0 and 1", m.pins["obj"], m.spares)
+	}
+}

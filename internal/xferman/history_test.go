@@ -5,8 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gftpvc/internal/connpool"
 	"gftpvc/internal/gridftp"
@@ -195,7 +197,7 @@ func TestRecycledJobRecords(t *testing.T) {
 }
 
 // selectHook is a context that reports when Wait, having looked the job
-// up, starts waiting on it.
+// up and found it unsettled, starts waiting on it.
 type selectHook struct {
 	context.Context
 	once    sync.Once
@@ -207,67 +209,102 @@ func (h *selectHook) Done() <-chan struct{} {
 	return h.Context.Done()
 }
 
-// TestWaitOnRecycledRecord: a Wait that looked a job up before other
-// readers read it and maxSettledJobs later reads forgot it, handing its
-// record to a new job, answers ErrUnknownJob when it wakes, not the new
-// job's Result. The manager runs no workers; the test settles each job
-// as a worker does, and holds job X between publishing its result and
-// closing its done channel, the window in which that can happen.
-func TestWaitOnRecycledRecord(t *testing.T) {
-	m := &Manager{queue: make(chan JobID, 1), jobs: make(map[JobID]*tracked)}
-	ctx := context.Background()
-	job := Job{Src: Endpoint{Addr: "src"}, Dst: Endpoint{Addr: "dst"}, SrcName: "a", DstName: "b"}
-	submit := func() JobID {
-		t.Helper()
-		id, err := m.Submit(ctx, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
-	}
-	// publish takes the queued job and publishes it Succeeded as a
-	// worker does, returning its record and its done channel unclosed.
-	publish := func() (*tracked, chan struct{}) {
-		id := <-m.queue
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		tr := m.jobs[id]
-		tr.result.Status = Succeeded
-		return tr, tr.done
-	}
+func newSelectHook(ctx context.Context) *selectHook {
+	return &selectHook{Context: ctx, waiting: make(chan struct{})}
+}
 
-	x := submit()
-	xRecord, xDone := publish()
-	hook := &selectHook{Context: ctx, waiting: make(chan struct{})}
-	type waited struct {
-		res Result
-		err error
+// workerless is a manager with no workers: the test takes each queued
+// job and settles it as a worker does.
+func workerless(queue int) *Manager {
+	return &Manager{queue: make(chan JobID, queue), jobs: make(map[JobID]*tracked)}
+}
+
+var workerlessJob = Job{Src: Endpoint{Addr: "src"}, Dst: Endpoint{Addr: "dst"}, SrcName: "a", DstName: "b"}
+
+func submitJob(t *testing.T, m *Manager) JobID {
+	t.Helper()
+	id, err := m.Submit(context.Background(), workerlessJob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	woke := make(chan waited, 1)
-	go func() {
-		res, err := m.Wait(hook, x)
-		woke <- waited{res, err}
-	}()
-	<-hook.waiting
+	return id
+}
+
+// publish takes the next queued job and publishes it Succeeded under
+// mu, as a worker does, returning its ID, record and wake channel; wake
+// on that channel is the worker's last step.
+func publish(m *Manager) (JobID, *tracked, chan struct{}) {
+	id := <-m.queue
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tr := m.jobs[id]
+	tr.result.Status = Succeeded
+	return id, tr, tr.wake
+}
+
+// settle publishes the next queued job, wakes its waiters and returns
+// its ID.
+func settle(m *Manager) JobID {
+	id, _, c := publish(m)
+	wake(c)
+	return id
+}
+
+// refill reads the published job x and then maxSettledJobs more jobs,
+// which forgets x, and submits job y, which must get x's record.
+func refill(t *testing.T, m *Manager, x JobID, xRecord *tracked) (y JobID) {
+	t.Helper()
 	if _, err := m.Result(x); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxSettledJobs; i++ {
-		id := submit()
-		_, done := publish()
-		close(done)
-		if _, err := m.Wait(ctx, id); err != nil {
+		id := submitJob(t, m)
+		settle(m)
+		if _, err := m.Wait(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	y := submit()
+	y = submitJob(t, m)
 	m.mu.Lock()
-	recycled := m.jobs[y] == xRecord
-	m.mu.Unlock()
-	if !recycled {
+	defer m.mu.Unlock()
+	if m.jobs[y] != xRecord {
 		t.Fatalf("job %d did not get forgotten job %d's record", y, x)
 	}
-	close(xDone)
+	return y
+}
+
+type waited struct {
+	res Result
+	err error
+}
+
+// waitAsync runs Wait on its own goroutine and returns where its answer
+// arrives.
+func waitAsync(ctx context.Context, m *Manager, id JobID) <-chan waited {
+	out := make(chan waited, 1)
+	go func() {
+		res, err := m.Wait(ctx, id)
+		out <- waited{res, err}
+	}()
+	return out
+}
+
+// TestWaitOnRecycledRecord: a Wait that looked a job up before other
+// readers read it and maxSettledJobs later reads forgot it, handing its
+// record to a new job, answers ErrUnknownJob when it wakes, not the new
+// job's Result. The manager runs no workers; the test publishes job X
+// once its waiter has started waiting, and holds X between publishing
+// its result and waking, the window in which that can happen.
+func TestWaitOnRecycledRecord(t *testing.T) {
+	m := workerless(1)
+	ctx := context.Background()
+	x := submitJob(t, m)
+	hook := newSelectHook(ctx)
+	woke := waitAsync(hook, m, x)
+	<-hook.waiting
+	_, xRecord, xWake := publish(m)
+	y := refill(t, m, x, xRecord)
+	wake(xWake)
 	if w := <-woke; !errors.Is(w.err, ErrUnknownJob) {
 		t.Fatalf("Wait on job %d after its record went to job %d: %+v, %v; want ErrUnknownJob", x, y, w.res, w.err)
 	}
@@ -275,6 +312,104 @@ func TestWaitOnRecycledRecord(t *testing.T) {
 		t.Fatalf("Result on forgotten job %d: %+v, %v; want ErrUnknownJob", x, res, err)
 	}
 	<-m.queue
+}
+
+// TestWaitSettledJobIgnoresDoneContext: Wait on a job that has already
+// settled returns its result even when ctx is done. It used to choose
+// at random between the job's closed channel and ctx, answering
+// ctx.Err() about half the time.
+func TestWaitSettledJobIgnoresDoneContext(t *testing.T) {
+	m := workerless(1)
+	id := submitJob(t, m)
+	settle(m)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		if res, err := m.Wait(ctx, id); err != nil || res.ID != id || res.Status != Succeeded {
+			t.Fatalf("Wait %d on settled job %d with a done ctx: %+v, %v", i, id, res, err)
+		}
+	}
+}
+
+// TestWaitCancelledWaiterLeavesToken: of two waiters on one job, one
+// whose ctx ends before the job settles returns ctx.Err() without
+// taking the job's token, and the other still gets the result.
+func TestWaitCancelledWaiterLeavesToken(t *testing.T) {
+	m := workerless(1)
+	id := submitJob(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	hook := newSelectHook(ctx)
+	cancelled := waitAsync(hook, m, id)
+	other := newSelectHook(context.Background())
+	kept := waitAsync(other, m, id)
+	<-hook.waiting
+	<-other.waiting
+	cancel()
+	if w := <-cancelled; !errors.Is(w.err, context.Canceled) {
+		t.Fatalf("cancelled waiter on job %d: %+v, %v; want context.Canceled", id, w.res, w.err)
+	}
+	settle(m)
+	select {
+	case w := <-kept:
+		if w.err != nil || w.res.ID != id || w.res.Status != Succeeded {
+			t.Fatalf("waiter on job %d: %+v, %v", id, w.res, w.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("waiter on job %d never woke once it settled", id)
+	}
+}
+
+// awaitParked returns once n goroutines are blocked in Wait's select.
+func awaitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "xferman.(*Manager).Wait(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+	}
+	t.Fatalf("fewer than %d goroutines blocked in Wait after 10s", n)
+}
+
+// TestWaitStaleWaiterPassesTokenOn: a waiter left over from the
+// earlier job of a refilled record shares the record's channel with
+// the new job's waiter, and may take the new job's token. It must put
+// the token back before answering ErrUnknownJob, or the new job's
+// waiter sleeps on. The stale waiter blocks first, so the channel
+// hands it the token first.
+func TestWaitStaleWaiterPassesTokenOn(t *testing.T) {
+	m := workerless(1)
+	x := submitJob(t, m)
+	stale := waitAsync(context.Background(), m, x)
+	awaitParked(t, 1)
+	_, xRecord, _ := publish(m) // never woken: the token is the new job's
+	y := refill(t, m, x, xRecord)
+	fresh := waitAsync(context.Background(), m, y)
+	awaitParked(t, 2)
+	settle(m)
+	timeout := time.After(10 * time.Second)
+	select {
+	case w := <-fresh:
+		if w.err != nil || w.res.ID != y || w.res.Status != Succeeded {
+			t.Fatalf("waiter on job %d: %+v, %v", y, w.res, w.err)
+		}
+	case <-timeout:
+		t.Fatalf("waiter on job %d never woke: the stale waiter on job %d kept its token", y, x)
+	}
+	select {
+	case w := <-stale:
+		if !errors.Is(w.err, ErrUnknownJob) {
+			t.Fatalf("Wait on job %d after its record went to job %d: %+v, %v; want ErrUnknownJob", x, y, w.res, w.err)
+		}
+	case <-timeout:
+		t.Fatalf("stale waiter on job %d never woke", x)
+	}
 }
 
 // TestSpareRecordsOutlastInterleaving: however many jobs are submitted
@@ -300,11 +435,7 @@ func TestSpareRecordsOutlastInterleaving(t *testing.T) {
 			ids[i] = id
 		}
 		for range ids {
-			id := <-m.queue
-			m.mu.Lock()
-			m.jobs[id].result.Status = Succeeded
-			close(m.jobs[id].done)
-			m.mu.Unlock()
+			settle(m)
 		}
 		for _, id := range ids {
 			if _, err := m.Wait(ctx, id); err != nil {
@@ -336,11 +467,7 @@ func TestSpareRecordsOutlastInterleaving(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			id := <-m.queue
-			m.mu.Lock()
-			m.jobs[id].result.Status = Succeeded
-			close(m.jobs[id].done)
-			m.mu.Unlock()
+			id := settle(m)
 			if _, err := m.Wait(ctx, id); err != nil {
 				t.Fatal(err)
 			}

@@ -396,15 +396,17 @@ func TestPooledCopyControlRoundTrips(t *testing.T) {
 // TestPooledJobAllocBudget guards what a steady-state pooled job
 // allocates, measured over Submit and Wait: 200 64 KiB third-party jobs
 // over one cached pair, with every process instrumented as the
-// benchmark's small_files is, cost at most 320 B each. The worker
+// benchmark's small_files is, cost at most 64 B each. The worker
 // refills its one run and Result, the spare list hands each forgotten
-// job's record to a later Submit, a job with default timeouts shares
-// one option slice, and a pool lease is a handle on a record the dial
-// made, so a job costs its done channel and the engine's own share
-// (gridftp's TestSmallTransferAllocBudget). A job record, an option
-// slice, a reply string or a pool lease made per job again fails it
-// (480 B before leases became handles, 1,264 B before the record was
-// recycled and the replies and the STOR claim stopped allocating).
+// job's record, with its wake channel, to a later Submit, a job with
+// default timeouts shares one option slice, and a pool lease is a
+// handle on a record the dial made, so a job costs only the engine's
+// own share (gridftp's TestSmallTransferAllocBudget). A job record, a
+// wake channel, an option slice, a reply string or a pool lease made
+// per job again fails it (256 B before the wake channel was kept with
+// the record and snapshots were lent, 480 B before leases became
+// handles, 1,264 B before the record was recycled and the replies and
+// the STOR claim stopped allocating).
 // Warm-up jobs first fill the rings that grow once: the read-job ring,
 // the servers' usage records and the span rings.
 func TestPooledJobAllocBudget(t *testing.T) {
@@ -423,7 +425,7 @@ func TestPooledJobAllocBudgetTwoSubmitters(t *testing.T) {
 // pooledJobAllocBudget runs the budget with n submitters, each on its
 // own worker and its own cached pair.
 func pooledJobAllocBudget(t *testing.T, n int) {
-	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 320
+	const warmup, jobs, size, budget = 1100, 200, 64 << 10, 64
 	r := rig.New(t)
 	src := r.Server(gridftp.Config{}, rig.Objects{"obj": rig.Payload(6, size)})
 	dst := r.Server(gridftp.Config{})

@@ -251,8 +251,20 @@ type Result struct {
 type tracked struct {
 	result Result
 	ctx    context.Context
-	done   chan struct{} // closed when the job settles; one per job
+	wake   chan struct{} // kept with the record; see Wait
 	read   bool          // final result returned by Wait or Result
+}
+
+func (tr *tracked) settled() bool {
+	return tr.result.Status == Succeeded || tr.result.Status == Failed
+}
+
+// wake leaves a token in c unless one is there already.
+func wake(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }
 
 // maxSettledJobs is how many read jobs a Manager remembers: a job whose
@@ -448,13 +460,17 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 	if m.spares > 0 {
 		m.spares--
 		tr, m.spare[m.spares] = m.spare[m.spares], nil
+		select { // a token left by the record's earlier job
+		case <-tr.wake:
+		default:
+		}
 	} else {
-		tr = new(tracked)
+		tr = &tracked{wake: make(chan struct{}, 1)}
 	}
 	*tr = tracked{
 		result: Result{ID: id, Job: job, Status: Queued},
 		ctx:    ctx,
-		done:   make(chan struct{}),
+		wake:   tr.wake,
 	}
 	m.jobs[id] = tr
 	// Register the queue send while still under the closed check, so
@@ -479,30 +495,31 @@ func (m *Manager) Submit(ctx context.Context, job Job) (JobID, error) {
 }
 
 // Wait blocks until the job finishes (or ctx is done) and returns its
-// result. An unknown ID, or one of a job forgotten after
-// maxSettledJobs later ones were read, reports ErrUnknownJob.
+// result, at once if it has. An unknown ID, or one of a job forgotten
+// after maxSettledJobs later ones were read, reports ErrUnknownJob.
 func (m *Manager) Wait(ctx context.Context, id JobID) (Result, error) {
-	m.mu.Lock()
-	tr := m.jobs[id]
-	if tr == nil {
-		m.mu.Unlock()
-		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
-	}
-	done := tr.done
-	m.mu.Unlock()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
 	m.mu.Lock()
+	tr := m.jobs[id]
+	// wake holds a token while the job is settled (a waiter that takes
+	// it puts it back), and maybe a stale one once the record is refilled.
+	for tr != nil && tr.result.ID == id && !tr.settled() {
+		c := tr.wake
+		m.mu.Unlock()
+		select {
+		case <-c:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
+		}
+		m.mu.Lock()
+		if tr.settled() {
+			wake(tr.wake) // for every other waiter on the record
+		}
+	}
 	defer m.mu.Unlock()
-	// Other readers may have read the job and later ones may have
-	// forgotten it since, handing its record to another job.
-	if tr.result.ID != id {
+	if tr == nil || tr.result.ID != id {
 		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
 	}
 	m.readLocked(tr)
@@ -518,7 +535,7 @@ func (m *Manager) Result(id JobID) (Result, error) {
 	if tr == nil {
 		return Result{}, fmt.Errorf("%w %d", ErrUnknownJob, id)
 	}
-	if s := tr.result.Status; s == Succeeded || s == Failed {
+	if tr.settled() {
 		m.readLocked(tr)
 	}
 	return tr.result, nil
@@ -589,7 +606,7 @@ func (m *Manager) readLocked(tr *tracked) {
 	}
 	old := m.settled[m.settledHead]
 	delete(m.jobs, old.result.ID)
-	*old = tracked{}
+	*old = tracked{wake: old.wake}
 	if m.spares < maxSpareRecords {
 		m.spare[m.spares] = old
 		m.spares++
@@ -623,11 +640,10 @@ func (m *Manager) worker() {
 		if err != nil {
 			res.Status, res.Err = Failed, err.Error()
 		}
-		// Once published the job can be read and its record handed to
-		// another job, so its done channel is taken with the result.
+		// Take wake with the result: a Submit refilling the record writes it.
 		m.mu.Lock()
 		tr.result = res
-		done := tr.done
+		c := tr.wake
 		m.mu.Unlock()
 		m.met.running.Dec()
 		m.met.durations.Observe(res.Duration.Seconds())
@@ -637,7 +653,7 @@ func (m *Manager) worker() {
 		if res.ShapedRateBps > 0 {
 			m.met.paced.With(string(res.Job.Class)).Inc()
 		}
-		close(done)
+		wake(c)
 	}
 }
 
