@@ -23,9 +23,14 @@ CHECK_RACE_PKGS = ./internal/gridftp/... ./internal/faultnet/... ./internal/tele
 	./internal/oscars ./internal/oscarsd ./internal/dtnsched .
 
 # `make race` adds the simulator's concurrency-sensitive paths: the
-# parallel exhibit runner, memoized workloads, and allocator scratch
-# state.
+# parallel exhibit runner, the per-seed input slots the exhibits share,
+# and allocator scratch state.
 RACE_PKGS = $(CHECK_RACE_PKGS) ./internal/netsim ./internal/experiments ./internal/sessions
+
+# The experiments tests `make check` races too: the slot tests, and the
+# RunAll tests that run one small exhibit on several workers. The full
+# exhibit suite stays out; `make race` runs it.
+SLOT_RACE_RUN = ^TestSlot|RunAllClamps|FirstError
 
 .PHONY: check fmt-check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
@@ -50,6 +55,7 @@ check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) test -race -count=1 $(CHECK_RACE_PKGS)
+	$(GO) test -race -count=1 -run '$(SLOT_RACE_RUN)' ./internal/experiments
 	$(MAKE) fuzz-smoke
 
 # Format gate: read-only (it lists, never rewrites), over the whole

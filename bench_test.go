@@ -33,8 +33,8 @@ import (
 
 // benchExhibit regenerates one exhibit per iteration and logs its rows
 // once. The seed is fixed, so the first iteration pays full workload
-// synthesis (the experiments package memoizes datasets per seed) and
-// later iterations measure the analysis over the cached dataset; the raw
+// synthesis (the experiments package keeps one seed's inputs) and
+// later iterations measure the analysis over the shared dataset; the raw
 // synthesis cost has its own benchmark (BenchmarkWorkloadSynthesis*)
 // because paying it per iteration would put a default `go test -bench=.`
 // run past the test binary's timeout.
@@ -106,7 +106,7 @@ func BenchmarkFigure7(b *testing.B)   { benchExhibit(b, "fig7") }
 func BenchmarkFigure8(b *testing.B)   { benchExhibit(b, "fig8") }
 
 // BenchmarkAllExhibitsParallel regenerates the whole exhibit suite on the
-// worker pool that backs `paperrepro -parallel` (cached datasets are
+// worker pool that backs `paperrepro -parallel` (the seed's inputs are
 // shared across exhibits, so iterations measure the parallel analysis).
 func BenchmarkAllExhibitsParallel(b *testing.B) {
 	ids := experiments.IDs()

@@ -15,10 +15,10 @@ import (
 )
 
 func init() {
-	register("table10", tableX)
-	register("table11", tableXI)
-	register("table12", tableXII)
-	register("table13", tableXIII)
+	register("table10", reading(&campaigns, tableX))
+	register("table11", reading(&campaigns, tableXI))
+	register("table12", reading(&campaigns, tableXII))
+	register("table13", reading(&campaigns, tableXIII))
 }
 
 // ornlCampaign replays the 145 32 GB NERSC–ORNL test transfers over the
@@ -33,19 +33,8 @@ type ornlCampaign struct {
 	obs      []snmp.TransferObs
 }
 
-// campCache keeps at most the two most recent seeds' campaigns: a full
-// campaign holds five 30-second SNMP counters plus 145 observations, and
-// an unbounded per-seed map grows without limit under seed sweeps.
-var campCache = newBoundedMemo[int64, *ornlCampaign](2)
-
-func runORNLCampaign(seed int64) (*ornlCampaign, error) {
-	return campCache.get(seed, func() (*ornlCampaign, error) {
-		return buildORNLCampaign(seed)
-	})
-}
-
 func buildORNLCampaign(seed int64) (*ornlCampaign, error) {
-	records, err := ornlRecords(seed)
+	records, err := ornlRecords.at(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +136,7 @@ func buildORNLCampaign(seed int64) (*ornlCampaign, error) {
 
 // tableX reproduces Table X: the raw 30-second SNMP byte counts within the
 // duration of one example 32 GB transfer.
-func tableX(seed int64) (Result, error) {
-	camp, err := runORNLCampaign(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableX(camp *ornlCampaign) (Result, error) {
 	// Pick the longest transfer so it spans several bins, as in the paper
 	// (the example transfer spans seven bins).
 	pick := camp.obs[0]
@@ -212,11 +197,7 @@ func correlationTable(title string, rows []snmp.CorrelationRow, note string) str
 // tableXI reproduces Table XI: correlation between per-transfer GridFTP
 // bytes and the Eq. 1 total link bytes, per quartile and per router; its
 // values are the rows, one per router.
-func tableXI(seed int64) (Result, error) {
-	camp, err := runORNLCampaign(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableXI(camp *ornlCampaign) (Result, error) {
 	var rows []snmp.CorrelationRow
 	for _, id := range camp.egress {
 		row, err := camp.counters[id].CorrelateTotal(camp.obs)
@@ -234,11 +215,7 @@ func tableXI(seed int64) (Result, error) {
 // tableXII reproduces Table XII: correlation between GridFTP bytes and the
 // remaining (non-GridFTP) traffic; its values are the rows, one per
 // router.
-func tableXII(seed int64) (Result, error) {
-	camp, err := runORNLCampaign(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableXII(camp *ornlCampaign) (Result, error) {
 	var rows []snmp.CorrelationRow
 	for _, id := range camp.egress {
 		row, err := camp.counters[id].CorrelateOther(camp.obs)
@@ -255,11 +232,7 @@ func tableXII(seed int64) (Result, error) {
 
 // tableXIII reproduces Table XIII: average link load (Gbps) during the
 // 32 GB transfers; its values are the load summaries, one per router.
-func tableXIII(seed int64) (Result, error) {
-	camp, err := runORNLCampaign(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableXIII(camp *ornlCampaign) (Result, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table XIII: average link load (Gbps) during the 32 GB transfers\n\n")
 	fmt.Fprintln(&b, summaryHeader())

@@ -8,6 +8,7 @@ import (
 	"gftpvc/internal/hostmodel"
 	"gftpvc/internal/stats"
 	"gftpvc/internal/textplot"
+	"gftpvc/internal/usagestats"
 	"gftpvc/internal/workload"
 )
 
@@ -39,23 +40,19 @@ func appendPlot(b *strings.Builder, title string, series ...textplot.Series) {
 }
 
 func init() {
-	register("fig1", figure1)
-	register("fig2", figure2)
-	register("fig3", figure3)
-	register("fig4", figure4)
-	register("fig5", figure5)
-	register("fig6", figure6)
-	register("fig7", figure7)
-	register("fig8", figure8)
+	register("fig1", reading(&anlTransfers, figure1))
+	register("fig2", reading(&slacData, figure2))
+	register("fig3", reading(&slacData, figure3))
+	register("fig4", reading(&slacData, figure4))
+	register("fig5", reading(&slacData, figure5))
+	register("fig6", reading(&ornlRecords, figure6))
+	register("fig7", reading(&anlTransfers, figure7))
+	register("fig8", reading(&anlTransfers, figure8))
 }
 
 // figure1 reproduces Fig 1: box plots of ANL→NERSC throughput for the four
 // endpoint categories, showing the NERSC disk-write bottleneck.
-func figure1(seed int64) (Result, error) {
-	ts, err := anlTransfers(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure1(ts []workload.ANLTransfer) (Result, error) {
 	cats := workload.ANLCategoryThroughputs(ts)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1: throughput variance for ANL-to-NERSC transfers (box plots, Mbps)\n\n")
@@ -75,11 +72,7 @@ func figure1(seed int64) (Result, error) {
 
 // figure2 reproduces Fig 2: SLAC–BNL transfer throughput as a function of
 // file size, summarized per size decade (the paper's scatter plot).
-func figure2(seed int64) (Result, error) {
-	ds, err := slacDataset(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure2(ds *dataset) (Result, error) {
 	decades := []struct {
 		lo, hi float64
 		label  string
@@ -129,11 +122,7 @@ func figure2(seed int64) (Result, error) {
 
 // streamGroups splits SLAC records into the paper's 1-stream and 8-stream
 // groups, returning (sizeBytes, throughputMbps) pairs per group.
-func streamGroups(seed int64) (keys1, val1, keys8, val8 []float64, err error) {
-	ds, err := slacDataset(seed)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
+func streamGroups(ds *dataset) (keys1, val1, keys8, val8 []float64) {
 	for _, r := range ds.Records {
 		switch r.Streams {
 		case 1:
@@ -144,7 +133,7 @@ func streamGroups(seed int64) (keys1, val1, keys8, val8 []float64, err error) {
 			val8 = append(val8, r.ThroughputMbps())
 		}
 	}
-	return keys1, val1, keys8, val8, nil
+	return keys1, val1, keys8, val8
 }
 
 // medianSeries computes median throughput per file-size bin.
@@ -195,11 +184,8 @@ type streamShape struct {
 
 // figure3 reproduces Fig 3: median throughput per 1 MB file-size bin for
 // 8-stream vs 1-stream transfers in (0, 1 GB].
-func figure3(seed int64) (Result, error) {
-	k1, v1, k8, v8, err := streamGroups(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure3(ds *dataset) (Result, error) {
+	k1, v1, k8, v8 := streamGroups(ds)
 	bins1, med1, err := medianSeries(k1, v1, 0, 1e9, 1e6)
 	if err != nil {
 		return nil, err
@@ -251,11 +237,8 @@ type dipShape struct{ In, Out float64 }
 
 // figure4 reproduces Fig 4: the same comparison out to 4 GB with 100 MB
 // bins, including the 2.2–3.1 GB dip in the 8-stream series.
-func figure4(seed int64) (Result, error) {
-	k1, v1, k8, v8, err := streamGroups(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure4(ds *dataset) (Result, error) {
+	k1, v1, k8, v8 := streamGroups(ds)
 	bins, med1, err := medianSeries(k1, v1, 0, 4e9, 100e6)
 	if err != nil {
 		return nil, err
@@ -303,11 +286,8 @@ func figure4(seed int64) (Result, error) {
 
 // figure5 reproduces Fig 5: the number of observations per file-size bin
 // for the two stream groups.
-func figure5(seed int64) (Result, error) {
-	k1, v1, k8, v8, err := streamGroups(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure5(ds *dataset) (Result, error) {
+	k1, v1, k8, v8 := streamGroups(ds)
 	bins1, err := stats.FixedBins(k1, v1, 0, 4e9, 100e6)
 	if err != nil {
 		return nil, err
@@ -329,11 +309,7 @@ func figure5(seed int64) (Result, error) {
 
 // figure6 reproduces Fig 6: throughput of the 32 GB NERSC–ORNL transfers
 // by time of day (all started at 2 AM or 8 AM).
-func figure6(seed int64) (Result, error) {
-	records, err := ornlRecords(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure6(records []usagestats.Record) (Result, error) {
 	byHour := map[int][]float64{}
 	for _, r := range records {
 		byHour[r.Start.Hour()] = append(byHour[r.Start.Hour()], r.ThroughputMbps())
@@ -351,11 +327,7 @@ func figure6(seed int64) (Result, error) {
 
 // figure7 reproduces Fig 7: the concurrency intervals within one ANL→NERSC
 // transfer (number of concurrent transfers vs time).
-func figure7(seed int64) (Result, error) {
-	ts, err := anlTransfers(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure7(ts []workload.ANLTransfer) (Result, error) {
 	// Pick the transfer with the most concurrency intervals.
 	var pick *hostmodel.Transfer
 	for _, t := range ts {
@@ -392,11 +364,7 @@ type eq2Shape struct {
 
 // figure8 reproduces Fig 8: Eq. 2 predicted vs actual throughput for the
 // memory-to-memory transfers, with R at the 90th percentile.
-func figure8(seed int64) (Result, error) {
-	ts, err := anlTransfers(seed)
-	if err != nil {
-		return nil, err
-	}
+func figure8(ts []workload.ANLTransfer) (Result, error) {
 	mm := workload.ANLMemToMem(ts)
 	var actual []float64
 	for _, t := range mm {

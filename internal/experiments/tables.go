@@ -8,26 +8,26 @@ import (
 	"gftpvc/internal/core"
 	"gftpvc/internal/sessions"
 	"gftpvc/internal/stats"
+	"gftpvc/internal/usagestats"
 	"gftpvc/internal/workload"
 )
 
 func init() {
-	register("table1", tableI)
-	register("table2", tableII)
+	register("table1", reading(&ncarData, tableI))
+	register("table2", reading(&slacData, tableII))
 	register("table3", tableIII)
 	register("table4", tableIV)
-	register("table5", tableV)
-	register("table6", tableVI)
-	register("table7", tableVII)
-	register("table8", tableVIII)
-	register("table9", tableIX)
+	register("table5", reading(&ornlRecords, tableV))
+	register("table6", reading(&anlTransfers, tableVI))
+	register("table7", reading(&ncarLarge, tableVII))
+	register("table8", reading(&ncarLarge, tableVIII))
+	register("table9", reading(&ncarLarge, tableIX))
 }
 
 // sessionCharacterization renders a Table I/II-style block for one dataset.
-func sessionCharacterization(id, title, name string, seed int64,
-	sizePaper, durPaper, thrPaper stats.Summary,
-	ds *workload.Dataset) (Result, error) {
-	ss, err := groupedSessions(name, seed, ds.Records, time.Minute)
+func sessionCharacterization(id, title string,
+	sizePaper, durPaper, thrPaper stats.Summary, ds *dataset) (Result, error) {
+	ss, err := ds.grouped(time.Minute)
 	if err != nil {
 		return nil, err
 	}
@@ -45,26 +45,18 @@ func sessionCharacterization(id, title, name string, seed int64,
 }
 
 // tableI reproduces Table I: NCAR–NICS sessions and transfers at g = 1 min.
-func tableI(seed int64) (Result, error) {
-	ds, err := ncarDataset(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableI(ds *dataset) (Result, error) {
 	return sessionCharacterization("table1",
-		"Table I: NCAR-NICS sessions and transfers", "ncar", seed,
+		"Table I: NCAR-NICS sessions and transfers",
 		workload.PaperNCARNICSSessionSizeMB,
 		workload.PaperNCARNICSSessionDurationSec,
 		workload.PaperNCARNICSThroughputMbps, ds)
 }
 
 // tableII reproduces Table II: SLAC–BNL sessions and transfers at g = 1 min.
-func tableII(seed int64) (Result, error) {
-	ds, err := slacDataset(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableII(ds *dataset) (Result, error) {
 	return sessionCharacterization("table2",
-		"Table II: SLAC-BNL sessions and transfers", "slac", seed,
+		"Table II: SLAC-BNL sessions and transfers",
 		workload.PaperSLACBNLSessionSizeMB,
 		workload.PaperSLACBNLSessionDurationSec,
 		workload.PaperSLACBNLThroughputMbps, ds)
@@ -80,6 +72,13 @@ var paperTableIII = map[string]string{
 	"slac/g=2m0s": "358 single, 5,xxx multi | max 38,497 | >=100: 1,068",
 }
 
+// sessionLogs are the two path logs Tables III and IV group into
+// sessions at each of gaps.
+var sessionLogs = []struct {
+	name string
+	ds   *slot[*dataset]
+}{{"ncar", &ncarData}, {"slac", &slacData}}
+
 // tableIII reproduces Table III: the impact of the g parameter on session
 // structure for both datasets.
 func tableIII(seed int64) (Result, error) {
@@ -87,16 +86,13 @@ func tableIII(seed int64) (Result, error) {
 	fmt.Fprintf(&b, "Table III: impact of the g parameter on number of sessions\n\n")
 	fmt.Fprintf(&b, "%-14s %10s %10s %10s %12s %10s   %s\n",
 		"dataset/g", "single", "multi", "%<=2", "max-xfers", ">=100", "paper (legible parts)")
-	for _, entry := range []struct {
-		name string
-		ds   func(int64) (*workload.Dataset, error)
-	}{{"ncar", ncarDataset}, {"slac", slacDataset}} {
-		ds, err := entry.ds(seed)
+	for _, entry := range sessionLogs {
+		ds, err := entry.ds.at(seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, g := range []time.Duration{0, time.Minute, 2 * time.Minute} {
-			ss, err := groupedSessions(entry.name, seed, ds.Records, g)
+		for _, g := range gaps {
+			ss, err := ds.grouped(g)
 			if err != nil {
 				return nil, err
 			}
@@ -143,11 +139,8 @@ func tableIV(seed int64) (Result, error) {
 	fmt.Fprintf(&b, "Table IV: %% sessions (%% transfers) suitable for dynamic VCs\n")
 	fmt.Fprintf(&b, "rule: hypothetical duration at Q3 transfer throughput >= 10 x setup delay\n\n")
 	fmt.Fprintf(&b, "%-22s %24s %28s\n", "dataset/g/setup", "measured", "paper")
-	for _, entry := range []struct {
-		name string
-		ds   func(int64) (*workload.Dataset, error)
-	}{{"ncar", ncarDataset}, {"slac", slacDataset}} {
-		ds, err := entry.ds(seed)
+	for _, entry := range sessionLogs {
+		ds, err := entry.ds.at(seed)
 		if err != nil {
 			return nil, err
 		}
@@ -156,8 +149,8 @@ func tableIV(seed int64) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, g := range []time.Duration{0, time.Minute, 2 * time.Minute} {
-			ss, err := groupedSessions(entry.name, seed, ds.Records, g)
+		for _, g := range gaps {
+			ss, err := ds.grouped(g)
 			if err != nil {
 				return nil, err
 			}
@@ -184,11 +177,7 @@ func tableIV(seed int64) (Result, error) {
 
 // tableV reproduces Table V: duration and throughput of the 145 32 GB
 // NERSC–ORNL test transfers.
-func tableV(seed int64) (Result, error) {
-	records, err := ornlRecords(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableV(records []usagestats.Record) (Result, error) {
 	var durs, thrs []float64
 	for _, r := range records {
 		durs = append(durs, r.DurationSec)
@@ -214,11 +203,7 @@ var paperTableVI = map[string]float64{
 
 // tableVI reproduces Table VI: ANL→NERSC transfer throughput by endpoint
 // category, with coefficients of variation.
-func tableVI(seed int64) (Result, error) {
-	ts, err := anlTransfers(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableVI(ts []workload.ANLTransfer) (Result, error) {
 	cats := workload.ANLCategoryThroughputs(ts)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table VI: throughput of ANL-NERSC transfers (Mbps)\n\n")
@@ -235,11 +220,7 @@ func tableVI(seed int64) (Result, error) {
 
 // tableVII reproduces Table VII: throughput variance of the 16 GB and 4 GB
 // NCAR transfer subsets.
-func tableVII(seed int64) (Result, error) {
-	nl, err := ncarLarge(seed)
-	if err != nil {
-		return nil, err
-	}
+func tableVII(nl ncarLargeSet) (Result, error) {
 	t16, t4 := nl.t16, nl.t4
 	s16 := stats.MustSummarize(workload.ThroughputsOf(t16))
 	s4 := stats.MustSummarize(workload.ThroughputsOf(t4))
@@ -255,12 +236,8 @@ func tableVII(seed int64) (Result, error) {
 // ncarSplitTable renders the Table VIII/IX layout: the 16G and 4G NCAR
 // subsets, each split by one integer attribute (field) into the given
 // values, one row per non-empty group keyed by keyFmt(tag, value).
-func ncarSplitTable(seed int64, id, title, keyFmt string,
+func ncarSplitTable(nl ncarLargeSet, id, title, keyFmt string,
 	field func(workload.LargeTransfer) int, values []int, note string) (Result, error) {
-	nl, err := ncarLarge(seed)
-	if err != nil {
-		return nil, err
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n\n", title)
 	fmt.Fprintf(&b, "%-12s %6s %8s %8s %8s %8s %8s %8s %10s\n",
@@ -287,8 +264,8 @@ func ncarSplitTable(seed int64, id, title, keyFmt string,
 // tableVIII reproduces Table VIII: year-based throughput of the 16GB/4GB
 // NCAR subsets (the frost cluster shrank from 3 servers to 1 over
 // 2009–2011).
-func tableVIII(seed int64) (Result, error) {
-	return ncarSplitTable(seed, "table8",
+func tableVIII(nl ncarLargeSet) (Result, error) {
+	return ncarSplitTable(nl, "table8",
 		"Table VIII: year-based throughput of 16GB/4GB NCAR transfers (Mbps)", "%s/%d",
 		func(l workload.LargeTransfer) int { return l.Year }, []int{2009, 2010, 2011},
 		"paper shape: medians decline from 2009 to 2011 as the NCAR cluster shrank\nfrom 3 servers to 1.")
@@ -296,8 +273,8 @@ func tableVIII(seed int64) (Result, error) {
 
 // tableIX reproduces Table IX: stripes-based throughput of the same
 // subsets; the median rises with the stripe count.
-func tableIX(seed int64) (Result, error) {
-	return ncarSplitTable(seed, "table9",
+func tableIX(nl ncarLargeSet) (Result, error) {
+	return ncarSplitTable(nl, "table9",
 		"Table IX: stripes-based throughput of 16GB/4GB NCAR transfers (Mbps)", "%s/%d-stripe",
 		func(l workload.LargeTransfer) int { return l.Stripes }, []int{1, 2, 3},
 		"paper shape: \"the median column is the one to consider. This is higher when\nthe number of stripes is higher\" — for both subsets.")

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -91,11 +90,11 @@ type MemStore struct {
 // maxSpareSnapshots bounds the closed snapshot records kept to lend again.
 const maxSpareSnapshots = 16
 
-// memObject is one object's bytes as a list of chunks, each filled by
-// one Put or PutRegion copy. Bytes are never written while a snapshot
-// could read them: Put replaces the list, PutRegion appends (a small
-// region into the tail chunk's spare room, past every byte a reader can
-// see), and BeginPut truncates with the tail chunk's capacity pinned.
+// memObject is one object's bytes as a list of chunks, filled by Put or
+// PutRegion copies. Bytes are never written while a snapshot could read
+// them: Put replaces the list, PutRegion appends (first into the tail
+// chunk's spare room, past every byte a reader can see), and BeginPut
+// truncates with the tail chunk's capacity pinned.
 // The chunks BeginPut cuts whole are spare for PutRegion to refill when
 // no snapshot pins the name; FinishPut and Put drop what is left, and
 // keep the spare list's array for the next overwrite.
@@ -297,9 +296,9 @@ func (m *MemStore) BeginPut(name string, base int64) error {
 
 // PutRegion implements StreamPutter. A region must start at the
 // object's current size, as the windowed receiver flushes them;
-// rewriting committed bytes is refused. The region is copied once, into
-// a chunk of its own or, below memChunkFloor, the tail chunk's spare
-// room — nothing is copied again as the object grows.
+// rewriting committed bytes is refused. The region is copied once: into
+// the tail chunk's spare room, then into as many spare or new chunks as
+// the rest needs — nothing is copied again as the object grows.
 func (m *MemStore) PutRegion(name string, off int64, p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -313,16 +312,18 @@ func (m *MemStore) PutRegion(name string, off int64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	tail := len(o.chunks) - 1
-	switch {
-	case len(p) >= memChunkFloor:
-		o.chunks = append(o.chunks, append(o.chunk(len(p)), p...))
-	case tail >= 0 && cap(o.chunks[tail])-len(o.chunks[tail]) >= len(p):
-		o.chunks[tail] = append(o.chunks[tail], p...)
-	default:
-		o.chunks = append(o.chunks, append(o.chunk(memChunkFloor), p...))
+	for len(p) > 0 {
+		tail := len(o.chunks) - 1
+		if tail < 0 || len(o.chunks[tail]) == cap(o.chunks[tail]) {
+			o.chunks = append(o.chunks, o.chunk(len(p)))
+			tail++
+		}
+		c := o.chunks[tail]
+		n := min(len(p), cap(c)-len(c))
+		o.chunks[tail] = append(c, p[:n]...)
+		o.size += int64(n)
+		p = p[n:]
 	}
-	o.size += int64(len(p))
 	m.objects[name] = o
 	return nil
 }
@@ -344,16 +345,18 @@ func (m *MemStore) FinishPut(name string, size int64) error {
 	return nil
 }
 
-// chunk returns an empty chunk of capacity at least n: the last spare
-// that fits, taken off the list, else a new one.
+// chunk returns an empty chunk for a region of n bytes: the last spare,
+// whatever its size, taken off the list, else a new one of n bytes but
+// at least memChunkFloor. A region larger than the spare fills it and
+// goes on into the next, so an overwrite no larger than the version it
+// replaces makes no new chunk, however the window cut its regions.
 func (o *memObject) chunk(n int) []byte {
-	for i := len(o.spare) - 1; i >= 0; i-- {
-		if c := o.spare[i]; cap(c) >= n {
-			o.spare = slices.Delete(o.spare, i, i+1)
-			return c[:0]
-		}
+	if k := len(o.spare) - 1; k >= 0 {
+		c := o.spare[k]
+		o.spare[k], o.spare = nil, o.spare[:k]
+		return c[:0]
 	}
-	return make([]byte, 0, n)
+	return make([]byte, 0, max(n, memChunkFloor))
 }
 
 // Size implements Store.

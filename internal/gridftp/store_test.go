@@ -265,6 +265,60 @@ func TestMemStoreSpareListKept(t *testing.T) {
 	}
 }
 
+// TestMemStoreOverwriteReusesChunks: an unpinned overwrite no larger
+// than the version it replaces makes no new chunk, whatever regions the
+// window cut either version into — a 2 MiB region after a 1 MiB + 3 MiB
+// version fills the 3 MiB chunk's start and then the rest of it and the
+// 1 MiB one. Reusing only a spare that holds a whole region made a new
+// 2 MiB chunk there.
+func TestMemStoreOverwriteReusesChunks(t *testing.T) {
+	const mib = 1 << 20
+	for _, tc := range []struct{ old, new []int }{
+		{[]int{1, 3}, []int{2, 2}},
+		{[]int{3, 1}, []int{2, 2}},
+		{[]int{2, 2}, []int{1, 3}},
+		{[]int{2, 2}, []int{3, 1}},
+		{[]int{1, 1, 1, 1}, []int{4}},
+		{[]int{4}, []int{1, 1, 1, 1}},
+		{[]int{1, 3}, []int{3}},
+	} {
+		m := NewMemStore()
+		put := func(regions []int, fill byte) []byte {
+			var data []byte
+			for _, r := range regions {
+				data = append(data, memPattern(fill, r*mib)...)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := m.BeginPut("obj", 0); err != nil {
+				t.Fatal(err)
+			}
+			off := 0
+			for _, r := range regions {
+				if err := m.PutRegion("obj", int64(off), data[off:off+r*mib]); err != nil {
+					t.Fatal(err)
+				}
+				off += r * mib
+			}
+			if err := m.FinishPut("obj", int64(off)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if fill == 2 {
+				if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<10 {
+					t.Errorf("%v MiB regions over %v MiB ones allocated %d bytes, budget 4 KiB", tc.new, tc.old, n)
+				}
+			}
+			return data
+		}
+		put(tc.old, 1)
+		want := put(tc.new, 2)
+		if got, err := m.Get("obj"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v MiB regions over %v MiB ones: object differs (err=%v)", tc.new, tc.old, err)
+		}
+	}
+}
+
 // TestMemStoreSnapshotPinsRaceOverwrites runs the reuse path under
 // concurrency: readers snapshot, read twice and close while the writer
 // overwrites, so chunks pass from version to version as pins come and

@@ -124,7 +124,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	nextID oscars.CircuitID
-	held   map[oscars.CircuitID]endpoints
+	held   map[oscars.CircuitID]circuit
 
 	wg     sync.WaitGroup
 	conns  map[net.Conn]bool
@@ -174,8 +174,25 @@ func (s *Server) countModify(ok bool) {
 		telemetry.L("result", result)).Inc()
 }
 
-// endpoints are a held circuit's ends, which a modify re-paths between.
-type endpoints struct{ src, dst topo.NodeID }
+// circuit is a held circuit: the ends a modify re-paths between, and
+// the end of its booking on the daemon's clock.
+type circuit struct {
+	src, dst topo.NodeID
+	end      simclock.Time
+}
+
+// heldGrace is how long a circuit stays held after its booking ends,
+// longer than a session gap (gftpxfer's -gap defaults to 60 s), so the
+// broker can still extend a circuit that lapsed just before its next
+// job, or cancel it when its session closes. Past the grace the daemon
+// forgets it, so held is bounded by the circuits live within the
+// grace, not by every circuit never cancelled.
+const heldGrace = 5 * time.Minute
+
+// lapsed reports whether c ended more than heldGrace before now.
+func (c circuit) lapsed(now simclock.Time) bool {
+	return float64(now-c.end) > heldGrace.Seconds()
+}
 
 // scenarioTopo resolves a scenario name.
 func scenarioTopo(name string) (*topo.Scenario, error) {
@@ -220,7 +237,7 @@ func newServer(cfg Config) (*Server, error) {
 	s := &Server{
 		ledger: ledger,
 		epoch:  time.Now(),
-		held:   make(map[oscars.CircuitID]endpoints),
+		held:   make(map[oscars.CircuitID]circuit),
 		conns:  make(map[net.Conn]bool),
 		hub:    cfg.Telemetry,
 	}
@@ -388,18 +405,24 @@ func (s *Server) reserve(req Request) Response {
 		s.met.rejected.Inc()
 		return fail(CodeBadRequest, err.Error())
 	}
-	ends := endpoints{topo.NodeID(req.Src), topo.NodeID(req.Dst)}
+	c := circuit{topo.NodeID(req.Src), topo.NodeID(req.Dst), simclock.Time(req.End)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ledger.Prune(s.now())
-	path, err := s.ledger.Book(s.nextID+1, ends.src, ends.dst,
-		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
+	now := s.now()
+	s.ledger.Prune(now)
+	for id, h := range s.held {
+		if h.lapsed(now) {
+			delete(s.held, id)
+		}
+	}
+	path, err := s.ledger.Book(s.nextID+1, c.src, c.dst,
+		req.RateBps, simclock.Time(req.Start), c.end)
 	if err != nil {
 		s.met.rejected.Inc()
 		return fail(CodeNoPath, err.Error())
 	}
 	s.nextID++
-	s.held[s.nextID] = ends
+	s.held[s.nextID] = c
 	s.met.admitted.Inc()
 	return Response{OK: true, ID: int64(s.nextID), Path: pathNames(path), Src: req.Src, Dst: req.Dst}
 }
@@ -407,10 +430,10 @@ func (s *Server) reserve(req Request) Response {
 func (s *Server) cancel(req Request) Response {
 	id := oscars.CircuitID(req.ID)
 	s.mu.Lock()
-	_, known := s.held[id]
+	c, known := s.held[id]
 	delete(s.held, id)
 	s.mu.Unlock()
-	if !known {
+	if !known || c.lapsed(s.now()) {
 		return fail(CodeUnknownCircuit, fmt.Sprintf("unknown circuit %d", req.ID))
 	}
 	s.ledger.Release(id)
@@ -424,29 +447,33 @@ func (s *Server) cancel(req Request) Response {
 // throughout so that a cancel cannot release the circuit between the
 // lookup and the re-book.
 //
-// A circuit whose booking has ended is still held: the broker extends a
-// circuit that lapsed a moment before its next job, and cancels one
-// after it ends, so a modify of it re-books it and a cancel answers ok.
-// Only its expired bookings are pruned, as every reserve and modify
-// prunes the ledger to the daemon's now.
+// A circuit whose booking has ended is still held for heldGrace: the
+// broker extends a circuit that lapsed a moment before its next job, and
+// cancels one after it ends, so a modify of it re-books it and a cancel
+// answers ok. Only its expired bookings are pruned, as every reserve and
+// modify prunes the ledger to the daemon's now. Past the grace both
+// answer CodeUnknownCircuit.
 func (s *Server) modify(req Request) Response {
 	id := oscars.CircuitID(req.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ends, known := s.held[id]
-	if !known {
+	now := s.now()
+	c, known := s.held[id]
+	if !known || c.lapsed(now) {
 		return fail(CodeUnknownCircuit, fmt.Sprintf("unknown circuit %d", req.ID))
 	}
 	if req.RateBps <= 0 || req.End <= req.Start {
 		return fail(CodeBadRequest, "modify needs rate_bps and a valid window")
 	}
-	s.ledger.Prune(s.now())
-	path, err := s.ledger.Book(id, ends.src, ends.dst,
+	s.ledger.Prune(now)
+	path, err := s.ledger.Book(id, c.src, c.dst,
 		req.RateBps, simclock.Time(req.Start), simclock.Time(req.End))
 	s.countModify(err == nil)
 	if err != nil {
 		return fail(CodeRejected, "modify rejected: "+err.Error())
 	}
+	c.end = simclock.Time(req.End)
+	s.held[id] = c
 	return Response{OK: true, ID: req.ID, Path: pathNames(path)}
 }
 

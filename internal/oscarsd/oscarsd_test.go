@@ -405,6 +405,54 @@ func TestModifyRaceNeverDoubleSells(t *testing.T) {
 	}
 }
 
+// TestHeldBoundedByLiveCircuits: a circuit that ends without a cancel is
+// forgotten once its end is heldGrace old, so after n such circuits the
+// daemon holds only the live ones, and a cancel or modify of a forgotten
+// circuit answers CodeUnknownCircuit. The daemon's clock is moved on by
+// moving its epoch back, so nothing sleeps.
+func TestHeldBoundedByLiveCircuits(t *testing.T) {
+	const n, live, rate = 50, 3, 0.1e9
+	s, err := newServer(Config{Scenario: "nersc-ornl", ReservableFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserve := func(start, end float64) int64 {
+		t.Helper()
+		r := s.reserve(Request{Op: OpReserve, Src: "nersc-ornl-dtn-src", Dst: "nersc-ornl-dtn-dst",
+			RateBps: rate, Start: start, End: end})
+		if !r.OK {
+			t.Fatalf("reserve [%v,%v): %+v", start, end, r)
+		}
+		return r.ID
+	}
+	pastGrace := func() { s.epoch = s.epoch.Add(-heldGrace - 10*time.Second) }
+	var expired []int64
+	for range n {
+		now := float64(s.now())
+		expired = append(expired, reserve(now+1, now+2))
+		pastGrace()
+	}
+	// The last one has not been swept by a reserve yet; its answers
+	// already follow the grace.
+	last := expired[len(expired)-1]
+	if r := s.modify(Request{Op: OpModify, ID: last, RateBps: rate, Start: 1e9, End: 1e9 + 1}); r.Code != CodeUnknownCircuit {
+		t.Errorf("modify of a circuit past the grace: %+v, want %s", r, CodeUnknownCircuit)
+	}
+	if r := s.cancel(Request{Op: OpCancel, ID: last}); r.Code != CodeUnknownCircuit {
+		t.Errorf("cancel of a circuit past the grace: %+v, want %s", r, CodeUnknownCircuit)
+	}
+	now := float64(s.now())
+	for range live {
+		reserve(now+1, now+3600)
+	}
+	if got := len(s.held); got != live {
+		t.Errorf("after %d expired and %d live circuits the daemon holds %d, want %d", n, live, got, live)
+	}
+	if r := s.cancel(Request{Op: OpCancel, ID: expired[0]}); r.Code != CodeUnknownCircuit {
+		t.Errorf("cancel of a swept circuit: %+v, want %s", r, CodeUnknownCircuit)
+	}
+}
+
 // TestExpiredCircuitsPruned: circuits that end without a cancel leave no
 // booking in any link calendar once a later modify or reserve has run
 // on the daemon's clock, and they stay held: a modify of one re-books

@@ -214,29 +214,6 @@ func pairSizesWithCounts(rng *rand.Rand, sampler *stats.QuantileSampler, counts 
 	return out
 }
 
-// sizeRanks returns each value's normalized rank in [0,1] (0 = smallest).
-// Generators use ranks to condition per-transfer rates on session size:
-// the multi-terabyte sessions in the real logs ran at high effective
-// rates (the paper's 12 TB session averaged 1.06 Gbps), so rate and size
-// cannot be sampled independently without sessions sprawling for weeks.
-func sizeRanks(sizes []float64) []float64 {
-	n := len(sizes)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return sizes[idx[a]] < sizes[idx[b]] })
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = 1
-		return out
-	}
-	for rank, i := range idx {
-		out[i] = float64(rank) / float64(n-1)
-	}
-	return out
-}
-
 // splitSession divides a session's total size (bytes) into per-transfer
 // sizes with log-normal jitter, preserving the exact total and keeping
 // every piece at least one byte.
