@@ -37,6 +37,39 @@ func TestSlotBuildsOncePerSeed(t *testing.T) {
 	}
 }
 
+// TestSlotCachesAndReplaces: a repeated seed gets the held value without
+// a build, a new seed's value replaces it, and a return to the first seed
+// builds afresh because the slot holds one seed only.
+func TestSlotCachesAndReplaces(t *testing.T) {
+	var builds atomic.Int64
+	s := slot[*int64]{build: func(seed int64) (*int64, error) {
+		builds.Add(1)
+		return &seed, nil
+	}}
+	first, _ := s.at(1)
+	if again, _ := s.at(1); again != first || *again != 1 {
+		t.Fatal("a repeated seed 1 did not get the held value")
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds after seeds 1, 1; want 1", n)
+	}
+	if v, _ := s.at(2); *v != 2 {
+		t.Fatalf("seed 2 read %d, want 2", *v)
+	}
+	if v, _ := s.at(2); *v != 2 {
+		t.Fatalf("a repeated seed 2 read %d, want 2", *v)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("%d builds after seeds 1, 1, 2, 2; want 2", n)
+	}
+	if back, _ := s.at(1); back == first || *back != 1 {
+		t.Fatal("a return to seed 1 got the replaced value, want a fresh build")
+	}
+	if n := builds.Load(); n != 3 {
+		t.Fatalf("%d builds after a return to seed 1; want 3 (one seed held)", n)
+	}
+}
+
 // TestSlotNewSeedReplaces: a call at a new seed replaces the slot's
 // value without waiting for the old seed's build, and a caller already
 // holding the old seed still gets that seed's value. The slot then
