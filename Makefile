@@ -64,7 +64,8 @@ fmt-check:
 	@bad=$$(gofmt -l .); if [ -n "$$bad" ]; then echo "$$bad"; echo "fmt-check: files above are not gofmt-clean"; exit 1; fi
 
 # Fuzz smoke: run each data-plane fuzz target, the session policy's
-# agreement with sessions.Group, the reservation daemon's replies and
+# agreement with sessions.Group, Group's and Cut's agreement with the
+# per-pair grouping they replaced, the reservation daemon's replies and
 # the usage-record parser (which reads UDP datagrams from other
 # processes), briefly on top of its committed seed corpus. go test
 # accepts a single -fuzz pattern per invocation, hence the loop. Override FUZZ_TIME for longer campaigns
@@ -74,7 +75,7 @@ FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrame
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
 	gridftp:FuzzSessionState gridftp:FuzzSendBlocks gridftp:FuzzReadReply \
-	pacing:FuzzBucketRefill core:FuzzSessionPolicy \
+	pacing:FuzzBucketRefill core:FuzzSessionPolicy sessions:FuzzGroup \
 	oscarsd:FuzzDaemonDispatch usagestats:FuzzUnmarshal
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

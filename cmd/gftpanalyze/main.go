@@ -93,7 +93,8 @@ func run(in string, g, setup time.Duration, factor float64, sweep bool) error {
 	fmt.Println()
 	printSummary("transfer throughput (Mbps)", thr)
 
-	ss, err := sessions.Group(records, g)
+	// Sorted once, the log is cut at g and at each of -sweep's gaps.
+	byPair, err := sessions.ByPair(records)
 	if errors.Is(err, sessions.ErrNoRemote) {
 		fmt.Println("\nremote endpoints are anonymized: session analysis unavailable")
 		fmt.Println("(the paper hit the same limitation on the NERSC dataset;")
@@ -118,6 +119,10 @@ func run(in string, g, setup time.Duration, factor float64, sweep bool) error {
 		}
 		return nil
 	}
+	if err != nil {
+		return err
+	}
+	ss, err := sessions.Cut(byPair, g)
 	if err != nil {
 		return err
 	}
@@ -150,7 +155,7 @@ func run(in string, g, setup time.Duration, factor float64, sweep bool) error {
 		fmt.Printf("\ngap-parameter sweep (Table III style):\n")
 		fmt.Printf("  %-8s %10s %10s %10s %12s %8s\n", "g", "sessions", "single", "multi", "max-xfers", ">=100")
 		for _, gv := range []time.Duration{0, 30 * time.Second, time.Minute, 2 * time.Minute, 10 * time.Minute} {
-			gs, err := sessions.Group(records, gv)
+			gs, err := sessions.Cut(byPair, gv)
 			if err != nil {
 				return err
 			}

@@ -75,29 +75,30 @@ func reading[V any](s *slot[V], exhibit func(V) (Result, error)) Runner {
 // III and IV read all three, Tables I and II the one-minute grouping.
 var gaps = []time.Duration{0, time.Minute, 2 * time.Minute}
 
-// dataset is a synthesised path log with its session groupings, each
-// built on first use and kept as long as the dataset is.
+// dataset is a synthesised path log with one copy of its records in
+// sessions.ByPair's order, made on first use and kept as long as the
+// dataset is: the sessions of every gap are views into that one copy.
 type dataset struct {
 	*workload.Dataset
-	groupings map[time.Duration]func() ([]*sessions.Session, error)
+	byPair func() ([]usagestats.Record, error)
 }
 
 func newDataset(ds *workload.Dataset, err error) (*dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &dataset{Dataset: ds, groupings: make(map[time.Duration]func() ([]*sessions.Session, error), len(gaps))}
-	for _, g := range gaps {
-		d.groupings[g] = sync.OnceValues(func() ([]*sessions.Session, error) {
-			return sessions.Group(ds.Records, g)
-		})
-	}
-	return d, nil
+	return &dataset{Dataset: ds, byPair: sync.OnceValues(func() ([]usagestats.Record, error) {
+		return sessions.ByPair(ds.Records)
+	})}, nil
 }
 
-// grouped returns the dataset's sessions at gap g, one of gaps.
+// grouped returns the dataset's sessions at gap g.
 func (d *dataset) grouped(g time.Duration) ([]*sessions.Session, error) {
-	return d.groupings[g]()
+	c, err := d.byPair()
+	if err != nil {
+		return nil, err
+	}
+	return sessions.Cut(c, g)
 }
 
 type ncarLargeSet struct {

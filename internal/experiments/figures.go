@@ -123,16 +123,24 @@ func figure2(ds *dataset) (Result, error) {
 // streamGroups splits SLAC records into the paper's 1-stream and 8-stream
 // groups, returning (sizeBytes, throughputMbps) pairs per group.
 func streamGroups(ds *dataset) (keys1, val1, keys8, val8 []float64) {
-	for _, r := range ds.Records {
-		switch r.Streams {
-		case 1:
-			keys1 = append(keys1, float64(r.SizeBytes))
-			val1 = append(val1, r.ThroughputMbps())
-		case 8:
-			keys8 = append(keys8, float64(r.SizeBytes))
-			val8 = append(val8, r.ThroughputMbps())
+	group := func(streams int) (keys, vals []float64) {
+		n := 0
+		for i := range ds.Records {
+			if ds.Records[i].Streams == streams {
+				n++
+			}
 		}
+		keys, vals = make([]float64, 0, n), make([]float64, 0, n)
+		for i := range ds.Records {
+			if r := &ds.Records[i]; r.Streams == streams {
+				keys = append(keys, float64(r.SizeBytes))
+				vals = append(vals, r.ThroughputMbps())
+			}
+		}
+		return keys, vals
 	}
+	keys1, val1 = group(1)
+	keys8, val8 = group(8)
 	return keys1, val1, keys8, val8
 }
 

@@ -8,9 +8,11 @@
 package sessions
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"gftpvc/internal/usagestats"
@@ -68,56 +70,54 @@ var ErrNoRemote = errors.New("sessions: records lack remote host (anonymized log
 // time seen so far in the current session. g = 0 demands strictly
 // back-to-back (or overlapping) transfers; negative g is an error.
 func Group(records []usagestats.Record, g time.Duration) ([]*Session, error) {
-	if g < 0 {
-		return nil, errors.New("sessions: negative gap")
+	c, err := ByPair(records)
+	if err != nil && g >= 0 { // a negative g is Cut's error, and reported first
+		return nil, err
 	}
-	type hostPair struct {
-		server, remote string
-	}
-	byPair := make(map[hostPair][]usagestats.Record)
+	return Cut(c, g)
+}
+
+// ByPair returns a copy of records ordered stably by (server, remote,
+// start), the order Cut reads: sort a log once to cut it at several gaps.
+func ByPair(records []usagestats.Record) ([]usagestats.Record, error) {
 	for i, r := range records {
 		if r.RemoteHost == "" {
 			return nil, fmt.Errorf("%w (record %d)", ErrNoRemote, i)
 		}
-		byPair[hostPair{r.ServerHost, r.RemoteHost}] = append(byPair[hostPair{r.ServerHost, r.RemoteHost}], r)
 	}
-	keys := make([]hostPair, 0, len(byPair))
-	for k := range byPair {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].server != keys[j].server {
-			return keys[i].server < keys[j].server
-		}
-		return keys[i].remote < keys[j].remote
+	c := slices.Clone(records)
+	slices.SortStableFunc(c, func(a, b usagestats.Record) int {
+		return cmp.Or(strings.Compare(a.ServerHost, b.ServerHost),
+			strings.Compare(a.RemoteHost, b.RemoteHost), a.Start.Compare(b.Start))
 	})
-	out := make([]*Session, 0, len(byPair))
-	for _, k := range keys {
-		rs := byPair[k]
-		usagestats.SortByStart(rs)
-		var cur *Session
+	return c, nil
+}
+
+// Cut splits records in ByPair's order into Group's sessions at gap g,
+// ordered by start. Each session's Transfers is a view into records, capped
+// so that an append copies rather than overwrite the next session; records
+// must not be modified while its sessions are in use.
+func Cut(records []usagestats.Record, g time.Duration) ([]*Session, error) {
+	if g < 0 {
+		return nil, errors.New("sessions: negative gap")
+	}
+	out := []*Session{}
+	for i, j := 0, 0; i < len(records); i = j {
+		first := &records[i]
 		var horizon time.Time // latest end time within the current session
-		for _, r := range rs {
-			if cur != nil && !r.Start.After(horizon.Add(g)) {
-				cur.Transfers = append(cur.Transfers, r)
-			} else {
-				cur = &Session{
-					ServerHost: r.ServerHost,
-					RemoteHost: r.RemoteHost,
-				}
-				cur.Transfers = []usagestats.Record{r}
-				horizon = time.Time{}
-				out = append(out, cur)
+		for ; j < len(records); j++ {
+			r := &records[j]
+			if j > i && (r.ServerHost != first.ServerHost || r.RemoteHost != first.RemoteHost ||
+				r.Start.After(horizon.Add(g))) {
+				break
 			}
 			if e := r.End(); e.After(horizon) {
 				horizon = e
 			}
 		}
+		out = append(out, &Session{ServerHost: first.ServerHost, RemoteHost: first.RemoteHost, Transfers: records[i:j:j]})
 	}
-	// Order sessions chronologically across endpoint pairs.
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Start().Before(out[j].Start())
-	})
+	slices.SortStableFunc(out, func(a, b *Session) int { return a.Start().Compare(b.Start()) })
 	return out, nil
 }
 

@@ -2,7 +2,11 @@ package sessions
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,5 +207,172 @@ func TestSizesDurationsThroughputs(t *testing.T) {
 	th := TransferThroughputsMbps(records)
 	if len(th) != 1 || math.Abs(th[0]-800) > 1e-9 {
 		t.Errorf("throughputs = %v, want [800] Mbps", th)
+	}
+}
+
+// groupReference is Group as it was before it cut sessions out of one
+// sorted copy: each endpoint pair's records are gathered into a slice of
+// their own, sorted by start and copied into their sessions one by one.
+// FuzzGroup holds Group and Cut to it.
+func groupReference(records []usagestats.Record, g time.Duration) ([]*Session, error) {
+	if g < 0 {
+		return nil, errors.New("sessions: negative gap")
+	}
+	type hostPair struct {
+		server, remote string
+	}
+	byPair := make(map[hostPair][]usagestats.Record)
+	for i, r := range records {
+		if r.RemoteHost == "" {
+			return nil, fmt.Errorf("%w (record %d)", ErrNoRemote, i)
+		}
+		byPair[hostPair{r.ServerHost, r.RemoteHost}] = append(byPair[hostPair{r.ServerHost, r.RemoteHost}], r)
+	}
+	keys := make([]hostPair, 0, len(byPair))
+	for k := range byPair {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].server != keys[j].server {
+			return keys[i].server < keys[j].server
+		}
+		return keys[i].remote < keys[j].remote
+	})
+	out := make([]*Session, 0, len(byPair))
+	for _, k := range keys {
+		rs := byPair[k]
+		usagestats.SortByStart(rs)
+		var cur *Session
+		var horizon time.Time // latest end time within the current session
+		for _, r := range rs {
+			if cur != nil && !r.Start.After(horizon.Add(g)) {
+				cur.Transfers = append(cur.Transfers, r)
+			} else {
+				cur = &Session{
+					ServerHost: r.ServerHost,
+					RemoteHost: r.RemoteHost,
+				}
+				cur.Transfers = []usagestats.Record{r}
+				horizon = time.Time{}
+				out = append(out, cur)
+			}
+			if e := r.End(); e.After(horizon) {
+				horizon = e
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].Start().Before(out[j].Start())
+	})
+	return out, nil
+}
+
+// decodeLog turns fuzz bytes into a log, four bytes a record: the
+// endpoint pair (two servers by three remotes, and an anonymized remote
+// at 15 mod 16), the start in 5 s steps, so that starts collide, and a
+// signed duration in seconds, so that transfers overlap and a few end
+// before they start. Each record's size is its index, so a reordering of
+// records that compare equal shows.
+func decodeLog(data []byte) []usagestats.Record {
+	var records []usagestats.Record
+	for i := 0; i+4 <= len(data); i += 4 {
+		b := data[i : i+4]
+		remote := fmt.Sprintf("r%d", b[0]>>1%3)
+		if b[0]%16 == 15 {
+			remote = ""
+		}
+		records = append(records, usagestats.Record{
+			Type:        usagestats.Retrieve,
+			SizeBytes:   int64(len(records)),
+			Start:       epoch.Add(time.Duration(b[1]) * 5 * time.Second),
+			DurationSec: float64(int8(b[2])),
+			ServerHost:  fmt.Sprintf("s%d", b[0]&1),
+			RemoteHost:  remote,
+			Streams:     int(b[3]),
+		})
+	}
+	return records
+}
+
+// FuzzGroup holds Group, and the sort-once-then-cut path the exhibits use
+// (ByPair, then Cut at every gap from the same copy), to groupReference:
+// the same sessions, the same order, the same error.
+func FuzzGroup(f *testing.F) {
+	f.Add([]byte{})                                                   // no records: an empty, non-nil result
+	f.Add([]byte{15, 0, 10, 0})                                       // anonymized: ErrNoRemote, or the negative gap first
+	f.Add([]byte{0, 0, 20, 0, 2, 0, 20, 0, 0, 5, 20, 0, 2, 5, 20, 0}) // two pairs interleaved
+	equal := make([]byte, 0, 4*48)                                    // equal keys, more than an insertion sort's run
+	for i := 0; i < 48; i++ {
+		equal = append(equal, byte(i%2), byte(i%3), byte(i), 0)
+	}
+	f.Add(equal)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records := decodeLog(data)
+		byPair, pairErr := ByPair(records)
+		for _, g := range []time.Duration{-time.Second, 0, time.Minute, 2 * time.Minute} {
+			want, wantErr := groupReference(records, g)
+			got, err := Group(records, g)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("g=%v: Group = %s, %v; reference %s, %v", g, show(got), err, show(want), wantErr)
+			}
+			if pairErr != nil {
+				if g >= 0 && pairErr.Error() != wantErr.Error() {
+					t.Fatalf("ByPair err = %v, reference %v", pairErr, wantErr)
+				}
+				continue
+			}
+			got, err = Cut(byPair, g)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("g=%v: Cut(ByPair) = %s, %v; reference %s, %v", g, show(got), err, show(want), wantErr)
+			}
+		}
+	})
+}
+
+// show lists sessions as their pairs and their records' sizes (decodeLog's
+// indices), nil apart from empty.
+func show(ss []*Session) string {
+	if ss == nil {
+		return "nil"
+	}
+	var b strings.Builder
+	for _, s := range ss {
+		fmt.Fprintf(&b, "[%s>%s", s.ServerHost, s.RemoteHost)
+		for _, r := range s.Transfers {
+			fmt.Fprintf(&b, " %d", r.SizeBytes)
+		}
+		b.WriteString("] ")
+	}
+	return b.String()
+}
+
+// TestCutViewsAreCapped: sessions are views into one shared copy, so an
+// append to one session's transfers must copy, leaving its neighbours in
+// that copy and every later cut from it as they were.
+func TestCutViewsAreCapped(t *testing.T) {
+	records := []usagestats.Record{
+		rec("nics", 0, 10, 1), rec("nics", 15, 10, 2), rec("nics", 200, 10, 3),
+		rec("ornl", 5, 10, 4), rec("ornl", 300, 10, 5),
+	}
+	byPair, err := ByPair(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := groupReference(records, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		ss, err := Cut(byPair, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = append(ss[i].Transfers, rec("x", 999, 1, 999))
+		if !reflect.DeepEqual(ss, want) {
+			t.Fatalf("an append to session %d changed the others: %s", i, show(ss))
+		}
+		if later, err := Cut(byPair, time.Minute); err != nil || !reflect.DeepEqual(later, want) {
+			t.Fatalf("an append to session %d changed a later cut: %s, %v", i, show(later), err)
+		}
 	}
 }

@@ -188,20 +188,27 @@ func FixedBins(keys, xs []float64, lo, hi, w float64) ([]Bin, error) {
 		return nil, errors.New("stats: invalid bin geometry")
 	}
 	n := int(math.Ceil((hi - lo) / w))
+	bin := func(k float64) int { // k's bin, or n outside [lo, hi)
+		if k < lo || k >= hi {
+			return n
+		}
+		return min(int((k-lo)/w), n-1) // guard floating-point edge at hi
+	}
+	// Count first, then give each bin a capped view of one array.
+	counts := make([]int, n+1)
+	for _, k := range keys {
+		counts[bin(k)]++
+	}
+	all := make([]float64, len(keys)-counts[n])
 	bins := make([]Bin, n)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*w
-		bins[i].Hi = bins[i].Lo + w
+	for i, off := 0, 0; i < n; i++ {
+		bins[i] = Bin{Lo: lo + float64(i)*w, Hi: lo + float64(i)*w + w, Values: all[off : off : off+counts[i]]}
+		off += counts[i]
 	}
 	for i, k := range keys {
-		if k < lo || k >= hi {
-			continue
+		if b := bin(k); b < n {
+			bins[b].Values = append(bins[b].Values, xs[i])
 		}
-		idx := int((k - lo) / w)
-		if idx >= n { // guard floating-point edge at hi
-			idx = n - 1
-		}
-		bins[idx].Values = append(bins[idx].Values, xs[i])
 	}
 	return bins, nil
 }

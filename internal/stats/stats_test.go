@@ -139,6 +139,21 @@ func TestFixedBins(t *testing.T) {
 	}
 }
 
+// TestFixedBinsCapped: the bins share one array, so an append to one
+// bin's values must copy, leaving the next bin's as they were.
+func TestFixedBinsCapped(t *testing.T) {
+	bins, err := FixedBins([]float64{0.5, 1.5, 2.5}, []float64{10, 20, 30}, 0, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bins[:len(bins)-1] {
+		_ = append(bins[i].Values, -1)
+		if next := bins[i+1].Values; len(next) != 1 || next[0] != float64(10*(i+2)) {
+			t.Fatalf("an append to bin %d changed bin %d: %v", i, i+1, next)
+		}
+	}
+}
+
 func TestFixedBinsErrors(t *testing.T) {
 	if _, err := FixedBins([]float64{1}, nil, 0, 1, 1); err == nil {
 		t.Error("want error for mismatched lengths")

@@ -45,11 +45,11 @@ func scaleSpec(spec PlanSpec, scale float64) PlanSpec {
 		return spec
 	}
 	s := PlanSpec{
-		Transfers:    max2(10, int(float64(spec.Transfers)*scale)),
-		Sessions:     max2(3, int(float64(spec.Sessions)*scale)),
+		Transfers:    max(10, int(float64(spec.Transfers)*scale)),
+		Sessions:     max(3, int(float64(spec.Sessions)*scale)),
 		Singles:      int(float64(spec.Singles) * scale),
-		MaxTransfers: max2(100, int(float64(spec.MaxTransfers)*scale)),
-		Over100:      max2(1, int(float64(spec.Over100)*scale)),
+		MaxTransfers: max(100, int(float64(spec.MaxTransfers)*scale)),
+		Over100:      max(1, int(float64(spec.Over100)*scale)),
 	}
 	if s.Singles >= s.Sessions {
 		s.Singles = s.Sessions - 1
@@ -64,13 +64,6 @@ func scaleSpec(spec PlanSpec, scale float64) PlanSpec {
 		}
 	}
 	return s
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // buildFeasible builds a plan. Full-size specs build strictly; scaled
