@@ -32,6 +32,21 @@ RACE_PKGS = $(CHECK_RACE_PKGS) ./internal/netsim ./internal/experiments ./intern
 # exhibit suite stays out; `make race` runs it.
 SLOT_RACE_RUN = ^TestSlot|RunAllClamps|FirstError
 
+# Test logs: every go test step of check, flake and fuzz-smoke also
+# writes its -json event stream to $(TEST_LOG_DIR)/<step>.json. A step
+# that fails prints `gftpanalyze -tests`'s summary of the streams (each
+# failed test's package, name, run index and output) and fails: nothing
+# is skipped, retried or re-run. check and flake start by clearing the
+# streams and end by listing each package's slowest tests. CI keeps the
+# directory when a step fails.
+TEST_LOG_DIR ?= $(or $(TMPDIR),/tmp)/gftpvc-test-logs
+export TEST_LOG_DIR
+
+# gotest runs `go $(3) test -json $(2)` as the step named $(1).
+gotest = mkdir -p $(TEST_LOG_DIR) && echo "go $(strip $(3) test $(2))" && \
+	{ $(GO) $(3) test -json $(2) > $(TEST_LOG_DIR)/$(1).json || \
+	{ $(GO) run ./cmd/gftpanalyze -tests $(TEST_LOG_DIR); exit 1; }; }
+
 .PHONY: check fmt-check vet vet-ctx rig-lint loc api api-check race flake drills exhibits bench bench-c10k bench-store bench-trace bench-paced bench-fleet fuzz-smoke all
 
 all: check
@@ -46,24 +61,27 @@ all: check
 # vetted and tested here too: an API change that breaks its build fails
 # CI rather than the next benchmark run.
 check:
+	@rm -f $(TEST_LOG_DIR)/*.json
 	$(MAKE) fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) vet-ctx
 	$(MAKE) rig-lint
-	$(GO) test ./...
+	@$(call gotest,test,./...)
 	$(GO) -C bench vet ./...
-	$(GO) -C bench test ./...
-	$(GO) test -race -count=1 $(CHECK_RACE_PKGS)
-	$(GO) test -race -count=1 -run '$(SLOT_RACE_RUN)' ./internal/experiments
+	@$(call gotest,bench,./...,-C bench)
+	@$(call gotest,race,-race -count=1 $(CHECK_RACE_PKGS))
+	@$(call gotest,race-slots,-race -count=1 -run '$(SLOT_RACE_RUN)' ./internal/experiments)
 	$(MAKE) fuzz-smoke
+	@$(GO) run ./cmd/gftpanalyze -tests $(TEST_LOG_DIR)
 
 # Format gate: read-only (it lists, never rewrites), over the whole
 # tree, bench/ included. Fix a failure with gofmt -w on the files listed.
 fmt-check:
 	@bad=$$(gofmt -l .); if [ -n "$$bad" ]; then echo "$$bad"; echo "fmt-check: files above are not gofmt-clean"; exit 1; fi
 
-# Fuzz smoke: run each data-plane fuzz target, the session policy's
+# Fuzz smoke: run each data-plane fuzz target, the client's protocol
+# machine in lockstep with the server's, the session policy's
 # agreement with sessions.Group, Group's and Cut's agreement with the
 # per-pair grouping they replaced, the reservation daemon's replies and
 # the usage-record parser (which reads UDP datagrams from other
@@ -74,14 +92,13 @@ FUZZ_TIME ?= 10s
 FUZZ_TARGETS = gridftp:FuzzReadBlock gridftp:FuzzReadBlockInto gridftp:FuzzFrameReader \
 	gridftp:FuzzWindowAssembler gridftp:FuzzAssembler gridftp:FuzzDrainConn \
 	gridftp:FuzzParseHostPort gridftp:FuzzDirStorePutRegion gridftp:FuzzMemStore \
-	gridftp:FuzzSessionState gridftp:FuzzSendBlocks gridftp:FuzzReadReply \
+	gridftp:FuzzSessionState gridftp:FuzzClientServerLockstep gridftp:FuzzSendBlocks gridftp:FuzzReadReply \
 	pacing:FuzzBucketRefill core:FuzzSessionPolicy sessions:FuzzGroup \
 	oscarsd:FuzzDaemonDispatch usagestats:FuzzUnmarshal
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fz=$${t##*:}; \
-		echo "fuzz-smoke: $$pkg/$$fz ($(FUZZ_TIME))"; \
-		$(GO) test ./internal/$$pkg/ -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZ_TIME) >/dev/null || exit 1; \
+		$(call gotest,fuzz-$$fz,./internal/$$pkg/ -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZ_TIME)) || exit 1; \
 	done
 
 vet:
@@ -188,12 +205,14 @@ race:
 # pass a token through.
 FLAKE_COUNT ?= 10
 flake:
-	$(GO) test -short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
-		./internal/vc/... ./internal/rig ./internal/telemetry
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|StaleSnapshot|Cached|Reuse|Rearm|Span' \
-		./internal/gridftp/ ./internal/telemetry
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Lease|Stale|ReleaseDiscard|GetPair|Recycl|Spare|PooledJob|PooledManager|WaitSettled|WaitCancelled' \
-		./internal/connpool/ ./internal/xferman/
+	@rm -f $(TEST_LOG_DIR)/*.json
+	@$(call gotest,flake,-short -count=$(FLAKE_COUNT) ./internal/gridftp/ ./internal/connpool/ ./internal/xferman/ \
+		./internal/vc/... ./internal/rig ./internal/telemetry)
+	@$(call gotest,flake-race-engine,-race -count=$(FLAKE_COUNT) -run 'Drain|Striped|Window|Hold|Pipelin|MemStore|StaleSnapshot|Cached|Reuse|Rearm|Span' \
+		./internal/gridftp/ ./internal/telemetry)
+	@$(call gotest,flake-race-pool,-race -count=$(FLAKE_COUNT) -run 'Lease|Stale|ReleaseDiscard|GetPair|Recycl|Spare|PooledJob|PooledManager|WaitSettled|WaitCancelled' \
+		./internal/connpool/ ./internal/xferman/)
+	@$(GO) run ./cmd/gftpanalyze -tests $(TEST_LOG_DIR)
 
 # Drill smoke: every example is self-checking (log.Fatal on any wrong
 # result) and the live ones, through rig.Main().Close(), census-checked,

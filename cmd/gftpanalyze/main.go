@@ -9,11 +9,16 @@
 // charging the tail slowdown to the phases that grew (the measured
 // analogue of the paper's Figs 7-8 / Eq. 2 decomposition).
 //
+// With -tests it reads the go test -json streams `make check` and `make
+// flake` keep in TEST_LOG_DIR, and names each failed test with its
+// package, run index and output, or lists each package's slowest tests.
+//
 // Usage:
 //
 //	gftpanalyze -g 1m -setup 1m < transfers.log
 //	gftpsim -path slac-bnl -scale 0.01 | gftpanalyze -g 1m -setup 50ms
 //	curl -s http://127.0.0.1:9999/spans > spans.json && gftpanalyze -spans spans.json
+//	gftpanalyze -tests "$TEST_LOG_DIR"
 package main
 
 import (
@@ -39,8 +44,20 @@ func main() {
 		sweep  = flag.Bool("sweep", false, "also print a Table III-style sweep over g in {0, 30s, 1m, 2m, 10m}")
 		spans  = flag.String("spans", "", "variance-attribution mode: read a /spans JSON dump and decompose each operation's p99 slowness by phase (ignores the usage-log flags)")
 		minSp  = flag.Int("min-spans", 4, "with -spans, skip operations with fewer completed spans than this")
+		tests  = flag.String("tests", "", "test-log mode: read the go test -json streams in this directory (make check's TEST_LOG_DIR) and name every failed test with its output, or each package's slowest tests; exits 1 when a test failed")
 	)
 	flag.Parse()
+	if *tests != "" {
+		failed, err := runTests(*tests, os.Stdout)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gftpanalyze: %v\n", err)
+			os.Exit(1)
+		}
+		if failed > 0 {
+			os.Exit(1)
+		}
+		return
+	}
 	if *spans != "" {
 		if err := runVariance(*spans, *minSp); err != nil {
 			fmt.Fprintf(os.Stderr, "gftpanalyze: %v\n", err)

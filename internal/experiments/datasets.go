@@ -78,9 +78,11 @@ var gaps = []time.Duration{0, time.Minute, 2 * time.Minute}
 // dataset is a synthesised path log with one copy of its records in
 // sessions.ByPair's order, made on first use and kept as long as the
 // dataset is: the sessions of every gap are views into that one copy.
+// Beside it, streams holds the log's 1- and 8-stream split (streamGroup).
 type dataset struct {
 	*workload.Dataset
-	byPair func() ([]usagestats.Record, error)
+	byPair  func() ([]usagestats.Record, error)
+	streams func() (one, eight [2][]float64)
 }
 
 func newDataset(ds *workload.Dataset, err error) (*dataset, error) {
@@ -89,6 +91,8 @@ func newDataset(ds *workload.Dataset, err error) (*dataset, error) {
 	}
 	return &dataset{Dataset: ds, byPair: sync.OnceValues(func() ([]usagestats.Record, error) {
 		return sessions.ByPair(ds.Records)
+	}), streams: sync.OnceValues(func() (one, eight [2][]float64) {
+		return streamGroup(ds.Records, 1), streamGroup(ds.Records, 8)
 	})}, nil
 }
 

@@ -89,10 +89,9 @@ func figure2(ds *dataset) (Result, error) {
 	peak, peakSize := 0.0, 0.0
 	for _, d := range decades {
 		var ths []float64
-		for _, r := range ds.Records {
-			sz := float64(r.SizeBytes)
-			if sz >= d.lo && sz < d.hi {
-				t := r.ThroughputMbps()
+		for i := range ds.Records {
+			if sz := float64(ds.Records[i].SizeBytes); sz >= d.lo && sz < d.hi {
+				t := ds.Records[i].ThroughputMbps()
 				ths = append(ths, t)
 				if t > peak {
 					peak, peakSize = t, sz
@@ -110,7 +109,7 @@ func figure2(ds *dataset) (Result, error) {
 	scatter := textplot.Series{Name: "transfer", Marker: '.'}
 	stride := len(ds.Records)/4000 + 1
 	for i := 0; i < len(ds.Records); i += stride {
-		r := ds.Records[i]
+		r := &ds.Records[i]
 		scatter.X = append(scatter.X, math.Log10(float64(r.SizeBytes)/1e6))
 		scatter.Y = append(scatter.Y, r.ThroughputMbps())
 	}
@@ -120,28 +119,24 @@ func figure2(ds *dataset) (Result, error) {
 	return textResult{"fig2", b.String()}, nil
 }
 
-// streamGroups splits SLAC records into the paper's 1-stream and 8-stream
-// groups, returning (sizeBytes, throughputMbps) pairs per group.
-func streamGroups(ds *dataset) (keys1, val1, keys8, val8 []float64) {
-	group := func(streams int) (keys, vals []float64) {
-		n := 0
-		for i := range ds.Records {
-			if ds.Records[i].Streams == streams {
-				n++
-			}
+// streamGroup returns the (sizeBytes, throughputMbps) pairs of the
+// records moved over streams streams, the split Figs 3-5 read, in slices
+// of the exact size; each dataset makes it once (see newDataset).
+func streamGroup(recs []usagestats.Record, streams int) (g [2][]float64) {
+	n := 0
+	for i := range recs {
+		if recs[i].Streams == streams {
+			n++
 		}
-		keys, vals = make([]float64, 0, n), make([]float64, 0, n)
-		for i := range ds.Records {
-			if r := &ds.Records[i]; r.Streams == streams {
-				keys = append(keys, float64(r.SizeBytes))
-				vals = append(vals, r.ThroughputMbps())
-			}
-		}
-		return keys, vals
 	}
-	keys1, val1 = group(1)
-	keys8, val8 = group(8)
-	return keys1, val1, keys8, val8
+	g[0], g[1] = make([]float64, 0, n), make([]float64, 0, n)
+	for i := range recs {
+		if r := &recs[i]; r.Streams == streams {
+			g[0] = append(g[0], float64(r.SizeBytes))
+			g[1] = append(g[1], r.ThroughputMbps())
+		}
+	}
+	return g
 }
 
 // medianSeries computes median throughput per file-size bin.
@@ -193,12 +188,12 @@ type streamShape struct {
 // figure3 reproduces Fig 3: median throughput per 1 MB file-size bin for
 // 8-stream vs 1-stream transfers in (0, 1 GB].
 func figure3(ds *dataset) (Result, error) {
-	k1, v1, k8, v8 := streamGroups(ds)
-	bins1, med1, err := medianSeries(k1, v1, 0, 1e9, 1e6)
+	one, eight := ds.streams()
+	bins1, med1, err := medianSeries(one[0], one[1], 0, 1e9, 1e6)
 	if err != nil {
 		return nil, err
 	}
-	_, med8, err := medianSeries(k8, v8, 0, 1e9, 1e6)
+	_, med8, err := medianSeries(eight[0], eight[1], 0, 1e9, 1e6)
 	if err != nil {
 		return nil, err
 	}
@@ -246,12 +241,12 @@ type dipShape struct{ In, Out float64 }
 // figure4 reproduces Fig 4: the same comparison out to 4 GB with 100 MB
 // bins, including the 2.2–3.1 GB dip in the 8-stream series.
 func figure4(ds *dataset) (Result, error) {
-	k1, v1, k8, v8 := streamGroups(ds)
-	bins, med1, err := medianSeries(k1, v1, 0, 4e9, 100e6)
+	one, eight := ds.streams()
+	bins, med1, err := medianSeries(one[0], one[1], 0, 4e9, 100e6)
 	if err != nil {
 		return nil, err
 	}
-	_, med8, err := medianSeries(k8, v8, 0, 4e9, 100e6)
+	_, med8, err := medianSeries(eight[0], eight[1], 0, 4e9, 100e6)
 	if err != nil {
 		return nil, err
 	}
@@ -295,12 +290,12 @@ func figure4(ds *dataset) (Result, error) {
 // figure5 reproduces Fig 5: the number of observations per file-size bin
 // for the two stream groups.
 func figure5(ds *dataset) (Result, error) {
-	k1, v1, k8, v8 := streamGroups(ds)
-	bins1, err := stats.FixedBins(k1, v1, 0, 4e9, 100e6)
+	one, eight := ds.streams()
+	bins1, err := stats.FixedBins(one[0], one[1], 0, 4e9, 100e6)
 	if err != nil {
 		return nil, err
 	}
-	bins8, err := stats.FixedBins(k8, v8, 0, 4e9, 100e6)
+	bins8, err := stats.FixedBins(eight[0], eight[1], 0, 4e9, 100e6)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -39,17 +40,17 @@ var ErrDesynced = errors.New("gridftp: control channel desynced by earlier failu
 // A Client is not safe for concurrent use; GridFTP multiplexes one
 // transfer at a time per control channel.
 type Client struct {
+	clientState // the protocol state; Client runs its actions
+
 	conn net.Conn
 	r    *bufio.Reader
 	wbuf []byte   // the command send writes
 	peek idlePeek // CheckIdle's look at conn
 
-	parallelism    int
 	controlTimeout time.Duration
 	dataTimeout    time.Duration
 	windowSize     int
 	dialFunc       func(network, addr string) (net.Conn, error)
-	desynced       bool
 
 	hub  *telemetry.Hub
 	met  *cliMetrics
@@ -72,12 +73,9 @@ type Client struct {
 	aggLimiter *pacing.Limiter
 	rateWired  bool
 
-	// A Client holds at most one of two caches (see dropCache): peer,
-	// the Client whose last third-party transfer with this one ended in
-	// two cached-channel 226s (see ThirdPartyFrom), or chans, the data
-	// connections its own last transfer kept, with their frame buffers
-	// (see keep).
-	peer  *Client
+	// chans are the data connections the last transfer kept, with their
+	// frame buffers, while clientState.own says the server kept their
+	// other ends (see transfer).
 	chans []*dataChan
 
 	// texts are the texts of recent replies, which readReply hands out
@@ -110,7 +108,7 @@ func (e *ProtocolError) Error() string {
 // (see Option) is an error here.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	c := &Client{
-		parallelism:    1,
+		clientState:    clientState{parallelism: 1},
 		controlTimeout: DefaultControlTimeout,
 		dataTimeout:    DefaultDataTimeout,
 		windowSize:     DefaultWindowSize,
@@ -128,7 +126,8 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	}
 	c.conn = conn
 	c.r = bufio.NewReader(conn)
-	if _, err := c.expect("greeting", 220); err != nil {
+	c.run(event{kind: evSent, verb: "greeting"})
+	if _, err := c.answer(); err != nil {
 		conn.Close()
 		c.met.dialDone(err)
 		c.sess.End(err)
@@ -149,7 +148,7 @@ func (c *Client) dial(addr string) (net.Conn, error) {
 // Close terminates the session with QUIT.
 func (c *Client) Close() error {
 	c.sess.Phase(telemetry.PhaseTeardown)
-	c.dropCache()
+	c.run(event{kind: evClose})
 	_, _ = c.cmd("QUIT")
 	err := c.conn.Close()
 	c.sess.End(nil)
@@ -165,8 +164,7 @@ func (c *Client) cmd(line string) (Reply, error) {
 }
 
 // send writes one command, verb then arg, without reading its reply; it
-// is composed in the client's command buffer, so it costs no string. A
-// failed write leaves the command's fate unknown, so it desyncs c.
+// is composed in the client's command buffer, so it costs no string.
 func (c *Client) send(verb, arg string) error {
 	if c.desynced {
 		return ErrDesynced
@@ -179,18 +177,32 @@ func (c *Client) send(verb, arg string) error {
 	}
 	c.wbuf = append(append(append(c.wbuf[:0], verb...), arg...), "\r\n"...)
 	_, err := c.conn.Write(c.wbuf)
-	c.desynced = err != nil
+	c.run(event{kind: evSent, verb: verb, fail: err != nil})
 	return err
 }
 
-// readReply parses a single- or multi-line FTP reply. Each line read is
+// run applies ev to c's protocol state and runs the effect's I/O: it
+// closes the kept data connections, or drains the owed replies.
+func (c *Client) run(ev event) action {
+	e := c.apply(ev)
+	if e.drop {
+		closeChans(c.chans)
+		c.chans = nil
+	}
+	if e.drain {
+		c.drain()
+	}
+	return e
+}
+
+// readReply parses a single- or multi-line FTP reply, and tells c's
+// state, which takes it as the oldest reply owed. Each line read is
 // bounded by the control timeout so a mute server cannot hang the
-// client. A reply that could not be read is still owed, so an error
-// desyncs c. Lines are parsed in the reader's buffer, and a text that
+// client. Lines are parsed in the reader's buffer, and a text that
 // repeats a recent one reuses its string (see intern), so a steady
 // stream of equal replies makes none.
 func (c *Client) readReply() (rep Reply, err error) {
-	defer func() { c.desynced = c.desynced || err != nil }()
+	defer func() { c.run(event{kind: evReply, code: rep.Code, text: rep.Text, fail: err != nil}) }()
 	for {
 		if c.controlTimeout > 0 {
 			c.conn.SetReadDeadline(time.Now().Add(c.controlTimeout))
@@ -282,43 +294,42 @@ func (c *Client) intern(text []byte) string {
 	return s
 }
 
-// expect reads/validates a reply against the wanted code.
+// answer reads the next reply and requires the one that means success
+// for what it answers, as c's state says.
+func (c *Client) answer() (Reply, error) { return c.expect(c.owed[0].verb, c.owed[0].want) }
+
+// expect reads the next reply and requires the wanted code.
 func (c *Client) expect(verb string, want int) (Reply, error) {
 	rep, err := c.readReply()
-	if err != nil {
-		return rep, err
+	if err == nil && rep.Code != want {
+		err = &ProtocolError{Verb: verb, Reply: rep}
 	}
-	if rep.Code != want {
-		return rep, &ProtocolError{Verb: verb, Reply: rep}
-	}
-	return rep, nil
+	return rep, err
 }
 
-// drainReply consumes the transfer-status reply (226/425/426) still
-// owed on the control channel after a failed data phase, so the session
-// stays in sync for the next command. The drain is always bounded —
-// even with deadlines disabled — because this is exactly the path a
-// dead server used to hang forever. If the reply never arrives the
-// client is marked desynced and every later command fails fast with
-// ErrDesynced instead of reading mismatched replies.
-func (c *Client) drainReply() {
-	if c.controlTimeout <= 0 {
+// drain reads the replies c is still owed, such as the status
+// (226/425/426) of a transfer whose data phase failed, so the session
+// stays in sync for the next command. It is always bounded, even with
+// deadlines disabled, because this is exactly the path a dead server
+// used to hang forever. A reply that never arrives leaves c desynced,
+// and every later command fails fast with ErrDesynced instead of
+// reading mismatched replies.
+func (c *Client) drain() {
+	if c.controlTimeout <= 0 && c.nOwed > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(DefaultControlTimeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	c.readReply()
+	for c.run(event{kind: evDrain}).read {
+		c.readReply()
+	}
 }
 
 // do sends a command and requires the given reply code.
 func (c *Client) do(verb, line string, want int) (Reply, error) {
-	rep, err := c.cmd(line)
-	if err != nil {
-		return rep, err
+	if err := c.send(line, ""); err != nil {
+		return Reply{}, err
 	}
-	if rep.Code != want {
-		return rep, &ProtocolError{Verb: verb, Reply: rep}
-	}
-	return rep, nil
+	return c.expect(verb, want)
 }
 
 // Login authenticates and establishes binary MODE E, the GridFTP
@@ -326,17 +337,15 @@ func (c *Client) do(verb, line string, want int) (Reply, error) {
 func (c *Client) Login(user, pass string) error {
 	c.sess.Phase(telemetry.PhaseAuth)
 	defer c.sess.Phase(telemetry.PhaseIdle)
-	if _, err := c.do("USER", "USER "+user, 331); err != nil {
-		return err
+	for _, line := range [...]string{"USER " + user, "PASS " + pass, "TYPE I", "MODE E"} {
+		if err := c.send(line, ""); err != nil {
+			return err
+		}
+		if _, err := c.answer(); err != nil {
+			return err
+		}
 	}
-	if _, err := c.do("PASS", "PASS "+pass, 230); err != nil {
-		return err
-	}
-	if _, err := c.do("TYPE", "TYPE I", 200); err != nil {
-		return err
-	}
-	_, err := c.do("MODE", "MODE E", 200)
-	return err
+	return nil
 }
 
 // Noop sends NOOP, the keepalive probe: it both verifies the control
@@ -390,10 +399,7 @@ func (c *Client) SetParallelism(n int) error {
 	if _, err := c.do("OPTS", fmt.Sprintf("OPTS RETR Parallelism=%d,%d,%d;", n, n, n), 200); err != nil {
 		return err
 	}
-	if n != c.parallelism {
-		c.dropCache()
-	}
-	c.parallelism = n
+	c.run(event{kind: evParallelism, n: n})
 	return nil
 }
 
@@ -440,7 +446,6 @@ func (c *Client) List(prefix string) ([]string, error) {
 
 // passive requests PASV and returns the data address.
 func (c *Client) passive() (string, error) {
-	c.dropCache()
 	rep, err := c.do("PASV", "PASV", 227)
 	if err != nil {
 		return "", err
@@ -456,7 +461,6 @@ func (c *Client) passive() (string, error) {
 // stripedPassive requests SPAS and returns one data address per stripe:
 // the reply's comma lines, after its header line.
 func (c *Client) stripedPassive() ([]string, error) {
-	c.dropCache()
 	rep, err := c.do("SPAS", "SPAS", 229)
 	if err != nil {
 		return nil, err
@@ -514,13 +518,9 @@ func (c *Client) stats(size int64, start time.Time, conns int, striped bool) Tra
 // ThirdParty performs a server-to-server transfer: src RETRs the object
 // straight into dst's data port while this client drives both control
 // channels — GridFTP's third-party transfer, which is how the scripts
-// behind the paper's sessions move directory trees between DTNs.
-//
-// If the transfer fails after dst accepted its STOR, dst still owes a
-// completion reply (a 425/426 once its data accept times out or its
-// peer vanishes); ThirdParty drains it, bounded by dst's control
-// timeout, so both clients remain usable — a failed transfer must not
-// poison the sessions that retry managers like xferman reuse.
+// behind the paper's sessions move directory trees between DTNs. A
+// failed transfer leaves both clients usable: each drains the replies it
+// is still owed, bounded by its control timeout.
 func ThirdParty(src, dst *Client, srcName, dstName string) error {
 	_, _, err := ThirdPartyFrom(src, dst, srcName, dstName, 0)
 	return err
@@ -532,102 +532,65 @@ func ThirdParty(src, dst *Client, srcName, dstName string) error {
 // the resume-aware retry path that re-sends at most one reassembly
 // window of duplicates instead of the whole object.
 //
-// dstEngaged reports whether dst accepted the STOR command. A
-// resume-aware retry may only trust the destination object's SIZE as
-// this job's delivered watermark once that happened — before
-// acceptance a failure leaves any pre-existing object under dstName
-// untouched, and resuming at its stale size would splice old bytes
-// under new ones.
+// dstEngaged reports whether dst accepted the STOR command; only then
+// may a resume-aware retry trust the destination object's SIZE as this
+// job's watermark (before, a pre-existing object is untouched). size is
+// the region length src announced in its RETR 150 ("(N bytes)"), even
+// when the transfer then fails, and -1 when there was none.
 //
-// size is the region length src announced in its RETR 150 ("(N
-// bytes)"), reported even when the transfer then fails, and -1 when src
-// announced none or never sent its 150.
-//
-// When both servers end a transfer with a cached-channel 226, src and
-// dst remember each other, and their next transfer together skips PASV
-// and PORT: both servers run it over the data connection they kept.
-// Anything else leaves both forgetting, so a server that never caches
-// sees today's conversation exactly. Either client's own kept data
-// connections are closed first: a Client holds one cache at a time.
-//
-// The copy is pipelined: STOR goes to dst and RETR to src back to back,
-// and then dst's 150, src's 150, src's 226 and dst's 226 are read in
-// order, so a copy waits on one control round trip, not two. src's bytes
-// may reach dst's channel before dst has read its STOR; an authenticated
-// STOR consumes dst's data target whatever its reply, so a rejected one
-// closes the channel or listener under src's send. Each REST's 350 is
-// read before either verb goes out, since a STOR sent behind a rejected
-// REST would truncate the partial object. On failure:
-//   - dst replies anything but 150: src's RETR reply is read and, if it
-//     was 150, src's completion drained; dstEngaged is false.
-//   - src replies anything but 150: dst's completion is drained; src's
-//     failed RETR dropped its end of a cached channel, so dst sees EOF.
-//   - a write or read error that leaves a client's reply unread marks
-//     that client desynced.
+// When both servers end a copy with a cached-channel 226, src and dst
+// remember each other (see pair), and their next copy together skips
+// PASV and PORT. The copy is pipelined (DESIGN §3): STOR to dst and RETR
+// to src go out back to back, and then dst's 150, src's 150, src's 226
+// and dst's 226 are read in order, one control round trip. Each REST's
+// 350 is read before either verb goes out, since a STOR sent behind a
+// rejected REST would truncate the partial object. The first failure
+// ends the reading, and each client then drains what it is still owed.
 func ThirdPartyFrom(src, dst *Client, srcName, dstName string, offset int64) (size int64, dstEngaged bool, err error) {
-	if offset < 0 {
+	switch {
+	case offset < 0:
 		return -1, false, errors.New("gridftp: negative restart offset")
+	case src.desynced || dst.desynced: // a REST sent to the other would be orphaned
+		return -1, false, ErrDesynced
 	}
-	reuse := src.peer == dst && dst.peer == src
-	src.dropCache()
-	dst.dropCache()
-	if reuse {
+	if paired(src, dst) {
 		src.met.reuses.Inc()
 	} else if err := pointAt(src, dst); err != nil {
 		return -1, false, err
 	}
+	defer func() {
+		src.drain()
+		dst.drain()
+		if err == nil {
+			pair(src, dst)
+		}
+	}()
 	if offset > 0 {
-		rest := strconv.FormatInt(offset, 10)
-		restAt := func(c *Client) error {
-			if err := c.send("REST ", rest); err != nil {
-				return err
+		rest := "REST " + strconv.FormatInt(offset, 10)
+		for _, c := range []*Client{dst, src} {
+			if _, err := c.do("REST", rest, 350); err != nil {
+				return -1, false, err
 			}
-			_, err := c.expect("REST", 350)
-			return err
-		}
-		if err := restAt(dst); err != nil {
-			return -1, false, err
-		}
-		if err := restAt(src); err != nil {
-			dst.desynced = true // its REST is pending and would shift its next STOR
-			return -1, false, err
 		}
 	}
 	if err := dst.send("STOR ", dstName); err != nil {
 		return -1, false, err
 	}
-	// From here dst may be mid-transfer and owe a completion reply;
-	// every early exit that saw its 150 must drain it or the next
-	// command on dst would read a stale 425/426 as its own reply.
 	serr := src.send("RETR ", srcName)
-	_, derr := dst.expect("STOR", 150)
-	var opening Reply
+	_, err = dst.answer()
+	size, dstEngaged = -1, err == nil
 	if serr == nil {
-		opening, serr = src.expect("RETR", 150)
-	}
-	switch {
-	case derr != nil:
-		size = -1
-		if serr == nil {
+		var opening Reply
+		if opening, serr = src.answer(); serr == nil {
 			size = announcedSize(opening.Text)
-			src.drainReply()
 		}
-		return size, false, derr
-	case serr != nil:
-		dst.drainReply()
-		return -1, true, serr
 	}
-	size = announcedSize(opening.Text)
-	srep, err := src.expect("RETR-complete", 226)
-	if err != nil {
-		dst.drainReply()
-		return size, true, err
+	if err = cmp.Or(err, serr); err == nil {
+		if _, err = src.answer(); err == nil {
+			_, err = dst.answer()
+		}
 	}
-	drep, err := dst.expect("STOR-complete", 226)
-	if err == nil && strings.HasSuffix(srep.Text, channelCached) && strings.HasSuffix(drep.Text, channelCached) {
-		src.peer, dst.peer = dst, src
-	}
-	return size, true, err
+	return size, dstEngaged, err
 }
 
 // announcedSize parses the "(N bytes)" of a RETR 150, the wu-ftpd form

@@ -674,7 +674,7 @@ func parseHostPort(s string) (string, error) {
 // per transfer, under any pacing). A server transfer that is not
 // striped and replies 226 keeps its dataChans as the session's cached
 // channels (see settle); a client keeps its own when that 226 says so
-// (see Client.keep).
+// (see Client.transfer).
 type dataChan struct {
 	raw    net.Conn
 	stripe string

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,18 +54,17 @@ func (s *connSet) closeAll() {
 }
 
 // dataChans provides a transfer's data connections: the ones the last
-// transfer kept, when it is not striped and every kept one is still
-// idle, or else fresh ones, returned as addresses to dial: one per SPAS
-// stripe, or the PASV address once per parallel stream. Kept ones that
-// are not reused are closed, and the PASV or SPAS drops the server's.
+// transfer kept, when c's state reuses them, or else fresh ones,
+// returned as addresses to dial: one per SPAS stripe, or the PASV
+// address once per parallel stream. Sending PASV or SPAS drops the kept
+// ones on both ends.
 func (c *Client) dataChans(striped bool) ([]*dataChan, []string, error) {
-	kept := c.chans
-	c.chans = nil
-	if !striped && len(kept) == c.parallelism && idleChans(kept) {
+	if c.run(event{kind: evBegin, striped: striped, idle: idleChans(c.chans)}).reuse {
+		kept := c.chans
+		c.chans = nil
 		c.met.reuses.Inc()
 		return kept, nil, nil
 	}
-	closeChans(kept)
 	if striped {
 		addrs, err := c.stripedPassive()
 		return nil, addrs, err
@@ -105,35 +103,13 @@ func closeChans(chans []*dataChan) {
 	}
 }
 
-// keep ends a transfer that ran over chans: it holds them, with their
-// frame buffers, for the next transfer when it succeeded and its 226
-// says the server kept its ends too, and closes them otherwise. Kept
-// connections are c's one cache, so c.peer is nil (see dropCache).
-func (c *Client) keep(rep Reply, chans []*dataChan, striped bool, err error) {
-	if err != nil || striped || !strings.HasSuffix(rep.Text, channelCached) {
-		closeChans(chans)
-		return
-	}
-	c.chans = chans
-}
-
-// dropCache forgets both kinds of cache a Client holds: the third-party
-// peer, and its own kept data connections, which it closes. PASV,
-// SPAS, a changed parallelism, a third-party copy (which may send PORT)
-// and Close all start with it, so the server, which drops its cached
-// channels on each of those, and the client never disagree about one.
-func (c *Client) dropCache() {
-	closeChans(c.chans)
-	c.peer, c.chans = nil, nil
-}
-
 // pumpConns is the data phase both engines share: dial every data
 // address, or re-wrap the kept connections when chans is set, run pump
 // on each connection concurrently, wait. abort is told the first
 // failure — a pump or dial error, or ctx's cancellation, which also
 // closes every open connection so blocked reads and writes fail at
 // once — so state the pumps share (a window, a block source) releases
-// its waiters. It returns the connections, for keep, and nil with the
+// its waiters. It returns the connections, to be kept, and nil with the
 // failure's root cause, having closed them all, when a pump failed.
 func (c *Client) pumpConns(ctx context.Context, chans []*dataChan, addrs []string, sp *telemetry.Span, abort func(error), pump func(*dataChan) error) ([]*dataChan, error) {
 	if chans == nil {
@@ -286,52 +262,35 @@ func (c *Client) RetrToAt(ctx context.Context, name string, w io.Writer, at Regi
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
-	chans, addrs, err := c.dataChans(at.Striped)
-	if err != nil {
-		return TransferStats{}, err
+	line := "RETR " + name
+	if at.Length > 0 {
+		line = fmt.Sprintf("ERET P %d %d %s", at.Offset, at.Length, name)
 	}
-	var opening, rep Reply // rep, the 226, says whether to keep chans
-	defer func() { c.keep(rep, chans, at.Striped, err) }()
-	n := max(len(chans), len(addrs))
-	start := time.Now()
-	switch {
-	case at.Length > 0:
-		opening, err = c.do("ERET", fmt.Sprintf("ERET P %d %d %s", at.Offset, at.Length, name), 150)
-	case at.Offset > 0:
-		if _, err = c.do("REST", fmt.Sprintf("REST %d", at.Offset), 350); err == nil {
-			opening, err = c.do("RETR", "RETR "+name, 150)
+	regionLen := int64(-1)
+	err = c.transfer(line, at, func(opening Reply, start time.Time, chans []*dataChan, addrs []string) ([]*dataChan, error) {
+		regionLen = announcedSize(opening.Text)
+		// The window is this call's own, unlike the span: pumpConns' abort
+		// hook (a context.AfterFunc) can still run after the call returns,
+		// and on a window kept in the Client it would abort the next
+		// transfer with this call's context error.
+		asm, err := NewWindowAssembler(w, uint64(at.Offset), regionLen, c.windowSize, c.dataTimeout)
+		if err != nil {
+			return nil, err
 		}
-	default:
-		opening, err = c.do("RETR", "RETR "+name, 150)
-	}
-	if err != nil {
-		return TransferStats{}, err
-	}
-	regionLen := announcedSize(opening.Text)
-	// The window is this call's own, unlike the span: pumpConns' abort
-	// hook (a context.AfterFunc) can still run after the call returns,
-	// and on a window kept in the Client it would abort the next
-	// transfer with this call's context error.
-	asm, err := NewWindowAssembler(w, uint64(at.Offset), regionLen, c.windowSize, c.dataTimeout)
-	if err != nil {
-		c.drainReply() // the server is mid-transfer; consume its verdict
-		return TransferStats{}, err
-	}
-	chans, err = c.pumpConns(ctx, chans, addrs, sp, asm.Abort, func(dc *dataChan) error {
-		_, err := asm.drain(&dc.fr, n, unboundedEnd)
-		return err
+		n := max(len(chans), len(addrs))
+		chans, err = c.pumpConns(ctx, chans, addrs, sp, asm.Abort, func(dc *dataChan) error {
+			_, err := asm.drain(&dc.fr, n, unboundedEnd)
+			return err
+		})
+		stats = c.stats(asm.Delivered(), start, n, at.Striped)
+		stats.WireBytes = asm.WireBytes()
+		if err == nil {
+			err = asm.Finish()
+		}
+		return chans, err
 	})
-	stats = c.stats(asm.Delivered(), start, n, at.Striped)
-	stats.WireBytes = asm.WireBytes()
-	if err != nil {
-		c.drainReply()
-		return stats, err
-	}
-	if rep, err = c.expect("RETR-complete", 226); err == nil {
-		err = asm.Finish()
-	}
 	if err == nil && regionLen < 0 {
-		err = c.checkDelivered(name, at, asm.Delivered())
+		err = c.checkDelivered(name, at, stats.Bytes)
 	}
 	return stats, err
 }
@@ -382,43 +341,65 @@ func (c *Client) StorFromAt(ctx context.Context, name string, r io.Reader, at Re
 	if err := ctx.Err(); err != nil {
 		return TransferStats{}, err
 	}
+	err = c.transfer("STOR "+name, at, func(_ Reply, start time.Time, chans []*dataChan, addrs []string) ([]*dataChan, error) {
+		// Upload blocks must fit inside the receiver's reassembly window
+		// (a block larger than the window is a protocol error there), so
+		// the block size follows the client's own window setting: a peer
+		// configured symmetrically always accepts our blocks, with room
+		// for four in flight before anything parks.
+		n := max(len(chans), len(addrs))
+		src := &blockSource{r: r, pos: at.Offset, end: -1, blockSize: min(max(c.windowSize/4, 4<<10), 256<<10)}
+		chans, err := c.pumpConns(ctx, chans, addrs, sp, src.fail, func(dc *dataChan) (err error) {
+			dc.send, err = sendBlocks(src, dc.conn, dc.send)
+			return err
+		})
+		stats = c.stats(src.sent.Load(), start, n, at.Striped)
+		stats.WireBytes = stats.Bytes
+		// The server accepted the upload and begun (or truncated) the
+		// named object: resume logic may trust its SIZE from here on.
+		stats.StorAccepted = true
+		return chans, err
+	})
+	return stats, err
+}
+
+// transfer is the control conversation both engines share: the data
+// channels (see dataChans), a REST when at restarts past byte 0, line
+// and its 150, the data phase, which runs over the channels and returns
+// the ones it ran over, and the completion. The channels are then kept,
+// with their frame buffers, for the next transfer while c's state says
+// its server kept their other ends (a 226 said so after a clean data
+// phase, or no transfer verb consumed them), and closed otherwise.
+func (c *Client) transfer(line string, at Region, phase func(opening Reply, start time.Time, chans []*dataChan, addrs []string) ([]*dataChan, error)) error {
 	chans, addrs, err := c.dataChans(at.Striped)
 	if err != nil {
-		return TransferStats{}, err
+		return err
 	}
-	var rep Reply // the 226, which says whether to keep chans
-	defer func() { c.keep(rep, chans, at.Striped, err) }()
+	defer func() {
+		if c.own {
+			c.chans = chans
+		} else {
+			closeChans(chans)
+		}
+	}()
 	start := time.Now()
-	if at.Offset > 0 {
+	if at.Offset > 0 && at.Length == 0 {
 		if _, err := c.do("REST", fmt.Sprintf("REST %d", at.Offset), 350); err != nil {
-			return TransferStats{}, err
+			return err
 		}
 	}
-	if _, err := c.do("STOR", "STOR "+name, 150); err != nil {
-		return TransferStats{}, err
+	if err := c.send(line, ""); err != nil {
+		return err
+	}
+	opening, err := c.answer()
+	if err != nil {
+		return err
 	}
 	n := max(len(chans), len(addrs))
-	// Upload blocks must fit inside the receiver's reassembly window
-	// (a block larger than the window is a protocol error there), so
-	// the block size follows the client's own window setting: a peer
-	// configured symmetrically always accepts our blocks, with room
-	// for four in flight before anything parks.
-	src := &blockSource{r: r, pos: at.Offset, end: -1, blockSize: min(max(c.windowSize/4, 4<<10), 256<<10)}
-	chans, err = c.pumpConns(ctx, chans, addrs, sp, src.fail, func(dc *dataChan) (err error) {
-		dc.send, err = sendBlocks(src, dc.conn, dc.send)
+	chans, err = phase(opening, start, chans, addrs)
+	if c.run(event{kind: evData, n: n, fail: err != nil}); err != nil {
 		return err
-	})
-	stats = c.stats(src.sent.Load(), start, n, at.Striped)
-	stats.WireBytes = stats.Bytes
-	// Every path past the STOR exchange above lands here, so the
-	// server has accepted the upload and begun (or truncated) the named
-	// object — the signal resume logic needs before trusting the
-	// destination's SIZE as this transfer's watermark.
-	stats.StorAccepted = true
-	if err != nil {
-		c.drainReply()
-		return stats, err
 	}
-	rep, err = c.expect("STOR-complete", 226)
-	return stats, err
+	_, err = c.answer()
+	return err
 }

@@ -31,8 +31,8 @@ func (s *Session) Count() int { return len(s.Transfers) }
 // SizeBytes returns the total bytes moved by the session.
 func (s *Session) SizeBytes() int64 {
 	var n int64
-	for _, t := range s.Transfers {
-		n += t.SizeBytes
+	for i := range s.Transfers {
+		n += s.Transfers[i].SizeBytes
 	}
 	return n
 }
@@ -45,8 +45,8 @@ func (s *Session) Start() time.Time { return s.Transfers[0].Start }
 // transfer may finish last).
 func (s *Session) End() time.Time {
 	var end time.Time
-	for _, t := range s.Transfers {
-		if e := t.End(); e.After(end) {
+	for i := range s.Transfers {
+		if e := s.Transfers[i].End(); e.After(end) {
 			end = e
 		}
 	}
